@@ -19,7 +19,6 @@ from .circuit import (
     ry_angle,
     ry_matrix,
 )
-from .kernels import BACKEND as kernel_backend
 from .mat2 import Mat2, l1, r1, r2, r3, solve_det_pencil, u_from_pair
 from .state import (
     BlockPair,
@@ -40,6 +39,10 @@ from .state import (
 from .synth import SynthesisReport, disentangle2, disentangle3, disentangle3_real, prepare
 
 __version__ = "0.1.0"
+
+# Name of the statevector kernels in use; there is one implementation, in
+# kernels.py.
+kernel_backend = "python"
 
 __all__ = [
     "BlockPair",

@@ -3,8 +3,9 @@
 A circuit is an ordered gate list applied left-to-right to the ket (the first
 list element acts first). Gates are either a single-qubit unitary placed on
 one wire or a controlled-Z on a wire pair; controlled-Z is symmetric and
-self-inverse. Simulation uses the block-update rules (one 2x2 mix per local
-gate, sign flips per CZ), dispatched to the compiled or pure-Python kernels.
+self-inverse. Simulation uses the block-update rules of kernels.py (one 2x2
+mix per local gate, sign flips per CZ) on a plain amplitude list; the result
+is validated into a state once, after the last gate.
 
 Text format (UTF-8, LF, one gate per line, applied top to bottom):
 
@@ -87,24 +88,29 @@ class Circuit:
 State = Union[PureState2, PureState3]
 
 
+def apply_gate_amps(g: Gate, amps, num_qubits: int) -> list:
+    """Apply one gate to a plain amplitude sequence; returns a fresh list."""
+    if isinstance(g, LocalGate):
+        if g.qubit >= num_qubits:
+            raise ValueError(f"gate on qubit {g.qubit} applied to {num_qubits}-qubit state")
+        m = g.matrix
+        return kernels.apply_local(amps, g.qubit, m.a, m.b, m.c, m.d)
+    if g.j >= num_qubits:
+        raise ValueError(f"CZ on ({g.i}, {g.j}) applied to {num_qubits}-qubit state")
+    return kernels.apply_cz(amps, g.i, g.j)
+
+
 def apply_gate(g: Gate, s: State) -> State:
     """Apply one gate; returns a new state of the same type."""
-    if isinstance(g, LocalGate):
-        if g.qubit >= s.num_qubits:
-            raise ValueError(f"gate on qubit {g.qubit} applied to {s.num_qubits}-qubit state")
-        m = g.matrix
-        amps = kernels.apply_local(s.amps, g.qubit, m.a, m.b, m.c, m.d)
-    else:
-        if g.j >= s.num_qubits:
-            raise ValueError(f"CZ on ({g.i}, {g.j}) applied to {s.num_qubits}-qubit state")
-        amps = kernels.apply_cz(s.amps, g.i, g.j)
-    return type(s)(amps)
+    return type(s)(apply_gate_amps(g, s.amps.tolist(), s.num_qubits))
 
 
 def apply_circuit(c: Circuit, s: State) -> State:
+    """Simulate c on s; the result is validated once, after the last gate."""
+    amps = s.amps.tolist()
     for g in c.gates:
-        s = apply_gate(g, s)
-    return s
+        amps = apply_gate_amps(g, amps, s.num_qubits)
+    return type(s)(amps)
 
 
 def invert(c: Circuit) -> Circuit:
@@ -142,7 +148,8 @@ def ry_angle(u: Mat2) -> Optional[float]:
 # --- text serialization ---------------------------------------------------
 
 
-def _fmt(x: float) -> str:
+def format_number(x: float) -> str:
+    """17 significant digits: every float round-trips exactly."""
     return "%.17g" % x
 
 
@@ -157,8 +164,8 @@ def emit_circuit(c: Circuit, include_ry: bool = False) -> str:
         if isinstance(g, LocalGate):
             parts = ["L", str(g.qubit)]
             for e in g.matrix.entries():
-                parts.append(_fmt(e.real))
-                parts.append(_fmt(e.imag))
+                parts.append(format_number(e.real))
+                parts.append(format_number(e.imag))
             lines.append(" ".join(parts))
         else:
             lines.append(f"CZ {g.i} {g.j}")
@@ -169,7 +176,7 @@ def emit_circuit(c: Circuit, include_ry: bool = False) -> str:
             theta = ry_angle(g.matrix)
             if theta is None:
                 raise ValueError("cannot emit RY lines: a local gate is not a real rotation")
-            lines.append(f"RY {g.qubit} {_fmt(theta)}")
+            lines.append(f"RY {g.qubit} {format_number(theta)}")
     return "\n".join(lines) + "\n"
 
 

@@ -12,9 +12,10 @@ Inputs within 1e-6 of unit norm are renormalized, anything farther is
 rejected.
 
 Exit codes: 0 success, 1 parse/normalization error, 2 mode violation
-(complex input where real amplitudes are required), 3 internal invariant or
-bound failure (the branch trace is dumped to stderr). All output is
-deterministic given (input, flags, seed).
+(complex input where real amplitudes are required), 3 any other synthesis
+error, such as an internal invariant or bound failure (the error and the
+branch trace are dumped to stderr). All output is deterministic given
+(input, flags, seed).
 """
 from __future__ import annotations
 
@@ -23,23 +24,17 @@ import sys
 
 import numpy as np
 
-from .circuit import emit_circuit
-from .errors import NotNormalizedError, NotRealError, SynthesisInvariantError
+from .circuit import emit_circuit, format_number
+from .errors import NotNormalizedError, NotRealError, Qprep3Error
 from .state import PureState2, PureState3, delta, random_state
-from .synth import SynthesisReport, disentangle2, disentangle3, disentangle3_real, prepare
+from .synth import FID3_MIN, REAL_STATE_TOL, disentangle, disentangle3, disentangle3_real, prepare
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_MODE = 2
 EXIT_INVARIANT = 3
 
-REAL_INPUT_TOL = 1e-12
 DELTA_ZERO_BAND = 1e-12
-FIDELITY_MIN = 1.0 - 1e-9
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
 
 
 def parse_state_text(text: str) -> np.ndarray:
@@ -74,8 +69,8 @@ class _InputError(Exception):
     pass
 
 
-def _dump_invariant(exc: SynthesisInvariantError) -> None:
-    print(f"error: {exc}", file=sys.stderr)
+def _dump_synthesis_error(exc: Qprep3Error) -> None:
+    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
     print("branch trace: " + (" > ".join(exc.branch_trace) or "(empty)"), file=sys.stderr)
 
 
@@ -85,17 +80,17 @@ def _cmd_synth(args) -> int:
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if args.real and state.max_imag() > REAL_INPUT_TOL:
+    if args.real and state.max_imag() > REAL_STATE_TOL:
         print("error: --real requires real amplitudes", file=sys.stderr)
         return EXIT_MODE
     mode = "real" if args.real else "general"
     try:
-        report = _synthesize(state, mode, args.prepare)
+        report = prepare(state, mode) if args.prepare else disentangle(state, mode)
     except NotRealError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODE
-    except SynthesisInvariantError as exc:
-        _dump_invariant(exc)
+    except Qprep3Error as exc:
+        _dump_synthesis_error(exc)
         return EXIT_INVARIANT
 
     if args.ry:
@@ -117,18 +112,8 @@ def _cmd_synth(args) -> int:
         sys.stdout.write(text)
     if args.verify:
         flag = "true" if report.all_real else "false"
-        print(f"cz={report.cz_count} fidelity={_fmt(report.fidelity)} all_real={flag}")
+        print(f"cz={report.cz_count} fidelity={format_number(report.fidelity)} all_real={flag}")
     return EXIT_OK
-
-
-def _synthesize(state, mode: str, do_prepare: bool) -> SynthesisReport:
-    if do_prepare:
-        return prepare(state, mode)
-    if isinstance(state, PureState2):
-        return disentangle2(state)
-    if mode == "real":
-        return disentangle3_real(state)
-    return disentangle3(state)
 
 
 def _cmd_delta(args) -> int:
@@ -140,14 +125,14 @@ def _cmd_delta(args) -> int:
     if not isinstance(state, PureState3):
         print("error: delta requires a 3-qubit state file", file=sys.stderr)
         return EXIT_INPUT
-    if state.max_imag() > REAL_INPUT_TOL:
+    if state.max_imag() > REAL_STATE_TOL:
         print("error: delta is defined only for real states", file=sys.stderr)
         return EXIT_MODE
     d = delta(state)
     if abs(d) <= DELTA_ZERO_BAND:
         print("delta~0 bound=3")
     else:
-        print(f"delta={_fmt(d)} bound={3 if d >= 0 else 4}")
+        print(f"delta={format_number(d)} bound={3 if d >= 0 else 4}")
     return EXIT_OK
 
 
@@ -175,15 +160,15 @@ def _cmd_sweep(args) -> int:
                     violations.append(f"sample {i}: non-real gate")
             else:
                 rep = disentangle3(s)
-        except SynthesisInvariantError as exc:
-            violations.append(f"sample {i}: invariant failure: {exc}")
+        except Qprep3Error as exc:
+            violations.append(f"sample {i}: {type(exc).__name__}: {exc}")
             continue
         hist[rep.cz_count] = hist.get(rep.cz_count, 0) + 1
         min_fidelity = min(min_fidelity, rep.fidelity)
         if rep.cz_count > bound:
             violations.append(f"sample {i}: cz_count {rep.cz_count} exceeds bound {bound}")
-        if rep.fidelity < FIDELITY_MIN:
-            violations.append(f"sample {i}: fidelity {_fmt(rep.fidelity)} below bound")
+        if rep.fidelity < FID3_MIN:
+            violations.append(f"sample {i}: fidelity {format_number(rep.fidelity)} below bound")
 
     mode = "real" if args.real else "general"
     print(f"{'samples':<18}{args.n}")
@@ -195,10 +180,10 @@ def _cmd_sweep(args) -> int:
         label = "cz histogram" if first else ""
         print(f"{label:<18}{k}: {hist[k]}")
         first = False
-    print(f"{'min fidelity':<18}{_fmt(min_fidelity)}")
+    print(f"{'min fidelity':<18}{format_number(min_fidelity)}")
     if args.real:
-        print(f"{'delta<0 fraction':<18}{_fmt(negative / args.n)}")
-        print(f"{'max gate imag':<18}{_fmt(max_gate_imag)}")
+        print(f"{'delta<0 fraction':<18}{format_number(negative / args.n)}")
+        print(f"{'max gate imag':<18}{format_number(max_gate_imag)}")
     print(f"{'violations':<18}{len(violations)}")
     if args.machine:
         fields = [
@@ -206,11 +191,11 @@ def _cmd_sweep(args) -> int:
             f"mode={mode}",
             f"seed={args.seed}",
             "cz_hist=" + ",".join(f"{k}:{hist[k]}" for k in keys),
-            f"min_fidelity={_fmt(min_fidelity)}",
+            f"min_fidelity={format_number(min_fidelity)}",
         ]
         if args.real:
-            fields.append(f"delta_negative_fraction={_fmt(negative / args.n)}")
-            fields.append(f"max_gate_imag={_fmt(max_gate_imag)}")
+            fields.append(f"delta_negative_fraction={format_number(negative / args.n)}")
+            fields.append(f"max_gate_imag={format_number(max_gate_imag)}")
         fields.append(f"violations={len(violations)}")
         print("machine " + " ".join(fields))
     for v in violations[:20]:

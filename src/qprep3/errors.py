@@ -2,7 +2,15 @@
 
 
 class Qprep3Error(Exception):
-    """Base class for all qprep3 errors."""
+    """Base class for all qprep3 errors.
+
+    `branch_trace` lists the synthesis branch labels taken before the error
+    (empty when it was raised outside a synthesis run).
+    """
+
+    def __init__(self, message="", branch_trace=()):
+        super().__init__(message)
+        self.branch_trace = list(branch_trace)
 
 
 class ZeroPairError(Qprep3Error):
@@ -38,11 +46,4 @@ class NotRealError(Qprep3Error):
 
 
 class SynthesisInvariantError(Qprep3Error):
-    """An internal step invariant of the synthesis algorithm failed.
-
-    Carries the branch trace accumulated up to the failure point.
-    """
-
-    def __init__(self, message, branch_trace=()):
-        super().__init__(message)
-        self.branch_trace = list(branch_trace)
+    """An internal step invariant of the synthesis algorithm failed."""

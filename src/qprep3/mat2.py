@@ -141,20 +141,14 @@ def r1(m: Mat2) -> Mat2:
     scale = _row_gauge(a, b, c, d)
     if abs(m.det()) <= EPS_ZERO * max(scale, 1e-300):
         raise SingularInputError("r1 requires det != 0")
-    top = abs(a) ** 2 + abs(b) ** 2
-    bot = abs(c) ** 2 + abs(d) ** 2
-    beta = a * c.conjugate() + b * d.conjugate()
-    if abs(beta) <= EPS_ZERO * scale:
-        k: complex = math.sqrt(bot / top)
-    else:
-        k = -math.sqrt(bot / (abs(beta) ** 2 * top)) * beta.conjugate()
+    k = r1_ratio(m)
     x = d - b * k
-    y = c.conjugate() - a.conjugate() * complex(k).conjugate()
+    y = c.conjugate() - a.conjugate() * k.conjugate()
     return u_from_pair(x, y)
 
 
 def r1_ratio(m: Mat2) -> complex:
-    """The proportionality constant k of r1 (exposed for property checks)."""
+    """The proportionality constant k of r1, for nonsingular m."""
     m = _snap_real(m)
     a, b, c, d = m.entries()
     scale = _row_gauge(a, b, c, d)

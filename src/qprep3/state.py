@@ -100,12 +100,19 @@ def basis_state(num_qubits: int, index: int = 0) -> PureState3 | PureState2:
     return PureState3(amps) if num_qubits == 3 else PureState2(amps)
 
 
+def amp_matrix(w, offset: int = 0) -> Mat2:
+    """Amplitudes w[offset:offset+4] as the row-major 2x2 matrix."""
+    return Mat2(complex(w[offset]), complex(w[offset + 1]), complex(w[offset + 2]), complex(w[offset + 3]))
+
+
+def block_view(w) -> BlockPair:
+    """The blocks T0, T1 of any sequence of 8 amplitudes (nothing is validated)."""
+    return BlockPair(amp_matrix(w, 0), amp_matrix(w, 4))
+
+
 def blocks(s: PureState3) -> BlockPair:
     """Split s into |0>T0 + |1>T1."""
-    w = s.amps
-    t0 = Mat2(complex(w[0]), complex(w[1]), complex(w[2]), complex(w[3]))
-    t1 = Mat2(complex(w[4]), complex(w[5]), complex(w[6]), complex(w[7]))
-    return BlockPair(t0, t1)
+    return block_view(s.amps)
 
 
 def unblocks(p: BlockPair) -> PureState3:
@@ -115,8 +122,7 @@ def unblocks(p: BlockPair) -> PureState3:
 
 def t_matrix(s: PureState2) -> Mat2:
     """The 2x2 amplitude matrix of a 2-qubit state."""
-    w = s.amps
-    return Mat2(complex(w[0]), complex(w[1]), complex(w[2]), complex(w[3]))
+    return amp_matrix(s.amps)
 
 
 def delta(s: PureState3) -> float:

@@ -13,26 +13,33 @@ makes A singular (a root of det(A + zB) = 0, or a block swap when det(B) = 0),
 two more squeeze A to its top-left entry, a conjugated cz01 sandwich makes B
 singular, cz02 aligns all block rows, and the residual (2-qubit) x (1-qubit)
 product is finished off by the 2-qubit routine on qubits (2, 1). Skipped
-stages lower the CZ count; every stage asserts its postcondition at runtime
-and raises SynthesisInvariantError (with the branch trace) on violation.
+stages lower the CZ count.
+
+The builder tracks the amplitudes as a plain list, updated by the block rules
+of kernels.py as each gate is emitted, and reads the blocks from it to choose
+the next gate. Every stage asserts its postcondition on those amplitudes. The
+finished circuit is then simulated once on the input state, and that
+simulation alone gives the reported fidelity. Any Qprep3Error raised during
+a run carries the branch trace taken so far.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Union
 
-from .circuit import Circuit, CZGate, Gate, LocalGate, apply_circuit, apply_gate, fidelity_to_basis, invert
-from .errors import NotRealError, SynthesisInvariantError
+from .circuit import Circuit, CZGate, Gate, LocalGate, apply_circuit, apply_gate_amps, fidelity_to_basis, invert
+from .errors import NotRealError, Qprep3Error, SynthesisInvariantError
 from .mat2 import EPS_ZERO, IDENTITY, SWAP_BLOCKS, Mat2, l1, r1, r2, r3, solve_det_pencil, u_from_pair
 from .state import (
     PureState2,
     PureState3,
+    amp_matrix,
     basis_state,
-    blocks,
+    block_view,
     delta,
     factor_right,
     overlap,
-    t_matrix,
 )
 
 STEP_TOL = 1e-9  # runtime tolerance for the per-step invariants
@@ -56,12 +63,31 @@ class SynthesisReport:
 
 
 class _Builder:
-    """Accumulates gates while tracking their action on the actual state."""
+    """Accumulates gates and tracks their action on a plain amplitude list.
+
+    The tracked amplitudes only steer the construction. `finish` verifies the
+    result separately, by simulating the finished circuit on the input state.
+    """
 
     def __init__(self, state):
-        self.state = state
+        self.input = state
+        self.num_qubits = state.num_qubits
+        self.amps = state.amps.tolist()
         self.gates: list[Gate] = []
         self.trace: list[str] = []
+
+    @contextmanager
+    def traced(self):
+        """Attach the branch trace to any Qprep3Error leaving the block.
+
+        An error from a nested run already carries that run's trace, which
+        goes after this one's.
+        """
+        try:
+            yield
+        except Qprep3Error as exc:
+            exc.branch_trace = self.trace + exc.branch_trace
+            raise
 
     def say(self, label: str) -> None:
         self.trace.append(label)
@@ -69,16 +95,16 @@ class _Builder:
     def emit(self, gate: Gate) -> None:
         if isinstance(gate, LocalGate) and gate.matrix.distance_to(IDENTITY) <= PRUNE_TOL:
             return
-        self.state = apply_gate(gate, self.state)
+        self.amps = apply_gate_amps(gate, self.amps, self.num_qubits)
         self.gates.append(gate)
 
     def require(self, cond: bool, msg: str) -> None:
         if not cond:
-            raise SynthesisInvariantError(msg, self.trace)
+            raise SynthesisInvariantError(msg)
 
     def finish(self, min_fidelity: float, max_cz: int) -> SynthesisReport:
-        circ = Circuit(tuple(self.gates), self.state.num_qubits)
-        fid = fidelity_to_basis(self.state, 0)
+        circ = Circuit(tuple(self.gates), self.num_qubits)
+        fid = fidelity_to_basis(apply_circuit(circ, self.input), 0)
         self.require(fid >= min_fidelity, f"final fidelity {fid!r} below {min_fidelity!r}")
         self.require(circ.cz_count <= max_cz, f"cz count {circ.cz_count} exceeds {max_cz}")
         return SynthesisReport(circ, circ.cz_count, circ.is_real(REAL_GATE_TOL), tuple(self.trace), fid)
@@ -99,12 +125,13 @@ def disentangle2(s: PureState2) -> SynthesisReport:
     otherwise.
     """
     b = _Builder(s)
-    _run2(b)
-    return b.finish(FID2_MIN, 1)
+    with b.traced():
+        _run2(b)
+        return b.finish(FID2_MIN, 1)
 
 
 def _run2(b: _Builder) -> None:
-    t = t_matrix(b.state)
+    t = amp_matrix(b.amps)
     if abs(t.det()) <= EPS_ZERO:
         b.say("detT=0")
     else:
@@ -113,24 +140,21 @@ def _run2(b: _Builder) -> None:
         # itself; cz then flips (2,2) and leaves proportional rows
         b.emit(LocalGate(0, r1(t).transpose()))
         b.emit(CZGate(0, 1))
-        t = t_matrix(b.state)
+        t = amp_matrix(b.amps)
         b.require(abs(t.det()) <= STEP_TOL, "2q: cz sandwich left det nonzero")
     k1 = l1(t)
     b.emit(LocalGate(1, k1))
-    b.require(
-        max(abs(complex(b.state.amps[2])), abs(complex(b.state.amps[3]))) <= STEP_TOL,
-        "2q: second row not annihilated",
-    )
-    eta0 = complex(b.state.amps[0])
-    eta1 = complex(b.state.amps[1])
+    b.require(max(abs(b.amps[2]), abs(b.amps[3])) <= STEP_TOL, "2q: second row not annihilated")
+    eta0, eta1 = b.amps[0], b.amps[1]
     b.emit(LocalGate(0, u_from_pair(eta0.conjugate(), -eta1).transpose()))
 
 
 def disentangle3(s: PureState3) -> SynthesisReport:
     """Circuit mapping an arbitrary 3-qubit state to |000> with at most 3 CZ."""
     b = _Builder(s)
-    _run3(b, require_real=False)
-    return b.finish(FID3_MIN, 3)
+    with b.traced():
+        _run3(b, require_real=False)
+        return b.finish(FID3_MIN, 3)
 
 
 def disentangle3_real(s: PureState3) -> SynthesisReport:
@@ -144,26 +168,25 @@ def disentangle3_real(s: PureState3) -> SynthesisReport:
         raise NotRealError("disentangle3_real requires real amplitudes")
     d = delta(s)
     b = _Builder(s)
-    if d >= 0.0:
-        b.say("delta>=0")
-        _run3(b, require_real=True)
-        max_cz = 3
-    else:
-        b.say("delta<0")
-        a0 = blocks(b.state).t0
-        if abs(a0.det()) <= EPS_ZERO * max(a0.frobenius() ** 2, 1e-300):
-            # |delta| is then ~1e-10 or smaller: the top block is already
-            # numerically singular and the 3-CZ machinery applies directly
-            b.say("detA0~0")
-            _run3(b, require_real=True)
+    with b.traced():
+        if d >= 0.0:
+            b.say("delta>=0")
+            max_cz = 3
         else:
-            b.emit(LocalGate(0, r1(a0).transpose()))
-            b.emit(CZGate(0, 1))
-            _run3(b, require_real=True)
-        max_cz = 4
-    rep = b.finish(FID3_MIN, max_cz)
-    b.require(rep.all_real, f"real mode emitted a non-real gate (max imag {rep.circuit.max_local_imag()!r})")
-    return rep
+            b.say("delta<0")
+            max_cz = 4
+            a0 = block_view(b.amps).t0
+            if abs(a0.det()) <= EPS_ZERO * max(a0.frobenius() ** 2, 1e-300):
+                # |delta| is then ~1e-10 or smaller: the top block is already
+                # numerically singular and the 3-CZ machinery applies directly
+                b.say("detA0~0")
+            else:
+                b.emit(LocalGate(0, r1(a0).transpose()))
+                b.emit(CZGate(0, 1))
+        _run3(b, require_real=True)
+        rep = b.finish(FID3_MIN, max_cz)
+        b.require(rep.all_real, f"real mode emitted a non-real gate (max imag {rep.circuit.max_local_imag()!r})")
+        return rep
 
 
 def _pick_step1_root(b: _Builder, roots: list[complex], require_real: bool) -> complex:
@@ -179,7 +202,7 @@ def _pick_step1_root(b: _Builder, roots: list[complex], require_real: bool) -> c
 
 
 def _run3(b: _Builder, require_real: bool) -> None:
-    bp = blocks(b.state)
+    bp = block_view(b.amps)
     a0, b0 = bp.t0, bp.t1
     if abs(b0.det()) <= EPS_ZERO:
         b.say("detB0=0")
@@ -190,26 +213,24 @@ def _run3(b: _Builder, require_real: bool) -> None:
         w1 = u_from_pair(1.0, z0)
     b.emit(LocalGate(2, w1))
 
-    bp = blocks(b.state)
-    a1, b1 = bp.t0, bp.t1
+    a1 = block_view(b.amps).t0
     b.require(abs(a1.det()) <= STEP_TOL, "step1: det of top block not killed")
     if a1.frobenius() <= EPS_ZERO:
         # whole state lives in the bottom block: swap blocks (det +1 variant
         # of X) and finish with the 2-qubit routine on qubits (1, 0)
         b.say("A1=0")
         b.emit(LocalGate(2, SWAP_BLOCKS))
-        sub = PureState2(b.state.amps[:4].copy())
-        _embed2(b, sub, low_qubit=0)
+        _embed2(b, PureState2(b.amps[:4]), low_qubit=0)
         return
 
     u2 = l1(a1)
     b.emit(LocalGate(1, u2))
-    a2 = blocks(b.state).t0
+    a2 = block_view(b.amps).t0
     b.require(_row2_norm(a2) <= STEP_TOL, "step2: second row of top block survives")
 
     u3 = r3(a2)
     b.emit(LocalGate(0, u3.transpose()))
-    bp = blocks(b.state)
+    bp = block_view(b.amps)
     a3, b3 = bp.t0, bp.t1
     b.require(
         max(abs(a3.b), abs(a3.c), abs(a3.d)) <= STEP_TOL,
@@ -224,12 +245,12 @@ def _run3(b: _Builder, require_real: bool) -> None:
         b.emit(LocalGate(0, u4))
         b.emit(CZGate(0, 1))
         b.emit(LocalGate(0, u4.dagger()))
-        bp = blocks(b.state)
+        bp = block_view(b.amps)
         a4, b4 = bp.t0, bp.t1
         b.require(abs(b4.det()) <= STEP_TOL, "step4: det of bottom block not killed")
         b.require(a4.distance_to(a3) <= STEP_TOL, "step4: top block disturbed")
 
-    b4 = blocks(b.state).t1
+    b4 = block_view(b.amps).t1
     if _col2_norm(b4) <= EPS_ZERO:
         b.say("skip-step5")
     else:
@@ -238,7 +259,7 @@ def _run3(b: _Builder, require_real: bool) -> None:
         b.emit(LocalGate(0, u5))
         b.emit(CZGate(0, 2))
 
-    fac = factor_right(b.state)
+    fac = factor_right(PureState3(b.amps))
     b.require(fac is not None, "step5: block rows not proportional, state did not factor")
     pair, (v1, v2) = fac
     b.emit(LocalGate(0, u_from_pair(v1.conjugate(), -v2).transpose()))
@@ -261,22 +282,30 @@ def _embed2(b: _Builder, sub: PureState2, low_qubit: int, product_label: str | N
 State = Union[PureState2, PureState3]
 
 
+def disentangle(s: State, mode: str = "general") -> SynthesisReport:
+    """Disentangler for s: the 2-qubit routine, or the 3-qubit one for `mode`.
+
+    mode is "general" or "real"; real mode requires real amplitudes (a real
+    2-qubit input already gets real gates from disentangle2).
+    """
+    if mode not in ("general", "real"):
+        raise ValueError(f"mode must be 'general' or 'real', got {mode!r}")
+    if isinstance(s, PureState2):
+        if mode == "real" and not s.is_real(REAL_STATE_TOL):
+            raise NotRealError("real mode requires real amplitudes")
+        return disentangle2(s)
+    if mode == "real":
+        return disentangle3_real(s)
+    return disentangle3(s)
+
+
 def prepare(s: State, mode: str = "general") -> SynthesisReport:
     """Preparation circuit: apply report.circuit to |0..0> to reproduce s.
 
     The circuit is the inverted disentangler; cz count and branch trace are
     the disentangler's, fidelity is the overlap |<s|prepared>|.
     """
-    if mode not in ("general", "real"):
-        raise ValueError(f"mode must be 'general' or 'real', got {mode!r}")
-    if isinstance(s, PureState2):
-        if mode == "real" and not s.is_real(REAL_STATE_TOL):
-            raise NotRealError("real-mode preparation requires real amplitudes")
-        rep = disentangle2(s)
-    elif mode == "real":
-        rep = disentangle3_real(s)
-    else:
-        rep = disentangle3(s)
+    rep = disentangle(s, mode)
     prep = invert(rep.circuit)
     produced = apply_circuit(prep, basis_state(s.num_qubits, 0))
     fid = overlap(s, produced)

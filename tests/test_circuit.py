@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from _oracles import dense_apply, gate_unitary, random_unitary2
+from qprep3 import kernels
 from qprep3.circuit import (
     Circuit,
     CZGate,
@@ -66,6 +67,15 @@ class TestApplyGate:
             got = apply_gate(g, s).amps
             want = gate_unitary(3, g) @ s.amps
             assert np.max(np.abs(got - want)) <= 1e-13
+
+    @pytest.mark.parametrize("container", [list, np.array])
+    def test_kernel_inputs_not_mutated(self, container):
+        amps = container(random_state(604).amps.tolist())
+        before = list(amps)
+        out_local = kernels.apply_local(amps, 1, 0.6, 0.8, -0.8, 0.6)
+        out_cz = kernels.apply_cz(amps, 0, 2)
+        assert list(amps) == before
+        assert out_local is not amps and out_cz is not amps
 
     def test_two_qubit_states(self):
         rng = np.random.default_rng(7)

@@ -183,6 +183,41 @@ class TestSynthCommand:
         assert out1.encode() == out2.encode()
 
 
+def _near_zero_state_file() -> str:
+    """|000> + 1e-8 * complex Gaussian noise, renormalized, at 17 digits."""
+    rng = np.random.default_rng(0)
+    v = np.zeros(8, dtype=np.complex128)
+    v[0] = 1.0
+    v = v + 1e-8 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    v /= np.linalg.norm(v)
+    return "".join("%.17g %.17g\n" % (z.real, z.imag) for z in v)
+
+
+class TestSynthErrorContract:
+    def test_near_zero_state_exits_3_with_trace(self, tmp_path):
+        # a library error inside the synthesis (not an invariant failure)
+        # still follows the exit-3 contract: trace on stderr, no traceback
+        path = write(tmp_path, "near000.txt", _near_zero_state_file())
+        proc = _run_module(["synth", path, "--verify"])
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "branch trace: " in proc.stderr
+        assert proc.stdout == ""
+
+    def test_sweep_counts_library_errors_as_violations(self, capsys, monkeypatch):
+        import qprep3.cli as cli
+        from qprep3.errors import NonSingularInputError
+
+        def failing(_state):
+            raise NonSingularInputError("l1 requires det = 0", ["detB0=0"])
+
+        monkeypatch.setattr(cli, "disentangle3", failing)
+        code, out, err = run_cli(capsys, ["sweep", "--n", "2", "--seed", "1"])
+        assert code == 3
+        assert "violations        2" in out
+        assert "sample 0: NonSingularInputError: l1 requires det = 0" in err
+
+
 class TestDeltaCommand:
     def test_ghz(self, tmp_path, capsys):
         path = write(tmp_path, "ghz.txt", GHZ_FILE)
@@ -263,17 +298,16 @@ def _hist_keys(out: str) -> set[int]:
     return keys
 
 
-def test_module_entry_point(tmp_path):
+def _run_module(argv):
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, "-m", "qprep3", *argv], capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point(tmp_path):
     path = tmp_path / "ghz.txt"
     path.write_text(GHZ_FILE, encoding="utf-8")
-    proc = subprocess.run(
-        [sys.executable, "-m", "qprep3", "synth", str(path), "--verify"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    proc = _run_module(["synth", str(path), "--verify"])
     assert proc.returncode == 0
     assert "cz=" in proc.stdout

@@ -6,7 +6,7 @@ import pytest
 
 from _oracles import dense_apply, random_nonsingular, random_rank1
 from qprep3.circuit import CZGate, LocalGate, apply_circuit
-from qprep3.errors import NotRealError, SynthesisInvariantError
+from qprep3.errors import NonSingularInputError, NotRealError, SynthesisInvariantError
 from qprep3.mat2 import Mat2, r1, solve_det_pencil
 from qprep3.state import (
     PureState2,
@@ -325,6 +325,29 @@ class TestStepInvariants:
     def test_invariant_error_carries_trace(self):
         err = SynthesisInvariantError("boom", ["a", "b"])
         assert err.branch_trace == ["a", "b"]
+
+    def test_library_error_carries_trace(self):
+        # |000> + 1e-8 noise: l1 rejects the swapped top block today
+        rng = np.random.default_rng(0)
+        v = np.zeros(8, dtype=np.complex128)
+        v[0] = 1.0
+        v = v + 1e-8 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+        with pytest.raises(NonSingularInputError) as info:
+            disentangle3(PureState3(v / np.linalg.norm(v)))
+        assert info.value.branch_trace == ["detB0=0"]
+
+    def test_nested_error_trace_follows_outer_trace(self, monkeypatch):
+        import qprep3.synth as synth
+
+        def failing(_sub):
+            raise SynthesisInvariantError("2q: boom", ["detT!=0"])
+
+        monkeypatch.setattr(synth, "disentangle2", failing)
+        ghz = PureState3(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / math.sqrt(2))
+        with pytest.raises(SynthesisInvariantError) as info:
+            disentangle3(ghz)
+        trace = info.value.branch_trace
+        assert trace[0] == "detB0=0" and trace[-1] == "detT!=0" and len(trace) > 2
 
 
 def apply_circuit_one(gate, state):
