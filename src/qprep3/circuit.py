@@ -61,12 +61,18 @@ class CZGate:
 Gate = Union[LocalGate, CZGate]
 
 
+def _check_num_qubits(n: int) -> None:
+    if n not in (2, 3):
+        raise ValueError(f"qubit count must be 2 or 3, got {n}")
+
+
 @dataclass(frozen=True)
 class Circuit:
     gates: tuple[Gate, ...]
     num_qubits: int = 3
 
     def __post_init__(self):
+        _check_num_qubits(self.num_qubits)
         for g in self.gates:
             top = g.qubit if isinstance(g, LocalGate) else g.j
             if top >= self.num_qubits:
@@ -102,12 +108,12 @@ def apply_gate_amps(g: Gate, amps, num_qubits: int) -> list:
 
 def apply_gate(g: Gate, s: State) -> State:
     """Apply one gate; returns a new state of the same type."""
-    return type(s)(apply_gate_amps(g, s.amps.tolist(), s.num_qubits))
+    return type(s)(apply_gate_amps(g, s.w, s.num_qubits))
 
 
 def apply_circuit(c: Circuit, s: State) -> State:
     """Simulate c on s; the result is validated once, after the last gate."""
-    amps = s.amps.tolist()
+    amps = s.w
     for g in c.gates:
         amps = apply_gate_amps(g, amps, s.num_qubits)
     return type(s)(amps)
@@ -123,7 +129,7 @@ def invert(c: Circuit) -> Circuit:
 
 def fidelity_to_basis(s: State, basis_index: int) -> float:
     """|amplitude| at one computational basis index (global-phase blind)."""
-    return float(abs(s.amps[basis_index]))
+    return abs(s.w[basis_index])
 
 
 def ry_matrix(theta: float) -> Mat2:
@@ -184,7 +190,8 @@ def parse_circuit(text: str) -> Circuit:
     """Parse the text format back into a Circuit.
 
     Comment lines (`#`, including the header) set the qubit count when they
-    carry a `qubits=N` field; RY lines are informational and skipped.
+    carry a `qubits=N` field (N is 2 or 3); RY lines are informational and
+    skipped.
     """
     num_qubits = 3
     gates: list[Gate] = []
@@ -192,15 +199,15 @@ def parse_circuit(text: str) -> Circuit:
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            for tok in line[1:].split():
-                if tok.startswith("qubits="):
-                    num_qubits = int(tok.partition("=")[2])
-            continue
         parts = line.split()
         kind = parts[0]
         try:
-            if kind == "L":
+            if line.startswith("#"):
+                for tok in line[1:].split():
+                    if tok.startswith("qubits="):
+                        num_qubits = int(tok.partition("=")[2])
+                        _check_num_qubits(num_qubits)
+            elif kind == "L":
                 if len(parts) != 10:
                     raise ValueError("L line needs a qubit and 8 matrix numbers")
                 q = int(parts[1])

@@ -22,8 +22,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .circuit import emit_circuit, format_number
 from .errors import NotNormalizedError, NotRealError, Qprep3Error
 from .state import PureState2, PureState3, delta, random_state
@@ -37,8 +35,8 @@ EXIT_INVARIANT = 3
 DELTA_ZERO_BAND = 1e-12
 
 
-def parse_state_text(text: str) -> np.ndarray:
-    """Parse a state file into 4 or 8 complex amplitudes."""
+def parse_state_text(text: str) -> list[complex]:
+    """Parse a state file into a list of 4 or 8 Python complex amplitudes."""
     values = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -53,14 +51,14 @@ def parse_state_text(text: str) -> np.ndarray:
             raise ValueError(f"line {lineno}: non-numeric amplitude") from None
     if len(values) not in (4, 8):
         raise ValueError(f"expected 4 or 8 amplitudes, got {len(values)}")
-    return np.array(values, dtype=np.complex128)
+    return values
 
 
 def _load_state(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             amps = parse_state_text(fh.read())
-        return PureState3(amps) if amps.shape[0] == 8 else PureState2(amps)
+        return PureState3(amps) if len(amps) == 8 else PureState2(amps)
     except (OSError, ValueError, NotNormalizedError) as exc:
         raise _InputError(str(exc)) from exc
 
@@ -141,7 +139,7 @@ def _cmd_sweep(args) -> int:
         print("error: --n must be at least 1", file=sys.stderr)
         return EXIT_INPUT
     hist: dict[int, int] = {}
-    min_fidelity = 1.0
+    fidelities: list[float] = []
     max_gate_imag = 0.0
     negative = 0
     violations: list[str] = []
@@ -164,13 +162,14 @@ def _cmd_sweep(args) -> int:
             violations.append(f"sample {i}: {type(exc).__name__}: {exc}")
             continue
         hist[rep.cz_count] = hist.get(rep.cz_count, 0) + 1
-        min_fidelity = min(min_fidelity, rep.fidelity)
+        fidelities.append(rep.fidelity)
         if rep.cz_count > bound:
             violations.append(f"sample {i}: cz_count {rep.cz_count} exceeds bound {bound}")
         if rep.fidelity < FID3_MIN:
             violations.append(f"sample {i}: fidelity {format_number(rep.fidelity)} below bound")
 
     mode = "real" if args.real else "general"
+    min_fidelity = format_number(min(fidelities)) if fidelities else "none"
     print(f"{'samples':<18}{args.n}")
     print(f"{'mode':<18}{mode}")
     print(f"{'seed':<18}{args.seed}")
@@ -180,7 +179,7 @@ def _cmd_sweep(args) -> int:
         label = "cz histogram" if first else ""
         print(f"{label:<18}{k}: {hist[k]}")
         first = False
-    print(f"{'min fidelity':<18}{format_number(min_fidelity)}")
+    print(f"{'min fidelity':<18}{min_fidelity}")
     if args.real:
         print(f"{'delta<0 fraction':<18}{format_number(negative / args.n)}")
         print(f"{'max gate imag':<18}{format_number(max_gate_imag)}")
@@ -191,7 +190,7 @@ def _cmd_sweep(args) -> int:
             f"mode={mode}",
             f"seed={args.seed}",
             "cz_hist=" + ",".join(f"{k}:{hist[k]}" for k in keys),
-            f"min_fidelity={format_number(min_fidelity)}",
+            f"min_fidelity={min_fidelity}",
         ]
         if args.real:
             fields.append(f"delta_negative_fraction={format_number(negative / args.n)}")

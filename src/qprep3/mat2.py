@@ -69,9 +69,6 @@ class Mat2:
             self.c * other.b + self.d * other.d,
         )
 
-    def scaled(self, s: complex) -> "Mat2":
-        return Mat2(s * self.a, s * self.b, s * self.c, s * self.d)
-
     def rows(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
         return ((self.a, self.b), (self.c, self.d))
 
@@ -81,14 +78,8 @@ class Mat2:
     def entries(self) -> tuple[complex, complex, complex, complex]:
         return (self.a, self.b, self.c, self.d)
 
-    def max_abs(self) -> float:
-        return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
-
     def max_imag(self) -> float:
         return max(abs(self.a.imag), abs(self.b.imag), abs(self.c.imag), abs(self.d.imag))
-
-    def is_zero(self, tol_scale: float = 1.0) -> bool:
-        return self.frobenius() <= EPS_ZERO * tol_scale
 
     def distance_to(self, other: "Mat2") -> float:
         return max(
@@ -103,12 +94,6 @@ IDENTITY = Mat2(1, 0, 0, 1)
 Z = Mat2(1, 0, 0, -1)
 # det +1 block swap, used instead of X so every emitted gate stays in SU(2)
 SWAP_BLOCKS = Mat2(0, 1, -1, 0)
-
-
-def unitarity_defect(m: Mat2) -> float:
-    """Max-entry deviation of m†m from the identity."""
-    p = m.dagger() @ m
-    return max(abs(p.a - 1), abs(p.b), abs(p.c), abs(p.d - 1))
 
 
 def u_from_pair(x: complex, y: complex) -> Mat2:

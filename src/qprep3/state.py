@@ -1,6 +1,11 @@
 """Pure-state containers, block-matrix views, the real discriminant, and
 tensor-factorization tests.
 
+A state keeps its validated amplitudes as a tuple of Python complex numbers
+(`w`), and everything in the package computes on that tuple. The public
+`amps` array is built from it on first access; numpy is imported only then,
+and by the seeded samplers `random_state`/`random_state2`.
+
 Amplitude ordering is |000>, |001>, ..., |111> with qubit 0 the rightmost
 (least significant) position of the ket label: basis index i has qubit q in
 state (i >> q) & 1. A 3-qubit state splits into two 2x2 blocks,
@@ -8,11 +13,11 @@ state (i >> q) & 1. A 3-qubit state splits into two 2x2 blocks,
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
-
-import numpy as np
 
 from .errors import NotNormalizedError, NotRealError
 from .mat2 import EPS_ZERO, Mat2
@@ -26,36 +31,55 @@ NORM_EXACT = 1e-12
 FACTOR_TOL = 1e-10
 
 
-def _prepare_amps(raw, length: int) -> np.ndarray:
-    amps = np.array(raw, dtype=np.complex128).reshape(-1)
-    if amps.shape[0] != length:
-        raise ValueError(f"expected {length} amplitudes, got {amps.shape[0]}")
-    if not np.all(np.isfinite(amps.view(np.float64))):
+def _prepare_amps(raw, length: int) -> tuple[complex, ...]:
+    """Validated amplitudes of any flat sequence (numpy arrays included)."""
+    w = tuple(map(complex, raw))
+    if len(w) != length:
+        raise ValueError(f"expected {length} amplitudes, got {len(w)}")
+    if not all(map(cmath.isfinite, w)):
         raise NotNormalizedError("amplitudes must be finite")
-    norm = float(np.linalg.norm(amps))
+    norm = math.sqrt(math.fsum([x * x for z in w for x in (z.real, z.imag)]))
     if abs(norm - 1.0) > NORM_REJECT:
         raise NotNormalizedError(f"state norm {norm!r} is not within {NORM_REJECT} of 1")
     if abs(norm - 1.0) > NORM_EXACT:
-        amps = amps / norm
+        # times the reciprocal, as numpy divides a complex array by a real norm
+        scale = 1.0 / norm
+        w = tuple(complex(z.real * scale, z.imag * scale) for z in w)
+    return w
+
+
+def _read_only_array(w: tuple[complex, ...]):
+    import numpy as np
+
+    amps = np.array(w, dtype=np.complex128)
     amps.flags.writeable = False
     return amps
 
 
 @dataclass(frozen=True, eq=False)
 class PureState3:
-    """Normalized 3-qubit state; `amps` is a read-only complex128 array of length 8."""
+    """Normalized 3-qubit state.
 
-    amps: np.ndarray
+    Built from any flat sequence of 8 amplitudes; `w` holds them validated,
+    as a tuple of Python complex. `amps` is the same amplitudes as a
+    read-only complex128 numpy array, made on first access.
+    """
+
+    w: tuple[complex, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "amps", _prepare_amps(self.amps, 8))
+        object.__setattr__(self, "w", _prepare_amps(self.w, 8))
+
+    @cached_property
+    def amps(self):
+        return _read_only_array(self.w)
 
     @property
     def num_qubits(self) -> int:
         return 3
 
     def max_imag(self) -> float:
-        return float(np.max(np.abs(self.amps.imag)))
+        return max(abs(z.imag) for z in self.w)
 
     def is_real(self, tol: float = 1e-12) -> bool:
         return self.max_imag() <= tol
@@ -63,19 +87,27 @@ class PureState3:
 
 @dataclass(frozen=True, eq=False)
 class PureState2:
-    """Normalized 2-qubit state; `amps` has length 4, order |00>, |01>, |10>, |11>."""
+    """Normalized 2-qubit state, order |00>, |01>, |10>, |11>.
 
-    amps: np.ndarray
+    As PureState3, with 4 amplitudes: `w` is the validated tuple, `amps` the
+    read-only complex128 array made from it on first access.
+    """
+
+    w: tuple[complex, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "amps", _prepare_amps(self.amps, 4))
+        object.__setattr__(self, "w", _prepare_amps(self.w, 4))
+
+    @cached_property
+    def amps(self):
+        return _read_only_array(self.w)
 
     @property
     def num_qubits(self) -> int:
         return 2
 
     def max_imag(self) -> float:
-        return float(np.max(np.abs(self.amps.imag)))
+        return max(abs(z.imag) for z in self.w)
 
     def is_real(self, tol: float = 1e-12) -> bool:
         return self.max_imag() <= tol
@@ -95,8 +127,8 @@ class Factorization(NamedTuple):
 
 
 def basis_state(num_qubits: int, index: int = 0) -> PureState3 | PureState2:
-    amps = np.zeros(2**num_qubits, dtype=np.complex128)
-    amps[index] = 1.0
+    amps = [0j] * 2**num_qubits
+    amps[index] = 1 + 0j
     return PureState3(amps) if num_qubits == 3 else PureState2(amps)
 
 
@@ -112,17 +144,17 @@ def block_view(w) -> BlockPair:
 
 def blocks(s: PureState3) -> BlockPair:
     """Split s into |0>T0 + |1>T1."""
-    return block_view(s.amps)
+    return block_view(s.w)
 
 
 def unblocks(p: BlockPair) -> PureState3:
     """Inverse of blocks(); exact placement, so blocks(unblocks(p)) == p."""
-    return PureState3(np.array(p.t0.entries() + p.t1.entries(), dtype=np.complex128))
+    return PureState3(p.t0.entries() + p.t1.entries())
 
 
 def t_matrix(s: PureState2) -> Mat2:
     """The 2x2 amplitude matrix of a 2-qubit state."""
-    return amp_matrix(s.amps)
+    return amp_matrix(s.w)
 
 
 def delta(s: PureState3) -> float:
@@ -133,19 +165,14 @@ def delta(s: PureState3) -> float:
     """
     if not s.is_real():
         raise NotRealError("delta is defined only for real-amplitude states")
-    w = s.amps.real
+    w = [z.real for z in s.w]
     s1 = w[0] * w[7] - w[1] * w[6] - w[2] * w[5] + w[3] * w[4]
     return float(s1 * s1 - 4.0 * (w[1] * w[2] - w[0] * w[3]) * (w[5] * w[6] - w[4] * w[7]))
 
 
 def _rows4(s: PureState3) -> list[tuple[complex, complex]]:
-    w = s.amps
-    return [
-        (complex(w[0]), complex(w[1])),
-        (complex(w[2]), complex(w[3])),
-        (complex(w[4]), complex(w[5])),
-        (complex(w[6]), complex(w[7])),
-    ]
+    w = s.w
+    return [(w[0], w[1]), (w[2], w[3]), (w[4], w[5]), (w[6], w[7])]
 
 
 def factor_right(s: PureState3) -> Optional[Factorization]:
@@ -170,23 +197,23 @@ def factor_right(s: PureState3) -> Optional[Factorization]:
     phase = lead / abs(lead)
     v1, v2 = v1 / phase, v2 / phase
     coeffs = [v1.conjugate() * r[0] + v2.conjugate() * r[1] for r in rows]
-    return Factorization(PureState2(np.array(coeffs)), (v1, v2))
+    return Factorization(PureState2(coeffs), (v1, v2))
 
 
 def reconstruct(f: Factorization) -> PureState3:
     """Tensor product of a factorization, back on 8 amplitudes."""
-    beta = f.pair.amps
     a0, a1 = f.single
-    amps = np.empty(8, dtype=np.complex128)
-    for r in range(4):
-        amps[2 * r] = beta[r] * a0
-        amps[2 * r + 1] = beta[r] * a1
-    return PureState3(amps)
+    return PureState3([x for b in f.pair.w for x in (b * a0, b * a1)])
 
 
 def overlap(s1, s2) -> float:
-    """|<s1|s2>|, the phase-blind fidelity between same-size states."""
-    return float(abs(np.vdot(s1.amps, s2.amps)))
+    """|<s1|s2>|, the phase-blind fidelity between same-size states.
+
+    Each part of the inner product is summed with math.fsum, so the result
+    does not depend on summation order.
+    """
+    terms = [a.conjugate() * b for a, b in zip(s1.w, s2.w)]
+    return abs(complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)))
 
 
 def random_state(seed, real_only: bool = False) -> PureState3:
@@ -199,7 +226,9 @@ def random_state2(seed, real_only: bool = False) -> PureState2:
     return PureState2(_gaussian_amps(seed, 4, real_only))
 
 
-def _gaussian_amps(seed, length: int, real_only: bool) -> np.ndarray:
+def _gaussian_amps(seed, length: int, real_only: bool):
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(length).astype(np.complex128)
     if not real_only:

@@ -72,7 +72,7 @@ class _Builder:
     def __init__(self, state):
         self.input = state
         self.num_qubits = state.num_qubits
-        self.amps = state.amps.tolist()
+        self.amps = list(state.w)
         self.gates: list[Gate] = []
         self.trace: list[str] = []
 

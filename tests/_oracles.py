@@ -44,6 +44,17 @@ def dense_apply(circuit, amps: np.ndarray) -> np.ndarray:
     return v
 
 
+def scaled(m: Mat2, s: complex) -> Mat2:
+    """s * m, entrywise."""
+    return Mat2(s * m.a, s * m.b, s * m.c, s * m.d)
+
+
+def unitarity_defect(m: Mat2) -> float:
+    """Max-entry deviation of m†m from the identity."""
+    p = m.dagger() @ m
+    return max(abs(p.a - 1), abs(p.b), abs(p.c), abs(p.d - 1))
+
+
 def random_mat2(rng, real: bool = False) -> Mat2:
     vals = rng.standard_normal(4)
     if not real:
@@ -78,9 +89,9 @@ def random_unitary2(rng, real: bool = False) -> Mat2:
     y = complex(rng.standard_normal()) + (0 if real else 1j * rng.standard_normal())
     u = u_from_pair(x, y)
     if real:
-        return u if rng.integers(2) else u.scaled(-1.0)
+        return u if rng.integers(2) else scaled(u, -1.0)
     phase = complex(np.exp(1j * rng.uniform(0, 2 * np.pi)))
-    return u.scaled(phase)
+    return scaled(u, phase)
 
 
 def max_row_minor(rows) -> float:

@@ -227,3 +227,14 @@ class TestSerialization:
 
     def test_default_qubits_is_three(self):
         assert parse_circuit("CZ 0 2\n").num_qubits == 3
+
+    @pytest.mark.parametrize("value", ["x", "7", "1"])
+    def test_bad_header_qubit_count_carries_line_number(self, value):
+        text = f"# qprep3 v1 qubits={value} order=left-first\nCZ 0 1\n"
+        with pytest.raises(ValueError, match="^line 1: "):
+            parse_circuit(text)
+
+    def test_circuit_rejects_qubit_count(self):
+        for n in (1, 4, 7):
+            with pytest.raises(ValueError, match="2 or 3"):
+                Circuit((), num_qubits=n)

@@ -7,9 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from qprep3.circuit import apply_circuit, parse_circuit
+from qprep3.circuit import apply_circuit, format_number, parse_circuit
 from qprep3.cli import main, parse_state_text
-from qprep3.state import PureState3, basis_state
+from qprep3.errors import SynthesisInvariantError
+from qprep3.state import PureState3, basis_state, random_state
+from qprep3.synth import disentangle3
 
 GHZ_FILE = """\
 # GHZ
@@ -61,12 +63,12 @@ def run_cli(capsys, argv):
 class TestParseStateText:
     def test_ghz(self):
         amps = parse_state_text(GHZ_FILE)
-        assert amps.shape == (8,)
+        assert len(amps) == 8
         assert amps[0].real == pytest.approx(1 / math.sqrt(2))
 
     def test_comments_and_blanks(self):
         amps = parse_state_text("1 0  # basis\n\n# note\n" + "0 0\n" * 3)
-        assert amps.shape == (4,)
+        assert len(amps) == 4
 
     def test_bad_pair(self):
         with pytest.raises(ValueError, match="line 1"):
@@ -284,6 +286,25 @@ class TestSweepCommand:
         code, _, err = run_cli(capsys, ["sweep", "--n", "0", "--seed", "1"])
         assert code == 1
 
+    def test_min_fidelity_not_clamped_at_one(self, capsys):
+        # the one sample's fidelity is 1.0000000000000004, above 1: a minimum
+        # that starts at 1.0 would print "1"
+        fid = format_number(disentangle3(random_state((0, 0))).fidelity)
+        code, out, _ = run_cli(capsys, ["sweep", "--n", "1", "--seed", "0", "--machine"])
+        assert code == 0
+        assert f"min fidelity      {fid}\n" in out
+        assert f" min_fidelity={fid} " in out
+
+    def test_min_fidelity_none_without_successes(self, capsys, monkeypatch):
+        def fail(s):
+            raise SynthesisInvariantError("forced")
+
+        monkeypatch.setattr("qprep3.cli.disentangle3", fail)
+        code, out, _ = run_cli(capsys, ["sweep", "--n", "2", "--seed", "0", "--machine"])
+        assert code == 3
+        assert "min fidelity      none\n" in out
+        assert " min_fidelity=none " in out
+
 
 def _hist_keys(out: str) -> set[int]:
     keys = set()
@@ -298,11 +319,15 @@ def _hist_keys(out: str) -> set[int]:
     return keys
 
 
-def _run_module(argv):
+def _run_python(args):
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-    return subprocess.run([sys.executable, "-m", "qprep3", *argv], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def _run_module(argv):
+    return _run_python(["-m", "qprep3", *argv])
 
 
 def test_module_entry_point(tmp_path):
@@ -311,3 +336,30 @@ def test_module_entry_point(tmp_path):
     proc = _run_module(["synth", str(path), "--verify"])
     assert proc.returncode == 0
     assert "cz=" in proc.stdout
+
+
+NO_NUMPY_CHILD = """
+import sys
+import qprep3.cli
+codes = [qprep3.cli.main(argv) for argv in ARGVS]
+assert codes == [0, 0, 0], codes
+assert "numpy" not in sys.modules, "synth/delta imported numpy"
+import numpy as np
+from qprep3 import random_state
+amps = random_state(1).amps
+assert isinstance(amps, np.ndarray) and amps.dtype == np.complex128, type(amps)
+assert not amps.flags.writeable
+"""
+
+
+def test_synth_and_delta_never_import_numpy(tmp_path):
+    ghz = write(tmp_path, "ghz.txt", GHZ_FILE)
+    neg = write(tmp_path, "neg.txt", DELTA_NEG_FILE)
+    argvs = [
+        ["synth", ghz, "--verify"],
+        ["synth", ghz, "--real", "--prepare", "--ry", "--verify"],
+        ["delta", neg],
+    ]
+    proc = _run_python(["-c", f"ARGVS = {argvs!r}\n" + NO_NUMPY_CHILD])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("cz=") == 2 and "delta=" in proc.stdout

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import max_row_minor, random_mat2, random_nonsingular, random_rank1
+from _oracles import max_row_minor, random_mat2, random_nonsingular, random_rank1, scaled, unitarity_defect
 from qprep3.errors import (
     BadShapeError,
     NonSingularInputError,
@@ -24,7 +24,6 @@ from qprep3.mat2 import (
     r3,
     solve_det_pencil,
     u_from_pair,
-    unitarity_defect,
 )
 
 ISQ2 = 1.0 / math.sqrt(2.0)
@@ -243,7 +242,7 @@ def test_nearly_real_inputs_stay_nearly_real():
     rng = np.random.default_rng(72)
 
     def fuzz(m: Mat2) -> Mat2:
-        m = m.scaled(1.0 / m.frobenius())
+        m = scaled(m, 1.0 / m.frobenius())
         noise = 1e-14 * rng.standard_normal(4)
         e = m.entries()
         return Mat2(*[complex(v.real, v.imag + n) for v, n in zip(e, noise)])

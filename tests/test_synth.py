@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import dense_apply, random_nonsingular, random_rank1
+from _oracles import dense_apply, random_nonsingular, random_rank1, scaled
 from qprep3.circuit import CZGate, LocalGate, apply_circuit
 from qprep3.errors import NonSingularInputError, NotRealError, SynthesisInvariantError
 from qprep3.mat2 import Mat2, r1, solve_det_pencil
@@ -157,7 +157,7 @@ class TestBranchReductions:
             if b0.det().real * a.det().real > 0:
                 b0 = Mat2(b0.a, b0.b, -b0.c, -b0.d)
             scale = math.sqrt(abs(a.det().real) / abs(b0.det().real))
-            b = b0.scaled(scale)
+            b = scaled(b0, scale)
             rep = disentangle3(_normalized_state(a, b))
             if "skip-step4" in rep.branch_trace:
                 hits += 1
