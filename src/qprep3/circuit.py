@@ -21,12 +21,11 @@ request, skipped by the parser).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from collections import namedtuple
 
 from . import kernels
 from .mat2 import Mat2
-from .state import PureState2, PureState3
+from .state import State
 
 FORMAT_HEADER = "# qprep3 v1 qubits={n} order=left-first"
 
@@ -34,31 +33,36 @@ FORMAT_HEADER = "# qprep3 v1 qubits={n} order=left-first"
 RY_MATCH_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class LocalGate:
+def _checked_make(cls, iterable):
+    # _make (and so _replace) goes through __new__ and its checks
+    return cls(*iterable)
+
+
+class LocalGate(namedtuple("LocalGate", "qubit matrix")):
     """Single-qubit unitary on one wire."""
 
-    qubit: int
-    matrix: Mat2
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
-        if self.qubit not in (0, 1, 2):
-            raise ValueError(f"qubit must be 0, 1 or 2, got {self.qubit}")
+    def __new__(cls, qubit: int, matrix: Mat2):
+        if qubit not in (0, 1, 2):
+            raise ValueError(f"qubit must be 0, 1 or 2, got {qubit}")
+        return tuple.__new__(cls, (qubit, matrix))
 
 
-@dataclass(frozen=True)
-class CZGate:
+class CZGate(namedtuple("CZGate", "i j")):
     """Controlled-Z on the wire pair (i, j), i < j."""
 
-    i: int
-    j: int
+    __slots__ = ()
+    _make = classmethod(_checked_make)
 
-    def __post_init__(self):
-        if not (0 <= self.i < self.j <= 2):
-            raise ValueError(f"CZ pair must satisfy 0 <= i < j <= 2, got {(self.i, self.j)}")
+    def __new__(cls, i: int, j: int):
+        if not (0 <= i < j <= 2):
+            raise ValueError(f"CZ pair must satisfy 0 <= i < j <= 2, got {(i, j)}")
+        return tuple.__new__(cls, (i, j))
 
 
-Gate = Union[LocalGate, CZGate]
+Gate = LocalGate | CZGate
 
 
 def _check_num_qubits(n: int) -> None:
@@ -66,17 +70,20 @@ def _check_num_qubits(n: int) -> None:
         raise ValueError(f"qubit count must be 2 or 3, got {n}")
 
 
-@dataclass(frozen=True)
-class Circuit:
-    gates: tuple[Gate, ...]
-    num_qubits: int = 3
+def _top_qubit(g: Gate) -> int:
+    return g.qubit if isinstance(g, LocalGate) else g.j
 
-    def __post_init__(self):
-        _check_num_qubits(self.num_qubits)
-        for g in self.gates:
-            top = g.qubit if isinstance(g, LocalGate) else g.j
-            if top >= self.num_qubits:
-                raise ValueError(f"gate {g} does not fit in {self.num_qubits} qubits")
+
+class Circuit(namedtuple("Circuit", "gates num_qubits")):
+    __slots__ = ()
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, gates: tuple[Gate, ...], num_qubits: int = 3):
+        _check_num_qubits(num_qubits)
+        for g in gates:
+            if _top_qubit(g) >= num_qubits:
+                raise ValueError(f"gate {g} does not fit in {num_qubits} qubits")
+        return tuple.__new__(cls, (gates, num_qubits))
 
     @property
     def cz_count(self) -> int:
@@ -89,9 +96,6 @@ class Circuit:
 
     def is_real(self, tol: float = 1e-10) -> bool:
         return self.max_local_imag() <= tol
-
-
-State = Union[PureState2, PureState3]
 
 
 def apply_gate_amps(g: Gate, amps, num_qubits: int) -> list:
@@ -137,7 +141,7 @@ def ry_matrix(theta: float) -> Mat2:
     return Mat2(c, -sn, sn, c)
 
 
-def ry_angle(u: Mat2) -> Optional[float]:
+def ry_angle(u: Mat2) -> float | None:
     """Angle theta with Ry(theta) equal to u entrywise within RY_MATCH_TOL.
 
     None when u is not (numerically) a real rotation — complex entries or
@@ -194,7 +198,7 @@ def parse_circuit(text: str) -> Circuit:
     skipped.
     """
     num_qubits = 3
-    gates: list[Gate] = []
+    gates: list[tuple[int, Gate]] = []  # (line number, gate)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -218,15 +222,19 @@ def parse_circuit(text: str) -> Circuit:
                     complex(v[4], v[5]),
                     complex(v[6], v[7]),
                 )
-                gates.append(LocalGate(q, m))
+                gates.append((lineno, LocalGate(q, m)))
             elif kind == "CZ":
                 if len(parts) != 3:
                     raise ValueError("CZ line needs two qubit indices")
-                gates.append(CZGate(int(parts[1]), int(parts[2])))
+                gates.append((lineno, CZGate(int(parts[1]), int(parts[2]))))
             elif kind == "RY":
                 continue
             else:
                 raise ValueError(f"unknown gate kind {kind!r}")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return Circuit(tuple(gates), num_qubits)
+    # the qubit count is known only once every header line has been read
+    for lineno, g in gates:
+        if _top_qubit(g) >= num_qubits:
+            raise ValueError(f"line {lineno}: gate {g} does not fit in {num_qubits} qubits")
+    return Circuit(tuple(g for _, g in gates), num_qubits)

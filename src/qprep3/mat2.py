@@ -5,13 +5,14 @@ Every construction returns a matrix of the form
     U(x, y) = [[x, y], [-conj(y), conj(x)]] / sqrt(|x|^2 + |y|^2)
 
 which is unitary with determinant exactly 1, and maps real inputs to real
-outputs. All functions are pure; Mat2 is immutable.
+outputs. All functions are pure. Mat2 is an immutable named tuple of its four
+entries (a, b, c, d), so it compares and hashes by value.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     BadShapeError,
@@ -31,14 +32,10 @@ EPS_UNITARY = 1e-12
 REAL_SNAP = 1e-13
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(namedtuple("Mat2", "a b c d")):
     """Complex 2x2 matrix [[a, b], [c, d]]."""
 
-    a: complex
-    b: complex
-    c: complex
-    d: complex
+    __slots__ = ()
 
     def det(self) -> complex:
         return self.a * self.d - self.b * self.c
@@ -69,14 +66,11 @@ class Mat2:
             self.c * other.b + self.d * other.d,
         )
 
-    def rows(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-        return ((self.a, self.b), (self.c, self.d))
-
     def cols(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
         return ((self.a, self.c), (self.b, self.d))
 
     def entries(self) -> tuple[complex, complex, complex, complex]:
-        return (self.a, self.b, self.c, self.d)
+        return tuple(self)
 
     def max_imag(self) -> float:
         return max(abs(self.a.imag), abs(self.b.imag), abs(self.c.imag), abs(self.d.imag))

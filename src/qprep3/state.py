@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple, Optional
 
 from .errors import NotNormalizedError, NotRealError
 from .mat2 import EPS_ZERO, Mat2
@@ -56,27 +55,36 @@ def _read_only_array(w: tuple[complex, ...]):
     return amps
 
 
-@dataclass(frozen=True, eq=False)
-class PureState3:
-    """Normalized 3-qubit state.
+class _PureState:
+    """Normalized state of `num_qubits` qubits, immutable, equal only to itself.
 
-    Built from any flat sequence of 8 amplitudes; `w` holds them validated,
-    as a tuple of Python complex. `amps` is the same amplitudes as a
-    read-only complex128 numpy array, made on first access.
+    Built from any flat sequence of 2**num_qubits amplitudes; `w` holds them
+    validated, as a tuple of Python complex. `amps` is the same amplitudes as
+    a read-only complex128 numpy array, made on first access.
     """
 
-    w: tuple[complex, ...]
+    num_qubits: int
 
+    def __init__(self, w):
+        object.__setattr__(self, "w", w)
+        self.__post_init__()
+
+    # Each subclass binds this in its own namespace, where the benchmark's
+    # tracer (perfbench/spans.py) wraps it to time and count validation.
     def __post_init__(self):
-        object.__setattr__(self, "w", _prepare_amps(self.w, 8))
+        object.__setattr__(self, "w", _prepare_amps(self.w, 1 << self.num_qubits))
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(w={self.w!r})"
 
     @cached_property
     def amps(self):
         return _read_only_array(self.w)
-
-    @property
-    def num_qubits(self) -> int:
-        return 3
 
     def max_imag(self) -> float:
         return max(abs(z.imag) for z in self.w)
@@ -85,48 +93,40 @@ class PureState3:
         return self.max_imag() <= tol
 
 
-@dataclass(frozen=True, eq=False)
-class PureState2:
-    """Normalized 2-qubit state, order |00>, |01>, |10>, |11>.
+class PureState3(_PureState):
+    """Normalized 3-qubit state, order |000>, |001>, ..., |111>."""
 
-    As PureState3, with 4 amplitudes: `w` is the validated tuple, `amps` the
-    read-only complex128 array made from it on first access.
-    """
-
-    w: tuple[complex, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "w", _prepare_amps(self.w, 4))
-
-    @cached_property
-    def amps(self):
-        return _read_only_array(self.w)
-
-    @property
-    def num_qubits(self) -> int:
-        return 2
-
-    def max_imag(self) -> float:
-        return max(abs(z.imag) for z in self.w)
-
-    def is_real(self, tol: float = 1e-12) -> bool:
-        return self.max_imag() <= tol
+    num_qubits = 3
+    __post_init__ = _PureState.__post_init__
 
 
-@dataclass(frozen=True)
-class BlockPair:
+class PureState2(_PureState):
+    """Normalized 2-qubit state, order |00>, |01>, |10>, |11>."""
+
+    num_qubits = 2
+    __post_init__ = _PureState.__post_init__
+
+
+State = PureState2 | PureState3
+
+
+class BlockPair(namedtuple("BlockPair", "t0 t1")):
     """The two 2x2 amplitude blocks of a 3-qubit state."""
 
-    t0: Mat2
-    t1: Mat2
+    __slots__ = ()
 
 
-class Factorization(NamedTuple):
-    pair: PureState2  # lives on qubits (2, 1)
-    single: tuple[complex, complex]  # qubit 0, unit norm, leading entry real-positive
+class Factorization(namedtuple("Factorization", "pair single")):
+    """A (2-qubit) x (1-qubit) split of a 3-qubit state.
+
+    `pair` is a PureState2 on qubits (2, 1); `single` is qubit 0 as (v1, v2),
+    unit norm, leading entry real-positive.
+    """
+
+    __slots__ = ()
 
 
-def basis_state(num_qubits: int, index: int = 0) -> PureState3 | PureState2:
+def basis_state(num_qubits: int, index: int = 0) -> State:
     amps = [0j] * 2**num_qubits
     amps[index] = 1 + 0j
     return PureState3(amps) if num_qubits == 3 else PureState2(amps)
@@ -175,7 +175,7 @@ def _rows4(s: PureState3) -> list[tuple[complex, complex]]:
     return [(w[0], w[1]), (w[2], w[3]), (w[4], w[5]), (w[6], w[7])]
 
 
-def factor_right(s: PureState3) -> Optional[Factorization]:
+def factor_right(s: PureState3) -> Factorization | None:
     """Split s into (2-qubit state on qubits 2,1) x (single qubit 0) if possible.
 
     Succeeds iff all six pairwise 2x2 minors among the four block rows are

@@ -24,9 +24,8 @@ a run carries the branch trace taken so far.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Union
 
 from .circuit import Circuit, CZGate, Gate, LocalGate, apply_circuit, apply_gate_amps, fidelity_to_basis, invert
 from .errors import NotRealError, Qprep3Error, SynthesisInvariantError
@@ -34,6 +33,7 @@ from .mat2 import EPS_ZERO, IDENTITY, SWAP_BLOCKS, Mat2, l1, r1, r2, r3, solve_d
 from .state import (
     PureState2,
     PureState3,
+    State,
     amp_matrix,
     basis_state,
     block_view,
@@ -51,15 +51,14 @@ FID2_MIN = 1.0 - 1e-10
 FID3_MIN = 1.0 - 1e-9
 
 
-@dataclass(frozen=True)
-class SynthesisReport:
-    """Result of a synthesis run (disentangling direction unless produced by prepare)."""
+class SynthesisReport(namedtuple("SynthesisReport", "circuit cz_count all_real branch_trace fidelity")):
+    """Result of a synthesis run (disentangling direction unless produced by prepare).
 
-    circuit: Circuit
-    cz_count: int
-    all_real: bool
-    branch_trace: tuple[str, ...]
-    fidelity: float
+    circuit: Circuit, cz_count: int, all_real: bool, branch_trace: tuple of
+    branch labels, fidelity: float.
+    """
+
+    __slots__ = ()
 
 
 class _Builder:
@@ -277,9 +276,6 @@ def _embed2(b: _Builder, sub: PureState2, low_qubit: int, product_label: str | N
             b.emit(LocalGate(g.qubit + low_qubit, g.matrix))
         else:
             b.emit(CZGate(g.i + low_qubit, g.j + low_qubit))
-
-
-State = Union[PureState2, PureState3]
 
 
 def disentangle(s: State, mode: str = "general") -> SynthesisReport:

@@ -49,6 +49,11 @@ def scaled(m: Mat2, s: complex) -> Mat2:
     return Mat2(s * m.a, s * m.b, s * m.c, s * m.d)
 
 
+def rows(m: Mat2) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """The two rows of m."""
+    return ((m.a, m.b), (m.c, m.d))
+
+
 def unitarity_defect(m: Mat2) -> float:
     """Max-entry deviation of m†m from the identity."""
     p = m.dagger() @ m

@@ -13,6 +13,7 @@ from _oracles import (
     random_nonsingular,
     random_rank1,
     random_unitary2,
+    rows,
 )
 from qprep3.circuit import CZGate, LocalGate, apply_circuit, apply_gate, emit_circuit, parse_circuit
 from qprep3.cli import main
@@ -111,8 +112,8 @@ def test_criterion_4_algebra_property_suites():
         b = random_rank1(rng, zero_first_row=idx % 5 == 0)
         alpha = complex(rng.standard_normal() + 1j * rng.standard_normal())
         u = r2(b)
-        rows = list((Mat2(alpha, 0, 0, 0) @ u).rows()) + list((b @ u @ Z).rows())
-        worst["twomatrices"] = max(worst["twomatrices"], max_row_minor(rows))
+        all_rows = list(rows(Mat2(alpha, 0, 0, 0) @ u)) + list(rows(b @ u @ Z))
+        worst["twomatrices"] = max(worst["twomatrices"], max_row_minor(all_rows))
 
     for i in range(1000):
         pair = random_state2((1004, i))

@@ -238,3 +238,15 @@ class TestSerialization:
         for n in (1, 4, 7):
             with pytest.raises(ValueError, match="2 or 3"):
                 Circuit((), num_qubits=n)
+
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("# qprep3 v1 qubits=2 order=left-first\nCZ 0 1\nL 2 1 0 0 0 0 0 1 0\n", 3),
+            ("CZ 0 1\nCZ 1 2\n# qprep3 v1 qubits=2 order=left-first\n", 2),
+        ],
+        ids=["header-first", "header-last"],
+    )
+    def test_gate_outside_header_qubits_carries_line_number(self, text, lineno):
+        with pytest.raises(ValueError, match=f"^line {lineno}: gate .* does not fit in 2 qubits"):
+            parse_circuit(text)

@@ -344,6 +344,8 @@ import qprep3.cli
 codes = [qprep3.cli.main(argv) for argv in ARGVS]
 assert codes == [0, 0, 0], codes
 assert "numpy" not in sys.modules, "synth/delta imported numpy"
+assert "dataclasses" not in sys.modules, "synth/delta imported dataclasses"
+assert "inspect" not in sys.modules, "synth/delta imported inspect"
 import numpy as np
 from qprep3 import random_state
 amps = random_state(1).amps

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import max_row_minor, random_mat2, random_nonsingular, random_rank1, scaled, unitarity_defect
+from _oracles import max_row_minor, random_mat2, random_nonsingular, random_rank1, rows, scaled, unitarity_defect
 from qprep3.errors import (
     BadShapeError,
     NonSingularInputError,
@@ -116,8 +116,8 @@ class TestR2:
             alpha = complex(rng.standard_normal() + 1j * rng.standard_normal())
             d = Mat2(alpha, 0, 0, 0)
             u = r2(b)
-            rows = list((d @ u).rows()) + list((b @ u @ Z).rows())
-            assert max_row_minor(rows) <= 1e-10
+            all_rows = list(rows(d @ u)) + list(rows(b @ u @ Z))
+            assert max_row_minor(all_rows) <= 1e-10
             assert unitarity_defect(u) <= 1e-12
             assert abs(u.det() - 1) <= 1e-12
 
