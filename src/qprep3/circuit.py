@@ -24,13 +24,10 @@ import math
 from collections import namedtuple
 
 from . import kernels
-from .mat2 import Mat2
+from .mat2 import REAL_GATE_TOL, RY_MATCH_TOL, Mat2
 from .state import State
 
 FORMAT_HEADER = "# qprep3 v1 qubits={n} order=left-first"
-
-# An Ry angle is reported only if the rotation reproduces the gate this closely.
-RY_MATCH_TOL = 1e-10
 
 
 def _checked_make(cls, iterable):
@@ -94,7 +91,7 @@ class Circuit(namedtuple("Circuit", "gates num_qubits")):
         imags = [g.matrix.max_imag() for g in self.gates if isinstance(g, LocalGate)]
         return max(imags, default=0.0)
 
-    def is_real(self, tol: float = 1e-10) -> bool:
+    def is_real(self, tol: float = REAL_GATE_TOL) -> bool:
         return self.max_local_imag() <= tol
 
 

@@ -24,15 +24,14 @@ import sys
 
 from .circuit import emit_circuit, format_number
 from .errors import NotNormalizedError, NotRealError, Qprep3Error
+from .mat2 import DELTA_ZERO_BAND, FID3_MIN
 from .state import PureState2, PureState3, delta, random_state
-from .synth import FID3_MIN, REAL_STATE_TOL, disentangle, disentangle3, disentangle3_real, prepare
+from .synth import disentangle, disentangle3, disentangle3_real, prepare
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_MODE = 2
 EXIT_INVARIANT = 3
-
-DELTA_ZERO_BAND = 1e-12
 
 
 def parse_state_text(text: str) -> list[complex]:
@@ -78,7 +77,7 @@ def _cmd_synth(args) -> int:
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if args.real and state.max_imag() > REAL_STATE_TOL:
+    if args.real and not state.is_real():
         print("error: --real requires real amplitudes", file=sys.stderr)
         return EXIT_MODE
     mode = "real" if args.real else "general"
@@ -123,7 +122,7 @@ def _cmd_delta(args) -> int:
     if not isinstance(state, PureState3):
         print("error: delta requires a 3-qubit state file", file=sys.stderr)
         return EXIT_INPUT
-    if state.max_imag() > REAL_STATE_TOL:
+    if not state.is_real():
         print("error: delta is defined only for real states", file=sys.stderr)
         return EXIT_MODE
     d = delta(state)

@@ -23,13 +23,38 @@ from .errors import (
     ZeroPairError,
 )
 
-# Relative threshold for "zero"/"singular" decisions (operands are O(1) for
-# unit-norm states); unitarity defect allowance for constructed gates.
+# --- tolerances -----------------------------------------------------------
+# The only place the package defines a threshold. Amplitudes of a unit-norm
+# state set the scale: a vector or block is zero when its norm is at most
+# the tolerance, and a 2x2 block is singular when is_singular says so.
+
+# Branch decisions: which synthesis path a zero/singular block takes.
 EPS_ZERO = 1e-10
-EPS_UNITARY = 1e-12
-# Constructions have a gauge freedom; inputs this close to real take the real
-# representative so rounding-level imaginary parts cannot amplify.
+# Step checks, and the preconditions of the construction each check guards;
+# 10x above EPS_ZERO, so a block one decision accepts passes every later check.
+STEP_TOL = 1e-9
+# Gauge choice, relative to the block's norm (not a zero test): blocks this
+# close to real take the real representative, so rounding cannot amplify.
 REAL_SNAP = 1e-13
+# Local gates this close to the identity are not emitted.
+PRUNE_TOL = 1e-14
+# Largest imaginary part of an input that counts as a real state.
+REAL_STATE_TOL = 1e-12
+# Largest imaginary part of a gate that counts as real (real-mode output).
+REAL_GATE_TOL = 1e-10
+# A pencil root counts as real below this imaginary part (real mode, step 1).
+REAL_ROOT_TOL = 1e-8
+# An Ry angle is reported only if the rotation reproduces the gate this closely.
+RY_MATCH_TOL = 1e-10
+# `qprep3 delta` prints delta~0 within this of zero (rounding of exact zeros).
+DELTA_ZERO_BAND = 1e-12
+# Inputs farther than NORM_REJECT from unit norm are rejected; those farther
+# than NORM_EXACT are renormalized (closer ones pass through bit-identically).
+NORM_REJECT = 1e-6
+NORM_EXACT = 1e-12
+# Smallest simulated fidelity a 2- / 3-qubit synthesis may report.
+FID2_MIN = 1.0 - 1e-10
+FID3_MIN = 1.0 - 1e-9
 
 
 class Mat2(namedtuple("Mat2", "a b c d")):
@@ -38,12 +63,12 @@ class Mat2(namedtuple("Mat2", "a b c d")):
     __slots__ = ()
 
     def det(self) -> complex:
-        return self.a * self.d - self.b * self.c
+        a, b, c, d = self
+        return a * d - b * c
 
     def frobenius(self) -> float:
-        return math.sqrt(
-            abs(self.a) ** 2 + abs(self.b) ** 2 + abs(self.c) ** 2 + abs(self.d) ** 2
-        )
+        a, b, c, d = self
+        return math.hypot(abs(a), abs(b), abs(c), abs(d))
 
     def transpose(self) -> "Mat2":
         return Mat2(self.a, self.c, self.b, self.d)
@@ -101,13 +126,33 @@ def u_from_pair(x: complex, y: complex) -> Mat2:
     return Mat2(x * inv, y * inv, -y.conjugate() * inv, x.conjugate() * inv)
 
 
-def _row_gauge(a: complex, b: complex, c: complex, d: complex) -> float:
-    # squared Frobenius norm, the natural scale for determinant comparisons
-    return abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
+def is_singular(m: Mat2, tol: float) -> bool:
+    """|det m| <= tol * ||m||_F: the smallest singular value of m is at most
+    sqrt(2) * tol in amplitude units (true for every m with ||m||_F <= tol).
+    Every singular decision and every singular check goes through it."""
+    return abs(m.det()) <= tol * m.frobenius()
+
+
+def row2_norm(m: Mat2) -> float:
+    """Size of the second row, max(|c|, |d|)."""
+    return max(abs(m.c), abs(m.d))
+
+
+def dominant_direction(vectors) -> tuple[complex, complex]:
+    """The largest of the pairs in `vectors` (the first on ties), normalized,
+    with its first nonzero component made real-positive."""
+    norms = [abs(x) ** 2 + abs(y) ** 2 for x, y in vectors]
+    dom = max(range(len(norms)), key=norms.__getitem__)
+    v1, v2 = vectors[dom]
+    vnorm = math.sqrt(norms[dom])
+    v1, v2 = v1 / vnorm, v2 / vnorm
+    lead = v1 if abs(v1) > EPS_ZERO else v2
+    phase = lead / abs(lead)
+    return v1 / phase, v2 / phase
 
 
 def _snap_real(m: Mat2) -> Mat2:
-    if 0.0 < m.max_imag() <= REAL_SNAP * max(m.frobenius(), 1e-300):
+    if 0.0 < m.max_imag() <= REAL_SNAP * m.frobenius():
         return real_parts(m)
     return m
 
@@ -115,11 +160,10 @@ def _snap_real(m: Mat2) -> Mat2:
 def r1(m: Mat2) -> Mat2:
     """Unitary R1(m) for nonsingular m: m @ r1(m) has proportional rows after a
     sign flip of its (2,2) entry, with ratio k (w21 = k*w11, w22 = -k*w12)."""
+    if is_singular(m, EPS_ZERO):
+        raise SingularInputError("r1 requires det != 0")
     m = _snap_real(m)
     a, b, c, d = m.entries()
-    scale = _row_gauge(a, b, c, d)
-    if abs(m.det()) <= EPS_ZERO * max(scale, 1e-300):
-        raise SingularInputError("r1 requires det != 0")
     k = r1_ratio(m)
     x = d - b * k
     y = c.conjugate() - a.conjugate() * k.conjugate()
@@ -130,50 +174,37 @@ def r1_ratio(m: Mat2) -> complex:
     """The proportionality constant k of r1, for nonsingular m."""
     m = _snap_real(m)
     a, b, c, d = m.entries()
-    scale = _row_gauge(a, b, c, d)
     top = abs(a) ** 2 + abs(b) ** 2
     bot = abs(c) ** 2 + abs(d) ** 2
     beta = a * c.conjugate() + b * d.conjugate()
-    if abs(beta) <= EPS_ZERO * scale:
+    if abs(beta) <= EPS_ZERO * m.frobenius() ** 2:
         return complex(math.sqrt(bot / top))
     return -math.sqrt(bot / (abs(beta) ** 2 * top)) * beta.conjugate()
 
 
-def _require_singular_nonzero(m: Mat2, who: str) -> float:
-    norm = m.frobenius()
-    if norm <= EPS_ZERO:
+def _require_singular_nonzero(m: Mat2, who: str) -> None:
+    # the singular test is the step check that precedes l1 and r2 in synthesis
+    if m.frobenius() <= EPS_ZERO:
         raise ZeroMatrixError(f"{who} requires a nonzero matrix")
-    if abs(m.det()) > EPS_ZERO * norm * norm:
+    if not is_singular(m, STEP_TOL):
         raise NonSingularInputError(f"{who} requires det = 0")
-    return norm
 
 
 def r2(m: Mat2) -> Mat2:
     """Unitary R2(m) for nonzero singular m, a row-aligning gate.
 
     For any D = [[alpha,0],[0,0]], all rows of D @ r2(m) and m @ r2(m) @ Z are
-    multiples of one single row vector.
+    multiples of one single row vector. The row (p, q) it aligns is the first
+    row of m, or the second when the first is zero.
     """
-    m = _snap_real(m)
-    norm = _require_singular_nonzero(m, "r2")
-    a, b, c, d = m.entries()
-    if math.sqrt(abs(a) ** 2 + abs(b) ** 2) > EPS_ZERO * norm:
-        if abs(a) <= EPS_ZERO * norm:
-            k: complex = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-        else:
-            k = -math.sqrt((abs(a) ** 2 + abs(b) ** 2) / abs(a) ** 2) * a
-        x = b
-        y = a.conjugate() - complex(k).conjugate()
+    _require_singular_nonzero(m, "r2")
+    a, b, c, d = _snap_real(m).entries()
+    p, q = (a, b) if math.sqrt(abs(a) ** 2 + abs(b) ** 2) > EPS_ZERO else (c, d)
+    if abs(p) <= EPS_ZERO:
+        k: complex = math.sqrt(abs(p) ** 2 + abs(q) ** 2)
     else:
-        # first row zero; the scale factor multiplies c, mirroring the
-        # first-row case (validated by the row-proportionality suite)
-        if abs(c) <= EPS_ZERO * norm:
-            k = math.sqrt(abs(c) ** 2 + abs(d) ** 2)
-        else:
-            k = -math.sqrt((abs(c) ** 2 + abs(d) ** 2) / abs(c) ** 2) * c
-        x = d
-        y = c.conjugate() - complex(k).conjugate()
-    return u_from_pair(x, y)
+        k = -math.sqrt((abs(p) ** 2 + abs(q) ** 2) / abs(p) ** 2) * p
+    return u_from_pair(q, p.conjugate() - complex(k).conjugate())
 
 
 def l1(m: Mat2) -> Mat2:
@@ -182,29 +213,20 @@ def l1(m: Mat2) -> Mat2:
     The common column direction (v1, v2) is taken from the larger column,
     normalized, with its first nonzero component made real-positive.
     """
-    m = _snap_real(m)
-    norm = _require_singular_nonzero(m, "l1")
-    (c1a, c1b), (c2a, c2b) = m.cols()
-    n1 = abs(c1a) ** 2 + abs(c1b) ** 2
-    n2 = abs(c2a) ** 2 + abs(c2b) ** 2
-    v1, v2 = (c1a, c1b) if n1 >= n2 else (c2a, c2b)
-    vnorm = math.sqrt(abs(v1) ** 2 + abs(v2) ** 2)
-    v1 = v1 / vnorm
-    v2 = v2 / vnorm
-    lead = v1 if abs(v1) > EPS_ZERO else v2
-    phase = lead / abs(lead)
-    v1 /= phase
-    v2 /= phase
+    _require_singular_nonzero(m, "l1")
+    v1, v2 = dominant_direction(_snap_real(m).cols())
     return u_from_pair(v1.conjugate(), v2.conjugate())
 
 
 def r3(m: Mat2) -> Mat2:
-    """Unitary R3 for m = [[a, b], [0, 0]]: m @ r3(m) = [[|row1|, 0], [0, 0]]."""
-    m = _snap_real(m)
-    norm = m.frobenius()
-    a, b, c, d = m.entries()
-    if math.sqrt(abs(c) ** 2 + abs(d) ** 2) > EPS_ZERO * max(norm, 1e-300):
+    """Unitary R3 for m = [[a, b], [0, 0]]: m @ r3(m) = [[|row1|, 0], [0, 0]].
+
+    The second row counts as zero up to STEP_TOL, the step check that
+    precedes r3 in synthesis.
+    """
+    if row2_norm(m) > STEP_TOL:
         raise BadShapeError("r3 requires a vanishing second row")
+    a, b, _, _ = _snap_real(m).entries()
     if math.sqrt(abs(a) ** 2 + abs(b) ** 2) <= EPS_ZERO:
         raise BadShapeError("r3 requires a nonzero first row")
     return u_from_pair(a.conjugate(), -b)
@@ -218,10 +240,9 @@ def solve_det_pencil(m_a: Mat2, m_b: Mat2) -> list[complex]:
     other from the product of roots). Returned in ascending |z|, ties broken
     by ascending phase in [0, 2*pi).
     """
-    q2 = m_b.det()
-    scale_b = m_b.frobenius()
-    if abs(q2) <= EPS_ZERO * max(scale_b * scale_b, 1e-300):
+    if is_singular(m_b, EPS_ZERO):
         raise SingularPencilCoefficientError("solve_det_pencil requires det(B) != 0")
+    q2 = m_b.det()
     q1 = m_a.a * m_b.d + m_b.a * m_a.d - m_a.b * m_b.c - m_b.b * m_a.c
     q0 = m_a.det()
     roots = _solve_quadratic(q2, q1, q0)

@@ -19,15 +19,7 @@ from collections import namedtuple
 from functools import cached_property
 
 from .errors import NotNormalizedError, NotRealError
-from .mat2 import EPS_ZERO, Mat2
-
-# Inputs farther than this from unit norm are rejected; closer ones are
-# renormalized (exactly-normalized inputs pass through bit-identically).
-NORM_REJECT = 1e-6
-NORM_EXACT = 1e-12
-
-# Row-minor threshold for declaring a state a (2-qubit) x (1-qubit) product.
-FACTOR_TOL = 1e-10
+from .mat2 import NORM_EXACT, NORM_REJECT, REAL_STATE_TOL, STEP_TOL, Mat2, dominant_direction, is_singular
 
 
 def _prepare_amps(raw, length: int) -> tuple[complex, ...]:
@@ -89,7 +81,7 @@ class _PureState:
     def max_imag(self) -> float:
         return max(abs(z.imag) for z in self.w)
 
-    def is_real(self, tol: float = 1e-12) -> bool:
+    def is_real(self, tol: float = REAL_STATE_TOL) -> bool:
         return self.max_imag() <= tol
 
 
@@ -161,7 +153,7 @@ def delta(s: PureState3) -> float:
     """Real discriminant of a real 3-qubit state.
 
     delta >= 0 selects the 3-CZ real synthesis path, delta < 0 the 4-CZ path.
-    Raises NotRealError when the state has imaginary content above 1e-12.
+    Raises NotRealError when the state has imaginary content above REAL_STATE_TOL.
     """
     if not s.is_real():
         raise NotRealError("delta is defined only for real-amplitude states")
@@ -178,24 +170,17 @@ def _rows4(s: PureState3) -> list[tuple[complex, complex]]:
 def factor_right(s: PureState3) -> Factorization | None:
     """Split s into (2-qubit state on qubits 2,1) x (single qubit 0) if possible.
 
-    Succeeds iff all six pairwise 2x2 minors among the four block rows are
-    below FACTOR_TOL; the single-qubit factor is the dominant row normalized,
+    Succeeds iff every pair of the four block rows, as a 2x2 matrix, is
+    singular to within STEP_TOL (mat2.is_singular); it is the last step check
+    of the synthesis. The single-qubit factor is the dominant row normalized,
     its first nonzero component made real-positive.
     """
     rows = _rows4(s)
     for i in range(4):
         for j in range(i + 1, 4):
-            minor = rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0]
-            if abs(minor) > FACTOR_TOL:
+            if not is_singular(Mat2(*rows[i], *rows[j]), STEP_TOL):
                 return None
-    norms = [abs(r[0]) ** 2 + abs(r[1]) ** 2 for r in rows]
-    dom = max(range(4), key=norms.__getitem__)
-    v1, v2 = rows[dom]
-    vnorm = math.sqrt(norms[dom])
-    v1, v2 = v1 / vnorm, v2 / vnorm
-    lead = v1 if abs(v1) > EPS_ZERO else v2
-    phase = lead / abs(lead)
-    v1, v2 = v1 / phase, v2 / phase
+    v1, v2 = dominant_direction(rows)
     coeffs = [v1.conjugate() * r[0] + v2.conjugate() * r[1] for r in rows]
     return Factorization(PureState2(coeffs), (v1, v2))
 

@@ -29,7 +29,8 @@ from contextlib import contextmanager
 
 from .circuit import Circuit, CZGate, Gate, LocalGate, apply_circuit, apply_gate_amps, fidelity_to_basis, invert
 from .errors import NotRealError, Qprep3Error, SynthesisInvariantError
-from .mat2 import EPS_ZERO, IDENTITY, SWAP_BLOCKS, Mat2, l1, r1, r2, r3, solve_det_pencil, u_from_pair
+from .mat2 import EPS_ZERO, FID2_MIN, FID3_MIN, IDENTITY, PRUNE_TOL, REAL_ROOT_TOL, STEP_TOL, SWAP_BLOCKS, Mat2
+from .mat2 import is_singular, l1, r1, r2, r3, row2_norm, solve_det_pencil, u_from_pair
 from .state import (
     PureState2,
     PureState3,
@@ -41,15 +42,6 @@ from .state import (
     factor_right,
     overlap,
 )
-
-STEP_TOL = 1e-9  # runtime tolerance for the per-step invariants
-PRUNE_TOL = 1e-14  # local gates this close to identity are omitted
-REAL_GATE_TOL = 1e-10  # max imaginary part allowed on gates in real mode
-REAL_STATE_TOL = 1e-12  # max imaginary part allowed on real-mode inputs
-REAL_ROOT_TOL = 1e-8  # a pencil root counts as real below this imaginary part
-FID2_MIN = 1.0 - 1e-10
-FID3_MIN = 1.0 - 1e-9
-
 
 class SynthesisReport(namedtuple("SynthesisReport", "circuit cz_count all_real branch_trace fidelity")):
     """Result of a synthesis run (disentangling direction unless produced by prepare).
@@ -106,11 +98,7 @@ class _Builder:
         fid = fidelity_to_basis(apply_circuit(circ, self.input), 0)
         self.require(fid >= min_fidelity, f"final fidelity {fid!r} below {min_fidelity!r}")
         self.require(circ.cz_count <= max_cz, f"cz count {circ.cz_count} exceeds {max_cz}")
-        return SynthesisReport(circ, circ.cz_count, circ.is_real(REAL_GATE_TOL), tuple(self.trace), fid)
-
-
-def _row2_norm(m: Mat2) -> float:
-    return max(abs(m.c), abs(m.d))
+        return SynthesisReport(circ, circ.cz_count, circ.is_real(), tuple(self.trace), fid)
 
 
 def _col2_norm(m: Mat2) -> float:
@@ -131,7 +119,7 @@ def disentangle2(s: PureState2) -> SynthesisReport:
 
 def _run2(b: _Builder) -> None:
     t = amp_matrix(b.amps)
-    if abs(t.det()) <= EPS_ZERO:
+    if is_singular(t, EPS_ZERO):
         b.say("detT=0")
     else:
         b.say("detT!=0")
@@ -140,10 +128,10 @@ def _run2(b: _Builder) -> None:
         b.emit(LocalGate(0, r1(t).transpose()))
         b.emit(CZGate(0, 1))
         t = amp_matrix(b.amps)
-        b.require(abs(t.det()) <= STEP_TOL, "2q: cz sandwich left det nonzero")
+        b.require(is_singular(t, STEP_TOL), "2q: cz sandwich left det nonzero")
     k1 = l1(t)
     b.emit(LocalGate(1, k1))
-    b.require(max(abs(b.amps[2]), abs(b.amps[3])) <= STEP_TOL, "2q: second row not annihilated")
+    b.require(row2_norm(amp_matrix(b.amps)) <= STEP_TOL, "2q: second row not annihilated")
     eta0, eta1 = b.amps[0], b.amps[1]
     b.emit(LocalGate(0, u_from_pair(eta0.conjugate(), -eta1).transpose()))
 
@@ -163,7 +151,7 @@ def disentangle3_real(s: PureState3) -> SynthesisReport:
     a real local gate first forces a singular top block, after which the
     general flow applies with real branch choices throughout).
     """
-    if not s.is_real(REAL_STATE_TOL):
+    if not s.is_real():
         raise NotRealError("disentangle3_real requires real amplitudes")
     d = delta(s)
     b = _Builder(s)
@@ -175,7 +163,7 @@ def disentangle3_real(s: PureState3) -> SynthesisReport:
             b.say("delta<0")
             max_cz = 4
             a0 = block_view(b.amps).t0
-            if abs(a0.det()) <= EPS_ZERO * max(a0.frobenius() ** 2, 1e-300):
+            if is_singular(a0, EPS_ZERO):
                 # |delta| is then ~1e-10 or smaller: the top block is already
                 # numerically singular and the 3-CZ machinery applies directly
                 b.say("detA0~0")
@@ -203,7 +191,7 @@ def _pick_step1_root(b: _Builder, roots: list[complex], require_real: bool) -> c
 def _run3(b: _Builder, require_real: bool) -> None:
     bp = block_view(b.amps)
     a0, b0 = bp.t0, bp.t1
-    if abs(b0.det()) <= EPS_ZERO:
+    if is_singular(b0, EPS_ZERO):
         b.say("detB0=0")
         w1 = SWAP_BLOCKS
     else:
@@ -213,10 +201,12 @@ def _run3(b: _Builder, require_real: bool) -> None:
     b.emit(LocalGate(2, w1))
 
     a1 = block_view(b.amps).t0
-    b.require(abs(a1.det()) <= STEP_TOL, "step1: det of top block not killed")
-    if a1.frobenius() <= EPS_ZERO:
+    b.require(is_singular(a1, STEP_TOL), "step1: det of top block not killed")
+    if max(map(abs, a1)) <= EPS_ZERO:
         # whole state lives in the bottom block: swap blocks (det +1 variant
-        # of X) and finish with the 2-qubit routine on qubits (1, 0)
+        # of X) and finish with the 2-qubit routine on qubits (1, 0). Tested
+        # entrywise, so the first row l1 leaves (no smaller than any entry)
+        # is nonzero for r3
         b.say("A1=0")
         b.emit(LocalGate(2, SWAP_BLOCKS))
         _embed2(b, PureState2(b.amps[:4]), low_qubit=0)
@@ -225,7 +215,7 @@ def _run3(b: _Builder, require_real: bool) -> None:
     u2 = l1(a1)
     b.emit(LocalGate(1, u2))
     a2 = block_view(b.amps).t0
-    b.require(_row2_norm(a2) <= STEP_TOL, "step2: second row of top block survives")
+    b.require(row2_norm(a2) <= STEP_TOL, "step2: second row of top block survives")
 
     u3 = r3(a2)
     b.emit(LocalGate(0, u3.transpose()))
@@ -236,7 +226,7 @@ def _run3(b: _Builder, require_real: bool) -> None:
         "step3: top block not reduced to its corner",
     )
 
-    if abs(b3.det()) <= EPS_ZERO:
+    if is_singular(b3, EPS_ZERO):
         b.say("skip-step4")
     else:
         b.say("step4")
@@ -246,7 +236,7 @@ def _run3(b: _Builder, require_real: bool) -> None:
         b.emit(LocalGate(0, u4.dagger()))
         bp = block_view(b.amps)
         a4, b4 = bp.t0, bp.t1
-        b.require(abs(b4.det()) <= STEP_TOL, "step4: det of bottom block not killed")
+        b.require(is_singular(b4, STEP_TOL), "step4: det of bottom block not killed")
         b.require(a4.distance_to(a3) <= STEP_TOL, "step4: top block disturbed")
 
     b4 = block_view(b.amps).t1
@@ -287,7 +277,7 @@ def disentangle(s: State, mode: str = "general") -> SynthesisReport:
     if mode not in ("general", "real"):
         raise ValueError(f"mode must be 'general' or 'real', got {mode!r}")
     if isinstance(s, PureState2):
-        if mode == "real" and not s.is_real(REAL_STATE_TOL):
+        if mode == "real" and not s.is_real():
             raise NotRealError("real mode requires real amplitudes")
         return disentangle2(s)
     if mode == "real":
@@ -309,4 +299,4 @@ def prepare(s: State, mode: str = "general") -> SynthesisReport:
         raise SynthesisInvariantError(
             f"preparation round-trip fidelity {fid!r} below {FID3_MIN!r}", rep.branch_trace
         )
-    return SynthesisReport(prep, prep.cz_count, prep.is_real(REAL_GATE_TOL), rep.branch_trace, fid)
+    return SynthesisReport(prep, prep.cz_count, prep.is_real(), rep.branch_trace, fid)

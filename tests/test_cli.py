@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from _oracles import dense_apply
 from qprep3.circuit import apply_circuit, format_number, parse_circuit
 from qprep3.cli import main, parse_state_text
 from qprep3.errors import SynthesisInvariantError
@@ -195,16 +196,40 @@ def _near_zero_state_file() -> str:
     return "".join("%.17g %.17g\n" % (z.real, z.imag) for z in v)
 
 
+FAILING_L1_CHILD = """
+import qprep3.synth
+from qprep3.cli import main
+from qprep3.errors import NonSingularInputError
+
+def failing(_m):
+    raise NonSingularInputError("l1 requires det = 0")
+
+qprep3.synth.l1 = failing
+raise SystemExit(main(ARGV))
+"""
+
+
 class TestSynthErrorContract:
-    def test_near_zero_state_exits_3_with_trace(self, tmp_path):
+    def test_library_error_exits_3_with_trace(self, tmp_path):
         # a library error inside the synthesis (not an invariant failure)
         # still follows the exit-3 contract: trace on stderr, no traceback
-        path = write(tmp_path, "near000.txt", _near_zero_state_file())
-        proc = _run_module(["synth", path, "--verify"])
+        path = write(tmp_path, "ghz.txt", GHZ_FILE)
+        proc = _run_python(["-c", f"ARGV = {['synth', path, '--verify']!r}\n" + FAILING_L1_CHILD])
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
-        assert "branch trace: " in proc.stderr
+        assert "branch trace: detB0=0\n" in proc.stderr
         assert proc.stdout == ""
+
+    def test_near_zero_state_synthesizes(self, tmp_path, capsys):
+        # |000> + 1e-8 noise, which once failed in l1 with exit 3
+        path = write(tmp_path, "near000.txt", _near_zero_state_file())
+        code, out, err = run_cli(capsys, ["synth", path, "--verify"])
+        assert code == 0 and err == ""
+        *gates, status = out.splitlines()
+        circ = parse_circuit("\n".join(gates))
+        amps = parse_state_text(_near_zero_state_file())
+        assert abs(dense_apply(circ, amps)[0]) >= 1 - 1e-9
+        assert status.startswith(f"cz={circ.cz_count} ") and circ.cz_count <= 3
 
     def test_sweep_counts_library_errors_as_violations(self, capsys, monkeypatch):
         import qprep3.cli as cli

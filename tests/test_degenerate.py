@@ -1,0 +1,144 @@
+"""Near-degenerate inputs: every zero/singular decision sits close to its threshold.
+
+Six seeded families of 3-qubit states, each perturbed by eps log-uniform in
+[1e-16, 1e-2], go through disentangle3 and, for real inputs, through
+disentangle3_real. Every success must meet the guarantee table, checked with
+the dense oracle and a discriminant computed here; every failure must be a
+Qprep3Error.
+"""
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from _oracles import dense_apply
+from qprep3.errors import Qprep3Error
+from qprep3.state import PureState3
+from qprep3.synth import disentangle3, disentangle3_real
+
+FAMILIES = ["rot_000_111", "noise_000", "ghz_w", "one_pair", "rot_product", "real_delta0"]
+# families that may not fail at all; the others still fail on a few
+# ill-conditioned inputs (see ROADMAP item 2)
+MUST_SUCCEED = {"noise_000", "one_pair", "real_delta0"}
+PER_FAMILY = 100
+
+GHZ = np.array([1, 0, 0, 0, 0, 0, 0, 1]) / math.sqrt(2.0)
+W = np.array([0, 1, 1, 0, 1, 0, 0, 0]) / math.sqrt(3.0)
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def _vector(rng, n, real):
+    v = rng.standard_normal(n).astype(np.complex128)
+    if not real:
+        v += 1j * rng.standard_normal(n)
+    return _unit(v)
+
+
+def _kron3(g2, g1, g0, v):
+    return np.kron(g2, np.kron(g1, g0)) @ v
+
+
+def _local_unitary(rng, real):
+    if real:
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    x, y = _vector(rng, 2, False)
+    return np.array([[x, y], [-y.conjugate(), x.conjugate()]])
+
+
+def _real_sl2(rng):
+    g = rng.standard_normal((2, 2))
+    if np.linalg.det(g) < 0.0:
+        g[0] = -g[0]
+    return g / math.sqrt(np.linalg.det(g))
+
+
+def _instance(rng, i):
+    family = FAMILIES[i % len(FAMILIES)]
+    eps = 10.0 ** rng.uniform(-16.0, -2.0)
+    real = family == "real_delta0" or bool(rng.integers(2))
+    noise = _vector(rng, 8, real)
+    if family == "rot_000_111":
+        base = np.zeros(8, dtype=np.complex128)
+        base[0], base[7] = 1.0, eps
+        g = [_local_unitary(rng, real) for _ in range(3)]
+        return family, real, _unit(_kron3(*g, base))
+    if family == "noise_000":
+        base = np.zeros(8, dtype=np.complex128)
+        base[0] = 1.0
+    elif family == "ghz_w":
+        base = GHZ if (i // len(FAMILIES)) % 2 else W
+    elif family == "one_pair":
+        base = np.zeros(8, dtype=np.complex128)
+        base[4:] = _vector(rng, 4, real)
+    elif family == "rot_product":
+        base = np.kron(_vector(rng, 2, real), np.kron(_vector(rng, 2, real), _vector(rng, 2, real)))
+    else:
+        # W under real SL(2)^3 stays on the delta = 0 hypersurface
+        base = _unit(_kron3(_real_sl2(rng), _real_sl2(rng), _real_sl2(rng), W))
+    return family, real, _unit(base + eps * noise)
+
+
+def _delta(v):
+    w = v.real
+    s1 = w[0] * w[7] - w[1] * w[6] - w[2] * w[5] + w[3] * w[4]
+    return s1 * s1 - 4.0 * (w[1] * w[2] - w[0] * w[3]) * (w[5] * w[6] - w[4] * w[7])
+
+
+def _violation(rep, v, mode):
+    """The guarantee-table entry rep breaks for input v, or None."""
+    if abs(dense_apply(rep.circuit, v)[0]) < 1.0 - 1e-9:
+        return "fidelity"
+    bound = 3 if mode == "general" or _delta(v) >= 0.0 else 4
+    if rep.cz_count > bound:
+        return f"cz {rep.cz_count} > {bound}"
+    if mode == "real" and any(abs(e.imag) > 1e-10 for g in rep.circuit.gates if hasattr(g, "matrix") for e in g.matrix):
+        return "non-real gate"
+    return None
+
+
+def _run_all():
+    rng = np.random.default_rng(20261018)
+    outcomes = []  # (family, mode, index, raised exception, guarantee violation)
+    for i in range(PER_FAMILY * len(FAMILIES)):
+        family, real, v = _instance(rng, i)
+        s = PureState3(v)
+        for mode, synth in [("general", disentangle3)] + ([("real", disentangle3_real)] if real else []):
+            try:
+                rep = synth(s)
+            except Exception as exc:  # classified by the tests below
+                outcomes.append((family, mode, i, exc, None))
+            else:
+                outcomes.append((family, mode, i, None, _violation(rep, v, mode)))
+    return outcomes
+
+
+@pytest.fixture(scope="module")
+def outcomes():
+    return _run_all()
+
+
+def test_every_family_and_mode_is_covered(outcomes):
+    seen = Counter((family, mode) for family, mode, *_ in outcomes)
+    for family in FAMILIES:
+        assert seen[(family, "general")] == PER_FAMILY
+        assert seen[(family, "real")] >= PER_FAMILY // 4
+
+
+def test_successes_meet_the_guarantee_table(outcomes):
+    assert [(f, m, i, bad) for f, m, i, _, bad in outcomes if bad is not None] == []
+
+
+def test_failures_are_typed_and_rare(outcomes):
+    failed = [exc for *_, exc, _ in outcomes if exc is not None]
+    assert [repr(exc) for exc in failed if not isinstance(exc, Qprep3Error)] == []
+    assert len(failed) <= len(outcomes) // 50
+
+
+def test_fixed_families_never_fail(outcomes):
+    failed = [(f, m, i, repr(exc)) for f, m, i, exc, _ in outcomes if exc is not None and f in MUST_SUCCEED]
+    assert failed == []

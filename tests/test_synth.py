@@ -26,6 +26,15 @@ def ghz() -> PureState3:
     return PureState3(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / math.sqrt(2))
 
 
+def near_000() -> PureState3:
+    """|000> + 1e-8 * complex Gaussian noise, renormalized."""
+    rng = np.random.default_rng(0)
+    v = np.zeros(8, dtype=np.complex128)
+    v[0] = 1.0
+    v = v + 1e-8 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    return PureState3(v / np.linalg.norm(v))
+
+
 def delta_negative_vector() -> PureState3:
     return PureState3(np.array([1, 0, 0, -1, 0, 1, 1, 0]) / 2.0)
 
@@ -326,15 +335,24 @@ class TestStepInvariants:
         err = SynthesisInvariantError("boom", ["a", "b"])
         assert err.branch_trace == ["a", "b"]
 
-    def test_library_error_carries_trace(self):
-        # |000> + 1e-8 noise: l1 rejects the swapped top block today
-        rng = np.random.default_rng(0)
-        v = np.zeros(8, dtype=np.complex128)
-        v[0] = 1.0
-        v = v + 1e-8 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    def test_library_error_carries_trace(self, monkeypatch):
+        import qprep3.synth as synth
+
+        def failing(_m):
+            raise NonSingularInputError("l1 requires det = 0")
+
+        monkeypatch.setattr(synth, "l1", failing)
         with pytest.raises(NonSingularInputError) as info:
-            disentangle3(PureState3(v / np.linalg.norm(v)))
+            disentangle3(ghz())
         assert info.value.branch_trace == ["detB0=0"]
+
+    def test_near_000_synthesizes(self):
+        # |det B0| ~ 1e-16 once passed for zero; B0 (norm ~1e-8) is not
+        # singular in amplitude units, so the pencil branch handles it
+        s = near_000()
+        rep = disentangle3(s)
+        assert rep.cz_count <= 3
+        assert abs(dense_apply(rep.circuit, s.amps)[0]) >= FID
 
     def test_nested_error_trace_follows_outer_trace(self, monkeypatch):
         import qprep3.synth as synth
