@@ -1,9 +1,11 @@
-"""Golden CLI output: the exact circuit text and `--verify` line for fixed inputs.
+"""Golden CLI output: the exact text of `synth`, `delta` and `sweep` for fixed inputs.
 
-Every case writes its state file at 17 significant digits and runs
-`qprep3 synth` in-process. The concatenated output must equal
-`tests/golden_cli.txt` byte for byte, so any change in an emitted digit,
-gate order or branch choice shows up here.
+Every file case writes its state file at 17 significant digits and runs its
+commands on it in-process; the sweeps run on fixed seeds. Each entry records
+the exit code and stdout, and stderr when there is any. The concatenated
+output must equal `tests/golden_cli.txt` byte for byte, so any change in an
+emitted digit, gate order, branch choice, summary line or error message shows
+up here.
 
 After a deliberate output change, regenerate the file with
 
@@ -21,8 +23,17 @@ from qprep3.cli import main
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.txt")
 
-GENERAL = [["--verify"], ["--prepare", "--verify"]]
-REAL = [["--real", "--verify"], ["--real", "--prepare", "--ry", "--verify"]]
+GENERAL = [["synth", "--verify"], ["synth", "--prepare", "--verify"]]
+REAL = [["synth", "--real", "--verify"], ["synth", "--real", "--prepare", "--ry", "--verify"]]
+RY = [["synth", "--ry", "--verify"]]
+DELTA = [["delta"]]
+# complex input where real amplitudes are required: exit 2
+REAL_ON_COMPLEX = [["synth", "--real"], ["synth", "--real", "--prepare", "--verify"]]
+SWEEPS = [
+    ["sweep", "--n", "40", "--seed", str(seed), *real, "--machine"]
+    for seed in (1, 2)
+    for real in ([], ["--real"])
+]
 
 
 def _normalized(v):
@@ -51,35 +62,52 @@ def _rotated_product():
 
 
 def cases():
-    """(name, amplitudes, flag sets)."""
+    """(name, amplitudes, commands): each command is a subcommand and its flags."""
     r = 1.0 / math.sqrt(2.0)
+    ghz = _normalized([1, 0, 0, 0, 0, 0, 0, 1])
+    delta_neg = np.array([1, 0, 0, -1, 0, 1, 1, 0], dtype=np.complex128) / 2.0
     out = [
-        ("ghz", _normalized([1, 0, 0, 0, 0, 0, 0, 1]), GENERAL + REAL + [["--ry", "--verify"]]),
+        ("ghz", ghz, GENERAL + REAL + RY),
         ("w", _normalized([0, 1, 1, 0, 1, 0, 0, 0]), GENERAL + REAL),
-        ("rotated-product", _rotated_product(), GENERAL + [["--ry", "--verify"]]),
+        ("rotated-product", _rotated_product(), GENERAL + RY),
         ("one-bell", np.array([0, 0, 0, 0, r, 0, 0, r], dtype=np.complex128), GENERAL + REAL),
-        ("delta-neg", np.array([1, 0, 0, -1, 0, 1, 1, 0], dtype=np.complex128) / 2.0, GENERAL + REAL),
+        ("delta-neg", delta_neg, GENERAL + REAL),
         ("bell", np.array([r, 0, 0, r], dtype=np.complex128), GENERAL + REAL),
     ]
     for seed in range(3):
         out.append((f"haar-{seed}", _haar(seed, real=False), GENERAL))
     for seed in range(3):
         out.append((f"haar-real-{seed}", _haar(seed, real=True), GENERAL + REAL))
+    out += [
+        ("ghz", ghz, DELTA),
+        ("delta-neg", delta_neg, DELTA),
+        ("haar-0", _haar(0, real=False), DELTA + REAL_ON_COMPLEX),
+        ("bell-phase", np.array([r, 0, 0, 1j * r], dtype=np.complex128), REAL_ON_COMPLEX),
+    ]
     return out
+
+
+def _render(argv, header) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    chunk = f"=== {header} -> exit {code}\n{out.getvalue()}"
+    if err.getvalue():
+        chunk += f"--- stderr\n{err.getvalue()}"
+    return chunk
 
 
 def render_all() -> str:
     chunks = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name, amps, flag_sets in cases():
+        for name, amps, commands in cases():
             path = os.path.join(tmp, f"{name}.txt")
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.writelines("%.17g %.17g\n" % (z.real, z.imag) for z in amps)
-            for flags in flag_sets:
-                buf = io.StringIO()
-                with contextlib.redirect_stdout(buf):
-                    code = main(["synth", path, *flags])
-                chunks.append(f"=== {name}: synth {' '.join(flags)} -> exit {code}\n{buf.getvalue()}")
+            for command, *flags in commands:
+                chunks.append(_render([command, path, *flags], f"{name}: {' '.join([command, *flags])}"))
+    for argv in SWEEPS:
+        chunks.append(_render(argv, " ".join(argv)))
     return "".join(chunks)
 
 
