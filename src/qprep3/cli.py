@@ -24,9 +24,9 @@ import sys
 
 from .circuit import emit_circuit, format_number
 from .errors import NotNormalizedError, NotRealError, Qprep3Error
-from .mat2 import DELTA_ZERO_BAND, FID3_MIN
+from .mat2 import DELTA_ZERO_BAND
 from .state import PureState2, PureState3, delta, random_state
-from .synth import disentangle, disentangle3, disentangle3_real, prepare
+from .synth import disentangle, prepare
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -77,14 +77,11 @@ def _cmd_synth(args) -> int:
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if args.real and not state.is_real():
-        print("error: --real requires real amplitudes", file=sys.stderr)
-        return EXIT_MODE
     mode = "real" if args.real else "general"
     try:
         report = prepare(state, mode) if args.prepare else disentangle(state, mode)
-    except NotRealError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except NotRealError:
+        print("error: --real requires real amplitudes", file=sys.stderr)
         return EXIT_MODE
     except Qprep3Error as exc:
         _dump_synthesis_error(exc)
@@ -122,10 +119,11 @@ def _cmd_delta(args) -> int:
     if not isinstance(state, PureState3):
         print("error: delta requires a 3-qubit state file", file=sys.stderr)
         return EXIT_INPUT
-    if not state.is_real():
+    try:
+        d = delta(state)
+    except NotRealError:
         print("error: delta is defined only for real states", file=sys.stderr)
         return EXIT_MODE
-    d = delta(state)
     if abs(d) <= DELTA_ZERO_BAND:
         print("delta~0 bound=3")
     else:
@@ -142,32 +140,23 @@ def _cmd_sweep(args) -> int:
     max_gate_imag = 0.0
     negative = 0
     violations: list[str] = []
+    mode = "real" if args.real else "general"
     for i in range(args.n):
-        s = random_state((args.seed, i), real_only=args.real)
-        bound = 3
+        # the library raises on every guaranteed bound: cz count, fidelity, real gates
         try:
-            if args.real:
-                d = delta(s)
-                if d < 0:
-                    negative += 1
-                    bound = 4
-                rep = disentangle3_real(s)
-                max_gate_imag = max(max_gate_imag, rep.circuit.max_local_imag())
-                if not rep.all_real:
-                    violations.append(f"sample {i}: non-real gate")
-            else:
-                rep = disentangle3(s)
+            rep = disentangle(random_state((args.seed, i), real_only=args.real), mode)
         except Qprep3Error as exc:
             violations.append(f"sample {i}: {type(exc).__name__}: {exc}")
-            continue
-        hist[rep.cz_count] = hist.get(rep.cz_count, 0) + 1
-        fidelities.append(rep.fidelity)
-        if rep.cz_count > bound:
-            violations.append(f"sample {i}: cz_count {rep.cz_count} exceeds bound {bound}")
-        if rep.fidelity < FID3_MIN:
-            violations.append(f"sample {i}: fidelity {format_number(rep.fidelity)} below bound")
+            trace = exc.branch_trace
+        else:
+            hist[rep.cz_count] = hist.get(rep.cz_count, 0) + 1
+            fidelities.append(rep.fidelity)
+            max_gate_imag = max(max_gate_imag, rep.circuit.max_local_imag())
+            trace = rep.branch_trace
+        # real mode's first branch label is the sign of delta
+        if trace and trace[0] == "delta<0":
+            negative += 1
 
-    mode = "real" if args.real else "general"
     min_fidelity = format_number(min(fidelities)) if fidelities else "none"
     print(f"{'samples':<18}{args.n}")
     print(f"{'mode':<18}{mode}")

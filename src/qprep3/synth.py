@@ -15,12 +15,13 @@ singular, cz02 aligns all block rows, and the residual (2-qubit) x (1-qubit)
 product is finished off by the 2-qubit routine on qubits (2, 1). Skipped
 stages lower the CZ count.
 
-The builder tracks the amplitudes as a plain list, updated by the block rules
-of kernels.py as each gate is emitted, and reads the blocks from it to choose
-the next gate. Every stage asserts its postcondition on those amplitudes. The
-finished circuit is then simulated once on the input state, and that
-simulation alone gives the reported fidelity. Any Qprep3Error raised during
-a run carries the branch trace taken so far.
+The builder tracks the amplitudes as a plain list and reads the blocks from it
+to choose the next gate. `emit` is the only writer of that list and of the
+gate list: it applies each gate by the block rules of kernels.py as it appends
+it, so the list is always the input state run through the circuit so far.
+Every stage asserts its postcondition on it, and its final value gives the
+reported fidelity. Any Qprep3Error raised during a run carries the branch
+trace taken so far.
 """
 from __future__ import annotations
 
@@ -56,12 +57,13 @@ class SynthesisReport(namedtuple("SynthesisReport", "circuit cz_count all_real b
 class _Builder:
     """Accumulates gates and tracks their action on a plain amplitude list.
 
-    The tracked amplitudes only steer the construction. `finish` verifies the
-    result separately, by simulating the finished circuit on the input state.
+    Invariant: `amps` is the input state after `gates`, because `emit` is the
+    only writer of both. So `finish` verifies the circuit on the tracked
+    amplitudes, with no second simulation.
     """
 
     def __init__(self, state):
-        self.input = state
+        self.state_type = type(state)
         self.num_qubits = state.num_qubits
         self.amps = list(state.w)
         self.gates: list[Gate] = []
@@ -95,7 +97,7 @@ class _Builder:
 
     def finish(self, min_fidelity: float, max_cz: int) -> SynthesisReport:
         circ = Circuit(tuple(self.gates), self.num_qubits)
-        fid = fidelity_to_basis(apply_circuit(circ, self.input), 0)
+        fid = fidelity_to_basis(self.state_type(self.amps), 0)
         self.require(fid >= min_fidelity, f"final fidelity {fid!r} below {min_fidelity!r}")
         self.require(circ.cz_count <= max_cz, f"cz count {circ.cz_count} exceeds {max_cz}")
         return SynthesisReport(circ, circ.cz_count, circ.is_real(), tuple(self.trace), fid)
@@ -299,4 +301,5 @@ def prepare(s: State, mode: str = "general") -> SynthesisReport:
         raise SynthesisInvariantError(
             f"preparation round-trip fidelity {fid!r} below {FID3_MIN!r}", rep.branch_trace
         )
-    return SynthesisReport(prep, prep.cz_count, prep.is_real(), rep.branch_trace, fid)
+    # inversion keeps the cz count and the realness of every gate
+    return rep._replace(circuit=prep, fidelity=fid)

@@ -235,10 +235,10 @@ class TestSynthErrorContract:
         import qprep3.cli as cli
         from qprep3.errors import NonSingularInputError
 
-        def failing(_state):
+        def failing(_state, _mode):
             raise NonSingularInputError("l1 requires det = 0", ["detB0=0"])
 
-        monkeypatch.setattr(cli, "disentangle3", failing)
+        monkeypatch.setattr(cli, "disentangle", failing)
         code, out, err = run_cli(capsys, ["sweep", "--n", "2", "--seed", "1"])
         assert code == 3
         assert "violations        2" in out
@@ -321,10 +321,10 @@ class TestSweepCommand:
         assert f" min_fidelity={fid} " in out
 
     def test_min_fidelity_none_without_successes(self, capsys, monkeypatch):
-        def fail(s):
+        def fail(s, mode):
             raise SynthesisInvariantError("forced")
 
-        monkeypatch.setattr("qprep3.cli.disentangle3", fail)
+        monkeypatch.setattr("qprep3.cli.disentangle", fail)
         code, out, _ = run_cli(capsys, ["sweep", "--n", "2", "--seed", "0", "--machine"])
         assert code == 3
         assert "min fidelity      none\n" in out
