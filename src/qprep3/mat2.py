@@ -44,6 +44,10 @@ REAL_STATE_TOL = 1e-12
 REAL_GATE_TOL = 1e-10
 # A pencil root counts as real below this imaginary part (real mode, step 1).
 REAL_ROOT_TOL = 1e-8
+# Relative to the size of its terms, a pencil discriminant this small is
+# rounding noise: the root is double, and its two computed copies would sit
+# ~sqrt(eps) apart, each leaving a top block that is not singular at STEP_TOL.
+DOUBLE_ROOT_TOL = 1e-12
 # An Ry angle is reported only if the rotation reproduces the gate this closely.
 RY_MATCH_TOL = 1e-10
 # `qprep3 delta` prints delta~0 within this of zero (rounding of exact zeros).
@@ -251,14 +255,14 @@ def solve_det_pencil(m_a: Mat2, m_b: Mat2) -> list[complex]:
 
 def _solve_quadratic(q2: complex, q1: complex, q0: complex) -> list[complex]:
     disc = q1 * q1 - 4.0 * q2 * q0
+    if abs(disc) <= DOUBLE_ROOT_TOL * (abs(q1) ** 2 + abs(4.0 * q2 * q0)):
+        z = -q1 / (2.0 * q2)
+        return [z, z]
     sq = cmath.sqrt(disc)
-    # pick the sign that avoids cancellation in q1 + sq
+    # pick the sign that avoids cancellation in q1 + sq (big != 0, as disc != 0)
     if (q1.conjugate() * sq).real < 0.0:
         sq = -sq
     big = -0.5 * (q1 + sq)
-    if abs(big) == 0.0:
-        # only reachable when q1 = 0 and q0 = 0: double root at the origin
-        return [0j, 0j]
     return [big / q2, q0 / big]
 
 

@@ -5,6 +5,9 @@ Six seeded families of 3-qubit states, each perturbed by eps log-uniform in
 disentangle3_real. Every success must meet the guarantee table, checked with
 the dense oracle and a discriminant computed here; every failure must be a
 Qprep3Error.
+
+A seventh family, built exactly (unperturbed) as C|000> from a random circuit
+of local gates and k CZ, must never fail.
 """
 import math
 from collections import Counter
@@ -12,16 +15,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from _oracles import dense_apply
+from _oracles import cz_unitary, dense_apply
 from qprep3.errors import Qprep3Error
 from qprep3.state import PureState3
 from qprep3.synth import disentangle3, disentangle3_real
 
 FAMILIES = ["rot_000_111", "noise_000", "ghz_w", "one_pair", "rot_product", "real_delta0"]
 # families that may not fail at all; the others still fail on a few
-# ill-conditioned inputs (see ROADMAP item 2)
+# ill-conditioned inputs (see ROADMAP item 1)
 MUST_SUCCEED = {"noise_000", "one_pair", "real_delta0"}
 PER_FAMILY = 100
+CIRCUIT_BUILT_PER_K = 100
 
 GHZ = np.array([1, 0, 0, 0, 0, 0, 0, 1]) / math.sqrt(2.0)
 W = np.array([0, 1, 1, 0, 1, 0, 0, 0]) / math.sqrt(3.0)
@@ -142,3 +146,33 @@ def test_failures_are_typed_and_rare(outcomes):
 def test_fixed_families_never_fail(outcomes):
     failed = [(f, m, i, repr(exc)) for f, m, i, exc, _ in outcomes if exc is not None and f in MUST_SUCCEED]
     assert failed == []
+
+
+def _circuit_built(rng, k, real):
+    """C|000>: locals on all three qubits, then k rounds of CZ on a random pair
+    followed by fresh locals, applied as dense matrices."""
+    v = np.zeros(8, dtype=np.complex128)
+    v[0] = 1.0
+    v = _kron3(*[_local_unitary(rng, real) for _ in range(3)], v)
+    for _ in range(k):
+        i, j = sorted(int(q) for q in rng.choice(3, size=2, replace=False))
+        v = _kron3(*[_local_unitary(rng, real) for _ in range(3)], cz_unitary(3, i, j) @ v)
+    return v
+
+
+def test_circuit_built_states_never_fail():
+    # with one CZ on (0, 1), A0 and B0 are both multiples of one matrix, so the
+    # step-1 pencil has a double root that rounding must not split
+    rng = np.random.default_rng(20261019)
+    bad = []
+    for mode, synth, max_k in [("general", disentangle3, 3), ("real", disentangle3_real, 4)]:
+        for k in range(max_k + 1):
+            for n in range(CIRCUIT_BUILT_PER_K):
+                v = _circuit_built(rng, k, mode == "real")
+                try:
+                    problem = _violation(synth(PureState3(v)), v, mode)
+                except Qprep3Error as exc:
+                    problem = repr(exc)
+                if problem is not None:
+                    bad.append((mode, k, n, problem))
+    assert bad == []

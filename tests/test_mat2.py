@@ -217,6 +217,17 @@ class TestSolveDetPencil:
                 bound = 1e-10 * (a.frobenius() + abs(z) * b.frobenius()) ** 2
                 assert abs(pencil.det()) <= bound
 
+    def test_double_root_is_returned_twice(self):
+        # A = alpha*T, B = beta*T: det(A + zB) = (alpha + z*beta)^2 det T, whose
+        # discriminant is rounding noise; both roots must be -alpha/beta itself
+        rng = np.random.default_rng(62)
+        for _ in range(200):
+            t = random_nonsingular(rng)
+            alpha, beta = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            roots = solve_det_pencil(scaled(t, alpha), scaled(t, beta))
+            assert roots[0] == roots[1]
+            assert abs(roots[0] + alpha / beta) <= 1e-12 * abs(alpha / beta)
+
 
 def test_real_inputs_give_real_outputs():
     # realness closure: real matrices in, real gates out
