@@ -231,6 +231,14 @@ class TestSynthErrorContract:
         assert abs(dense_apply(circ, amps)[0]) >= 1 - 1e-9
         assert status.startswith(f"cz={circ.cz_count} ") and circ.cz_count <= 3
 
+    def test_failed_final_check_exits_3_with_trace(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("qprep3.synth.FID3_MIN", 1.5)
+        path = write(tmp_path, "ghz.txt", GHZ_FILE)
+        code, out, err = run_cli(capsys, ["synth", path, "--verify"])
+        assert code == 3 and out == ""
+        assert "error: SynthesisInvariantError: final fidelity " in err
+        assert "branch trace: detB0=0 > " in err
+
     def test_sweep_counts_library_errors_as_violations(self, capsys, monkeypatch):
         import qprep3.cli as cli
         from qprep3.errors import NonSingularInputError

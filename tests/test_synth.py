@@ -109,13 +109,18 @@ class TestDisentangle3:
         assert worst >= FID
 
     def test_final_state_matches_dense_oracle(self):
-        for i in range(150):
-            s = random_state((712, i))
-            rep = disentangle3(s)
+        # the reported fidelity comes from the builder's tracked amplitudes: it
+        # equals a fresh simulation of the circuit exactly, in every mode
+        cases = [(disentangle3, random_state((712, i))) for i in range(150)]
+        cases += [(disentangle3_real, random_state((713, i), real_only=True)) for i in range(150)]
+        cases += [(disentangle2, random_state2((714, i))) for i in range(150)]
+        for synth, s in cases:
+            rep = synth(s)
             final = dense_apply(rep.circuit, s.amps)
-            block_final = apply_circuit(rep.circuit, s).amps
-            assert np.max(np.abs(final - block_final)) <= 1e-12
+            block_final = apply_circuit(rep.circuit, s)
+            assert np.max(np.abs(final - block_final.amps)) <= 1e-12
             assert abs(abs(final[0]) - rep.fidelity) <= 1e-12
+            assert rep.fidelity == abs(block_final.w[0])
 
     def test_rejects_bad_norm(self):
         from qprep3.errors import NotNormalizedError
@@ -330,6 +335,21 @@ class TestStepInvariants:
                     if "A1=0" not in trace:
                         assert abs(bp.t0.det()) <= 1e-9
             assert abs(abs(state.amps[0]) - rep.fidelity) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "synth, bound, state",
+        [
+            (disentangle3, "FID3_MIN", random_state((761, 0))),
+            (disentangle3_real, "FID3_MIN", random_state((761, 1), real_only=True)),
+            (disentangle2, "FID2_MIN", random_state2((761, 2))),
+        ],
+        ids=["disentangle3", "disentangle3_real", "disentangle2"],
+    )
+    def test_final_fidelity_check_fires(self, monkeypatch, synth, bound, state):
+        monkeypatch.setattr(f"qprep3.synth.{bound}", 1.5)
+        with pytest.raises(SynthesisInvariantError, match=r"^final fidelity .* below 1\.5$") as info:
+            synth(state)
+        assert info.value.branch_trace
 
     def test_invariant_error_carries_trace(self):
         err = SynthesisInvariantError("boom", ["a", "b"])
