@@ -7,11 +7,16 @@ output must equal `tests/golden_cli.txt` byte for byte, so any change in an
 emitted digit, gate order, branch choice, summary line or error message shows
 up here.
 
-After a deliberate output change, regenerate the file with
+A second check hashes the library output for a few hundred seeded states
+(`SEEDED_SHA256`), to pin byte-identity beyond the golden cases.
+
+After a deliberate output change, regenerate the file and print the new
+digest with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 import contextlib
+import hashlib
 import io
 import math
 import os
@@ -19,7 +24,11 @@ import tempfile
 
 import numpy as np
 
+from qprep3.circuit import emit_circuit
 from qprep3.cli import main
+from qprep3.errors import Qprep3Error
+from qprep3.state import random_state, random_state2
+from qprep3.synth import disentangle, prepare
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.txt")
 
@@ -111,6 +120,42 @@ def render_all() -> str:
     return "".join(chunks)
 
 
+# (label, state maker, library call, include_ry, count)
+SEEDED = [
+    ("general", lambda i: random_state((790, i)), disentangle, False, 100),
+    ("real", lambda i: random_state((791, i), real_only=True), lambda s: disentangle(s, "real"), False, 75),
+    ("real-prepare", lambda i: random_state((792, i), real_only=True), lambda s: prepare(s, "real"), True, 75),
+    ("two-qubit", lambda i: random_state2((793, i)), prepare, False, 50),
+]
+SEEDED_SHA256 = "d2e2bb8589c4e0e05ce1a70050e22daf1d8cde45dca76fcdf5f0d159b4fe2084"
+
+
+def render_seeded() -> str:
+    """Emitted text and status fields of every SEEDED run, one block per state."""
+    chunks = []
+    for label, make, run, include_ry, count in SEEDED:
+        for i in range(count):
+            head = f"=== {label} {i}\n"
+            try:
+                rep = run(make(i))
+            except Qprep3Error as exc:
+                chunks.append(f"{head}error {type(exc).__name__}: {exc} trace={exc.branch_trace}\n")
+                continue
+            chunks.append(
+                f"{head}cz={rep.cz_count} real={rep.all_real} fid={rep.fidelity!r} trace={list(rep.branch_trace)}\n"
+                + emit_circuit(rep.circuit, include_ry=include_ry)
+            )
+    return "".join(chunks)
+
+
+def seeded_digest() -> str:
+    return hashlib.sha256(render_seeded().encode("utf-8")).hexdigest()
+
+
+def test_seeded_output_digest():
+    assert seeded_digest() == SEEDED_SHA256
+
+
 def test_cli_output_matches_golden_file():
     with open(GOLDEN_PATH, encoding="utf-8", newline="\n") as fh:
         expected = fh.read()
@@ -122,3 +167,4 @@ def test_cli_output_matches_golden_file():
 if __name__ == "__main__":
     with open(GOLDEN_PATH, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(render_all())
+    print(f"SEEDED_SHA256 = {seeded_digest()!r}")
