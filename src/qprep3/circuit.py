@@ -28,6 +28,9 @@ from .mat2 import REAL_GATE_TOL, RY_MATCH_TOL, Mat2
 from .state import State
 
 FORMAT_HEADER = "# qprep3 v1 qubits={n} order=left-first"
+# an L line: the qubit, then each matrix entry's real and imaginary part as
+# format_number writes it
+_L_LINE = "L %d" + " %.17g" * 8
 
 
 def _checked_make(cls, iterable):
@@ -88,8 +91,10 @@ class Circuit(namedtuple("Circuit", "gates num_qubits")):
 
     def max_local_imag(self) -> float:
         """Largest imaginary part over all local-gate entries (0.0 if no locals)."""
-        imags = [g.matrix.max_imag() for g in self.gates if isinstance(g, LocalGate)]
-        return max(imags, default=0.0)
+        return max(
+            (abs(e.imag) for g in self.gates if isinstance(g, LocalGate) for e in g.matrix),
+            default=0.0,
+        )
 
     def is_real(self, tol: float = REAL_GATE_TOL) -> bool:
         return self.max_local_imag() <= tol
@@ -98,13 +103,14 @@ class Circuit(namedtuple("Circuit", "gates num_qubits")):
 def apply_gate_amps(g: Gate, amps, num_qubits: int) -> list:
     """Apply one gate to a plain amplitude sequence; returns a fresh list."""
     if isinstance(g, LocalGate):
-        if g.qubit >= num_qubits:
-            raise ValueError(f"gate on qubit {g.qubit} applied to {num_qubits}-qubit state")
-        m = g.matrix
-        return kernels.apply_local(amps, g.qubit, m.a, m.b, m.c, m.d)
-    if g.j >= num_qubits:
-        raise ValueError(f"CZ on ({g.i}, {g.j}) applied to {num_qubits}-qubit state")
-    return kernels.apply_cz(amps, g.i, g.j)
+        qubit, (a, b, c, d) = g
+        if qubit >= num_qubits:
+            raise ValueError(f"gate on qubit {qubit} applied to {num_qubits}-qubit state")
+        return kernels.apply_local(amps, qubit, a, b, c, d)
+    i, j = g
+    if j >= num_qubits:
+        raise ValueError(f"CZ on ({i}, {j}) applied to {num_qubits}-qubit state")
+    return kernels.apply_cz(amps, i, j)
 
 
 def apply_gate(g: Gate, s: State) -> State:
@@ -169,11 +175,10 @@ def emit_circuit(c: Circuit, include_ry: bool = False) -> str:
     lines = [FORMAT_HEADER.format(n=c.num_qubits)]
     for g in c.gates:
         if isinstance(g, LocalGate):
-            parts = ["L", str(g.qubit)]
-            for e in g.matrix.entries():
-                parts.append(format_number(e.real))
-                parts.append(format_number(e.imag))
-            lines.append(" ".join(parts))
+            e00, e01, e10, e11 = g.matrix
+            lines.append(
+                _L_LINE % (g.qubit, e00.real, e00.imag, e01.real, e01.imag, e10.real, e10.imag, e11.real, e11.imag)
+            )
         else:
             lines.append(f"CZ {g.i} {g.j}")
     if include_ry:
@@ -202,6 +207,8 @@ def parse_circuit(text: str) -> Circuit:
             continue
         parts = line.split()
         kind = parts[0]
+        if kind == "RY":
+            continue
         try:
             if line.startswith("#"):
                 for tok in line[1:].split():
@@ -212,20 +219,13 @@ def parse_circuit(text: str) -> Circuit:
                 if len(parts) != 10:
                     raise ValueError("L line needs a qubit and 8 matrix numbers")
                 q = int(parts[1])
-                v = [float(p) for p in parts[2:]]
-                m = Mat2(
-                    complex(v[0], v[1]),
-                    complex(v[2], v[3]),
-                    complex(v[4], v[5]),
-                    complex(v[6], v[7]),
-                )
+                ar, ai, br, bi, cr, ci, dr, di = map(float, parts[2:])
+                m = Mat2(complex(ar, ai), complex(br, bi), complex(cr, ci), complex(dr, di))
                 gates.append((lineno, LocalGate(q, m)))
             elif kind == "CZ":
                 if len(parts) != 3:
                     raise ValueError("CZ line needs two qubit indices")
                 gates.append((lineno, CZGate(int(parts[1]), int(parts[2]))))
-            elif kind == "RY":
-                continue
             else:
                 raise ValueError(f"unknown gate kind {kind!r}")
         except ValueError as exc:

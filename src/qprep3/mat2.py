@@ -167,8 +167,8 @@ def r1(m: Mat2) -> Mat2:
     if is_singular(m, EPS_ZERO):
         raise SingularInputError("r1 requires det != 0")
     m = _snap_real(m)
-    a, b, c, d = m.entries()
-    k = r1_ratio(m)
+    a, b, c, d = m
+    k = _r1_ratio(m)
     x = d - b * k
     y = c.conjugate() - a.conjugate() * k.conjugate()
     return u_from_pair(x, y)
@@ -176,8 +176,12 @@ def r1(m: Mat2) -> Mat2:
 
 def r1_ratio(m: Mat2) -> complex:
     """The proportionality constant k of r1, for nonsingular m."""
-    m = _snap_real(m)
-    a, b, c, d = m.entries()
+    return _r1_ratio(_snap_real(m))
+
+
+def _r1_ratio(m: Mat2) -> complex:
+    # r1_ratio of a block that _snap_real has already seen
+    a, b, c, d = m
     top = abs(a) ** 2 + abs(b) ** 2
     bot = abs(c) ** 2 + abs(d) ** 2
     beta = a * c.conjugate() + b * d.conjugate()

@@ -24,7 +24,8 @@ from .mat2 import NORM_EXACT, NORM_REJECT, REAL_STATE_TOL, STEP_TOL, Mat2, domin
 
 def _prepare_amps(raw, length: int) -> tuple[complex, ...]:
     """Validated amplitudes of any flat sequence (numpy arrays included)."""
-    w = tuple(map(complex, raw))
+    # a numpy array is read through tolist(): Python scalars convert faster
+    w = tuple(map(complex, raw.tolist() if hasattr(raw, "tolist") else raw))
     if len(w) != length:
         raise ValueError(f"expected {length} amplitudes, got {len(w)}")
     if not all(map(cmath.isfinite, w)):

@@ -44,6 +44,24 @@ def dense_apply(circuit, amps: np.ndarray) -> np.ndarray:
     return v
 
 
+def reference_apply_local(amps, qubit, u00, u01, u10, u11):
+    """kernels.apply_local written as a bit test on every basis index.
+
+    The arithmetic and its order are the kernel's, so the two must agree
+    exactly, not just to a tolerance.
+    """
+    out = list(amps)
+    step = 1 << qubit
+    for base in range(len(out)):
+        if base & step:
+            continue
+        lo = out[base]
+        hi = out[base | step]
+        out[base] = u00 * lo + u01 * hi
+        out[base | step] = u10 * lo + u11 * hi
+    return out
+
+
 def scaled(m: Mat2, s: complex) -> Mat2:
     """s * m, entrywise."""
     return Mat2(s * m.a, s * m.b, s * m.c, s * m.d)

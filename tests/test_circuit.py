@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import dense_apply, gate_unitary, random_unitary2
+from _oracles import dense_apply, gate_unitary, random_unitary2, reference_apply_local
 from qprep3 import kernels
 from qprep3.circuit import (
     Circuit,
@@ -67,6 +67,20 @@ class TestApplyGate:
             got = apply_gate(g, s).amps
             want = gate_unitary(3, g) @ s.amps
             assert np.max(np.abs(got - want)) <= 1e-13
+
+    @pytest.mark.parametrize("num_qubits", [2, 3])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_local_kernel_equals_reference_exactly(self, num_qubits, real):
+        rng = np.random.default_rng(204 + 2 * num_qubits + real)
+        make = random_state if num_qubits == 3 else random_state2
+        for i in range(100):
+            amps = make((205, num_qubits, real, i), real_only=real).w
+            for qubit in range(num_qubits):
+                m = random_unitary2(rng, real)
+                got = kernels.apply_local(amps, qubit, *m)
+                want = reference_apply_local(amps, qubit, *m)
+                # repr also tells -0.0 from 0.0, which the emitted text shows
+                assert got == want and repr(got) == repr(want)
 
     @pytest.mark.parametrize("container", [list, np.array])
     def test_kernel_inputs_not_mutated(self, container):
