@@ -92,15 +92,21 @@ class _Builder:
         self.gates.append(gate)
 
     def require(self, cond: bool, msg: str) -> None:
+        # msg is a plain literal; a message that needs formatting is built in
+        # an explicit `if not ...: raise`, so no passing check formats one
         if not cond:
             raise SynthesisInvariantError(msg)
 
     def finish(self, min_fidelity: float, max_cz: int) -> SynthesisReport:
         circ = Circuit(tuple(self.gates), self.num_qubits)
         fid = fidelity_to_basis(self.state_type(self.amps), 0)
-        self.require(fid >= min_fidelity, f"final fidelity {fid!r} below {min_fidelity!r}")
-        self.require(circ.cz_count <= max_cz, f"cz count {circ.cz_count} exceeds {max_cz}")
-        return SynthesisReport(circ, circ.cz_count, circ.is_real(), tuple(self.trace), fid)
+        # written `not >=` so that a NaN fidelity fails
+        if not fid >= min_fidelity:
+            raise SynthesisInvariantError(f"final fidelity {fid!r} below {min_fidelity!r}")
+        cz = circ.cz_count
+        if cz > max_cz:
+            raise SynthesisInvariantError(f"cz count {cz} exceeds {max_cz}")
+        return SynthesisReport(circ, cz, circ.is_real(), tuple(self.trace), fid)
 
 
 def _col2_norm(m: Mat2) -> float:
@@ -174,7 +180,8 @@ def disentangle3_real(s: PureState3) -> SynthesisReport:
                 b.emit(CZGate(0, 1))
         _run3(b, require_real=True)
         rep = b.finish(FID3_MIN, max_cz)
-        b.require(rep.all_real, f"real mode emitted a non-real gate (max imag {rep.circuit.max_local_imag()!r})")
+        if not rep.all_real:
+            raise SynthesisInvariantError(f"real mode emitted a non-real gate (max imag {rep.circuit.max_local_imag()!r})")
         return rep
 
 
@@ -287,19 +294,26 @@ def disentangle(s: State, mode: str = "general") -> SynthesisReport:
     return disentangle3(s)
 
 
+# |0..0> by qubit count, the start of every preparation round trip (states
+# are immutable, so one of each serves every call)
+_ZERO_STATES = {2: basis_state(2, 0), 3: basis_state(3, 0)}
+
+
 def prepare(s: State, mode: str = "general") -> SynthesisReport:
     """Preparation circuit: apply report.circuit to |0..0> to reproduce s.
 
     The circuit is the inverted disentangler; cz count and branch trace are
-    the disentangler's, fidelity is the overlap |<s|prepared>|.
+    the disentangler's, fidelity is the overlap |<s|prepared>|, which must
+    reach the disentangler's own bound (FID2_MIN or FID3_MIN).
     """
     rep = disentangle(s, mode)
     prep = invert(rep.circuit)
-    produced = apply_circuit(prep, basis_state(s.num_qubits, 0))
+    produced = apply_circuit(prep, _ZERO_STATES[s.num_qubits])
     fid = overlap(s, produced)
-    if fid < FID3_MIN:
+    min_fidelity = FID2_MIN if s.num_qubits == 2 else FID3_MIN
+    if not fid >= min_fidelity:
         raise SynthesisInvariantError(
-            f"preparation round-trip fidelity {fid!r} below {FID3_MIN!r}", rep.branch_trace
+            f"preparation round-trip fidelity {fid!r} below {min_fidelity!r}", rep.branch_trace
         )
     # inversion keeps the cz count and the realness of every gate
     return rep._replace(circuit=prep, fidelity=fid)

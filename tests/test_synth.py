@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from _oracles import dense_apply, random_nonsingular, random_rank1, scaled
-from qprep3.circuit import CZGate, LocalGate, apply_circuit
+from qprep3.circuit import Circuit, CZGate, LocalGate, apply_circuit, ry_matrix
 from qprep3.errors import NonSingularInputError, NotRealError, SynthesisInvariantError
 from qprep3.mat2 import Mat2, r1, solve_det_pencil
 from qprep3.state import (
@@ -350,6 +350,69 @@ class TestStepInvariants:
         with pytest.raises(SynthesisInvariantError, match=r"^final fidelity .* below 1\.5$") as info:
             synth(state)
         assert info.value.branch_trace
+
+    @staticmethod
+    def _pad_disentangle2(monkeypatch, *extra):
+        """Make the embedded 2-qubit stage append `extra` gates to its circuit."""
+        import qprep3.synth as synth
+
+        real_disentangle2 = synth.disentangle2
+
+        def padded(sub):
+            rep = real_disentangle2(sub)
+            return rep._replace(circuit=Circuit(rep.circuit.gates + extra, 2))
+
+        monkeypatch.setattr(synth, "disentangle2", padded)
+
+    def test_cz_bound_check_fires(self, monkeypatch):
+        # two cz01 cancel on the pair, so only the count goes wrong
+        self._pad_disentangle2(monkeypatch, CZGate(0, 1), CZGate(0, 1))
+        with pytest.raises(SynthesisInvariantError, match=r"^cz count 5 exceeds 3$") as info:
+            disentangle3(random_state((762, 0)))
+        assert info.value.branch_trace
+
+    def test_real_mode_gate_realness_check_fires(self, monkeypatch):
+        # diag(i, -i) only changes the phase of |00>, so fidelity and count hold
+        self._pad_disentangle2(monkeypatch, LocalGate(0, Mat2(1j, 0, 0, -1j)))
+        with pytest.raises(
+            SynthesisInvariantError, match=r"^real mode emitted a non-real gate \(max imag 1\.0\)$"
+        ) as info:
+            disentangle3_real(random_state((762, 1), real_only=True))
+        assert info.value.branch_trace
+
+    @staticmethod
+    def _tilt_prepare(monkeypatch, fidelity):
+        """Make prepare's circuit start with an Ry that leaves `fidelity` of the input."""
+        import qprep3.synth as synth
+
+        real_invert = synth.invert
+        tilt = LocalGate(0, ry_matrix(2.0 * math.acos(fidelity)))
+
+        def tilted(c):
+            inv = real_invert(c)
+            return Circuit((tilt,) + inv.gates, inv.num_qubits)
+
+        monkeypatch.setattr(synth, "invert", tilted)
+
+    @pytest.mark.parametrize(
+        "state, bound",
+        [(random_state((763, 0)), r"0\.999999999"), (random_state2((763, 1)), r"0\.9999999999")],
+        ids=["3-qubit", "2-qubit"],
+    )
+    def test_prepare_round_trip_check_fires(self, monkeypatch, state, bound):
+        # 1 - 5e-10 lies between FID3_MIN and FID2_MIN, so only the
+        # 2-qubit bound rejects it; 1 - 1e-6 fails both
+        self._tilt_prepare(monkeypatch, 1.0 - 5e-10 if state.num_qubits == 2 else 1.0 - 1e-6)
+        with pytest.raises(
+            SynthesisInvariantError, match=rf"^preparation round-trip fidelity 0\.99999\d* below {bound}$"
+        ) as info:
+            prepare(state)
+        assert info.value.branch_trace
+
+    def test_prepare_3_qubit_bound_is_fid3_min(self, monkeypatch):
+        self._tilt_prepare(monkeypatch, 1.0 - 5e-10)
+        rep = prepare(random_state((763, 0)))
+        assert FID <= rep.fidelity < 1.0 - 1e-10
 
     def test_invariant_error_carries_trace(self):
         err = SynthesisInvariantError("boom", ["a", "b"])
