@@ -55,12 +55,11 @@ def test_require_messages_are_plain_literals():
         if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "require"
     ]
     assert calls
-    messages = [(call.lineno, call.args[1:] + [k.value for k in call.keywords if k.arg == "msg"]) for call in calls]
-    bad = [
-        f"synth.py:{lineno}"
-        for lineno, msg in messages
-        if not (len(msg) == 1 and isinstance(msg[0], ast.Constant) and isinstance(msg[0].value, str))
-    ]
+    bad = []
+    for call in calls:
+        msg = call.args[1:] + [k.value for k in call.keywords if k.arg == "msg"]
+        if not (len(msg) == 1 and isinstance(msg[0], ast.Constant) and isinstance(msg[0].value, str)):
+            bad.append(f"synth.py:{call.lineno}")
     assert bad == []
 
 
