@@ -28,9 +28,10 @@ from .mat2 import REAL_GATE_TOL, RY_MATCH_TOL, Mat2
 from .state import State
 
 FORMAT_HEADER = "# qprep3 v1 qubits={n} order=left-first"
-# an L line: the qubit, then each matrix entry's real and imaginary part as
-# format_number writes it
-_L_LINE = "L %d" + " %.17g" * 8
+# 17 significant digits: every float round-trips exactly
+_NUMBER = "%.17g"
+# an L line: the qubit, then each matrix entry's real and imaginary part
+_L_LINE = "L %d" + (" " + _NUMBER) * 8
 
 
 def _checked_make(cls, iterable):
@@ -163,7 +164,7 @@ def ry_angle(u: Mat2) -> float | None:
 
 def format_number(x: float) -> str:
     """17 significant digits: every float round-trips exactly."""
-    return "%.17g" % x
+    return _NUMBER % x
 
 
 def emit_circuit(c: Circuit, include_ry: bool = False) -> str:
