@@ -8,10 +8,13 @@ emitted digit, gate order, branch choice, summary line or error message shows
 up here.
 
 A second check hashes the library output for a few hundred seeded states
-(`SEEDED_SHA256`), to pin byte-identity beyond the golden cases.
+(`SEEDED_SHA256`), to pin byte-identity beyond the golden cases. A third
+hashes only their structure, the cz count, realness and branch trace of each
+run (`SEEDED_STRUCTURE_SHA256`); a change to emitted numbers or gate lists
+that keeps every branch decision leaves it as it is.
 
-After a deliberate output change, regenerate the file and print the new
-digest with
+After a deliberate output change, regenerate the file and print both new
+digests with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -128,32 +131,57 @@ SEEDED = [
     ("two-qubit", lambda i: random_state2((793, i)), prepare, False, 50),
 ]
 SEEDED_SHA256 = "d2e2bb8589c4e0e05ce1a70050e22daf1d8cde45dca76fcdf5f0d159b4fe2084"
+SEEDED_STRUCTURE_SHA256 = "1c284f58d2a3566b2e69a5f64038ba0a4900c4249176fbb1b89460fdbdeea4c9"
+
+
+def _seeded_outcomes():
+    """(header, include_ry, report or the Qprep3Error raised) of every SEEDED run."""
+    out = []
+    for label, make, run, include_ry, count in SEEDED:
+        for i in range(count):
+            try:
+                res = run(make(i))
+            except Qprep3Error as exc:
+                res = exc
+            out.append((f"=== {label} {i}\n", include_ry, res))
+    return out
 
 
 def render_seeded() -> str:
     """Emitted text and status fields of every SEEDED run, one block per state."""
     chunks = []
-    for label, make, run, include_ry, count in SEEDED:
-        for i in range(count):
-            head = f"=== {label} {i}\n"
-            try:
-                rep = run(make(i))
-            except Qprep3Error as exc:
-                chunks.append(f"{head}error {type(exc).__name__}: {exc} trace={exc.branch_trace}\n")
-                continue
-            chunks.append(
-                f"{head}cz={rep.cz_count} real={rep.all_real} fid={rep.fidelity!r} trace={list(rep.branch_trace)}\n"
-                + emit_circuit(rep.circuit, include_ry=include_ry)
-            )
+    for head, include_ry, res in _seeded_outcomes():
+        if isinstance(res, Qprep3Error):
+            chunks.append(f"{head}error {type(res).__name__}: {res} trace={res.branch_trace}\n")
+            continue
+        chunks.append(
+            f"{head}cz={res.cz_count} real={res.all_real} fid={res.fidelity!r} trace={list(res.branch_trace)}\n"
+            + emit_circuit(res.circuit, include_ry=include_ry)
+        )
     return "".join(chunks)
 
 
-def seeded_digest() -> str:
-    return hashlib.sha256(render_seeded().encode("utf-8")).hexdigest()
+def render_structure() -> str:
+    """The cz count, realness and branch trace of every SEEDED run (no numbers)."""
+    chunks = []
+    for head, _, res in _seeded_outcomes():
+        if isinstance(res, Qprep3Error):
+            chunks.append(f"{head}error {type(res).__name__} trace={res.branch_trace}\n")
+        else:
+            chunks.append(f"{head}cz={res.cz_count} real={res.all_real} trace={list(res.branch_trace)}\n")
+    return "".join(chunks)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_seeded_output_digest():
-    assert seeded_digest() == SEEDED_SHA256
+    assert _sha256(render_seeded()) == SEEDED_SHA256
+
+
+def test_seeded_structure_digest():
+    assert _sha256(render_structure()) == SEEDED_STRUCTURE_SHA256
 
 
 def test_cli_output_matches_golden_file():
@@ -167,4 +195,5 @@ def test_cli_output_matches_golden_file():
 if __name__ == "__main__":
     with open(GOLDEN_PATH, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(render_all())
-    print(f"SEEDED_SHA256 = {seeded_digest()!r}")
+    print(f"SEEDED_SHA256 = {_sha256(render_seeded())!r}")
+    print(f"SEEDED_STRUCTURE_SHA256 = {_sha256(render_structure())!r}")
