@@ -39,6 +39,11 @@ def _checked_make(cls, iterable):
     return cls(*iterable)
 
 
+def _unchecked(cls, *fields):
+    # for values whose fields are known to pass cls's checks
+    return tuple.__new__(cls, fields)
+
+
 class LocalGate(namedtuple("LocalGate", "qubit matrix")):
     """Single-qubit unitary on one wire."""
 
@@ -129,10 +134,11 @@ def apply_circuit(c: Circuit, s: State) -> State:
 
 def invert(c: Circuit) -> Circuit:
     """Reverse the gate order and dagger each local gate; CZ is self-inverse."""
+    # every gate keeps its wire, so c's checks hold for the inverse
     inv: list[Gate] = []
     for g in reversed(c.gates):
-        inv.append(LocalGate(g.qubit, g.matrix.dagger()) if isinstance(g, LocalGate) else g)
-    return Circuit(tuple(inv), c.num_qubits)
+        inv.append(_unchecked(LocalGate, g.qubit, g.matrix.dagger()) if isinstance(g, LocalGate) else g)
+    return _unchecked(Circuit, tuple(inv), c.num_qubits)
 
 
 def fidelity_to_basis(s: State, basis_index: int) -> float:
@@ -201,7 +207,8 @@ def parse_circuit(text: str) -> Circuit:
     skipped.
     """
     num_qubits = 3
-    gates: list[tuple[int, Gate]] = []  # (line number, gate)
+    gates: list[Gate] = []
+    linenos: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -222,17 +229,21 @@ def parse_circuit(text: str) -> Circuit:
                 q = int(parts[1])
                 ar, ai, br, bi, cr, ci, dr, di = map(float, parts[2:])
                 m = Mat2(complex(ar, ai), complex(br, bi), complex(cr, ci), complex(dr, di))
-                gates.append((lineno, LocalGate(q, m)))
+                gates.append(LocalGate(q, m))
+                linenos.append(lineno)
             elif kind == "CZ":
                 if len(parts) != 3:
                     raise ValueError("CZ line needs two qubit indices")
-                gates.append((lineno, CZGate(int(parts[1]), int(parts[2]))))
+                gates.append(CZGate(int(parts[1]), int(parts[2])))
+                linenos.append(lineno)
             else:
                 raise ValueError(f"unknown gate kind {kind!r}")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    # the qubit count is known only once every header line has been read
-    for lineno, g in gates:
-        if _top_qubit(g) >= num_qubits:
-            raise ValueError(f"line {lineno}: gate {g} does not fit in {num_qubits} qubits")
-    return Circuit(tuple(g for _, g in gates), num_qubits)
+    # the qubit count is known only once every header line has been read, so
+    # Circuit checks each gate's fit; a misfit is traced to its line here
+    try:
+        return Circuit(tuple(gates), num_qubits)
+    except ValueError as exc:
+        k = next(k for k, g in enumerate(gates) if _top_qubit(g) >= num_qubits)
+        raise ValueError(f"line {linenos[k]}: {exc}") from None

@@ -12,16 +12,19 @@ The 3-qubit flow works on the block view |phi> = |0>A + |1>B: one local gate
 makes A singular (a root of det(A + zB) = 0, or a block swap when det(B) = 0),
 two more squeeze A to its top-left entry, a conjugated cz01 sandwich makes B
 singular, cz02 aligns all block rows, and the residual (2-qubit) x (1-qubit)
-product is finished off by the 2-qubit routine on qubits (2, 1). Skipped
+product is finished off by the 2-qubit stage on qubits (2, 1). Skipped
 stages lower the CZ count.
 
-The builder tracks the amplitudes as a plain list and reads the blocks from it
-to choose the next gate. `emit` is the only writer of that list and of the
-gate list: it applies each gate by the block rules of kernels.py as it appends
-it, so the list is always the input state run through the circuit so far.
-Every stage asserts its postcondition on it, and its final value gives the
-reported fidelity. Any Qprep3Error raised during a run carries the branch
-trace taken so far.
+Each synthesis is one builder pass. The builder tracks the amplitudes as a
+plain list and reads the blocks from it to choose the next gate; the embedded
+2-qubit stage reads its pair from the same list and emits into the same
+circuit. `emit` is the only writer of that list and of the gate list: it
+applies each gate by the block rules of kernels.py as it appends it, fuses a
+local gate into a directly preceding one on the same wire, and drops local
+gates that are a global phase (+-I), so the list is always the input state
+run through the circuit so far. Every stage asserts its postcondition on it,
+and its final value gives the reported fidelity. Any Qprep3Error raised
+during a run carries the branch trace taken so far.
 """
 from __future__ import annotations
 
@@ -30,13 +33,12 @@ from contextlib import contextmanager
 
 from .circuit import Circuit, CZGate, Gate, LocalGate, apply_circuit, apply_gate_amps, fidelity_to_basis, invert
 from .errors import NotRealError, Qprep3Error, SynthesisInvariantError
-from .mat2 import EPS_ZERO, FID2_MIN, FID3_MIN, IDENTITY, PRUNE_TOL, REAL_ROOT_TOL, STEP_TOL, SWAP_BLOCKS, Mat2
+from .mat2 import EPS_ZERO, FID2_MIN, FID3_MIN, PRUNE_TOL, REAL_ROOT_TOL, STEP_TOL, SWAP_BLOCKS, Mat2
 from .mat2 import is_singular, l1, r1, r2, r3, row2_norm, solve_det_pencil, u_from_pair
 from .state import (
     PureState2,
     PureState3,
     State,
-    amp_matrix,
     basis_state,
     block_view,
     delta,
@@ -59,7 +61,10 @@ class _Builder:
 
     Invariant: `amps` is the input state after `gates`, because `emit` is the
     only writer of both. So `finish` verifies the circuit on the tracked
-    amplitudes, with no second simulation.
+    amplitudes, with no second simulation. `emit` keeps the amplitudes from
+    before each gate (`before`), so a local gate fused into its predecessor is
+    re-applied, as the product, to exactly what the predecessor saw: `amps`
+    stays bit-equal to a fresh simulation of `gates`.
     """
 
     def __init__(self, state):
@@ -67,15 +72,13 @@ class _Builder:
         self.num_qubits = state.num_qubits
         self.amps = list(state.w)
         self.gates: list[Gate] = []
+        self.before: list[list] = []
+        self.cz_count = 0
         self.trace: list[str] = []
 
     @contextmanager
     def traced(self):
-        """Attach the branch trace to any Qprep3Error leaving the block.
-
-        An error from a nested run already carries that run's trace, which
-        goes after this one's.
-        """
+        """Attach the branch trace to any Qprep3Error leaving the block."""
         try:
             yield
         except Qprep3Error as exc:
@@ -86,10 +89,26 @@ class _Builder:
         self.trace.append(label)
 
     def emit(self, gate: Gate) -> None:
-        if isinstance(gate, LocalGate) and gate.matrix.distance_to(IDENTITY) <= PRUNE_TOL:
-            return
+        """Append gate and apply it to `amps`.
+
+        A local gate on the wire of the previous gate, when that is local
+        too, replaces it with their product; a local gate (or product) within
+        PRUNE_TOL of +-I, a global phase, is not emitted.
+        """
+        gates = self.gates
+        if type(gate) is LocalGate:
+            last = gates[-1] if gates else None
+            if type(last) is LocalGate and last.qubit == gate.qubit:
+                gates.pop()
+                self.amps = self.before.pop()
+                gate = LocalGate(gate.qubit, gate.matrix @ last.matrix)
+            if _is_global_phase(gate.matrix):
+                return
+        else:
+            self.cz_count += 1
+        self.before.append(self.amps)
         self.amps = apply_gate_amps(gate, self.amps, self.num_qubits)
-        self.gates.append(gate)
+        gates.append(gate)
 
     def require(self, cond: bool, msg: str) -> None:
         # msg is a plain literal; a message that needs formatting is built in
@@ -103,10 +122,19 @@ class _Builder:
         # written `not >=` so that a NaN fidelity fails
         if not fid >= min_fidelity:
             raise SynthesisInvariantError(f"final fidelity {fid!r} below {min_fidelity!r}")
-        cz = circ.cz_count
+        cz = self.cz_count
         if cz > max_cz:
             raise SynthesisInvariantError(f"cz count {cz} exceeds {max_cz}")
         return SynthesisReport(circ, cz, circ.is_real(), tuple(self.trace), fid)
+
+
+def _is_global_phase(m: Mat2) -> bool:
+    """m is within PRUNE_TOL of I or -I (entrywise)."""
+    # off-diagonal first: a typical gate is rejected by one abs
+    if abs(m.b) > PRUNE_TOL or abs(m.c) > PRUNE_TOL:
+        return False
+    sign = 1.0 if m.a.real > 0.0 else -1.0
+    return abs(m.a - sign) <= PRUNE_TOL and abs(m.d - sign) <= PRUNE_TOL
 
 
 def _col2_norm(m: Mat2) -> float:
@@ -125,23 +153,36 @@ def disentangle2(s: PureState2) -> SynthesisReport:
         return b.finish(FID2_MIN, 1)
 
 
-def _run2(b: _Builder) -> None:
-    t = amp_matrix(b.amps)
+def _pair_matrix(amps: list, step: int) -> Mat2:
+    """Amplitude matrix of the pair (low_qubit+1, low_qubit), step = 1 << low_qubit,
+    with every other qubit at 0."""
+    return Mat2(amps[0], amps[step], amps[2 * step], amps[3 * step])
+
+
+def _run2(b: _Builder, low_qubit: int = 0, product_label: str | None = None, entangled_label: str | None = None) -> None:
+    """2-qubit stage on wires (low_qubit+1, low_qubit) of b; the other wire, if
+    any, must already be |0>. product_label / entangled_label, when given, are
+    said before the detT label of the branch they name."""
+    lo, hi, step = low_qubit, low_qubit + 1, 1 << low_qubit
+    t = _pair_matrix(b.amps, step)
     if is_singular(t, EPS_ZERO):
+        if product_label is not None:
+            b.say(product_label)
         b.say("detT=0")
     else:
+        if entangled_label is not None:
+            b.say(entangled_label)
         b.say("detT!=0")
         # gate transposed so the amplitude matrix is right-multiplied by r1
         # itself; cz then flips (2,2) and leaves proportional rows
-        b.emit(LocalGate(0, r1(t).transpose()))
-        b.emit(CZGate(0, 1))
-        t = amp_matrix(b.amps)
+        b.emit(LocalGate(lo, r1(t).transpose()))
+        b.emit(CZGate(lo, hi))
+        t = _pair_matrix(b.amps, step)
         b.require(is_singular(t, STEP_TOL), "2q: cz sandwich left det nonzero")
-    k1 = l1(t)
-    b.emit(LocalGate(1, k1))
-    b.require(row2_norm(amp_matrix(b.amps)) <= STEP_TOL, "2q: second row not annihilated")
-    eta0, eta1 = b.amps[0], b.amps[1]
-    b.emit(LocalGate(0, u_from_pair(eta0.conjugate(), -eta1).transpose()))
+    b.emit(LocalGate(hi, l1(t)))
+    b.require(row2_norm(_pair_matrix(b.amps, step)) <= STEP_TOL, "2q: second row not annihilated")
+    eta0, eta1 = b.amps[0], b.amps[step]
+    b.emit(LocalGate(lo, u_from_pair(eta0.conjugate(), -eta1).transpose()))
 
 
 def disentangle3(s: PureState3) -> SynthesisReport:
@@ -218,7 +259,7 @@ def _run3(b: _Builder, require_real: bool) -> None:
         # is nonzero for r3
         b.say("A1=0")
         b.emit(LocalGate(2, SWAP_BLOCKS))
-        _embed2(b, PureState2(b.amps[:4]), low_qubit=0)
+        _embed2(b, low_qubit=0)
         return
 
     u2 = l1(a1)
@@ -259,22 +300,23 @@ def _run3(b: _Builder, require_real: bool) -> None:
 
     fac = factor_right(PureState3(b.amps))
     b.require(fac is not None, "step5: block rows not proportional, state did not factor")
-    pair, (v1, v2) = fac
+    v1, v2 = fac.single
+    # maps qubit 0 to |0>, leaving the pair's amplitudes on the even indices
     b.emit(LocalGate(0, u_from_pair(v1.conjugate(), -v2).transpose()))
-    _embed2(b, pair, low_qubit=1, product_label="b3=0", entangled_label="cz12")
+    _embed2(b, low_qubit=1, product_label="b3=0", entangled_label="cz12")
 
 
-def _embed2(b: _Builder, sub: PureState2, low_qubit: int, product_label: str | None = None, entangled_label: str | None = None) -> None:
-    """Disentangle a 2-qubit factor living on (low_qubit+1, low_qubit)."""
-    rep = disentangle2(sub)
-    if product_label is not None:
-        b.say(product_label if rep.cz_count == 0 else entangled_label)
-    b.trace.extend(rep.branch_trace)
-    for g in rep.circuit.gates:
-        if isinstance(g, LocalGate):
-            b.emit(LocalGate(g.qubit + low_qubit, g.matrix))
-        else:
-            b.emit(CZGate(g.i + low_qubit, g.j + low_qubit))
+def _embed2(b: _Builder, low_qubit: int, product_label: str | None = None, entangled_label: str | None = None) -> None:
+    """Run the 2-qubit stage on (low_qubit+1, low_qubit) inside b, with the
+    checks disentangle2's finish makes: FID2_MIN on |amps[0]|, at most 1 CZ."""
+    cz_before = b.cz_count
+    _run2(b, low_qubit, product_label, entangled_label)
+    fid = abs(b.amps[0])
+    if not fid >= FID2_MIN:
+        raise SynthesisInvariantError(f"2q: final fidelity {fid!r} below {FID2_MIN!r}")
+    cz = b.cz_count - cz_before
+    if cz > 1:
+        raise SynthesisInvariantError(f"2q: cz count {cz} exceeds 1")
 
 
 def disentangle(s: State, mode: str = "general") -> SynthesisReport:

@@ -8,6 +8,9 @@ Qprep3Error.
 
 A seventh family, built exactly (unperturbed) as C|000> from a random circuit
 of local gates and k CZ, must never fail.
+
+In every family, and for Haar states, no emitted circuit may hold two
+adjacent local gates on one wire (the synthesis fuses them into one).
 """
 import math
 from collections import Counter
@@ -93,8 +96,20 @@ def _delta(v):
     return s1 * s1 - 4.0 * (w[1] * w[2] - w[0] * w[3]) * (w[5] * w[6] - w[4] * w[7])
 
 
+def _adjacent_same_wire(gates):
+    """Index of the first local gate directly preceded by a local gate on its wire, or None."""
+    for k in range(1, len(gates)):
+        prev, g = gates[k - 1], gates[k]
+        if hasattr(prev, "matrix") and hasattr(g, "matrix") and prev.qubit == g.qubit:
+            return k
+    return None
+
+
 def _violation(rep, v, mode):
-    """The guarantee-table entry rep breaks for input v, or None."""
+    """The guarantee-table entry rep breaks for input v, or a fusable gate pair, or None."""
+    k = _adjacent_same_wire(rep.circuit.gates)
+    if k is not None:
+        return f"gates {k - 1} and {k} are local on one wire"
     if abs(dense_apply(rep.circuit, v)[0]) < 1.0 - 1e-9:
         return "fidelity"
     bound = 3 if mode == "general" or _delta(v) >= 0.0 else 4
@@ -176,3 +191,19 @@ def test_circuit_built_states_never_fail():
                 if problem is not None:
                     bad.append((mode, k, n, problem))
     assert bad == []
+
+
+def test_haar_circuits_have_11_or_12_gates():
+    # 3 CZ: step 1, step 2, step 3 + step-4 conjugation, step-4 undo + step 5,
+    # factor gate, three 2-qubit locals; the real 4-CZ path adds its cz01 prefix
+    rng = np.random.default_rng(20261020)
+    sizes = Counter()
+    for n in range(300):
+        real = n % 2 == 1
+        v = _vector(rng, 8, real)
+        mode, synth = ("real", disentangle3_real) if real else ("general", disentangle3)
+        rep = synth(PureState3(v))
+        assert _violation(rep, v, mode) is None
+        sizes[rep.cz_count, len(rep.circuit.gates)] += 1
+    assert set(sizes) <= {(3, 11), (4, 12)}
+    assert sizes[3, 11] >= 150 and sizes[4, 12] >= 20

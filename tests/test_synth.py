@@ -149,6 +149,15 @@ class TestBranchReductions:
             assert "detB0=0" in rep.branch_trace
             assert rep.fidelity >= FID
 
+    def test_zero_tensor_two_qubit_emits_nothing_on_qubit_2(self):
+        # the two block swaps of detB0=0 > A1=0 multiply to -I, a global phase
+        for i in range(50):
+            pair = random_state2((727, i))
+            rep = disentangle3(PureState3(np.concatenate([pair.amps, np.zeros(4)])))
+            assert rep.branch_trace[:2] == ("detB0=0", "A1=0")
+            assert [g for g in rep.circuit.gates if isinstance(g, LocalGate) and g.qubit == 2] == []
+            assert len(rep.circuit.gates) <= 4
+
     def test_both_blocks_singular_skips_step4(self):
         rng = np.random.default_rng(723)
         for i in range(100):
@@ -352,28 +361,50 @@ class TestStepInvariants:
         assert info.value.branch_trace
 
     @staticmethod
-    def _pad_disentangle2(monkeypatch, *extra):
-        """Make the embedded 2-qubit stage append `extra` gates to its circuit."""
+    def _pad_stage(monkeypatch, stage, *extra):
+        """Make the embedded 2-qubit stage append `extra` gates, given on the
+        pair's wires (0 the low one), right after `stage` returns: "_run2"
+        pads inside the stage's own checks, "_embed2" after them."""
         import qprep3.synth as synth
 
-        real_disentangle2 = synth.disentangle2
+        real_stage = getattr(synth, stage)
 
-        def padded(sub):
-            rep = real_disentangle2(sub)
-            return rep._replace(circuit=Circuit(rep.circuit.gates + extra, 2))
+        def padded(b, low_qubit, *args, **kwargs):
+            real_stage(b, low_qubit, *args, **kwargs)
+            for g in extra:
+                if isinstance(g, LocalGate):
+                    b.emit(LocalGate(g.qubit + low_qubit, g.matrix))
+                else:
+                    b.emit(CZGate(g.i + low_qubit, g.j + low_qubit))
 
-        monkeypatch.setattr(synth, "disentangle2", padded)
+        monkeypatch.setattr(synth, stage, padded)
 
     def test_cz_bound_check_fires(self, monkeypatch):
         # two cz01 cancel on the pair, so only the count goes wrong
-        self._pad_disentangle2(monkeypatch, CZGate(0, 1), CZGate(0, 1))
+        self._pad_stage(monkeypatch, "_embed2", CZGate(0, 1), CZGate(0, 1))
         with pytest.raises(SynthesisInvariantError, match=r"^cz count 5 exceeds 3$") as info:
             disentangle3(random_state((762, 0)))
         assert info.value.branch_trace
 
+    def test_embedded_stage_cz_check_fires(self, monkeypatch):
+        self._pad_stage(monkeypatch, "_run2", CZGate(0, 1), CZGate(0, 1))
+        with pytest.raises(SynthesisInvariantError, match=r"^2q: cz count 3 exceeds 1$") as info:
+            disentangle3(random_state((762, 0)))
+        assert info.value.branch_trace[-2:] == ["cz12", "detT!=0"]
+
+    def test_embedded_stage_fidelity_check_fires(self, monkeypatch):
+        # 1 - 5e-10 passes FID3_MIN, so only the stage's FID2_MIN rejects it
+        tilt = LocalGate(0, ry_matrix(2.0 * math.acos(1.0 - 5e-10)))
+        self._pad_stage(monkeypatch, "_run2", tilt)
+        with pytest.raises(SynthesisInvariantError, match=r"^2q: final fidelity 0\.99999\d* below 0\.9999999999$") as info:
+            disentangle3(random_state((762, 0)))
+        assert info.value.branch_trace[-2:] == ["cz12", "detT!=0"]
+
     def test_real_mode_gate_realness_check_fires(self, monkeypatch):
-        # diag(i, -i) only changes the phase of |00>, so fidelity and count hold
-        self._pad_disentangle2(monkeypatch, LocalGate(0, Mat2(1j, 0, 0, -1j)))
+        # diag(i, -i) only changes the phase of |00>, so fidelity and count
+        # hold; it goes on the pair's upper wire, as on the lower one it would
+        # fuse with the stage's last gate
+        self._pad_stage(monkeypatch, "_embed2", LocalGate(1, Mat2(1j, 0, 0, -1j)))
         with pytest.raises(
             SynthesisInvariantError, match=r"^real mode emitted a non-real gate \(max imag 1\.0\)$"
         ) as info:
@@ -440,10 +471,11 @@ class TestStepInvariants:
     def test_nested_error_trace_follows_outer_trace(self, monkeypatch):
         import qprep3.synth as synth
 
-        def failing(_sub):
-            raise SynthesisInvariantError("2q: boom", ["detT!=0"])
+        def failing(b, *_):
+            b.say("detT!=0")
+            raise SynthesisInvariantError("2q: boom")
 
-        monkeypatch.setattr(synth, "disentangle2", failing)
+        monkeypatch.setattr(synth, "_run2", failing)
         ghz = PureState3(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / math.sqrt(2))
         with pytest.raises(SynthesisInvariantError) as info:
             disentangle3(ghz)
