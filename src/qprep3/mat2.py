@@ -36,7 +36,7 @@ STEP_TOL = 1e-9
 # Gauge choice, relative to the block's norm (not a zero test): blocks this
 # close to real take the real representative, so rounding cannot amplify.
 REAL_SNAP = 1e-13
-# Local gates this close to the identity are not emitted.
+# Local gates this close to +-I (a global phase) are not emitted.
 PRUNE_TOL = 1e-14
 # Largest imaginary part of an input that counts as a real state.
 REAL_STATE_TOL = 1e-12

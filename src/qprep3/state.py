@@ -125,9 +125,12 @@ def basis_state(num_qubits: int, index: int = 0) -> State:
     return PureState3(amps) if num_qubits == 3 else PureState2(amps)
 
 
-def amp_matrix(w, offset: int = 0) -> Mat2:
-    """Amplitudes w[offset:offset+4] as the row-major 2x2 matrix."""
-    return Mat2(complex(w[offset]), complex(w[offset + 1]), complex(w[offset + 2]), complex(w[offset + 3]))
+def amp_matrix(w, offset: int = 0, step: int = 1) -> Mat2:
+    """Amplitudes w[offset], w[offset+step], ... (four of them) as the row-major
+    2x2 matrix; step 1 << q reads the pair of qubits (q+1, q)."""
+    return Mat2(
+        complex(w[offset]), complex(w[offset + step]), complex(w[offset + 2 * step]), complex(w[offset + 3 * step])
+    )
 
 
 def block_view(w) -> BlockPair:

@@ -39,6 +39,7 @@ from .state import (
     PureState2,
     PureState3,
     State,
+    amp_matrix,
     basis_state,
     block_view,
     delta,
@@ -153,18 +154,12 @@ def disentangle2(s: PureState2) -> SynthesisReport:
         return b.finish(FID2_MIN, 1)
 
 
-def _pair_matrix(amps: list, step: int) -> Mat2:
-    """Amplitude matrix of the pair (low_qubit+1, low_qubit), step = 1 << low_qubit,
-    with every other qubit at 0."""
-    return Mat2(amps[0], amps[step], amps[2 * step], amps[3 * step])
-
-
 def _run2(b: _Builder, low_qubit: int = 0, product_label: str | None = None, entangled_label: str | None = None) -> None:
     """2-qubit stage on wires (low_qubit+1, low_qubit) of b; the other wire, if
     any, must already be |0>. product_label / entangled_label, when given, are
     said before the detT label of the branch they name."""
     lo, hi, step = low_qubit, low_qubit + 1, 1 << low_qubit
-    t = _pair_matrix(b.amps, step)
+    t = amp_matrix(b.amps, 0, step)
     if is_singular(t, EPS_ZERO):
         if product_label is not None:
             b.say(product_label)
@@ -177,10 +172,10 @@ def _run2(b: _Builder, low_qubit: int = 0, product_label: str | None = None, ent
         # itself; cz then flips (2,2) and leaves proportional rows
         b.emit(LocalGate(lo, r1(t).transpose()))
         b.emit(CZGate(lo, hi))
-        t = _pair_matrix(b.amps, step)
+        t = amp_matrix(b.amps, 0, step)
         b.require(is_singular(t, STEP_TOL), "2q: cz sandwich left det nonzero")
     b.emit(LocalGate(hi, l1(t)))
-    b.require(row2_norm(_pair_matrix(b.amps, step)) <= STEP_TOL, "2q: second row not annihilated")
+    b.require(row2_norm(amp_matrix(b.amps, 0, step)) <= STEP_TOL, "2q: second row not annihilated")
     eta0, eta1 = b.amps[0], b.amps[step]
     b.emit(LocalGate(lo, u_from_pair(eta0.conjugate(), -eta1).transpose()))
 
@@ -254,7 +249,7 @@ def _run3(b: _Builder, require_real: bool) -> None:
     b.require(is_singular(a1, STEP_TOL), "step1: det of top block not killed")
     if max(map(abs, a1)) <= EPS_ZERO:
         # whole state lives in the bottom block: swap blocks (det +1 variant
-        # of X) and finish with the 2-qubit routine on qubits (1, 0). Tested
+        # of X) and finish with the 2-qubit stage on qubits (1, 0). Tested
         # entrywise, so the first row l1 leaves (no smaller than any entry)
         # is nonzero for r3
         b.say("A1=0")
