@@ -83,7 +83,7 @@ class _Builder:
         try:
             yield
         except Qprep3Error as exc:
-            exc.branch_trace = self.trace + exc.branch_trace
+            exc.branch_trace = list(self.trace)
             raise
 
     def say(self, label: str) -> None:
