@@ -151,7 +151,9 @@ def _cmd_sweep(args) -> int:
         else:
             hist[rep.cz_count] = hist.get(rep.cz_count, 0) + 1
             fidelities.append(rep.fidelity)
-            max_gate_imag = max(max_gate_imag, rep.circuit.max_local_imag())
+            if args.real:
+                # printed in real mode only
+                max_gate_imag = max(max_gate_imag, rep.circuit.max_local_imag())
             trace = rep.branch_trace
         # real mode's first branch label is the sign of delta
         if trace and trace[0] == "delta<0":

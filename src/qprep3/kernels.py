@@ -1,31 +1,69 @@
 """Statevector kernels: the block-update rules on a plain amplitude sequence.
 
 Basis index i has qubit q in state (i >> q) & 1, as in state.py. Each kernel
-takes any sequence of 2**n complex amplitudes (n <= 3) and returns a fresh
-list; the input is never mutated and nothing is validated.
+takes any sequence of 2**n complex amplitudes (n = 2 or 3) and returns a
+fresh list; the input is never mutated and nothing is validated.
+
+A local gate on qubit q mixes each index pair (i, i | 1 << q) with the qubit 0
+in i, as lo, hi -> u00*lo + u01*hi, u10*lo + u11*hi. There is one
+straight-line function per (length, qubit), so no index is computed at run
+time; a CZ negates a precomputed tuple of indices.
 """
 
-# (length, qubit) -> the index pairs (i, i | 1 << qubit) that qubit mixes,
-# for every i with the qubit 0, in ascending order
-_PAIRS = {
-    (1 << n, q): tuple((i, i | 1 << q) for i in range(1 << n) if not i & (1 << q))
-    for n in (1, 2, 3)
-    for q in range(n)
+
+def _local4_q0(w, u00, u01, u10, u11):
+    a0, a1, a2, a3 = w
+    return [u00 * a0 + u01 * a1, u10 * a0 + u11 * a1, u00 * a2 + u01 * a3, u10 * a2 + u11 * a3]
+
+
+def _local4_q1(w, u00, u01, u10, u11):
+    a0, a1, a2, a3 = w
+    return [u00 * a0 + u01 * a2, u00 * a1 + u01 * a3, u10 * a0 + u11 * a2, u10 * a1 + u11 * a3]
+
+
+def _local8_q0(w, u00, u01, u10, u11):
+    a0, a1, a2, a3, a4, a5, a6, a7 = w
+    return [
+        u00 * a0 + u01 * a1, u10 * a0 + u11 * a1, u00 * a2 + u01 * a3, u10 * a2 + u11 * a3,
+        u00 * a4 + u01 * a5, u10 * a4 + u11 * a5, u00 * a6 + u01 * a7, u10 * a6 + u11 * a7,
+    ]
+
+
+def _local8_q1(w, u00, u01, u10, u11):
+    a0, a1, a2, a3, a4, a5, a6, a7 = w
+    return [
+        u00 * a0 + u01 * a2, u00 * a1 + u01 * a3, u10 * a0 + u11 * a2, u10 * a1 + u11 * a3,
+        u00 * a4 + u01 * a6, u00 * a5 + u01 * a7, u10 * a4 + u11 * a6, u10 * a5 + u11 * a7,
+    ]
+
+
+def _local8_q2(w, u00, u01, u10, u11):
+    a0, a1, a2, a3, a4, a5, a6, a7 = w
+    return [
+        u00 * a0 + u01 * a4, u00 * a1 + u01 * a5, u00 * a2 + u01 * a6, u00 * a3 + u01 * a7,
+        u10 * a0 + u11 * a4, u10 * a1 + u11 * a5, u10 * a2 + u11 * a6, u10 * a3 + u11 * a7,
+    ]
+
+
+_LOCAL = {(4, 0): _local4_q0, (4, 1): _local4_q1, (8, 0): _local8_q0, (8, 1): _local8_q1, (8, 2): _local8_q2}
+
+# (length, qi, qj) -> the indices whose qubits qi and qj are both 1
+_CZ_FLIPS = {
+    (1 << n, qi, qj): tuple(i for i in range(1 << n) if (i >> qi) & (i >> qj) & 1)
+    for n in (2, 3)
+    for qj in range(n)
+    for qi in range(qj)
 }
 
 
 def apply_local(amps, qubit, u00, u01, u10, u11):
     """Apply the 2x2 unitary [[u00, u01], [u10, u11]] to one qubit."""
-    out = list(amps)
-    for i, j in _PAIRS[len(out), qubit]:
-        lo = out[i]
-        hi = out[j]
-        out[i] = u00 * lo + u01 * hi
-        out[j] = u10 * lo + u11 * hi
-    return out
+    return _LOCAL[len(amps), qubit](amps, u00, u01, u10, u11)
 
 
 def apply_cz(amps, qi, qj):
     """Flip the sign of every amplitude whose qubits qi and qj are both 1."""
-    mask = (1 << qi) | (1 << qj)
-    return [-a if (base & mask) == mask else a for base, a in enumerate(amps)]
+    out = list(amps)
+    for i in _CZ_FLIPS[len(out), qi, qj]:
+        out[i] = -out[i]
+    return out

@@ -7,6 +7,12 @@ Every construction returns a matrix of the form
 which is unitary with determinant exactly 1, and maps real inputs to real
 outputs. All functions are pure. Mat2 is an immutable named tuple of its four
 entries (a, b, c, d), so it compares and hashes by value.
+
+The public constructions l1, r1, r2, r3 and solve_det_pencil check their
+preconditions and then call a private core (_l1, ...). The synthesis calls a
+core directly only where its own decision or step check has just established
+that precondition (the same predicate, at the same or a stricter tolerance),
+so each test is made once.
 """
 from __future__ import annotations
 
@@ -166,6 +172,11 @@ def r1(m: Mat2) -> Mat2:
     sign flip of its (2,2) entry, with ratio k (w21 = k*w11, w22 = -k*w12)."""
     if is_singular(m, EPS_ZERO):
         raise SingularInputError("r1 requires det != 0")
+    return _r1(m)
+
+
+def _r1(m: Mat2) -> Mat2:
+    # r1 past its precondition: m is not singular at EPS_ZERO
     m = _snap_real(m)
     a, b, c, d = m
     k = _r1_ratio(m)
@@ -191,7 +202,7 @@ def _r1_ratio(m: Mat2) -> complex:
 
 
 def _require_singular_nonzero(m: Mat2, who: str) -> None:
-    # the singular test is the step check that precedes l1 and r2 in synthesis
+    # the singular test is the step check that precedes _l1 and _r2 in synthesis
     if m.frobenius() <= EPS_ZERO:
         raise ZeroMatrixError(f"{who} requires a nonzero matrix")
     if not is_singular(m, STEP_TOL):
@@ -206,6 +217,11 @@ def r2(m: Mat2) -> Mat2:
     row of m, or the second when the first is zero.
     """
     _require_singular_nonzero(m, "r2")
+    return _r2(m)
+
+
+def _r2(m: Mat2) -> Mat2:
+    # r2 past its precondition: m is nonzero and singular at STEP_TOL
     a, b, c, d = _snap_real(m).entries()
     p, q = (a, b) if math.sqrt(abs(a) ** 2 + abs(b) ** 2) > EPS_ZERO else (c, d)
     if abs(p) <= EPS_ZERO:
@@ -222,6 +238,11 @@ def l1(m: Mat2) -> Mat2:
     normalized, with its first nonzero component made real-positive.
     """
     _require_singular_nonzero(m, "l1")
+    return _l1(m)
+
+
+def _l1(m: Mat2) -> Mat2:
+    # l1 past its precondition: m is nonzero and singular at STEP_TOL
     v1, v2 = dominant_direction(_snap_real(m).cols())
     return u_from_pair(v1.conjugate(), v2.conjugate())
 
@@ -234,6 +255,11 @@ def r3(m: Mat2) -> Mat2:
     """
     if row2_norm(m) > STEP_TOL:
         raise BadShapeError("r3 requires a vanishing second row")
+    return _r3(m)
+
+
+def _r3(m: Mat2) -> Mat2:
+    # r3 past its second-row test; no step check establishes the first-row one
     a, b, _, _ = _snap_real(m).entries()
     if math.sqrt(abs(a) ** 2 + abs(b) ** 2) <= EPS_ZERO:
         raise BadShapeError("r3 requires a nonzero first row")
@@ -250,6 +276,11 @@ def solve_det_pencil(m_a: Mat2, m_b: Mat2) -> list[complex]:
     """
     if is_singular(m_b, EPS_ZERO):
         raise SingularPencilCoefficientError("solve_det_pencil requires det(B) != 0")
+    return _solve_det_pencil(m_a, m_b)
+
+
+def _solve_det_pencil(m_a: Mat2, m_b: Mat2) -> list[complex]:
+    # solve_det_pencil past its precondition: m_b is not singular at EPS_ZERO
     q2 = m_b.det()
     q1 = m_a.a * m_b.d + m_b.a * m_a.d - m_a.b * m_b.c - m_b.b * m_a.c
     q0 = m_a.det()

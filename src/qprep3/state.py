@@ -127,20 +127,16 @@ def basis_state(num_qubits: int, index: int = 0) -> State:
 
 def amp_matrix(w, offset: int = 0, step: int = 1) -> Mat2:
     """Amplitudes w[offset], w[offset+step], ... (four of them) as the row-major
-    2x2 matrix; step 1 << q reads the pair of qubits (q+1, q)."""
-    return Mat2(
-        complex(w[offset]), complex(w[offset + step]), complex(w[offset + 2 * step]), complex(w[offset + 3 * step])
-    )
-
-
-def block_view(w) -> BlockPair:
-    """The blocks T0, T1 of any sequence of 8 amplitudes (nothing is validated)."""
-    return BlockPair(amp_matrix(w, 0), amp_matrix(w, 4))
+    2x2 matrix; step 1 << q reads the pair of qubits (q+1, q). The entries are
+    taken as they are: every caller passes Python complex (a state's `w`, or
+    the synthesis's tracked list), and nothing is validated. Offset 0 / 4
+    reads the block T0 / T1 of 8 amplitudes."""
+    return Mat2(w[offset], w[offset + step], w[offset + 2 * step], w[offset + 3 * step])
 
 
 def blocks(s: PureState3) -> BlockPair:
     """Split s into |0>T0 + |1>T1."""
-    return block_view(s.w)
+    return BlockPair(amp_matrix(s.w, 0), amp_matrix(s.w, 4))
 
 
 def unblocks(p: BlockPair) -> PureState3:
@@ -166,27 +162,40 @@ def delta(s: PureState3) -> float:
     return float(s1 * s1 - 4.0 * (w[1] * w[2] - w[0] * w[3]) * (w[5] * w[6] - w[4] * w[7]))
 
 
-def _rows4(s: PureState3) -> list[tuple[complex, complex]]:
-    w = s.w
+def _rows4(w) -> list[tuple[complex, complex]]:
     return [(w[0], w[1]), (w[2], w[3]), (w[4], w[5]), (w[6], w[7])]
+
+
+def qubit0_factor(w) -> tuple[complex, complex] | None:
+    """Qubit 0's factor (v1, v2) of any 8 amplitudes, or None if they do not
+    split as (anything on qubits 2,1) x (qubit 0).
+
+    They split iff every pair of the four block rows, as a 2x2 matrix, is
+    singular to within STEP_TOL (mat2.is_singular); this is the step-5 check
+    of the synthesis, which calls it on its tracked list. The factor is the
+    dominant row normalized, its first nonzero component made real-positive.
+    Nothing is validated.
+    """
+    rows = _rows4(w)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            if not is_singular(Mat2(*rows[i], *rows[j]), STEP_TOL):
+                return None
+    return dominant_direction(rows)
 
 
 def factor_right(s: PureState3) -> Factorization | None:
     """Split s into (2-qubit state on qubits 2,1) x (single qubit 0) if possible.
 
-    Succeeds iff every pair of the four block rows, as a 2x2 matrix, is
-    singular to within STEP_TOL (mat2.is_singular); it is the last step check
-    of the synthesis. The single-qubit factor is the dominant row normalized,
-    its first nonzero component made real-positive.
+    Succeeds iff qubit0_factor(s.w) does; `single` is its factor, and `pair`
+    the coefficients of the block rows along it.
     """
-    rows = _rows4(s)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if not is_singular(Mat2(*rows[i], *rows[j]), STEP_TOL):
-                return None
-    v1, v2 = dominant_direction(rows)
-    coeffs = [v1.conjugate() * r[0] + v2.conjugate() * r[1] for r in rows]
-    return Factorization(PureState2(coeffs), (v1, v2))
+    single = qubit0_factor(s.w)
+    if single is None:
+        return None
+    v1, v2 = single
+    coeffs = [v1.conjugate() * r[0] + v2.conjugate() * r[1] for r in _rows4(s.w)]
+    return Factorization(PureState2(coeffs), single)
 
 
 def reconstruct(f: Factorization) -> PureState3:

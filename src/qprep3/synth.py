@@ -25,27 +25,26 @@ gates that are a global phase (+-I), so the list is always the input state
 run through the circuit so far. Every stage asserts its postcondition on it,
 and its final value gives the reported fidelity. Any Qprep3Error raised
 during a run carries the branch trace taken so far.
+
+Each thing is checked once on this path. A gate comes from the private core
+of its mat2 construction (_l1, _r1, _r2, _r3, _solve_det_pencil) wherever
+the branch decision or step check just before it has established the
+construction's precondition; step 5 tests the tracked list for a qubit-0
+factor directly (state.qubit0_factor), so no state is validated before
+`finish`; `emit` calls the kernels directly and `finish` builds its Circuit
+unchecked, as the builder only emits gates on the input's own wires.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from contextlib import contextmanager
 
-from .circuit import Circuit, CZGate, Gate, LocalGate, apply_circuit, apply_gate_amps, fidelity_to_basis, invert
+from . import kernels
+from .circuit import Circuit, CZGate, Gate, LocalGate, _unchecked, apply_circuit, fidelity_to_basis, invert
 from .errors import NotRealError, Qprep3Error, SynthesisInvariantError
 from .mat2 import EPS_ZERO, FID2_MIN, FID3_MIN, PRUNE_TOL, REAL_ROOT_TOL, STEP_TOL, SWAP_BLOCKS, Mat2
-from .mat2 import is_singular, l1, r1, r2, r3, row2_norm, solve_det_pencil, u_from_pair
-from .state import (
-    PureState2,
-    PureState3,
-    State,
-    amp_matrix,
-    basis_state,
-    block_view,
-    delta,
-    factor_right,
-    overlap,
-)
+from .mat2 import _l1, _r1, _r2, _r3, _solve_det_pencil, is_singular, row2_norm, u_from_pair
+from .state import PureState2, PureState3, State, amp_matrix, basis_state, delta, overlap, qubit0_factor
 
 class SynthesisReport(namedtuple("SynthesisReport", "circuit cz_count all_real branch_trace fidelity")):
     """Result of a synthesis run (disentangling direction unless produced by prepare).
@@ -98,17 +97,21 @@ class _Builder:
         """
         gates = self.gates
         if type(gate) is LocalGate:
+            qubit, m = gate
             last = gates[-1] if gates else None
-            if type(last) is LocalGate and last.qubit == gate.qubit:
+            if type(last) is LocalGate and last.qubit == qubit:
                 gates.pop()
                 self.amps = self.before.pop()
-                gate = LocalGate(gate.qubit, gate.matrix @ last.matrix)
-            if _is_global_phase(gate.matrix):
+                m = m @ last.matrix
+                gate = _unchecked(LocalGate, qubit, m)
+            if _is_global_phase(m):
                 return
+            self.before.append(self.amps)
+            self.amps = kernels.apply_local(self.amps, qubit, *m)
         else:
             self.cz_count += 1
-        self.before.append(self.amps)
-        self.amps = apply_gate_amps(gate, self.amps, self.num_qubits)
+            self.before.append(self.amps)
+            self.amps = kernels.apply_cz(self.amps, gate.i, gate.j)
         gates.append(gate)
 
     def require(self, cond: bool, msg: str) -> None:
@@ -118,7 +121,8 @@ class _Builder:
             raise SynthesisInvariantError(msg)
 
     def finish(self, min_fidelity: float, max_cz: int) -> SynthesisReport:
-        circ = Circuit(tuple(self.gates), self.num_qubits)
+        # every gate was emitted on a wire of the input state
+        circ = _unchecked(Circuit, tuple(self.gates), self.num_qubits)
         fid = fidelity_to_basis(self.state_type(self.amps), 0)
         # written `not >=` so that a NaN fidelity fails
         if not fid >= min_fidelity:
@@ -170,11 +174,13 @@ def _run2(b: _Builder, low_qubit: int = 0, product_label: str | None = None, ent
         b.say("detT!=0")
         # gate transposed so the amplitude matrix is right-multiplied by r1
         # itself; cz then flips (2,2) and leaves proportional rows
-        b.emit(LocalGate(lo, r1(t).transpose()))
+        b.emit(LocalGate(lo, _r1(t).transpose()))
         b.emit(CZGate(lo, hi))
         t = amp_matrix(b.amps, 0, step)
         b.require(is_singular(t, STEP_TOL), "2q: cz sandwich left det nonzero")
-    b.emit(LocalGate(hi, l1(t)))
+    # t is singular (decision or check above) and, as the pair holds the
+    # state's whole norm, nonzero
+    b.emit(LocalGate(hi, _l1(t)))
     b.require(row2_norm(amp_matrix(b.amps, 0, step)) <= STEP_TOL, "2q: second row not annihilated")
     eta0, eta1 = b.amps[0], b.amps[step]
     b.emit(LocalGate(lo, u_from_pair(eta0.conjugate(), -eta1).transpose()))
@@ -206,13 +212,13 @@ def disentangle3_real(s: PureState3) -> SynthesisReport:
         else:
             b.say("delta<0")
             max_cz = 4
-            a0 = block_view(b.amps).t0
+            a0 = amp_matrix(b.amps, 0)
             if is_singular(a0, EPS_ZERO):
                 # |delta| is then ~1e-10 or smaller: the top block is already
                 # numerically singular and the 3-CZ machinery applies directly
                 b.say("detA0~0")
             else:
-                b.emit(LocalGate(0, r1(a0).transpose()))
+                b.emit(LocalGate(0, _r1(a0).transpose()))
                 b.emit(CZGate(0, 1))
         _run3(b, require_real=True)
         rep = b.finish(FID3_MIN, max_cz)
@@ -234,38 +240,37 @@ def _pick_step1_root(b: _Builder, roots: list[complex], require_real: bool) -> c
 
 
 def _run3(b: _Builder, require_real: bool) -> None:
-    bp = block_view(b.amps)
-    a0, b0 = bp.t0, bp.t1
+    # each construction is a mat2 core (_l1, ...): the decision or step check
+    # just before it has established its precondition
+    b0 = amp_matrix(b.amps, 4)
     if is_singular(b0, EPS_ZERO):
         b.say("detB0=0")
         w1 = SWAP_BLOCKS
     else:
         b.say("pencil")
-        z0 = _pick_step1_root(b, solve_det_pencil(a0, b0), require_real)
+        z0 = _pick_step1_root(b, _solve_det_pencil(amp_matrix(b.amps, 0), b0), require_real)
         w1 = u_from_pair(1.0, z0)
     b.emit(LocalGate(2, w1))
 
-    a1 = block_view(b.amps).t0
+    a1 = amp_matrix(b.amps, 0)
     b.require(is_singular(a1, STEP_TOL), "step1: det of top block not killed")
     if max(map(abs, a1)) <= EPS_ZERO:
         # whole state lives in the bottom block: swap blocks (det +1 variant
         # of X) and finish with the 2-qubit stage on qubits (1, 0). Tested
-        # entrywise, so the first row l1 leaves (no smaller than any entry)
-        # is nonzero for r3
+        # entrywise, so otherwise a1 is nonzero for _l1, and the first row
+        # _l1 leaves (no smaller than any entry) is nonzero for _r3
         b.say("A1=0")
         b.emit(LocalGate(2, SWAP_BLOCKS))
         _embed2(b, low_qubit=0)
         return
 
-    u2 = l1(a1)
-    b.emit(LocalGate(1, u2))
-    a2 = block_view(b.amps).t0
+    b.emit(LocalGate(1, _l1(a1)))
+    a2 = amp_matrix(b.amps, 0)
     b.require(row2_norm(a2) <= STEP_TOL, "step2: second row of top block survives")
 
-    u3 = r3(a2)
-    b.emit(LocalGate(0, u3.transpose()))
-    bp = block_view(b.amps)
-    a3, b3 = bp.t0, bp.t1
+    b.emit(LocalGate(0, _r3(a2).transpose()))
+    a3 = amp_matrix(b.amps, 0)
+    b3 = amp_matrix(b.amps, 4)
     b.require(
         max(abs(a3.b), abs(a3.c), abs(a3.d)) <= STEP_TOL,
         "step3: top block not reduced to its corner",
@@ -273,29 +278,29 @@ def _run3(b: _Builder, require_real: bool) -> None:
 
     if is_singular(b3, EPS_ZERO):
         b.say("skip-step4")
+        b4 = b3
     else:
         b.say("step4")
-        u4 = r1(b3).transpose()
+        u4 = _r1(b3).transpose()
         b.emit(LocalGate(0, u4))
         b.emit(CZGate(0, 1))
         b.emit(LocalGate(0, u4.dagger()))
-        bp = block_view(b.amps)
-        a4, b4 = bp.t0, bp.t1
+        b4 = amp_matrix(b.amps, 4)
         b.require(is_singular(b4, STEP_TOL), "step4: det of bottom block not killed")
-        b.require(a4.distance_to(a3) <= STEP_TOL, "step4: top block disturbed")
+        b.require(amp_matrix(b.amps, 0).distance_to(a3) <= STEP_TOL, "step4: top block disturbed")
 
-    b4 = block_view(b.amps).t1
+    # b4 is singular (skip decision or step-4 check), and nonzero when its
+    # second column is
     if _col2_norm(b4) <= EPS_ZERO:
         b.say("skip-step5")
     else:
         b.say("step5")
-        u5 = r2(b4).transpose()
-        b.emit(LocalGate(0, u5))
+        b.emit(LocalGate(0, _r2(b4).transpose()))
         b.emit(CZGate(0, 2))
 
-    fac = factor_right(PureState3(b.amps))
-    b.require(fac is not None, "step5: block rows not proportional, state did not factor")
-    v1, v2 = fac.single
+    single = qubit0_factor(b.amps)
+    b.require(single is not None, "step5: block rows not proportional, state did not factor")
+    v1, v2 = single
     # maps qubit 0 to |0>, leaving the pair's amplitudes on the even indices
     b.emit(LocalGate(0, u_from_pair(v1.conjugate(), -v2).transpose()))
     _embed2(b, low_qubit=1, product_label="b3=0", entangled_label="cz12")

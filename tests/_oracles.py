@@ -62,6 +62,16 @@ def reference_apply_local(amps, qubit, u00, u01, u10, u11):
     return out
 
 
+def reference_apply_cz(amps, qi, qj):
+    """kernels.apply_cz written as a bit test on every basis index; negation
+    is exact, so the two must agree exactly, -0.0 included."""
+    out = list(amps)
+    for base in range(len(out)):
+        if (base >> qi) & 1 and (base >> qj) & 1:
+            out[base] = -out[base]
+    return out
+
+
 def scaled(m: Mat2, s: complex) -> Mat2:
     """s * m, entrywise."""
     return Mat2(s * m.a, s * m.b, s * m.c, s * m.d)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import dense_apply, gate_unitary, random_unitary2, reference_apply_local
+from _oracles import dense_apply, gate_unitary, random_unitary2, reference_apply_cz, reference_apply_local
 from qprep3 import kernels
 from qprep3.circuit import (
     Circuit,
@@ -81,6 +81,19 @@ class TestApplyGate:
                 want = reference_apply_local(amps, qubit, *m)
                 # repr also tells -0.0 from 0.0, which the emitted text shows
                 assert got == want and repr(got) == repr(want)
+
+    @pytest.mark.parametrize("num_qubits", [2, 3])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_cz_kernel_equals_reference_exactly(self, num_qubits, real):
+        make = random_state if num_qubits == 3 else random_state2
+        for i in range(100):
+            amps = make((206, num_qubits, real, i), real_only=real).w
+            for qj in range(num_qubits):
+                for qi in range(qj):
+                    got = kernels.apply_cz(amps, qi, qj)
+                    want = reference_apply_cz(amps, qi, qj)
+                    # a real input's imaginary 0.0 turns -0.0 where negated
+                    assert got == want and repr(got) == repr(want)
 
     @pytest.mark.parametrize("container", [list, np.array])
     def test_kernel_inputs_not_mutated(self, container):

@@ -1,5 +1,6 @@
 """Synthesis correctness: CZ bounds, fidelity, branch behavior, real closure."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from _oracles import dense_apply, random_nonsingular, random_rank1, scaled
 from qprep3.circuit import Circuit, CZGate, LocalGate, apply_circuit, ry_matrix
 from qprep3.errors import NonSingularInputError, NotRealError, SynthesisInvariantError
-from qprep3.mat2 import Mat2, r1, solve_det_pencil
+from qprep3.mat2 import IDENTITY, Mat2, r1, solve_det_pencil
 from qprep3.state import (
     PureState2,
     PureState3,
@@ -445,6 +446,61 @@ class TestStepInvariants:
         rep = prepare(random_state((763, 0)))
         assert FID <= rep.fidelity < 1.0 - 1e-10
 
+    @pytest.mark.parametrize(
+        "construction, wrong, synth, state, msg, trace",
+        [
+            # the step-1 gate is u_from_pair(1, root), the first one built
+            ("u_from_pair", IDENTITY, disentangle3, "3", "step1: det of top block not killed", ["pencil"]),
+            ("_l1", IDENTITY, disentangle3, "3", "step2: second row of top block survives", ["pencil"]),
+            ("_r3", IDENTITY, disentangle3, "3", "step3: top block not reduced to its corner", ["pencil"]),
+            ("_r1", IDENTITY, disentangle3, "3", "step4: det of bottom block not killed", ["pencil", "step4"]),
+            # a projector on qubit 0's |1> zeroes the first column of both
+            # blocks: the bottom det vanishes, and the top corner is lost
+            ("_r1", Mat2(0, 0, 0, 1), disentangle3, "3", "step4: top block disturbed", ["pencil", "step4"]),
+            (
+                "_r2", IDENTITY, disentangle3, "3",
+                "step5: block rows not proportional, state did not factor", ["pencil", "step4", "step5"],
+            ),
+            ("_r1", IDENTITY, disentangle2, "2", "2q: cz sandwich left det nonzero", ["detT!=0"]),
+            ("_l1", IDENTITY, disentangle2, "2", "2q: second row not annihilated", ["detT!=0"]),
+        ],
+        ids=["step1", "step2", "step3", "step4-det", "step4-top", "step5", "2q-sandwich", "2q-row"],
+    )
+    def test_step_check_fires(self, monkeypatch, construction, wrong, synth, state, msg, trace):
+        # the step checks are the only guard in front of the mat2 cores that
+        # synthesis calls, so each one must catch a wrong gate before it
+        import qprep3.synth as synth_module
+
+        monkeypatch.setattr(synth_module, construction, lambda *_: wrong)
+        s = random_state((764, 0)) if state == "3" else random_state2((764, 1))
+        with pytest.raises(SynthesisInvariantError, match="^" + re.escape(msg) + "$") as info:
+            synth(s)
+        assert info.value.branch_trace == trace
+
+    @pytest.mark.parametrize(
+        "synth, state",
+        [
+            (disentangle3, random_state((765, 0))),
+            (disentangle3_real, random_state((765, 1), real_only=True)),
+            (disentangle3_real, delta_negative_vector()),
+        ],
+        ids=["general", "real", "real-delta<0"],
+    )
+    def test_synthesis_validates_once(self, monkeypatch, synth, state):
+        # the tracked amplitudes become a state only in finish
+        import qprep3.state as state_module
+
+        validate = state_module._prepare_amps
+        lengths = []
+
+        def counting(raw, length):
+            lengths.append(length)
+            return validate(raw, length)
+
+        monkeypatch.setattr(state_module, "_prepare_amps", counting)
+        synth(state)
+        assert lengths == [8]
+
     def test_invariant_error_carries_trace(self):
         err = SynthesisInvariantError("boom", ["a", "b"])
         assert err.branch_trace == ["a", "b"]
@@ -455,7 +511,8 @@ class TestStepInvariants:
         def failing(_m):
             raise NonSingularInputError("l1 requires det = 0")
 
-        monkeypatch.setattr(synth, "l1", failing)
+        # synthesis builds its step-2 gate with mat2's core _l1
+        monkeypatch.setattr(synth, "_l1", failing)
         with pytest.raises(NonSingularInputError) as info:
             disentangle3(ghz())
         assert info.value.branch_trace == ["detB0=0"]
