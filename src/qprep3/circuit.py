@@ -97,13 +97,26 @@ class Circuit(namedtuple("Circuit", "gates num_qubits")):
 
     def max_local_imag(self) -> float:
         """Largest imaginary part over all local-gate entries (0.0 if no locals)."""
-        return max(
-            (abs(e.imag) for g in self.gates if isinstance(g, LocalGate) for e in g.matrix),
-            default=0.0,
-        )
+        # max()'s rule over the entries in order: the first one starts, and
+        # only a larger one replaces it (so a leading NaN stays, as in max())
+        worst = None
+        for g in self.gates:
+            if isinstance(g, LocalGate):
+                for e in g.matrix:
+                    x = abs(e.imag)
+                    if worst is None or x > worst:
+                        worst = x
+        return 0.0 if worst is None else worst
 
     def is_real(self, tol: float = REAL_GATE_TOL) -> bool:
         return self.max_local_imag() <= tol
+
+
+def _misfit(g: Gate, num_qubits: int) -> ValueError:
+    # the error for a gate with a wire outside a num_qubits-qubit state
+    if isinstance(g, LocalGate):
+        return ValueError(f"gate on qubit {g.qubit} applied to {num_qubits}-qubit state")
+    return ValueError(f"CZ on ({g.i}, {g.j}) applied to {num_qubits}-qubit state")
 
 
 def apply_gate_amps(g: Gate, amps, num_qubits: int) -> list:
@@ -111,11 +124,11 @@ def apply_gate_amps(g: Gate, amps, num_qubits: int) -> list:
     if isinstance(g, LocalGate):
         qubit, (a, b, c, d) = g
         if qubit >= num_qubits:
-            raise ValueError(f"gate on qubit {qubit} applied to {num_qubits}-qubit state")
+            raise _misfit(g, num_qubits)
         return kernels.apply_local(amps, qubit, a, b, c, d)
     i, j = g
     if j >= num_qubits:
-        raise ValueError(f"CZ on ({i}, {j}) applied to {num_qubits}-qubit state")
+        raise _misfit(g, num_qubits)
     return kernels.apply_cz(amps, i, j)
 
 
@@ -125,10 +138,24 @@ def apply_gate(g: Gate, s: State) -> State:
 
 
 def apply_circuit(c: Circuit, s: State) -> State:
-    """Simulate c on s; the result is validated once, after the last gate."""
+    """Simulate c on s; the result is validated once, after the last gate.
+
+    Every gate's wire is checked against s before the first gate runs; the
+    first misfit raises apply_gate's error.
+    """
+    n = s.num_qubits
+    gates = c.gates
+    for g in gates:
+        if (g.qubit if isinstance(g, LocalGate) else g.j) >= n:
+            raise _misfit(g, n)
     amps = s.w
-    for g in c.gates:
-        amps = apply_gate_amps(g, amps, s.num_qubits)
+    for g in gates:
+        if isinstance(g, LocalGate):
+            qubit, (u00, u01, u10, u11) = g
+            amps = kernels.apply_local(amps, qubit, u00, u01, u10, u11)
+        else:
+            i, j = g
+            amps = kernels.apply_cz(amps, i, j)
     return type(s)(amps)
 
 
@@ -157,10 +184,13 @@ def ry_angle(u: Mat2) -> float | None:
     None when u is not (numerically) a real rotation — complex entries or
     determinant -1 gates have no Ry form.
     """
-    if u.max_imag() > RY_MATCH_TOL:
+    # u.max_imag(), then ry_matrix(theta).distance_to(u), on the unpacked entries
+    a, b, c, d = u
+    if max(abs(a.imag), abs(b.imag), abs(c.imag), abs(d.imag)) > RY_MATCH_TOL:
         return None
-    theta = 2.0 * math.atan2(u.c.real, u.a.real)
-    if ry_matrix(theta).distance_to(u) > RY_MATCH_TOL:
+    theta = 2.0 * math.atan2(c.real, a.real)
+    cs, sn = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    if max(abs(cs - a), abs(-sn - b), abs(sn - c), abs(cs - d)) > RY_MATCH_TOL:
         return None
     return theta
 
@@ -180,22 +210,22 @@ def emit_circuit(c: Circuit, include_ry: bool = False) -> str:
     gate (in gate order); raises ValueError if some local gate has no Ry form.
     """
     lines = [FORMAT_HEADER.format(n=c.num_qubits)]
+    ry_lines = []
     for g in c.gates:
         if isinstance(g, LocalGate):
-            e00, e01, e10, e11 = g.matrix
+            qubit, m = g
+            e00, e01, e10, e11 = m
             lines.append(
-                _L_LINE % (g.qubit, e00.real, e00.imag, e01.real, e01.imag, e10.real, e10.imag, e11.real, e11.imag)
+                _L_LINE % (qubit, e00.real, e00.imag, e01.real, e01.imag, e10.real, e10.imag, e11.real, e11.imag)
             )
+            if include_ry:
+                theta = ry_angle(m)
+                if theta is None:
+                    raise ValueError("cannot emit RY lines: a local gate is not a real rotation")
+                ry_lines.append(f"RY {qubit} {_NUMBER % theta}")
         else:
             lines.append(f"CZ {g.i} {g.j}")
-    if include_ry:
-        for g in c.gates:
-            if not isinstance(g, LocalGate):
-                continue
-            theta = ry_angle(g.matrix)
-            if theta is None:
-                raise ValueError("cannot emit RY lines: a local gate is not a real rotation")
-            lines.append(f"RY {g.qubit} {format_number(theta)}")
+    lines += ry_lines
     return "\n".join(lines) + "\n"
 
 
@@ -210,25 +240,18 @@ def parse_circuit(text: str) -> Circuit:
     gates: list[Gate] = []
     linenos: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        # split() drops the same surrounding whitespace strip() would
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         kind = parts[0]
-        if kind == "RY":
-            continue
         try:
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    if tok.startswith("qubits="):
-                        num_qubits = int(tok.partition("=")[2])
-                        _check_num_qubits(num_qubits)
-            elif kind == "L":
+            if kind == "L":
                 if len(parts) != 10:
                     raise ValueError("L line needs a qubit and 8 matrix numbers")
                 q = int(parts[1])
                 ar, ai, br, bi, cr, ci, dr, di = map(float, parts[2:])
-                m = Mat2(complex(ar, ai), complex(br, bi), complex(cr, ci), complex(dr, di))
+                m = tuple.__new__(Mat2, (complex(ar, ai), complex(br, bi), complex(cr, ci), complex(dr, di)))
                 gates.append(LocalGate(q, m))
                 linenos.append(lineno)
             elif kind == "CZ":
@@ -236,6 +259,13 @@ def parse_circuit(text: str) -> Circuit:
                     raise ValueError("CZ line needs two qubit indices")
                 gates.append(CZGate(int(parts[1]), int(parts[2])))
                 linenos.append(lineno)
+            elif kind == "RY":
+                continue
+            elif kind.startswith("#"):
+                for tok in raw.strip()[1:].split():
+                    if tok.startswith("qubits="):
+                        num_qubits = int(tok.partition("=")[2])
+                        _check_num_qubits(num_qubits)
             else:
                 raise ValueError(f"unknown gate kind {kind!r}")
         except ValueError as exc:

@@ -8,6 +8,15 @@ which is unitary with determinant exactly 1, and maps real inputs to real
 outputs. All functions are pure. Mat2 is an immutable named tuple of its four
 entries (a, b, c, d), so it compares and hashes by value.
 
+Mat2 checks nothing about its fields, so the values built on the hot paths
+(u_from_pair, transpose, dagger, @, state.amp_matrix, state.qubit0_factor and
+circuit.parse_circuit) are made as tuple.__new__(Mat2, (a, b, c, d)): the
+same value as Mat2(a, b, c, d), without the Python frame of the named
+tuple's __new__.
+The predicates on that path (is_singular, _snap_real) unpack the four entries
+once and compute the det()/frobenius()/max_imag() expressions inline, with
+the same arithmetic, so every result has the same bits.
+
 The public constructions l1, r1, r2, r3 and solve_det_pencil check their
 preconditions and then call a private core (_l1, ...). The synthesis calls a
 core directly only where its own decision or step check has just established
@@ -81,7 +90,8 @@ class Mat2(namedtuple("Mat2", "a b c d")):
         return math.hypot(abs(a), abs(b), abs(c), abs(d))
 
     def transpose(self) -> "Mat2":
-        return Mat2(self.a, self.c, self.b, self.d)
+        a, b, c, d = self
+        return tuple.__new__(Mat2, (a, c, b, d))
 
     def conjugate(self) -> "Mat2":
         return Mat2(
@@ -89,17 +99,13 @@ class Mat2(namedtuple("Mat2", "a b c d")):
         )
 
     def dagger(self) -> "Mat2":
-        return Mat2(
-            self.a.conjugate(), self.c.conjugate(), self.b.conjugate(), self.d.conjugate()
-        )
+        a, b, c, d = self
+        return tuple.__new__(Mat2, (a.conjugate(), c.conjugate(), b.conjugate(), d.conjugate()))
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        a, b, c, d = self
+        e, f, g, h = other
+        return tuple.__new__(Mat2, (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
 
     def cols(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
         return ((self.a, self.c), (self.b, self.d))
@@ -133,14 +139,15 @@ def u_from_pair(x: complex, y: complex) -> Mat2:
     inv = 1.0 / math.sqrt(n2)
     x = complex(x)
     y = complex(y)
-    return Mat2(x * inv, y * inv, -y.conjugate() * inv, x.conjugate() * inv)
+    return tuple.__new__(Mat2, (x * inv, y * inv, -y.conjugate() * inv, x.conjugate() * inv))
 
 
 def is_singular(m: Mat2, tol: float) -> bool:
     """|det m| <= tol * ||m||_F: the smallest singular value of m is at most
     sqrt(2) * tol in amplitude units (true for every m with ||m||_F <= tol).
     Every singular decision and every singular check goes through it."""
-    return abs(m.det()) <= tol * m.frobenius()
+    a, b, c, d = m
+    return abs(a * d - b * c) <= tol * math.hypot(abs(a), abs(b), abs(c), abs(d))
 
 
 def row2_norm(m: Mat2) -> float:
@@ -162,7 +169,11 @@ def dominant_direction(vectors) -> tuple[complex, complex]:
 
 
 def _snap_real(m: Mat2) -> Mat2:
-    if 0.0 < m.max_imag() <= REAL_SNAP * m.frobenius():
+    # 0 < m.max_imag() <= REAL_SNAP * m.frobenius(), on the unpacked entries
+    a, b, c, d = m
+    if 0.0 < max(abs(a.imag), abs(b.imag), abs(c.imag), abs(d.imag)) <= REAL_SNAP * math.hypot(
+        abs(a), abs(b), abs(c), abs(d)
+    ):
         return real_parts(m)
     return m
 

@@ -131,7 +131,7 @@ def amp_matrix(w, offset: int = 0, step: int = 1) -> Mat2:
     taken as they are: every caller passes Python complex (a state's `w`, or
     the synthesis's tracked list), and nothing is validated. Offset 0 / 4
     reads the block T0 / T1 of 8 amplitudes."""
-    return Mat2(w[offset], w[offset + step], w[offset + 2 * step], w[offset + 3 * step])
+    return tuple.__new__(Mat2, (w[offset], w[offset + step], w[offset + 2 * step], w[offset + 3 * step]))
 
 
 def blocks(s: PureState3) -> BlockPair:
@@ -157,7 +157,12 @@ def delta(s: PureState3) -> float:
     """
     if not s.is_real():
         raise NotRealError("delta is defined only for real-amplitude states")
-    w = [z.real for z in s.w]
+    return _delta(s.w)
+
+
+def _delta(w) -> float:
+    # delta past its precondition: the amplitudes w are real within REAL_STATE_TOL
+    w = [z.real for z in w]
     s1 = w[0] * w[7] - w[1] * w[6] - w[2] * w[5] + w[3] * w[4]
     return float(s1 * s1 - 4.0 * (w[1] * w[2] - w[0] * w[3]) * (w[5] * w[6] - w[4] * w[7]))
 
@@ -179,7 +184,7 @@ def qubit0_factor(w) -> tuple[complex, complex] | None:
     rows = _rows4(w)
     for i in range(4):
         for j in range(i + 1, 4):
-            if not is_singular(Mat2(*rows[i], *rows[j]), STEP_TOL):
+            if not is_singular(tuple.__new__(Mat2, rows[i] + rows[j]), STEP_TOL):
                 return None
     return dominant_direction(rows)
 

@@ -18,21 +18,24 @@ stages lower the CZ count.
 Each synthesis is one builder pass. The builder tracks the amplitudes as a
 plain list and reads the blocks from it to choose the next gate; the embedded
 2-qubit stage reads its pair from the same list and emits into the same
-circuit. `emit` is the only writer of that list and of the gate list: it
-applies each gate by the block rules of kernels.py as it appends it, fuses a
-local gate into a directly preceding one on the same wire, and drops local
-gates that are a global phase (+-I), so the list is always the input state
-run through the circuit so far. Every stage asserts its postcondition on it,
-and its final value gives the reported fidelity. Any Qprep3Error raised
-during a run carries the branch trace taken so far.
+circuit. `local(qubit, m)` and `cz(i, j)` are the only writers of that list
+and of the gate list: each applies its gate by the block rules of kernels.py
+as it appends it; `local` fuses a local gate into a directly preceding one
+on the same wire, and drops local gates that are a global phase (+-I), so
+the list is always the input state run through the circuit so far. Every
+stage asserts its postcondition on it, and its final value gives the
+reported fidelity. Any Qprep3Error raised during a run carries the branch
+trace taken so far.
 
 Each thing is checked once on this path. A gate comes from the private core
 of its mat2 construction (_l1, _r1, _r2, _r3, _solve_det_pencil) wherever
 the branch decision or step check just before it has established the
 construction's precondition; step 5 tests the tracked list for a qubit-0
 factor directly (state.qubit0_factor), so no state is validated before
-`finish`; `emit` calls the kernels directly and `finish` builds its Circuit
-unchecked, as the builder only emits gates on the input's own wires.
+`finish`; real mode tests realness once and then takes delta's core
+(state._delta). `local` and `cz` take a wire rather than a gate, call the
+kernels directly and build each gate unchecked, and `finish` builds its
+Circuit unchecked, as synthesis only passes its own literal wires.
 """
 from __future__ import annotations
 
@@ -44,7 +47,7 @@ from .circuit import Circuit, CZGate, Gate, LocalGate, _unchecked, apply_circuit
 from .errors import NotRealError, Qprep3Error, SynthesisInvariantError
 from .mat2 import EPS_ZERO, FID2_MIN, FID3_MIN, PRUNE_TOL, REAL_ROOT_TOL, STEP_TOL, SWAP_BLOCKS, Mat2
 from .mat2 import _l1, _r1, _r2, _r3, _solve_det_pencil, is_singular, row2_norm, u_from_pair
-from .state import PureState2, PureState3, State, amp_matrix, basis_state, delta, overlap, qubit0_factor
+from .state import PureState2, PureState3, State, _delta, amp_matrix, basis_state, overlap, qubit0_factor
 
 class SynthesisReport(namedtuple("SynthesisReport", "circuit cz_count all_real branch_trace fidelity")):
     """Result of a synthesis run (disentangling direction unless produced by prepare).
@@ -59,12 +62,12 @@ class SynthesisReport(namedtuple("SynthesisReport", "circuit cz_count all_real b
 class _Builder:
     """Accumulates gates and tracks their action on a plain amplitude list.
 
-    Invariant: `amps` is the input state after `gates`, because `emit` is the
-    only writer of both. So `finish` verifies the circuit on the tracked
-    amplitudes, with no second simulation. `emit` keeps the amplitudes from
-    before each gate (`before`), so a local gate fused into its predecessor is
-    re-applied, as the product, to exactly what the predecessor saw: `amps`
-    stays bit-equal to a fresh simulation of `gates`.
+    Invariant: `amps` is the input state after `gates`, because `local` and
+    `cz` are the only writers of both. So `finish` verifies the circuit on
+    the tracked amplitudes, with no second simulation. Both keep the
+    amplitudes from before each gate (`before`), so a local gate fused into
+    its predecessor is re-applied, as the product, to exactly what the
+    predecessor saw: `amps` stays bit-equal to a fresh simulation of `gates`.
     """
 
     def __init__(self, state):
@@ -88,31 +91,36 @@ class _Builder:
     def say(self, label: str) -> None:
         self.trace.append(label)
 
-    def emit(self, gate: Gate) -> None:
-        """Append gate and apply it to `amps`.
+    # Gates are built with tuple.__new__, as _unchecked does, without its
+    # frame: synthesis passes only its own literal wires, which fit.
 
-        A local gate on the wire of the previous gate, when that is local
-        too, replaces it with their product; a local gate (or product) within
-        PRUNE_TOL of +-I, a global phase, is not emitted.
+    def local(self, qubit: int, m: Mat2) -> None:
+        """Append the local gate m on `qubit` and apply it to `amps`.
+
+        After a local gate on the same wire, it replaces that gate with their
+        product; a gate (or product) within PRUNE_TOL of +-I, a global phase,
+        is not emitted.
         """
         gates = self.gates
-        if type(gate) is LocalGate:
-            qubit, m = gate
-            last = gates[-1] if gates else None
+        if gates:
+            last = gates[-1]
             if type(last) is LocalGate and last.qubit == qubit:
                 gates.pop()
                 self.amps = self.before.pop()
                 m = m @ last.matrix
-                gate = _unchecked(LocalGate, qubit, m)
-            if _is_global_phase(m):
-                return
-            self.before.append(self.amps)
-            self.amps = kernels.apply_local(self.amps, qubit, *m)
-        else:
-            self.cz_count += 1
-            self.before.append(self.amps)
-            self.amps = kernels.apply_cz(self.amps, gate.i, gate.j)
-        gates.append(gate)
+        if _is_global_phase(m):
+            return
+        self.before.append(self.amps)
+        a, b, c, d = m
+        self.amps = kernels.apply_local(self.amps, qubit, a, b, c, d)
+        gates.append(tuple.__new__(LocalGate, (qubit, m)))
+
+    def cz(self, i: int, j: int) -> None:
+        """Append CZ on (i, j), i < j, and apply it to `amps`."""
+        self.cz_count += 1
+        self.before.append(self.amps)
+        self.amps = kernels.apply_cz(self.amps, i, j)
+        self.gates.append(tuple.__new__(CZGate, (i, j)))
 
     def require(self, cond: bool, msg: str) -> None:
         # msg is a plain literal; a message that needs formatting is built in
@@ -174,16 +182,16 @@ def _run2(b: _Builder, low_qubit: int = 0, product_label: str | None = None, ent
         b.say("detT!=0")
         # gate transposed so the amplitude matrix is right-multiplied by r1
         # itself; cz then flips (2,2) and leaves proportional rows
-        b.emit(LocalGate(lo, _r1(t).transpose()))
-        b.emit(CZGate(lo, hi))
+        b.local(lo, _r1(t).transpose())
+        b.cz(lo, hi)
         t = amp_matrix(b.amps, 0, step)
         b.require(is_singular(t, STEP_TOL), "2q: cz sandwich left det nonzero")
     # t is singular (decision or check above) and, as the pair holds the
     # state's whole norm, nonzero
-    b.emit(LocalGate(hi, _l1(t)))
+    b.local(hi, _l1(t))
     b.require(row2_norm(amp_matrix(b.amps, 0, step)) <= STEP_TOL, "2q: second row not annihilated")
     eta0, eta1 = b.amps[0], b.amps[step]
-    b.emit(LocalGate(lo, u_from_pair(eta0.conjugate(), -eta1).transpose()))
+    b.local(lo, u_from_pair(eta0.conjugate(), -eta1).transpose())
 
 
 def disentangle3(s: PureState3) -> SynthesisReport:
@@ -203,7 +211,7 @@ def disentangle3_real(s: PureState3) -> SynthesisReport:
     """
     if not s.is_real():
         raise NotRealError("disentangle3_real requires real amplitudes")
-    d = delta(s)
+    d = _delta(s.w)
     b = _Builder(s)
     with b.traced():
         if d >= 0.0:
@@ -218,8 +226,8 @@ def disentangle3_real(s: PureState3) -> SynthesisReport:
                 # numerically singular and the 3-CZ machinery applies directly
                 b.say("detA0~0")
             else:
-                b.emit(LocalGate(0, _r1(a0).transpose()))
-                b.emit(CZGate(0, 1))
+                b.local(0, _r1(a0).transpose())
+                b.cz(0, 1)
         _run3(b, require_real=True)
         rep = b.finish(FID3_MIN, max_cz)
         if not rep.all_real:
@@ -250,7 +258,7 @@ def _run3(b: _Builder, require_real: bool) -> None:
         b.say("pencil")
         z0 = _pick_step1_root(b, _solve_det_pencil(amp_matrix(b.amps, 0), b0), require_real)
         w1 = u_from_pair(1.0, z0)
-    b.emit(LocalGate(2, w1))
+    b.local(2, w1)
 
     a1 = amp_matrix(b.amps, 0)
     b.require(is_singular(a1, STEP_TOL), "step1: det of top block not killed")
@@ -260,15 +268,15 @@ def _run3(b: _Builder, require_real: bool) -> None:
         # entrywise, so otherwise a1 is nonzero for _l1, and the first row
         # _l1 leaves (no smaller than any entry) is nonzero for _r3
         b.say("A1=0")
-        b.emit(LocalGate(2, SWAP_BLOCKS))
+        b.local(2, SWAP_BLOCKS)
         _embed2(b, low_qubit=0)
         return
 
-    b.emit(LocalGate(1, _l1(a1)))
+    b.local(1, _l1(a1))
     a2 = amp_matrix(b.amps, 0)
     b.require(row2_norm(a2) <= STEP_TOL, "step2: second row of top block survives")
 
-    b.emit(LocalGate(0, _r3(a2).transpose()))
+    b.local(0, _r3(a2).transpose())
     a3 = amp_matrix(b.amps, 0)
     b3 = amp_matrix(b.amps, 4)
     b.require(
@@ -282,9 +290,9 @@ def _run3(b: _Builder, require_real: bool) -> None:
     else:
         b.say("step4")
         u4 = _r1(b3).transpose()
-        b.emit(LocalGate(0, u4))
-        b.emit(CZGate(0, 1))
-        b.emit(LocalGate(0, u4.dagger()))
+        b.local(0, u4)
+        b.cz(0, 1)
+        b.local(0, u4.dagger())
         b4 = amp_matrix(b.amps, 4)
         b.require(is_singular(b4, STEP_TOL), "step4: det of bottom block not killed")
         b.require(amp_matrix(b.amps, 0).distance_to(a3) <= STEP_TOL, "step4: top block disturbed")
@@ -295,14 +303,14 @@ def _run3(b: _Builder, require_real: bool) -> None:
         b.say("skip-step5")
     else:
         b.say("step5")
-        b.emit(LocalGate(0, _r2(b4).transpose()))
-        b.emit(CZGate(0, 2))
+        b.local(0, _r2(b4).transpose())
+        b.cz(0, 2)
 
     single = qubit0_factor(b.amps)
     b.require(single is not None, "step5: block rows not proportional, state did not factor")
     v1, v2 = single
     # maps qubit 0 to |0>, leaving the pair's amplitudes on the even indices
-    b.emit(LocalGate(0, u_from_pair(v1.conjugate(), -v2).transpose()))
+    b.local(0, u_from_pair(v1.conjugate(), -v2).transpose())
     _embed2(b, low_qubit=1, product_label="b3=0", entangled_label="cz12")
 
 

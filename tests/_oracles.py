@@ -3,10 +3,12 @@
 Gates are expanded to full 2^n x 2^n matrices with numpy kron products and
 applied by dense matrix-vector multiplication.
 """
+import math
+
 import numpy as np
 
-from qprep3.circuit import LocalGate
-from qprep3.mat2 import Mat2
+from qprep3.circuit import LocalGate, ry_matrix
+from qprep3.mat2 import REAL_SNAP, RY_MATCH_TOL, Mat2, real_parts
 
 
 def mat2_to_array(m: Mat2) -> np.ndarray:
@@ -133,3 +135,34 @@ def max_row_minor(rows) -> float:
         for j in range(i + 1, len(rows)):
             worst = max(worst, abs(rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0]))
     return worst
+
+
+# --- the helpers as they were written on Mat2's methods -------------------
+# The package computes these inline on unpacked entries; each must return
+# exactly what its method-based form returns, not just agree to a tolerance.
+
+
+def reference_is_singular(m: Mat2, tol: float) -> bool:
+    return abs(m.det()) <= tol * m.frobenius()
+
+
+def reference_snap_real(m: Mat2) -> Mat2:
+    if 0.0 < m.max_imag() <= REAL_SNAP * m.frobenius():
+        return real_parts(m)
+    return m
+
+
+def reference_ry_angle(u: Mat2):
+    if u.max_imag() > RY_MATCH_TOL:
+        return None
+    theta = 2.0 * math.atan2(u.c.real, u.a.real)
+    if ry_matrix(theta).distance_to(u) > RY_MATCH_TOL:
+        return None
+    return theta
+
+
+def reference_max_local_imag(c) -> float:
+    return max(
+        (abs(e.imag) for g in c.gates if isinstance(g, LocalGate) for e in g.matrix),
+        default=0.0,
+    )

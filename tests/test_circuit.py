@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import dense_apply, gate_unitary, random_unitary2, reference_apply_cz, reference_apply_local
+from _oracles import (
+    dense_apply,
+    gate_unitary,
+    random_unitary2,
+    reference_apply_cz,
+    reference_apply_local,
+    reference_max_local_imag,
+    reference_ry_angle,
+)
 from qprep3 import kernels
 from qprep3.circuit import (
     Circuit,
@@ -19,8 +27,8 @@ from qprep3.circuit import (
     ry_angle,
     ry_matrix,
 )
-from qprep3.mat2 import IDENTITY, Mat2
-from qprep3.state import PureState3, basis_state, random_state, random_state2
+from qprep3.mat2 import IDENTITY, RY_MATCH_TOL, Mat2
+from qprep3.state import PureState2, PureState3, basis_state, random_state, random_state2
 
 ISQ2 = 1.0 / math.sqrt(2.0)
 X = Mat2(0, 1, 1, 0)
@@ -155,6 +163,34 @@ class TestApplyCircuit:
             s = random_state((304, i))
             assert np.max(np.abs(apply_circuit(c, s).amps - dense_apply(c, s.amps))) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "gates, msg",
+        [
+            ((LocalGate(2, X),), "gate on qubit 2 applied to 2-qubit state"),
+            ((CZGate(1, 2),), r"CZ on \(1, 2\) applied to 2-qubit state"),
+            # the first gate that does not fit is the one reported
+            ((LocalGate(0, X), CZGate(0, 2), LocalGate(2, X)), r"CZ on \(0, 2\) applied to 2-qubit state"),
+            ((CZGate(0, 1), LocalGate(2, X), CZGate(1, 2)), "gate on qubit 2 applied to 2-qubit state"),
+        ],
+        ids=["local", "cz", "cz-first", "local-first"],
+    )
+    def test_gate_off_the_state_raises(self, gates, msg):
+        with pytest.raises(ValueError, match=f"^{msg}$"):
+            apply_circuit(Circuit(gates), random_state2(305))
+
+    def test_three_qubit_circuit_on_two_wires_applies_to_two_qubit_state(self):
+        for i in range(20):
+            two = random_circuit((306, i), 10, num_qubits=2)
+            c = Circuit(two.gates, num_qubits=3)
+            s = random_state2((307, i))
+            out = apply_circuit(c, s)
+            assert type(out) is PureState2
+            step = s
+            for g in c.gates:
+                step = apply_gate(g, step)
+            assert out.w == step.w
+            assert np.max(np.abs(out.amps - dense_apply(two, s.amps))) <= 1e-12
+
 
 class TestInvert:
     def test_involution(self):
@@ -211,6 +247,69 @@ class TestRyAngle:
             assert got is not None
             assert ry_matrix(got).distance_to(ry_matrix(theta)) <= 1e-12
 
+    @staticmethod
+    def _gates(rng):
+        yield IDENTITY
+        yield Mat2(-1, 0, 0, -1)
+        yield X
+        yield Mat2(1j, 0, 0, -1j)
+        for _ in range(200):
+            theta = float(rng.uniform(-math.pi, math.pi))
+            c, s = math.cos(theta), math.sin(theta)
+            yield ry_matrix(2.0 * theta)
+            yield Mat2(c, s, s, -c)  # a reflection, det -1
+            yield random_unitary2(rng)
+            yield random_unitary2(rng, real=True)
+
+    @staticmethod
+    def _nudged(rng):
+        """Rotations with one entry moved, in its real or its imaginary part,
+        to RY_MATCH_TOL or the next float on either side of it."""
+        for _ in range(200):
+            base = list(ry_matrix(float(rng.uniform(-math.pi, math.pi))))
+            k = int(rng.integers(4))
+            for size in (RY_MATCH_TOL, math.nextafter(RY_MATCH_TOL, 0.0), math.nextafter(RY_MATCH_TOL, 1.0)):
+                for shift in (size, -size, 1j * size, -1j * size):
+                    e = [complex(x) for x in base]
+                    e[k] += shift
+                    yield Mat2(*e)
+
+    def test_equals_method_form(self):
+        rng = np.random.default_rng(43)
+        for u in self._gates(rng):
+            got, want = ry_angle(u), reference_ry_angle(u)
+            assert got is None if want is None else got == want
+
+    def test_equals_method_form_at_the_match_tolerance(self):
+        rng = np.random.default_rng(44)
+        outcomes = set()
+        for u in self._nudged(rng):
+            got, want = ry_angle(u), reference_ry_angle(u)
+            assert got is None if want is None else got == want
+            outcomes.add(want is None)
+        # the nudges land on both sides of the tolerance
+        assert outcomes == {True, False}
+
+
+class TestMaxLocalImag:
+    def test_equals_method_form(self):
+        rng = np.random.default_rng(45)
+        circuits = [Circuit(()), Circuit((CZGate(0, 1), CZGate(1, 2)))]
+        for i in range(100):
+            circuits.append(random_circuit((451, i), 12))
+            real = [LocalGate(int(rng.integers(3)), ry_matrix(float(rng.uniform(-3.0, 3.0)))) for _ in range(6)]
+            circuits.append(Circuit(tuple(real) + (CZGate(0, 2),)))
+        for c in circuits:
+            assert c.max_local_imag() == reference_max_local_imag(c)
+
+    @pytest.mark.parametrize("first", [True, False], ids=["nan-first", "nan-later"])
+    def test_nan_entries_follow_max(self, first):
+        # max() keeps a leading NaN and skips a later one
+        nan_gate = LocalGate(0, Mat2(complex(0.0, math.nan), 0, 0, 1))
+        other = LocalGate(1, Mat2(0.5j, 0, 0, -0.5j))
+        c = Circuit((nan_gate, other) if first else (other, nan_gate))
+        assert repr(c.max_local_imag()) == repr(reference_max_local_imag(c))
+
 
 class TestSerialization:
     def test_round_trip_value_exact(self):
@@ -254,6 +353,41 @@ class TestSerialization:
 
     def test_default_qubits_is_three(self):
         assert parse_circuit("CZ 0 2\n").num_qubits == 3
+
+    def test_surrounding_whitespace_and_tabs(self):
+        text = "  CZ 0 1  \n\tL\t2\t0\t0\t1\t0\t-1\t0\t0\t0 \r\nCZ 1\t2\n"
+        c = parse_circuit(text)
+        assert c == Circuit((CZGate(0, 1), LocalGate(2, Mat2(0j, 1 + 0j, -1 + 0j, 0j)), CZGate(1, 2)))
+
+    def test_blank_and_space_lines_are_skipped(self):
+        assert parse_circuit("\n   \n\t\nCZ 0 1\n  \n") == Circuit((CZGate(0, 1),))
+
+    def test_indented_ry_line_is_skipped(self):
+        assert parse_circuit("CZ 0 1\n   RY 0 0.5\n\tRY 1 x y z\n") == Circuit((CZGate(0, 1),))
+
+    def test_comment_without_space_sets_qubits(self):
+        c = parse_circuit("#qubits=2\nCZ 0 1\n")
+        assert c.num_qubits == 2
+        assert parse_circuit("  #qubits=2 order=left-first\n").num_qubits == 2
+
+    def test_comment_without_qubits_field(self):
+        assert parse_circuit("# a note, qubits unsaid\n#\nCZ 0 2\n") == Circuit((CZGate(0, 2),), 3)
+
+    @pytest.mark.parametrize(
+        "text, msg",
+        [
+            ("# header\n\n   \n  RY 0 1\n\tCZ 0 0\n", "line 5: CZ pair must satisfy"),
+            ("#qubits=2\n \nL 0 1 0 0 0 0 0 1\n", "line 3: L line needs a qubit and 8 matrix numbers"),
+            ("CZ 0 1\n  #qubits=5\n", "line 2: qubit count must be 2 or 3, got 5"),
+            ("\t\n  q 0\n", "line 2: unknown gate kind 'q'"),
+            ("  L x 1 0 0 0 0 0 1 0\n", "line 1: invalid literal for int"),
+            ("#qubits=2\n\n  L 2 1 0 0 0 0 0 1 0\n", "line 3: gate .* does not fit in 2 qubits"),
+        ],
+        ids=["cz-pair", "l-arity", "header-count", "unknown", "bad-int", "misfit"],
+    )
+    def test_error_line_numbers_count_every_line(self, text, msg):
+        with pytest.raises(ValueError, match="^" + msg):
+            parse_circuit(text)
 
     @pytest.mark.parametrize("value", ["x", "7", "1"])
     def test_bad_header_qubit_count_carries_line_number(self, value):

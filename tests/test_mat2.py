@@ -4,7 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import max_row_minor, random_mat2, random_nonsingular, random_rank1, rows, scaled, unitarity_defect
+from _oracles import (
+    max_row_minor,
+    random_mat2,
+    random_nonsingular,
+    random_rank1,
+    reference_is_singular,
+    reference_snap_real,
+    rows,
+    scaled,
+    unitarity_defect,
+)
 from qprep3.errors import (
     BadShapeError,
     NonSingularInputError,
@@ -14,9 +24,15 @@ from qprep3.errors import (
     ZeroPairError,
 )
 from qprep3.mat2 import (
+    EPS_ZERO,
     IDENTITY,
+    REAL_SNAP,
+    STEP_TOL,
+    SWAP_BLOCKS,
     Mat2,
     Z,
+    _snap_real,
+    is_singular,
     l1,
     r1,
     r1_ratio,
@@ -268,3 +284,87 @@ def test_nearly_real_inputs_stay_nearly_real():
         outs.append(r3(fuzz(Mat2(complex(row[0]), complex(row[1]), 0, 0))))
         for u in outs:
             assert u.max_imag() <= 1e-12
+
+
+def _tie_blocks(tol):
+    """Blocks diag(s, s*y) with y walked, ulp by ulp, across the y where
+    |det| = tol * ||m||_F, so some of them sit exactly on the boundary."""
+    for s in (1.0, 0.3 + 0.4j, -0.6j, 1e-5, 1e-9j):
+        y = tol / abs(s)
+        for _ in range(6):
+            y = tol * math.hypot(1.0, abs(s) * y) / abs(s)
+        for direction in (math.inf, 0.0):
+            z = y
+            for _ in range(48):
+                yield Mat2(complex(s), 0j, 0j, s * z)
+                z = math.nextafter(z, direction)
+
+
+class TestInlineHelpers:
+    """is_singular and _snap_real compute on unpacked entries; Mat2's
+    transpose, dagger and @ build their result bare. Each must give exactly
+    what the method-based form (tests/_oracles.py) or Mat2(...) gives."""
+
+    @staticmethod
+    def _blocks(rng):
+        yield Mat2(0, 0, 0, 0)
+        yield Mat2(0j, 0j, 0j, 0j)
+        yield IDENTITY
+        yield SWAP_BLOCKS
+        for _ in range(300):
+            real = bool(rng.integers(2))
+            m = random_mat2(rng, real)
+            for k in (-14, -11, -10, -9, -6, 0, 2):
+                yield scaled(m, 10.0**k)
+            yield random_rank1(rng, real)
+            yield scaled(random_rank1(rng, real), 1e-10)
+
+    @pytest.mark.parametrize("tol", [EPS_ZERO, STEP_TOL])
+    def test_is_singular_equals_method_form(self, tol):
+        rng = np.random.default_rng(81)
+        for m in self._blocks(rng):
+            assert is_singular(m, tol) == reference_is_singular(m, tol)
+
+    @pytest.mark.parametrize("tol", [EPS_ZERO, STEP_TOL])
+    def test_is_singular_on_the_boundary(self, tol):
+        ties = 0
+        seen = set()
+        for m in _tie_blocks(tol):
+            got = is_singular(m, tol)
+            assert got == reference_is_singular(m, tol)
+            seen.add(got)
+            ties += abs(m.det()) == tol * m.frobenius()
+        # the walk hits the boundary exactly and reaches both sides of it
+        assert ties > 0 and seen == {True, False}
+
+    def test_snap_real_equals_method_form(self):
+        rng = np.random.default_rng(82)
+        blocks = list(self._blocks(rng))
+        for _ in range(200):
+            m = random_mat2(rng, real=True)
+            norm = m.frobenius()
+            # one entry's imaginary part at, just below and just above the snap band
+            for limit in (REAL_SNAP * norm, 0.5 * REAL_SNAP * norm, 2.0 * REAL_SNAP * norm):
+                for imag in (limit, math.nextafter(limit, 0.0), math.nextafter(limit, math.inf)):
+                    e = list(m)
+                    k = int(rng.integers(4))
+                    e[k] = complex(e[k].real, imag)
+                    blocks.append(Mat2(*e))
+        for m in blocks:
+            got, want = _snap_real(m), reference_snap_real(m)
+            assert got == want and [type(x) for x in got] == [type(x) for x in want]
+
+    def test_built_bare_equal_mat2(self):
+        rng = np.random.default_rng(83)
+        for _ in range(200):
+            m, n = random_mat2(rng), random_mat2(rng, real=bool(rng.integers(2)))
+            a, b, c, d = m
+            e, f, g, h = n
+            for got, want in (
+                (m.transpose(), Mat2(a, c, b, d)),
+                (m.dagger(), Mat2(a.conjugate(), c.conjugate(), b.conjugate(), d.conjugate())),
+                (m @ n, Mat2(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)),
+            ):
+                assert type(got) is Mat2
+                assert got == want and repr(got) == repr(want)
+            assert type(u_from_pair(a, b)) is Mat2

@@ -374,9 +374,9 @@ class TestStepInvariants:
             real_stage(b, low_qubit, *args, **kwargs)
             for g in extra:
                 if isinstance(g, LocalGate):
-                    b.emit(LocalGate(g.qubit + low_qubit, g.matrix))
+                    b.local(g.qubit + low_qubit, g.matrix)
                 else:
-                    b.emit(CZGate(g.i + low_qubit, g.j + low_qubit))
+                    b.cz(g.i + low_qubit, g.j + low_qubit)
 
         monkeypatch.setattr(synth, stage, padded)
 
@@ -500,6 +500,28 @@ class TestStepInvariants:
         monkeypatch.setattr(state_module, "_prepare_amps", counting)
         synth(state)
         assert lengths == [8]
+
+    @pytest.mark.parametrize(
+        "state",
+        [random_state((766, 0), real_only=True), delta_negative_vector()],
+        ids=["delta>=0", "delta<0"],
+    )
+    def test_real_mode_tests_realness_once(self, monkeypatch, state):
+        # disentangle3_real tests realness, then takes delta's core, which
+        # does not test it again
+        import qprep3.state as state_module
+
+        max_imag = state_module._PureState.max_imag
+        calls = []
+
+        def counting(s):
+            calls.append(s)
+            return max_imag(s)
+
+        monkeypatch.setattr(state_module._PureState, "max_imag", counting)
+        rep = disentangle3_real(state)
+        assert calls == [state]
+        assert rep.branch_trace[0] == ("delta>=0" if delta(state) >= 0.0 else "delta<0")
 
     def test_invariant_error_carries_trace(self):
         err = SynthesisInvariantError("boom", ["a", "b"])
