@@ -224,8 +224,9 @@ def r2(m: Mat2) -> Mat2:
     """Unitary R2(m) for nonzero singular m, a row-aligning gate.
 
     For any D = [[alpha,0],[0,0]], all rows of D @ r2(m) and m @ r2(m) @ Z are
-    multiples of one single row vector. The row (p, q) it aligns is the first
-    row of m, or the second when the first is zero.
+    multiples of one single row vector. The row (p, q) it aligns is the larger
+    of m's two rows (the first on ties), so a row that is rounding noise next
+    to the other is never the one aligned.
     """
     _require_singular_nonzero(m, "r2")
     return _r2(m)
@@ -234,7 +235,7 @@ def r2(m: Mat2) -> Mat2:
 def _r2(m: Mat2) -> Mat2:
     # r2 past its precondition: m is nonzero and singular at STEP_TOL
     a, b, c, d = _snap_real(m).entries()
-    p, q = (a, b) if math.sqrt(abs(a) ** 2 + abs(b) ** 2) > EPS_ZERO else (c, d)
+    p, q = (a, b) if abs(a) ** 2 + abs(b) ** 2 >= abs(c) ** 2 + abs(d) ** 2 else (c, d)
     if abs(p) <= EPS_ZERO:
         k: complex = math.sqrt(abs(p) ** 2 + abs(q) ** 2)
     else:

@@ -130,7 +130,7 @@ SEEDED = [
     ("real-prepare", lambda i: random_state((792, i), real_only=True), lambda s: prepare(s, "real"), True, 75),
     ("two-qubit", lambda i: random_state2((793, i)), prepare, False, 50),
 ]
-SEEDED_SHA256 = "22670c59f4f32a26a415b3e3a958e73e4b7394731b15f2f05c3f381a1ebe9bb3"
+SEEDED_SHA256 = "2aff9bbedf5aa33d7e39be0b6f76f3ce2197d080bcbde0e7b5519ac4b4f2f402"
 SEEDED_STRUCTURE_SHA256 = "1c284f58d2a3566b2e69a5f64038ba0a4900c4249176fbb1b89460fdbdeea4c9"
 
 

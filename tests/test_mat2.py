@@ -115,6 +115,14 @@ class TestR2:
         a = Mat2(1, 0, 0, 0)
         assert_close(r2(a), (0, 1, -1, 0), tol=0.0)
 
+    def test_noise_first_row_aligns_to_the_larger_row(self):
+        # singular at STEP_TOL, first row above EPS_ZERO but not proportional
+        # to the second: aligning to it would leave the rows of b @ u @ Z apart
+        b = Mat2(2e-10, -3e-10, 0.6, 0.8)
+        u = r2(b)
+        all_rows = list(rows(Mat2(1.0, 0, 0, 0) @ u)) + list(rows(b @ u @ Z))
+        assert max_row_minor(all_rows) <= 1e-9
+
     def test_zero_rejected(self):
         with pytest.raises(ZeroMatrixError):
             r2(Mat2(0, 0, 0, 0))
