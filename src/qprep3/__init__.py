@@ -2,7 +2,8 @@
 
 Any 3-qubit state synthesizes with at most three controlled-Z gates; any
 real-amplitude 3-qubit state with all-real gates and at most four (three when
-its discriminant is nonnegative). Circuits are verified by exact simulation.
+its discriminant is nonnegative, and three on every negative-discriminant
+state sampled so far). Circuits are verified by exact simulation.
 """
 from . import errors
 from .circuit import (
@@ -33,7 +34,6 @@ from .state import (
     random_state,
     random_state2,
     reconstruct,
-    t_matrix,
     unblocks,
 )
 from .synth import SynthesisReport, disentangle2, disentangle3, disentangle3_real, prepare
@@ -82,7 +82,6 @@ __all__ = [
     "ry_angle",
     "ry_matrix",
     "solve_det_pencil",
-    "t_matrix",
     "u_from_pair",
     "unblocks",
     "__version__",

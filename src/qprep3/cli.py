@@ -215,7 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--machine", action="store_true", help="append a machine-readable summary line")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_delta = sub.add_parser("delta", help="print the real-state discriminant and its CZ bound")
+    p_delta = sub.add_parser(
+        "delta",
+        help="print the real-state discriminant and its CZ bound (4 for delta < 0, while real mode "
+        "keeps its 4-CZ fallback; the chain prefix gives 3 on every such state sampled so far)",
+    )
     p_delta.add_argument("file", help="state file (8 '<re> <im>' lines, real)")
     p_delta.set_defaults(func=_cmd_delta)
     return parser

@@ -144,15 +144,14 @@ def unblocks(p: BlockPair) -> PureState3:
     return PureState3(p.t0.entries() + p.t1.entries())
 
 
-def t_matrix(s: PureState2) -> Mat2:
-    """The 2x2 amplitude matrix of a 2-qubit state."""
-    return amp_matrix(s.w)
-
-
 def delta(s: PureState3) -> float:
     """Real discriminant of a real 3-qubit state.
 
-    delta >= 0 selects the 3-CZ real synthesis path, delta < 0 the 4-CZ path.
+    delta >= 0 means the step-1 pencil has a real root: real synthesis then
+    needs at most 3 CZ. delta < 0 means it has none: real synthesis first
+    applies a prefix with one CZ. Its bound is then 4 CZ, as long as the
+    4-CZ prefix remains the fallback; every delta < 0 state sampled so far
+    got 3 (see synth.disentangle3_real).
     Raises NotRealError when the state has imaginary content above REAL_STATE_TOL.
     """
     if not s.is_real():

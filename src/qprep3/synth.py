@@ -6,7 +6,8 @@ all-zeros basis state (invert it to prepare). Guarantees:
   disentangle2       any 2-qubit state,   <= 1 controlled-Z
   disentangle3       any 3-qubit state,   <= 3 controlled-Z
   disentangle3_real  real 3-qubit states, <= 4 controlled-Z, all gates real
-                     (<= 3 when the discriminant is nonnegative)
+                     (<= 3 when the discriminant is nonnegative, and 3 on
+                     every discriminant-negative state sampled so far)
 
 The 3-qubit flow works on the block view |phi> = |0>A + |1>B: one local gate
 makes A singular (a root of det(A + zB) = 0, or a block swap when det(B) = 0),
@@ -14,6 +15,30 @@ two more squeeze A to its top-left entry, a conjugated cz01 sandwich makes B
 singular, cz02 aligns all block rows, and the residual (2-qubit) x (1-qubit)
 product is finished off by the 2-qubit stage on qubits (2, 1). Skipped
 stages lower the CZ count.
+
+Real mode needs a real step-1 root, which a state with delta < 0 lacks. Such
+a state first gets the chain prefix: a rotation on qubit 1, then cz01.
+Split on qubit 1 as |0>A + |1>B (A on indices 0, 1, 4, 5 and B on 2, 3, 6,
+7, rows qubit 2, columns qubit 0), with det(xA + yB) = det(A)x^2 + q1 xy +
+det(B)y^2. Rotating qubit 1 by the angle phi/2 and applying cz01 (which
+negates B's second column) leaves the form with trace
+
+    det(A') + det(B') = cos(phi) (det(A) - det(B)) - sin(phi) q1,
+
+which vanishes for (cos phi, sin phi) along (q1, det(A) - det(B)). A real,
+symmetric, traceless 2x2 form has two orthogonal real null directions, so
+the state is then |u>P + |u_perp>Q on qubit 1 with P and Q products: a
+chain with qubit 1 in the middle, which the flow finishes with 2 more CZ.
+This is checked on every run, not proven: if any check of that attempt
+fails, or it needs more than 3 CZ, the synthesis starts again with the 4-CZ
+prefix (a real r1 on qubit 0 and cz01, which makes the top block singular).
+Near delta = 0, within DELTA_ZERO_BAND, and when the top block is already
+singular, the 4-CZ prefix is the only one tried.
+
+Step 1 takes the first pencil root (the first real one in real mode). When
+an attempt fails, it is run again with the other root (trace label
+`pencil-root2`); the first attempt that passes every check is returned, and
+when none does, the first attempt's error is raised.
 
 Each synthesis is one builder pass. The builder tracks the amplitudes as a
 plain list and reads the blocks from it to choose the next gate; the embedded
@@ -39,13 +64,15 @@ Circuit unchecked, as synthesis only passes its own literal wires.
 """
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from contextlib import contextmanager
+from functools import partial
 
 from . import kernels
 from .circuit import Circuit, CZGate, Gate, LocalGate, _unchecked, apply_circuit, fidelity_to_basis, invert
 from .errors import NotRealError, Qprep3Error, SynthesisInvariantError
-from .mat2 import EPS_ZERO, FID2_MIN, FID3_MIN, PRUNE_TOL, REAL_ROOT_TOL, STEP_TOL, SWAP_BLOCKS, Mat2
+from .mat2 import DELTA_ZERO_BAND, EPS_ZERO, FID2_MIN, FID3_MIN, PRUNE_TOL, REAL_ROOT_TOL, STEP_TOL, SWAP_BLOCKS, Mat2
 from .mat2 import _l1, _r1, _r2, _r3, _solve_det_pencil, is_singular, row2_norm, u_from_pair
 from .state import PureState2, PureState3, State, _delta, amp_matrix, basis_state, overlap, qubit0_factor
 
@@ -141,6 +168,25 @@ class _Builder:
         return SynthesisReport(circ, cz, circ.is_real(), tuple(self.trace), fid)
 
 
+def _first_passing(s: State, attempts) -> SynthesisReport:
+    """Run each attempt (a function of a builder, returning its finished
+    report) on a fresh builder of s, in order, and return the first report.
+
+    An attempt fails by raising a Qprep3Error. When every attempt fails, the
+    first attempt's error is raised, with the branch trace it took.
+    """
+    first = None
+    for attempt in attempts:
+        b = _Builder(s)
+        try:
+            with b.traced():
+                return attempt(b)
+        except Qprep3Error as exc:
+            if first is None:
+                first = exc
+    raise first
+
+
 def _is_global_phase(m: Mat2) -> bool:
     """m is within PRUNE_TOL of I or -I (entrywise)."""
     # off-diagonal first: a typical gate is rejected by one abs
@@ -196,67 +242,135 @@ def _run2(b: _Builder, low_qubit: int = 0, product_label: str | None = None, ent
 
 def disentangle3(s: PureState3) -> SynthesisReport:
     """Circuit mapping an arbitrary 3-qubit state to |000> with at most 3 CZ."""
-    b = _Builder(s)
-    with b.traced():
-        _run3(b, require_real=False)
-        return b.finish(FID3_MIN, 3)
+    return _first_passing(s, _GENERAL_ATTEMPTS)
+
+
+def _general(b: _Builder, second_root: bool) -> SynthesisReport:
+    _run3(b, False, second_root)
+    return b.finish(FID3_MIN, 3)
+
+
+_GENERAL_ATTEMPTS = (partial(_general, second_root=False), partial(_general, second_root=True))
 
 
 def disentangle3_real(s: PureState3) -> SynthesisReport:
     """All-real circuit mapping a real 3-qubit state to |000>.
 
-    At most 3 CZ when delta(s) >= 0, at most 4 otherwise (one cz01 preceded by
-    a real local gate first forces a singular top block, after which the
-    general flow applies with real branch choices throughout).
+    At most 3 CZ when delta(s) >= 0. Below -DELTA_ZERO_BAND, with a
+    nonsingular top block, the chain prefix (a rotation on qubit 1, then
+    cz01; see the module docstring) comes first and the general flow then
+    finishes with 2 more CZ, 3 in all. If that attempt fails a check, a
+    bound of 3 CZ included, and for any other delta < 0, the 4-CZ prefix (a
+    real r1 on qubit 0, then cz01, which makes the top block singular) comes
+    first instead, so the bound for delta < 0 stays 4. Every branch choice
+    after a prefix is real. The first label of the branch trace is the sign
+    of delta (`delta>=0` or `delta<0`), the chain prefix says `chain01`.
     """
     if not s.is_real():
         raise NotRealError("disentangle3_real requires real amplitudes")
     d = _delta(s.w)
-    b = _Builder(s)
-    with b.traced():
-        if d >= 0.0:
-            b.say("delta>=0")
-            max_cz = 3
+    # each attempt is a prefix (None: none) and the CZ bound it must meet
+    if d >= 0.0:
+        label, prefixes = "delta>=0", ((None, 3),)
+    else:
+        label = "delta<0"
+        if is_singular(amp_matrix(s.w, 0), EPS_ZERO):
+            # |delta| is then ~1e-10 or smaller: the top block is already
+            # numerically singular and the 3-CZ machinery applies directly
+            prefixes = ((_detA0_zero, 4),)
+        elif d < -DELTA_ZERO_BAND:
+            # the chain prefix is kept only when it gives its 3 CZ: near
+            # delta = 0 it can leave a state the flow does not see as a chain
+            prefixes = ((_chain01, 3), (_r1_cz01, 4))
         else:
-            b.say("delta<0")
-            max_cz = 4
-            a0 = amp_matrix(b.amps, 0)
-            if is_singular(a0, EPS_ZERO):
-                # |delta| is then ~1e-10 or smaller: the top block is already
-                # numerically singular and the 3-CZ machinery applies directly
-                b.say("detA0~0")
-            else:
-                b.local(0, _r1(a0).transpose())
-                b.cz(0, 1)
-        _run3(b, require_real=True)
+            # inside the band, the chain prefix turns states built with
+            # one CZ (delta ~ -1e-17) into 2-CZ circuits
+            prefixes = ((_r1_cz01, 4),)
+
+    def attempt(prefix, max_cz: int, second_root: bool, b: _Builder) -> SynthesisReport:
+        b.say(label)
+        if prefix is not None:
+            prefix(b)
+        _run3(b, True, second_root)
         rep = b.finish(FID3_MIN, max_cz)
         if not rep.all_real:
             raise SynthesisInvariantError(f"real mode emitted a non-real gate (max imag {rep.circuit.max_local_imag()!r})")
         return rep
 
-
-def _pick_step1_root(b: _Builder, roots: list[complex], require_real: bool) -> complex:
-    if not require_real:
-        return roots[0]
-    real_roots = [z for z in roots if abs(z.imag) <= REAL_ROOT_TOL]
-    if real_roots:
-        return complex(real_roots[0].real, 0.0)
-    # conjugate pair from a slightly negative discriminant: its shared real
-    # part is the best real root; the step-1 invariant verifies the residual
-    b.say("pencil-root-clamped")
-    return complex(roots[0].real, 0.0)
+    return _first_passing(s, (partial(attempt, p, n, r) for p, n in prefixes for r in (False, True)))
 
 
-def _run3(b: _Builder, require_real: bool) -> None:
+def _detA0_zero(b: _Builder) -> None:
+    b.say("detA0~0")
+
+
+def _r1_cz01(b: _Builder) -> None:
+    b.local(0, _r1(amp_matrix(b.amps, 0)).transpose())
+    b.cz(0, 1)
+
+
+def _chain01(b: _Builder) -> None:
+    b.say("chain01")
+    b.local(1, _chain_rotation(b.amps))
+    b.cz(0, 1)
+
+
+def _chain_rotation(w) -> Mat2:
+    """Real rotation on qubit 1 after which cz01 leaves the form of the
+    qubit-1 split traceless (module docstring), built by half angles from
+    the unit vector (cos phi, sin phi) along (q1, det(A) - det(B)).
+
+    Of the two opposite unit vectors, the one with cos phi >= 0 is taken, so
+    cos(phi/2) >= 1/sqrt(2) and sin(phi/2) = sin(phi) / (2 cos(phi/2)) does
+    not cancel.
+    """
+    w0, w1, w2, w3, w4, w5, w6, w7 = [z.real for z in w]
+    q1 = w0 * w7 + w2 * w5 - w1 * w6 - w3 * w4
+    gap = (w0 * w5 - w1 * w4) - (w2 * w7 - w3 * w6)
+    r = math.sqrt(q1 * q1 + gap * gap)
+    if r == 0.0:
+        # the form is traceless already
+        return u_from_pair(1.0, 0.0)
+    cos_phi = abs(q1) / r
+    sin_phi = (gap if q1 >= 0.0 else -gap) / r
+    c = math.sqrt(0.5 * (1.0 + cos_phi))
+    # the gate [[c, -s], [s, c]] maps (A, B) to (cA - sB, sA + cB)
+    return u_from_pair(c, -0.5 * sin_phi / c)
+
+
+def _step1_root(b: _Builder, roots: list[complex], require_real: bool, second_root: bool) -> complex:
+    """The first pencil root (the first real one in real mode), or with
+    second_root the other one, when there is one that differs."""
+    if require_real:
+        candidates = [complex(z.real, 0.0) for z in roots if abs(z.imag) <= REAL_ROOT_TOL]
+        if not candidates:
+            # conjugate pair from a slightly negative discriminant: its shared
+            # real part is the best real root; the step-1 invariant verifies
+            # the residual
+            b.say("pencil-root-clamped")
+            candidates = [complex(roots[0].real, 0.0)]
+    else:
+        candidates = roots
+    if not second_root:
+        return candidates[0]
+    b.say("pencil-root2")
+    if len(candidates) < 2 or candidates[1] == candidates[0]:
+        raise SynthesisInvariantError("step1: no second pencil root")
+    return candidates[1]
+
+
+def _run3(b: _Builder, require_real: bool, second_root: bool) -> None:
     # each construction is a mat2 core (_l1, ...): the decision or step check
     # just before it has established its precondition
     b0 = amp_matrix(b.amps, 4)
     if is_singular(b0, EPS_ZERO):
         b.say("detB0=0")
+        if second_root:
+            raise SynthesisInvariantError("step1: no second pencil root")
         w1 = SWAP_BLOCKS
     else:
         b.say("pencil")
-        z0 = _pick_step1_root(b, _solve_det_pencil(amp_matrix(b.amps, 0), b0), require_real)
+        z0 = _step1_root(b, _solve_det_pencil(amp_matrix(b.amps, 0), b0), require_real, second_root)
         w1 = u_from_pair(1.0, z0)
     b.local(2, w1)
 

@@ -303,6 +303,20 @@ class TestSweepCommand:
         machine = [ln for ln in out.splitlines() if ln.startswith("machine ")]
         assert len(machine) == 1 and "violations=0" in machine[0]
 
+    def test_real_sweep_counts_delta_negative_samples(self, capsys):
+        # delta<0 stays the first trace label when the chain prefix follows it
+        n, seed = 40, 5
+        negative = 0
+        for i in range(n):
+            w = random_state((seed, i), real_only=True).amps.real
+            s1 = w[0] * w[7] - w[1] * w[6] - w[2] * w[5] + w[3] * w[4]
+            negative += s1 * s1 - 4.0 * (w[1] * w[2] - w[0] * w[3]) * (w[5] * w[6] - w[4] * w[7]) < 0.0
+        assert negative > 0
+        code, out, _ = run_cli(capsys, ["sweep", "--n", str(n), "--seed", str(seed), "--real", "--machine"])
+        assert code == 0
+        assert f" delta_negative_fraction={format_number(negative / n)} " in out
+        assert f" cz_hist=3:{n} " in out
+
     def test_deterministic(self, capsys):
         args = ["sweep", "--n", "25", "--seed", "11", "--real"]
         _, out1, _ = run_cli(capsys, args)

@@ -24,9 +24,8 @@ from qprep3.state import PureState3
 from qprep3.synth import disentangle3, disentangle3_real
 
 FAMILIES = ["rot_000_111", "noise_000", "ghz_w", "one_pair", "rot_product", "real_delta0"]
-# families that may not fail at all; the others still fail on a few
-# ill-conditioned inputs (see ROADMAP item 1)
-MUST_SUCCEED = {"noise_000", "one_pair", "real_delta0"}
+# families that may not fail at all
+MUST_SUCCEED = set(FAMILIES)
 PER_FAMILY = 100
 CIRCUIT_BUILT_PER_K = 100
 
@@ -193,11 +192,25 @@ def test_circuit_built_states_never_fail():
     assert bad == []
 
 
-def test_haar_circuits_have_11_or_12_gates():
-    # 3 CZ: step 1, step 2, step 3 + step-4 conjugation, step-4 undo + step 5,
-    # factor gate, three 2-qubit locals; the real 4-CZ path adds its cz01 prefix
+def test_real_states_built_with_3_cz_get_at_most_3():
+    # real mode used to give 4 CZ to about one in seven of these
+    rng = np.random.default_rng(20261021)
+    bad = []
+    for n in range(200):
+        v = _circuit_built(rng, 3, real=True)
+        rep = disentangle3_real(PureState3(v))
+        if rep.cz_count > 3 or abs(dense_apply(rep.circuit, v)[0]) < 1.0 - 1e-9:
+            bad.append((n, rep.cz_count, rep.branch_trace))
+    assert bad == []
+
+
+def test_haar_circuits_have_3_cz_and_11_gates():
+    # step 1, step 2, step 3 + step-4 conjugation, step-4 undo + step 5,
+    # factor gate, three 2-qubit locals; a real delta < 0 state trades the
+    # step-4 sandwich for the chain prefix (rotation, cz01) and keeps the count
     rng = np.random.default_rng(20261020)
     sizes = Counter()
+    real_negative = 0
     for n in range(300):
         real = n % 2 == 1
         v = _vector(rng, 8, real)
@@ -205,5 +218,6 @@ def test_haar_circuits_have_11_or_12_gates():
         rep = synth(PureState3(v))
         assert _violation(rep, v, mode) is None
         sizes[rep.cz_count, len(rep.circuit.gates)] += 1
-    assert set(sizes) <= {(3, 11), (4, 12)}
-    assert sizes[3, 11] >= 150 and sizes[4, 12] >= 20
+        real_negative += real and _delta(v) < 0.0
+    assert set(sizes) == {(3, 11)}
+    assert real_negative >= 20

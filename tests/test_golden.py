@@ -130,8 +130,8 @@ SEEDED = [
     ("real-prepare", lambda i: random_state((792, i), real_only=True), lambda s: prepare(s, "real"), True, 75),
     ("two-qubit", lambda i: random_state2((793, i)), prepare, False, 50),
 ]
-SEEDED_SHA256 = "2aff9bbedf5aa33d7e39be0b6f76f3ce2197d080bcbde0e7b5519ac4b4f2f402"
-SEEDED_STRUCTURE_SHA256 = "1c284f58d2a3566b2e69a5f64038ba0a4900c4249176fbb1b89460fdbdeea4c9"
+SEEDED_SHA256 = "d65ca8685438ec005d716df4e89d0aa040c4c3d0c17e0261efa9497b4404730b"
+SEEDED_STRUCTURE_SHA256 = "3ec210e87dd527fb0fc68280e2f700547d9f3ea6bb5289541337514f730524d2"
 
 
 def _seeded_outcomes():

@@ -275,6 +275,54 @@ class TestDisentangle3Real:
                 assert abs(flipped.det()) <= 1e-9
 
 
+class TestAttemptsInOrder:
+    def test_chain_prefix_gives_3_cz(self):
+        s = _real_delta_negative(767)
+        rep = disentangle3_real(s)
+        assert rep.branch_trace[:2] == ("delta<0", "chain01")
+        assert rep.cz_count == 3
+        assert abs(dense_apply(rep.circuit, s.amps)[0]) >= FID
+
+    def test_failed_chain_attempt_falls_back_to_the_4_cz_prefix(self, monkeypatch):
+        # a step check that fails on the chain attempt only: the 4-CZ prefix
+        # (r1 on qubit 0, cz01) then runs on a fresh builder, with its own trace
+        import qprep3.synth as synth
+
+        real_run3 = synth._run3
+
+        def failing_after_chain(b, require_real, second_root):
+            b.require("chain01" not in b.trace, "step1: chain attempt rejected")
+            real_run3(b, require_real, second_root)
+
+        monkeypatch.setattr(synth, "_run3", failing_after_chain)
+        s = _real_delta_negative(767)
+        rep = disentangle3_real(s)
+        assert rep.cz_count == 4
+        assert rep.branch_trace == ("delta<0", "pencil", "step4", "step5", "cz12", "detT!=0")
+        first, second = rep.circuit.gates[:2]
+        assert isinstance(first, LocalGate) and first.qubit == 0 and second == CZGate(0, 1)
+        assert rep.all_real
+        assert abs(dense_apply(rep.circuit, s.amps)[0]) >= FID
+
+    def test_second_pencil_root_when_the_first_fails(self):
+        # A0 and B0 both nearly singular: the smaller root leaves a top block
+        # whose det sits at STEP_TOL, while the other one passes every check
+        s = PureState3([
+            -0.14714077719622812, -0.10027606107249772, 0.2346012214412414, 0.15988011888864345,
+            0.41368065665392906, 0.2819222890068567, -0.6595723295666372, -0.4494968265581563,
+        ])
+        for synth in (disentangle3, disentangle3_real):
+            rep = synth(s)
+            assert "pencil-root2" in rep.branch_trace
+            assert rep.cz_count <= 3
+            assert abs(dense_apply(rep.circuit, s.amps)[0]) >= FID
+
+
+def _real_delta_negative(seed) -> PureState3:
+    """The first seeded real state with delta well below zero."""
+    return next(s for s in (random_state((seed, i), real_only=True) for i in range(100)) if delta(s) < -1e-3)
+
+
 class TestPrepare:
     def test_basis_state_identity(self):
         rep = prepare(basis_state(3, 0))
