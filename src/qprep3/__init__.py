@@ -2,8 +2,8 @@
 
 Any 3-qubit state synthesizes with at most three controlled-Z gates; any
 real-amplitude 3-qubit state with all-real gates and at most four (three when
-its discriminant is nonnegative, and three on every negative-discriminant
-state sampled so far). Circuits are verified by exact simulation.
+its discriminant is nonnegative, and three on every Haar-random
+negative-discriminant state sampled so far). Circuits are verified by exact simulation.
 """
 from . import errors
 from .circuit import (

@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_delta = sub.add_parser(
         "delta",
         help="print the real-state discriminant and its CZ bound (4 for delta < 0, while real mode "
-        "keeps its 4-CZ fallback; the chain prefix gives 3 on every such state sampled so far)",
+        "keeps its 4-CZ fallback; the chain prefix gives 3 on every Haar-random such state sampled)",
     )
     p_delta.add_argument("file", help="state file (8 '<re> <im>' lines, real)")
     p_delta.set_defaults(func=_cmd_delta)

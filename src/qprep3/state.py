@@ -150,8 +150,8 @@ def delta(s: PureState3) -> float:
     delta >= 0 means the step-1 pencil has a real root: real synthesis then
     needs at most 3 CZ. delta < 0 means it has none: real synthesis first
     applies a prefix with one CZ. Its bound is then 4 CZ, as long as the
-    4-CZ prefix remains the fallback; every delta < 0 state sampled so far
-    got 3 (see synth.disentangle3_real).
+    4-CZ prefix remains the fallback; every Haar-random delta < 0 state
+    sampled so far got 3 (see synth.disentangle3_real).
     Raises NotRealError when the state has imaginary content above REAL_STATE_TOL.
     """
     if not s.is_real():

@@ -7,7 +7,7 @@ all-zeros basis state (invert it to prepare). Guarantees:
   disentangle3       any 3-qubit state,   <= 3 controlled-Z
   disentangle3_real  real 3-qubit states, <= 4 controlled-Z, all gates real
                      (<= 3 when the discriminant is nonnegative, and 3 on
-                     every discriminant-negative state sampled so far)
+                     every Haar-random negative-discriminant state sampled)
 
 The 3-qubit flow works on the block view |phi> = |0>A + |1>B: one local gate
 makes A singular (a root of det(A + zB) = 0, or a block swap when det(B) = 0),

@@ -206,8 +206,8 @@ def test_real_states_built_with_3_cz_get_at_most_3():
 
 def test_haar_circuits_have_3_cz_and_11_gates():
     # step 1, step 2, step 3 + step-4 conjugation, step-4 undo + step 5,
-    # factor gate, three 2-qubit locals; a real delta < 0 state trades the
-    # step-4 sandwich for the chain prefix (rotation, cz01) and keeps the count
+    # factor gate, three 2-qubit locals; a real delta < 0 state trades step 5
+    # (gate, cz02) for the chain prefix (rotation, cz01) and keeps the count
     rng = np.random.default_rng(20261020)
     sizes = Counter()
     real_negative = 0
