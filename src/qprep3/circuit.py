@@ -76,8 +76,12 @@ def _check_num_qubits(n: int) -> None:
         raise ValueError(f"qubit count must be 2 or 3, got {n}")
 
 
-def _top_qubit(g: Gate) -> int:
-    return g.qubit if isinstance(g, LocalGate) else g.j
+def _first_misfit(gates, n: int) -> int | None:
+    """Index of the first gate with a wire outside n qubits, or None."""
+    for k, g in enumerate(gates):
+        if (g.qubit if isinstance(g, LocalGate) else g.j) >= n:
+            return k
+    return None
 
 
 class Circuit(namedtuple("Circuit", "gates num_qubits")):
@@ -86,9 +90,9 @@ class Circuit(namedtuple("Circuit", "gates num_qubits")):
 
     def __new__(cls, gates: tuple[Gate, ...], num_qubits: int = 3):
         _check_num_qubits(num_qubits)
-        for g in gates:
-            if _top_qubit(g) >= num_qubits:
-                raise ValueError(f"gate {g} does not fit in {num_qubits} qubits")
+        k = _first_misfit(gates, num_qubits)
+        if k is not None:
+            raise ValueError(f"gate {gates[k]} does not fit in {num_qubits} qubits")
         return tuple.__new__(cls, (gates, num_qubits))
 
     @property
@@ -108,46 +112,28 @@ class Circuit(namedtuple("Circuit", "gates num_qubits")):
                         worst = x
         return 0.0 if worst is None else worst
 
-    def is_real(self, tol: float = REAL_GATE_TOL) -> bool:
-        return self.max_local_imag() <= tol
-
-
-def _misfit(g: Gate, num_qubits: int) -> ValueError:
-    # the error for a gate with a wire outside a num_qubits-qubit state
-    if isinstance(g, LocalGate):
-        return ValueError(f"gate on qubit {g.qubit} applied to {num_qubits}-qubit state")
-    return ValueError(f"CZ on ({g.i}, {g.j}) applied to {num_qubits}-qubit state")
-
-
-def apply_gate_amps(g: Gate, amps, num_qubits: int) -> list:
-    """Apply one gate to a plain amplitude sequence; returns a fresh list."""
-    if isinstance(g, LocalGate):
-        qubit, (a, b, c, d) = g
-        if qubit >= num_qubits:
-            raise _misfit(g, num_qubits)
-        return kernels.apply_local(amps, qubit, a, b, c, d)
-    i, j = g
-    if j >= num_qubits:
-        raise _misfit(g, num_qubits)
-    return kernels.apply_cz(amps, i, j)
+    def is_real(self) -> bool:
+        return self.max_local_imag() <= REAL_GATE_TOL
 
 
 def apply_gate(g: Gate, s: State) -> State:
     """Apply one gate; returns a new state of the same type."""
-    return type(s)(apply_gate_amps(g, s.w, s.num_qubits))
+    return apply_circuit(Circuit((g,)), s)
 
 
 def apply_circuit(c: Circuit, s: State) -> State:
     """Simulate c on s; the result is validated once, after the last gate.
 
     Every gate's wire is checked against s before the first gate runs; the
-    first misfit raises apply_gate's error.
+    first misfit raises.
     """
     n = s.num_qubits
     gates = c.gates
-    for g in gates:
-        if (g.qubit if isinstance(g, LocalGate) else g.j) >= n:
-            raise _misfit(g, n)
+    k = _first_misfit(gates, n)
+    if k is not None:
+        g = gates[k]
+        where = f"gate on qubit {g.qubit}" if isinstance(g, LocalGate) else f"CZ on ({g.i}, {g.j})"
+        raise ValueError(f"{where} applied to {n}-qubit state")
     amps = s.w
     for g in gates:
         if isinstance(g, LocalGate):
@@ -270,10 +256,8 @@ def parse_circuit(text: str) -> Circuit:
                 raise ValueError(f"unknown gate kind {kind!r}")
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    # the qubit count is known only once every header line has been read, so
-    # Circuit checks each gate's fit; a misfit is traced to its line here
-    try:
-        return Circuit(tuple(gates), num_qubits)
-    except ValueError as exc:
-        k = next(k for k, g in enumerate(gates) if _top_qubit(g) >= num_qubits)
-        raise ValueError(f"line {linenos[k]}: {exc}") from None
+    # the qubit count is known only once every header line has been read
+    k = _first_misfit(gates, num_qubits)
+    if k is not None:
+        raise ValueError(f"line {linenos[k]}: gate {gates[k]} does not fit in {num_qubits} qubits")
+    return _unchecked(Circuit, tuple(gates), num_qubits)

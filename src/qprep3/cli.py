@@ -11,11 +11,13 @@ order |000>..|111> (or |00>..|11> for 2 qubits); `#` starts a comment.
 Inputs within 1e-6 of unit norm are renormalized, anything farther is
 rejected.
 
-Exit codes: 0 success, 1 parse/normalization error, 2 mode violation
-(complex input where real amplitudes are required), 3 any other synthesis
-error, such as an internal invariant or bound failure (the error and the
-branch trace are dumped to stderr). All output is deterministic given
-(input, flags, seed).
+Exit codes: 0 success, 1 bad input (a state file that cannot be read,
+decoded, parsed or normalized, a 2-qubit file to delta, an --out path that
+cannot be written, --n < 1 or --seed < 0; one `error:` line on stderr), 2
+mode violation (complex input where real amplitudes are required), 3 any
+other synthesis error, such as an internal invariant or bound failure (the
+error and the branch trace are dumped to stderr). All output is
+deterministic given (input, flags, seed).
 """
 from __future__ import annotations
 
@@ -53,17 +55,14 @@ def parse_state_text(text: str) -> list[complex]:
     return values
 
 
+# what reading and validating a state file raises on bad input (exit 1)
+_INPUT_ERRORS = (OSError, ValueError, NotNormalizedError)
+
+
 def _load_state(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            amps = parse_state_text(fh.read())
-        return PureState3(amps) if len(amps) == 8 else PureState2(amps)
-    except (OSError, ValueError, NotNormalizedError) as exc:
-        raise _InputError(str(exc)) from exc
-
-
-class _InputError(Exception):
-    pass
+    with open(path, encoding="utf-8") as fh:
+        amps = parse_state_text(fh.read())
+    return PureState3(amps) if len(amps) == 8 else PureState2(amps)
 
 
 def _dump_synthesis_error(exc: Qprep3Error) -> None:
@@ -74,7 +73,7 @@ def _dump_synthesis_error(exc: Qprep3Error) -> None:
 def _cmd_synth(args) -> int:
     try:
         state = _load_state(args.file)
-    except _InputError as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     mode = "real" if args.real else "general"
@@ -113,7 +112,7 @@ def _cmd_synth(args) -> int:
 def _cmd_delta(args) -> int:
     try:
         state = _load_state(args.file)
-    except _InputError as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if not isinstance(state, PureState3):
@@ -124,16 +123,18 @@ def _cmd_delta(args) -> int:
     except NotRealError:
         print("error: delta is defined only for real states", file=sys.stderr)
         return EXIT_MODE
-    if abs(d) <= DELTA_ZERO_BAND:
-        print("delta~0 bound=3")
-    else:
-        print(f"delta={format_number(d)} bound={3 if d >= 0 else 4}")
+    # the bound follows the sign of delta, also within the band printed as ~0
+    shown = "delta~0" if abs(d) <= DELTA_ZERO_BAND else f"delta={format_number(d)}"
+    print(f"{shown} bound={3 if d >= 0 else 4}")
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     if args.n < 1:
         print("error: --n must be at least 1", file=sys.stderr)
+        return EXIT_INPUT
+    if args.seed < 0:
+        print("error: --seed must be nonnegative", file=sys.stderr)
         return EXIT_INPUT
     hist: dict[int, int] = {}
     fidelities: list[float] = []
@@ -159,33 +160,27 @@ def _cmd_sweep(args) -> int:
         if trace and trace[0] == "delta<0":
             negative += 1
 
-    min_fidelity = format_number(min(fidelities)) if fidelities else "none"
-    print(f"{'samples':<18}{args.n}")
-    print(f"{'mode':<18}{mode}")
-    print(f"{'seed':<18}{args.seed}")
-    keys = sorted(hist)
-    first = True
-    for k in keys:
-        label = "cz histogram" if first else ""
-        print(f"{label:<18}{k}: {hist[k]}")
-        first = False
-    print(f"{'min fidelity':<18}{min_fidelity}")
+    # (printed label, machine key, values): a row prints one aligned line per
+    # value, labelled on the first, and one key=v1,v2,... field
+    rows = [
+        ("samples", "samples", [args.n]),
+        ("mode", "mode", [mode]),
+        ("seed", "seed", [args.seed]),
+        # one `k: count` value per CZ count, none when every sample failed
+        ("cz histogram", "cz_hist", [f"{k}: {hist[k]}" for k in sorted(hist)]),
+        ("min fidelity", "min_fidelity", [format_number(min(fidelities)) if fidelities else "none"]),
+    ]
     if args.real:
-        print(f"{'delta<0 fraction':<18}{format_number(negative / args.n)}")
-        print(f"{'max gate imag':<18}{format_number(max_gate_imag)}")
-    print(f"{'violations':<18}{len(violations)}")
+        rows.append(("delta<0 fraction", "delta_negative_fraction", [format_number(negative / args.n)]))
+        rows.append(("max gate imag", "max_gate_imag", [format_number(max_gate_imag)]))
+    rows.append(("violations", "violations", [len(violations)]))
+    for label, _, values in rows:
+        for v in values:
+            print(f"{label:<18}{v}")
+            label = ""
     if args.machine:
-        fields = [
-            f"samples={args.n}",
-            f"mode={mode}",
-            f"seed={args.seed}",
-            "cz_hist=" + ",".join(f"{k}:{hist[k]}" for k in keys),
-            f"min_fidelity={min_fidelity}",
-        ]
-        if args.real:
-            fields.append(f"delta_negative_fraction={format_number(negative / args.n)}")
-            fields.append(f"max_gate_imag={format_number(max_gate_imag)}")
-        fields.append(f"violations={len(violations)}")
+        # no other value holds ": ", so this only writes the histogram as k:count
+        fields = (f"{key}=" + ",".join(map(str, values)).replace(": ", ":") for _, key, values in rows)
         print("machine " + " ".join(fields))
     for v in violations[:20]:
         print(f"violation: {v}", file=sys.stderr)

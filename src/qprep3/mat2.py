@@ -291,13 +291,15 @@ def solve_det_pencil(m_a: Mat2, m_b: Mat2) -> list[complex]:
     return _solve_det_pencil(m_a, m_b)
 
 
+def _pencil_form(m_a: Mat2, m_b: Mat2) -> tuple[complex, complex, complex]:
+    """(q2, q1, q0) with det(A + zB) = q2 z^2 + q1 z + q0, that is
+    det(xA + yB) = q0 x^2 + q1 xy + q2 y^2."""
+    return m_b.det(), m_a.a * m_b.d + m_b.a * m_a.d - m_a.b * m_b.c - m_b.b * m_a.c, m_a.det()
+
+
 def _solve_det_pencil(m_a: Mat2, m_b: Mat2) -> list[complex]:
     # solve_det_pencil past its precondition: m_b is not singular at EPS_ZERO
-    q2 = m_b.det()
-    q1 = m_a.a * m_b.d + m_b.a * m_a.d - m_a.b * m_b.c - m_b.b * m_a.c
-    q0 = m_a.det()
-    roots = _solve_quadratic(q2, q1, q0)
-    return sorted(roots, key=_root_order_key)
+    return sorted(_solve_quadratic(*_pencil_form(m_a, m_b)), key=_root_order_key)
 
 
 def _solve_quadratic(q2: complex, q1: complex, q0: complex) -> list[complex]:

@@ -37,8 +37,16 @@ singular, the 4-CZ prefix is the only one tried.
 
 Step 1 takes the first pencil root (the first real one in real mode). When
 an attempt fails, it is run again with the other root (trace label
-`pencil-root2`); the first attempt that passes every check is returned, and
-when none does, the first attempt's error is raised.
+`pencil-root2`).
+
+Every synthesis goes through one attempt runner, _first_passing. It runs
+each attempt on a fresh builder of the input, in order, and returns the
+first that passes every check. A 3-qubit attempt is _attempt3: a trace
+label, a prefix, a CZ bound, the mode and the root, so disentangle3 tries
+(first root, second root) and disentangle3_real tries each of its prefixes
+with both roots; disentangle2 has one attempt. A Qprep3Error raised in an
+attempt gets the branch trace that attempt took, and when no attempt
+passes, the first attempt's error is raised.
 
 Each synthesis is one builder pass. The builder tracks the amplitudes as a
 plain list and reads the blocks from it to choose the next gate; the embedded
@@ -49,8 +57,7 @@ as it appends it; `local` fuses a local gate into a directly preceding one
 on the same wire, and drops local gates that are a global phase (+-I), so
 the list is always the input state run through the circuit so far. Every
 stage asserts its postcondition on it, and its final value gives the
-reported fidelity. Any Qprep3Error raised during a run carries the branch
-trace taken so far.
+reported fidelity.
 
 Each thing is checked once on this path. A gate comes from the private core
 of its mat2 construction (_l1, _r1, _r2, _r3, _solve_det_pencil) wherever
@@ -66,14 +73,13 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from contextlib import contextmanager
 from functools import partial
 
 from . import kernels
 from .circuit import Circuit, CZGate, Gate, LocalGate, _unchecked, apply_circuit, fidelity_to_basis, invert
 from .errors import NotRealError, Qprep3Error, SynthesisInvariantError
 from .mat2 import DELTA_ZERO_BAND, EPS_ZERO, FID2_MIN, FID3_MIN, PRUNE_TOL, REAL_ROOT_TOL, STEP_TOL, SWAP_BLOCKS, Mat2
-from .mat2 import _l1, _r1, _r2, _r3, _solve_det_pencil, is_singular, row2_norm, u_from_pair
+from .mat2 import _l1, _pencil_form, _r1, _r2, _r3, _solve_det_pencil, is_singular, row2_norm, u_from_pair
 from .state import PureState2, PureState3, State, _delta, amp_matrix, basis_state, overlap, qubit0_factor
 
 class SynthesisReport(namedtuple("SynthesisReport", "circuit cz_count all_real branch_trace fidelity")):
@@ -105,15 +111,6 @@ class _Builder:
         self.before: list[list] = []
         self.cz_count = 0
         self.trace: list[str] = []
-
-    @contextmanager
-    def traced(self):
-        """Attach the branch trace to any Qprep3Error leaving the block."""
-        try:
-            yield
-        except Qprep3Error as exc:
-            exc.branch_trace = list(self.trace)
-            raise
 
     def say(self, label: str) -> None:
         self.trace.append(label)
@@ -172,16 +169,16 @@ def _first_passing(s: State, attempts) -> SynthesisReport:
     """Run each attempt (a function of a builder, returning its finished
     report) on a fresh builder of s, in order, and return the first report.
 
-    An attempt fails by raising a Qprep3Error. When every attempt fails, the
-    first attempt's error is raised, with the branch trace it took.
+    An attempt fails by raising a Qprep3Error, which gets the branch trace
+    that attempt took. When every attempt fails, the first one's is raised.
     """
     first = None
     for attempt in attempts:
         b = _Builder(s)
         try:
-            with b.traced():
-                return attempt(b)
+            return attempt(b)
         except Qprep3Error as exc:
+            exc.branch_trace = list(b.trace)
             if first is None:
                 first = exc
     raise first
@@ -206,10 +203,12 @@ def disentangle2(s: PureState2) -> SynthesisReport:
     Zero CZ when the amplitude matrix is singular (product state), one CZ
     otherwise.
     """
-    b = _Builder(s)
-    with b.traced():
-        _run2(b)
-        return b.finish(FID2_MIN, 1)
+    return _first_passing(s, (_attempt2,))
+
+
+def _attempt2(b: _Builder) -> SynthesisReport:
+    _run2(b)
+    return b.finish(FID2_MIN, 1)
 
 
 def _run2(b: _Builder, low_qubit: int = 0, product_label: str | None = None, entangled_label: str | None = None) -> None:
@@ -242,15 +241,22 @@ def _run2(b: _Builder, low_qubit: int = 0, product_label: str | None = None, ent
 
 def disentangle3(s: PureState3) -> SynthesisReport:
     """Circuit mapping an arbitrary 3-qubit state to |000> with at most 3 CZ."""
-    return _first_passing(s, _GENERAL_ATTEMPTS)
+    return _first_passing(s, (partial(_attempt3, None, None, 3, False, r) for r in (False, True)))
 
 
-def _general(b: _Builder, second_root: bool) -> SynthesisReport:
-    _run3(b, False, second_root)
-    return b.finish(FID3_MIN, 3)
-
-
-_GENERAL_ATTEMPTS = (partial(_general, second_root=False), partial(_general, second_root=True))
+def _attempt3(label, prefix, max_cz: int, real: bool, second_root: bool, b: _Builder) -> SynthesisReport:
+    """One 3-qubit attempt on b: say label, apply prefix (each when not None),
+    run the flow with the first or second step-1 root, and check the result
+    against max_cz (and, when real, every gate's realness)."""
+    if label is not None:
+        b.say(label)
+    if prefix is not None:
+        prefix(b)
+    _run3(b, real, second_root)
+    rep = b.finish(FID3_MIN, max_cz)
+    if real and not rep.all_real:
+        raise SynthesisInvariantError(f"real mode emitted a non-real gate (max imag {rep.circuit.max_local_imag()!r})")
+    return rep
 
 
 def disentangle3_real(s: PureState3) -> SynthesisReport:
@@ -286,18 +292,7 @@ def disentangle3_real(s: PureState3) -> SynthesisReport:
             # inside the band, the chain prefix turns states built with
             # one CZ (delta ~ -1e-17) into 2-CZ circuits
             prefixes = ((_r1_cz01, 4),)
-
-    def attempt(prefix, max_cz: int, second_root: bool, b: _Builder) -> SynthesisReport:
-        b.say(label)
-        if prefix is not None:
-            prefix(b)
-        _run3(b, True, second_root)
-        rep = b.finish(FID3_MIN, max_cz)
-        if not rep.all_real:
-            raise SynthesisInvariantError(f"real mode emitted a non-real gate (max imag {rep.circuit.max_local_imag()!r})")
-        return rep
-
-    return _first_passing(s, (partial(attempt, p, n, r) for p, n in prefixes for r in (False, True)))
+    return _first_passing(s, (partial(_attempt3, label, p, n, True, r) for p, n in prefixes for r in (False, True)))
 
 
 def _detA0_zero(b: _Builder) -> None:
@@ -325,8 +320,8 @@ def _chain_rotation(w) -> Mat2:
     not cancel.
     """
     w0, w1, w2, w3, w4, w5, w6, w7 = [z.real for z in w]
-    q1 = w0 * w7 + w2 * w5 - w1 * w6 - w3 * w4
-    gap = (w0 * w5 - w1 * w4) - (w2 * w7 - w3 * w6)
+    det_b, q1, det_a = _pencil_form(Mat2(w0, w1, w4, w5), Mat2(w2, w3, w6, w7))
+    gap = det_a - det_b
     r = math.sqrt(q1 * q1 + gap * gap)
     if r == 0.0:
         # the form is traceless already

@@ -39,6 +39,16 @@ DELTA_NEG_FILE = """\
 
 BASIS_FILE = "1 0\n" + "0 0\n" * 7
 
+# real, delta ~ -1.2e-14: inside DELTA_ZERO_BAND but negative, so real mode
+# takes the r1 + cz01 prefix and its 4-CZ bound
+DELTA_BAND_NEG_FILE = "".join(
+    f"{x} 0\n"
+    for x in (
+        -0.11016575129041184, -0.14537163302430256, -0.41182964805712247, -0.16802829114784248,
+        -0.8456147450497388, -0.22745400264124313, -0.04575791734471385, 0.00015015580590393204,
+    )
+)
+
 COMPLEX_FILE = "0.7071067811865476 0\n" + "0 0\n" * 6 + "0 0.7071067811865476\n"
 
 BELL_FILE = """\
@@ -275,6 +285,16 @@ class TestDeltaCommand:
         assert code == 0
         assert out.strip() == "delta~0 bound=3"
 
+    def test_negative_zero_band_has_bound_4(self, tmp_path, capsys):
+        path = write(tmp_path, "band.txt", DELTA_BAND_NEG_FILE)
+        code, out, _ = run_cli(capsys, ["delta", path])
+        assert code == 0
+        assert out.strip() == "delta~0 bound=4"
+        # the bound printed covers what real mode emits for this state
+        code, out, _ = run_cli(capsys, ["synth", path, "--real", "--verify"])
+        assert code == 0
+        assert out.splitlines()[-1].startswith("cz=4 ")
+
     def test_complex_exit_2(self, tmp_path, capsys):
         path = write(tmp_path, "cx.txt", COMPLEX_FILE)
         code, _, _ = run_cli(capsys, ["delta", path])
@@ -376,6 +396,35 @@ def _run_python(args):
 
 def _run_module(argv):
     return _run_python(["-m", "qprep3", *argv])
+
+
+def _bytes_file(tmp_path, name, data):
+    p = tmp_path / name
+    p.write_bytes(data)
+    return str(p)
+
+
+@pytest.mark.parametrize(
+    "argv, msg",
+    [
+        (lambda tmp: ["synth", str(tmp / "missing.txt")], "No such file"),
+        (lambda tmp: ["synth", str(tmp)], "Is a directory"),
+        (lambda tmp: ["delta", _bytes_file(tmp, "latin1.txt", b"0.5 0\n\xff\xfe 0\n")], "can't decode"),
+        (
+            lambda tmp: ["synth", write(tmp, "ghz.txt", GHZ_FILE), "--out", str(tmp / "no-such-dir" / "c.txt")],
+            "No such file",
+        ),
+        (lambda tmp: ["delta", write(tmp, "bell.txt", BELL_FILE)], "delta requires a 3-qubit state file"),
+        (lambda tmp: ["sweep", "--n", "0", "--seed", "1"], "--n must be at least 1"),
+        (lambda tmp: ["sweep", "--n", "1", "--seed", "-1"], "--seed must be nonnegative"),
+    ],
+    ids=["missing-file", "directory", "non-utf8", "out-missing-dir", "delta-2-qubit", "n-0", "seed-negative"],
+)
+def test_input_errors_exit_1_with_one_error_line(tmp_path, capsys, argv, msg):
+    code, _, err = run_cli(capsys, argv(tmp_path))
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and msg in lines[0]
 
 
 def test_module_entry_point(tmp_path):
