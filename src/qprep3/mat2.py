@@ -63,6 +63,10 @@ REAL_ROOT_TOL = 1e-8
 # rounding noise: the root is double, and its two computed copies would sit
 # ~sqrt(eps) apart, each leaving a top block that is not singular at STEP_TOL.
 DOUBLE_ROOT_TOL = 1e-12
+# A qubit is a chain middle when the relative gap of the two singular values
+# of its split's pencil form (synth._is_chain_middle) is at most this.
+# Chain middles measure <= 1e-14, Haar-random states >= 5.8e-5.
+CHAIN_GAP_TOL = 1e-9
 # An Ry angle is reported only if the rotation reproduces the gate this closely.
 RY_MATCH_TOL = 1e-10
 # `qprep3 delta` prints delta~0 within this of zero (rounding of exact zeros).

@@ -39,25 +39,44 @@ Step 1 takes the first pencil root (the first real one in real mode). When
 an attempt fails, it is run again with the other root (trace label
 `pencil-root2`).
 
+Chains. Two CZ suffice exactly for the states |u>P + |u_perp>Q on one
+qubit m, the chain middle, with P and Q products on the other two. Qubit m is
+one when the pencil form of its split, S = [[q0, q1/2], [q1/2, q2]] with
+det(xA + yB) = q0 x^2 + q1 xy + q2 y^2, has two equal singular values (its
+two null directions are then orthogonal); _is_chain_middle tests that to
+CHAIN_GAP_TOL. The flow skips a CZ stage, and gives 2 CZ, when the middle is
+qubit 2 (`skip-step4`) or qubit 1 (`skip-step5`), but not when it is qubit
+0. So when qubit 0 is a chain middle and qubits 1 and 2 are not, both
+synthesizers first try the _relabel01 prefix with a bound of 2 CZ: it swaps
+qubits 0 and 1 of the input, the flow runs on that, and the finished circuit
+gets its wires swapped back (a CZ pair is re-sorted). Qubits 1 and 2 are
+tested only after qubit 0 passes, so a Haar-random state pays for one form.
+delta is the same for the swapped input (the swap maps the blocks (A, B) to
+their transposes), so real mode keeps its sign as the first trace label.
+
 Every synthesis goes through one attempt runner, _first_passing. It runs
 each attempt on a fresh builder of the input, in order, and returns the
 first that passes every check. A 3-qubit attempt is _attempt3: a trace
 label, a prefix, a CZ bound, the mode and the root, so disentangle3 tries
 (first root, second root) and disentangle3_real tries each of its prefixes
-with both roots; disentangle2 has one attempt. A Qprep3Error raised in an
-attempt gets the branch trace that attempt took, and when no attempt
-passes, the first attempt's error is raised.
+with both roots, both after the _relabel01 attempts when those apply;
+disentangle2 has one attempt. A Qprep3Error raised in an attempt gets the
+branch trace that attempt took, and when no attempt passes, the first
+attempt's error is raised.
 
 Each synthesis is one builder pass. The builder tracks the amplitudes as a
 plain list and reads the blocks from it to choose the next gate; the embedded
 2-qubit stage reads its pair from the same list and emits into the same
 circuit. `local(qubit, m)` and `cz(i, j)` are the only writers of that list
 and of the gate list: each applies its gate by the block rules of kernels.py
-as it appends it; `local` fuses a local gate into a directly preceding one
-on the same wire, and drops local gates that are a global phase (+-I), so
-the list is always the input state run through the circuit so far. Every
-stage asserts its postcondition on it, and its final value gives the
-reported fidelity.
+as it appends it. `local` fuses a local gate into the last gate on its wire
+when that is a local gate with no CZ on the wire after it: the earlier gate
+commutes with every gate since, so it is removed and the product appended.
+It drops local gates that are a global phase (+-I). So no circuit holds two
+local gates on one wire without a CZ on that wire between them, and the
+list is always the input state run through the circuit so far. Every stage
+asserts its postcondition on it, and its final value gives the reported
+fidelity.
 
 Each thing is checked once on this path. A gate comes from the private core
 of its mat2 construction (_l1, _r1, _r2, _r3, _solve_det_pencil) wherever
@@ -74,11 +93,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import partial
+from operator import itemgetter
 
 from . import kernels
 from .circuit import Circuit, CZGate, Gate, LocalGate, _unchecked, apply_circuit, fidelity_to_basis, invert
 from .errors import NotRealError, Qprep3Error, SynthesisInvariantError
-from .mat2 import DELTA_ZERO_BAND, EPS_ZERO, FID2_MIN, FID3_MIN, PRUNE_TOL, REAL_ROOT_TOL, STEP_TOL, SWAP_BLOCKS, Mat2
+from .mat2 import CHAIN_GAP_TOL, DELTA_ZERO_BAND, EPS_ZERO, FID2_MIN, FID3_MIN, PRUNE_TOL, REAL_ROOT_TOL, STEP_TOL, SWAP_BLOCKS, Mat2
 from .mat2 import _l1, _pencil_form, _r1, _r2, _r3, _solve_det_pencil, is_singular, row2_norm, u_from_pair
 from .state import PureState2, PureState3, State, _delta, amp_matrix, basis_state, overlap, qubit0_factor
 
@@ -95,12 +115,14 @@ class SynthesisReport(namedtuple("SynthesisReport", "circuit cz_count all_real b
 class _Builder:
     """Accumulates gates and tracks their action on a plain amplitude list.
 
-    Invariant: `amps` is the input state after `gates`, because `local` and
-    `cz` are the only writers of both. So `finish` verifies the circuit on
-    the tracked amplitudes, with no second simulation. Both keep the
-    amplitudes from before each gate (`before`), so a local gate fused into
-    its predecessor is re-applied, as the product, to exactly what the
-    predecessor saw: `amps` stays bit-equal to a fresh simulation of `gates`.
+    Invariant: `amps` is the input state (with qubits 0 and 1 swapped after
+    the _relabel01 prefix) after `gates`, because `local` and `cz` are the
+    only writers of both. So `finish` verifies the circuit on the tracked
+    amplitudes, with no second simulation. Both keep the amplitudes from
+    before each gate (`before`), so when a local gate is fused into an
+    earlier one, the gates after that one are re-applied to exactly what it
+    saw, and the product last: `amps` stays bit-equal to a fresh simulation
+    of `gates`.
     """
 
     def __init__(self, state):
@@ -111,6 +133,9 @@ class _Builder:
         self.before: list[list] = []
         self.cz_count = 0
         self.trace: list[str] = []
+        # set by the _relabel01 prefix: the gates act on the input with
+        # qubits 0 and 1 swapped, and `finish` swaps their wires back
+        self.relabeled = False
 
     def say(self, label: str) -> None:
         self.trace.append(label)
@@ -121,23 +146,43 @@ class _Builder:
     def local(self, qubit: int, m: Mat2) -> None:
         """Append the local gate m on `qubit` and apply it to `amps`.
 
-        After a local gate on the same wire, it replaces that gate with their
-        product; a gate (or product) within PRUNE_TOL of +-I, a global phase,
-        is not emitted.
+        When the last gate on `qubit` is a local gate (no CZ on the wire since
+        it), that gate commutes with every gate after it: it is removed, the
+        gates after it are re-applied from its `before`, and m is replaced by
+        their product. A gate (or product) within PRUNE_TOL of +-I, a global
+        phase, is not emitted.
         """
         gates = self.gates
-        if gates:
-            last = gates[-1]
-            if type(last) is LocalGate and last.qubit == qubit:
-                gates.pop()
-                self.amps = self.before.pop()
-                m = m @ last.matrix
+        for k in range(len(gates) - 1, -1, -1):
+            g = gates[k]
+            if type(g) is LocalGate:
+                if g.qubit == qubit:
+                    m = m @ gates.pop(k).matrix
+                    self._replay(k)
+                    break
+            elif qubit in g:
+                break
         if _is_global_phase(m):
             return
         self.before.append(self.amps)
         a, b, c, d = m
         self.amps = kernels.apply_local(self.amps, qubit, a, b, c, d)
         gates.append(tuple.__new__(LocalGate, (qubit, m)))
+
+    def _replay(self, k: int) -> None:
+        # the gate at k is gone: re-apply the gates now from k on, starting
+        # from the amplitudes it saw
+        before = self.before
+        amps = before[k]
+        del before[k:]
+        for g in self.gates[k:]:
+            before.append(amps)
+            if type(g) is LocalGate:
+                a, b, c, d = g.matrix
+                amps = kernels.apply_local(amps, g.qubit, a, b, c, d)
+            else:
+                amps = kernels.apply_cz(amps, g.i, g.j)
+        self.amps = amps
 
     def cz(self, i: int, j: int) -> None:
         """Append CZ on (i, j), i < j, and apply it to `amps`."""
@@ -153,8 +198,9 @@ class _Builder:
             raise SynthesisInvariantError(msg)
 
     def finish(self, min_fidelity: float, max_cz: int) -> SynthesisReport:
+        gates = tuple(map(_swap01_gate, self.gates)) if self.relabeled else tuple(self.gates)
         # every gate was emitted on a wire of the input state
-        circ = _unchecked(Circuit, tuple(self.gates), self.num_qubits)
+        circ = _unchecked(Circuit, gates, self.num_qubits)
         fid = fidelity_to_basis(self.state_type(self.amps), 0)
         # written `not >=` so that a NaN fidelity fails
         if not fid >= min_fidelity:
@@ -240,8 +286,21 @@ def _run2(b: _Builder, low_qubit: int = 0, product_label: str | None = None, ent
 
 
 def disentangle3(s: PureState3) -> SynthesisReport:
-    """Circuit mapping an arbitrary 3-qubit state to |000> with at most 3 CZ."""
-    return _first_passing(s, (partial(_attempt3, None, None, 3, False, r) for r in (False, True)))
+    """Circuit mapping an arbitrary 3-qubit state to |000> with at most 3 CZ.
+
+    A chain with qubit 0 in the middle is first tried with qubits 0 and 1
+    swapped (trace `relabel01`), for 2 CZ; see the module docstring.
+    """
+    return _run_attempts3(s, None, ((None, 3),), False)
+
+
+def _run_attempts3(s: PureState3, label, prefixes, real: bool) -> SynthesisReport:
+    """_attempt3 for each (prefix, CZ bound) in order, each with the first and
+    then the second root; a qubit-0 chain (module docstring) first tries the
+    _relabel01 prefix with a bound of 2 CZ."""
+    if _is_chain_middle(s.w, 0) and not _is_chain_middle(s.w, 1) and not _is_chain_middle(s.w, 2):
+        prefixes = ((_relabel01, 2),) + prefixes
+    return _first_passing(s, (partial(_attempt3, label, p, n, real, r) for p, n in prefixes for r in (False, True)))
 
 
 def _attempt3(label, prefix, max_cz: int, real: bool, second_root: bool, b: _Builder) -> SynthesisReport:
@@ -269,8 +328,10 @@ def disentangle3_real(s: PureState3) -> SynthesisReport:
     bound of 3 CZ included, and for any other delta < 0, the 4-CZ prefix (a
     real r1 on qubit 0, then cz01, which makes the top block singular) comes
     first instead, so the bound for delta < 0 stays 4. Every branch choice
-    after a prefix is real. The first label of the branch trace is the sign
-    of delta (`delta>=0` or `delta<0`), the chain prefix says `chain01`.
+    after a prefix is real. As in disentangle3, a chain with qubit 0 in the
+    middle first tries qubits 0 and 1 swapped, for 2 CZ. The first label of
+    the branch trace is the sign of delta (`delta>=0` or `delta<0`); the
+    chain prefix says `chain01`, the swap `relabel01`.
     """
     if not s.is_real():
         raise NotRealError("disentangle3_real requires real amplitudes")
@@ -292,7 +353,58 @@ def disentangle3_real(s: PureState3) -> SynthesisReport:
             # inside the band, the chain prefix turns states built with
             # one CZ (delta ~ -1e-17) into 2-CZ circuits
             prefixes = ((_r1_cz01, 4),)
-    return _first_passing(s, (partial(_attempt3, label, p, n, True, r) for p, n in prefixes for r in (False, True)))
+    return _run_attempts3(s, label, prefixes, True)
+
+
+# by qubit q, the amplitudes of the blocks A (q is 0) and B (q is 1) of the
+# split on q, each read row-major as a 2x2 matrix over the other two qubits
+_SPLITS = [
+    (itemgetter(*ia), itemgetter(*ib))
+    for ia, ib in (((0, 2, 4, 6), (1, 3, 5, 7)), ((0, 1, 4, 5), (2, 3, 6, 7)), ((0, 1, 2, 3), (4, 5, 6, 7)))
+]
+
+
+def _split(w, q: int) -> tuple[Mat2, Mat2]:
+    get_a, get_b = _SPLITS[q]
+    return tuple.__new__(Mat2, get_a(w)), tuple.__new__(Mat2, get_b(w))
+
+
+def _is_chain_middle(w, q: int) -> bool:
+    """Qubit q of the 8 amplitudes w is the middle of a chain: the pencil form
+    S = [[q0, q1/2], [q1/2, q2]] of its split, det(xA + yB) = q0 x^2 + q1 xy +
+    q2 y^2, has two equal singular values. (|S|_F^2)^2 - 4|det S|^2, the
+    squared difference of their squares, must be at most CHAIN_GAP_TOL
+    |S|_F^4. A form of norm at most EPS_ZERO is no chain: every xA + yB is
+    then (nearly) singular."""
+    q2, q1, q0 = _pencil_form(*_split(w, q))
+    h = 0.5 * q1
+    a, b, c = abs(q0), abs(h), abs(q2)
+    n2 = a * a + 2.0 * b * b + c * c
+    if n2 <= EPS_ZERO * EPS_ZERO:
+        return False
+    d = abs(q0 * q2 - h * h)
+    return n2 * n2 - 4.0 * d * d <= CHAIN_GAP_TOL * n2 * n2
+
+
+# basis index i with qubits 0 and 1 swapped, and each wire's new wire
+_SWAP01_INDEX = (0, 2, 1, 3, 4, 6, 5, 7)
+_SWAP01_WIRE = (1, 0, 2)
+
+
+def _relabel01(b: _Builder) -> None:
+    """Prefix: swap qubits 0 and 1 of b's input (which has no gate yet), so a
+    chain with qubit 0 in the middle has it on qubit 1; `finish` swaps the
+    wires of the circuit back."""
+    b.say("relabel01")
+    b.amps = [b.amps[i] for i in _SWAP01_INDEX]
+    b.relabeled = True
+
+
+def _swap01_gate(g: Gate) -> Gate:
+    if type(g) is LocalGate:
+        return tuple.__new__(LocalGate, (_SWAP01_WIRE[g.qubit], g.matrix))
+    i, j = _SWAP01_WIRE[g.i], _SWAP01_WIRE[g.j]
+    return tuple.__new__(CZGate, (i, j) if i < j else (j, i))
 
 
 def _detA0_zero(b: _Builder) -> None:
@@ -319,8 +431,7 @@ def _chain_rotation(w) -> Mat2:
     cos(phi/2) >= 1/sqrt(2) and sin(phi/2) = sin(phi) / (2 cos(phi/2)) does
     not cancel.
     """
-    w0, w1, w2, w3, w4, w5, w6, w7 = [z.real for z in w]
-    det_b, q1, det_a = _pencil_form(Mat2(w0, w1, w4, w5), Mat2(w2, w3, w6, w7))
+    det_b, q1, det_a = _pencil_form(*_split([z.real for z in w], 1))
     gap = det_a - det_b
     r = math.sqrt(q1 * q1 + gap * gap)
     if r == 0.0:

@@ -451,13 +451,18 @@ class TestStepInvariants:
 
     def test_real_mode_gate_realness_check_fires(self, monkeypatch):
         # diag(i, -i) only changes the phase of |00>, so fidelity and count
-        # hold; it goes on the pair's upper wire, as on the lower one it would
-        # fuse with the stage's last gate
+        # hold. It fuses into the last gate on its wire, a real rotation R
+        # with no CZ after it; diag(i, -i) R has the imaginary parts R's
+        # entries, up to sign, and every other gate stays real
+        state = random_state((762, 1), real_only=True)
+        last = [g for g in disentangle3_real(state).circuit.gates if isinstance(g, LocalGate) and g.qubit == 2][-1]
+        worst = max(abs(e) for e in last.matrix)
+        assert 0.0 < worst < 1.0
         self._pad_stage(monkeypatch, "_embed2", LocalGate(1, Mat2(1j, 0, 0, -1j)))
         with pytest.raises(
-            SynthesisInvariantError, match=r"^real mode emitted a non-real gate \(max imag 1\.0\)$"
+            SynthesisInvariantError, match=rf"^real mode emitted a non-real gate \(max imag {re.escape(repr(worst))}\)$"
         ) as info:
-            disentangle3_real(random_state((762, 1), real_only=True))
+            disentangle3_real(state)
         assert info.value.branch_trace
 
     @staticmethod
