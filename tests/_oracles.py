@@ -166,3 +166,31 @@ def reference_max_local_imag(c) -> float:
         (abs(e.imag) for g in c.gates if isinstance(g, LocalGate) for e in g.matrix),
         default=0.0,
     )
+
+
+def cz_min(amps, tol: float = 1e-9) -> int:
+    """Fewest CZ that prepare a 3-qubit state from |000> with local gates.
+
+    0 for a product, 1 when one qubit factors out (some bipartition of one
+    qubit against the other two has Schmidt rank 1), 2 when some qubit q is
+    the middle of a chain (the state is |u>P + |u_perp>Q on q, with P and Q
+    products), 3 otherwise. Qubit q is a chain middle when the symmetric form
+    S = [[det A, c/2], [c/2, det B]] of det(xA + yB) = det(A)x^2 + c xy +
+    det(B)y^2, with A and B the blocks of q = 0 and q = 1, has two equal
+    singular values (to 1e-6 of the larger): only then are the two null
+    directions of the form orthogonal.
+    """
+    v = np.asarray(amps, dtype=np.complex128).reshape(2, 2, 2)  # axes (q2, q1, q0)
+    split = [np.moveaxis(v, 2 - q, 0) for q in range(3)]  # split[q][b]: the block of q = b
+    ranks = [int(np.sum(np.linalg.svd(m.reshape(2, 4), compute_uv=False) > tol)) for m in split]
+    if ranks.count(1) == 3:
+        return 0
+    if 1 in ranks:
+        return 1
+    for a, b in split:
+        da, db = np.linalg.det(a), np.linalg.det(b)
+        c = np.linalg.det(a + b) - da - db
+        s = np.linalg.svd(np.array([[da, c / 2], [c / 2, db]]), compute_uv=False)
+        if s[0] - s[1] <= 1e-6 * s[0]:
+            return 2
+    return 3

@@ -7,10 +7,12 @@ the dense oracle and a discriminant computed here; every failure must be a
 Qprep3Error.
 
 A seventh family, built exactly (unperturbed) as C|000> from a random circuit
-of local gates and k CZ, must never fail.
+of local gates and k CZ, must never fail, and in general mode must get the
+fewest CZ that prepare it (the cz_min oracle).
 
-In every family, and for Haar states, no emitted circuit may hold two
-adjacent local gates on one wire (the synthesis fuses them into one).
+In every family, and for Haar states, no emitted circuit may hold two local
+gates on one wire without a CZ on that wire between them (the synthesis fuses
+them into one).
 """
 import math
 from collections import Counter
@@ -18,7 +20,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from _oracles import cz_unitary, dense_apply
+from _oracles import cz_min, cz_unitary, dense_apply
 from qprep3.errors import Qprep3Error
 from qprep3.state import PureState3
 from qprep3.synth import disentangle3, disentangle3_real
@@ -95,20 +97,26 @@ def _delta(v):
     return s1 * s1 - 4.0 * (w[1] * w[2] - w[0] * w[3]) * (w[5] * w[6] - w[4] * w[7])
 
 
-def _adjacent_same_wire(gates):
-    """Index of the first local gate directly preceded by a local gate on its wire, or None."""
-    for k in range(1, len(gates)):
-        prev, g = gates[k - 1], gates[k]
-        if hasattr(prev, "matrix") and hasattr(g, "matrix") and prev.qubit == g.qubit:
-            return k
+def _unfused_pair(gates):
+    """(j, k) for the first local gate k whose wire's last gate before it, j,
+    is a local gate too (no CZ on the wire between them), or None."""
+    last = {}  # wire -> index of the last gate on it so far
+    for k, g in enumerate(gates):
+        if hasattr(g, "matrix"):
+            j = last.get(g.qubit)
+            if j is not None and hasattr(gates[j], "matrix"):
+                return j, k
+            last[g.qubit] = k
+        else:
+            last[g.i] = last[g.j] = k
     return None
 
 
 def _violation(rep, v, mode):
     """The guarantee-table entry rep breaks for input v, or a fusable gate pair, or None."""
-    k = _adjacent_same_wire(rep.circuit.gates)
-    if k is not None:
-        return f"gates {k - 1} and {k} are local on one wire"
+    pair = _unfused_pair(rep.circuit.gates)
+    if pair is not None:
+        return "gates %d and %d are local on one wire with no CZ on it between them" % pair
     if abs(dense_apply(rep.circuit, v)[0]) < 1.0 - 1e-9:
         return "fidelity"
     bound = 3 if mode == "general" or _delta(v) >= 0.0 else 4
@@ -189,6 +197,22 @@ def test_circuit_built_states_never_fail():
                     problem = repr(exc)
                 if problem is not None:
                     bad.append((mode, k, n, problem))
+    assert bad == []
+
+
+def test_circuit_built_states_get_the_fewest_cz():
+    # general mode reaches cz_min on every state, a chain with its middle on
+    # qubit 0 included; in real mode cz_min is only a lower bound, and no
+    # count may exceed the generating one
+    rng = np.random.default_rng(20261022)
+    bad = []
+    for mode, synth in [("general", disentangle3), ("real", disentangle3_real)]:
+        for k in range(4):
+            for n in range(CIRCUIT_BUILT_PER_K):
+                v = _circuit_built(rng, k, mode == "real")
+                cz, least = synth(PureState3(v)).cz_count, cz_min(v)
+                if cz > k or cz < least or (mode == "general" and cz != least):
+                    bad.append((mode, k, n, cz, least))
     assert bad == []
 
 

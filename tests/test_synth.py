@@ -5,7 +5,16 @@ import re
 import numpy as np
 import pytest
 
-from _oracles import dense_apply, random_nonsingular, random_rank1, scaled
+from _oracles import (
+    cz_min,
+    cz_unitary,
+    dense_apply,
+    local_unitary,
+    random_nonsingular,
+    random_rank1,
+    random_unitary2,
+    scaled,
+)
 from qprep3.circuit import Circuit, CZGate, LocalGate, apply_circuit, ry_matrix
 from qprep3.errors import NonSingularInputError, NotRealError, SynthesisInvariantError
 from qprep3.mat2 import IDENTITY, Mat2, r1, solve_det_pencil
@@ -316,6 +325,91 @@ class TestAttemptsInOrder:
             assert "pencil-root2" in rep.branch_trace
             assert rep.cz_count <= 3
             assert abs(dense_apply(rep.circuit, s.amps)[0]) >= FID
+
+
+def _chain0(seed, real) -> PureState3:
+    """Locals, CZ(0, 1) and CZ(0, 2), then locals, on |000>: a chain with
+    qubit 0 in the middle, applied as dense matrices."""
+    rng = np.random.default_rng(seed)
+    v = np.zeros(8, dtype=np.complex128)
+    v[0] = 1.0
+    for layer in range(2):
+        for q in range(3):
+            v = local_unitary(3, q, random_unitary2(rng, real)) @ v
+        if layer == 0:
+            v = cz_unitary(3, 0, 2) @ cz_unitary(3, 0, 1) @ v
+    return PureState3(v)
+
+
+class TestMinimalCircuits:
+    @pytest.mark.parametrize("real", [False, True], ids=["general", "real"])
+    def test_qubit0_chain_is_relabeled_to_2_cz(self, real):
+        # the flow alone gives these 3 CZ: it skips a stage only for a middle
+        # on qubit 1 or 2
+        for seed in range(20):
+            s = _chain0((780, seed), real)
+            assert cz_min(s.amps) == 2
+            rep = disentangle3_real(s) if real else disentangle3(s)
+            assert rep.cz_count == 2
+            first = ("delta>=0", "relabel01") if real else ("relabel01",)
+            assert rep.branch_trace[: len(first)] == first
+            assert "skip-step5" in rep.branch_trace
+            assert rep.all_real or not real
+            assert abs(dense_apply(rep.circuit, s.amps)[0]) >= FID
+
+    def test_relabel_needs_the_other_qubits_to_fail(self):
+        # GHZ is a chain with its middle on every qubit, so the flow's own
+        # skip serves it
+        for synth in (disentangle3, disentangle3_real):
+            rep = synth(ghz())
+            assert "relabel01" not in rep.branch_trace
+            assert (rep.cz_count, len(rep.circuit.gates)) == (2, 8)
+
+    def test_rotated_product_has_one_gate_per_wire(self):
+        rng = np.random.default_rng(781)
+        v = np.zeros(8, dtype=np.complex128)
+        v[0] = 1.0
+        for q in range(3):
+            v = local_unitary(3, q, random_unitary2(rng)) @ v
+        rep = disentangle3(PureState3(v))
+        assert rep.cz_count == 0
+        assert sorted(g.qubit for g in rep.circuit.gates) == [0, 1, 2]
+        assert abs(dense_apply(rep.circuit, v)[0]) >= FID
+
+    @pytest.mark.parametrize(
+        "between, fused",
+        [((), True), (("local", 1), True), (("cz", 1, 2), True), (("cz", 0, 1), False), (("cz", 0, 2), False)],
+        ids=["adjacent", "local-on-1", "cz12", "cz01", "cz02"],
+    )
+    def test_builder_fuses_across_gates_on_other_wires(self, between, fused):
+        from qprep3.synth import _Builder
+
+        rng = np.random.default_rng(782)
+        a, c = random_unitary2(rng), random_unitary2(rng)
+        b = _Builder(random_state((782, 0)))
+        b.local(2, random_unitary2(rng))
+        b.local(0, a)
+        if between and between[0] == "local":
+            b.local(between[1], random_unitary2(rng))
+        elif between:
+            b.cz(between[1], between[2])
+        b.local(0, c)
+        on_0 = [g.matrix for g in b.gates if isinstance(g, LocalGate) and g.qubit == 0]
+        assert on_0 == ([c @ a] if fused else [a, c])
+        # the last gate is the new one (or the product); the tracked
+        # amplitudes equal a fresh simulation bit for bit
+        assert b.gates[-1].matrix == on_0[-1]
+        assert b.amps == list(apply_circuit(Circuit(tuple(b.gates)), random_state((782, 0))).w)
+        assert b.before == [
+            list(apply_circuit(Circuit(tuple(b.gates[:k])), random_state((782, 0))).w) for k in range(len(b.gates))
+        ]
+
+    def test_relabeled_gates_swap_wires_0_and_1(self):
+        from qprep3.synth import _swap01_gate
+
+        m = Mat2(0, 1, -1, 0)
+        assert [_swap01_gate(LocalGate(q, m)) for q in range(3)] == [LocalGate(1, m), LocalGate(0, m), LocalGate(2, m)]
+        assert [_swap01_gate(CZGate(*p)) for p in ((0, 1), (0, 2), (1, 2))] == [CZGate(0, 1), CZGate(1, 2), CZGate(0, 2)]
 
 
 def _real_delta_negative(seed) -> PureState3:
