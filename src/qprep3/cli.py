@@ -14,9 +14,11 @@ rejected.
 Exit codes: 0 success, 1 bad input (a state file that cannot be read,
 decoded, parsed or normalized, a 2-qubit file to delta, an --out path that
 cannot be written, --n < 1 or --seed < 0; one `error:` line on stderr), 2
-mode violation (complex input where real amplitudes are required), 3 any
-other synthesis error, such as an internal invariant or bound failure (the
-error and the branch trace are dumped to stderr). All output is
+mode violation (complex input where real amplitudes are required) or usage
+error (no command, a missing or malformed argument such as `--n x`, an
+unknown flag; argparse prints the usage and an `error:` line to stderr), 3
+any other synthesis error, such as an internal invariant or bound failure
+(the error and the branch trace are dumped to stderr). All output is
 deterministic given (input, flags, seed).
 """
 from __future__ import annotations
