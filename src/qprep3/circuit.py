@@ -156,6 +156,8 @@ def invert(c: Circuit) -> Circuit:
 
 def fidelity_to_basis(s: State, basis_index: int) -> float:
     """|amplitude| at one computational basis index (global-phase blind)."""
+    if not 0 <= basis_index < len(s.w):
+        raise ValueError(f"basis index must be in 0..{len(s.w) - 1}, got {basis_index}")
     return abs(s.w[basis_index])
 
 

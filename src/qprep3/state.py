@@ -120,6 +120,9 @@ class Factorization(namedtuple("Factorization", "pair single")):
 
 
 def basis_state(num_qubits: int, index: int = 0) -> State:
+    """The computational basis state |index> of 2 or 3 qubits."""
+    if not 0 <= index < 1 << num_qubits:
+        raise ValueError(f"basis index must be in 0..{(1 << num_qubits) - 1}, got {index}")
     amps = [0j] * 2**num_qubits
     amps[index] = 1 + 0j
     return PureState3(amps) if num_qubits == 3 else PureState2(amps)
@@ -216,8 +219,11 @@ def overlap(s1, s2) -> float:
     """|<s1|s2>|, the phase-blind fidelity between same-size states.
 
     Each part of the inner product is summed with math.fsum, so the result
-    does not depend on summation order.
+    does not depend on summation order. States of different sizes raise
+    ValueError.
     """
+    if len(s1.w) != len(s2.w):
+        raise ValueError(f"overlap needs states of one size, got {s1.num_qubits} and {s2.num_qubits} qubits")
     terms = [a.conjugate() * b for a, b in zip(s1.w, s2.w)]
     return abs(complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)))
 

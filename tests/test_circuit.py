@@ -224,6 +224,12 @@ class TestFidelityToBasis:
         s = PureState3(-basis_state(3, 0).amps)
         assert fidelity_to_basis(s, 0) == 1.0
 
+    @pytest.mark.parametrize("index", [-1, 8])
+    def test_index_out_of_range(self, index):
+        # a negative index used to read the last amplitude
+        with pytest.raises(ValueError, match=r"^basis index must be in 0\.\.7, got "):
+            fidelity_to_basis(ghz(), index)
+
 
 class TestRyAngle:
     def test_identity(self):

@@ -9,11 +9,13 @@ from qprep3.errors import NotNormalizedError, NotRealError
 from qprep3.mat2 import Mat2
 from qprep3.state import (
     BlockPair,
+    PureState2,
     PureState3,
     basis_state,
     blocks,
     delta,
     factor_right,
+    overlap,
     random_state,
     random_state2,
     reconstruct,
@@ -170,6 +172,31 @@ class TestFactorRight:
             rows = [(w[0], w[1]), (w[2], w[3]), (w[4], w[5]), (w[6], w[7])]
             expected = max_row_minor(rows) <= 1e-10
             assert (factor_right(s) is not None) == expected
+
+
+class TestBasisStateAndOverlap:
+    def test_basis_state(self):
+        for n in (2, 3):
+            for i in range(1 << n):
+                assert basis_state(n, i).w == tuple(1 + 0j if k == i else 0j for k in range(1 << n))
+
+    @pytest.mark.parametrize("n, index", [(3, -1), (3, 8), (3, 9), (2, 4), (2, -1)])
+    def test_basis_index_out_of_range(self, n, index):
+        # -1 used to give the last basis state, 9 a bare IndexError
+        with pytest.raises(ValueError, match=rf"^basis index must be in 0\.\.{(1 << n) - 1}, got {index}$"):
+            basis_state(n, index)
+
+    def test_overlap(self):
+        assert abs(overlap(ghz(), basis_state(3, 7)) - ISQ2) <= 1e-15
+        assert abs(overlap(ghz(), ghz()) - 1.0) <= 1e-15
+
+    def test_overlap_of_different_sizes(self):
+        # zip used to pair the first four amplitudes and return 0.671...
+        pair = PureState2([0.5, 0.5, 0.5, 0.5])
+        with pytest.raises(ValueError, match=r"^overlap needs states of one size, got 2 and 3 qubits$"):
+            overlap(pair, random_state(3))
+        with pytest.raises(ValueError, match=r"^overlap needs states of one size, got 3 and 2 qubits$"):
+            overlap(random_state(3), pair)
 
 
 class TestRandomState:
