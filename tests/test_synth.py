@@ -409,7 +409,8 @@ class TestMinimalCircuits:
 
         m = Mat2(0, 1, -1, 0)
         assert [_swap01_gate(LocalGate(q, m)) for q in range(3)] == [LocalGate(1, m), LocalGate(0, m), LocalGate(2, m)]
-        assert [_swap01_gate(CZGate(*p)) for p in ((0, 1), (0, 2), (1, 2))] == [CZGate(0, 1), CZGate(1, 2), CZGate(0, 2)]
+        pairs = [_swap01_gate(CZGate(*p)) for p in ((0, 1), (0, 2), (1, 2))]
+        assert pairs == [CZGate(0, 1), CZGate(1, 2), CZGate(0, 2)]
 
 
 def _real_delta_negative(seed) -> PureState3:
