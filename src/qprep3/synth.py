@@ -134,6 +134,9 @@ class _Builder:
         self.before: list[list] = []
         self.cz_count = 0
         self.trace: list[str] = []
+        # by wire, the index in `gates` of its last gate if that is a local
+        # gate, else -1: a wire holds at most one local gate after its last CZ
+        self.open = [-1, -1, -1]
         # set by the _relabel01 prefix: the gates act on the input with
         # qubits 0 and 1 swapped, and `finish` swaps their wires back
         self.relabeled = False
@@ -148,23 +151,22 @@ class _Builder:
         """Append the local gate m on `qubit` and apply it to `amps`.
 
         When the last gate on `qubit` is a local gate (no CZ on the wire since
-        it), that gate commutes with every gate after it: it is removed, the
+        it; `open` holds its index, so nothing is searched for), that gate
+        commutes with every gate after it: it is removed, the
         gates after it are re-applied from its `before`, and m is replaced by
         their product. A gate (or product) within PRUNE_TOL of +-I, a global
         phase, is not emitted.
         """
         gates = self.gates
-        for k in range(len(gates) - 1, -1, -1):
-            g = gates[k]
-            if type(g) is LocalGate:
-                if g.qubit == qubit:
-                    m = m @ gates.pop(k).matrix
-                    self._replay(k)
-                    break
-            elif qubit in g:
-                break
+        k = self.open[qubit]
+        if k >= 0:
+            m = m @ gates.pop(k).matrix
+            self._replay(k)
         if _is_global_phase(m):
+            # the gate before it on this wire, if any, is a CZ
+            self.open[qubit] = -1
             return
+        self.open[qubit] = len(gates)
         self.before.append(self.amps)
         a, b, c, d = m
         self.amps = kernels.apply_local(self.amps, qubit, a, b, c, d)
@@ -172,21 +174,25 @@ class _Builder:
 
     def _replay(self, k: int) -> None:
         # the gate at k is gone: re-apply the gates now from k on, starting
-        # from the amplitudes it saw
-        before = self.before
+        # from the amplitudes it saw, and move each open index down by one
+        before, opened = self.before, self.open
         amps = before[k]
         del before[k:]
-        for g in self.gates[k:]:
+        for i, g in enumerate(self.gates[k:], k):
             before.append(amps)
             if type(g) is LocalGate:
+                q = g.qubit
+                if opened[q] == i + 1:
+                    opened[q] = i
                 a, b, c, d = g.matrix
-                amps = kernels.apply_local(amps, g.qubit, a, b, c, d)
+                amps = kernels.apply_local(amps, q, a, b, c, d)
             else:
                 amps = kernels.apply_cz(amps, g.i, g.j)
         self.amps = amps
 
     def cz(self, i: int, j: int) -> None:
         """Append CZ on (i, j), i < j, and apply it to `amps`."""
+        self.open[i] = self.open[j] = -1
         self.cz_count += 1
         self.before.append(self.amps)
         self.amps = kernels.apply_cz(self.amps, i, j)
