@@ -25,7 +25,7 @@ from collections import namedtuple
 
 from . import kernels
 from .mat2 import REAL_GATE_TOL, RY_MATCH_TOL, Mat2
-from .state import State
+from .state import State, _check_num_qubits
 
 FORMAT_HEADER = "# qprep3 v1 qubits={n} order=left-first"
 # 17 significant digits: every float round-trips exactly
@@ -37,11 +37,6 @@ _L_LINE = "L %d" + (" " + _NUMBER) * 8
 def _checked_make(cls, iterable):
     # _make (and so _replace) goes through __new__ and its checks
     return cls(*iterable)
-
-
-def _unchecked(cls, *fields):
-    # for values whose fields are known to pass cls's checks
-    return tuple.__new__(cls, fields)
 
 
 class LocalGate(namedtuple("LocalGate", "qubit matrix")):
@@ -69,11 +64,6 @@ class CZGate(namedtuple("CZGate", "i j")):
 
 
 Gate = LocalGate | CZGate
-
-
-def _check_num_qubits(n: int) -> None:
-    if n not in (2, 3):
-        raise ValueError(f"qubit count must be 2 or 3, got {n}")
 
 
 def _first_misfit(gates, n: int) -> int | None:
@@ -150,8 +140,8 @@ def invert(c: Circuit) -> Circuit:
     # every gate keeps its wire, so c's checks hold for the inverse
     inv: list[Gate] = []
     for g in reversed(c.gates):
-        inv.append(_unchecked(LocalGate, g.qubit, g.matrix.dagger()) if isinstance(g, LocalGate) else g)
-    return _unchecked(Circuit, tuple(inv), c.num_qubits)
+        inv.append(tuple.__new__(LocalGate, (g.qubit, g.matrix.dagger())) if isinstance(g, LocalGate) else g)
+    return tuple.__new__(Circuit, (tuple(inv), c.num_qubits))
 
 
 def fidelity_to_basis(s: State, basis_index: int) -> float:
@@ -262,4 +252,4 @@ def parse_circuit(text: str) -> Circuit:
     k = _first_misfit(gates, num_qubits)
     if k is not None:
         raise ValueError(f"line {linenos[k]}: gate {gates[k]} does not fit in {num_qubits} qubits")
-    return _unchecked(Circuit, tuple(gates), num_qubits)
+    return tuple.__new__(Circuit, (tuple(gates), num_qubits))

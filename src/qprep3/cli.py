@@ -8,8 +8,8 @@ Subcommands:
 
 State files hold one amplitude per line as `<re> <im>` decimals in basis
 order |000>..|111> (or |00>..|11> for 2 qubits); `#` starts a comment.
-Inputs within 1e-6 of unit norm are renormalized, anything farther is
-rejected.
+Files are UTF-8; a leading byte-order mark is skipped. Inputs within 1e-6
+of unit norm are renormalized, anything farther is rejected.
 
 Exit codes: 0 success, 1 bad input (a state file that cannot be read,
 decoded, parsed or normalized, a 2-qubit file to delta, an --out path that
@@ -62,9 +62,16 @@ _INPUT_ERRORS = (OSError, ValueError, NotNormalizedError)
 
 
 def _load_state(path: str):
-    with open(path, encoding="utf-8") as fh:
-        amps = parse_state_text(fh.read())
-    return PureState3(amps) if len(amps) == 8 else PureState2(amps)
+    """The state in the file at path, or None after one `error:` line on
+    stderr when the file cannot be read, decoded, parsed or normalized.
+    A UTF-8 byte-order mark at the start of the file is skipped."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            amps = parse_state_text(fh.read())
+        return PureState3(amps) if len(amps) == 8 else PureState2(amps)
+    except _INPUT_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 def _dump_synthesis_error(exc: Qprep3Error) -> None:
@@ -73,10 +80,8 @@ def _dump_synthesis_error(exc: Qprep3Error) -> None:
 
 
 def _cmd_synth(args) -> int:
-    try:
-        state = _load_state(args.file)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    state = _load_state(args.file)
+    if state is None:
         return EXIT_INPUT
     mode = "real" if args.real else "general"
     try:
@@ -112,10 +117,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_delta(args) -> int:
-    try:
-        state = _load_state(args.file)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    state = _load_state(args.file)
+    if state is None:
         return EXIT_INPUT
     if not isinstance(state, PureState3):
         print("error: delta requires a 3-qubit state file", file=sys.stderr)

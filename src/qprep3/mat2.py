@@ -97,11 +97,6 @@ class Mat2(namedtuple("Mat2", "a b c d")):
         a, b, c, d = self
         return tuple.__new__(Mat2, (a, c, b, d))
 
-    def conjugate(self) -> "Mat2":
-        return Mat2(
-            self.a.conjugate(), self.b.conjugate(), self.c.conjugate(), self.d.conjugate()
-        )
-
     def dagger(self) -> "Mat2":
         a, b, c, d = self
         return tuple.__new__(Mat2, (a.conjugate(), c.conjugate(), b.conjugate(), d.conjugate()))
@@ -110,9 +105,6 @@ class Mat2(namedtuple("Mat2", "a b c d")):
         a, b, c, d = self
         e, f, g, h = other
         return tuple.__new__(Mat2, (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
-
-    def cols(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-        return ((self.a, self.c), (self.b, self.d))
 
     def entries(self) -> tuple[complex, complex, complex, complex]:
         return tuple(self)
@@ -238,7 +230,7 @@ def r2(m: Mat2) -> Mat2:
 
 def _r2(m: Mat2) -> Mat2:
     # r2 past its precondition: m is nonzero and singular at STEP_TOL
-    a, b, c, d = _snap_real(m).entries()
+    a, b, c, d = _snap_real(m)
     p, q = (a, b) if abs(a) ** 2 + abs(b) ** 2 >= abs(c) ** 2 + abs(d) ** 2 else (c, d)
     if abs(p) <= EPS_ZERO:
         k: complex = math.sqrt(abs(p) ** 2 + abs(q) ** 2)
@@ -259,7 +251,8 @@ def l1(m: Mat2) -> Mat2:
 
 def _l1(m: Mat2) -> Mat2:
     # l1 past its precondition: m is nonzero and singular at STEP_TOL
-    v1, v2 = dominant_direction(_snap_real(m).cols())
+    a, b, c, d = _snap_real(m)
+    v1, v2 = dominant_direction(((a, c), (b, d)))
     return u_from_pair(v1.conjugate(), v2.conjugate())
 
 
@@ -276,7 +269,7 @@ def r3(m: Mat2) -> Mat2:
 
 def _r3(m: Mat2) -> Mat2:
     # r3 past its second-row test; no step check establishes the first-row one
-    a, b, _, _ = _snap_real(m).entries()
+    a, b, _, _ = _snap_real(m)
     if math.sqrt(abs(a) ** 2 + abs(b) ** 2) <= EPS_ZERO:
         raise BadShapeError("r3 requires a nonzero first row")
     return u_from_pair(a.conjugate(), -b)

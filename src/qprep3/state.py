@@ -119,8 +119,14 @@ class Factorization(namedtuple("Factorization", "pair single")):
     __slots__ = ()
 
 
+def _check_num_qubits(n: int) -> None:
+    if n not in (2, 3):
+        raise ValueError(f"qubit count must be 2 or 3, got {n}")
+
+
 def basis_state(num_qubits: int, index: int = 0) -> State:
     """The computational basis state |index> of 2 or 3 qubits."""
+    _check_num_qubits(num_qubits)
     if not 0 <= index < 1 << num_qubits:
         raise ValueError(f"basis index must be in 0..{(1 << num_qubits) - 1}, got {index}")
     amps = [0j] * 2**num_qubits
@@ -144,7 +150,7 @@ def blocks(s: PureState3) -> BlockPair:
 
 def unblocks(p: BlockPair) -> PureState3:
     """Inverse of blocks(); exact placement, so blocks(unblocks(p)) == p."""
-    return PureState3(p.t0.entries() + p.t1.entries())
+    return PureState3(p.t0 + p.t1)
 
 
 def delta(s: PureState3) -> float:

@@ -85,8 +85,11 @@ construction's precondition; step 5 tests the tracked list for a qubit-0
 factor directly (state.qubit0_factor), so no state is validated before
 `finish`; real mode tests realness once and then takes delta's core
 (state._delta). `local` and `cz` take a wire rather than a gate, call the
-kernels directly and build each gate unchecked, and `finish` builds its
-Circuit unchecked, as synthesis only passes its own literal wires.
+kernels directly and build each gate with tuple.__new__, past the wire
+checks of the record's __new__; `finish` builds its Circuit the same way,
+as synthesis only passes its own literal wires. One function,
+_check_result, checks the fidelity and CZ bounds of both `finish` and the
+embedded 2-qubit stage.
 """
 from __future__ import annotations
 
@@ -96,7 +99,7 @@ from functools import partial
 from operator import itemgetter
 
 from . import kernels
-from .circuit import Circuit, CZGate, Gate, LocalGate, _unchecked, apply_circuit, fidelity_to_basis, invert
+from .circuit import Circuit, CZGate, Gate, LocalGate, apply_circuit, fidelity_to_basis, invert
 from .errors import NotRealError, Qprep3Error, SynthesisInvariantError
 from .mat2 import CHAIN_GAP_TOL, DELTA_ZERO_BAND, EPS_ZERO, FID2_MIN, FID3_MIN, PRUNE_TOL, REAL_ROOT_TOL, STEP_TOL
 from .mat2 import SWAP_BLOCKS, Mat2
@@ -144,8 +147,8 @@ class _Builder:
     def say(self, label: str) -> None:
         self.trace.append(label)
 
-    # Gates are built with tuple.__new__, as _unchecked does, without its
-    # frame: synthesis passes only its own literal wires, which fit.
+    # Gates are built with tuple.__new__, past the wire checks of their
+    # __new__: synthesis passes only its own literal wires, which fit.
 
     def local(self, qubit: int, m: Mat2) -> None:
         """Append the local gate m on `qubit` and apply it to `amps`.
@@ -207,15 +210,20 @@ class _Builder:
     def finish(self, min_fidelity: float, max_cz: int) -> SynthesisReport:
         gates = tuple(map(_swap01_gate, self.gates)) if self.relabeled else tuple(self.gates)
         # every gate was emitted on a wire of the input state
-        circ = _unchecked(Circuit, gates, self.num_qubits)
+        circ = tuple.__new__(Circuit, (gates, self.num_qubits))
         fid = fidelity_to_basis(self.state_type(self.amps), 0)
-        # written `not >=` so that a NaN fidelity fails
-        if not fid >= min_fidelity:
-            raise SynthesisInvariantError(f"final fidelity {fid!r} below {min_fidelity!r}")
-        cz = self.cz_count
-        if cz > max_cz:
-            raise SynthesisInvariantError(f"cz count {cz} exceeds {max_cz}")
-        return SynthesisReport(circ, cz, circ.is_real(), tuple(self.trace), fid)
+        _check_result("", fid, min_fidelity, self.cz_count, max_cz)
+        return SynthesisReport(circ, self.cz_count, circ.is_real(), tuple(self.trace), fid)
+
+
+def _check_result(prefix: str, fid: float, min_fidelity: float, cz: int, max_cz: int) -> None:
+    """Raise when a finished stage's fidelity is below min_fidelity or its CZ
+    count above max_cz; each message starts with prefix."""
+    # written `not >=` so that a NaN fidelity fails
+    if not fid >= min_fidelity:
+        raise SynthesisInvariantError(f"{prefix}final fidelity {fid!r} below {min_fidelity!r}")
+    if cz > max_cz:
+        raise SynthesisInvariantError(f"{prefix}cz count {cz} exceeds {max_cz}")
 
 
 def _first_passing(s: State, attempts) -> SynthesisReport:
@@ -546,12 +554,7 @@ def _embed2(b: _Builder, low_qubit: int, product_label: str | None = None, entan
     checks disentangle2's finish makes: FID2_MIN on |amps[0]|, at most 1 CZ."""
     cz_before = b.cz_count
     _run2(b, low_qubit, product_label, entangled_label)
-    fid = abs(b.amps[0])
-    if not fid >= FID2_MIN:
-        raise SynthesisInvariantError(f"2q: final fidelity {fid!r} below {FID2_MIN!r}")
-    cz = b.cz_count - cz_before
-    if cz > 1:
-        raise SynthesisInvariantError(f"2q: cz count {cz} exceeds 1")
+    _check_result("2q: ", abs(b.amps[0]), FID2_MIN, b.cz_count - cz_before, 1)
 
 
 def disentangle(s: State, mode: str = "general") -> SynthesisReport:

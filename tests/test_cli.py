@@ -11,7 +11,7 @@ from _oracles import dense_apply
 from qprep3.circuit import apply_circuit, format_number, parse_circuit
 from qprep3.cli import main, parse_state_text
 from qprep3.errors import SynthesisInvariantError
-from qprep3.state import PureState3, basis_state, random_state
+from qprep3.state import PureState3, basis_state, delta, random_state
 from qprep3.synth import disentangle3
 
 GHZ_FILE = """\
@@ -328,6 +328,16 @@ class TestSweepCommand:
         assert f" delta_negative_fraction={format_number(negative / n)} " in out
         assert f" cz_hist=3:{n} " in out
 
+    def test_real_sweep_delta_negative_fraction_is_the_share_of_delta_below_0(self, capsys):
+        # the field is read from each report's first trace label; here it is
+        # tied to delta itself
+        n = 40
+        negative = sum(delta(random_state((1, i), real_only=True)) < 0.0 for i in range(n))
+        code, out, _ = run_cli(capsys, ["sweep", "--n", str(n), "--seed", "1", "--real", "--machine"])
+        assert code == 0
+        machine = [ln for ln in out.splitlines() if ln.startswith("machine ")]
+        assert f" delta_negative_fraction={format_number(negative / n)} " in machine[0]
+
     def test_deterministic(self, capsys):
         args = ["sweep", "--n", "25", "--seed", "11", "--real"]
         _, out1, _ = run_cli(capsys, args)
@@ -412,6 +422,16 @@ def test_input_errors_exit_1_with_one_error_line(tmp_path, capsys, argv, msg):
     assert code == 1
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and msg in lines[0]
+
+
+@pytest.mark.parametrize("command, flags", [("synth", ["--verify"]), ("delta", [])])
+def test_byte_order_mark_is_skipped(tmp_path, capsys, command, flags):
+    # a file that starts with a UTF-8 BOM reads as the same file without it
+    plain = write(tmp_path, "plain.txt", DELTA_NEG_FILE)
+    bom = _bytes_file(tmp_path, "bom.txt", b"\xef\xbb\xbf" + DELTA_NEG_FILE.encode("utf-8"))
+    code, out, err = run_cli(capsys, [command, plain, *flags])
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, [command, bom, *flags]) == (0, out, "")
 
 
 @pytest.mark.parametrize(

@@ -220,6 +220,25 @@ def test_real_states_built_with_3_cz_get_at_most_3():
     assert bad == []
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="real mode gives these 2-CZ chains 3 CZ: near a 1-CZ state, the skip decisions at EPS_ZERO miss the chain",
+)
+def test_real_mode_reaches_cz_min_on_pinned_2_cz_chains():
+    # each of these real 2-CZ states takes delta>=0 > pencil > step4 > step5 >
+    # cz12 > detT!=0, for 3 CZ; a fix that gives them cz_min makes this pass
+    rng = np.random.default_rng(5)
+    states = [_circuit_built(rng, 2, real=True) for _ in range(7311)]
+    got = []
+    for n in (17, 2875, 2922, 4025, 7310):
+        v = states[n]
+        if cz_min(v) != 2:
+            pytest.fail(f"state {n} is no longer a 2-CZ chain: cz_min {cz_min(v)}")
+        got.append(disentangle3_real(PureState3(v)).cz_count)
+    assert got == [2] * 5
+
+
 def test_haar_circuits_have_3_cz_and_11_gates():
     # step 1, step 2, step 3 + step-4 conjugation, step-4 undo + step 5,
     # factor gate, three 2-qubit locals; a real delta < 0 state trades step 5

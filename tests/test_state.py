@@ -180,10 +180,15 @@ class TestBasisStateAndOverlap:
             for i in range(1 << n):
                 assert basis_state(n, i).w == tuple(1 + 0j if k == i else 0j for k in range(1 << n))
 
-    @pytest.mark.parametrize("n, index", [(3, -1), (3, 8), (3, 9), (2, 4), (2, -1)])
+    @pytest.mark.parametrize("n, index", [(3, -1), (3, 8), (3, 9), (2, 4), (2, -1), (1, 0), (4, 0)])
     def test_basis_index_out_of_range(self, n, index):
-        # -1 used to give the last basis state, 9 a bare IndexError
-        with pytest.raises(ValueError, match=rf"^basis index must be in 0\.\.{(1 << n) - 1}, got {index}$"):
+        # -1 used to give the last basis state, 9 a bare IndexError; qubit
+        # counts 1 and 4 used to report the amplitude count (2 or 16)
+        if n in (2, 3):
+            msg = rf"^basis index must be in 0\.\.{(1 << n) - 1}, got {index}$"
+        else:
+            msg = rf"^qubit count must be 2 or 3, got {n}$"
+        with pytest.raises(ValueError, match=msg):
             basis_state(n, index)
 
     def test_overlap(self):
