@@ -75,9 +75,8 @@ DELTA_ZERO_BAND = 1e-12
 # than NORM_EXACT are renormalized (closer ones pass through bit-identically).
 NORM_REJECT = 1e-6
 NORM_EXACT = 1e-12
-# Smallest simulated fidelity a 2- / 3-qubit synthesis may report.
-FID2_MIN = 1.0 - 1e-10
-FID3_MIN = 1.0 - 1e-9
+# Smallest simulated fidelity a synthesis, 2- or 3-qubit, may report.
+FID_MIN = 1.0 - 1e-10
 
 
 class Mat2(namedtuple("Mat2", "a b c d")):

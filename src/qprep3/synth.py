@@ -87,9 +87,11 @@ factor directly (state.qubit0_factor), so no state is validated before
 (state._delta). `local` and `cz` take a wire rather than a gate, call the
 kernels directly and build each gate with tuple.__new__, past the wire
 checks of the record's __new__; `finish` builds its Circuit the same way,
-as synthesis only passes its own literal wires. One function,
-_check_result, checks the fidelity and CZ bounds of both `finish` and the
-embedded 2-qubit stage.
+as synthesis only passes its own literal wires. `finish` is the one place a
+result is checked: its fidelity against FID_MIN, at both sizes, and its CZ
+count against the attempt's bound. The embedded 2-qubit stage has no check
+of its own: it leaves the same |amps[0]| that `finish` reads, and it emits
+at most one CZ.
 """
 from __future__ import annotations
 
@@ -101,7 +103,7 @@ from operator import itemgetter
 from . import kernels
 from .circuit import Circuit, CZGate, Gate, LocalGate, apply_circuit, fidelity_to_basis, invert
 from .errors import NotRealError, Qprep3Error, SynthesisInvariantError
-from .mat2 import CHAIN_GAP_TOL, DELTA_ZERO_BAND, EPS_ZERO, FID2_MIN, FID3_MIN, PRUNE_TOL, REAL_ROOT_TOL, STEP_TOL
+from .mat2 import CHAIN_GAP_TOL, DELTA_ZERO_BAND, EPS_ZERO, FID_MIN, PRUNE_TOL, REAL_ROOT_TOL, STEP_TOL
 from .mat2 import SWAP_BLOCKS, Mat2
 from .mat2 import _l1, _pencil_form, _r1, _r2, _r3, _solve_det_pencil, is_singular, row2_norm, u_from_pair
 from .state import PureState2, PureState3, State, _delta, amp_matrix, basis_state, overlap, qubit0_factor
@@ -135,7 +137,6 @@ class _Builder:
         self.amps = list(state.w)
         self.gates: list[Gate] = []
         self.before: list[list] = []
-        self.cz_count = 0
         self.trace: list[str] = []
         # by wire, the index in `gates` of its last gate if that is a local
         # gate, else -1: a wire holds at most one local gate after its last CZ
@@ -196,7 +197,6 @@ class _Builder:
     def cz(self, i: int, j: int) -> None:
         """Append CZ on (i, j), i < j, and apply it to `amps`."""
         self.open[i] = self.open[j] = -1
-        self.cz_count += 1
         self.before.append(self.amps)
         self.amps = kernels.apply_cz(self.amps, i, j)
         self.gates.append(tuple.__new__(CZGate, (i, j)))
@@ -207,23 +207,20 @@ class _Builder:
         if not cond:
             raise SynthesisInvariantError(msg)
 
-    def finish(self, min_fidelity: float, max_cz: int) -> SynthesisReport:
+    def finish(self, max_cz: int) -> SynthesisReport:
+        """The finished report; raises when its fidelity is below FID_MIN or
+        its CZ count above max_cz."""
         gates = tuple(map(_swap01_gate, self.gates)) if self.relabeled else tuple(self.gates)
         # every gate was emitted on a wire of the input state
         circ = tuple.__new__(Circuit, (gates, self.num_qubits))
         fid = fidelity_to_basis(self.state_type(self.amps), 0)
-        _check_result("", fid, min_fidelity, self.cz_count, max_cz)
-        return SynthesisReport(circ, self.cz_count, circ.is_real(), tuple(self.trace), fid)
-
-
-def _check_result(prefix: str, fid: float, min_fidelity: float, cz: int, max_cz: int) -> None:
-    """Raise when a finished stage's fidelity is below min_fidelity or its CZ
-    count above max_cz; each message starts with prefix."""
-    # written `not >=` so that a NaN fidelity fails
-    if not fid >= min_fidelity:
-        raise SynthesisInvariantError(f"{prefix}final fidelity {fid!r} below {min_fidelity!r}")
-    if cz > max_cz:
-        raise SynthesisInvariantError(f"{prefix}cz count {cz} exceeds {max_cz}")
+        # written `not >=` so that a NaN fidelity fails
+        if not fid >= FID_MIN:
+            raise SynthesisInvariantError(f"final fidelity {fid!r} below {FID_MIN!r}")
+        cz = circ.cz_count
+        if cz > max_cz:
+            raise SynthesisInvariantError(f"cz count {cz} exceeds {max_cz}")
+        return SynthesisReport(circ, cz, circ.is_real(), tuple(self.trace), fid)
 
 
 def _first_passing(s: State, attempts) -> SynthesisReport:
@@ -269,7 +266,7 @@ def disentangle2(s: PureState2) -> SynthesisReport:
 
 def _attempt2(b: _Builder) -> SynthesisReport:
     _run2(b)
-    return b.finish(FID2_MIN, 1)
+    return b.finish(1)
 
 
 def _run2(b: _Builder, low_qubit: int = 0, product_label: str | None = None, entangled_label: str | None = None) -> None:
@@ -327,7 +324,7 @@ def _attempt3(label, prefix, max_cz: int, real: bool, second_root: bool, b: _Bui
     if prefix is not None:
         prefix(b)
     _run3(b, real, second_root)
-    rep = b.finish(FID3_MIN, max_cz)
+    rep = b.finish(max_cz)
     if real and not rep.all_real:
         raise SynthesisInvariantError(f"real mode emitted a non-real gate (max imag {rep.circuit.max_local_imag()!r})")
     return rep
@@ -504,7 +501,7 @@ def _run3(b: _Builder, require_real: bool, second_root: bool) -> None:
         # _l1 leaves (no smaller than any entry) is nonzero for _r3
         b.say("A1=0")
         b.local(2, SWAP_BLOCKS)
-        _embed2(b, low_qubit=0)
+        _run2(b, 0)
         return
 
     b.local(1, _l1(a1))
@@ -546,15 +543,7 @@ def _run3(b: _Builder, require_real: bool, second_root: bool) -> None:
     v1, v2 = single
     # maps qubit 0 to |0>, leaving the pair's amplitudes on the even indices
     b.local(0, u_from_pair(v1.conjugate(), -v2).transpose())
-    _embed2(b, low_qubit=1, product_label="b3=0", entangled_label="cz12")
-
-
-def _embed2(b: _Builder, low_qubit: int, product_label: str | None = None, entangled_label: str | None = None) -> None:
-    """Run the 2-qubit stage on (low_qubit+1, low_qubit) inside b, with the
-    checks disentangle2's finish makes: FID2_MIN on |amps[0]|, at most 1 CZ."""
-    cz_before = b.cz_count
-    _run2(b, low_qubit, product_label, entangled_label)
-    _check_result("2q: ", abs(b.amps[0]), FID2_MIN, b.cz_count - cz_before, 1)
+    _run2(b, 1, "b3=0", "cz12")
 
 
 def disentangle(s: State, mode: str = "general") -> SynthesisReport:
@@ -584,16 +573,13 @@ def prepare(s: State, mode: str = "general") -> SynthesisReport:
 
     The circuit is the inverted disentangler; cz count and branch trace are
     the disentangler's, fidelity is the overlap |<s|prepared>|, which must
-    reach the disentangler's own bound (FID2_MIN or FID3_MIN).
+    reach the disentangler's own bound, FID_MIN.
     """
     rep = disentangle(s, mode)
     prep = invert(rep.circuit)
     produced = apply_circuit(prep, _ZERO_STATES[s.num_qubits])
     fid = overlap(s, produced)
-    min_fidelity = FID2_MIN if s.num_qubits == 2 else FID3_MIN
-    if not fid >= min_fidelity:
-        raise SynthesisInvariantError(
-            f"preparation round-trip fidelity {fid!r} below {min_fidelity!r}", rep.branch_trace
-        )
+    if not fid >= FID_MIN:
+        raise SynthesisInvariantError(f"preparation round-trip fidelity {fid!r} below {FID_MIN!r}", rep.branch_trace)
     # inversion keeps the cz count and the realness of every gate
     return rep._replace(circuit=prep, fidelity=fid)

@@ -239,7 +239,7 @@ class TestSynthErrorContract:
         assert status.startswith(f"cz={circ.cz_count} ") and circ.cz_count <= 3
 
     def test_failed_final_check_exits_3_with_trace(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("qprep3.synth.FID3_MIN", 1.5)
+        monkeypatch.setattr("qprep3.synth.FID_MIN", 1.5)
         path = write(tmp_path, "ghz.txt", GHZ_FILE)
         code, out, err = run_cli(capsys, ["synth", path, "--verify"])
         assert code == 3 and out == ""

@@ -326,6 +326,27 @@ class TestAttemptsInOrder:
             assert rep.cz_count <= 3
             assert abs(dense_apply(rep.circuit, s.amps)[0]) >= FID
 
+    def test_conjugate_pencil_roots_are_clamped_to_their_real_part(self, monkeypatch):
+        # real mode with no real pencil root (a slightly negative discriminant)
+        # takes the pair's shared real part: pencil roots r +- 0.5i, r the true
+        # first root, must give the unpatched circuit with `pencil-root-clamped`
+        import qprep3.synth as synth
+
+        s = next(t for t in (random_state((764, i), real_only=True) for i in range(100)) if delta(t) >= 0.0)
+        want = disentangle3_real(s)
+        real_solve = synth._solve_det_pencil
+
+        def conjugate_pair(a, b):
+            r = real_solve(a, b)[0].real
+            return [complex(r, 0.5), complex(r, -0.5)]
+
+        monkeypatch.setattr(synth, "_solve_det_pencil", conjugate_pair)
+        rep = disentangle3_real(s)
+        k = want.branch_trace.index("pencil") + 1
+        assert rep.branch_trace == want.branch_trace[:k] + ("pencil-root-clamped",) + want.branch_trace[k:]
+        assert rep.circuit == want.circuit
+        assert rep.fidelity == want.fidelity
+
 
 def _chain0(seed, real) -> PureState3:
     """Locals, CZ(0, 1) and CZ(0, 2), then locals, on |000>: a chain with
@@ -490,57 +511,51 @@ class TestStepInvariants:
             assert abs(abs(state.amps[0]) - rep.fidelity) <= 1e-12
 
     @pytest.mark.parametrize(
-        "synth, bound, state",
+        "synth, state",
         [
-            (disentangle3, "FID3_MIN", random_state((761, 0))),
-            (disentangle3_real, "FID3_MIN", random_state((761, 1), real_only=True)),
-            (disentangle2, "FID2_MIN", random_state2((761, 2))),
+            (disentangle3, random_state((761, 0))),
+            (disentangle3_real, random_state((761, 1), real_only=True)),
+            (disentangle2, random_state2((761, 2))),
         ],
         ids=["disentangle3", "disentangle3_real", "disentangle2"],
     )
-    def test_final_fidelity_check_fires(self, monkeypatch, synth, bound, state):
-        monkeypatch.setattr(f"qprep3.synth.{bound}", 1.5)
+    def test_final_fidelity_check_fires(self, monkeypatch, synth, state):
+        monkeypatch.setattr("qprep3.synth.FID_MIN", 1.5)
         with pytest.raises(SynthesisInvariantError, match=r"^final fidelity .* below 1\.5$") as info:
             synth(state)
         assert info.value.branch_trace
 
     @staticmethod
-    def _pad_stage(monkeypatch, stage, *extra):
-        """Make the embedded 2-qubit stage append `extra` gates, given on the
-        pair's wires (0 the low one), right after `stage` returns: "_run2"
-        pads inside the stage's own checks, "_embed2" after them."""
+    def _pad_stage(monkeypatch, *extra):
+        """Make the embedded 2-qubit stage (_run2) append `extra` gates, given
+        on the pair's wires (0 the low one), right after its own checks."""
         import qprep3.synth as synth
 
-        real_stage = getattr(synth, stage)
+        real_stage = synth._run2
 
-        def padded(b, low_qubit, *args, **kwargs):
-            real_stage(b, low_qubit, *args, **kwargs)
+        def padded(b, low_qubit=0, *args):
+            real_stage(b, low_qubit, *args)
             for g in extra:
                 if isinstance(g, LocalGate):
                     b.local(g.qubit + low_qubit, g.matrix)
                 else:
                     b.cz(g.i + low_qubit, g.j + low_qubit)
 
-        monkeypatch.setattr(synth, stage, padded)
+        monkeypatch.setattr(synth, "_run2", padded)
 
     def test_cz_bound_check_fires(self, monkeypatch):
-        # two cz01 cancel on the pair, so only the count goes wrong
-        self._pad_stage(monkeypatch, "_embed2", CZGate(0, 1), CZGate(0, 1))
+        # two cz01 cancel on the pair, so only the count goes wrong; the
+        # embedded stage has no check of its own, so `finish` catches it
+        self._pad_stage(monkeypatch, CZGate(0, 1), CZGate(0, 1))
         with pytest.raises(SynthesisInvariantError, match=r"^cz count 5 exceeds 3$") as info:
-            disentangle3(random_state((762, 0)))
-        assert info.value.branch_trace
-
-    def test_embedded_stage_cz_check_fires(self, monkeypatch):
-        self._pad_stage(monkeypatch, "_run2", CZGate(0, 1), CZGate(0, 1))
-        with pytest.raises(SynthesisInvariantError, match=r"^2q: cz count 3 exceeds 1$") as info:
             disentangle3(random_state((762, 0)))
         assert info.value.branch_trace[-2:] == ["cz12", "detT!=0"]
 
     def test_embedded_stage_fidelity_check_fires(self, monkeypatch):
-        # 1 - 5e-10 passes FID3_MIN, so only the stage's FID2_MIN rejects it
+        # 1 - 5e-10 is below FID_MIN, so `finish` rejects the 3-qubit result
         tilt = LocalGate(0, ry_matrix(2.0 * math.acos(1.0 - 5e-10)))
-        self._pad_stage(monkeypatch, "_run2", tilt)
-        with pytest.raises(SynthesisInvariantError, match=r"^2q: final fidelity 0\.99999\d* below 0\.9999999999$") as info:
+        self._pad_stage(monkeypatch, tilt)
+        with pytest.raises(SynthesisInvariantError, match=r"^final fidelity 0\.99999\d* below 0\.9999999999$") as info:
             disentangle3(random_state((762, 0)))
         assert info.value.branch_trace[-2:] == ["cz12", "detT!=0"]
 
@@ -553,7 +568,7 @@ class TestStepInvariants:
         last = [g for g in disentangle3_real(state).circuit.gates if isinstance(g, LocalGate) and g.qubit == 2][-1]
         worst = max(abs(e) for e in last.matrix)
         assert 0.0 < worst < 1.0
-        self._pad_stage(monkeypatch, "_embed2", LocalGate(1, Mat2(1j, 0, 0, -1j)))
+        self._pad_stage(monkeypatch, LocalGate(1, Mat2(1j, 0, 0, -1j)))
         with pytest.raises(
             SynthesisInvariantError, match=rf"^real mode emitted a non-real gate \(max imag {re.escape(repr(worst))}\)$"
         ) as info:
@@ -574,25 +589,15 @@ class TestStepInvariants:
 
         monkeypatch.setattr(synth, "invert", tilted)
 
-    @pytest.mark.parametrize(
-        "state, bound",
-        [(random_state((763, 0)), r"0\.999999999"), (random_state2((763, 1)), r"0\.9999999999")],
-        ids=["3-qubit", "2-qubit"],
-    )
-    def test_prepare_round_trip_check_fires(self, monkeypatch, state, bound):
-        # 1 - 5e-10 lies between FID3_MIN and FID2_MIN, so only the
-        # 2-qubit bound rejects it; 1 - 1e-6 fails both
-        self._tilt_prepare(monkeypatch, 1.0 - 5e-10 if state.num_qubits == 2 else 1.0 - 1e-6)
+    @pytest.mark.parametrize("state", [random_state((763, 0)), random_state2((763, 1))], ids=["3-qubit", "2-qubit"])
+    def test_prepare_round_trip_check_fires(self, monkeypatch, state):
+        # 1 - 5e-10 is below FID_MIN, the bound at both sizes
+        self._tilt_prepare(monkeypatch, 1.0 - 5e-10)
         with pytest.raises(
-            SynthesisInvariantError, match=rf"^preparation round-trip fidelity 0\.99999\d* below {bound}$"
+            SynthesisInvariantError, match=r"^preparation round-trip fidelity 0\.99999\d* below 0\.9999999999$"
         ) as info:
             prepare(state)
         assert info.value.branch_trace
-
-    def test_prepare_3_qubit_bound_is_fid3_min(self, monkeypatch):
-        self._tilt_prepare(monkeypatch, 1.0 - 5e-10)
-        rep = prepare(random_state((763, 0)))
-        assert FID <= rep.fidelity < 1.0 - 1e-10
 
     @pytest.mark.parametrize(
         "construction, wrong, synth, state, msg, trace",
