@@ -544,8 +544,16 @@ class TestStepInvariants:
         monkeypatch.setattr(synth, "_run2", padded)
 
     def test_cz_bound_check_fires(self, monkeypatch):
-        # two cz01 cancel on the pair, so only the count goes wrong; the
-        # embedded stage has no check of its own, so `finish` catches it
+        # two cz01 cancel on the pair, so only the count goes wrong: a
+        # 2-qubit result is held to 1 CZ
+        self._pad_stage(monkeypatch, CZGate(0, 1), CZGate(0, 1))
+        with pytest.raises(SynthesisInvariantError, match=r"^cz count 3 exceeds 1$") as info:
+            disentangle2(random_state2((762, 2)))
+        assert info.value.branch_trace
+
+    def test_embedded_stage_cz_check_fires(self, monkeypatch):
+        # the embedded stage has no check of its own, so `finish` catches
+        # its extra CZ against the 3-qubit bound
         self._pad_stage(monkeypatch, CZGate(0, 1), CZGate(0, 1))
         with pytest.raises(SynthesisInvariantError, match=r"^cz count 5 exceeds 3$") as info:
             disentangle3(random_state((762, 0)))
