@@ -43,11 +43,13 @@ from .errors import (
 # state set the scale: a vector or block is zero when its norm is at most
 # the tolerance, and a 2x2 block is singular when is_singular says so.
 
-# Branch decisions: which synthesis path a zero/singular block takes.
-EPS_ZERO = 1e-10
+# Branch decisions: which synthesis path a zero/singular block takes. Set by
+# FID_MIN: skipping a residual r <= EPS_ZERO costs an infidelity of about
+# r^2 <= 1e-12, 100x inside the floor, and `finish` rejects any result below it.
+EPS_ZERO = 1e-6
 # Step checks, and the preconditions of the construction each check guards;
 # 10x above EPS_ZERO, so a block one decision accepts passes every later check.
-STEP_TOL = 1e-9
+STEP_TOL = 1e-5
 # Gauge choice, relative to the block's norm (not a zero test): blocks this
 # close to real take the real representative, so rounding cannot amplify.
 REAL_SNAP = 1e-13
@@ -61,7 +63,7 @@ REAL_GATE_TOL = 1e-10
 REAL_ROOT_TOL = 1e-8
 # Relative to the size of its terms, a pencil discriminant this small is
 # rounding noise: the root is double, and its two computed copies would sit
-# ~sqrt(eps) apart, each leaving a top block that is not singular at STEP_TOL.
+# ~sqrt(eps) apart, each farther from it than their mean -q1 / (2 q2).
 DOUBLE_ROOT_TOL = 1e-12
 # A qubit is a chain middle when the relative gap of the two singular values
 # of its split's pencil form (synth._is_chain_middle) is at most this.

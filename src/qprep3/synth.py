@@ -32,12 +32,15 @@ chain with qubit 1 in the middle, which the flow finishes with 2 more CZ.
 This is checked on every run, not proven: if any check of that attempt
 fails, or it needs more than 3 CZ, the synthesis starts again with the 4-CZ
 prefix (a real r1 on qubit 0 and cz01, which makes the top block singular).
-Near delta = 0, within DELTA_ZERO_BAND, and when the top block is already
-singular, the 4-CZ prefix is the only one tried.
+Within DELTA_ZERO_BAND below zero, the flow itself is tried first and the
+4-CZ prefix after it; when the top block is already singular, the flow
+alone is tried (its step-1 root is then ~0, and real).
 
-Step 1 takes the first pencil root (the first real one in real mode). When
-an attempt fails, it is run again with the other root (trace label
-`pencil-root2`).
+Step 1 takes the first pencil root (the first real one in real mode). The
+branch decisions are made at EPS_ZERO, the scale the fidelity floor sets: a
+residual they skip costs an infidelity of about its square, far inside
+FID_MIN. So a state within ~EPS_ZERO of one that needs fewer CZ gets the
+fewer, and a CZ count is minimal to within the floor, not exactly.
 
 Chains. Two CZ suffice exactly for the states |u>P + |u_perp>Q on one
 qubit m, the chain middle, with P and Q products on the other two. Qubit m is
@@ -57,12 +60,11 @@ their transposes), so real mode keeps its sign as the first trace label.
 Every synthesis goes through one attempt runner, _first_passing. It runs
 each attempt on a fresh builder of the input, in order, and returns the
 first that passes every check. A 3-qubit attempt is _attempt3: a trace
-label, a prefix, a CZ bound, the mode and the root, so disentangle3 tries
-(first root, second root) and disentangle3_real tries each of its prefixes
-with both roots, both after the _relabel01 attempts when those apply;
-disentangle2 has one attempt. A Qprep3Error raised in an attempt gets the
-branch trace that attempt took, and when no attempt passes, the first
-attempt's error is raised.
+label, a prefix, a CZ bound and the mode, so disentangle3 tries the flow
+and disentangle3_real each of its prefixes in order, both after the
+_relabel01 attempt when it applies; disentangle2 has one attempt. A
+Qprep3Error raised in an attempt gets the branch trace that attempt took,
+and when no attempt passes, the first attempt's error is raised.
 
 Each synthesis is one builder pass. The builder tracks the amplitudes as a
 plain list and reads the blocks from it to choose the next gate; the embedded
@@ -307,23 +309,22 @@ def disentangle3(s: PureState3) -> SynthesisReport:
 
 
 def _run_attempts3(s: PureState3, label, prefixes, real: bool) -> SynthesisReport:
-    """_attempt3 for each (prefix, CZ bound) in order, each with the first and
-    then the second root; a qubit-0 chain (module docstring) first tries the
-    _relabel01 prefix with a bound of 2 CZ."""
+    """_attempt3 for each (prefix, CZ bound) in order; a qubit-0 chain (module
+    docstring) first tries the _relabel01 prefix with a bound of 2 CZ."""
     if _is_chain_middle(s.w, 0) and not _is_chain_middle(s.w, 1) and not _is_chain_middle(s.w, 2):
         prefixes = ((_relabel01, 2),) + prefixes
-    return _first_passing(s, (partial(_attempt3, label, p, n, real, r) for p, n in prefixes for r in (False, True)))
+    return _first_passing(s, (partial(_attempt3, label, p, n, real) for p, n in prefixes))
 
 
-def _attempt3(label, prefix, max_cz: int, real: bool, second_root: bool, b: _Builder) -> SynthesisReport:
+def _attempt3(label, prefix, max_cz: int, real: bool, b: _Builder) -> SynthesisReport:
     """One 3-qubit attempt on b: say label, apply prefix (each when not None),
-    run the flow with the first or second step-1 root, and check the result
-    against max_cz (and, when real, every gate's realness)."""
+    run the flow, and check the result against max_cz (and, when real, every
+    gate's realness)."""
     if label is not None:
         b.say(label)
     if prefix is not None:
         prefix(b)
-    _run3(b, real, second_root)
+    _run3(b, real)
     rep = b.finish(max_cz)
     if real and not rep.all_real:
         raise SynthesisInvariantError(f"real mode emitted a non-real gate (max imag {rep.circuit.max_local_imag()!r})")
@@ -333,39 +334,37 @@ def _attempt3(label, prefix, max_cz: int, real: bool, second_root: bool, b: _Bui
 def disentangle3_real(s: PureState3) -> SynthesisReport:
     """All-real circuit mapping a real 3-qubit state to |000>.
 
-    At most 3 CZ when delta(s) >= 0. Below -DELTA_ZERO_BAND, with a
-    nonsingular top block, the chain prefix (a rotation on qubit 1, then
-    cz01; see the module docstring) comes first and the general flow then
-    finishes with 2 more CZ, 3 in all. If that attempt fails a check, a
-    bound of 3 CZ included, and for any other delta < 0, the 4-CZ prefix (a
-    real r1 on qubit 0, then cz01, which makes the top block singular) comes
-    first instead, so the bound for delta < 0 stays 4. Every branch choice
-    after a prefix is real. As in disentangle3, a chain with qubit 0 in the
-    middle first tries qubits 0 and 1 swapped, for 2 CZ. The first label of
-    the branch trace is the sign of delta (`delta>=0` or `delta<0`); the
-    chain prefix says `chain01`, the swap `relabel01`.
+    At most 3 CZ when delta(s) >= 0. For delta < 0 the first attempt,
+    bounded by 3 CZ, is the chain prefix (a rotation on qubit 1, then cz01;
+    see the module docstring), which the general flow finishes with 2 more
+    CZ; or, within DELTA_ZERO_BAND of zero or when the top block is already
+    singular, the flow alone. If it fails a check, a bound of 3 CZ included,
+    the 4-CZ prefix (a real r1 on qubit 0, then cz01, which makes the top
+    block singular) comes next; a top block that is singular already needs
+    no prefix and gets no fallback. So the bound for delta < 0 stays 4.
+    Every branch choice after a prefix is real. As in disentangle3, a chain
+    with qubit 0 in the middle first tries qubits 0 and 1 swapped, for 2 CZ.
+    The first label of the branch trace is the sign of delta (`delta>=0` or
+    `delta<0`); the chain prefix says `chain01`, the swap `relabel01`.
     """
     if not s.is_real():
         raise NotRealError("disentangle3_real requires real amplitudes")
     d = _delta(s.w)
     # each attempt is a prefix (None: none) and the CZ bound it must meet
-    if d >= 0.0:
-        label, prefixes = "delta>=0", ((None, 3),)
+    if d >= 0.0 or is_singular(amp_matrix(s.w, 0), EPS_ZERO):
+        # a singular top block gives a step-1 root ~0, which is real
+        prefixes = ((None, 3),)
+    elif d < -DELTA_ZERO_BAND:
+        # the chain prefix is kept only when it gives its 3 CZ: near
+        # delta = 0 it can leave a state the flow does not see as a chain
+        prefixes = ((_chain01, 3), (_r1_cz01, 4))
     else:
-        label = "delta<0"
-        if is_singular(amp_matrix(s.w, 0), EPS_ZERO):
-            # |delta| is then ~1e-10 or smaller: the top block is already
-            # numerically singular and the 3-CZ machinery applies directly
-            prefixes = ((_detA0_zero, 4),)
-        elif d < -DELTA_ZERO_BAND:
-            # the chain prefix is kept only when it gives its 3 CZ: near
-            # delta = 0 it can leave a state the flow does not see as a chain
-            prefixes = ((_chain01, 3), (_r1_cz01, 4))
-        else:
-            # inside the band, the chain prefix turns states built with
-            # one CZ (delta ~ -1e-17) into 2-CZ circuits
-            prefixes = ((_r1_cz01, 4),)
-    return _run_attempts3(s, label, prefixes, True)
+        # inside the band, delta can be the rounding of a delta = 0 state,
+        # such as one built with one CZ (delta ~ -1e-17), which the chain
+        # prefix would give a second CZ: the flow comes first, with a real
+        # or clamped step-1 root
+        prefixes = ((None, 3), (_r1_cz01, 4))
+    return _run_attempts3(s, "delta>=0" if d >= 0.0 else "delta<0", prefixes, True)
 
 
 # by qubit q, the amplitudes of the blocks A (q is 0) and B (q is 1) of the
@@ -419,10 +418,6 @@ def _swap01_gate(g: Gate) -> Gate:
     return tuple.__new__(CZGate, (i, j) if i < j else (j, i))
 
 
-def _detA0_zero(b: _Builder) -> None:
-    b.say("detA0~0")
-
-
 def _r1_cz01(b: _Builder) -> None:
     b.local(0, _r1(amp_matrix(b.amps, 0)).transpose())
     b.cz(0, 1)
@@ -456,39 +451,29 @@ def _chain_rotation(w) -> Mat2:
     return u_from_pair(c, -0.5 * sin_phi / c)
 
 
-def _step1_root(b: _Builder, roots: list[complex], require_real: bool, second_root: bool) -> complex:
-    """The first pencil root (the first real one in real mode), or with
-    second_root the other one, when there is one that differs."""
-    if require_real:
-        candidates = [complex(z.real, 0.0) for z in roots if abs(z.imag) <= REAL_ROOT_TOL]
-        if not candidates:
-            # conjugate pair from a slightly negative discriminant: its shared
-            # real part is the best real root; the step-1 invariant verifies
-            # the residual
-            b.say("pencil-root-clamped")
-            candidates = [complex(roots[0].real, 0.0)]
-    else:
-        candidates = roots
-    if not second_root:
-        return candidates[0]
-    b.say("pencil-root2")
-    if len(candidates) < 2 or candidates[1] == candidates[0]:
-        raise SynthesisInvariantError("step1: no second pencil root")
-    return candidates[1]
+def _step1_root(b: _Builder, roots: list[complex], require_real: bool) -> complex:
+    """The first pencil root (the first real one in real mode)."""
+    if not require_real:
+        return roots[0]
+    for z in roots:
+        if abs(z.imag) <= REAL_ROOT_TOL:
+            return complex(z.real, 0.0)
+    # conjugate pair from a slightly negative discriminant: its shared real
+    # part is the best real root; the step-1 invariant verifies the residual
+    b.say("pencil-root-clamped")
+    return complex(roots[0].real, 0.0)
 
 
-def _run3(b: _Builder, require_real: bool, second_root: bool) -> None:
+def _run3(b: _Builder, require_real: bool) -> None:
     # each construction is a mat2 core (_l1, ...): the decision or step check
     # just before it has established its precondition
     b0 = amp_matrix(b.amps, 4)
     if is_singular(b0, EPS_ZERO):
         b.say("detB0=0")
-        if second_root:
-            raise SynthesisInvariantError("step1: no second pencil root")
         w1 = SWAP_BLOCKS
     else:
         b.say("pencil")
-        z0 = _step1_root(b, _solve_det_pencil(amp_matrix(b.amps, 0), b0), require_real, second_root)
+        z0 = _step1_root(b, _solve_det_pencil(amp_matrix(b.amps, 0), b0), require_real)
         w1 = u_from_pair(1.0, z0)
     b.local(2, w1)
 

@@ -7,7 +7,7 @@ import pathlib
 import numpy as np
 
 from _oracles import random_mat2, scaled
-from qprep3.mat2 import EPS_ZERO, IDENTITY, STEP_TOL, Mat2, is_singular, l1
+from qprep3.mat2 import EPS_ZERO, FID_MIN, IDENTITY, STEP_TOL, Mat2, is_singular, l1
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "qprep3"
 SMALL = 1e-5
@@ -68,6 +68,12 @@ def test_step_checks_sit_above_branch_decisions():
     assert EPS_ZERO < STEP_TOL
 
 
+def test_branch_decisions_sit_inside_the_fidelity_floor():
+    # a decision that skips a residual r <= EPS_ZERO costs an infidelity of
+    # about r^2, which must stay well inside the floor `finish` enforces
+    assert EPS_ZERO**2 <= 1e-2 * (1.0 - FID_MIN)
+
+
 class TestIsSingular:
     def test_examples(self):
         assert is_singular(Mat2(0, 0, 0, 0), EPS_ZERO)
@@ -75,9 +81,9 @@ class TestIsSingular:
         assert not is_singular(IDENTITY, STEP_TOL)
 
     def test_small_but_well_conditioned_block_is_not_singular(self):
-        # |det| ~ 1e-16 is far below EPS_ZERO, but the smallest singular value
-        # (~1e-8) is not
-        m = scaled(Mat2(1, 0.5j, -0.25, 1), 1e-8)
+        # |det| ~ 1e-8 is far below EPS_ZERO, but the smallest singular value
+        # (~1e-4) is not
+        m = scaled(Mat2(1, 0.5j, -0.25, 1), 1e-4)
         assert abs(m.det()) < EPS_ZERO
         assert not is_singular(m, EPS_ZERO) and not is_singular(m, STEP_TOL)
 
@@ -90,8 +96,11 @@ class TestIsSingular:
             assert not is_singular(m, smin / (1.01 * math.sqrt(2.0)))
 
     def test_l1_accepts_what_the_step_check_accepts(self):
-        # a block of norm ~5e-10 passes the step-1 check, so l1 must take it
-        m = scaled(Mat2(1, 0.5j, -0.25, 1), 5e-10)
+        # a block nonzero at EPS_ZERO and singular at STEP_TOL must be taken
+        # by l1. Synthesis reaches l1 only past its `A1=0` decision (largest
+        # entry above EPS_ZERO), and the Frobenius norm is at least that entry
+        m = scaled(Mat2(1, 0.5j, -0.25, 1), 5e-6)
+        assert max(map(abs, m)) > EPS_ZERO
         assert is_singular(m, STEP_TOL)
         w = l1(m) @ m
         assert max(abs(w.c), abs(w.d)) <= STEP_TOL
