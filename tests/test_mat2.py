@@ -327,13 +327,17 @@ class TestInlineHelpers:
             yield random_rank1(rng, real)
             yield scaled(random_rank1(rng, real), 1e-10)
 
-    @pytest.mark.parametrize("tol", [EPS_ZERO, STEP_TOL])
+    # The equality holds at any tolerance: the two constants the program
+    # uses, and the two smaller scales the decisions were once made at.
+    TOLS = [1e-9, 1e-10, EPS_ZERO, STEP_TOL]
+
+    @pytest.mark.parametrize("tol", TOLS)
     def test_is_singular_equals_method_form(self, tol):
         rng = np.random.default_rng(81)
         for m in self._blocks(rng):
             assert is_singular(m, tol) == reference_is_singular(m, tol)
 
-    @pytest.mark.parametrize("tol", [EPS_ZERO, STEP_TOL])
+    @pytest.mark.parametrize("tol", TOLS)
     def test_is_singular_on_the_boundary(self, tol):
         ties = 0
         seen = set()
