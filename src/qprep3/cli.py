@@ -16,15 +16,20 @@ decoded, parsed or normalized, a 2-qubit file to delta, an --out path that
 cannot be written, --n < 1 or --seed < 0; one `error:` line on stderr), 2
 mode violation (complex input where real amplitudes are required) or usage
 error (no command, a missing or malformed argument such as `--n x`, an
-unknown flag; argparse prints the usage and an `error:` line to stderr), 3
+unknown or ambiguous flag; the usage and one `error:` line go to stderr), 3
 any other synthesis error, such as an internal invariant or bound failure
-(the error and the branch trace are dumped to stderr). All output is
-deterministic given (input, flags, seed).
+(the error, the branch trace and the state as synthesized are dumped to
+stderr). All output is deterministic given (input, flags, seed).
+
+Options may come before or after the positional, as `--opt value` or
+`--opt=value`, and any unique prefix of a flag names it (`--ver` for
+`--verify`). `-h`/`--help` prints the help of the program or of a command.
+Everything after `--` is positional.
 """
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .circuit import emit_circuit, format_number
 from .errors import NotNormalizedError, NotRealError, Qprep3Error
@@ -66,17 +71,22 @@ def _load_state(path: str):
     stderr when the file cannot be read, decoded, parsed or normalized.
     A UTF-8 byte-order mark at the start of the file is skipped."""
     try:
-        with open(path, encoding="utf-8-sig") as fh:
-            amps = parse_state_text(fh.read())
+        with open(path, encoding="utf-8") as fh:
+            amps = parse_state_text(fh.read().removeprefix("\ufeff"))
         return PureState3(amps) if len(amps) == 8 else PureState2(amps)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
 
 
-def _dump_synthesis_error(exc: Qprep3Error) -> None:
+def _dump_synthesis_error(exc: Qprep3Error, state) -> None:
+    """The error, its branch trace, and the state as synthesized (after
+    renormalization) in the state-file format, so the failure can be replayed."""
     print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
     print("branch trace: " + (" > ".join(exc.branch_trace) or "(empty)"), file=sys.stderr)
+    print("# state as synthesized, after renormalization:", file=sys.stderr)
+    for z in state.w:
+        print(f"{format_number(z.real)} {format_number(z.imag)}", file=sys.stderr)
 
 
 def _cmd_synth(args) -> int:
@@ -90,7 +100,7 @@ def _cmd_synth(args) -> int:
         print("error: --real requires real amplitudes", file=sys.stderr)
         return EXIT_MODE
     except Qprep3Error as exc:
-        _dump_synthesis_error(exc)
+        _dump_synthesis_error(exc, state)
         return EXIT_INVARIANT
 
     if args.ry:
@@ -192,42 +202,198 @@ def _cmd_sweep(args) -> int:
     return EXIT_INVARIANT if violations else EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qprep3",
-        description="Compile 2- and 3-qubit pure states into local + controlled-Z circuits.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_synth = sub.add_parser("synth", help="synthesize a circuit for a state file")
-    p_synth.add_argument("file", help="state file (4 or 8 '<re> <im>' lines)")
-    p_synth.add_argument("--real", action="store_true", help="all-real gates (real input only)")
-    p_synth.add_argument("--prepare", action="store_true", help="emit the |0..0> -> state circuit")
-    p_synth.add_argument("--verify", action="store_true", help="print cz count and simulated fidelity")
-    p_synth.add_argument("--ry", action="store_true", help="append RY angle lines for real gates")
-    p_synth.add_argument("--out", help="write the circuit here instead of stdout")
-    p_synth.set_defaults(func=_cmd_synth)
-
-    p_sweep = sub.add_parser("sweep", help="randomized synthesis sweep with CZ/fidelity bounds")
-    p_sweep.add_argument("--n", type=int, required=True, help="number of sampled states")
-    p_sweep.add_argument("--seed", type=int, required=True, help="base RNG seed")
-    p_sweep.add_argument("--real", action="store_true", help="sample real states, real-mode synthesis")
-    p_sweep.add_argument("--machine", action="store_true", help="append a machine-readable summary line")
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_delta = sub.add_parser(
-        "delta",
-        help="print the real-state discriminant and its CZ bound (4 for delta < 0, while real mode "
+# The command-line table. Per command: the function that runs it, its help
+# string, its positionals as (name, help) and its options as
+# (flag, type, required, help). Type None makes a switch; str or int makes an
+# option that takes one value, shown as the flag's name in upper case.
+_COMMANDS = {
+    "synth": (
+        _cmd_synth,
+        "synthesize a circuit for a state file",
+        [("file", "state file (4 or 8 '<re> <im>' lines)")],
+        [
+            ("--real", None, False, "all-real gates (real input only)"),
+            ("--prepare", None, False, "emit the |0..0> -> state circuit"),
+            ("--verify", None, False, "print cz count and simulated fidelity"),
+            ("--ry", None, False, "append RY angle lines for real gates"),
+            ("--out", str, False, "write the circuit here instead of stdout"),
+        ],
+    ),
+    "sweep": (
+        _cmd_sweep,
+        "randomized synthesis sweep with CZ/fidelity bounds",
+        [],
+        [
+            ("--n", int, True, "number of sampled states"),
+            ("--seed", int, True, "base RNG seed"),
+            ("--real", None, False, "sample real states, real-mode synthesis"),
+            ("--machine", None, False, "append a machine-readable summary line"),
+        ],
+    ),
+    "delta": (
+        _cmd_delta,
+        "print the real-state discriminant and its CZ bound (4 for delta < 0, while real mode "
         "keeps its 4-CZ fallback; the chain prefix gives 3 on every Haar-random such state sampled)",
-    )
-    p_delta.add_argument("file", help="state file (8 '<re> <im>' lines, real)")
-    p_delta.set_defaults(func=_cmd_delta)
-    return parser
+        [("file", "state file (8 '<re> <im>' lines, real)")],
+        [],
+    ),
+}
+_HELP = ("-h/--help", None, False, "show this help message and exit")
+_DESCRIPTION = "Compile 2- and 3-qubit pure states into local + controlled-Z circuits."
+_WIDTH = 78  # the line width argparse used on an 80-column terminal
+
+
+def _spelled(flag: str, typ) -> str:
+    return flag if typ is None else f"{flag} {flag[2:].upper()}"
+
+
+def _usage(cmd) -> str:
+    """The usage line(s) of cmd, or of the program when cmd is None."""
+    if cmd is None:
+        prog, opts, pos = "qprep3", [], ["{" + ",".join(_COMMANDS) + "}", "..."]
+    else:
+        _, _, positionals, options = _COMMANDS[cmd]
+        prog, pos = f"qprep3 {cmd}", [name for name, _ in positionals]
+        opts = [_spelled(f, t) if req else f"[{_spelled(f, t)}]" for f, t, req, _ in options]
+    head = " ".join(["usage:", prog, "[-h]", *opts])
+    if len(head) + 1 + len(" ".join(pos)) > _WIDTH:
+        # too long for one line: the positionals go under the first option
+        return head + "\n" + " " * (len(prog) + 8) + " ".join(pos)
+    return " ".join([head, *pos])
+
+
+def _help(cmd) -> str:
+    import textwrap  # only a help request pays for this import
+
+    if cmd is None:
+        blocks = [_DESCRIPTION]
+        sections = [("commands", [(name, spec[1]) for name, spec in _COMMANDS.items()]), ("options", [])]
+    else:
+        _, _, positionals, options = _COMMANDS[cmd]
+        blocks = []
+        sections = [("positional arguments", positionals)] if positionals else []
+        sections.append(("options", [(_spelled(f, t), text) for f, t, _, text in options]))
+    sections[-1][1].insert(0, ("-h, --help", _HELP[3]))
+    column = 4 + max(len(name) for _, rows in sections for name, _ in rows)
+    for title, rows in sections:
+        lines = [
+            textwrap.fill(text, _WIDTH, initial_indent=f"  {name}".ljust(column),
+                          subsequent_indent=" " * column, break_on_hyphens=False)
+            for name, text in rows
+        ]
+        blocks.append("\n".join([f"{title}:", *lines]))
+    return "\n\n".join([_usage(cmd), *blocks]) + "\n"
+
+
+def _fail(cmd, message: str):
+    """Print the usage and one error line to stderr, then exit 2."""
+    prog = "qprep3" if cmd is None else f"qprep3 {cmd}"
+    sys.stderr.write(f"{_usage(cmd)}\n{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _classify(cmd, token: str, options):
+    """How one argument of cmd reads: (None, None) for a positional; for an
+    option, its table row, or () if unknown, and the text after '=', or None.
+    A unique prefix of a long option names that option; a negative number is
+    a positional."""
+    number = token[1:].replace(".", "", 1).isdecimal() and not token.endswith(".")
+    if token[:1] != "-" or token in ("-", "--") or number:
+        return None, None
+    flags = {"-h": _HELP, "--help": _HELP, **{row[0]: row for row in options}}
+    name, eq, value = token.partition("=")
+    if token in flags:
+        return flags[token], None
+    if eq and name in flags:
+        return flags[name], value
+    if token.startswith("--"):
+        hits = [flag for flag in flags if flag.startswith(name)]
+        if len(hits) > 1:
+            _fail(cmd, f"ambiguous option: {token} could match {', '.join(hits)}")
+        if hits:
+            return flags[hits[0]], value if eq else None
+    if " " in token:
+        return None, None
+    return (), None
+
+
+def _switch(cmd, row, value) -> bool:
+    """A switch is set by its bare flag; -h/--help prints the help and exits 0."""
+    if value is not None:
+        _fail(cmd, f"argument {row[0]}: ignored explicit argument {value!r}")
+    if row is _HELP:
+        sys.stdout.write(_help(cmd))
+        raise SystemExit(EXIT_OK)
+    return True
+
+
+def _parse(argv: list[str]):
+    """The fields of a command line as attributes, `command` naming the
+    subcommand, read as argparse read them. Exits 0 after printing the help
+    for -h/--help, and 2 after printing the usage and one error line."""
+    extras = []
+    for i, token in enumerate(argv):
+        row, value = _classify(None, token, [])
+        if row is None:
+            break
+        if row:
+            _switch(None, row, value)
+        extras.append(token)
+    else:
+        _fail(None, "the following arguments are required: command")
+    cmd = argv[i]
+    if cmd not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        _fail(None, f"argument command: invalid choice: {cmd!r} (choose from {choices})")
+    _, _, positionals, options = _COMMANDS[cmd]
+
+    items = []  # (row, value, token); row is None for a positional, "--" for the separator
+    tokens = iter(argv[i + 1:])
+    for token in tokens:
+        if token == "--":
+            items.append(("--", None, token))
+            items.extend((None, None, t) for t in tokens)
+        else:
+            items.append((*_classify(cmd, token, options), token))
+
+    fields = {"command": cmd, **{f[2:]: (False if t is None else None) for f, t, _, _ in options}}
+    free, seen = [], set()
+    k = 0
+    while k < len(items):
+        row, value, token = items[k]
+        k += 1
+        if row is None:
+            (free if len(free) < len(positionals) else extras).append(token)
+        elif row == ():
+            extras.append(token)
+        elif row != "--":
+            flag, typ = row[0], row[1]
+            if typ is None:
+                value = _switch(cmd, row, value)
+            else:
+                if value is None:
+                    if k == len(items) or items[k][0] is not None:
+                        _fail(cmd, f"argument {flag}: expected one argument")
+                    value = items[k][2]
+                    k += 1
+                try:
+                    value = typ(value)
+                except ValueError:
+                    _fail(cmd, f"argument {flag}: invalid {typ.__name__} value: {value!r}")
+            fields[flag[2:]] = value
+            seen.add(flag)
+    missing = [name for name, _ in positionals[len(free):]] + [f for f, _, req, _ in options if req and f not in seen]
+    if missing:
+        _fail(cmd, "the following arguments are required: " + ", ".join(missing))
+    if extras:
+        _fail(None, "unrecognized arguments: " + " ".join(extras))
+    fields.update(zip((name for name, _ in positionals), free))
+    return SimpleNamespace(**fields)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    args = _parse(sys.argv[1:] if argv is None else argv)
+    return _COMMANDS[args.command][0](args)
 
 
 def entry() -> None:

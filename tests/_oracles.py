@@ -3,6 +3,7 @@
 Gates are expanded to full 2^n x 2^n matrices with numpy kron products and
 applied by dense matrix-vector multiplication.
 """
+import argparse
 import math
 
 import numpy as np
@@ -194,3 +195,35 @@ def cz_min(amps, tol: float = 1e-9) -> int:
         if s[0] - s[1] <= 1e-6 * s[0]:
             return 2
     return 3
+
+
+def argparse_cli_parser() -> argparse.ArgumentParser:
+    """The qprep3 command line as an argparse parser, the reference for the
+    CLI's own argv parser: same commands, flags, types and help strings."""
+    parser = argparse.ArgumentParser(
+        prog="qprep3",
+        description="Compile 2- and 3-qubit pure states into local + controlled-Z circuits.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_synth = sub.add_parser("synth", help="synthesize a circuit for a state file")
+    p_synth.add_argument("file", help="state file (4 or 8 '<re> <im>' lines)")
+    p_synth.add_argument("--real", action="store_true", help="all-real gates (real input only)")
+    p_synth.add_argument("--prepare", action="store_true", help="emit the |0..0> -> state circuit")
+    p_synth.add_argument("--verify", action="store_true", help="print cz count and simulated fidelity")
+    p_synth.add_argument("--ry", action="store_true", help="append RY angle lines for real gates")
+    p_synth.add_argument("--out", help="write the circuit here instead of stdout")
+
+    p_sweep = sub.add_parser("sweep", help="randomized synthesis sweep with CZ/fidelity bounds")
+    p_sweep.add_argument("--n", type=int, required=True, help="number of sampled states")
+    p_sweep.add_argument("--seed", type=int, required=True, help="base RNG seed")
+    p_sweep.add_argument("--real", action="store_true", help="sample real states, real-mode synthesis")
+    p_sweep.add_argument("--machine", action="store_true", help="append a machine-readable summary line")
+
+    p_delta = sub.add_parser(
+        "delta",
+        help="print the real-state discriminant and its CZ bound (4 for delta < 0, while real mode "
+        "keeps its 4-CZ fallback; the chain prefix gives 3 on every Haar-random such state sampled)",
+    )
+    p_delta.add_argument("file", help="state file (8 '<re> <im>' lines, real)")
+    return parser

@@ -1,4 +1,5 @@
 """CLI behavior: formats, flags, exit codes, determinism."""
+import argparse
 import math
 import os
 import subprocess
@@ -7,9 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from _oracles import dense_apply
+from _oracles import argparse_cli_parser, dense_apply
 from qprep3.circuit import apply_circuit, format_number, parse_circuit
-from qprep3.cli import main, parse_state_text
+from qprep3.cli import _parse, main, parse_state_text
 from qprep3.errors import SynthesisInvariantError
 from qprep3.state import PureState3, basis_state, delta, random_state
 from qprep3.synth import disentangle3
@@ -246,6 +247,22 @@ class TestSynthErrorContract:
         assert "error: SynthesisInvariantError: final fidelity " in err
         assert "branch trace: detB0=0 > " in err
 
+    def test_failed_final_check_prints_the_state_as_synthesized(self, tmp_path, capsys, monkeypatch):
+        # the file is 1e-8 off unit norm, so the printed state is the
+        # renormalized one, and it reads back bit for bit
+        monkeypatch.setattr("qprep3.synth.FID_MIN", 1.5)
+        text = "".join("%.17g %.17g\n" % (z.real * (1 + 1e-8), z.imag) for z in random_state((7, 0)).w)
+        path = write(tmp_path, "off-norm.txt", text)
+        code, out, err = run_cli(capsys, ["synth", path, "--verify"])
+        assert code == 3 and out == ""
+        lines = err.splitlines()
+        assert lines[1].startswith("branch trace: ")
+        assert lines[2] == "# state as synthesized, after renormalization:"
+        replayed = parse_state_text("\n".join(lines[2:]))
+        synthesized = PureState3(parse_state_text(text)).w
+        assert [(z.real.hex(), z.imag.hex()) for z in replayed] == [(z.real.hex(), z.imag.hex()) for z in synthesized]
+        assert replayed != parse_state_text(text)
+
     def test_sweep_counts_library_errors_as_violations(self, capsys, monkeypatch):
         import qprep3.cli as cli
         from qprep3.errors import NonSingularInputError
@@ -441,8 +458,8 @@ def test_byte_order_mark_is_skipped(tmp_path, capsys, command, flags):
     ids=["no-command", "synth-no-file", "sweep-n-not-int", "unknown-flag"],
 )
 def test_usage_errors_exit_2_with_usage(argv):
-    # argparse rejects these before any command runs: exit 2, the usage of
-    # the (sub)command and one error line
+    # the argv parser rejects these before any command runs: exit 2, the
+    # usage of the (sub)command and one error line
     proc = _run_module(argv)
     assert proc.returncode == 2
     assert proc.stderr.splitlines()[0].startswith("usage: qprep3")
@@ -461,9 +478,13 @@ def test_module_entry_point(tmp_path):
 
 NO_NUMPY_CHILD = """
 import sys
+before = set(sys.modules)
 import qprep3.cli
 codes = [qprep3.cli.main(argv) for argv in ARGVS]
 assert codes == [0, 0, 0], codes
+added = set(sys.modules) - before
+parser_modules = {"argparse", "gettext", "locale", "encodings.utf_8_sig"}
+assert not added & parser_modules, sorted(added & parser_modules)
 assert "numpy" not in sys.modules, "synth/delta imported numpy"
 assert "dataclasses" not in sys.modules, "synth/delta imported dataclasses"
 assert "inspect" not in sys.modules, "synth/delta imported inspect"
@@ -486,3 +507,98 @@ def test_synth_and_delta_never_import_numpy(tmp_path):
     proc = _run_python(["-c", f"ARGVS = {argvs!r}\n" + NO_NUMPY_CHILD])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("cz=") == 2 and "delta=" in proc.stdout
+
+
+def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch):
+    # the installed console script calls main() with no argv
+    path = write(tmp_path, "neg.txt", DELTA_NEG_FILE)
+    monkeypatch.setattr(sys, "argv", ["qprep3", "delta", path])
+    assert run_cli(capsys, None) == (0, "delta=-0.25 bound=4\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "s.txt"],
+        ["synth", "--real", "s.txt", "--verify"],
+        ["synth", "s.txt", "--prepare", "--ry", "--real", "--verify"],
+        ["synth", "s.txt", "--out=c.txt"],
+        ["synth", "--out", "c.txt", "s.txt"],
+        ["synth", "s.txt", "--out="],
+        ["synth", "s.txt", "--ver"],
+        ["synth", "--pre", "s.txt", "--ou=c.txt", "--ve"],
+        ["synth", "--out", "-1", "-"],
+        ["synth", "--", "-s.txt"],
+        ["synth", "s.txt", "--real", "--real", "--out", "a", "--out", "b"],
+        ["sweep", "--n", "5", "--seed=1"],
+        ["sweep", "--seed", "-1", "--n=0", "--real", "--mach"],
+        ["sweep", "--n", "1", "--seed", "1", "--r"],
+        ["sweep", "--n", " 7", "--seed", "+3", "--n", "2"],
+        ["delta", "s.txt"],
+        ["delta", "-a file.txt"],
+        ["synth", "--out", "-c d.txt", "s.txt"],
+    ],
+)
+def test_accepted_argv_reads_as_argparse_reads_it(argv):
+    assert vars(_parse(argv)) == vars(argparse_cli_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["synth"],
+        ["delta"],
+        ["sweep"],
+        ["sweep", "--seed", "1"],
+        ["sweep", "--n", "x", "--seed", "1"],
+        ["sweep", "--n", "1.5", "--seed", "1"],
+        ["synth", "s.txt", "--bogus"],
+        ["--bogus", "synth", "s.txt"],
+        ["synth", "s.txt", "extra"],
+        ["synth", "s.txt", "--out"],
+        ["synth", "--out", "--real", "s.txt"],
+        ["synth", "s.txt", "--r"],
+        ["synth", "s.txt", "--real=1"],
+        ["synth", "s.txt", "--help=x"],
+    ],
+)
+def test_rejected_argv_exits_2_as_argparse_does(capsys, monkeypatch, argv):
+    # argparse wraps its usage to the terminal; the CLI's usage is fixed at
+    # the width of an 80-column one
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as ours:
+        main(argv)
+    out, err = capsys.readouterr()
+    with pytest.raises(SystemExit) as reference:
+        argparse_cli_parser().parse_args(argv)
+    _, expected = capsys.readouterr()
+    assert ours.value.code == reference.value.code == 2 and out == ""
+    assert err.splitlines()[0] == expected.splitlines()[0]
+    assert err.splitlines()[0].startswith("usage: qprep3")
+    # the same program prefix on the error line, which ends the output
+    assert err.splitlines()[-1].partition(": error: ")[0] == expected.splitlines()[-1].partition(": error: ")[0]
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", [None, "synth", "sweep", "delta"])
+def test_help_shows_the_usage_and_every_flag(capsys, monkeypatch, command, flag):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [flag] if command is None else [command, flag]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0 and err == ""
+    parser = argparse_cli_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if command is not None:
+        parser = commands.choices[command]
+    assert out.split("\n\n")[0] + "\n" == parser.format_usage()
+    formatter = parser._get_formatter()
+    rows = [(formatter._format_action_invocation(a), a.help) for a in parser._actions if a.help]
+    if command is None:
+        rows += [(a.dest, a.help) for a in commands._choices_actions]
+    flat = " ".join(out.split())
+    for invocation, text in rows:
+        assert f" {invocation} {' '.join(text.split())} " in f" {flat} "
