@@ -1,9 +1,9 @@
 """qprep3: compile 2- and 3-qubit pure states into local + controlled-Z circuits.
 
-Any 3-qubit state synthesizes with at most three controlled-Z gates; any
-real-amplitude 3-qubit state with all-real gates and at most four (three when
-its discriminant is nonnegative, and three on every Haar-random
-negative-discriminant state sampled so far). Circuits are verified by exact simulation.
+Any 3-qubit state synthesizes with at most three controlled-Z gates, and any
+real-amplitude 3-qubit state with all-real gates and at most three as well.
+Circuits are verified by exact simulation, and every bound is checked on
+every run: a run that would miss one raises instead.
 """
 from . import errors
 from .circuit import (

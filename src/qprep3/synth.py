@@ -5,9 +5,7 @@ all-zeros basis state (invert it to prepare). Guarantees:
 
   disentangle2       any 2-qubit state,   <= 1 controlled-Z
   disentangle3       any 3-qubit state,   <= 3 controlled-Z
-  disentangle3_real  real 3-qubit states, <= 4 controlled-Z, all gates real
-                     (<= 3 when the discriminant is nonnegative, and 3 on
-                     every Haar-random negative-discriminant state sampled)
+  disentangle3_real  real 3-qubit states, <= 3 controlled-Z, all gates real
 
 The 3-qubit flow works on the block view |phi> = |0>A + |1>B: one local gate
 makes A singular (a root of det(A + zB) = 0, or a block swap when det(B) = 0),
@@ -29,12 +27,13 @@ which vanishes for (cos phi, sin phi) along (q1, det(A) - det(B)). A real,
 symmetric, traceless 2x2 form has two orthogonal real null directions, so
 the state is then |u>P + |u_perp>Q on qubit 1 with P and Q products: a
 chain with qubit 1 in the middle, which the flow finishes with 2 more CZ.
-This is checked on every run, not proven: if any check of that attempt
-fails, or it needs more than 3 CZ, the synthesis starts again with the 4-CZ
-prefix (a real r1 on qubit 0 and cz01, which makes the top block singular).
-Within DELTA_ZERO_BAND below zero, the flow itself is tried first and the
-4-CZ prefix after it; when the top block is already singular, the flow
-alone is tried (its step-1 root is then ~0, and real).
+When the prefix leaves the bottom block singular (near W, where delta = 0),
+the flow's step 1 would swap the blocks, the pencil root at infinity, and
+break the chain; the prefix instead applies the small root itself, which
+the cancellation-free form keeps finite (mat2._big_root_term). Within
+DELTA_ZERO_BAND below zero, or when the top block is already singular (its
+step-1 root is then ~0, and real), the flow runs with no prefix. The bound
+of 3 CZ is checked on every run, not proven: a run that misses it raises.
 
 Step 1 takes the first pencil root (the first real one in real mode). The
 branch decisions are made at EPS_ZERO, the scale the fidelity floor sets: a
@@ -60,11 +59,12 @@ their transposes), so real mode keeps its sign as the first trace label.
 Every synthesis goes through one attempt runner, _first_passing. It runs
 each attempt on a fresh builder of the input, in order, and returns the
 first that passes every check. A 3-qubit attempt is _attempt3: a trace
-label, a prefix, a CZ bound and the mode, so disentangle3 tries the flow
-and disentangle3_real each of its prefixes in order, both after the
-_relabel01 attempt when it applies; disentangle2 has one attempt. A
-Qprep3Error raised in an attempt gets the branch trace that attempt took,
-and when no attempt passes, the first attempt's error is raised.
+label, a prefix, a CZ bound and the mode. disentangle3 and
+disentangle3_real each make one attempt with a bound of 3 CZ (the flow,
+with real mode's prefix if any), after the _relabel01 attempt when it
+applies; disentangle2 has one attempt. A Qprep3Error raised in an attempt
+gets the branch trace that attempt took, and when no attempt passes, the
+first attempt's error is raised.
 
 Each synthesis is one builder pass. The builder tracks the amplitudes as a
 plain list and reads the blocks from it to choose the next gate; the embedded
@@ -107,7 +107,7 @@ from .circuit import Circuit, CZGate, Gate, LocalGate, apply_circuit, fidelity_t
 from .errors import NotRealError, Qprep3Error, SynthesisInvariantError
 from .mat2 import CHAIN_GAP_TOL, DELTA_ZERO_BAND, EPS_ZERO, FID_MIN, PRUNE_TOL, REAL_ROOT_TOL, STEP_TOL
 from .mat2 import SWAP_BLOCKS, Mat2
-from .mat2 import _l1, _pencil_form, _r1, _r2, _r3, _solve_det_pencil, is_singular, row2_norm, u_from_pair
+from .mat2 import _big_root_term, _l1, _pencil_form, _r1, _r2, _r3, _solve_det_pencil, is_singular, row2_norm, u_from_pair
 from .state import PureState2, PureState3, State, _delta, amp_matrix, basis_state, overlap, qubit0_factor
 
 class SynthesisReport(namedtuple("SynthesisReport", "circuit cz_count all_real branch_trace fidelity")):
@@ -253,10 +253,6 @@ def _is_global_phase(m: Mat2) -> bool:
     return abs(m.a - sign) <= PRUNE_TOL and abs(m.d - sign) <= PRUNE_TOL
 
 
-def _col2_norm(m: Mat2) -> float:
-    return max(abs(m.b), abs(m.d))
-
-
 def disentangle2(s: PureState2) -> SynthesisReport:
     """Circuit (gates on qubits 0 and 1) mapping s to |00>.
 
@@ -305,15 +301,16 @@ def disentangle3(s: PureState3) -> SynthesisReport:
     A chain with qubit 0 in the middle is first tried with qubits 0 and 1
     swapped (trace `relabel01`), for 2 CZ; see the module docstring.
     """
-    return _run_attempts3(s, None, ((None, 3),), False)
+    return _run_attempts3(s, None, None, False)
 
 
-def _run_attempts3(s: PureState3, label, prefixes, real: bool) -> SynthesisReport:
-    """_attempt3 for each (prefix, CZ bound) in order; a qubit-0 chain (module
+def _run_attempts3(s: PureState3, label, prefix, real: bool) -> SynthesisReport:
+    """_attempt3 with prefix and a bound of 3 CZ; a qubit-0 chain (module
     docstring) first tries the _relabel01 prefix with a bound of 2 CZ."""
+    attempts = ((prefix, 3),)
     if _is_chain_middle(s.w, 0) and not _is_chain_middle(s.w, 1) and not _is_chain_middle(s.w, 2):
-        prefixes = ((_relabel01, 2),) + prefixes
-    return _first_passing(s, (partial(_attempt3, label, p, n, real) for p, n in prefixes))
+        attempts = ((_relabel01, 2),) + attempts
+    return _first_passing(s, (partial(_attempt3, label, p, n, real) for p, n in attempts))
 
 
 def _attempt3(label, prefix, max_cz: int, real: bool, b: _Builder) -> SynthesisReport:
@@ -334,37 +331,26 @@ def _attempt3(label, prefix, max_cz: int, real: bool, b: _Builder) -> SynthesisR
 def disentangle3_real(s: PureState3) -> SynthesisReport:
     """All-real circuit mapping a real 3-qubit state to |000>.
 
-    At most 3 CZ when delta(s) >= 0. For delta < 0 the first attempt,
-    bounded by 3 CZ, is the chain prefix (a rotation on qubit 1, then cz01;
-    see the module docstring), which the general flow finishes with 2 more
-    CZ; or, within DELTA_ZERO_BAND of zero or when the top block is already
-    singular, the flow alone. If it fails a check, a bound of 3 CZ included,
-    the 4-CZ prefix (a real r1 on qubit 0, then cz01, which makes the top
-    block singular) comes next; a top block that is singular already needs
-    no prefix and gets no fallback. So the bound for delta < 0 stays 4.
-    Every branch choice after a prefix is real. As in disentangle3, a chain
-    with qubit 0 in the middle first tries qubits 0 and 1 swapped, for 2 CZ.
+    At most 3 CZ for either sign of delta(s). For delta < 0 the flow runs
+    after the chain prefix (a rotation on qubit 1, then cz01; see the module
+    docstring), which leaves a chain that the flow finishes with 2 more CZ;
+    within DELTA_ZERO_BAND of zero, or when the top block is already
+    singular, it runs with no prefix. A run that misses a check, the bound
+    included, raises. Every branch choice after a prefix is real. As in
+    disentangle3, a chain with qubit 0 in the middle first tries qubits 0
+    and 1 swapped, for 2 CZ.
     The first label of the branch trace is the sign of delta (`delta>=0` or
     `delta<0`); the chain prefix says `chain01`, the swap `relabel01`.
     """
     if not s.is_real():
         raise NotRealError("disentangle3_real requires real amplitudes")
     d = _delta(s.w)
-    # each attempt is a prefix (None: none) and the CZ bound it must meet
-    if d >= 0.0 or is_singular(amp_matrix(s.w, 0), EPS_ZERO):
-        # a singular top block gives a step-1 root ~0, which is real
-        prefixes = ((None, 3),)
-    elif d < -DELTA_ZERO_BAND:
-        # the chain prefix is kept only when it gives its 3 CZ: near
-        # delta = 0 it can leave a state the flow does not see as a chain
-        prefixes = ((_chain01, 3), (_r1_cz01, 4))
-    else:
-        # inside the band, delta can be the rounding of a delta = 0 state,
-        # such as one built with one CZ (delta ~ -1e-17), which the chain
-        # prefix would give a second CZ: the flow comes first, with a real
-        # or clamped step-1 root
-        prefixes = ((None, 3), (_r1_cz01, 4))
-    return _run_attempts3(s, "delta>=0" if d >= 0.0 else "delta<0", prefixes, True)
+    # a singular top block gives a step-1 root ~0, which is real; inside the
+    # band, delta can be the rounding of a delta = 0 state, such as one built
+    # with one CZ (delta ~ -1e-17), which the chain prefix would give a
+    # second CZ: both take the flow alone, with a real or clamped root
+    plain = d >= 0.0 or is_singular(amp_matrix(s.w, 0), EPS_ZERO) or d >= -DELTA_ZERO_BAND
+    return _run_attempts3(s, "delta>=0" if d >= 0.0 else "delta<0", None if plain else _chain01, True)
 
 
 # by qubit q, the amplitudes of the blocks A (q is 0) and B (q is 1) of the
@@ -418,15 +404,18 @@ def _swap01_gate(g: Gate) -> Gate:
     return tuple.__new__(CZGate, (i, j) if i < j else (j, i))
 
 
-def _r1_cz01(b: _Builder) -> None:
-    b.local(0, _r1(amp_matrix(b.amps, 0)).transpose())
-    b.cz(0, 1)
-
-
 def _chain01(b: _Builder) -> None:
     b.say("chain01")
     b.local(1, _chain_rotation(b.amps))
     b.cz(0, 1)
+    b0 = amp_matrix(b.amps, 4)
+    if is_singular(b0, EPS_ZERO):
+        # the flow would swap the blocks (the pencil root at infinity), which
+        # breaks the chain; the small root stays finite, and is taken here
+        # (big is 0 only when q1 and q2 q0 are; U(1, 0) = I is not emitted)
+        q2, q1, q0 = _pencil_form(amp_matrix(b.amps, 0), b0)
+        big = _big_root_term(q1, q1 * q1 - 4.0 * q2 * q0)
+        b.local(2, u_from_pair(1.0, q0 / big if big else 0.0))
 
 
 def _chain_rotation(w) -> Mat2:
@@ -516,7 +505,7 @@ def _run3(b: _Builder, require_real: bool) -> None:
 
     # b4 is singular (skip decision or step-4 check), and nonzero when its
     # second column is
-    if _col2_norm(b4) <= EPS_ZERO:
+    if max(abs(b4.b), abs(b4.d)) <= EPS_ZERO:
         b.say("skip-step5")
     else:
         b.say("step5")

@@ -222,8 +222,8 @@ def argparse_cli_parser() -> argparse.ArgumentParser:
 
     p_delta = sub.add_parser(
         "delta",
-        help="print the real-state discriminant and its CZ bound (4 for delta < 0, while real mode "
-        "keeps its 4-CZ fallback; the chain prefix gives 3 on every Haar-random such state sampled)",
+        help="print the real-state discriminant and real mode's CZ bound (3 for either sign; delta < 0 "
+        "takes the chain prefix)",
     )
     p_delta.add_argument("file", help="state file (8 '<re> <im>' lines, real)")
     return parser

@@ -41,7 +41,7 @@ DELTA_NEG_FILE = """\
 BASIS_FILE = "1 0\n" + "0 0\n" * 7
 
 # real, delta ~ -1.2e-14: inside DELTA_ZERO_BAND but negative, so real mode
-# takes the r1 + cz01 prefix and its 4-CZ bound
+# takes the flow with no prefix, as for delta >= 0
 DELTA_BAND_NEG_FILE = "".join(
     f"{x} 0\n"
     for x in (
@@ -122,7 +122,7 @@ class TestSynthCommand:
         assert code == 0
         status = out.strip().splitlines()[-1]
         fields = dict(kv.split("=") for kv in status.split())
-        assert int(fields["cz"]) <= 4
+        assert int(fields["cz"]) <= 3
         assert fields["all_real"] == "true"
 
     def test_real_mode_rejects_complex(self, tmp_path, capsys):
@@ -290,7 +290,7 @@ class TestDeltaCommand:
         path = write(tmp_path, "tv.txt", DELTA_NEG_FILE)
         code, out, _ = run_cli(capsys, ["delta", path])
         assert code == 0
-        assert out.strip() == "delta=-0.25 bound=4"
+        assert out.strip() == "delta=-0.25 bound=3"
 
     def test_zero_band(self, tmp_path, capsys):
         path = write(tmp_path, "zero.txt", BASIS_FILE)
@@ -298,13 +298,12 @@ class TestDeltaCommand:
         assert code == 0
         assert out.strip() == "delta~0 bound=3"
 
-    def test_negative_zero_band_has_bound_4(self, tmp_path, capsys):
+    def test_negative_zero_band_has_bound_3(self, tmp_path, capsys):
         path = write(tmp_path, "band.txt", DELTA_BAND_NEG_FILE)
         code, out, _ = run_cli(capsys, ["delta", path])
         assert code == 0
-        assert out.strip() == "delta~0 bound=4"
-        # real mode tries the plain flow first in the band, and it gives this
-        # state 3 CZ; the printed bound still covers the 4-CZ fallback
+        assert out.strip() == "delta~0 bound=3"
+        # real mode runs the plain flow in the band, and it meets that bound
         code, out, _ = run_cli(capsys, ["synth", path, "--real", "--verify"])
         assert code == 0
         assert out.splitlines()[-1].startswith("cz=3 ")
@@ -513,7 +512,7 @@ def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch):
     # the installed console script calls main() with no argv
     path = write(tmp_path, "neg.txt", DELTA_NEG_FILE)
     monkeypatch.setattr(sys, "argv", ["qprep3", "delta", path])
-    assert run_cli(capsys, None) == (0, "delta=-0.25 bound=4\n", "")
+    assert run_cli(capsys, None) == (0, "delta=-0.25 bound=3\n", "")
 
 
 @pytest.mark.parametrize(

@@ -119,9 +119,8 @@ def _violation(rep, v, mode):
         return "gates %d and %d are local on one wire with no CZ on it between them" % pair
     if abs(dense_apply(rep.circuit, v)[0]) < 1.0 - 1e-9:
         return "fidelity"
-    bound = 3 if mode == "general" or _delta(v) >= 0.0 else 4
-    if rep.cz_count > bound:
-        return f"cz {rep.cz_count} > {bound}"
+    if rep.cz_count > 3:
+        return f"cz {rep.cz_count} > 3"
     if mode == "real" and any(abs(e.imag) > 1e-10 for g in rep.circuit.gates if hasattr(g, "matrix") for e in g.matrix):
         return "non-real gate"
     return None
@@ -268,6 +267,99 @@ def test_real_mode_reaches_cz_min_on_pinned_2_cz_chains():
             pytest.fail(f"state {n} is no longer a 2-CZ chain: cz_min {cz_min(v)}")
         got.append(disentangle3_real(PureState3(v)).cz_count)
     assert got == [2] * 5
+
+
+# the real near-W states of the near-degenerate benchmark fuzz
+# (perfbench/workloads.py, _near_degenerate_instance with rng [seed, 3]) by
+# (seed, index), at 17 significant digits. Their chain prefix leaves the
+# bottom block singular, and the flow's block swap there broke the chain
+PINNED_NEAR_W = {
+    (2, 2888): [
+        4.3282624400187049e-06, 0.5773482608225935, 0.57734946498648798, 1.1748159636950964e-06,
+        0.57735308169618771, 9.8293531350405981e-07, 2.1250823813147593e-06, -5.9381505873152951e-06,
+    ],
+    (3, 1244): [
+        -3.1302228024865023e-06, 0.57735321856596011, 0.57734674347514381, 6.4322138785316052e-06,
+        0.57735084535416092, 3.2050893543537102e-07, -7.8308654566938927e-06, -8.1493679558672552e-06,
+    ],
+    (3, 2288): [
+        -6.4227889289166106e-07, 0.57735054982688672, 0.57735013423873682, 7.2508683705061155e-07,
+        0.57735012339392222, -2.7995520562182139e-07, -5.4634444229830618e-06, -9.7601789173837667e-06,
+    ],
+    (4, 2804): [
+        1.1727185220242157e-06, 0.57735168220016453, 0.57734911671809819, 7.201444817461511e-07,
+        0.57735000864329999, -8.4777980488576688e-07, 1.1159201891809417e-06, -1.0934484313077963e-06,
+    ],
+    (6, 1148): [
+        -2.6733124335679856e-06, 0.57735088665394152, 0.57734850658677705, -3.4865738893002444e-07,
+        0.57735141430099557, 4.0979234997815372e-07, -1.7892220263341115e-06, -3.991036092364361e-06,
+    ],
+    (8, 272): [
+        3.0765004828343672e-06, 0.57735013871401697, 0.57735001919344964, -1.130094347712189e-06,
+        0.57735064964902627, -4.2365103676899518e-07, -1.7574921094131494e-06, -2.56873227783287e-07,
+    ],
+    (8, 884): [
+        -4.550560503785178e-06, 0.57734985913613557, 0.57734513447641411, -7.3861234029924751e-08,
+        0.57735581387664769, -7.7149347490233804e-07, 1.160546784783043e-06, -3.474792145531392e-06,
+    ],
+    (8, 2204): [
+        -2.1298221212950106e-07, 0.57735059932646138, 0.57735120062779, 1.0635143688914606e-06,
+        0.57734900760969243, 6.8805395598423711e-07, -1.1843297613876663e-06, -2.7586236122917908e-07,
+    ],
+    (9, 284): [
+        2.0554510487632355e-06, 0.57735335299432722, 0.57733376336445064, -1.7865824412398326e-05,
+        0.57736368709680808, -8.126242840320105e-07, -2.9668740134053923e-05, -5.5527653085832239e-05,
+    ],
+    (9, 488): [
+        1.1632041786038378e-06, 0.57734919324923828, 0.5773511246670191, 1.0224314475483557e-07,
+        0.57735048964183289, -3.6925634773716208e-07, 2.7677312741022516e-06, -1.165213624912574e-06,
+    ],
+    (12, 320): [
+        2.3735954690165663e-06, 0.57735486821437332, 0.57734648874121042, -1.4410763288600449e-05,
+        0.57734945027875662, -7.4809038984920797e-07, -1.1439502142579049e-05, -2.3346766606007648e-06,
+    ],
+    (12, 860): [
+        -4.4509802040624807e-07, 0.57735141199194229, 0.57734927356956744, 5.8348372166662873e-07,
+        0.57735012200315916, 4.5680898081224507e-07, -1.2450488759465558e-06, -4.932536515436265e-07,
+    ],
+    (12, 2480): [
+        2.4134605059179788e-06, 0.57734455377162452, 0.57735752395459849, -1.7216441383673421e-06,
+        0.57734872962305828, -3.8881239171211764e-07, 5.1050082544372866e-06, -1.1441094953795499e-05,
+    ],
+    (13, 2552): [
+        -2.2383693090712096e-06, 0.57734796460080617, 0.57735101186357862, 6.7628540050181288e-07,
+        0.57735183108084587, -7.1867780574813164e-07, -3.5544632465197969e-06, -6.1981604977197287e-07,
+    ],
+    (14, 1904): [
+        -1.0225537738377371e-06, 0.57735081144481804, 0.57735062533216652, 1.4249480425137368e-06,
+        0.57734937078306992, -8.9283636923363144e-07, -1.5563954526924785e-06, -1.6322233976583249e-06,
+    ],
+    (19, 8): [
+        6.0183016846793494e-06, 0.57734599269056575, 0.57735114311948843, -5.7176286345413078e-06,
+        0.577353671662867, -7.826862410266952e-07, -2.6580252023625898e-06, -1.8928358114411713e-06,
+    ],
+    (19, 2684): [
+        2.5977760347623487e-06, 0.5772805471457757, 0.57747086654619773, 2.2520213602251021e-05,
+        0.57729933318243898, -6.6319382618649506e-07, 7.8475211308293762e-05, -0.00020349904534184749,
+    ],
+}
+
+
+def test_real_near_w_states_get_3_cz():
+    # a 4-CZ fallback once served exactly these. The chain prefix takes the
+    # finite step-1 root itself, so the flow then solves a pencil
+    bad = []
+    for key, row in PINNED_NEAR_W.items():
+        v = np.array(row, dtype=np.complex128)
+        rep = disentangle3_real(PureState3(v))
+        problem = _violation(rep, v, "real")
+        if problem is None and not rep.cz_count == cz_min(v) == 3:
+            problem = f"cz {rep.cz_count}, cz_min {cz_min(v)}"
+        if problem is None and rep.branch_trace[:3] != ("delta<0", "chain01", "pencil"):
+            problem = "trace"
+        if problem is not None:
+            bad.append((key, problem, rep.branch_trace))
+    assert bad == []
 
 
 def test_haar_circuits_have_3_cz_and_11_gates():

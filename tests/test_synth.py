@@ -242,7 +242,7 @@ class TestDisentangle3Real:
         s = delta_negative_vector()
         assert delta(s) == -0.25
         rep = disentangle3_real(s)
-        assert rep.cz_count <= 4
+        assert rep.cz_count <= 3
         assert rep.all_real
         assert rep.branch_trace[0] == "delta<0"
         assert rep.fidelity >= FID
@@ -292,10 +292,12 @@ class TestAttemptsInOrder:
         assert rep.cz_count == 3
         assert abs(dense_apply(rep.circuit, s.amps)[0]) >= FID
 
-    def test_failed_chain_attempt_falls_back_to_the_4_cz_prefix(self, monkeypatch):
-        # a step check that fails on the chain attempt only: the 4-CZ prefix
-        # (r1 on qubit 0, cz01) then runs on a fresh builder, with its own trace
+    def test_failed_chain_attempt_raises_with_its_trace(self, tmp_path, capsys, monkeypatch):
+        # a step check that fails on the chain attempt only: no other attempt
+        # follows it, so the run raises with the chain attempt's trace, and
+        # the CLI exits 3 with the replay block
         import qprep3.synth as synth
+        from qprep3.cli import main
 
         real_run3 = synth._run3
 
@@ -305,13 +307,20 @@ class TestAttemptsInOrder:
 
         monkeypatch.setattr(synth, "_run3", failing_after_chain)
         s = _real_delta_negative(767)
-        rep = disentangle3_real(s)
-        assert rep.cz_count == 4
-        assert rep.branch_trace == ("delta<0", "pencil", "step4", "step5", "cz12", "detT!=0")
-        first, second = rep.circuit.gates[:2]
-        assert isinstance(first, LocalGate) and first.qubit == 0 and second == CZGate(0, 1)
-        assert rep.all_real
-        assert abs(dense_apply(rep.circuit, s.amps)[0]) >= FID
+        with pytest.raises(SynthesisInvariantError, match="chain attempt rejected") as info:
+            disentangle3_real(s)
+        assert info.value.branch_trace[:2] == ["delta<0", "chain01"]
+
+        path = tmp_path / "chain.txt"
+        path.write_text("".join("%.17g %.17g\n" % (z.real, z.imag) for z in s.w), encoding="utf-8")
+        code = main(["synth", str(path), "--real"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        lines = err.splitlines()
+        assert lines[0] == "error: SynthesisInvariantError: step1: chain attempt rejected"
+        assert lines[1].startswith("branch trace: delta<0 > chain01")
+        assert lines[2] == "# state as synthesized, after renormalization:"
+        assert len(lines) == 11 and "Traceback" not in err
 
     def test_nearly_singular_blocks_take_the_block_swap(self):
         # A0 and B0 both nearly singular (sigma_min ~1e-9): at EPS_ZERO, B0
@@ -453,7 +462,7 @@ class TestPrepare:
 
     def test_real_mode_round_trip(self):
         rep = prepare(delta_negative_vector(), mode="real")
-        assert rep.cz_count <= 4
+        assert rep.cz_count <= 3
         assert rep.all_real
         assert rep.fidelity >= FID
 
