@@ -271,8 +271,9 @@ def test_real_mode_reaches_cz_min_on_pinned_2_cz_chains():
 
 # the real near-W states of the near-degenerate benchmark fuzz
 # (perfbench/workloads.py, _near_degenerate_instance with rng [seed, 3]) by
-# (seed, index), at 17 significant digits. Their chain prefix leaves the
-# bottom block singular, and the flow's block swap there broke the chain
+# (seed, index), at 17 significant digits, on which the chain prefix leaves
+# the bottom block singular. As complex128 arrays they are bit-equal to the
+# generated vectors
 PINNED_NEAR_W = {
     (2, 2888): [
         4.3282624400187049e-06, 0.5773482608225935, 0.57734946498648798, 1.1748159636950964e-06,
@@ -346,8 +347,8 @@ PINNED_NEAR_W = {
 
 
 def test_real_near_w_states_get_3_cz():
-    # a 4-CZ fallback once served exactly these. The chain prefix takes the
-    # finite step-1 root itself, so the flow then solves a pencil
+    # the flow's block swap would break the chain, so the prefix takes the
+    # finite step-1 root itself, and the flow then solves a pencil
     bad = []
     for key, row in PINNED_NEAR_W.items():
         v = np.array(row, dtype=np.complex128)
