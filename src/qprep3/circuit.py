@@ -4,8 +4,9 @@ A circuit is an ordered gate list applied left-to-right to the ket (the first
 list element acts first). Gates are either a single-qubit unitary placed on
 one wire or a controlled-Z on a wire pair; controlled-Z is symmetric and
 self-inverse. Simulation uses the block-update rules of kernels.py (one 2x2
-mix per local gate, sign flips per CZ) on a plain amplitude list; the result
-is validated into a state once, after the last gate.
+mix per local gate, sign flips per CZ) on a plain amplitude list, of floats
+when the start state is exactly real; the result is validated into a state
+once, after the last gate.
 
 Text format (UTF-8, LF, one gate per line, applied top to bottom):
 
@@ -125,6 +126,10 @@ def apply_circuit(c: Circuit, s: State) -> State:
         where = f"gate on qubit {g.qubit}" if isinstance(g, LocalGate) else f"CZ on ({g.i}, {g.j})"
         raise ValueError(f"{where} applied to {n}-qubit state")
     amps = s.w
+    # an exactly real state runs in floats: real gates keep them float, and
+    # a complex entry promotes them to the nonzero bits complex ones give
+    if not any([z.imag for z in amps]):
+        amps = [z.real for z in amps]
     for g in gates:
         if isinstance(g, LocalGate):
             qubit, (u00, u01, u10, u11) = g

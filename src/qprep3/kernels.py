@@ -1,8 +1,9 @@
 """Statevector kernels: the block-update rules on a plain amplitude sequence.
 
 Basis index i has qubit q in state (i >> q) & 1, as in state.py. Each kernel
-takes any sequence of 2**n complex amplitudes (n = 2 or 3) and returns a
-fresh list; the input is never mutated and nothing is validated.
+takes any sequence of 2**n amplitudes (n = 2 or 3), complex or float, and
+returns a fresh list; the input is never mutated and nothing is validated.
+Float amplitudes and gate entries stay float, which CPython computes faster.
 
 A local gate on qubit q mixes each index pair (i, i | 1 << q) with the qubit 0
 in i, as lo, hi -> u00*lo + u01*hi, u10*lo + u11*hi. There is one

@@ -1,4 +1,4 @@
-"""2x2 complex matrices and the special unitary constructions of the synthesis core.
+"""2x2 matrices and the special unitary constructions of the synthesis core.
 
 Every construction returns a matrix of the form
 
@@ -7,6 +7,12 @@ Every construction returns a matrix of the form
 which is unitary with determinant exactly 1, and maps real inputs to real
 outputs. All functions are pure. Mat2 is an immutable named tuple of its four
 entries (a, b, c, d), so it compares and hashes by value.
+
+Entries are Python complex, or Python float on real mode's float path
+(synth._real_amps): the constructions keep their inputs' type, so floats in
+give floats out (u_from_pair casts only a float paired with a complex). A
+float meeting a complex promotes to the nonzero bits complex() would give,
+so the float path moves only signs of zero.
 
 Mat2 checks nothing about its fields, so the values built on the hot paths
 (u_from_pair, transpose, dagger, @, state.amp_matrix, state.qubit0_factor and
@@ -86,7 +92,7 @@ FID_MIN = 1.0 - 1e-10
 
 
 class Mat2(namedtuple("Mat2", "a b c d")):
-    """Complex 2x2 matrix [[a, b], [c, d]]."""
+    """2x2 matrix [[a, b], [c, d]] of Python complex or float entries."""
 
     __slots__ = ()
 
@@ -133,13 +139,18 @@ SWAP_BLOCKS = Mat2(0, 1, -1, 0)
 
 
 def u_from_pair(x: complex, y: complex) -> Mat2:
-    """U(x, y): unit-determinant unitary with first row (x, y) normalized."""
+    """U(x, y): unit-determinant unitary with first row (x, y) normalized.
+
+    Its entries are floats when x and y both are, else complex: a float
+    next to a complex (general mode's step 1, U(1, z)) is cast, so no
+    entry of a complex gate is a float."""
     n2 = abs(x) ** 2 + abs(y) ** 2
     if n2 <= EPS_ZERO * EPS_ZERO:
         raise ZeroPairError("u_from_pair requires (x, y) != (0, 0)")
     inv = 1.0 / math.sqrt(n2)
-    x = complex(x)
-    y = complex(y)
+    if type(x) is not type(y):
+        x = complex(x)
+        y = complex(y)
     return tuple.__new__(Mat2, (x * inv, y * inv, -y.conjugate() * inv, x.conjugate() * inv))
 
 
@@ -209,7 +220,7 @@ def _r1_ratio(m: Mat2) -> complex:
     bot = abs(c) ** 2 + abs(d) ** 2
     beta = a * c.conjugate() + b * d.conjugate()
     if abs(beta) <= EPS_ZERO * m.frobenius() ** 2:
-        return complex(math.sqrt(bot / top))
+        return math.sqrt(bot / top)
     return -math.sqrt(bot / (abs(beta) ** 2 * top)) * beta.conjugate()
 
 
@@ -238,10 +249,10 @@ def _r2(m: Mat2) -> Mat2:
     a, b, c, d = _snap_real(m)
     p, q = (a, b) if abs(a) ** 2 + abs(b) ** 2 >= abs(c) ** 2 + abs(d) ** 2 else (c, d)
     if abs(p) <= EPS_ZERO:
-        k: complex = math.sqrt(abs(p) ** 2 + abs(q) ** 2)
+        k = math.sqrt(abs(p) ** 2 + abs(q) ** 2)
     else:
         k = -math.sqrt((abs(p) ** 2 + abs(q) ** 2) / abs(p) ** 2) * p
-    return u_from_pair(q, p.conjugate() - complex(k).conjugate())
+    return u_from_pair(q, p.conjugate() - k.conjugate())
 
 
 def l1(m: Mat2) -> Mat2:

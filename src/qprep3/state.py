@@ -137,8 +137,9 @@ def basis_state(num_qubits: int, index: int = 0) -> State:
 def amp_matrix(w, offset: int = 0, step: int = 1) -> Mat2:
     """Amplitudes w[offset], w[offset+step], ... (four of them) as the row-major
     2x2 matrix; step 1 << q reads the pair of qubits (q+1, q). The entries are
-    taken as they are: every caller passes Python complex (a state's `w`, or
-    the synthesis's tracked list), and nothing is validated. Offset 0 / 4
+    taken as they are: callers pass Python complex (a state's `w`, or the
+    synthesis's tracked list) or, on real mode's float path, floats, and
+    nothing is validated. Offset 0 / 4
     reads the block T0 / T1 of 8 amplitudes."""
     return tuple.__new__(Mat2, (w[offset], w[offset + step], w[offset + 2 * step], w[offset + 3 * step]))
 

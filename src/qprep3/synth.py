@@ -80,6 +80,15 @@ list is always the input state run through the circuit so far. Every stage
 asserts its postcondition on it, and its final value gives the reported
 fidelity.
 
+Real mode tracks an exactly real input (every imaginary part 0.0) as floats
+(_real_amps): the mat2 cores keep their inputs' type and real mode's root
+choices take the root's real part, so no gate has a complex entry and
+every kernel runs in float arithmetic, which CPython computes faster than
+complex. A float meeting a complex promotes to the nonzero bits complex()
+gives, so floats change only signs of zero. An input with a nonzero
+imaginary part within REAL_STATE_TOL stays complex, so `finish` measures
+the fidelity on the input itself.
+
 Each thing is checked once on this path. A gate comes from the private core
 of its mat2 construction (_l1, _r1, _r2, _r3, _solve_det_pencil) wherever
 the branch decision or step check just before it has established the
@@ -105,7 +114,7 @@ from operator import itemgetter
 from . import kernels
 from .circuit import Circuit, CZGate, Gate, LocalGate, apply_circuit, fidelity_to_basis, invert
 from .errors import NotRealError, Qprep3Error, SynthesisInvariantError
-from .mat2 import CHAIN_GAP_TOL, DELTA_ZERO_BAND, EPS_ZERO, FID_MIN, PRUNE_TOL, REAL_ROOT_TOL, STEP_TOL
+from .mat2 import CHAIN_GAP_TOL, DELTA_ZERO_BAND, EPS_ZERO, FID_MIN, PRUNE_TOL, REAL_ROOT_TOL, REAL_STATE_TOL, STEP_TOL
 from .mat2 import SWAP_BLOCKS, Mat2
 from .mat2 import _big_root_term, _l1, _pencil_form, _r1, _r2, _r3, _solve_det_pencil, is_singular, row2_norm, u_from_pair
 from .state import PureState2, PureState3, State, _delta, amp_matrix, basis_state, overlap, qubit0_factor
@@ -133,10 +142,10 @@ class _Builder:
     of `gates`.
     """
 
-    def __init__(self, state):
+    def __init__(self, state, amps):
         self.state_type = type(state)
         self.num_qubits = state.num_qubits
-        self.amps = list(state.w)
+        self.amps = list(amps)
         self.gates: list[Gate] = []
         self.before: list[list] = []
         self.trace: list[str] = []
@@ -225,16 +234,17 @@ class _Builder:
         return SynthesisReport(circ, cz, circ.is_real(), tuple(self.trace), fid)
 
 
-def _first_passing(s: State, attempts) -> SynthesisReport:
+def _first_passing(s: State, w, attempts) -> SynthesisReport:
     """Run each attempt (a function of a builder, returning its finished
-    report) on a fresh builder of s, in order, and return the first report.
+    report) on a fresh builder of s, tracking the amplitudes w (s.w, or
+    their real parts as floats), in order, and return the first report.
 
     An attempt fails by raising a Qprep3Error, which gets the branch trace
     that attempt took. When every attempt fails, the first one's is raised.
     """
     first = None
     for attempt in attempts:
-        b = _Builder(s)
+        b = _Builder(s, w)
         try:
             return attempt(b)
         except Qprep3Error as exc:
@@ -259,7 +269,7 @@ def disentangle2(s: PureState2) -> SynthesisReport:
     Zero CZ when the amplitude matrix is singular (product state), one CZ
     otherwise.
     """
-    return _first_passing(s, (_attempt2,))
+    return _first_passing(s, s.w, (_attempt2,))
 
 
 def _attempt2(b: _Builder) -> SynthesisReport:
@@ -301,16 +311,17 @@ def disentangle3(s: PureState3) -> SynthesisReport:
     A chain with qubit 0 in the middle is first tried with qubits 0 and 1
     swapped (trace `relabel01`), for 2 CZ; see the module docstring.
     """
-    return _run_attempts3(s, None, None, False)
+    return _run_attempts3(s, s.w, None, None, False)
 
 
-def _run_attempts3(s: PureState3, label, prefix, real: bool) -> SynthesisReport:
-    """_attempt3 with prefix and a bound of 3 CZ; a qubit-0 chain (module
-    docstring) first tries the _relabel01 prefix with a bound of 2 CZ."""
+def _run_attempts3(s: PureState3, w, label, prefix, real: bool) -> SynthesisReport:
+    """_attempt3 with prefix and a bound of 3 CZ, tracking the amplitudes w
+    of s; a qubit-0 chain (module docstring) first tries the _relabel01
+    prefix with a bound of 2 CZ."""
     attempts = ((prefix, 3),)
-    if _is_chain_middle(s.w, 0) and not _is_chain_middle(s.w, 1) and not _is_chain_middle(s.w, 2):
+    if _is_chain_middle(w, 0) and not _is_chain_middle(w, 1) and not _is_chain_middle(w, 2):
         attempts = ((_relabel01, 2),) + attempts
-    return _first_passing(s, (partial(_attempt3, label, p, n, real) for p, n in attempts))
+    return _first_passing(s, w, (partial(_attempt3, label, p, n, real) for p, n in attempts))
 
 
 def _attempt3(label, prefix, max_cz: int, real: bool, b: _Builder) -> SynthesisReport:
@@ -328,6 +339,17 @@ def _attempt3(label, prefix, max_cz: int, real: bool, b: _Builder) -> SynthesisR
     return rep
 
 
+def _real_amps(s: State, who: str):
+    """The amplitudes real mode tracks: an exactly real input (every
+    imaginary part 0.0) as floats, so every gate is built in float
+    arithmetic; any other as s.w, complex, so `finish` measures the fidelity
+    on the input itself. Raises NotRealError past REAL_STATE_TOL."""
+    imag = s.max_imag()
+    if imag > REAL_STATE_TOL:
+        raise NotRealError(f"{who} requires real amplitudes")
+    return [z.real for z in s.w] if imag == 0.0 else s.w
+
+
 def disentangle3_real(s: PureState3) -> SynthesisReport:
     """All-real circuit mapping a real 3-qubit state to |000>.
 
@@ -342,15 +364,14 @@ def disentangle3_real(s: PureState3) -> SynthesisReport:
     The first label of the branch trace is the sign of delta (`delta>=0` or
     `delta<0`); the chain prefix says `chain01`, the swap `relabel01`.
     """
-    if not s.is_real():
-        raise NotRealError("disentangle3_real requires real amplitudes")
-    d = _delta(s.w)
+    w = _real_amps(s, "disentangle3_real")
+    d = _delta(w)
     # a singular top block gives a step-1 root ~0, which is real; inside the
     # band, delta can be the rounding of a delta = 0 state, such as one built
     # with one CZ (delta ~ -1e-17), which the chain prefix would give a
     # second CZ: both take the flow alone, with a real or clamped root
-    plain = d >= 0.0 or is_singular(amp_matrix(s.w, 0), EPS_ZERO) or d >= -DELTA_ZERO_BAND
-    return _run_attempts3(s, "delta>=0" if d >= 0.0 else "delta<0", None if plain else _chain01, True)
+    plain = d >= 0.0 or is_singular(amp_matrix(w, 0), EPS_ZERO) or d >= -DELTA_ZERO_BAND
+    return _run_attempts3(s, w, "delta>=0" if d >= 0.0 else "delta<0", None if plain else _chain01, True)
 
 
 # by qubit q, the amplitudes of the blocks A (q is 0) and B (q is 1) of the
@@ -412,10 +433,11 @@ def _chain01(b: _Builder) -> None:
     if is_singular(b0, EPS_ZERO):
         # the flow would swap the blocks (the pencil root at infinity), which
         # breaks the chain; the small root stays finite, and is taken here
-        # (big is 0 only when q1 and q2 q0 are; U(1, 0) = I is not emitted)
+        # (big is 0 only when q1 and q2 q0 are; U(1, 0) = I is not emitted);
+        # as for step 1's root, real mode takes its real part, a float
         q2, q1, q0 = _pencil_form(amp_matrix(b.amps, 0), b0)
         big = _big_root_term(q1, q1 * q1 - 4.0 * q2 * q0)
-        b.local(2, u_from_pair(1.0, q0 / big if big else 0.0))
+        b.local(2, u_from_pair(1.0, (q0 / big).real if big else 0.0))
 
 
 def _chain_rotation(w) -> Mat2:
@@ -441,16 +463,18 @@ def _chain_rotation(w) -> Mat2:
 
 
 def _step1_root(b: _Builder, roots: list[complex], require_real: bool) -> complex:
-    """The first pencil root (the first real one in real mode)."""
+    """The first pencil root; in real mode, the real part, as a float, of
+    the first root within REAL_ROOT_TOL of real, so step 1's gate is real
+    (of floats when the tracked amplitudes are)."""
     if not require_real:
         return roots[0]
     for z in roots:
         if abs(z.imag) <= REAL_ROOT_TOL:
-            return complex(z.real, 0.0)
+            return z.real
     # conjugate pair from a slightly negative discriminant: its shared real
     # part is the best real root; the step-1 invariant verifies the residual
     b.say("pencil-root-clamped")
-    return complex(roots[0].real, 0.0)
+    return roots[0].real
 
 
 def _run3(b: _Builder, require_real: bool) -> None:
@@ -524,13 +548,14 @@ def disentangle(s: State, mode: str = "general") -> SynthesisReport:
     """Disentangler for s: the 2-qubit routine, or the 3-qubit one for `mode`.
 
     mode is "general" or "real"; real mode requires real amplitudes (a real
-    2-qubit input already gets real gates from disentangle2).
+    2-qubit input gets real gates from disentangle2's flow, which real mode
+    runs on the amplitudes _real_amps gives).
     """
     if mode not in ("general", "real"):
         raise ValueError(f"mode must be 'general' or 'real', got {mode!r}")
     if isinstance(s, PureState2):
-        if mode == "real" and not s.is_real():
-            raise NotRealError("real mode requires real amplitudes")
+        if mode == "real":
+            return _first_passing(s, _real_amps(s, "real mode"), (_attempt2,))
         return disentangle2(s)
     if mode == "real":
         return disentangle3_real(s)

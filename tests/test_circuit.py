@@ -27,7 +27,7 @@ from qprep3.circuit import (
     ry_angle,
     ry_matrix,
 )
-from qprep3.mat2 import IDENTITY, RY_MATCH_TOL, Mat2
+from qprep3.mat2 import IDENTITY, RY_MATCH_TOL, Mat2, real_parts
 from qprep3.state import PureState2, PureState3, basis_state, random_state, random_state2
 
 ISQ2 = 1.0 / math.sqrt(2.0)
@@ -190,6 +190,31 @@ class TestApplyCircuit:
                 step = apply_gate(g, step)
             assert out.w == step.w
             assert np.max(np.abs(out.amps - dense_apply(two, s.amps))) <= 1e-12
+
+
+    def test_exactly_real_state_runs_in_floats(self):
+        # real gates on an exactly real state: every amplitude equals the
+        # complex simulation's (== is blind to signs of zero only), and the
+        # dense oracle agrees
+        rng = np.random.default_rng(308)
+        for i in range(50):
+            gates = []
+            for _ in range(12):
+                if rng.random() < 0.3:
+                    gates.append(CZGate(*[(0, 1), (0, 2), (1, 2)][rng.integers(3)]))
+                else:
+                    gates.append(LocalGate(int(rng.integers(3)), real_parts(random_unitary2(rng, real=True))))
+            c = Circuit(tuple(gates))
+            s = random_state((309, i), real_only=True)
+            want = list(s.w)
+            for g in gates:
+                if isinstance(g, LocalGate):
+                    want = reference_apply_local(want, g.qubit, *map(complex, g.matrix))
+                else:
+                    want = reference_apply_cz(want, g.i, g.j)
+            out = apply_circuit(c, s)
+            assert list(out.w) == want
+            assert np.max(np.abs(out.amps - dense_apply(c, s.amps))) <= 1e-12
 
 
 class TestInvert:

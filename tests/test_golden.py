@@ -17,6 +17,10 @@ After a deliberate output change, regenerate the file and print both new
 digests with
 
     PYTHONPATH=src python tests/test_golden.py
+
+It also counts the golden lines that changed, and those that changed in
+more than a sign of zero (a `-0` token where the old line has `0`, or the
+reverse).
 """
 import contextlib
 import hashlib
@@ -192,8 +196,19 @@ def test_cli_output_matches_golden_file():
     assert actual == expected
 
 
+def _zero_sign_blind(line: str) -> str:
+    return " ".join("0" if tok == "-0" else tok for tok in line.split(" "))
+
+
 if __name__ == "__main__":
+    with open(GOLDEN_PATH, encoding="utf-8", newline="\n") as fh:
+        old = fh.read().splitlines()
+    new = render_all()
     with open(GOLDEN_PATH, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_all())
+        fh.write(new)
+    new = new.splitlines()
+    changed = [(a, b) for a, b in zip(old, new) if a != b]
+    beyond = sum(_zero_sign_blind(a) != _zero_sign_blind(b) for a, b in changed)
+    print(f"golden lines: {len(old)} -> {len(new)}, changed: {len(changed)}, beyond a sign of zero: {beyond}")
     print(f"SEEDED_SHA256 = {_sha256(render_seeded())!r}")
     print(f"SEEDED_STRUCTURE_SHA256 = {_sha256(render_structure())!r}")

@@ -284,6 +284,54 @@ class TestDisentangle3Real:
                 assert abs(flipped.det()) <= 1e-9
 
 
+class TestRealModeFloats:
+    """Real mode computes an exactly real input in floats; the dense oracle
+    of tests/_oracles.py checks every circuit."""
+
+    @staticmethod
+    def _exactly_real_inputs():
+        w = PureState3(np.array([0, 1, 1, 0, 1, 0, 0, 0]) / math.sqrt(3))
+        named = [ghz(), w, delta_negative_vector(), _real_delta_negative(767), basis_state(3, 5)]
+        return named + [random_state((733, i), real_only=True) for i in range(300)]
+
+    @pytest.mark.parametrize("prep", [False, True], ids=["disentangle", "prepare"])
+    def test_exactly_real_input_gets_no_complex_entry(self, prep):
+        signs = set()
+        for s in self._exactly_real_inputs():
+            signs.add(delta(s) >= 0.0)
+            rep = prepare(s, "real") if prep else disentangle3_real(s)
+            entries = [e for g in rep.circuit.gates if isinstance(g, LocalGate) for e in g.matrix]
+            assert not [e for e in entries if isinstance(e, complex)]
+            if prep:
+                fid = abs(np.vdot(s.amps, dense_apply(rep.circuit, basis_state(3, 0).amps)))
+            else:
+                fid = abs(dense_apply(rep.circuit, s.amps)[0])
+            assert fid >= 1.0 - 1e-12
+        assert signs == {True, False}
+
+    def test_exactly_real_two_qubit_input_gets_no_complex_entry(self):
+        for i in range(100):
+            s = random_state2((735, i), real_only=True)
+            rep = prepare(s, "real")
+            assert not [e for g in rep.circuit.gates if isinstance(g, LocalGate) for e in g.matrix if isinstance(e, complex)]
+            assert abs(np.vdot(s.amps, dense_apply(rep.circuit, basis_state(2, 0).amps))) >= 1.0 - 1e-12
+
+    def test_tiny_imaginary_part_keeps_complex_tracking(self):
+        # 1e-13 is within REAL_STATE_TOL, so the input is real, but not
+        # exactly: it is tracked as it is, its gates are still real, and the
+        # fidelity it reports is the oracle's on the input itself
+        from qprep3.synth import _real_amps
+
+        for i in range(100):
+            v = random_state((734, i), real_only=True).amps.copy()
+            v[i % 8] += 1e-13j
+            s = PureState3(v)
+            assert _real_amps(s, "real mode") is s.w
+            rep = disentangle3_real(s)
+            assert rep.all_real
+            assert abs(rep.fidelity - abs(dense_apply(rep.circuit, s.amps)[0])) <= 1e-15
+
+
 class TestAttemptsInOrder:
     def test_chain_prefix_gives_3_cz(self):
         s = _real_delta_negative(767)
@@ -417,7 +465,8 @@ class TestMinimalCircuits:
 
         rng = np.random.default_rng(782)
         a, c = random_unitary2(rng), random_unitary2(rng)
-        b = _Builder(random_state((782, 0)))
+        s = random_state((782, 0))
+        b = _Builder(s, s.w)
         b.local(2, random_unitary2(rng))
         b.local(0, a)
         if between and between[0] == "local":
