@@ -134,7 +134,7 @@ SEEDED = [
     ("real-prepare", lambda i: random_state((792, i), real_only=True), lambda s: prepare(s, "real"), True, 75),
     ("two-qubit", lambda i: random_state2((793, i)), prepare, False, 50),
 ]
-SEEDED_SHA256 = "d65ca8685438ec005d716df4e89d0aa040c4c3d0c17e0261efa9497b4404730b"
+SEEDED_SHA256 = "75457a8e44098a8b219426595f9c6e273129bc0ec62149730aa4c54ff66b1ff8"
 SEEDED_STRUCTURE_SHA256 = "3ec210e87dd527fb0fc68280e2f700547d9f3ea6bb5289541337514f730524d2"
 
 
