@@ -81,6 +81,9 @@ class Circuit(namedtuple("Circuit", "gates num_qubits")):
 
     def __new__(cls, gates: tuple[Gate, ...], num_qubits: int = 3):
         _check_num_qubits(num_qubits)
+        # stored as a tuple, so a circuit made from a list hashes by value
+        # and cannot change after its checks
+        gates = tuple(gates)
         k = _first_misfit(gates, num_qubits)
         if k is not None:
             raise ValueError(f"gate {gates[k]} does not fit in {num_qubits} qubits")

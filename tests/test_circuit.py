@@ -217,6 +217,17 @@ class TestApplyCircuit:
             assert np.max(np.abs(out.amps - dense_apply(c, s.amps))) <= 1e-12
 
 
+class TestCircuitValue:
+    def test_gates_are_stored_as_a_tuple(self):
+        g = CZGate(0, 1)
+        gates = [g]
+        c = Circuit(gates)
+        assert c == Circuit((g,)) and hash(c) == hash(Circuit((g,)))
+        assert type(c.gates) is tuple
+        gates.append(CZGate(1, 2))
+        assert c.cz_count == 1
+
+
 class TestInvert:
     def test_involution(self):
         c = random_circuit(401, 10)
