@@ -284,6 +284,10 @@ class TestDisentangle3Real:
                 assert abs(flipped.det()) <= 1e-9
 
 
+def _complex_entries(circuit) -> list:
+    return [e for g in circuit.gates if isinstance(g, LocalGate) for e in g.matrix if isinstance(e, complex)]
+
+
 class TestRealModeFloats:
     """Real mode computes an exactly real input in floats; the dense oracle
     of tests/_oracles.py checks every circuit."""
@@ -300,8 +304,7 @@ class TestRealModeFloats:
         for s in self._exactly_real_inputs():
             signs.add(delta(s) >= 0.0)
             rep = prepare(s, "real") if prep else disentangle3_real(s)
-            entries = [e for g in rep.circuit.gates if isinstance(g, LocalGate) for e in g.matrix]
-            assert not [e for e in entries if isinstance(e, complex)]
+            assert not _complex_entries(rep.circuit)
             if prep:
                 fid = abs(np.vdot(s.amps, dense_apply(rep.circuit, basis_state(3, 0).amps)))
             else:
@@ -313,7 +316,7 @@ class TestRealModeFloats:
         for i in range(100):
             s = random_state2((735, i), real_only=True)
             rep = prepare(s, "real")
-            assert not [e for g in rep.circuit.gates if isinstance(g, LocalGate) for e in g.matrix if isinstance(e, complex)]
+            assert not _complex_entries(rep.circuit)
             assert abs(np.vdot(s.amps, dense_apply(rep.circuit, basis_state(2, 0).amps))) >= 1.0 - 1e-12
 
     def test_tiny_imaginary_part_keeps_complex_tracking(self):
