@@ -25,6 +25,16 @@ Options may come before or after the positional, as `--opt value` or
 `--opt=value`, and any unique prefix of a flag names it (`--ver` for
 `--verify`). `-h`/`--help` prints the help of the program or of a command.
 Everything after `--` is positional.
+
+argparse is the one definition of that grammar, its help and its usage
+errors, but it is imported only for an argv outside the exact form, which is
+read without it: a command, then tokens that are each one of that command's
+flags spelled in full, the one value after a flag that takes one (not
+starting with `-`, and converting to the flag's type), or a positional (not
+starting with `-`); the command's number of positionals and every required
+option. `synth f.txt --real --verify` and `sweep --n 5 --seed 1` are in the
+exact form; help, a flag prefix, `--opt=value`, `--`, a value or positional
+starting with `-`, and every usage error pay for the argparse import.
 """
 from __future__ import annotations
 
@@ -238,157 +248,66 @@ _COMMANDS = {
         [],
     ),
 }
-_HELP = ("-h/--help", None, False, "show this help message and exit")
 _DESCRIPTION = "Compile 2- and 3-qubit pure states into local + controlled-Z circuits."
 _WIDTH = 78  # the line width argparse used on an 80-column terminal
 
 
-def _spelled(flag: str, typ) -> str:
-    return flag if typ is None else f"{flag} {flag[2:].upper()}"
+def _argparse_parser():
+    """The command line as an argparse parser, built from _COMMANDS: the one
+    definition of help, usage errors and flag abbreviations."""
+    import argparse  # only an argv outside the exact form pays for this import
 
+    def formatter(prog):
+        return argparse.HelpFormatter(prog, width=_WIDTH)
 
-def _usage(cmd) -> str:
-    """The usage line(s) of cmd, or of the program when cmd is None."""
-    if cmd is None:
-        prog, opts, pos = "qprep3", [], ["{" + ",".join(_COMMANDS) + "}", "..."]
-    else:
-        _, _, positionals, options = _COMMANDS[cmd]
-        prog, pos = f"qprep3 {cmd}", [name for name, _ in positionals]
-        opts = [_spelled(f, t) if req else f"[{_spelled(f, t)}]" for f, t, req, _ in options]
-    head = " ".join(["usage:", prog, "[-h]", *opts])
-    if len(head) + 1 + len(" ".join(pos)) > _WIDTH:
-        # too long for one line: the positionals go under the first option
-        return head + "\n" + " " * (len(prog) + 8) + " ".join(pos)
-    return " ".join([head, *pos])
-
-
-def _help(cmd) -> str:
-    import textwrap  # only a help request pays for this import
-
-    if cmd is None:
-        blocks = [_DESCRIPTION]
-        sections = [("commands", [(name, spec[1]) for name, spec in _COMMANDS.items()]), ("options", [])]
-    else:
-        _, _, positionals, options = _COMMANDS[cmd]
-        blocks = []
-        sections = [("positional arguments", positionals)] if positionals else []
-        sections.append(("options", [(_spelled(f, t), text) for f, t, _, text in options]))
-    sections[-1][1].insert(0, ("-h, --help", _HELP[3]))
-    column = 4 + max(len(name) for _, rows in sections for name, _ in rows)
-    for title, rows in sections:
-        lines = [
-            textwrap.fill(text, _WIDTH, initial_indent=f"  {name}".ljust(column),
-                          subsequent_indent=" " * column, break_on_hyphens=False)
-            for name, text in rows
-        ]
-        blocks.append("\n".join([f"{title}:", *lines]))
-    return "\n\n".join([_usage(cmd), *blocks]) + "\n"
-
-
-def _fail(cmd, message: str):
-    """Print the usage and one error line to stderr, then exit 2."""
-    prog = "qprep3" if cmd is None else f"qprep3 {cmd}"
-    sys.stderr.write(f"{_usage(cmd)}\n{prog}: error: {message}\n")
-    raise SystemExit(2)
-
-
-def _classify(cmd, token: str, options):
-    """How one argument of cmd reads: (None, None) for a positional; for an
-    option, its table row, or () if unknown, and the text after '=', or None.
-    A unique prefix of a long option names that option; a negative number is
-    a positional."""
-    number = token[1:].replace(".", "", 1).isdecimal() and not token.endswith(".")
-    if token[:1] != "-" or token in ("-", "--") or number:
-        return None, None
-    flags = {"-h": _HELP, "--help": _HELP, **{row[0]: row for row in options}}
-    name, eq, value = token.partition("=")
-    if token in flags:
-        return flags[token], None
-    if eq and name in flags:
-        return flags[name], value
-    if token.startswith("--"):
-        hits = [flag for flag in flags if flag.startswith(name)]
-        if len(hits) > 1:
-            _fail(cmd, f"ambiguous option: {token} could match {', '.join(hits)}")
-        if hits:
-            return flags[hits[0]], value if eq else None
-    if " " in token:
-        return None, None
-    return (), None
-
-
-def _switch(cmd, row, value) -> bool:
-    """A switch is set by its bare flag; -h/--help prints the help and exits 0."""
-    if value is not None:
-        _fail(cmd, f"argument {row[0]}: ignored explicit argument {value!r}")
-    if row is _HELP:
-        sys.stdout.write(_help(cmd))
-        raise SystemExit(EXIT_OK)
-    return True
+    parser = argparse.ArgumentParser(prog="qprep3", description=_DESCRIPTION, formatter_class=formatter)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (_, text, positionals, options) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=text, formatter_class=formatter)
+        for pos, pos_help in positionals:
+            sub.add_argument(pos, help=pos_help)
+        for flag, typ, required, opt_help in options:
+            if typ is None:
+                sub.add_argument(flag, action="store_true", help=opt_help)
+            else:
+                sub.add_argument(flag, type=typ, required=required, help=opt_help)
+    return parser
 
 
 def _parse(argv: list[str]):
     """The fields of a command line as attributes, `command` naming the
-    subcommand, read as argparse read them. Exits 0 after printing the help
-    for -h/--help, and 2 after printing the usage and one error line."""
-    extras = []
-    for i, token in enumerate(argv):
-        row, value = _classify(None, token, [])
-        if row is None:
-            break
-        if row:
-            _switch(None, row, value)
-        extras.append(token)
-    else:
-        _fail(None, "the following arguments are required: command")
-    cmd = argv[i]
-    if cmd not in _COMMANDS:
-        choices = ", ".join(map(repr, _COMMANDS))
-        _fail(None, f"argument command: invalid choice: {cmd!r} (choose from {choices})")
-    _, _, positionals, options = _COMMANDS[cmd]
-
-    items = []  # (row, value, token); row is None for a positional, "--" for the separator
-    tokens = iter(argv[i + 1:])
-    for token in tokens:
-        if token == "--":
-            items.append(("--", None, token))
-            items.extend((None, None, t) for t in tokens)
-        else:
-            items.append((*_classify(cmd, token, options), token))
-
-    fields = {"command": cmd, **{f[2:]: (False if t is None else None) for f, t, _, _ in options}}
-    free, seen = [], set()
-    k = 0
-    while k < len(items):
-        row, value, token = items[k]
-        k += 1
-        if row is None:
-            (free if len(free) < len(positionals) else extras).append(token)
-        elif row == ():
-            extras.append(token)
-        elif row != "--":
-            flag, typ = row[0], row[1]
-            if typ is None:
-                value = _switch(cmd, row, value)
+    subcommand, read as argparse reads them. An argv in the exact form (see
+    the module docstring) is read here; any other goes to argparse, which
+    exits 0 after printing the help, or 2 after a usage and an error line."""
+    if argv and argv[0] in _COMMANDS:
+        _, _, positionals, options = _COMMANDS[argv[0]]
+        types = {flag: typ for flag, typ, _, _ in options}
+        fields = {"command": argv[0], **{flag[2:]: False if typ is None else None for flag, typ in types.items()}}
+        free, seen = [], set()
+        tokens = iter(argv[1:])
+        for token in tokens:
+            if token in types:
+                value = True
+                if types[token] is not None:
+                    value = next(tokens, "-")  # a missing value reads as one that starts with -
+                    if value.startswith("-"):
+                        break
+                    try:
+                        value = types[token](value)
+                    except ValueError:
+                        break
+                fields[token[2:]] = value
+                seen.add(token)
+            elif token.startswith("-"):
+                break
             else:
-                if value is None:
-                    if k == len(items) or items[k][0] is not None:
-                        _fail(cmd, f"argument {flag}: expected one argument")
-                    value = items[k][2]
-                    k += 1
-                try:
-                    value = typ(value)
-                except ValueError:
-                    _fail(cmd, f"argument {flag}: invalid {typ.__name__} value: {value!r}")
-            fields[flag[2:]] = value
-            seen.add(flag)
-    missing = [name for name, _ in positionals[len(free):]] + [f for f, _, req, _ in options if req and f not in seen]
-    if missing:
-        _fail(cmd, "the following arguments are required: " + ", ".join(missing))
-    if extras:
-        _fail(None, "unrecognized arguments: " + " ".join(extras))
-    fields.update(zip((name for name, _ in positionals), free))
-    return SimpleNamespace(**fields)
+                free.append(token)
+        else:
+            required = {flag for flag, _, req, _ in options if req}
+            if len(free) == len(positionals) and required <= seen:
+                fields.update(zip((name for name, _ in positionals), free))
+                return SimpleNamespace(**fields)
+    return _argparse_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -515,6 +515,16 @@ def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch):
     assert run_cli(capsys, None) == (0, "delta=-0.25 bound=3\n", "")
 
 
+# argvs that the CLI reads without importing argparse
+EXACT_FORMS = [
+    ["synth", "f", "--verify"],
+    ["synth", "f", "--real", "--prepare", "--ry", "--verify"],
+    ["synth", "f", "--out", "c.txt", "--verify"],
+    ["sweep", "--n", "3", "--seed", "1", "--real", "--machine"],
+    ["sweep", "--seed", "0", "--n", "1"],
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -536,10 +546,28 @@ def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch):
         ["delta", "s.txt"],
         ["delta", "-a file.txt"],
         ["synth", "--out", "-c d.txt", "s.txt"],
+        *EXACT_FORMS,
     ],
 )
 def test_accepted_argv_reads_as_argparse_reads_it(argv):
     assert vars(_parse(argv)) == vars(argparse_cli_parser().parse_args(argv))
+
+
+EXACT_FORM_CHILD = """
+import sys
+from qprep3.cli import _parse
+parsed = [vars(_parse(argv)) for argv in ARGVS]
+added = {"argparse", "gettext", "locale"} & set(sys.modules)
+assert not added, sorted(added)
+assert vars(_parse(["synth", "f", "--ver"])) == vars(_parse(["synth", "f", "--verify"]))
+assert "argparse" in sys.modules
+"""
+
+
+def test_exact_forms_are_read_without_argparse():
+    # an abbreviation is read by argparse, as the full flag is without it
+    proc = _run_python(["-c", f"ARGVS = {EXACT_FORMS!r}\n" + EXACT_FORM_CHILD])
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize(
