@@ -121,7 +121,7 @@ def _cmd_synth(args) -> int:
     else:
         text = emit_circuit(report.circuit)
 
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)

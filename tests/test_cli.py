@@ -441,6 +441,15 @@ def test_input_errors_exit_1_with_one_error_line(tmp_path, capsys, argv, msg):
     assert len(lines) == 1 and lines[0].startswith("error: ") and msg in lines[0]
 
 
+def test_empty_out_path_exits_1_with_one_error_line(tmp_path, capsys):
+    # an empty --out path cannot be written; it is not stdout
+    path = write(tmp_path, "ghz.txt", GHZ_FILE)
+    code, out, err = run_cli(capsys, ["synth", path, "--out="])
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 @pytest.mark.parametrize("command, flags", [("synth", ["--verify"]), ("delta", [])])
 def test_byte_order_mark_is_skipped(tmp_path, capsys, command, flags):
     # a file that starts with a UTF-8 BOM reads as the same file without it
