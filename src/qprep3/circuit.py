@@ -15,9 +15,10 @@ Text format (UTF-8, LF, one gate per line, applied top to bottom):
     CZ <i> <j>
     RY <q> <theta>
 
-L carries the row-major 2x2 matrix at 17 significant digits. RY lines are an
-optional, purely informational restatement of real L gates (emitted on
-request, skipped by the parser).
+L carries the row-major 2x2 matrix at 17 significant digits; a line whose
+four imaginary fields are all `0` reads back with float entries, as real
+mode writes them. RY lines are an optional, purely informational
+restatement of real L gates (emitted on request, skipped by the parser).
 """
 from __future__ import annotations
 
@@ -237,7 +238,11 @@ def parse_circuit(text: str) -> Circuit:
                     raise ValueError("L line needs a qubit and 8 matrix numbers")
                 q = int(parts[1])
                 ar, ai, br, bi, cr, ci, dr, di = map(float, parts[2:])
-                m = tuple.__new__(Mat2, (complex(ar, ai), complex(br, bi), complex(cr, ci), complex(dr, di)))
+                if parts[3] == parts[5] == parts[7] == parts[9] == "0":
+                    # float entries print their imaginary parts as `0`; `-0` keeps a line complex
+                    m = tuple.__new__(Mat2, (ar, br, cr, dr))
+                else:
+                    m = tuple.__new__(Mat2, (complex(ar, ai), complex(br, bi), complex(cr, ci), complex(dr, di)))
                 gates.append(LocalGate(q, m))
                 linenos.append(lineno)
             elif kind == "CZ":

@@ -29,6 +29,7 @@ from qprep3.circuit import (
 )
 from qprep3.mat2 import IDENTITY, RY_MATCH_TOL, Mat2, real_parts
 from qprep3.state import PureState2, PureState3, basis_state, random_state, random_state2
+from qprep3.synth import prepare
 
 ISQ2 = 1.0 / math.sqrt(2.0)
 X = Mat2(0, 1, 1, 0)
@@ -358,6 +359,24 @@ class TestSerialization:
         for i in range(50):
             c = random_circuit((501, i), 14)
             assert parse_circuit(emit_circuit(c)) == c
+
+    def test_real_mode_circuit_reads_back_with_its_float_entries(self):
+        # real mode's local gates have float entries, printed with imaginary parts `0`
+        for i in range(20):
+            c = prepare(random_state((503, i), real_only=True), "real").circuit
+            parsed = parse_circuit(emit_circuit(c, include_ry=True))
+            assert parsed == c
+            entries = [x for g in parsed.gates if isinstance(g, LocalGate) for x in g.matrix]
+            assert entries and {type(x) for x in entries} == {float}
+            assert entries == [x for g in c.gates if isinstance(g, LocalGate) for x in g.matrix]
+
+    def test_negative_zero_imaginary_part_keeps_a_line_complex(self):
+        line = "L 1 0.59999999999999998 -0 0 0 0 0 0.59999999999999998 0"
+        c = parse_circuit(line + "\n")
+        (gate,) = c.gates
+        assert {type(x) for x in gate.matrix} == {complex}
+        assert math.copysign(1.0, gate.matrix.a.imag) == -1.0
+        assert emit_circuit(c).splitlines()[1] == line
 
     def test_emit_deterministic(self):
         c = random_circuit(502, 10)
