@@ -283,7 +283,7 @@ def _parse(argv: list[str]):
         _, _, positionals, options = _COMMANDS[argv[0]]
         types = {flag: typ for flag, typ, _, _ in options}
         fields = {"command": argv[0], **{flag[2:]: False if typ is None else None for flag, typ in types.items()}}
-        free, seen = [], set()
+        free = []
         tokens = iter(argv[1:])
         for token in tokens:
             if token in types:
@@ -297,14 +297,14 @@ def _parse(argv: list[str]):
                     except ValueError:
                         break
                 fields[token[2:]] = value
-                seen.add(token)
             elif token.startswith("-"):
                 break
             else:
                 free.append(token)
         else:
-            required = {flag for flag, _, req, _ in options if req}
-            if len(free) == len(positionals) and required <= seen:
+            # a required option is valued, so it is None until given
+            given = all(fields[flag[2:]] is not None for flag, _, req, _ in options if req)
+            if len(free) == len(positionals) and given:
                 fields.update(zip((name for name, _ in positionals), free))
                 return SimpleNamespace(**fields)
     return _argparse_parser().parse_args(argv)
