@@ -34,6 +34,9 @@ FORMAT_HEADER = "# qprep3 v1 qubits={n} order=left-first"
 _NUMBER = "%.17g"
 # an L line: the qubit, then each matrix entry's real and imaginary part
 _L_LINE = "L %d" + (" " + _NUMBER) * 8
+# the same line for float entries: a float's imaginary part is +0.0, printed `0`
+_L_FLOAT_LINE = "L %d" + (" " + _NUMBER + " 0") * 4
+_RY_LINE = "RY %d " + _NUMBER
 
 
 def _checked_make(cls, iterable):
@@ -202,14 +205,17 @@ def emit_circuit(c: Circuit, include_ry: bool = False) -> str:
         if isinstance(g, LocalGate):
             qubit, m = g
             e00, e01, e10, e11 = m
-            lines.append(
-                _L_LINE % (qubit, e00.real, e00.imag, e01.real, e01.imag, e10.real, e10.imag, e11.real, e11.imag)
-            )
+            if type(e00) is type(e01) is type(e10) is type(e11) is float:
+                lines.append(_L_FLOAT_LINE % (qubit, e00, e01, e10, e11))
+            else:
+                lines.append(
+                    _L_LINE % (qubit, e00.real, e00.imag, e01.real, e01.imag, e10.real, e10.imag, e11.real, e11.imag)
+                )
             if include_ry:
                 theta = ry_angle(m)
                 if theta is None:
                     raise ValueError("cannot emit RY lines: a local gate is not a real rotation")
-                ry_lines.append(f"RY {qubit} {_NUMBER % theta}")
+                ry_lines.append(_RY_LINE % (qubit, theta))
         else:
             lines.append(f"CZ {g.i} {g.j}")
     lines += ry_lines
@@ -237,11 +243,12 @@ def parse_circuit(text: str) -> Circuit:
                 if len(parts) != 10:
                     raise ValueError("L line needs a qubit and 8 matrix numbers")
                 q = int(parts[1])
-                ar, ai, br, bi, cr, ci, dr, di = map(float, parts[2:])
                 if parts[3] == parts[5] == parts[7] == parts[9] == "0":
-                    # float entries print their imaginary parts as `0`; `-0` keeps a line complex
-                    m = tuple.__new__(Mat2, (ar, br, cr, dr))
+                    # float entries print their imaginary parts as `0`; `-0` keeps a line complex.
+                    # Valid `0` tokens leave the first bad token among the four converted here
+                    m = tuple.__new__(Mat2, (float(parts[2]), float(parts[4]), float(parts[6]), float(parts[8])))
                 else:
+                    ar, ai, br, bi, cr, ci, dr, di = map(float, parts[2:])
                     m = tuple.__new__(Mat2, (complex(ar, ai), complex(br, bi), complex(cr, ci), complex(dr, di)))
                 gates.append(LocalGate(q, m))
                 linenos.append(lineno)

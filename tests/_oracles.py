@@ -162,6 +162,12 @@ def reference_ry_angle(u: Mat2):
     return theta
 
 
+def reference_l_line(qubit, m: Mat2) -> str:
+    """An `L` line by the written rule: the qubit, then each entry's real and
+    imaginary part at 17 significant digits."""
+    return "L %d" % qubit + "".join(" %.17g %.17g" % (x.real, x.imag) for x in m)
+
+
 def reference_max_local_imag(c) -> float:
     return max(
         (abs(e.imag) for g in c.gates if isinstance(g, LocalGate) for e in g.matrix),

@@ -10,6 +10,7 @@ from _oracles import (
     random_unitary2,
     reference_apply_cz,
     reference_apply_local,
+    reference_l_line,
     reference_max_local_imag,
     reference_ry_angle,
 )
@@ -27,7 +28,7 @@ from qprep3.circuit import (
     ry_angle,
     ry_matrix,
 )
-from qprep3.mat2 import IDENTITY, RY_MATCH_TOL, Mat2, real_parts
+from qprep3.mat2 import IDENTITY, RY_MATCH_TOL, SWAP_BLOCKS, Mat2, real_parts
 from qprep3.state import PureState2, PureState3, basis_state, random_state, random_state2
 from qprep3.synth import prepare
 
@@ -377,6 +378,46 @@ class TestSerialization:
         assert {type(x) for x in gate.matrix} == {complex}
         assert math.copysign(1.0, gate.matrix.a.imag) == -1.0
         assert emit_circuit(c).splitlines()[1] == line
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            Mat2(0.6, -0.8, 0.8, 0.6),
+            SWAP_BLOCKS,
+            Mat2(complex(0.6, 0.0), -0.8 + 0j, 0.8 + 0j, 0.6 + 0j),
+            Mat2(complex(0.6, -0.0), complex(-0.8, -0.0), complex(0.8, 0.0), complex(0.6, -0.0)),
+            Mat2(0.6, -0.8 + 0.1j, 1, complex(0.6, -0.0)),
+            Mat2(0.6, -0.8, 0.8, 0),
+            Mat2(np.float64(0.6), np.float64(-0.8), np.float64(0.8), np.float64(0.6)),
+            Mat2(0.6, np.float64(-0.8), 0.8, 0.6),
+            Mat2(0.0, -0.0, -0.0, 0.0),
+            Mat2(complex(-0.0, 0.5), complex(0.0, -0.5), -0.0, 1e-300),
+        ],
+        ids=[
+            "float", "int", "complex-plus-zero-imag", "complex-minus-zero-imag", "mixed", "float-and-int",
+            "numpy-float64", "float-and-numpy-float64", "signed-zero-reals", "signed-zero-complex-reals",
+        ],
+    )
+    def test_l_lines_follow_the_written_rule(self, m):
+        # one line per entry type: float entries take the short template
+        c = Circuit((LocalGate(2, m), CZGate(0, 2), LocalGate(0, m)))
+        lines = emit_circuit(c).splitlines()
+        assert lines[1:] == [reference_l_line(2, m), "CZ 0 2", reference_l_line(0, m)]
+
+    def test_ry_lines_follow_the_written_rule(self):
+        thetas = [0.7, -2.5, 0.0, -0.0, math.pi]
+        c = Circuit(tuple(LocalGate(q % 3, ry_matrix(t)) for q, t in enumerate(thetas)))
+        ry = [line for line in emit_circuit(c, include_ry=True).splitlines() if line.startswith("RY")]
+        assert ry == ["RY %d %.17g" % (g.qubit, ry_angle(g.matrix)) for g in c.gates]
+
+    def test_bad_real_token_error_is_the_first_bad_token(self):
+        # the imaginary fields are all `0`, so only the real fields are converted
+        with pytest.raises(ValueError, match="^line 1: could not convert string to float: 'x'$"):
+            parse_circuit("L 0 x 0 0 0 0 0 1 0\n")
+        with pytest.raises(ValueError, match="^line 1: could not convert string to float: 'y'$"):
+            parse_circuit("L 0 1 0 0 y 0 x 1 0\n")
+        with pytest.raises(ValueError, match="^line 1: could not convert string to float: 'y'$"):
+            parse_circuit("L 0 1 y 0 0 0 x 1 0\n")
 
     def test_emit_deterministic(self):
         c = random_circuit(502, 10)
