@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from _oracles import cz_min, cz_unitary, dense_apply
-from qprep3.errors import Qprep3Error
+from qprep3.errors import Qprep3Error, SynthesisInvariantError
 from qprep3.state import PureState3
 from qprep3.synth import disentangle3, disentangle3_real
 
@@ -361,6 +361,29 @@ def test_real_near_w_states_get_3_cz():
         if problem is not None:
             bad.append((key, problem, rep.branch_trace))
     assert bad == []
+
+
+# a real state about 1.6e-6 from one where qubit 2 factors out (Schmidt
+# coefficients 1 and 1.6e-6), with delta -2.1e-12, just past DELTA_ZERO_BAND.
+# Real mode's chain prefix and flow spend 4 CZ on it (ROADMAP item 1)
+REAL_NEAR_QUBIT2_FACTOR = [
+    0.15386960974868619, 0.097535621950442575, -0.11818301501765617, 0.05765158856494771,
+    -0.66734096640847507, -0.42301171469108745, 0.51255933452073088, -0.25004013143208798,
+]
+
+
+@pytest.mark.xfail(strict=True, raises=SynthesisInvariantError, reason="real mode spends 4 CZ near a qubit-2 factor")
+def test_real_state_near_a_qubit_2_factor_gets_at_most_3_cz():
+    v = np.array(REAL_NEAR_QUBIT2_FACTOR, dtype=np.complex128)
+    rep = disentangle3_real(PureState3(v))
+    assert _violation(rep, v, "real") is None
+
+
+def test_general_mode_gets_at_most_3_cz_near_a_qubit_2_factor():
+    v = np.array(REAL_NEAR_QUBIT2_FACTOR, dtype=np.complex128)
+    rep = disentangle3(PureState3(v))
+    assert _violation(rep, v, "general") is None
+    assert rep.cz_count <= 3
 
 
 def test_haar_circuits_have_3_cz_and_11_gates():
