@@ -15,10 +15,14 @@ Text format (UTF-8, LF, one gate per line, applied top to bottom):
     CZ <i> <j>
     RY <q> <theta>
 
-L carries the row-major 2x2 matrix at 17 significant digits; a line whose
-four imaginary fields are all `0` reads back with float entries, as real
-mode writes them. RY lines are an optional, purely informational
-restatement of real L gates (emitted on request, skipped by the parser).
+L carries the row-major 2x2 matrix at 17 significant digits. A gate whose
+four entries are floats, as real mode makes them, is written with literal
+`0` imaginary fields (a float's imaginary part is +0.0); any other gate is
+written with all eight numbers. The parser converts only the four real
+fields of a line whose imaginary fields are all `0`, and reads that line
+back with float entries; any other line (a `-0` field included) reads back
+complex. RY lines are an optional, purely informational restatement of
+real L gates (emitted on request, skipped by the parser).
 """
 from __future__ import annotations
 

@@ -399,7 +399,7 @@ class TestSerialization:
         ],
     )
     def test_l_lines_follow_the_written_rule(self, m):
-        # one line per entry type: float entries take the short template
+        # float entries take the short template, every other type the eight-number one
         c = Circuit((LocalGate(2, m), CZGate(0, 2), LocalGate(0, m)))
         lines = emit_circuit(c).splitlines()
         assert lines[1:] == [reference_l_line(2, m), "CZ 0 2", reference_l_line(0, m)]
