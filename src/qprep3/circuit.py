@@ -249,7 +249,7 @@ def parse_circuit(text: str) -> Circuit:
                 q = int(parts[1])
                 if parts[3] == parts[5] == parts[7] == parts[9] == "0":
                     # float entries print their imaginary parts as `0`; `-0` keeps a line complex.
-                    # Valid `0` tokens leave the first bad token among the four converted here
+                    # The `0` tokens are valid, so the first bad token is among the four converted here
                     m = tuple.__new__(Mat2, (float(parts[2]), float(parts[4]), float(parts[6]), float(parts[8])))
                 else:
                     ar, ai, br, bi, cr, ci, dr, di = map(float, parts[2:])

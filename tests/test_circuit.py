@@ -411,7 +411,7 @@ class TestSerialization:
         assert ry == ["RY %d %.17g" % (g.qubit, ry_angle(g.matrix)) for g in c.gates]
 
     def test_bad_real_token_error_is_the_first_bad_token(self):
-        # the imaginary fields are all `0`, so only the real fields are converted
+        # the first bad token names the error, whether or not the imaginary fields are all `0`
         with pytest.raises(ValueError, match="^line 1: could not convert string to float: 'x'$"):
             parse_circuit("L 0 x 0 0 0 0 0 1 0\n")
         with pytest.raises(ValueError, match="^line 1: could not convert string to float: 'y'$"):
