@@ -15,19 +15,20 @@ float meeting a complex promotes to the nonzero bits complex() would give,
 so the float path moves only signs of zero.
 
 Mat2 checks nothing about its fields, so the values built on the hot paths
-(u_from_pair, transpose, dagger, @, state.amp_matrix, state.qubit0_factor and
-circuit.parse_circuit) are made as tuple.__new__(Mat2, (a, b, c, d)): the
-same value as Mat2(a, b, c, d), without the Python frame of the named
-tuple's __new__.
+(u_from_pair, transpose, dagger, @, state.amp_matrix, state.factor_right,
+the synthesis's block reads and circuit.parse_circuit) are made as
+tuple.__new__(Mat2, (a, b, c, d)): the same value as Mat2(a, b, c, d),
+without the Python frame of the named tuple's __new__.
 The predicates on that path (is_singular, _snap_real) unpack the four entries
 once and compute the det()/frobenius()/max_imag() expressions inline, with
 the same arithmetic, so every result has the same bits.
 
-The public constructions l1, r1, r2, r3 and solve_det_pencil check their
-preconditions and then call a private core (_l1, ...). The synthesis calls a
-core directly only where its own decision or step check has just established
-that precondition (the same predicate, at the same or a stricter tolerance),
-so each test is made once.
+The public constructions l1, r1, r3 and solve_det_pencil check their
+preconditions and then call a private core (_l1, _r1, _r3,
+_solve_det_pencil). The synthesis calls a core directly only where its own
+decision or step check has just established that precondition (the same
+predicate, at the same or a stricter tolerance), so each test is made once.
+r2 has no core: the synthesis does not call it.
 """
 from __future__ import annotations
 
@@ -225,7 +226,7 @@ def _r1_ratio(m: Mat2) -> complex:
 
 
 def _require_singular_nonzero(m: Mat2, who: str) -> None:
-    # the singular test is the step check that precedes _l1 and _r2 in synthesis
+    # the singular test is the step check that precedes _l1 in synthesis
     if m.frobenius() <= EPS_ZERO:
         raise ZeroMatrixError(f"{who} requires a nonzero matrix")
     if not is_singular(m, STEP_TOL):
@@ -241,11 +242,6 @@ def r2(m: Mat2) -> Mat2:
     to the other is never the one aligned.
     """
     _require_singular_nonzero(m, "r2")
-    return _r2(m)
-
-
-def _r2(m: Mat2) -> Mat2:
-    # r2 past its precondition: m is nonzero and singular at STEP_TOL
     a, b, c, d = _snap_real(m)
     p, q = (a, b) if abs(a) ** 2 + abs(b) ** 2 >= abs(c) ** 2 + abs(d) ** 2 else (c, d)
     if abs(p) <= EPS_ZERO:

@@ -134,14 +134,13 @@ def basis_state(num_qubits: int, index: int = 0) -> State:
     return PureState3(amps) if num_qubits == 3 else PureState2(amps)
 
 
-def amp_matrix(w, offset: int = 0, step: int = 1) -> Mat2:
-    """Amplitudes w[offset], w[offset+step], ... (four of them) as the row-major
-    2x2 matrix; step 1 << q reads the pair of qubits (q+1, q). The entries are
-    taken as they are: callers pass Python complex (a state's `w`, or the
-    synthesis's tracked list) or, on real mode's float path, floats, and
-    nothing is validated. Offset 0 / 4
-    reads the block T0 / T1 of 8 amplitudes."""
-    return tuple.__new__(Mat2, (w[offset], w[offset + step], w[offset + 2 * step], w[offset + 3 * step]))
+def amp_matrix(w, offset: int = 0) -> Mat2:
+    """Amplitudes w[offset], ..., w[offset+3] as the row-major 2x2 matrix.
+    The entries are taken as they are: callers pass Python complex (a
+    state's `w`, or the synthesis's tracked list) or, on real mode's float
+    path, floats, and nothing is validated. Offset 0 / 4 reads the block
+    T0 / T1 of 8 amplitudes."""
+    return tuple.__new__(Mat2, (w[offset], w[offset + 1], w[offset + 2], w[offset + 3]))
 
 
 def blocks(s: PureState3) -> BlockPair:
@@ -178,39 +177,21 @@ def _delta(w) -> float:
     return float(s1 * s1 - 4.0 * (w[1] * w[2] - w[0] * w[3]) * (w[5] * w[6] - w[4] * w[7]))
 
 
-def _rows4(w) -> list[tuple[complex, complex]]:
-    return [(w[0], w[1]), (w[2], w[3]), (w[4], w[5]), (w[6], w[7])]
+def factor_right(s: PureState3) -> Factorization | None:
+    """Split s into (2-qubit state on qubits 2,1) x (single qubit 0) if possible.
 
-
-def qubit0_factor(w) -> tuple[complex, complex] | None:
-    """Qubit 0's factor (v1, v2) of any 8 amplitudes, or None if they do not
-    split as (anything on qubits 2,1) x (qubit 0).
-
-    They split iff every pair of the four block rows, as a 2x2 matrix, is
-    singular to within STEP_TOL (mat2.is_singular); this is the step-5 check
-    of the synthesis, which calls it on its tracked list. The factor is the
-    dominant row normalized, its first nonzero component made real-positive.
-    Nothing is validated.
+    It splits iff every pair of the four block rows, as a 2x2 matrix, is
+    singular to within STEP_TOL (mat2.is_singular). `single` is then the
+    dominant row normalized, its first nonzero component made real-positive,
+    and `pair` the coefficients of the block rows along it.
     """
-    rows = _rows4(w)
+    rows = list(zip(s.w[0::2], s.w[1::2]))
     for i in range(4):
         for j in range(i + 1, 4):
             if not is_singular(tuple.__new__(Mat2, rows[i] + rows[j]), STEP_TOL):
                 return None
-    return dominant_direction(rows)
-
-
-def factor_right(s: PureState3) -> Factorization | None:
-    """Split s into (2-qubit state on qubits 2,1) x (single qubit 0) if possible.
-
-    Succeeds iff qubit0_factor(s.w) does; `single` is its factor, and `pair`
-    the coefficients of the block rows along it.
-    """
-    single = qubit0_factor(s.w)
-    if single is None:
-        return None
-    v1, v2 = single
-    coeffs = [v1.conjugate() * r[0] + v2.conjugate() * r[1] for r in _rows4(s.w)]
+    v1, v2 = single = dominant_direction(rows)
+    coeffs = [v1.conjugate() * r[0] + v2.conjugate() * r[1] for r in rows]
     return Factorization(PureState2(coeffs), single)
 
 

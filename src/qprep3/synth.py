@@ -7,33 +7,52 @@ all-zeros basis state (invert it to prepare). Guarantees:
   disentangle3       any 3-qubit state,   <= 3 controlled-Z
   disentangle3_real  real 3-qubit states, <= 3 controlled-Z, all gates real
 
-The 3-qubit flow works on the block view |phi> = |0>A + |1>B: one local gate
-makes A singular (a root of det(A + zB) = 0, or a block swap when det(B) = 0),
-two more squeeze A to its top-left entry, a conjugated cz01 sandwich makes B
-singular, cz02 aligns all block rows, and the residual (2-qubit) x (1-qubit)
-product is finished off by the 2-qubit stage on qubits (2, 1). Skipped
-stages lower the CZ count.
+Every synthesis ends in one chain finisher, _finish_chain(b, m, outer). Its
+input is |0>P + |1>Q on qubit m, the middle, with P and Q products on the
+outer wires; every other wire is |0>. In order:
+
+  1. With two outer wires, when the blocks A (m = 0) and B (m = 1) of m's
+     split are not both singular, the local gate U(1, z) on m, with z the
+     finite root of det(A + zB) (mat2._big_root_term; its real part in real
+     mode), makes them both singular: products. The trace says `chain<m>`.
+  2. For each outer wire x, with factors p in P and q in Q and n0, n1 the
+     norms of P and Q: when [n0 p; n1 q] is singular, x factors out already
+     (`skip-cz<ij>`). Otherwise a local gate on x, with first row
+     conj(p + e q) for unit p, q and the phase e that makes <p|e q> >= 0,
+     turns p and q into images of each other under Z (a pi rotation about
+     their bisector), and CZ(m, x) (`cz<ij>`) makes them equal.
+  3. One local gate per wire, m's first, each built from the pair of
+     amplitudes that holds the largest one, maps the product left to |0..0>.
+
+disentangle2 is the finisher with m = 1: at most 1 CZ, and none exactly
+when the amplitude matrix is singular.
+
+The 3-qubit flow works on the block view |phi> = |0>A + |1>B of the split on
+qubit 2: one local gate makes A singular (a root of det(A + zB) = 0, or a
+block swap when det(B) = 0), two more squeeze A to its top-left entry, and a
+conjugated cz01 sandwich makes B singular. Both blocks are then products,
+and the finisher ends the run on m = 2 with at most 2 more CZ. When step 1
+leaves A zero, a block swap leaves qubit 2 at |0>, and the finisher ends the
+run on m = 1. Skipped stages lower the CZ count.
 
 Real mode needs a real step-1 root, which a state with delta < 0 lacks. Such
-a state first gets the chain prefix: a rotation on qubit 1, then cz01.
-Split on qubit 1 as |0>A + |1>B (A on indices 0, 1, 4, 5 and B on 2, 3, 6,
-7, rows qubit 2, columns qubit 0), with det(xA + yB) = det(A)x^2 + q1 xy +
-det(B)y^2. Rotating qubit 1 by the angle phi/2 and applying cz01 (which
-negates B's second column) leaves the form with trace
+a state gets the chain prefix instead of the flow: a rotation on qubit 1,
+then cz01. Split on qubit 1 as |0>A + |1>B (A on indices 0, 1, 4, 5 and B on
+2, 3, 6, 7, rows qubit 2, columns qubit 0), with det(xA + yB) = det(A)x^2 +
+q1 xy + det(B)y^2. Rotating qubit 1 by the angle phi/2 and applying cz01
+(which negates B's second column) leaves the form with trace
 
     det(A') + det(B') = cos(phi) (det(A) - det(B)) - sin(phi) q1,
 
 which vanishes for (cos phi, sin phi) along (q1, det(A) - det(B)). A real,
 symmetric, traceless 2x2 form has two orthogonal real null directions, so
 the state is then |u>P + |u_perp>Q on qubit 1 with P and Q products: a
-chain with qubit 1 in the middle, which the flow finishes with 2 more CZ.
-When the prefix leaves the bottom block singular (near W, where delta = 0),
-the flow's step 1 would swap the blocks, the pencil root at infinity, and
-break the chain; the prefix instead applies the small root itself, which
-the cancellation-free form keeps finite (mat2._big_root_term). Within
-DELTA_ZERO_BAND below zero, or when the top block is already singular (its
-step-1 root is then ~0, and real), the flow runs with no prefix. The bound
-of 3 CZ is checked on every run, not proven: a run that misses it raises.
+chain with qubit 1 in the middle, which the finisher ends with m = 1 and 2
+more CZ. Its step 1 takes the finite root, so a bottom block left singular
+(near W, where delta = 0) needs no case of its own. Within DELTA_ZERO_BAND
+below zero, or when the top block is already singular (its step-1 root is
+then ~0, and real), the flow runs with no prefix. The bound of 3 CZ is
+checked on every run, not proven: a run that misses it raises.
 
 Step 1 takes the first pencil root (the first real one in real mode). The
 branch decisions are made at EPS_ZERO, the scale the fidelity floor sets: a
@@ -46,30 +65,27 @@ qubit m, the chain middle, with P and Q products on the other two. Qubit m is
 one when the pencil form of its split, S = [[q0, q1/2], [q1/2, q2]] with
 det(xA + yB) = q0 x^2 + q1 xy + q2 y^2, has two equal singular values (its
 two null directions are then orthogonal); _is_chain_middle tests that to
-CHAIN_GAP_TOL. The flow skips a CZ stage, and gives 2 CZ, when the middle is
-qubit 2 (`skip-step4`) or qubit 1 (`skip-step5`), but not when it is qubit
-0. So when qubit 0 is a chain middle and qubits 1 and 2 are not, both
-synthesizers first try the _relabel01 prefix with a bound of 2 CZ: it swaps
-qubits 0 and 1 of the input, the flow runs on that, and the finished circuit
-gets its wires swapped back (a CZ pair is re-sorted). Qubits 1 and 2 are
-tested only after qubit 0 passes, so a Haar-random state pays for one form.
-delta is the same for the swapped input (the swap maps the blocks (A, B) to
-their transposes), so real mode keeps its sign as the first trace label.
+CHAIN_GAP_TOL. The flow gives such a state 2 CZ when the middle is qubit 2
+(`skip-step4`) or qubit 1 (the finisher's `skip-cz02`), but not when it is
+qubit 0. So when qubit 0 is a chain middle, both synthesizers first run the
+finisher on the input itself, with m = 0 and a bound of 2 CZ (trace
+`chain0`), and the usual attempt follows if it fails. A Haar-random state
+pays for one form.
 
 Every synthesis goes through one attempt runner, _first_passing. It runs
 each attempt on a fresh builder of the input, in order, and returns the
 first that passes every check. A 3-qubit attempt is _attempt3: a trace
-label, a prefix, a CZ bound and the mode. disentangle3 and
-disentangle3_real each make one attempt with a bound of 3 CZ (the flow,
-with real mode's prefix if any), after the _relabel01 attempt when it
-applies; disentangle2 has one attempt. A Qprep3Error raised in an attempt
-gets the branch trace that attempt took, and when no attempt passes, the
-first attempt's error is raised.
+label, a run (the flow, the chain prefix or the qubit-0 finisher) and a CZ
+bound. disentangle3 and disentangle3_real each make one attempt with a bound
+of 3 CZ (the flow, or real mode's chain prefix), after the qubit-0 finisher
+when it applies; disentangle2 has one attempt. A Qprep3Error raised in an
+attempt gets the branch trace that attempt took, and when no attempt passes,
+the first attempt's error is raised.
 
 Each synthesis is one builder pass. The builder tracks the amplitudes as a
-plain list and reads the blocks from it to choose the next gate; the embedded
-2-qubit stage reads its pair from the same list and emits into the same
-circuit. `local(qubit, m)` and `cz(i, j)` are the only writers of that list
+plain list and reads the blocks from it to choose the next gate; the
+finisher reads its pairs from the same list and emits into the same circuit.
+`local(qubit, m)` and `cz(i, j)` are the only writers of that list
 and of the gate list: each applies its gate by the block rules of kernels.py
 as it appends it. `local` fuses a local gate into the last gate on its wire
 when that is a local gate with no CZ on the wire after it: the earlier gate
@@ -90,19 +106,17 @@ imaginary part within REAL_STATE_TOL stays complex, so `finish` measures
 the fidelity on the input itself.
 
 Each thing is checked once on this path. A gate comes from the private core
-of its mat2 construction (_l1, _r1, _r2, _r3, _solve_det_pencil) wherever
-the branch decision or step check just before it has established the
-construction's precondition; step 5 tests the tracked list for a qubit-0
-factor directly (state.qubit0_factor), so no state is validated before
-`finish`; real mode tests realness once and then takes delta's core
-(state._delta). `local` and `cz` take a wire rather than a gate, call the
-kernels directly and build each gate with tuple.__new__, past the wire
-checks of the record's __new__; `finish` builds its Circuit the same way,
-as synthesis only passes its own literal wires. `finish` is the one place a
-result is checked: its fidelity against FID_MIN, at both sizes, and its CZ
-count against the attempt's bound. The embedded 2-qubit stage has no check
-of its own: it leaves the same |amps[0]| that `finish` reads, and it emits
-at most one CZ.
+of its mat2 construction (_l1, _r1, _r3, _solve_det_pencil) wherever the
+branch decision or step check just before it has established the
+construction's precondition, and no state is validated before `finish`;
+real mode tests realness once and then takes delta's core (state._delta).
+`local` and `cz` take a wire rather than a gate, call the kernels directly
+and build each gate with tuple.__new__, past the wire checks of the record's
+__new__; `finish` builds its Circuit the same way, as synthesis only passes
+its own literal wires. The finisher checks its step-1 blocks, and each
+wire it spends a CZ on, at STEP_TOL. `finish` is the one place a result is
+checked: its fidelity against FID_MIN, at both sizes, and its CZ count
+against the attempt's bound.
 """
 from __future__ import annotations
 
@@ -116,8 +130,8 @@ from .circuit import Circuit, CZGate, Gate, LocalGate, apply_circuit, fidelity_t
 from .errors import NotRealError, Qprep3Error, SynthesisInvariantError
 from .mat2 import CHAIN_GAP_TOL, DELTA_ZERO_BAND, EPS_ZERO, FID_MIN, PRUNE_TOL, REAL_ROOT_TOL, STEP_TOL
 from .mat2 import REAL_STATE_TOL, SWAP_BLOCKS, Mat2
-from .mat2 import _big_root_term, _l1, _pencil_form, _r1, _r2, _r3, _solve_det_pencil, is_singular, row2_norm, u_from_pair
-from .state import PureState2, PureState3, State, _delta, amp_matrix, basis_state, overlap, qubit0_factor
+from .mat2 import _big_root_term, _l1, _pencil_form, _r1, _r3, _solve_det_pencil, is_singular, row2_norm, u_from_pair
+from .state import PureState2, PureState3, State, _delta, amp_matrix, basis_state, overlap
 
 class SynthesisReport(namedtuple("SynthesisReport", "circuit cz_count all_real branch_trace fidelity")):
     """Result of a synthesis run (disentangling direction unless produced by prepare).
@@ -132,29 +146,27 @@ class SynthesisReport(namedtuple("SynthesisReport", "circuit cz_count all_real b
 class _Builder:
     """Accumulates gates and tracks their action on a plain amplitude list.
 
-    Invariant: `amps` is the input state (with qubits 0 and 1 swapped after
-    the _relabel01 prefix) after `gates`, because `local` and `cz` are the
-    only writers of both. So `finish` verifies the circuit on the tracked
-    amplitudes, with no second simulation. Both keep the amplitudes from
-    before each gate (`before`), so when a local gate is fused into an
-    earlier one, the gates after that one are re-applied to exactly what it
-    saw, and the product last: `amps` stays bit-equal to a fresh simulation
-    of `gates`.
+    Invariant: `amps` is the input state after `gates`, because `local` and
+    `cz` are the only writers of both. So `finish` verifies the circuit on
+    the tracked amplitudes, with no second simulation. Both keep the
+    amplitudes from before each gate (`before`), so when a local gate is
+    fused into an earlier one, the gates after that one are re-applied to
+    exactly what it saw, and the product last: `amps` stays bit-equal to a
+    fresh simulation of `gates`. `real` is the attempt's mode: real mode
+    takes the real part of every root it chooses.
     """
 
-    def __init__(self, state, amps):
+    def __init__(self, state, amps, real: bool):
         self.state_type = type(state)
         self.num_qubits = state.num_qubits
         self.amps = list(amps)
+        self.real = real
         self.gates: list[Gate] = []
         self.before: list[list] = []
         self.trace: list[str] = []
         # by wire, the index in `gates` of its last gate if that is a local
         # gate, else -1: a wire holds at most one local gate after its last CZ
         self.open = [-1, -1, -1]
-        # set by the _relabel01 prefix: the gates act on the input with
-        # qubits 0 and 1 swapped, and `finish` swaps their wires back
-        self.relabeled = False
 
     def say(self, label: str) -> None:
         self.trace.append(label)
@@ -221,9 +233,8 @@ class _Builder:
     def finish(self, max_cz: int) -> SynthesisReport:
         """The finished report; raises when its fidelity is below FID_MIN or
         its CZ count above max_cz."""
-        gates = tuple(map(_swap01_gate, self.gates)) if self.relabeled else tuple(self.gates)
         # every gate was emitted on a wire of the input state
-        circ = tuple.__new__(Circuit, (gates, self.num_qubits))
+        circ = tuple.__new__(Circuit, (tuple(self.gates), self.num_qubits))
         fid = fidelity_to_basis(self.state_type(self.amps), 0)
         # written `not >=` so that a NaN fidelity fails
         if not fid >= FID_MIN:
@@ -234,17 +245,18 @@ class _Builder:
         return SynthesisReport(circ, cz, circ.is_real(), tuple(self.trace), fid)
 
 
-def _first_passing(s: State, w, attempts) -> SynthesisReport:
+def _first_passing(s: State, w, real: bool, attempts) -> SynthesisReport:
     """Run each attempt (a function of a builder, returning its finished
-    report) on a fresh builder of s, tracking the amplitudes w (s.w, or
-    their real parts as floats), in order, and return the first report.
+    report) on a fresh builder of s in the mode `real`, tracking the
+    amplitudes w (s.w, or their real parts as floats), in order, and return
+    the first report.
 
     An attempt fails by raising a Qprep3Error, which gets the branch trace
     that attempt took. When every attempt fails, the first one's is raised.
     """
     first = None
     for attempt in attempts:
-        b = _Builder(s, w)
+        b = _Builder(s, w, real)
         try:
             return attempt(b)
         except Qprep3Error as exc:
@@ -269,72 +281,41 @@ def disentangle2(s: PureState2) -> SynthesisReport:
     Zero CZ when the amplitude matrix is singular (product state), one CZ
     otherwise.
     """
-    return _first_passing(s, s.w, (_attempt2,))
+    return _first_passing(s, s.w, False, (_attempt2,))
 
 
 def _attempt2(b: _Builder) -> SynthesisReport:
-    _run2(b)
+    _finish_chain(b, 1, (0,))
     return b.finish(1)
-
-
-def _run2(b: _Builder, low_qubit: int = 0, product_label: str | None = None, entangled_label: str | None = None) -> None:
-    """2-qubit stage on wires (low_qubit+1, low_qubit) of b; the other wire, if
-    any, must already be |0>. product_label / entangled_label, when given, are
-    said before the detT label of the branch they name."""
-    lo, hi, step = low_qubit, low_qubit + 1, 1 << low_qubit
-    t = amp_matrix(b.amps, 0, step)
-    if is_singular(t, EPS_ZERO):
-        if product_label is not None:
-            b.say(product_label)
-        b.say("detT=0")
-    else:
-        if entangled_label is not None:
-            b.say(entangled_label)
-        b.say("detT!=0")
-        # gate transposed so the amplitude matrix is right-multiplied by r1
-        # itself; cz then flips (2,2) and leaves proportional rows
-        b.local(lo, _r1(t).transpose())
-        b.cz(lo, hi)
-        t = amp_matrix(b.amps, 0, step)
-        b.require(is_singular(t, STEP_TOL), "2q: cz sandwich left det nonzero")
-    # t is singular (decision or check above) and, as the pair holds the
-    # state's whole norm, nonzero
-    b.local(hi, _l1(t))
-    b.require(row2_norm(amp_matrix(b.amps, 0, step)) <= STEP_TOL, "2q: second row not annihilated")
-    eta0, eta1 = b.amps[0], b.amps[step]
-    b.local(lo, u_from_pair(eta0.conjugate(), -eta1).transpose())
 
 
 def disentangle3(s: PureState3) -> SynthesisReport:
     """Circuit mapping an arbitrary 3-qubit state to |000> with at most 3 CZ.
 
-    A chain with qubit 0 in the middle is first tried with qubits 0 and 1
-    swapped (trace `relabel01`), for 2 CZ; see the module docstring.
+    A chain with qubit 0 in the middle is first tried with the chain
+    finisher alone (trace `chain0`), for 2 CZ; see the module docstring.
     """
-    return _run_attempts3(s, s.w, None, None, False)
+    return _run_attempts3(s, s.w, None, _run3, False)
 
 
-def _run_attempts3(s: PureState3, w, label, prefix, real: bool) -> SynthesisReport:
-    """_attempt3 with prefix and a bound of 3 CZ, tracking the amplitudes w
-    of s; a qubit-0 chain (module docstring) first tries the _relabel01
-    prefix with a bound of 2 CZ."""
-    attempts = ((prefix, 3),)
-    if _is_chain_middle(w, 0) and not _is_chain_middle(w, 1) and not _is_chain_middle(w, 2):
-        attempts = ((_relabel01, 2),) + attempts
-    return _first_passing(s, w, (partial(_attempt3, label, p, n, real) for p, n in attempts))
+def _run_attempts3(s: PureState3, w, label, run, real: bool) -> SynthesisReport:
+    """_attempt3 with run and a bound of 3 CZ, tracking the amplitudes w of
+    s; when qubit 0 is a chain middle (module docstring), the finisher on
+    qubit 0 goes first, with a bound of 2 CZ."""
+    attempts = ((run, 3),)
+    if _is_chain_middle(w, 0):
+        attempts = ((partial(_finish_chain, m=0, outer=(1, 2)), 2),) + attempts
+    return _first_passing(s, w, real, (partial(_attempt3, label, r, n) for r, n in attempts))
 
 
-def _attempt3(label, prefix, max_cz: int, real: bool, b: _Builder) -> SynthesisReport:
-    """One 3-qubit attempt on b: say label, apply prefix (each when not None),
-    run the flow, and check the result against max_cz (and, when real, every
-    gate's realness)."""
+def _attempt3(label, run, max_cz: int, b: _Builder) -> SynthesisReport:
+    """One 3-qubit attempt on b: say label (when not None), run, and check
+    the result against max_cz (and, in real mode, every gate's realness)."""
     if label is not None:
         b.say(label)
-    if prefix is not None:
-        prefix(b)
-    _run3(b, real)
+    run(b)
     rep = b.finish(max_cz)
-    if real and not rep.all_real:
+    if b.real and not rep.all_real:
         raise SynthesisInvariantError(f"real mode emitted a non-real gate (max imag {rep.circuit.max_local_imag()!r})")
     return rep
 
@@ -353,16 +334,15 @@ def _real_amps(s: State, who: str):
 def disentangle3_real(s: PureState3) -> SynthesisReport:
     """All-real circuit mapping a real 3-qubit state to |000>.
 
-    At most 3 CZ for either sign of delta(s). For delta < 0 the flow runs
-    after the chain prefix (a rotation on qubit 1, then cz01; see the module
-    docstring), which leaves a chain that the flow finishes with 2 more CZ;
-    within DELTA_ZERO_BAND of zero, or when the top block is already
-    singular, it runs with no prefix. A run that misses a check, the bound
-    included, raises. Every branch choice after a prefix is real. As in
-    disentangle3, a chain with qubit 0 in the middle first tries qubits 0
-    and 1 swapped, for 2 CZ.
+    At most 3 CZ for either sign of delta(s). For delta < 0 the chain prefix
+    (a rotation on qubit 1, then cz01; see the module docstring) leaves a
+    chain that the finisher ends with 2 more CZ; within DELTA_ZERO_BAND of
+    zero, or when the top block is already singular, the flow runs with no
+    prefix. A run that misses a check, the bound included, raises. Every
+    root it chooses is real. As in disentangle3, a chain with qubit 0 in the
+    middle is first tried with the finisher alone, for 2 CZ.
     The first label of the branch trace is the sign of delta (`delta>=0` or
-    `delta<0`); the chain prefix says `chain01`, the swap `relabel01`.
+    `delta<0`); the chain prefix says `chain01`.
     """
     w = _real_amps(s, "disentangle3_real")
     d = _delta(w)
@@ -371,7 +351,7 @@ def disentangle3_real(s: PureState3) -> SynthesisReport:
     # with one CZ (delta ~ -1e-17), which the chain prefix would give a
     # second CZ: both take the flow alone, with a real or clamped root
     plain = d >= 0.0 or is_singular(amp_matrix(w, 0), EPS_ZERO) or d >= -DELTA_ZERO_BAND
-    return _run_attempts3(s, w, "delta>=0" if d >= 0.0 else "delta<0", None if plain else _chain01, True)
+    return _run_attempts3(s, w, "delta>=0" if d >= 0.0 else "delta<0", _run3 if plain else _chain01, True)
 
 
 # by qubit q, the amplitudes of the blocks A (q is 0) and B (q is 1) of the
@@ -404,40 +384,12 @@ def _is_chain_middle(w, q: int) -> bool:
     return n2 * n2 - 4.0 * d * d <= CHAIN_GAP_TOL * n2 * n2
 
 
-# basis index i with qubits 0 and 1 swapped, and each wire's new wire
-_SWAP01_INDEX = (0, 2, 1, 3, 4, 6, 5, 7)
-_SWAP01_WIRE = (1, 0, 2)
-
-
-def _relabel01(b: _Builder) -> None:
-    """Prefix: swap qubits 0 and 1 of b's input (which has no gate yet), so a
-    chain with qubit 0 in the middle has it on qubit 1; `finish` swaps the
-    wires of the circuit back."""
-    b.say("relabel01")
-    b.amps = [b.amps[i] for i in _SWAP01_INDEX]
-    b.relabeled = True
-
-
-def _swap01_gate(g: Gate) -> Gate:
-    if type(g) is LocalGate:
-        return tuple.__new__(LocalGate, (_SWAP01_WIRE[g.qubit], g.matrix))
-    i, j = _SWAP01_WIRE[g.i], _SWAP01_WIRE[g.j]
-    return tuple.__new__(CZGate, (i, j) if i < j else (j, i))
-
-
 def _chain01(b: _Builder) -> None:
+    """Real mode's chain prefix (module docstring), ended by the finisher."""
     b.say("chain01")
     b.local(1, _chain_rotation(b.amps))
     b.cz(0, 1)
-    b0 = amp_matrix(b.amps, 4)
-    if is_singular(b0, EPS_ZERO):
-        # the flow would swap the blocks (the pencil root at infinity), which
-        # breaks the chain; the small root stays finite, and is taken here
-        # (big is 0 only when q1 and q2 q0 are; U(1, 0) = I is not emitted);
-        # as for step 1's root, real mode takes its real part, a float
-        q2, q1, q0 = _pencil_form(amp_matrix(b.amps, 0), b0)
-        big = _big_root_term(q1, q1 * q1 - 4.0 * q2 * q0)
-        b.local(2, u_from_pair(1.0, (q0 / big).real if big else 0.0))
+    _finish_chain(b, 1, (0, 2))
 
 
 def _chain_rotation(w) -> Mat2:
@@ -462,11 +414,11 @@ def _chain_rotation(w) -> Mat2:
     return u_from_pair(c, -0.5 * sin_phi / c)
 
 
-def _step1_root(b: _Builder, roots: list[complex], require_real: bool) -> complex:
+def _step1_root(b: _Builder, roots: list[complex]) -> complex:
     """The first pencil root; in real mode, the real part, as a float, of
     the first root within REAL_ROOT_TOL of real, so step 1's gate is real
     (of floats when the tracked amplitudes are)."""
-    if not require_real:
+    if not b.real:
         return roots[0]
     for z in roots:
         if abs(z.imag) <= REAL_ROOT_TOL:
@@ -477,7 +429,7 @@ def _step1_root(b: _Builder, roots: list[complex], require_real: bool) -> comple
     return roots[0].real
 
 
-def _run3(b: _Builder, require_real: bool) -> None:
+def _run3(b: _Builder) -> None:
     # each construction is a mat2 core (_l1, ...): the decision or step check
     # just before it has established its precondition
     b0 = amp_matrix(b.amps, 4)
@@ -486,7 +438,7 @@ def _run3(b: _Builder, require_real: bool) -> None:
         w1 = SWAP_BLOCKS
     else:
         b.say("pencil")
-        z0 = _step1_root(b, _solve_det_pencil(amp_matrix(b.amps, 0), b0), require_real)
+        z0 = _step1_root(b, _solve_det_pencil(amp_matrix(b.amps, 0), b0))
         w1 = u_from_pair(1.0, z0)
     b.local(2, w1)
 
@@ -494,12 +446,12 @@ def _run3(b: _Builder, require_real: bool) -> None:
     b.require(is_singular(a1, STEP_TOL), "step1: det of top block not killed")
     if max(map(abs, a1)) <= EPS_ZERO:
         # whole state lives in the bottom block: swap blocks (det +1 variant
-        # of X) and finish with the 2-qubit stage on qubits (1, 0). Tested
-        # entrywise, so otherwise a1 is nonzero for _l1, and the first row
-        # _l1 leaves (no smaller than any entry) is nonzero for _r3
+        # of X), which leaves qubit 2 at |0>, and finish on qubits (1, 0).
+        # Tested entrywise, so otherwise a1 is nonzero for _l1, and the first
+        # row _l1 leaves (no smaller than any entry) is nonzero for _r3
         b.say("A1=0")
         b.local(2, SWAP_BLOCKS)
-        _run2(b, 0)
+        _finish_chain(b, 1, (0,))
         return
 
     b.local(1, _l1(a1))
@@ -509,39 +461,99 @@ def _run3(b: _Builder, require_real: bool) -> None:
     b.local(0, _r3(a2).transpose())
     a3 = amp_matrix(b.amps, 0)
     b3 = amp_matrix(b.amps, 4)
-    b.require(
-        max(abs(a3.b), abs(a3.c), abs(a3.d)) <= STEP_TOL,
-        "step3: top block not reduced to its corner",
-    )
+    b.require(max(abs(a3.b), abs(a3.c), abs(a3.d)) <= STEP_TOL, "step3: top block not reduced to its corner")
 
     if is_singular(b3, EPS_ZERO):
         b.say("skip-step4")
-        b4 = b3
     else:
         b.say("step4")
         u4 = _r1(b3).transpose()
         b.local(0, u4)
         b.cz(0, 1)
         b.local(0, u4.dagger())
-        b4 = amp_matrix(b.amps, 4)
-        b.require(is_singular(b4, STEP_TOL), "step4: det of bottom block not killed")
+        b.require(is_singular(amp_matrix(b.amps, 4), STEP_TOL), "step4: det of bottom block not killed")
         b.require(amp_matrix(b.amps, 0).distance_to(a3) <= STEP_TOL, "step4: top block disturbed")
 
-    # b4 is singular (skip decision or step-4 check), and nonzero when its
-    # second column is
-    if max(abs(b4.b), abs(b4.d)) <= EPS_ZERO:
-        b.say("skip-step5")
-    else:
-        b.say("step5")
-        b.local(0, _r2(b4).transpose())
-        b.cz(0, 2)
+    # the top block is its corner and the bottom block is singular (skip
+    # decision or step-4 check): both are products
+    _finish_chain(b, 2, (0, 1))
 
-    single = qubit0_factor(b.amps)
-    b.require(single is not None, "step5: block rows not proportional, state did not factor")
-    v1, v2 = single
-    # maps qubit 0 to |0>, leaving the pair's amplitudes on the even indices
-    b.local(0, u_from_pair(v1.conjugate(), -v2).transpose())
-    _run2(b, 1, "b3=0", "cz12")
+
+def _chain_pairs(n: int, m: int, outer: tuple[int, ...]) -> list:
+    """Per outer wire x: x, the wires of CZ(m, x), and x's index pairs
+    (i, i | 1 << x) in m's half 0 and in its half 1, one per value of the
+    other outer wire; every wire outside m and outer is 0."""
+    used = 1 << m | sum(1 << x for x in outer)
+    pairs = {x: [(i, i | 1 << x) for i in range(n) if not i & ~used and not i >> x & 1] for x in outer}
+    return [(x, *sorted((m, x)), *([p for p in pairs[x] if p[0] >> m & 1 == h] for h in (0, 1))) for x in outer]
+
+
+# the finisher's index pairs, built once per (amplitude count, m, outer) as
+# kernels.py builds its CZ flips; one key per caller: disentangle2, the A1=0
+# branch, the flow, the chain prefix and the qubit-0 attempt
+_CHAIN_KEYS = (4, 1, (0,)), (8, 1, (0,)), (8, 2, (0, 1)), (8, 1, (0, 2)), (8, 0, (1, 2))
+_CHAIN_PAIRS = {key: _chain_pairs(*key) for key in _CHAIN_KEYS}
+
+
+def _half_factor(w, pairs) -> tuple:
+    """A wire's factor in one half of a product, scaled to the half's norm:
+    its larger pair there, times the half's norm over the pair's (the pair
+    itself when it is the only one)."""
+    (i, j), *other = pairs
+    a, b = w[i], w[j]
+    if not other:
+        return a, b
+    ((k, l),) = other
+    c, d = w[k], w[l]
+    s, t = abs(a) ** 2 + abs(b) ** 2, abs(c) ** 2 + abs(d) ** 2
+    if s < t:
+        a, b, s, t = c, d, t, s
+    r = math.sqrt((s + t) / s) if s else 1.0
+    return a * r, b * r
+
+
+def _bisector(p, q) -> Mat2:
+    """The local gate with first row conj(p/|p| + e q/|q|), e the phase that
+    makes <p|e q> real and nonnegative: up to phase, it maps p and q to
+    images of each other under Z. p and q are nonzero."""
+    (p0, p1), (q0, q1) = p, q
+    n0, n1 = math.hypot(abs(p0), abs(p1)), math.hypot(abs(q0), abs(q1))
+    overlap_qp = q0.conjugate() * p0 + q1.conjugate() * p1
+    e = overlap_qp / abs(overlap_qp) if overlap_qp else 1.0
+    # the row times n0 n1, which u_from_pair normalizes away
+    return u_from_pair((n1 * p0 + e * n0 * q0).conjugate(), (n1 * p1 + e * n0 * q1).conjugate())
+
+
+def _finish_chain(b: _Builder, m: int, outer: tuple[int, ...]) -> None:
+    """Map the chain |0>P + |1>Q on qubit m, P and Q products on the outer
+    wires and every other wire |0>, to |0..0> (module docstring): at most one
+    CZ per outer wire x, on (m, x)."""
+    b.say(f"chain{m}")
+    if len(outer) == 2 and not all(is_singular(t, EPS_ZERO) for t in _split(b.amps, m)):
+        # the finite root of det(A + zB); big is 0 only when q1 and q2 q0
+        # are, and U(1, 0) = I is not emitted
+        q2, q1, q0 = _pencil_form(*_split(b.amps, m))
+        big = _big_root_term(q1, q1 * q1 - 4.0 * q2 * q0)
+        z = q0 / big if big else 0.0
+        b.local(m, u_from_pair(1.0, z.real if b.real else z))
+        if not all(is_singular(t, STEP_TOL) for t in _split(b.amps, m)):
+            raise SynthesisInvariantError(f"chain{m}: blocks not products")
+    for x, i, j, half0, half1 in _CHAIN_PAIRS[len(b.amps), m, outer]:
+        p, q = _half_factor(b.amps, half0), _half_factor(b.amps, half1)
+        if is_singular(tuple.__new__(Mat2, p + q), EPS_ZERO):
+            b.say(f"skip-cz{i}{j}")
+            continue
+        b.say(f"cz{i}{j}")
+        b.local(x, _bisector(p, q))
+        b.cz(i, j)
+        if not is_singular(tuple.__new__(Mat2, _half_factor(b.amps, half0) + _half_factor(b.amps, half1)), STEP_TOL):
+            raise SynthesisInvariantError(f"cz{i}{j}: qubit {x} did not factor out")
+    mags = list(map(abs, b.amps))
+    k = mags.index(max(mags))
+    for y in (m, *outer):
+        # y's pair through the largest amplitude, which the gate moves to y = 0
+        k &= ~(1 << y)
+        b.local(y, u_from_pair(b.amps[k].conjugate(), b.amps[k | 1 << y].conjugate()))
 
 
 def disentangle(s: State, mode: str = "general") -> SynthesisReport:
@@ -555,7 +567,7 @@ def disentangle(s: State, mode: str = "general") -> SynthesisReport:
         raise ValueError(f"mode must be 'general' or 'real', got {mode!r}")
     if isinstance(s, PureState2):
         if mode == "real":
-            return _first_passing(s, _real_amps(s, "real mode"), (_attempt2,))
+            return _first_passing(s, _real_amps(s, "real mode"), True, (_attempt2,))
         return disentangle2(s)
     if mode == "real":
         return disentangle3_real(s)

@@ -189,7 +189,7 @@ def test_criterion_6_branch_reductions():
         ok = ok and rep.cz_count <= 2 and "skip-step4" in rep.branch_trace
     details.append(f"singular-blocks max cz {worst}")
 
-    # corner top block with zero second column below --> step 5 skipped
+    # corner top block with zero second column below --> the finisher skips cz02
     worst = 0
     count = 0
     while count < 200:
@@ -202,7 +202,7 @@ def test_criterion_6_branch_reductions():
         amps = np.array((alpha, 0, 0, 0) + bottom.entries())
         rep = disentangle3(PureState3(amps / np.linalg.norm(amps)))
         worst = max(worst, rep.cz_count)
-        ok = ok and rep.cz_count <= 2 and "skip-step5" in rep.branch_trace
+        ok = ok and rep.cz_count <= 2 and "skip-cz02" in rep.branch_trace
     details.append(f"zero-column max cz {worst}")
 
     _report(6, "branch reductions reach their CZ bounds with named branches", ok,

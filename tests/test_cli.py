@@ -203,6 +203,12 @@ def _near_zero_state_file() -> str:
     return "".join("%.17g %.17g\n" % (z.real, z.imag) for z in v)
 
 
+def _haar_state_file() -> str:
+    """A Haar-random state at 17 digits: not a chain, so synthesis runs the
+    flow (GHZ is a chain, which the finisher alone ends)."""
+    return "".join("%.17g %.17g\n" % (z.real, z.imag) for z in random_state((7, 1)).w)
+
+
 # synthesis builds its step-2 gate with mat2's core _l1
 FAILING_L1_CHILD = """
 import qprep3.synth
@@ -221,11 +227,11 @@ class TestSynthErrorContract:
     def test_library_error_exits_3_with_trace(self, tmp_path):
         # a library error inside the synthesis (not an invariant failure)
         # still follows the exit-3 contract: trace on stderr, no traceback
-        path = write(tmp_path, "ghz.txt", GHZ_FILE)
+        path = write(tmp_path, "haar.txt", _haar_state_file())
         proc = _run_python(["-c", f"ARGV = {['synth', path, '--verify']!r}\n" + FAILING_L1_CHILD])
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
-        assert "branch trace: detB0=0\n" in proc.stderr
+        assert "branch trace: pencil\n" in proc.stderr
         assert proc.stdout == ""
 
     def test_near_zero_state_synthesizes(self, tmp_path, capsys):
@@ -241,11 +247,11 @@ class TestSynthErrorContract:
 
     def test_failed_final_check_exits_3_with_trace(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("qprep3.synth.FID_MIN", 1.5)
-        path = write(tmp_path, "ghz.txt", GHZ_FILE)
+        path = write(tmp_path, "haar.txt", _haar_state_file())
         code, out, err = run_cli(capsys, ["synth", path, "--verify"])
         assert code == 3 and out == ""
         assert "error: SynthesisInvariantError: final fidelity " in err
-        assert "branch trace: detB0=0 > " in err
+        assert "branch trace: pencil > " in err
 
     def test_failed_final_check_prints_the_state_as_synthesized(self, tmp_path, capsys, monkeypatch):
         # the file is 1e-8 off unit norm, so the printed state is the

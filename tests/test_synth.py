@@ -68,7 +68,7 @@ class TestDisentangle2:
         rep = disentangle2(bell)
         assert rep.cz_count == 1
         assert rep.fidelity >= 1 - 1e-12
-        assert "detT!=0" in rep.branch_trace
+        assert rep.branch_trace == ("chain1", "cz01")
 
     def test_plus_times_one(self):
         # (|0>+|1>)/sqrt(2) x |1>: singular amplitude matrix, no CZ needed
@@ -76,7 +76,7 @@ class TestDisentangle2:
         rep = disentangle2(s)
         assert rep.cz_count == 0
         assert rep.fidelity >= 1 - 1e-12
-        assert "detT=0" in rep.branch_trace
+        assert rep.branch_trace == ("chain1", "skip-cz01")
 
     def test_random_entangled_exactly_one_cz(self):
         for i in range(500):
@@ -199,6 +199,8 @@ class TestBranchReductions:
         assert hits >= 95  # rare tie-breaks may pick the other root
 
     def test_corner_block_with_zero_off_column_skips_step5(self):
+        # after step 4, qubit 0 has one factor in both blocks, so the
+        # finisher spends no cz02 on it (step 5 of the paper's flow)
         rng = np.random.default_rng(725)
         for i in range(100):
             alpha = complex(rng.standard_normal() + 1j * rng.standard_normal())
@@ -209,12 +211,12 @@ class TestBranchReductions:
                 continue
             rep = disentangle3(_normalized_state(a, b))
             assert "step4" in rep.branch_trace
-            assert "skip-step5" in rep.branch_trace
+            assert "skip-cz02" in rep.branch_trace
             assert rep.cz_count <= 2
             assert rep.fidelity >= FID
 
     def test_product_final_stage_label(self):
-        # (2-qubit product) x (1 qubit): no CZ at all, trace ends via b3=0
+        # (2-qubit product) x (1 qubit): no CZ at all, the finisher skips both
         for i in range(50):
             rng = np.random.default_rng((726, i))
             singles = []
@@ -344,19 +346,19 @@ class TestAttemptsInOrder:
         assert abs(dense_apply(rep.circuit, s.amps)[0]) >= FID
 
     def test_failed_chain_attempt_raises_with_its_trace(self, tmp_path, capsys, monkeypatch):
-        # a step check that fails on the chain attempt only: no other attempt
-        # follows it, so the run raises with the chain attempt's trace, and
-        # the CLI exits 3 with the replay block
+        # a finisher check that fails on the chain attempt only: no other
+        # attempt follows it, so the run raises with the chain attempt's
+        # trace, and the CLI exits 3 with the replay block
         import qprep3.synth as synth
         from qprep3.cli import main
 
-        real_run3 = synth._run3
+        real_finish = synth._finish_chain
 
-        def failing_after_chain(b, require_real):
+        def failing_after_chain(b, m, outer):
             b.require("chain01" not in b.trace, "step1: chain attempt rejected")
-            real_run3(b, require_real)
+            real_finish(b, m, outer)
 
-        monkeypatch.setattr(synth, "_run3", failing_after_chain)
+        monkeypatch.setattr(synth, "_finish_chain", failing_after_chain)
         s = _real_delta_negative(767)
         with pytest.raises(SynthesisInvariantError, match="chain attempt rejected") as info:
             disentangle3_real(s)
@@ -425,27 +427,26 @@ def _chain0(seed, real) -> PureState3:
 
 class TestMinimalCircuits:
     @pytest.mark.parametrize("real", [False, True], ids=["general", "real"])
-    def test_qubit0_chain_is_relabeled_to_2_cz(self, real):
+    def test_qubit0_chain_gets_2_cz(self, real):
         # the flow alone gives these 3 CZ: it skips a stage only for a middle
-        # on qubit 1 or 2
+        # on qubit 1 or 2, so the finisher ends them on qubit 0 by itself
         for seed in range(20):
             s = _chain0((780, seed), real)
             assert cz_min(s.amps) == 2
             rep = disentangle3_real(s) if real else disentangle3(s)
             assert rep.cz_count == 2
-            first = ("delta>=0", "relabel01") if real else ("relabel01",)
-            assert rep.branch_trace[: len(first)] == first
-            assert "skip-step5" in rep.branch_trace
+            first = ("delta>=0", "chain0") if real else ("chain0",)
+            assert rep.branch_trace == first + ("cz01", "cz02")
             assert rep.all_real or not real
             assert abs(dense_apply(rep.circuit, s.amps)[0]) >= FID
 
-    def test_relabel_needs_the_other_qubits_to_fail(self):
-        # GHZ is a chain with its middle on every qubit, so the flow's own
-        # skip serves it
+    def test_ghz_takes_the_qubit0_finisher(self):
+        # GHZ is a chain with its middle on every qubit; the finisher on
+        # qubit 0 gives it two bisectors, two CZ and one local per wire
         for synth in (disentangle3, disentangle3_real):
             rep = synth(ghz())
-            assert "relabel01" not in rep.branch_trace
-            assert (rep.cz_count, len(rep.circuit.gates)) == (2, 8)
+            assert rep.branch_trace[-3:] == ("chain0", "cz01", "cz02")
+            assert (rep.cz_count, len(rep.circuit.gates)) == (2, 7)
 
     def test_rotated_product_has_one_gate_per_wire(self):
         rng = np.random.default_rng(781)
@@ -469,7 +470,7 @@ class TestMinimalCircuits:
         rng = np.random.default_rng(782)
         a, c = random_unitary2(rng), random_unitary2(rng)
         s = random_state((782, 0))
-        b = _Builder(s, s.w)
+        b = _Builder(s, s.w, False)
         b.local(2, random_unitary2(rng))
         b.local(0, a)
         if between and between[0] == "local":
@@ -486,14 +487,6 @@ class TestMinimalCircuits:
         assert b.before == [
             list(apply_circuit(Circuit(tuple(b.gates[:k])), random_state((782, 0))).w) for k in range(len(b.gates))
         ]
-
-    def test_relabeled_gates_swap_wires_0_and_1(self):
-        from qprep3.synth import _swap01_gate
-
-        m = Mat2(0, 1, -1, 0)
-        assert [_swap01_gate(LocalGate(q, m)) for q in range(3)] == [LocalGate(1, m), LocalGate(0, m), LocalGate(2, m)]
-        pairs = [_swap01_gate(CZGate(*p)) for p in ((0, 1), (0, 2), (1, 2))]
-        assert pairs == [CZGate(0, 1), CZGate(1, 2), CZGate(0, 2)]
 
 
 def _real_delta_negative(seed) -> PureState3:
@@ -589,21 +582,23 @@ class TestStepInvariants:
 
     @staticmethod
     def _pad_stage(monkeypatch, *extra):
-        """Make the embedded 2-qubit stage (_run2) append `extra` gates, given
-        on the pair's wires (0 the low one), right after its own checks."""
+        """Make the chain finisher append `extra` gates, given on its wires
+        (0 the middle, then the outer wires in order), right after its own
+        checks."""
         import qprep3.synth as synth
 
-        real_stage = synth._run2
+        real_finish = synth._finish_chain
 
-        def padded(b, low_qubit=0, *args):
-            real_stage(b, low_qubit, *args)
+        def padded(b, m, outer):
+            real_finish(b, m, outer)
+            wires = (m, *outer)
             for g in extra:
                 if isinstance(g, LocalGate):
-                    b.local(g.qubit + low_qubit, g.matrix)
+                    b.local(wires[g.qubit], g.matrix)
                 else:
-                    b.cz(g.i + low_qubit, g.j + low_qubit)
+                    b.cz(*sorted((wires[g.i], wires[g.j])))
 
-        monkeypatch.setattr(synth, "_run2", padded)
+        monkeypatch.setattr(synth, "_finish_chain", padded)
 
     def test_cz_bound_check_fires(self, monkeypatch):
         # two cz01 cancel on the pair, so only the count goes wrong: a
@@ -614,12 +609,12 @@ class TestStepInvariants:
         assert info.value.branch_trace
 
     def test_embedded_stage_cz_check_fires(self, monkeypatch):
-        # the embedded stage has no check of its own, so `finish` catches
-        # its extra CZ against the 3-qubit bound
+        # the finisher checks only the wires it spends a CZ on, so `finish`
+        # catches its extra CZ against the 3-qubit bound
         self._pad_stage(monkeypatch, CZGate(0, 1), CZGate(0, 1))
         with pytest.raises(SynthesisInvariantError, match=r"^cz count 5 exceeds 3$") as info:
             disentangle3(random_state((762, 0)))
-        assert info.value.branch_trace[-2:] == ["cz12", "detT!=0"]
+        assert info.value.branch_trace[-3:] == ["chain2", "cz02", "cz12"]
 
     def test_embedded_stage_fidelity_check_fires(self, monkeypatch):
         # 1 - 5e-10 is below FID_MIN, so `finish` rejects the 3-qubit result
@@ -627,18 +622,19 @@ class TestStepInvariants:
         self._pad_stage(monkeypatch, tilt)
         with pytest.raises(SynthesisInvariantError, match=r"^final fidelity 0\.99999\d* below 0\.9999999999$") as info:
             disentangle3(random_state((762, 0)))
-        assert info.value.branch_trace[-2:] == ["cz12", "detT!=0"]
+        assert info.value.branch_trace[-3:] == ["chain2", "cz02", "cz12"]
 
     def test_real_mode_gate_realness_check_fires(self, monkeypatch):
-        # diag(i, -i) only changes the phase of |00>, so fidelity and count
+        # diag(i, -i) only changes the phase of |000>, so fidelity and count
         # hold. It fuses into the last gate on its wire, a real rotation R
         # with no CZ after it; diag(i, -i) R has the imaginary parts R's
-        # entries, up to sign, and every other gate stays real
+        # entries, up to sign, and every other gate stays real. The state
+        # has delta < 0, so the finisher runs on wires (1, 0, 2)
         state = random_state((762, 1), real_only=True)
         last = [g for g in disentangle3_real(state).circuit.gates if isinstance(g, LocalGate) and g.qubit == 2][-1]
         worst = max(abs(e) for e in last.matrix)
         assert 0.0 < worst < 1.0
-        self._pad_stage(monkeypatch, LocalGate(1, Mat2(1j, 0, 0, -1j)))
+        self._pad_stage(monkeypatch, LocalGate(2, Mat2(1j, 0, 0, -1j)))
         with pytest.raises(
             SynthesisInvariantError, match=rf"^real mode emitted a non-real gate \(max imag {re.escape(repr(worst))}\)$"
         ) as info:
@@ -680,14 +676,25 @@ class TestStepInvariants:
             # a projector on qubit 0's |1> zeroes the first column of both
             # blocks: the bottom det vanishes, and the top corner is lost
             ("_r1", Mat2(0, 0, 0, 1), disentangle3, "3", "step4: top block disturbed", ["pencil", "step4"]),
+            # the finisher's checks, by the stage of the old flow each took
+            # over: its CZ on qubit 0 after step 4 (step 5), disentangle2's
+            # CZ (2q-sandwich) and its CZ after A1=0 (2q-row); a wrong
+            # step-1 root leaves the blocks of the chain prefix entangled
             (
-                "_r2", IDENTITY, disentangle3, "3",
-                "step5: block rows not proportional, state did not factor", ["pencil", "step4", "step5"],
+                "_bisector", IDENTITY, disentangle3, "3",
+                "cz02: qubit 0 did not factor out", ["pencil", "step4", "chain2", "cz02"],
             ),
-            ("_r1", IDENTITY, disentangle2, "2", "2q: cz sandwich left det nonzero", ["detT!=0"]),
-            ("_l1", IDENTITY, disentangle2, "2", "2q: second row not annihilated", ["detT!=0"]),
+            ("_bisector", IDENTITY, disentangle2, "2", "cz01: qubit 0 did not factor out", ["chain1", "cz01"]),
+            (
+                "_bisector", IDENTITY, disentangle3, "1x2",
+                "cz01: qubit 0 did not factor out", ["pencil", "A1=0", "chain1", "cz01"],
+            ),
+            (
+                "_big_root_term", 1.0, disentangle3_real, "3-real-delta<0",
+                "chain1: blocks not products", ["delta<0", "chain01", "chain1"],
+            ),
         ],
-        ids=["step1", "step2", "step3", "step4-det", "step4-top", "step5", "2q-sandwich", "2q-row"],
+        ids=["step1", "step2", "step3", "step4-det", "step4-top", "step5", "2q-sandwich", "2q-row", "chain-root"],
     )
     def test_step_check_fires(self, monkeypatch, construction, wrong, synth, state, msg, trace):
         # the step checks are the only guard in front of the mat2 cores that
@@ -695,7 +702,12 @@ class TestStepInvariants:
         import qprep3.synth as synth_module
 
         monkeypatch.setattr(synth_module, construction, lambda *_: wrong)
-        s = random_state((764, 0)) if state == "3" else random_state2((764, 1))
+        s = {
+            "3": lambda: random_state((764, 0)),
+            "2": lambda: random_state2((764, 1)),
+            "1x2": lambda: PureState3(np.concatenate([np.zeros(4), random_state2((764, 2)).amps])),
+            "3-real-delta<0": lambda: _real_delta_negative(764),
+        }[state]()
         with pytest.raises(SynthesisInvariantError, match="^" + re.escape(msg) + "$") as info:
             synth(s)
         assert info.value.branch_trace == trace
@@ -756,11 +768,12 @@ class TestStepInvariants:
         def failing(_m):
             raise NonSingularInputError("l1 requires det = 0")
 
-        # synthesis builds its step-2 gate with mat2's core _l1
+        # synthesis builds its step-2 gate with mat2's core _l1 (a Haar state:
+        # GHZ takes the qubit-0 finisher, which needs no _l1)
         monkeypatch.setattr(synth, "_l1", failing)
         with pytest.raises(NonSingularInputError) as info:
-            disentangle3(ghz())
-        assert info.value.branch_trace == ["detB0=0"]
+            disentangle3(random_state((767, 0)))
+        assert info.value.branch_trace == ["pencil"]
 
     def test_near_000_synthesizes(self):
         # |det B0| ~ 1e-16 once passed for zero; B0 (norm ~1e-8) is not
@@ -774,15 +787,14 @@ class TestStepInvariants:
         import qprep3.synth as synth
 
         def failing(b, *_):
-            b.say("detT!=0")
-            raise SynthesisInvariantError("2q: boom")
+            b.say("chain2")
+            raise SynthesisInvariantError("chain2: boom")
 
-        monkeypatch.setattr(synth, "_run2", failing)
-        ghz = PureState3(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / math.sqrt(2))
+        monkeypatch.setattr(synth, "_finish_chain", failing)
         with pytest.raises(SynthesisInvariantError) as info:
-            disentangle3(ghz)
+            disentangle3(random_state((767, 0)))
         trace = info.value.branch_trace
-        assert trace[0] == "detB0=0" and trace[-1] == "detT!=0" and len(trace) > 2
+        assert trace[0] == "pencil" and trace[-1] == "chain2" and len(trace) > 2
 
 
 def apply_circuit_one(gate, state):
