@@ -134,8 +134,8 @@ SEEDED = [
     ("real-prepare", lambda i: random_state((792, i), real_only=True), lambda s: prepare(s, "real"), True, 75),
     ("two-qubit", lambda i: random_state2((793, i)), prepare, False, 50),
 ]
-SEEDED_SHA256 = "75457a8e44098a8b219426595f9c6e273129bc0ec62149730aa4c54ff66b1ff8"
-SEEDED_STRUCTURE_SHA256 = "3ec210e87dd527fb0fc68280e2f700547d9f3ea6bb5289541337514f730524d2"
+SEEDED_SHA256 = "26db2851c72eff0c5d952d4c29400773ee45e1b79981ce46197b6c89f6447bc7"
+SEEDED_STRUCTURE_SHA256 = "3ca19d1c141d52556e10d05b6ca038e99eab51478b2640aa00039f01b8b373ca"
 
 
 def _seeded_outcomes():
