@@ -11,9 +11,11 @@ order |000>..|111> (or |00>..|11> for 2 qubits); `#` starts a comment.
 Files are UTF-8; a leading byte-order mark is skipped. Inputs within 1e-6
 of unit norm are renormalized, anything farther is rejected.
 
-Exit codes: 0 success, 1 bad input (a state file that cannot be read,
-decoded, parsed or normalized, a 2-qubit file to delta, an --out path that
-cannot be written, --n < 1 or --seed < 0; one `error:` line on stderr), 2
+Exit codes: 0 success, 1 bad input or output that cannot be written (a
+state file that cannot be read, decoded, parsed or normalized, a 2-qubit
+file to delta, an --out path that cannot be written, a standard output
+closed early, such as a pipe into `head`, --n < 1 or --seed < 0; one
+`error:` line on stderr), 2
 mode violation (complex input where real amplitudes are required) or usage
 error (no command, a missing or malformed argument such as `--n x`, an
 unknown or ambiguous flag; the usage and one `error:` line go to stderr), 3
@@ -38,6 +40,7 @@ starting with `-`, and every usage error pay for the argparse import.
 """
 from __future__ import annotations
 
+import os
 import sys
 from types import SimpleNamespace
 
@@ -316,7 +319,16 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader closed stdout: point fd 1 at the null device, so the
+        # flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_INPUT
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

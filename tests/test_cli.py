@@ -407,11 +407,11 @@ def _hist_keys(out: str) -> set[int]:
     return keys
 
 
-def _run_python(args):
+def _run_python(args, stdout=subprocess.PIPE):
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
 
 
 def _run_module(argv):
@@ -453,6 +453,21 @@ def test_empty_out_path_exits_1_with_one_error_line(tmp_path, capsys):
     code, out, err = run_cli(capsys, ["synth", path, "--out="])
     assert code == 1 and out == ""
     lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_closed_stdout_exits_1_with_one_error_line(tmp_path):
+    # stdout is a pipe whose reader is gone, as after `| head -c 1`: the
+    # output cannot be written, which is exit 1, and no traceback
+    path = write(tmp_path, "ghz.txt", GHZ_FILE)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_python(["-m", "qprep3", "synth", path, "--verify"], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
