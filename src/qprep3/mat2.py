@@ -22,13 +22,6 @@ without the Python frame of the named tuple's __new__.
 The predicates on that path (is_singular, _snap_real) unpack the four entries
 once and compute the det()/frobenius()/max_imag() expressions inline, with
 the same arithmetic, so every result has the same bits.
-
-The public constructions l1, r1, r3 and solve_det_pencil check their
-preconditions and then call a private core (_l1, _r1, _r3,
-_solve_det_pencil). The synthesis calls a core directly only where its own
-decision or step check has just established that precondition (the same
-predicate, at the same or a stricter tolerance), so each test is made once.
-r2 has no core: the synthesis does not call it.
 """
 from __future__ import annotations
 
@@ -196,14 +189,8 @@ def r1(m: Mat2) -> Mat2:
     sign flip of its (2,2) entry, with ratio k (w21 = k*w11, w22 = -k*w12)."""
     if is_singular(m, EPS_ZERO):
         raise SingularInputError("r1 requires det != 0")
-    return _r1(m)
-
-
-def _r1(m: Mat2) -> Mat2:
-    # r1 past its precondition: m is not singular at EPS_ZERO
-    m = _snap_real(m)
-    a, b, c, d = m
-    k = _r1_ratio(m)
+    k = r1_ratio(m)
+    a, b, c, d = _snap_real(m)
     x = d - b * k
     y = c.conjugate() - a.conjugate() * k.conjugate()
     return u_from_pair(x, y)
@@ -211,11 +198,7 @@ def _r1(m: Mat2) -> Mat2:
 
 def r1_ratio(m: Mat2) -> complex:
     """The proportionality constant k of r1, for nonsingular m."""
-    return _r1_ratio(_snap_real(m))
-
-
-def _r1_ratio(m: Mat2) -> complex:
-    # r1_ratio of a block that _snap_real has already seen
+    m = _snap_real(m)
     a, b, c, d = m
     top = abs(a) ** 2 + abs(b) ** 2
     bot = abs(c) ** 2 + abs(d) ** 2
@@ -226,7 +209,7 @@ def _r1_ratio(m: Mat2) -> complex:
 
 
 def _require_singular_nonzero(m: Mat2, who: str) -> None:
-    # the singular test is the step check that precedes _l1 in synthesis
+    # the singular test is the step check that precedes l1 in synthesis
     if m.frobenius() <= EPS_ZERO:
         raise ZeroMatrixError(f"{who} requires a nonzero matrix")
     if not is_singular(m, STEP_TOL):
@@ -258,11 +241,6 @@ def l1(m: Mat2) -> Mat2:
     normalized, with its first nonzero component made real-positive.
     """
     _require_singular_nonzero(m, "l1")
-    return _l1(m)
-
-
-def _l1(m: Mat2) -> Mat2:
-    # l1 past its precondition: m is nonzero and singular at STEP_TOL
     a, b, c, d = _snap_real(m)
     v1, v2 = dominant_direction(((a, c), (b, d)))
     return u_from_pair(v1.conjugate(), v2.conjugate())
@@ -276,11 +254,6 @@ def r3(m: Mat2) -> Mat2:
     """
     if row2_norm(m) > STEP_TOL:
         raise BadShapeError("r3 requires a vanishing second row")
-    return _r3(m)
-
-
-def _r3(m: Mat2) -> Mat2:
-    # r3 past its second-row test; no step check establishes the first-row one
     a, b, _, _ = _snap_real(m)
     if math.sqrt(abs(a) ** 2 + abs(b) ** 2) <= EPS_ZERO:
         raise BadShapeError("r3 requires a nonzero first row")
@@ -297,18 +270,13 @@ def solve_det_pencil(m_a: Mat2, m_b: Mat2) -> list[complex]:
     """
     if is_singular(m_b, EPS_ZERO):
         raise SingularPencilCoefficientError("solve_det_pencil requires det(B) != 0")
-    return _solve_det_pencil(m_a, m_b)
+    return sorted(_solve_quadratic(*_pencil_form(m_a, m_b)), key=_root_order_key)
 
 
 def _pencil_form(m_a: Mat2, m_b: Mat2) -> tuple[complex, complex, complex]:
     """(q2, q1, q0) with det(A + zB) = q2 z^2 + q1 z + q0, that is
     det(xA + yB) = q0 x^2 + q1 xy + q2 y^2."""
     return m_b.det(), m_a.a * m_b.d + m_b.a * m_a.d - m_a.b * m_b.c - m_b.b * m_a.c, m_a.det()
-
-
-def _solve_det_pencil(m_a: Mat2, m_b: Mat2) -> list[complex]:
-    # solve_det_pencil past its precondition: m_b is not singular at EPS_ZERO
-    return sorted(_solve_quadratic(*_pencil_form(m_a, m_b)), key=_root_order_key)
 
 
 def _solve_quadratic(q2: complex, q1: complex, q0: complex) -> list[complex]:

@@ -72,15 +72,15 @@ finisher on the input itself, with m = 0 and a bound of 2 CZ (trace
 `chain0`), and the usual attempt follows if it fails. A Haar-random state
 pays for one form.
 
-Every synthesis goes through one attempt runner, _first_passing. It runs
-each attempt on a fresh builder of the input, in order, and returns the
-first that passes every check. A 3-qubit attempt is _attempt3: a trace
-label, a run (the flow, the chain prefix or the qubit-0 finisher) and a CZ
-bound. disentangle3 and disentangle3_real each make one attempt with a bound
-of 3 CZ (the flow, or real mode's chain prefix), after the qubit-0 finisher
-when it applies; disentangle2 has one attempt. A Qprep3Error raised in an
-attempt gets the branch trace that attempt took, and when no attempt passes,
-the first attempt's error is raised.
+Every synthesis goes through one attempt runner, _synthesize(s, w, real,
+label, run, max_cz). An attempt is a fresh builder of the input, a trace
+label (real mode's sign of delta), a run (the flow, the chain prefix, the
+2-qubit finisher or the qubit-0 finisher) and a CZ bound, which `finish`
+checks. The runner makes the one attempt it is given, with a bound of 1 CZ
+for 2 qubits and 3 for 3, after the qubit-0 finisher (bound 2) when qubit 0
+of a 3-qubit input is a chain middle, and returns the first that passes. A
+Qprep3Error raised in an attempt gets the branch trace that attempt took,
+and when no attempt passes, the first attempt's error is raised.
 
 Each synthesis is one builder pass. The builder tracks the amplitudes as a
 plain list and reads the blocks from it to choose the next gate; the
@@ -97,32 +97,34 @@ asserts its postcondition on it, and its final value gives the reported
 fidelity.
 
 Real mode tracks an exactly real input (every imaginary part 0.0) as floats
-(_real_amps): the mat2 cores keep their inputs' type and real mode's root
-choices take the root's real part, so no gate has a complex entry and
+(_real_amps): the mat2 constructions keep their inputs' type and real mode's
+root choices take the root's real part, so no gate has a complex entry and
 every kernel runs in float arithmetic, which CPython computes faster than
 complex. A float meeting a complex promotes to the nonzero bits complex()
 gives, so floats change only signs of zero. An input with a nonzero
-imaginary part within REAL_STATE_TOL stays complex, so `finish` measures
-the fidelity on the input itself.
+imaginary part within REAL_STATE_TOL stays complex, so `finish` measures the
+fidelity on the input itself.
 
-Each thing is checked once on this path. A gate comes from the private core
-of its mat2 construction (_l1, _r1, _r3, _solve_det_pencil) wherever the
-branch decision or step check just before it has established the
-construction's precondition, and no state is validated before `finish`;
-real mode tests realness once and then takes delta's core (state._delta).
-`local` and `cz` take a wire rather than a gate, call the kernels directly
-and build each gate with tuple.__new__, past the wire checks of the record's
-__new__; `finish` builds its Circuit the same way, as synthesis only passes
-its own literal wires. The finisher checks its step-1 blocks, and each
-wire it spends a CZ on, at STEP_TOL. `finish` is the one place a result is
-checked: its fidelity against FID_MIN, at both sizes, and its CZ count
-against the attempt's bound.
+Each gate comes from its public mat2 construction (l1, r1, r3,
+solve_det_pencil, u_from_pair), which checks its own precondition. The
+branch decision or step check just before it has tested the same predicate
+at the same tolerance, so on this path a construction's check never raises
+where that one passed. No state is validated before `finish`, and real mode
+tests realness once and then takes delta's core (state._delta). `local` and
+`cz` take a wire rather than a gate, call the kernels directly and build
+each gate with tuple.__new__, past the wire checks of the record's __new__;
+`finish` builds its Circuit the same way, as synthesis only passes its own
+literal wires. The finisher checks its step-1 blocks, and each wire it
+spends a CZ on, at STEP_TOL. `finish` is the one place a result is checked,
+for every attempt at both sizes: its fidelity against FID_MIN, its CZ count
+against the attempt's bound and, in real mode, every gate's realness against
+REAL_GATE_TOL.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import partial
+from functools import cache
 from operator import itemgetter
 
 from . import kernels
@@ -130,7 +132,7 @@ from .circuit import Circuit, CZGate, Gate, LocalGate, apply_circuit, fidelity_t
 from .errors import NotRealError, Qprep3Error, SynthesisInvariantError
 from .mat2 import CHAIN_GAP_TOL, DELTA_ZERO_BAND, EPS_ZERO, FID_MIN, PRUNE_TOL, REAL_ROOT_TOL, STEP_TOL
 from .mat2 import REAL_STATE_TOL, SWAP_BLOCKS, Mat2
-from .mat2 import _big_root_term, _l1, _pencil_form, _r1, _r3, _solve_det_pencil, is_singular, row2_norm, u_from_pair
+from .mat2 import _big_root_term, _pencil_form, is_singular, l1, r1, r3, row2_norm, solve_det_pencil, u_from_pair
 from .state import PureState2, PureState3, State, _delta, amp_matrix, basis_state, overlap
 
 class SynthesisReport(namedtuple("SynthesisReport", "circuit cz_count all_real branch_trace fidelity")):
@@ -231,8 +233,8 @@ class _Builder:
             raise SynthesisInvariantError(msg)
 
     def finish(self, max_cz: int) -> SynthesisReport:
-        """The finished report; raises when its fidelity is below FID_MIN or
-        its CZ count above max_cz."""
+        """The finished report; raises when its fidelity is below FID_MIN, its
+        CZ count above max_cz or, in real mode, a gate is not real."""
         # every gate was emitted on a wire of the input state
         circ = tuple.__new__(Circuit, (tuple(self.gates), self.num_qubits))
         fid = fidelity_to_basis(self.state_type(self.amps), 0)
@@ -242,23 +244,34 @@ class _Builder:
         cz = circ.cz_count
         if cz > max_cz:
             raise SynthesisInvariantError(f"cz count {cz} exceeds {max_cz}")
-        return SynthesisReport(circ, cz, circ.is_real(), tuple(self.trace), fid)
+        all_real = circ.is_real()
+        if self.real and not all_real:
+            raise SynthesisInvariantError(f"real mode emitted a non-real gate (max imag {circ.max_local_imag()!r})")
+        return SynthesisReport(circ, cz, all_real, tuple(self.trace), fid)
 
 
-def _first_passing(s: State, w, real: bool, attempts) -> SynthesisReport:
-    """Run each attempt (a function of a builder, returning its finished
-    report) on a fresh builder of s in the mode `real`, tracking the
-    amplitudes w (s.w, or their real parts as floats), in order, and return
-    the first report.
+def _synthesize(s: State, w, real: bool, label, run, max_cz: int) -> SynthesisReport:
+    """The one attempt runner. An attempt takes a fresh builder of s in the
+    mode `real`, tracking the amplitudes w (s.w, or their real parts as
+    floats), says label (when not None), runs a function of the builder and
+    finishes against a CZ bound: here `run` and max_cz, after the finisher on
+    qubit 0 with a bound of 2 when w has 8 amplitudes and qubit 0 is a chain
+    middle (module docstring). The first attempt that passes is returned.
 
     An attempt fails by raising a Qprep3Error, which gets the branch trace
     that attempt took. When every attempt fails, the first one's is raised.
     """
+    attempts = [(run, max_cz)]
+    if len(w) == 8 and _is_chain_middle(w, 0):
+        attempts.insert(0, (lambda b: _finish_chain(b, 0, (1, 2)), 2))
     first = None
-    for attempt in attempts:
+    for attempt, bound in attempts:
         b = _Builder(s, w, real)
         try:
-            return attempt(b)
+            if label is not None:
+                b.say(label)
+            attempt(b)
+            return b.finish(bound)
         except Qprep3Error as exc:
             exc.branch_trace = list(b.trace)
             if first is None:
@@ -281,12 +294,12 @@ def disentangle2(s: PureState2) -> SynthesisReport:
     Zero CZ when the amplitude matrix is singular (product state), one CZ
     otherwise.
     """
-    return _first_passing(s, s.w, False, (_attempt2,))
+    return _synthesize(s, s.w, False, None, _run2, 1)
 
 
-def _attempt2(b: _Builder) -> SynthesisReport:
+def _run2(b: _Builder) -> None:
+    # a 2-qubit state is a chain with qubit 1 in the middle
     _finish_chain(b, 1, (0,))
-    return b.finish(1)
 
 
 def disentangle3(s: PureState3) -> SynthesisReport:
@@ -295,29 +308,7 @@ def disentangle3(s: PureState3) -> SynthesisReport:
     A chain with qubit 0 in the middle is first tried with the chain
     finisher alone (trace `chain0`), for 2 CZ; see the module docstring.
     """
-    return _run_attempts3(s, s.w, None, _run3, False)
-
-
-def _run_attempts3(s: PureState3, w, label, run, real: bool) -> SynthesisReport:
-    """_attempt3 with run and a bound of 3 CZ, tracking the amplitudes w of
-    s; when qubit 0 is a chain middle (module docstring), the finisher on
-    qubit 0 goes first, with a bound of 2 CZ."""
-    attempts = ((run, 3),)
-    if _is_chain_middle(w, 0):
-        attempts = ((partial(_finish_chain, m=0, outer=(1, 2)), 2),) + attempts
-    return _first_passing(s, w, real, (partial(_attempt3, label, r, n) for r, n in attempts))
-
-
-def _attempt3(label, run, max_cz: int, b: _Builder) -> SynthesisReport:
-    """One 3-qubit attempt on b: say label (when not None), run, and check
-    the result against max_cz (and, in real mode, every gate's realness)."""
-    if label is not None:
-        b.say(label)
-    run(b)
-    rep = b.finish(max_cz)
-    if b.real and not rep.all_real:
-        raise SynthesisInvariantError(f"real mode emitted a non-real gate (max imag {rep.circuit.max_local_imag()!r})")
-    return rep
+    return _synthesize(s, s.w, False, None, _run3, 3)
 
 
 def _real_amps(s: State, who: str):
@@ -351,7 +342,7 @@ def disentangle3_real(s: PureState3) -> SynthesisReport:
     # with one CZ (delta ~ -1e-17), which the chain prefix would give a
     # second CZ: both take the flow alone, with a real or clamped root
     plain = d >= 0.0 or is_singular(amp_matrix(w, 0), EPS_ZERO) or d >= -DELTA_ZERO_BAND
-    return _run_attempts3(s, w, "delta>=0" if d >= 0.0 else "delta<0", _run3 if plain else _chain01, True)
+    return _synthesize(s, w, True, "delta>=0" if d >= 0.0 else "delta<0", _run3 if plain else _chain01, 3)
 
 
 # by qubit q, the amplitudes of the blocks A (q is 0) and B (q is 1) of the
@@ -430,15 +421,16 @@ def _step1_root(b: _Builder, roots: list[complex]) -> complex:
 
 
 def _run3(b: _Builder) -> None:
-    # each construction is a mat2 core (_l1, ...): the decision or step check
-    # just before it has established its precondition
+    # each mat2 construction (l1, ...) checks its precondition, which the
+    # decision or step check just before it has tested with the same
+    # predicate at the same tolerance: none raises on this path
     b0 = amp_matrix(b.amps, 4)
     if is_singular(b0, EPS_ZERO):
         b.say("detB0=0")
         w1 = SWAP_BLOCKS
     else:
         b.say("pencil")
-        z0 = _step1_root(b, _solve_det_pencil(amp_matrix(b.amps, 0), b0))
+        z0 = _step1_root(b, solve_det_pencil(amp_matrix(b.amps, 0), b0))
         w1 = u_from_pair(1.0, z0)
     b.local(2, w1)
 
@@ -447,18 +439,18 @@ def _run3(b: _Builder) -> None:
     if max(map(abs, a1)) <= EPS_ZERO:
         # whole state lives in the bottom block: swap blocks (det +1 variant
         # of X), which leaves qubit 2 at |0>, and finish on qubits (1, 0).
-        # Tested entrywise, so otherwise a1 is nonzero for _l1, and the first
-        # row _l1 leaves (no smaller than any entry) is nonzero for _r3
+        # Tested entrywise, so otherwise a1 is nonzero for l1, and the first
+        # row l1 leaves (no smaller than any entry) is nonzero for r3
         b.say("A1=0")
         b.local(2, SWAP_BLOCKS)
         _finish_chain(b, 1, (0,))
         return
 
-    b.local(1, _l1(a1))
+    b.local(1, l1(a1))
     a2 = amp_matrix(b.amps, 0)
     b.require(row2_norm(a2) <= STEP_TOL, "step2: second row of top block survives")
 
-    b.local(0, _r3(a2).transpose())
+    b.local(0, r3(a2).transpose())
     a3 = amp_matrix(b.amps, 0)
     b3 = amp_matrix(b.amps, 4)
     b.require(max(abs(a3.b), abs(a3.c), abs(a3.d)) <= STEP_TOL, "step3: top block not reduced to its corner")
@@ -467,7 +459,7 @@ def _run3(b: _Builder) -> None:
         b.say("skip-step4")
     else:
         b.say("step4")
-        u4 = _r1(b3).transpose()
+        u4 = r1(b3).transpose()
         b.local(0, u4)
         b.cz(0, 1)
         b.local(0, u4.dagger())
@@ -479,20 +471,18 @@ def _run3(b: _Builder) -> None:
     _finish_chain(b, 2, (0, 1))
 
 
-def _chain_pairs(n: int, m: int, outer: tuple[int, ...]) -> list:
+@cache
+def _chain_pairs(n: int, m: int, outer: tuple[int, ...]) -> tuple:
     """Per outer wire x: x, the wires of CZ(m, x), and x's index pairs
     (i, i | 1 << x) in m's half 0 and in its half 1, one per value of the
-    other outer wire; every wire outside m and outer is 0."""
+    other outer wire; every wire outside m and outer is 0. Built once per
+    (amplitude count, m, outer), as kernels.py builds its CZ flips, and
+    shared by every caller, so it is made of tuples."""
     used = 1 << m | sum(1 << x for x in outer)
     pairs = {x: [(i, i | 1 << x) for i in range(n) if not i & ~used and not i >> x & 1] for x in outer}
-    return [(x, *sorted((m, x)), *([p for p in pairs[x] if p[0] >> m & 1 == h] for h in (0, 1))) for x in outer]
-
-
-# the finisher's index pairs, built once per (amplitude count, m, outer) as
-# kernels.py builds its CZ flips; one key per caller: disentangle2, the A1=0
-# branch, the flow, the chain prefix and the qubit-0 attempt
-_CHAIN_KEYS = (4, 1, (0,)), (8, 1, (0,)), (8, 2, (0, 1)), (8, 1, (0, 2)), (8, 0, (1, 2))
-_CHAIN_PAIRS = {key: _chain_pairs(*key) for key in _CHAIN_KEYS}
+    return tuple(
+        (x, *sorted((m, x)), *(tuple(p for p in pairs[x] if p[0] >> m & 1 == h) for h in (0, 1))) for x in outer
+    )
 
 
 def _half_factor(w, pairs) -> tuple:
@@ -538,7 +528,7 @@ def _finish_chain(b: _Builder, m: int, outer: tuple[int, ...]) -> None:
         b.local(m, u_from_pair(1.0, z.real if b.real else z))
         if not all(is_singular(t, STEP_TOL) for t in _split(b.amps, m)):
             raise SynthesisInvariantError(f"chain{m}: blocks not products")
-    for x, i, j, half0, half1 in _CHAIN_PAIRS[len(b.amps), m, outer]:
+    for x, i, j, half0, half1 in _chain_pairs(len(b.amps), m, outer):
         p, q = _half_factor(b.amps, half0), _half_factor(b.amps, half1)
         if is_singular(tuple.__new__(Mat2, p + q), EPS_ZERO):
             b.say(f"skip-cz{i}{j}")
@@ -560,14 +550,14 @@ def disentangle(s: State, mode: str = "general") -> SynthesisReport:
     """Disentangler for s: the 2-qubit routine, or the 3-qubit one for `mode`.
 
     mode is "general" or "real"; real mode requires real amplitudes (a real
-    2-qubit input gets real gates from disentangle2's flow, which real mode
-    runs on the amplitudes _real_amps gives).
+    2-qubit input gets real gates from disentangle2's run, which real mode
+    runs on the amplitudes _real_amps gives, and `finish` checks them).
     """
     if mode not in ("general", "real"):
         raise ValueError(f"mode must be 'general' or 'real', got {mode!r}")
     if isinstance(s, PureState2):
         if mode == "real":
-            return _first_passing(s, _real_amps(s, "real mode"), True, (_attempt2,))
+            return _synthesize(s, _real_amps(s, "real mode"), True, None, _run2, 1)
         return disentangle2(s)
     if mode == "real":
         return disentangle3_real(s)

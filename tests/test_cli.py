@@ -209,7 +209,7 @@ def _haar_state_file() -> str:
     return "".join("%.17g %.17g\n" % (z.real, z.imag) for z in random_state((7, 1)).w)
 
 
-# synthesis builds its step-2 gate with mat2's core _l1
+# synthesis builds its step-2 gate with mat2.l1
 FAILING_L1_CHILD = """
 import qprep3.synth
 from qprep3.cli import main
@@ -218,7 +218,7 @@ from qprep3.errors import NonSingularInputError
 def failing(_m):
     raise NonSingularInputError("l1 requires det = 0")
 
-qprep3.synth._l1 = failing
+qprep3.synth.l1 = failing
 raise SystemExit(main(ARGV))
 """
 

@@ -27,7 +27,7 @@ from qprep3.state import (
     random_state,
     random_state2,
 )
-from qprep3.synth import disentangle2, disentangle3, disentangle3_real, prepare
+from qprep3.synth import disentangle, disentangle2, disentangle3, disentangle3_real, prepare
 
 FID = 1.0 - 1e-9
 
@@ -397,13 +397,13 @@ class TestAttemptsInOrder:
 
         s = next(t for t in (random_state((764, i), real_only=True) for i in range(100)) if delta(t) >= 0.0)
         want = disentangle3_real(s)
-        real_solve = synth._solve_det_pencil
+        real_solve = synth.solve_det_pencil
 
         def conjugate_pair(a, b):
             r = real_solve(a, b)[0].real
             return [complex(r, 0.5), complex(r, -0.5)]
 
-        monkeypatch.setattr(synth, "_solve_det_pencil", conjugate_pair)
+        monkeypatch.setattr(synth, "solve_det_pencil", conjugate_pair)
         rep = disentangle3_real(s)
         k = want.branch_trace.index("pencil") + 1
         assert rep.branch_trace == want.branch_trace[:k] + ("pencil-root-clamped",) + want.branch_trace[k:]
@@ -641,6 +641,20 @@ class TestStepInvariants:
             disentangle3_real(state)
         assert info.value.branch_trace
 
+    def test_two_qubit_real_mode_gate_realness_check_fires(self, monkeypatch):
+        # U(i, 1) also maps p = (1, 0) and q = (0, 1) to images of each other
+        # under Z, so the CZ check, fidelity and count hold; real mode's
+        # 2-qubit run must still reject its imaginary entries, i/sqrt(2)
+        import qprep3.synth as synth
+
+        h = math.sqrt(0.5)
+        monkeypatch.setattr(synth, "_bisector", lambda *_: Mat2(1j * h, h, -h, -1j * h))
+        with pytest.raises(
+            SynthesisInvariantError, match=rf"^real mode emitted a non-real gate \(max imag {re.escape(repr(h))}\)$"
+        ) as info:
+            disentangle(PureState2([0.6, 0, 0, 0.8]), "real")
+        assert info.value.branch_trace == ["chain1", "cz01"]
+
     @staticmethod
     def _tilt_prepare(monkeypatch, fidelity):
         """Make prepare's circuit start with an Ry that leaves `fidelity` of the input."""
@@ -670,12 +684,12 @@ class TestStepInvariants:
         [
             # the step-1 gate is u_from_pair(1, root), the first one built
             ("u_from_pair", IDENTITY, disentangle3, "3", "step1: det of top block not killed", ["pencil"]),
-            ("_l1", IDENTITY, disentangle3, "3", "step2: second row of top block survives", ["pencil"]),
-            ("_r3", IDENTITY, disentangle3, "3", "step3: top block not reduced to its corner", ["pencil"]),
-            ("_r1", IDENTITY, disentangle3, "3", "step4: det of bottom block not killed", ["pencil", "step4"]),
+            ("l1", IDENTITY, disentangle3, "3", "step2: second row of top block survives", ["pencil"]),
+            ("r3", IDENTITY, disentangle3, "3", "step3: top block not reduced to its corner", ["pencil"]),
+            ("r1", IDENTITY, disentangle3, "3", "step4: det of bottom block not killed", ["pencil", "step4"]),
             # a projector on qubit 0's |1> zeroes the first column of both
             # blocks: the bottom det vanishes, and the top corner is lost
-            ("_r1", Mat2(0, 0, 0, 1), disentangle3, "3", "step4: top block disturbed", ["pencil", "step4"]),
+            ("r1", Mat2(0, 0, 0, 1), disentangle3, "3", "step4: top block disturbed", ["pencil", "step4"]),
             # the finisher's checks, by the stage of the old flow each took
             # over: its CZ on qubit 0 after step 4 (step 5), disentangle2's
             # CZ (2q-sandwich) and its CZ after A1=0 (2q-row); a wrong
@@ -697,8 +711,8 @@ class TestStepInvariants:
         ids=["step1", "step2", "step3", "step4-det", "step4-top", "step5", "2q-sandwich", "2q-row", "chain-root"],
     )
     def test_step_check_fires(self, monkeypatch, construction, wrong, synth, state, msg, trace):
-        # the step checks are the only guard in front of the mat2 cores that
-        # synthesis calls, so each one must catch a wrong gate before it
+        # each step check must catch a wrong gate from the construction
+        # before it, which checks only its input
         import qprep3.synth as synth_module
 
         monkeypatch.setattr(synth_module, construction, lambda *_: wrong)
@@ -768,9 +782,9 @@ class TestStepInvariants:
         def failing(_m):
             raise NonSingularInputError("l1 requires det = 0")
 
-        # synthesis builds its step-2 gate with mat2's core _l1 (a Haar state:
-        # GHZ takes the qubit-0 finisher, which needs no _l1)
-        monkeypatch.setattr(synth, "_l1", failing)
+        # synthesis builds its step-2 gate with mat2.l1 (a Haar state: GHZ
+        # takes the qubit-0 finisher, which needs no l1)
+        monkeypatch.setattr(synth, "l1", failing)
         with pytest.raises(NonSingularInputError) as info:
             disentangle3(random_state((767, 0)))
         assert info.value.branch_trace == ["pencil"]
