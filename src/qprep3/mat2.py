@@ -59,13 +59,16 @@ PRUNE_TOL = 1e-14
 REAL_STATE_TOL = 1e-12
 # Largest imaginary part of a gate that counts as real (real-mode output).
 REAL_GATE_TOL = 1e-10
-# A pencil root counts as real below this imaginary part (real mode, step 1).
+# A pencil root counts as real below this imaginary part (real mode's root
+# gate, in step 1 and in the chain finisher).
 REAL_ROOT_TOL = 1e-8
 # Relative to the size of its terms, a pencil discriminant this small is
 # rounding noise: the root is double, and its two computed copies would sit
 # ~sqrt(eps) apart, each farther from it than their mean -q1 / (2 q2).
-# Synthesis would pass without the snap (its step checks sit at STEP_TOL),
-# but solve_det_pencil promises a double root to 1e-12, and unsnapped copies
+# _pencil_root snaps it, so the snap governs every root the synthesis takes
+# (step 1 and the chain finisher) and both of solve_det_pencil's. Synthesis
+# would pass without it (its step checks sit at STEP_TOL), but
+# solve_det_pencil promises a double root to 1e-12, and unsnapped copies
 # split by ~1e-8; and an exact double root at 0 (q1 = q0 = 0) would divide
 # 0 by 0 in the cancellation-free form.
 DOUBLE_ROOT_TOL = 1e-12
@@ -263,14 +266,17 @@ def r3(m: Mat2) -> Mat2:
 def solve_det_pencil(m_a: Mat2, m_b: Mat2) -> list[complex]:
     """Roots z of det(A + z*B) = 0, for det(B) != 0.
 
-    The quadratic det(B) z^2 + (aA*dB + aB*dA - bA*cB - bB*cA) z + det(A) is
-    solved in the cancellation-free form (larger-magnitude root first, the
-    other from the product of roots). Returned in ascending |z|, ties broken
-    by ascending phase in [0, 2*pi).
+    The smaller root is _pencil_root's, of the quadratic det(B) z^2 +
+    (aA*dB + aB*dA - bA*cB - bB*cA) z + det(A); the other, the larger, comes
+    from the sum of the roots, so the subtraction cannot cancel. A double
+    root is returned twice. Returned in ascending |z|, ties broken by
+    ascending phase in [0, 2*pi).
     """
     if is_singular(m_b, EPS_ZERO):
         raise SingularPencilCoefficientError("solve_det_pencil requires det(B) != 0")
-    return sorted(_solve_quadratic(*_pencil_form(m_a, m_b)), key=_root_order_key)
+    q2, q1, q0 = _pencil_form(m_a, m_b)
+    z = _pencil_root(q2, q1, q0)
+    return sorted((z, -q1 / q2 - z), key=_root_order_key)
 
 
 def _pencil_form(m_a: Mat2, m_b: Mat2) -> tuple[complex, complex, complex]:
@@ -279,24 +285,21 @@ def _pencil_form(m_a: Mat2, m_b: Mat2) -> tuple[complex, complex, complex]:
     return m_b.det(), m_a.a * m_b.d + m_b.a * m_a.d - m_a.b * m_b.c - m_b.b * m_a.c, m_a.det()
 
 
-def _solve_quadratic(q2: complex, q1: complex, q0: complex) -> list[complex]:
+def _pencil_root(q2: complex, q1: complex, q0: complex) -> complex:
+    """The finite root of q2 z^2 + q1 z + q0, the smaller one: q0 / big, with
+    big = -(q1 + sqrt(disc)) / 2 signed to avoid cancellation, so it stays
+    finite as q2 goes to 0 (-q0/q1 at q2 = 0). A discriminant within
+    DOUBLE_ROOT_TOL of its terms gives the double root -q1 / (2 q2); with
+    q1 = q2 = 0 there is no finite root, and the result is 0."""
     disc = q1 * q1 - 4.0 * q2 * q0
     if abs(disc) <= DOUBLE_ROOT_TOL * (abs(q1) ** 2 + abs(4.0 * q2 * q0)):
-        z = -q1 / (2.0 * q2)
-        return [z, z]
-    # big != 0, as disc != 0
-    big = _big_root_term(q1, disc)
-    return [big / q2, q0 / big]
-
-
-def _big_root_term(q1: complex, disc: complex) -> complex:
-    """-(q1 + sqrt(disc)) / 2 with the sign of the root that avoids
-    cancellation: the roots of q2 z^2 + q1 z + q0 are big / q2 and q0 / big,
-    and the second stays finite as q2 goes to 0."""
+        # q2 = 0 passes only with q1 = 0
+        return -q1 / (2.0 * q2) if q2 else 0.0
     sq = cmath.sqrt(disc)
     if (q1.conjugate() * sq).real < 0.0:
         sq = -sq
-    return -0.5 * (q1 + sq)
+    # big != 0, as disc != 0
+    return q0 / (-0.5 * (q1 + sq))
 
 
 def _root_order_key(z: complex) -> tuple[float, float]:

@@ -13,8 +13,8 @@ outer wires; every other wire is |0>. In order:
 
   1. With two outer wires, when the blocks A (m = 0) and B (m = 1) of m's
      split are not both singular, the local gate U(1, z) on m, with z the
-     finite root of det(A + zB) (mat2._big_root_term; its real part in real
-     mode), makes them both singular: products. The trace says `chain<m>`.
+     finite root of det(A + zB) (_root_gate, as in step 1 of the flow),
+     makes them both singular: products. The trace says `chain<m>`.
   2. For each outer wire x, with factors p in P and q in Q and n0, n1 the
      norms of P and Q: when [n0 p; n1 q] is singular, x factors out already
      (`skip-cz<ij>`). Otherwise a local gate on x, with first row
@@ -54,7 +54,12 @@ below zero, or when the top block is already singular (its step-1 root is
 then ~0, and real), the flow runs with no prefix. The bound of 3 CZ is
 checked on every run, not proven: a run that misses it raises.
 
-Step 1 takes the first pencil root (the first real one in real mode). The
+Step 1 and the finisher's step 1 take one root through one gate,
+_root_gate(b, q): U(1, z) on qubit q, z the finite root of det(A + zB) for
+q's split (mat2._pencil_root: the smaller one, -q1 / (2 q2) when the
+discriminant is rounding noise, 0 when no root is finite). Real mode takes
+z's real part, and says `pencil-root-clamped` when that drops an imaginary
+part above REAL_ROOT_TOL (a conjugate pair shares its real part). The
 branch decisions are made at EPS_ZERO, the scale the fidelity floor sets: a
 residual they skip costs an infidelity of about its square, far inside
 FID_MIN. So a state within ~EPS_ZERO of one that needs fewer CZ gets the
@@ -90,7 +95,9 @@ and of the gate list: each applies its gate by the block rules of kernels.py
 as it appends it. `local` fuses a local gate into the last gate on its wire
 when that is a local gate with no CZ on the wire after it: the earlier gate
 commutes with every gate since, so it is removed and the product appended.
-It drops local gates that are a global phase (+-I). So no circuit holds two
+It drops local gates that are a global phase (+-I); dropping -I leaves the
+list the negative of the state the circuit makes, so step 4's check of the
+top block accepts it up to sign. So no circuit holds two
 local gates on one wire without a CZ on that wire between them, and the
 list is always the input state run through the circuit so far. Every stage
 asserts its postcondition on it, and its final value gives the reported
@@ -106,33 +113,34 @@ imaginary part within REAL_STATE_TOL stays complex, so `finish` measures the
 fidelity on the input itself.
 
 Each gate comes from its public mat2 construction (l1, r1, r3,
-solve_det_pencil, u_from_pair), which checks its own precondition. The
-branch decision or step check just before it has tested the same predicate
-at the same tolerance, so on this path a construction's check never raises
-where that one passed. No state is validated before `finish`, and real mode
-tests realness once and then takes delta's core (state._delta). `local` and
-`cz` take a wire rather than a gate, call the kernels directly and build
-each gate with tuple.__new__, past the wire checks of the record's __new__;
-`finish` builds its Circuit the same way, as synthesis only passes its own
-literal wires. The finisher checks its step-1 blocks, and each wire it
-spends a CZ on, at STEP_TOL. `finish` is the one place a result is checked,
-for every attempt at both sizes: its fidelity against FID_MIN, its CZ count
-against the attempt's bound and, in real mode, every gate's realness against
-REAL_GATE_TOL.
+u_from_pair), which checks its own precondition. The branch decision or
+step check just before it has tested the same predicate at the same
+tolerance, so on this path a construction's check never raises where that
+one passed. The pencil root (mat2._pencil_root) has no precondition: with
+no finite root it gives 0, and U(1, 0) = I is not emitted. No state is
+validated before `finish`, and real mode tests realness once and then takes
+delta's core (state._delta). `local` and `cz` take a wire rather than a
+gate, call the kernels directly and build each gate with tuple.__new__,
+past the wire checks of the record's __new__; `finish` builds its Circuit
+the same way, as synthesis only passes its own literal wires. The finisher
+checks its step-1 blocks, and each wire it spends a CZ on, at STEP_TOL.
+`finish` is the one place a result is checked, for every attempt at both
+sizes: its fidelity against FID_MIN, its CZ count against the attempt's
+bound and, in real mode, every gate's realness against REAL_GATE_TOL.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
 from functools import cache
-from operator import itemgetter
+from operator import add, itemgetter
 
 from . import kernels
 from .circuit import Circuit, CZGate, Gate, LocalGate, apply_circuit, fidelity_to_basis, invert
 from .errors import NotRealError, Qprep3Error, SynthesisInvariantError
 from .mat2 import CHAIN_GAP_TOL, DELTA_ZERO_BAND, EPS_ZERO, FID_MIN, PRUNE_TOL, REAL_ROOT_TOL, STEP_TOL
 from .mat2 import REAL_STATE_TOL, SWAP_BLOCKS, Mat2
-from .mat2 import _big_root_term, _pencil_form, is_singular, l1, r1, r3, row2_norm, solve_det_pencil, u_from_pair
+from .mat2 import _pencil_form, _pencil_root, is_singular, l1, r1, r3, row2_norm, u_from_pair
 from .state import PureState2, PureState3, State, _delta, amp_matrix, basis_state, overlap
 
 class SynthesisReport(namedtuple("SynthesisReport", "circuit cz_count all_real branch_trace fidelity")):
@@ -405,34 +413,31 @@ def _chain_rotation(w) -> Mat2:
     return u_from_pair(c, -0.5 * sin_phi / c)
 
 
-def _step1_root(b: _Builder, roots: list[complex]) -> complex:
-    """The first pencil root; in real mode, the real part, as a float, of
-    the first root within REAL_ROOT_TOL of real, so step 1's gate is real
-    (of floats when the tracked amplitudes are)."""
-    if not b.real:
-        return roots[0]
-    for z in roots:
-        if abs(z.imag) <= REAL_ROOT_TOL:
-            return z.real
-    # conjugate pair from a slightly negative discriminant: its shared real
-    # part is the best real root; the step-1 invariant verifies the residual
-    b.say("pencil-root-clamped")
-    return roots[0].real
+def _root_gate(b: _Builder, q: int) -> None:
+    """U(1, z) on qubit q, z the finite root of det(A + zB) for q's split
+    (mat2._pencil_root), which makes A singular. Real mode takes z's real
+    part, as a float, so the gate is real (of floats when the tracked
+    amplitudes are); a conjugate pair from a slightly negative discriminant
+    shares that real part, the best real root, and says
+    `pencil-root-clamped`: the step check after the gate verifies it."""
+    z = _pencil_root(*_pencil_form(*_split(b.amps, q)))
+    if b.real:
+        if abs(z.imag) > REAL_ROOT_TOL:
+            b.say("pencil-root-clamped")
+        z = z.real
+    b.local(q, u_from_pair(1.0, z))
 
 
 def _run3(b: _Builder) -> None:
     # each mat2 construction (l1, ...) checks its precondition, which the
     # decision or step check just before it has tested with the same
     # predicate at the same tolerance: none raises on this path
-    b0 = amp_matrix(b.amps, 4)
-    if is_singular(b0, EPS_ZERO):
+    if is_singular(amp_matrix(b.amps, 4), EPS_ZERO):
         b.say("detB0=0")
-        w1 = SWAP_BLOCKS
+        b.local(2, SWAP_BLOCKS)
     else:
         b.say("pencil")
-        z0 = _step1_root(b, solve_det_pencil(amp_matrix(b.amps, 0), b0))
-        w1 = u_from_pair(1.0, z0)
-    b.local(2, w1)
+        _root_gate(b, 2)
 
     a1 = amp_matrix(b.amps, 0)
     b.require(is_singular(a1, STEP_TOL), "step1: det of top block not killed")
@@ -464,7 +469,14 @@ def _run3(b: _Builder) -> None:
         b.cz(0, 1)
         b.local(0, u4.dagger())
         b.require(is_singular(amp_matrix(b.amps, 4), STEP_TOL), "step4: det of bottom block not killed")
-        b.require(amp_matrix(b.amps, 0).distance_to(a3) <= STEP_TOL, "step4: top block disturbed")
+        # step 3's gate may absorb a u4 of -I whose dagger is then dropped
+        # as a global phase, negating the tracked state: the check is
+        # sign-blind
+        a4 = amp_matrix(b.amps, 0)
+        b.require(
+            a4.distance_to(a3) <= STEP_TOL or max(map(abs, map(add, a4, a3))) <= STEP_TOL,
+            "step4: top block disturbed",
+        )
 
     # the top block is its corner and the bottom block is singular (skip
     # decision or step-4 check): both are products
@@ -520,12 +532,8 @@ def _finish_chain(b: _Builder, m: int, outer: tuple[int, ...]) -> None:
     CZ per outer wire x, on (m, x)."""
     b.say(f"chain{m}")
     if len(outer) == 2 and not all(is_singular(t, EPS_ZERO) for t in _split(b.amps, m)):
-        # the finite root of det(A + zB); big is 0 only when q1 and q2 q0
-        # are, and U(1, 0) = I is not emitted
-        q2, q1, q0 = _pencil_form(*_split(b.amps, m))
-        big = _big_root_term(q1, q1 * q1 - 4.0 * q2 * q0)
-        z = q0 / big if big else 0.0
-        b.local(m, u_from_pair(1.0, z.real if b.real else z))
+        # with no finite root the gate is U(1, 0) = I, which is not emitted
+        _root_gate(b, m)
         if not all(is_singular(t, STEP_TOL) for t in _split(b.amps, m)):
             raise SynthesisInvariantError(f"chain{m}: blocks not products")
     for x, i, j, half0, half1 in _chain_pairs(len(b.amps), m, outer):

@@ -8,13 +8,15 @@ Qprep3Error.
 
 A seventh family, built exactly (unperturbed) as C|000> from a random circuit
 of local gates and k CZ, must never fail, and in general mode must get the
-fewest CZ that prepare it (the cz_min oracle).
+fewest CZ that prepare it (the cz_min oracle). So must every state whose
+amplitudes are drawn exactly from a few values, on every support.
 
 In every family, and for Haar states, no emitted circuit may hold two local
 gates on one wire without a CZ on that wire between them (the synthesis fuses
 them into one).
 """
 import math
+import random
 from collections import Counter
 
 import numpy as np
@@ -215,6 +217,35 @@ def test_circuit_built_states_never_fail():
                     problem = f"cz {rep.cz_count}, cz_min {least}"
                 if problem is not None:
                     bad.append((mode, k, n, problem))
+    assert bad == []
+
+
+EXACT_VALUES = (1, -1, 1j, 0.5, 2)
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_exact_amplitude_patterns_never_fail(seed):
+    # exact zeros and ties put decisions exactly on their thresholds. A
+    # step-4 gate of -I negates the tracked state, which step 4's top-block
+    # check must accept (a signed check failed 2, 1 and 6 runs by seed).
+    # General mode must reach cz_min, real mode 3 CZ
+    rng = random.Random(seed)
+    bad = []
+    for support in range(1, 256):
+        for n in range(2):
+            v = np.array([rng.choice(EXACT_VALUES) if support >> k & 1 else 0 for k in range(8)], dtype=np.complex128)
+            v /= np.linalg.norm(v)
+            least = cz_min(v)
+            for mode, synth, bound in [("general", disentangle3, least), ("real", disentangle3_real, 3)]:
+                if mode == "real" and v.imag.any():
+                    continue
+                try:
+                    rep = synth(PureState3(v))
+                except Qprep3Error as exc:
+                    bad.append((support, n, mode, repr(exc)))
+                    continue
+                if rep.cz_count > bound or abs(dense_apply(rep.circuit, v)[0]) < 1.0 - 1e-9:
+                    bad.append((support, n, mode, rep.cz_count, least, rep.branch_trace))
     assert bad == []
 
 

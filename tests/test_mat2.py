@@ -31,6 +31,8 @@ from qprep3.mat2 import (
     SWAP_BLOCKS,
     Mat2,
     Z,
+    _pencil_form,
+    _pencil_root,
     _snap_real,
     is_singular,
     l1,
@@ -251,6 +253,50 @@ class TestSolveDetPencil:
             roots = solve_det_pencil(scaled(t, alpha), scaled(t, beta))
             assert roots[0] == roots[1]
             assert abs(roots[0] + alpha / beta) <= 1e-12 * abs(alpha / beta)
+
+
+class TestPencilRoot:
+    """The one root the synthesis takes, for step 1 and the chain finisher."""
+
+    def test_is_the_smaller_root(self):
+        rng = np.random.default_rng(63)
+        for real in (False, True):
+            for _ in range(500):
+                a, b = random_mat2(rng, real), random_nonsingular(rng, real)
+                z, roots = _pencil_root(*_pencil_form(a, b)), solve_det_pencil(a, b)
+                # a tie, such as the conjugate roots of a real pencil, sorts
+                # by phase, so the root may be the second
+                assert z == roots[0] or (z == roots[1] and math.isclose(abs(z), abs(roots[0]), rel_tol=1e-12))
+
+    def test_double_root_is_snapped(self):
+        rng = np.random.default_rng(64)
+        for _ in range(200):
+            t = random_nonsingular(rng)
+            alpha, beta = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            q2, q1, q0 = _pencil_form(scaled(t, alpha), scaled(t, beta))
+            assert _pencil_root(q2, q1, q0) == -q1 / (2.0 * q2)
+
+    def test_singular_coefficient_leaves_one_finite_root(self):
+        # B's second row is twice its first, so det B is exactly 0 and the
+        # pencil is linear in z: its one root is -q0 / q1
+        rng = np.random.default_rng(65)
+        for _ in range(500):
+            a = random_mat2(rng)
+            x, y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            b = Mat2(complex(x), complex(y), complex(2 * x), complex(2 * y))
+            q2, q1, q0 = _pencil_form(a, b)
+            assert q2 == 0
+            z = _pencil_root(q2, q1, q0)
+            assert abs(z + q0 / q1) <= 1e-14 * abs(z)
+            pencil = Mat2(a.a + z * b.a, a.b + z * b.b, a.c + z * b.c, a.d + z * b.d)
+            assert abs(pencil.det()) <= 1e-10 * (a.frobenius() + abs(z) * b.frobenius()) ** 2
+
+    def test_no_finite_root_gives_0(self):
+        rng = np.random.default_rng(66)
+        for _ in range(100):
+            a = random_nonsingular(rng)
+            assert _pencil_root(*_pencil_form(a, Mat2(0j, 0j, 0j, 0j))) == 0
+        assert _pencil_root(0.0, 0.0, 0.0) == 0
 
 
 def test_real_inputs_give_real_outputs():

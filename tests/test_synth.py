@@ -215,6 +215,16 @@ class TestBranchReductions:
             assert rep.cz_count <= 2
             assert rep.fidelity >= FID
 
+    @pytest.mark.parametrize("synth", [disentangle3, disentangle3_real], ids=["general", "real"])
+    def test_step4_gate_of_minus_identity(self, synth):
+        # r1(B3)^T is -I here: step 3's gate absorbs it, and its dagger after
+        # cz01 is dropped as a global phase, so the tracked top block is -a3
+        v = np.array([-0.5, 0, 0, 0.5, 0.5, -0.5, 0, 0])
+        rep = synth(PureState3(v))
+        assert "step4" in rep.branch_trace
+        assert rep.cz_count == cz_min(v) == 3
+        assert abs(dense_apply(rep.circuit, v)[0]) >= FID
+
     def test_product_final_stage_label(self):
         # (2-qubit product) x (1 qubit): no CZ at all, the finisher skips both
         for i in range(50):
@@ -391,19 +401,18 @@ class TestAttemptsInOrder:
 
     def test_conjugate_pencil_roots_are_clamped_to_their_real_part(self, monkeypatch):
         # real mode with no real pencil root (a slightly negative discriminant)
-        # takes the pair's shared real part: pencil roots r +- 0.5i, r the true
-        # first root, must give the unpatched circuit with `pencil-root-clamped`
+        # takes the pair's shared real part: a pencil root r + 0.5i, r the true
+        # root, must give the unpatched circuit with `pencil-root-clamped`
         import qprep3.synth as synth
 
         s = next(t for t in (random_state((764, i), real_only=True) for i in range(100)) if delta(t) >= 0.0)
         want = disentangle3_real(s)
-        real_solve = synth.solve_det_pencil
+        real_root = synth._pencil_root
 
-        def conjugate_pair(a, b):
-            r = real_solve(a, b)[0].real
-            return [complex(r, 0.5), complex(r, -0.5)]
+        def conjugate_pair(q2, q1, q0):
+            return complex(real_root(q2, q1, q0).real, 0.5)
 
-        monkeypatch.setattr(synth, "solve_det_pencil", conjugate_pair)
+        monkeypatch.setattr(synth, "_pencil_root", conjugate_pair)
         rep = disentangle3_real(s)
         k = want.branch_trace.index("pencil") + 1
         assert rep.branch_trace == want.branch_trace[:k] + ("pencil-root-clamped",) + want.branch_trace[k:]
@@ -704,7 +713,7 @@ class TestStepInvariants:
                 "cz01: qubit 0 did not factor out", ["pencil", "A1=0", "chain1", "cz01"],
             ),
             (
-                "_big_root_term", 1.0, disentangle3_real, "3-real-delta<0",
+                "_pencil_root", 1.0, disentangle3_real, "3-real-delta<0",
                 "chain1: blocks not products", ["delta<0", "chain01", "chain1"],
             ),
         ],
