@@ -252,8 +252,9 @@ def l1(m: Mat2) -> Mat2:
 def r3(m: Mat2) -> Mat2:
     """Unitary R3 for m = [[a, b], [0, 0]]: m @ r3(m) = [[|row1|, 0], [0, 0]].
 
-    The second row counts as zero up to STEP_TOL, the step check that
-    precedes r3 in synthesis.
+    The second row counts as zero up to STEP_TOL. This is the paper's step
+    3, which synthesis skips: its chain finisher needs the top block only as
+    a product, which a vanishing second row already makes it.
     """
     if row2_norm(m) > STEP_TOL:
         raise BadShapeError("r3 requires a vanishing second row")

@@ -29,9 +29,11 @@ when the amplitude matrix is singular.
 
 The 3-qubit flow works on the block view |phi> = |0>A + |1>B of the split on
 qubit 2: one local gate makes A singular (a root of det(A + zB) = 0, or a
-block swap when det(B) = 0), two more squeeze A to its top-left entry, and a
-conjugated cz01 sandwich makes B singular. Both blocks are then products,
-and the finisher ends the run on m = 2 with at most 2 more CZ. When step 1
+block swap when det(B) = 0), a second, on qubit 1, zeroes A's second row,
+and a conjugated cz01 sandwich makes B singular, leaving A as it is. Both
+blocks are then products, and the finisher ends the run on m = 2 with at
+most 2 more CZ. The paper's step 3, R3 on qubit 0 squeezing A to its
+top-left entry, is skipped: the finisher needs A only as a product. When step 1
 leaves A zero, a block swap leaves qubit 2 at |0>, and the finisher ends the
 run on m = 1. Skipped stages lower the CZ count.
 
@@ -95,9 +97,10 @@ and of the gate list: each applies its gate by the block rules of kernels.py
 as it appends it. `local` fuses a local gate into the last gate on its wire
 when that is a local gate with no CZ on the wire after it: the earlier gate
 commutes with every gate since, so it is removed and the product appended.
-It drops local gates that are a global phase (+-I); dropping -I leaves the
-list the negative of the state the circuit makes, so step 4's check of the
-top block accepts it up to sign. So no circuit holds two
+It drops local gates that are a global phase (+-I). Dropping a fused
+product of -I negates the list against the gates synthesis asked for, but
+no check spans such a fusion: step 4's gate is the first on wire 0, and the
+other checks test singularity, which is blind to sign. So no circuit holds two
 local gates on one wire without a CZ on that wire between them, and the
 list is always the input state run through the circuit so far. Every stage
 asserts its postcondition on it, and its final value gives the reported
@@ -112,8 +115,8 @@ gives, so floats change only signs of zero. An input with a nonzero
 imaginary part within REAL_STATE_TOL stays complex, so `finish` measures the
 fidelity on the input itself.
 
-Each gate comes from its public mat2 construction (l1, r1, r3,
-u_from_pair), which checks its own precondition. The branch decision or
+Each gate comes from its public mat2 construction (l1, r1, u_from_pair),
+which checks its own precondition. The branch decision or
 step check just before it has tested the same predicate at the same
 tolerance, so on this path a construction's check never raises where that
 one passed. The pencil root (mat2._pencil_root) has no precondition: with
@@ -133,14 +136,14 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import cache
-from operator import add, itemgetter
+from operator import itemgetter
 
 from . import kernels
 from .circuit import Circuit, CZGate, Gate, LocalGate, apply_circuit, fidelity_to_basis, invert
 from .errors import NotRealError, Qprep3Error, SynthesisInvariantError
 from .mat2 import CHAIN_GAP_TOL, DELTA_ZERO_BAND, EPS_ZERO, FID_MIN, PRUNE_TOL, REAL_ROOT_TOL, STEP_TOL
 from .mat2 import REAL_STATE_TOL, SWAP_BLOCKS, Mat2
-from .mat2 import _pencil_form, _pencil_root, is_singular, l1, r1, r3, row2_norm, u_from_pair
+from .mat2 import _pencil_form, _pencil_root, is_singular, l1, r1, row2_norm, u_from_pair
 from .state import PureState2, PureState3, State, _delta, amp_matrix, basis_state, overlap
 
 class SynthesisReport(namedtuple("SynthesisReport", "circuit cz_count all_real branch_trace fidelity")):
@@ -349,7 +352,7 @@ def disentangle3_real(s: PureState3) -> SynthesisReport:
     # band, delta can be the rounding of a delta = 0 state, such as one built
     # with one CZ (delta ~ -1e-17), which the chain prefix would give a
     # second CZ: both take the flow alone, with a real or clamped root
-    plain = d >= 0.0 or is_singular(amp_matrix(w, 0), EPS_ZERO) or d >= -DELTA_ZERO_BAND
+    plain = d >= -DELTA_ZERO_BAND or is_singular(amp_matrix(w, 0), EPS_ZERO)
     return _synthesize(s, w, True, "delta>=0" if d >= 0.0 else "delta<0", _run3 if plain else _chain01, 3)
 
 
@@ -444,8 +447,7 @@ def _run3(b: _Builder) -> None:
     if max(map(abs, a1)) <= EPS_ZERO:
         # whole state lives in the bottom block: swap blocks (det +1 variant
         # of X), which leaves qubit 2 at |0>, and finish on qubits (1, 0).
-        # Tested entrywise, so otherwise a1 is nonzero for l1, and the first
-        # row l1 leaves (no smaller than any entry) is nonzero for r3
+        # Tested entrywise, so otherwise a1 is nonzero for l1
         b.say("A1=0")
         b.local(2, SWAP_BLOCKS)
         _finish_chain(b, 1, (0,))
@@ -453,33 +455,27 @@ def _run3(b: _Builder) -> None:
 
     b.local(1, l1(a1))
     a2 = amp_matrix(b.amps, 0)
+    b2 = amp_matrix(b.amps, 4)
     b.require(row2_norm(a2) <= STEP_TOL, "step2: second row of top block survives")
 
-    b.local(0, r3(a2).transpose())
-    a3 = amp_matrix(b.amps, 0)
-    b3 = amp_matrix(b.amps, 4)
-    b.require(max(abs(a3.b), abs(a3.c), abs(a3.d)) <= STEP_TOL, "step3: top block not reduced to its corner")
-
-    if is_singular(b3, EPS_ZERO):
+    # the paper's step 3 (R3 on qubit 0, squeezing the top block to its
+    # corner) is skipped: the finisher needs only products
+    if is_singular(b2, EPS_ZERO):
         b.say("skip-step4")
     else:
         b.say("step4")
-        u4 = r1(b3).transpose()
+        # u4 is the first gate on wire 0, so it fuses into nothing: a u4 of
+        # -I is dropped with its dagger, and the top block, whose second row
+        # step 2 zeroed, sees the sandwich as the identity
+        u4 = r1(b2).transpose()
         b.local(0, u4)
         b.cz(0, 1)
         b.local(0, u4.dagger())
         b.require(is_singular(amp_matrix(b.amps, 4), STEP_TOL), "step4: det of bottom block not killed")
-        # step 3's gate may absorb a u4 of -I whose dagger is then dropped
-        # as a global phase, negating the tracked state: the check is
-        # sign-blind
-        a4 = amp_matrix(b.amps, 0)
-        b.require(
-            a4.distance_to(a3) <= STEP_TOL or max(map(abs, map(add, a4, a3))) <= STEP_TOL,
-            "step4: top block disturbed",
-        )
+        b.require(amp_matrix(b.amps, 0).distance_to(a2) <= STEP_TOL, "step4: top block disturbed")
 
-    # the top block is its corner and the bottom block is singular (skip
-    # decision or step-4 check): both are products
+    # the top block has one nonzero row and the bottom block is singular
+    # (skip decision or step-4 check): both are products
     _finish_chain(b, 2, (0, 1))
 
 

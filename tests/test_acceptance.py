@@ -189,7 +189,9 @@ def test_criterion_6_branch_reductions():
         ok = ok and rep.cz_count <= 2 and "skip-step4" in rep.branch_trace
     details.append(f"singular-blocks max cz {worst}")
 
-    # corner top block with zero second column below --> the finisher skips cz02
+    # top block a lone corner entry, bottom block with a zero upper-right
+    # entry: after step 4, qubit 0 has one factor in both blocks --> the
+    # finisher skips cz02
     worst = 0
     count = 0
     while count < 200:

@@ -450,9 +450,10 @@ def test_real_states_near_a_lone_qubit_factor_get_at_most_3_cz(seed):
 
 
 def test_haar_circuits_have_3_cz_and_11_gates():
-    # step 1, step 2, step 3 + step-4 conjugation, then the finisher on
-    # qubit 2: step-4 undo + the qubit-0 bisector, cz02, the qubit-1
-    # bisector, cz12, one local per wire. A real delta < 0 state takes the
+    # step 1, step 2, the step-4 conjugation, then the finisher on qubit 2:
+    # step-4 undo + the qubit-0 bisector, cz02, the qubit-1 bisector, cz12,
+    # one local per wire (the paper's step 3, R3 on qubit 0, is not taken:
+    # step 4's gate opens wire 0). A real delta < 0 state takes the
     # chain prefix (rotation, cz01) and the finisher on qubit 1 (root gate,
     # two bisectors, cz01, cz12, one local per wire): 10 gates
     rng = np.random.default_rng(20261020)

@@ -217,13 +217,51 @@ class TestBranchReductions:
 
     @pytest.mark.parametrize("synth", [disentangle3, disentangle3_real], ids=["general", "real"])
     def test_step4_gate_of_minus_identity(self, synth):
-        # r1(B3)^T is -I here: step 3's gate absorbs it, and its dagger after
-        # cz01 is dropped as a global phase, so the tracked top block is -a3
+        # with the paper's step 3 (R3 on qubit 0) before it, step 4's gate was
+        # -I here and fused into R3, and dropping its dagger negated the
+        # tracked state; step 4 now opens wire 0, and its top-block check is
+        # strict
         v = np.array([-0.5, 0, 0, 0.5, 0.5, -0.5, 0, 0])
         rep = synth(PureState3(v))
         assert "step4" in rep.branch_trace
         assert rep.cz_count == cz_min(v) == 3
         assert abs(dense_apply(rep.circuit, v)[0]) >= FID
+
+    def test_synthesis_never_calls_r3(self, monkeypatch):
+        # the finisher needs the top block only as a product, which step 2
+        # leaves, so the paper's step 3 (R3, squeezing it to its corner) is
+        # never taken
+        import qprep3.mat2 as mat2_module
+        import qprep3.synth as synth_module
+
+        def refuse(*_):
+            raise AssertionError("synthesis called r3")
+
+        monkeypatch.setattr(mat2_module, "r3", refuse)
+        monkeypatch.setattr(synth_module, "r3", refuse, raising=False)
+        # real locals, CZ(0, 1), real locals, on |000>
+        rng = np.random.default_rng(727)
+        one_cz = np.eye(8)[0]
+        for gates in ([], [cz_unitary(3, 0, 1)]):
+            for g in gates + [local_unitary(3, q, random_unitary2(rng, True)) for q in range(3)]:
+                one_cz = g @ one_cz
+        fixed = [
+            np.array([-0.5, 0, 0, 0.5, 0.5, -0.5, 0, 0]),
+            ghz().amps,
+            np.array([0, 1, 1, 0, 1, 0, 0, 0]) / math.sqrt(3),
+            basis_state(3, 0).amps,
+            one_cz,
+        ]
+        real = [s.amps for s in (random_state((727, i), real_only=True) for i in range(20)) if delta(s) >= 0.0]
+        assert len(real) >= 5
+        runs = [(disentangle3, random_state((728, i)).amps) for i in range(10)]
+        runs += [(synth, v) for v in fixed + real for synth in (disentangle3, disentangle3_real)]
+        for synth, v in runs:
+            v = np.asarray(v, dtype=np.complex128)
+            rep = synth(PureState3(v))
+            assert abs(dense_apply(rep.circuit, v)[0]) >= FID
+            if synth is disentangle3:
+                assert rep.cz_count <= cz_min(v)
 
     def test_product_final_stage_label(self):
         # (2-qubit product) x (1 qubit): no CZ at all, the finisher skips both
@@ -694,10 +732,9 @@ class TestStepInvariants:
             # the step-1 gate is u_from_pair(1, root), the first one built
             ("u_from_pair", IDENTITY, disentangle3, "3", "step1: det of top block not killed", ["pencil"]),
             ("l1", IDENTITY, disentangle3, "3", "step2: second row of top block survives", ["pencil"]),
-            ("r3", IDENTITY, disentangle3, "3", "step3: top block not reduced to its corner", ["pencil"]),
             ("r1", IDENTITY, disentangle3, "3", "step4: det of bottom block not killed", ["pencil", "step4"]),
             # a projector on qubit 0's |1> zeroes the first column of both
-            # blocks: the bottom det vanishes, and the top corner is lost
+            # blocks: the bottom det vanishes, and the top block changes
             ("r1", Mat2(0, 0, 0, 1), disentangle3, "3", "step4: top block disturbed", ["pencil", "step4"]),
             # the finisher's checks, by the stage of the old flow each took
             # over: its CZ on qubit 0 after step 4 (step 5), disentangle2's
@@ -717,7 +754,7 @@ class TestStepInvariants:
                 "chain1: blocks not products", ["delta<0", "chain01", "chain1"],
             ),
         ],
-        ids=["step1", "step2", "step3", "step4-det", "step4-top", "step5", "2q-sandwich", "2q-row", "chain-root"],
+        ids=["step1", "step2", "step4-det", "step4-top", "step5", "2q-sandwich", "2q-row", "chain-root"],
     )
     def test_step_check_fires(self, monkeypatch, construction, wrong, synth, state, msg, trace):
         # each step check must catch a wrong gate from the construction
