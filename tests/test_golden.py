@@ -134,7 +134,7 @@ SEEDED = [
     ("real-prepare", lambda i: random_state((792, i), real_only=True), lambda s: prepare(s, "real"), True, 75),
     ("two-qubit", lambda i: random_state2((793, i)), prepare, False, 50),
 ]
-SEEDED_SHA256 = "26db2851c72eff0c5d952d4c29400773ee45e1b79981ce46197b6c89f6447bc7"
+SEEDED_SHA256 = "c7d45e83574159154c164e519e22fce4fdbabce1a716f3981f426d3cd2c98f92"
 SEEDED_STRUCTURE_SHA256 = "3ca19d1c141d52556e10d05b6ca038e99eab51478b2640aa00039f01b8b373ca"
 
 
