@@ -33,9 +33,9 @@ block swap when det(B) = 0), a second, on qubit 1, zeroes A's second row,
 and a conjugated cz01 sandwich makes B singular, leaving A as it is. Both
 blocks are then products, and the finisher ends the run on m = 2 with at
 most 2 more CZ. The paper's step 3, R3 on qubit 0 squeezing A to its
-top-left entry, is skipped: the finisher needs A only as a product. When step 1
-leaves A zero, a block swap leaves qubit 2 at |0>, and the finisher ends the
-run on m = 1. Skipped stages lower the CZ count.
+top-left entry, is skipped: the finisher needs A only as a product. When
+step 1 leaves A zero, a block swap leaves qubit 2 at |0>, and the finisher
+ends the run on m = 1. Skipped stages lower the CZ count.
 
 Real mode needs a real step-1 root, which a state with delta < 0 lacks. Such
 a state gets the chain prefix instead of the flow: a rotation on qubit 1,
@@ -100,8 +100,8 @@ commutes with every gate since, so it is removed and the product appended.
 It drops local gates that are a global phase (+-I). Dropping a fused
 product of -I negates the list against the gates synthesis asked for, but
 no check spans such a fusion: step 4's gate is the first on wire 0, and the
-other checks test singularity, which is blind to sign. So no circuit holds two
-local gates on one wire without a CZ on that wire between them, and the
+other checks test singularity, which is blind to sign. So no circuit holds
+two local gates on one wire without a CZ on that wire between them, and the
 list is always the input state run through the circuit so far. Every stage
 asserts its postcondition on it, and its final value gives the reported
 fidelity.
@@ -116,20 +116,20 @@ imaginary part within REAL_STATE_TOL stays complex, so `finish` measures the
 fidelity on the input itself.
 
 Each gate comes from its public mat2 construction (l1, r1, u_from_pair),
-which checks its own precondition. The branch decision or
-step check just before it has tested the same predicate at the same
-tolerance, so on this path a construction's check never raises where that
-one passed. The pencil root (mat2._pencil_root) has no precondition: with
-no finite root it gives 0, and U(1, 0) = I is not emitted. No state is
-validated before `finish`, and real mode tests realness once and then takes
-delta's core (state._delta). `local` and `cz` take a wire rather than a
-gate, call the kernels directly and build each gate with tuple.__new__,
-past the wire checks of the record's __new__; `finish` builds its Circuit
-the same way, as synthesis only passes its own literal wires. The finisher
-checks its step-1 blocks, and each wire it spends a CZ on, at STEP_TOL.
-`finish` is the one place a result is checked, for every attempt at both
-sizes: its fidelity against FID_MIN, its CZ count against the attempt's
-bound and, in real mode, every gate's realness against REAL_GATE_TOL.
+which checks its own precondition. The branch decision or step check just
+before it has tested the same predicate at the same tolerance, so on this
+path a construction's check never raises where that one passed. The pencil
+root (mat2._pencil_root) has no precondition: with no finite root it gives
+0, and U(1, 0) = I is not emitted. No state is validated before `finish`,
+and real mode tests realness once and then takes delta's core
+(state._delta). `local` and `cz` take a wire rather than a gate, call the
+kernels directly and build each gate with tuple.__new__, past the wire
+checks of the record's __new__; `finish` builds its Circuit the same way, as
+synthesis only passes its own literal wires. The finisher checks its step-1
+blocks, and each wire it spends a CZ on, at STEP_TOL. `finish` is the one
+place a result is checked, for every attempt at both sizes: its fidelity
+against FID_MIN, its CZ count against the attempt's bound and, in real mode,
+every gate's realness against REAL_GATE_TOL.
 """
 from __future__ import annotations
 
@@ -455,8 +455,8 @@ def _run3(b: _Builder) -> None:
 
     b.local(1, l1(a1))
     a2 = amp_matrix(b.amps, 0)
-    b2 = amp_matrix(b.amps, 4)
     b.require(row2_norm(a2) <= STEP_TOL, "step2: second row of top block survives")
+    b2 = amp_matrix(b.amps, 4)
 
     # the paper's step 3 (R3 on qubit 0, squeezing the top block to its
     # corner) is skipped: the finisher needs only products

@@ -225,10 +225,11 @@ EXACT_VALUES = (1, -1, 1j, 0.5, 2)
 
 @pytest.mark.parametrize("seed", [5, 6, 7])
 def test_exact_amplitude_patterns_never_fail(seed):
-    # exact zeros and ties put decisions exactly on their thresholds. A
-    # step-4 gate of -I negates the tracked state, which step 4's top-block
-    # check must accept (a signed check failed 2, 1 and 6 runs by seed).
-    # General mode must reach cz_min, real mode 3 CZ
+    # exact zeros and ties put decisions exactly on their thresholds. Here a
+    # step-4 gate of -I fused into the paper's step-3 gate, and dropping its
+    # inverse negated the tracked state (2, 1 and 6 runs by seed failed step
+    # 4's top-block check); with no step 3 it fuses into nothing and the
+    # check is exact. General mode must reach cz_min, real mode 3 CZ
     rng = random.Random(seed)
     bad = []
     for support in range(1, 256):
