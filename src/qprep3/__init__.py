@@ -33,8 +33,6 @@ from .state import (
     overlap,
     random_state,
     random_state2,
-    reconstruct,
-    unblocks,
 )
 from .synth import SynthesisReport, disentangle2, disentangle3, disentangle3_real, prepare
 
@@ -78,11 +76,9 @@ __all__ = [
     "r3",
     "random_state",
     "random_state2",
-    "reconstruct",
     "ry_angle",
     "ry_matrix",
     "solve_det_pencil",
     "u_from_pair",
-    "unblocks",
     "__version__",
 ]

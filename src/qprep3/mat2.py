@@ -15,8 +15,8 @@ float meeting a complex promotes to the nonzero bits complex() would give,
 so the float path moves only signs of zero.
 
 Mat2 checks nothing about its fields, so the values built on the hot paths
-(u_from_pair, transpose, dagger, @, state.amp_matrix, state.factor_right,
-the synthesis's block reads and circuit.parse_circuit) are made as
+(u_from_pair, transpose, dagger, @, state._split, which makes every block
+read, state.factor_right and circuit.parse_circuit) are made as
 tuple.__new__(Mat2, (a, b, c, d)): the same value as Mat2(a, b, c, d),
 without the Python frame of the named tuple's __new__.
 The predicates on that path (is_singular, _snap_real) unpack the four entries
@@ -47,8 +47,8 @@ from .errors import (
 # FID_MIN: skipping a residual r <= EPS_ZERO costs an infidelity of about
 # r^2 <= 1e-12, 100x inside the floor, and `finish` rejects any result below it.
 EPS_ZERO = 1e-6
-# Step checks, and the preconditions of the construction each check guards;
-# 10x above EPS_ZERO, so a block one decision accepts passes every later check.
+# Step checks, l1's precondition among them (synthesis's step-1 check); 10x
+# above EPS_ZERO, so a block one decision accepts passes every later check.
 STEP_TOL = 1e-5
 # Gauge choice, relative to the block's norm (not a zero test): blocks this
 # close to real take the real representative, so rounding cannot amplify.
@@ -212,7 +212,7 @@ def r1_ratio(m: Mat2) -> complex:
 
 
 def _require_singular_nonzero(m: Mat2, who: str) -> None:
-    # the singular test is the step check that precedes l1 in synthesis
+    # for l1, the singular test is synthesis's step-1 check
     if m.frobenius() <= EPS_ZERO:
         raise ZeroMatrixError(f"{who} requires a nonzero matrix")
     if not is_singular(m, STEP_TOL):

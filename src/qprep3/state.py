@@ -10,6 +10,8 @@ Amplitude ordering is |000>, |001>, ..., |111> with qubit 0 the rightmost
 (least significant) position of the ket label: basis index i has qubit q in
 state (i >> q) & 1. A 3-qubit state splits into two 2x2 blocks,
 |phi> = |0>T0 + |1>T1, with T0 = [[w0, w1], [w2, w3]], T1 = [[w4, w5], [w6, w7]].
+That is the split on qubit 2; _split reads the split on any qubit, and
+every block the package reads comes from it.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ import cmath
 import math
 from collections import namedtuple
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import NotNormalizedError, NotRealError
 from .mat2 import NORM_EXACT, NORM_REJECT, REAL_STATE_TOL, STEP_TOL, Mat2, dominant_direction, is_singular
@@ -134,23 +137,27 @@ def basis_state(num_qubits: int, index: int = 0) -> State:
     return PureState3(amps) if num_qubits == 3 else PureState2(amps)
 
 
-def amp_matrix(w, offset: int = 0) -> Mat2:
-    """Amplitudes w[offset], ..., w[offset+3] as the row-major 2x2 matrix.
-    The entries are taken as they are: callers pass Python complex (a
-    state's `w`, or the synthesis's tracked list) or, on real mode's float
-    path, floats, and nothing is validated. Offset 0 / 4 reads the block
-    T0 / T1 of 8 amplitudes."""
-    return tuple.__new__(Mat2, (w[offset], w[offset + 1], w[offset + 2], w[offset + 3]))
+# by qubit q, the amplitudes of the blocks A (q is 0) and B (q is 1) of the
+# split on q, each read row-major as a 2x2 matrix over the other two qubits;
+# q = 2 gives T0 and T1
+_SPLITS = [
+    (itemgetter(*ia), itemgetter(*ib))
+    for ia, ib in (((0, 2, 4, 6), (1, 3, 5, 7)), ((0, 1, 4, 5), (2, 3, 6, 7)), ((0, 1, 2, 3), (4, 5, 6, 7)))
+]
+
+
+def _split(w, q: int) -> tuple[Mat2, Mat2]:
+    """The blocks (A, B) of the split on qubit q of the 8 amplitudes w, the
+    one block reader. The entries are taken as they are: callers pass Python
+    complex (a state's `w`, or the synthesis's tracked list) or, on real
+    mode's float path, floats, and nothing is validated."""
+    get_a, get_b = _SPLITS[q]
+    return tuple.__new__(Mat2, get_a(w)), tuple.__new__(Mat2, get_b(w))
 
 
 def blocks(s: PureState3) -> BlockPair:
     """Split s into |0>T0 + |1>T1."""
-    return BlockPair(amp_matrix(s.w, 0), amp_matrix(s.w, 4))
-
-
-def unblocks(p: BlockPair) -> PureState3:
-    """Inverse of blocks(); exact placement, so blocks(unblocks(p)) == p."""
-    return PureState3(p.t0 + p.t1)
+    return BlockPair(*_split(s.w, 2))
 
 
 def delta(s: PureState3) -> float:
@@ -193,12 +200,6 @@ def factor_right(s: PureState3) -> Factorization | None:
     v1, v2 = single = dominant_direction(rows)
     coeffs = [v1.conjugate() * r[0] + v2.conjugate() * r[1] for r in rows]
     return Factorization(PureState2(coeffs), single)
-
-
-def reconstruct(f: Factorization) -> PureState3:
-    """Tensor product of a factorization, back on 8 amplitudes."""
-    a0, a1 = f.single
-    return PureState3([x for b in f.pair.w for x in (b * a0, b * a1)])
 
 
 def overlap(s1, s2) -> float:

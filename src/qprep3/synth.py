@@ -116,12 +116,13 @@ imaginary part within REAL_STATE_TOL stays complex, so `finish` measures the
 fidelity on the input itself.
 
 Each gate comes from its public mat2 construction (l1, r1, u_from_pair),
-which checks its own precondition. The branch decision or step check just
-before it has tested the same predicate at the same tolerance, so on this
-path a construction's check never raises where that one passed. The pencil
-root (mat2._pencil_root) has no precondition: with no finite root it gives
-0, and U(1, 0) = I is not emitted. No state is validated before `finish`,
-and real mode tests realness once and then takes delta's core
+which checks its own precondition, and no precondition is tested twice: l1's
+(singular at STEP_TOL) is step 1's check, so a step 1 that leaves A
+nonsingular raises NonSingularInputError, and r1's (nonsingular at EPS_ZERO)
+is step 4's decision, its SingularInputError taken as `skip-step4`. The
+pencil root (mat2._pencil_root) has no precondition: with no finite root it
+gives 0, and U(1, 0) = I is not emitted. No state is validated before
+`finish`, and real mode tests realness once and then takes delta's core
 (state._delta). `local` and `cz` take a wire rather than a gate, call the
 kernels directly and build each gate with tuple.__new__, past the wire
 checks of the record's __new__; `finish` builds its Circuit the same way, as
@@ -129,22 +130,22 @@ synthesis only passes its own literal wires. The finisher checks its step-1
 blocks, and each wire it spends a CZ on, at STEP_TOL. `finish` is the one
 place a result is checked, for every attempt at both sizes: its fidelity
 against FID_MIN, its CZ count against the attempt's bound and, in real mode,
-every gate's realness against REAL_GATE_TOL.
+every gate's realness against REAL_GATE_TOL. `prepare` then re-simulates its
+inverted circuit and checks the round trip.
 """
 from __future__ import annotations
 
 import math
 from collections import namedtuple
 from functools import cache
-from operator import itemgetter
 
 from . import kernels
 from .circuit import Circuit, CZGate, Gate, LocalGate, apply_circuit, fidelity_to_basis, invert
-from .errors import NotRealError, Qprep3Error, SynthesisInvariantError
+from .errors import NotRealError, Qprep3Error, SingularInputError, SynthesisInvariantError
 from .mat2 import CHAIN_GAP_TOL, DELTA_ZERO_BAND, EPS_ZERO, FID_MIN, PRUNE_TOL, REAL_ROOT_TOL, STEP_TOL
 from .mat2 import REAL_STATE_TOL, SWAP_BLOCKS, Mat2
 from .mat2 import _pencil_form, _pencil_root, is_singular, l1, r1, row2_norm, u_from_pair
-from .state import PureState2, PureState3, State, _delta, amp_matrix, basis_state, overlap
+from .state import PureState2, PureState3, State, _delta, _split, basis_state, overlap
 
 class SynthesisReport(namedtuple("SynthesisReport", "circuit cz_count all_real branch_trace fidelity")):
     """Result of a synthesis run (disentangling direction unless produced by prepare).
@@ -352,21 +353,8 @@ def disentangle3_real(s: PureState3) -> SynthesisReport:
     # band, delta can be the rounding of a delta = 0 state, such as one built
     # with one CZ (delta ~ -1e-17), which the chain prefix would give a
     # second CZ: both take the flow alone, with a real or clamped root
-    plain = d >= -DELTA_ZERO_BAND or is_singular(amp_matrix(w, 0), EPS_ZERO)
+    plain = d >= -DELTA_ZERO_BAND or is_singular(_split(w, 2)[0], EPS_ZERO)
     return _synthesize(s, w, True, "delta>=0" if d >= 0.0 else "delta<0", _run3 if plain else _chain01, 3)
-
-
-# by qubit q, the amplitudes of the blocks A (q is 0) and B (q is 1) of the
-# split on q, each read row-major as a 2x2 matrix over the other two qubits
-_SPLITS = [
-    (itemgetter(*ia), itemgetter(*ib))
-    for ia, ib in (((0, 2, 4, 6), (1, 3, 5, 7)), ((0, 1, 4, 5), (2, 3, 6, 7)), ((0, 1, 2, 3), (4, 5, 6, 7)))
-]
-
-
-def _split(w, q: int) -> tuple[Mat2, Mat2]:
-    get_a, get_b = _SPLITS[q]
-    return tuple.__new__(Mat2, get_a(w)), tuple.__new__(Mat2, get_b(w))
 
 
 def _is_chain_middle(w, q: int) -> bool:
@@ -422,7 +410,8 @@ def _root_gate(b: _Builder, q: int) -> None:
     part, as a float, so the gate is real (of floats when the tracked
     amplitudes are); a conjugate pair from a slightly negative discriminant
     shares that real part, the best real root, and says
-    `pencil-root-clamped`: the step check after the gate verifies it."""
+    `pencil-root-clamped`: the check after the gate verifies it, l1's
+    precondition in step 1 and the finisher's step-1 check in a chain."""
     z = _pencil_root(*_pencil_form(*_split(b.amps, q)))
     if b.real:
         if abs(z.imag) > REAL_ROOT_TOL:
@@ -432,50 +421,50 @@ def _root_gate(b: _Builder, q: int) -> None:
 
 
 def _run3(b: _Builder) -> None:
-    # each mat2 construction (l1, ...) checks its precondition, which the
-    # decision or step check just before it has tested with the same
-    # predicate at the same tolerance: none raises on this path
-    if is_singular(amp_matrix(b.amps, 4), EPS_ZERO):
+    # each precondition is tested once: l1's check is step 1's check, and
+    # r1's is step 4's decision
+    if is_singular(_split(b.amps, 2)[1], EPS_ZERO):
         b.say("detB0=0")
         b.local(2, SWAP_BLOCKS)
     else:
         b.say("pencil")
         _root_gate(b, 2)
 
-    a1 = amp_matrix(b.amps, 0)
-    b.require(is_singular(a1, STEP_TOL), "step1: det of top block not killed")
+    a1 = _split(b.amps, 2)[0]
     if max(map(abs, a1)) <= EPS_ZERO:
         # whole state lives in the bottom block: swap blocks (det +1 variant
         # of X), which leaves qubit 2 at |0>, and finish on qubits (1, 0).
-        # Tested entrywise, so otherwise a1 is nonzero for l1
+        # Entries this small make a1 singular at STEP_TOL, so no check is
+        # skipped; otherwise a1 is nonzero for l1
         b.say("A1=0")
         b.local(2, SWAP_BLOCKS)
         _finish_chain(b, 1, (0,))
         return
 
     b.local(1, l1(a1))
-    a2 = amp_matrix(b.amps, 0)
+    a2, b2 = _split(b.amps, 2)
     b.require(row2_norm(a2) <= STEP_TOL, "step2: second row of top block survives")
-    b2 = amp_matrix(b.amps, 4)
 
     # the paper's step 3 (R3 on qubit 0, squeezing the top block to its
     # corner) is skipped: the finisher needs only products
-    if is_singular(b2, EPS_ZERO):
+    try:
+        u4 = r1(b2).transpose()
+    except SingularInputError:
         b.say("skip-step4")
     else:
         b.say("step4")
         # u4 is the first gate on wire 0, so it fuses into nothing: a u4 of
         # -I is dropped with its dagger, and the top block, whose second row
         # step 2 zeroed, sees the sandwich as the identity
-        u4 = r1(b2).transpose()
         b.local(0, u4)
         b.cz(0, 1)
         b.local(0, u4.dagger())
-        b.require(is_singular(amp_matrix(b.amps, 4), STEP_TOL), "step4: det of bottom block not killed")
-        b.require(amp_matrix(b.amps, 0).distance_to(a2) <= STEP_TOL, "step4: top block disturbed")
+        a4, b4 = _split(b.amps, 2)
+        b.require(is_singular(b4, STEP_TOL), "step4: det of bottom block not killed")
+        b.require(a4.distance_to(a2) <= STEP_TOL, "step4: top block disturbed")
 
     # the top block has one nonzero row and the bottom block is singular
-    # (skip decision or step-4 check): both are products
+    # (r1's precondition or step 4's check): both are products
     _finish_chain(b, 2, (0, 1))
 
 

@@ -175,7 +175,7 @@ def reference_max_local_imag(c) -> float:
     )
 
 
-def cz_min(amps, tol: float = 1e-9) -> int:
+def cz_min(amps, tol: float = 1e-9, chain_gap: float = 1e-6) -> int:
     """Fewest CZ that prepare a 3-qubit state from |000> with local gates.
 
     0 for a product, 1 when one qubit factors out (some bipartition of one
@@ -184,8 +184,12 @@ def cz_min(amps, tol: float = 1e-9) -> int:
     products), 3 otherwise. Qubit q is a chain middle when the symmetric form
     S = [[det A, c/2], [c/2, det B]] of det(xA + yB) = det(A)x^2 + c xy +
     det(B)y^2, with A and B the blocks of q = 0 and q = 1, has two equal
-    singular values (to 1e-6 of the larger): only then are the two null
-    directions of the form orthogonal.
+    singular values: only then are the two null directions of the form
+    orthogonal. Equal means a gap of at most chain_gap times the larger. The
+    default, 1e-6, is strict. The package calls a qubit a chain middle up to
+    a relative gap of about 3.2e-5, and within the fidelity floor (amplitude
+    scale 1e-5) a state that close to a chain may get 2 CZ. So 1e-4 gives a
+    loose count, a lower bound on a run's CZ near a chain.
     """
     v = np.asarray(amps, dtype=np.complex128).reshape(2, 2, 2)  # axes (q2, q1, q0)
     split = [np.moveaxis(v, 2 - q, 0) for q in range(3)]  # split[q][b]: the block of q = b
@@ -198,7 +202,7 @@ def cz_min(amps, tol: float = 1e-9) -> int:
         da, db = np.linalg.det(a), np.linalg.det(b)
         c = np.linalg.det(a + b) - da - db
         s = np.linalg.svd(np.array([[da, c / 2], [c / 2, db]]), compute_uv=False)
-        if s[0] - s[1] <= 1e-6 * s[0]:
+        if s[0] - s[1] <= chain_gap * s[0]:
             return 2
     return 3
 

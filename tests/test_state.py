@@ -8,7 +8,6 @@ from _oracles import max_row_minor
 from qprep3.errors import NotNormalizedError, NotRealError
 from qprep3.mat2 import Mat2
 from qprep3.state import (
-    BlockPair,
     PureState2,
     PureState3,
     basis_state,
@@ -18,8 +17,6 @@ from qprep3.state import (
     overlap,
     random_state,
     random_state2,
-    reconstruct,
-    unblocks,
 )
 
 ISQ2 = 1.0 / math.sqrt(2.0)
@@ -83,21 +80,14 @@ class TestBlocks:
         assert bp.t0 == Mat2(0, 0, 0, 0)
         assert bp.t1 == Mat2(0, 1, 0, 0)
 
-    def test_unblocks_basis(self):
-        s = unblocks(BlockPair(Mat2(1, 0, 0, 0), Mat2(0, 0, 0, 0)))
-        assert s.amps[0] == 1.0 and np.count_nonzero(s.amps) == 1
-        s = unblocks(BlockPair(Mat2(0, 0, 0, 0), Mat2(0, 0, 0, 1)))
-        assert s.amps[7] == 1.0 and np.count_nonzero(s.amps) == 1
-
-    def test_unblocks_rejects_bad_norm(self):
-        with pytest.raises(NotNormalizedError):
-            unblocks(BlockPair(Mat2(1, 0, 0, 0), Mat2(1, 0, 0, 0)))
-
-    def test_round_trip_bit_identical(self):
+    def test_blocks_are_slices_of_the_amplitude_cube(self):
+        # amplitude i has qubit q at bit q, so the C-order cube's axes are
+        # (qubit 2, qubit 1, qubit 0) and T0, T1 are its two qubit-2 slices
         for i in range(1000):
             s = random_state((101, i))
-            again = unblocks(blocks(s))
-            assert np.array_equal(s.amps, again.amps)
+            cube = s.amps.reshape(2, 2, 2)
+            for t, want in zip(blocks(s), cube):
+                assert np.array_equal(np.array(t).reshape(2, 2), want)
 
 
 class TestDelta:
@@ -153,8 +143,8 @@ class TestFactorRight:
             s = PureState3(amps)
             fac = factor_right(s)
             assert fac is not None
-            rebuilt = reconstruct(fac)
-            assert np.max(np.abs(rebuilt.amps - s.amps)) <= 1e-10
+            rebuilt = np.kron(fac.pair.amps, fac.single)
+            assert np.max(np.abs(rebuilt - s.amps)) <= 1e-10
 
     def test_single_factor_phase_convention(self):
         pair = random_state2(7)

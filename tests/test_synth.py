@@ -727,36 +727,52 @@ class TestStepInvariants:
         assert info.value.branch_trace
 
     @pytest.mark.parametrize(
-        "construction, wrong, synth, state, msg, trace",
+        "construction, wrong, synth, state, error, msg, trace",
         [
-            # the step-1 gate is u_from_pair(1, root), the first one built
-            ("u_from_pair", IDENTITY, disentangle3, "3", "step1: det of top block not killed", ["pencil"]),
-            ("l1", IDENTITY, disentangle3, "3", "step2: second row of top block survives", ["pencil"]),
-            ("r1", IDENTITY, disentangle3, "3", "step4: det of bottom block not killed", ["pencil", "step4"]),
+            # the step-1 gate is u_from_pair(1, root), the first one built;
+            # step 1's check is l1's precondition
+            (
+                "u_from_pair", IDENTITY, disentangle3, "3",
+                NonSingularInputError, "l1 requires det = 0", ["pencil"],
+            ),
+            (
+                "l1", IDENTITY, disentangle3, "3",
+                SynthesisInvariantError, "step2: second row of top block survives", ["pencil"],
+            ),
+            (
+                "r1", IDENTITY, disentangle3, "3",
+                SynthesisInvariantError, "step4: det of bottom block not killed", ["pencil", "step4"],
+            ),
             # a projector on qubit 0's |1> zeroes the first column of both
             # blocks: the bottom det vanishes, and the top block changes
-            ("r1", Mat2(0, 0, 0, 1), disentangle3, "3", "step4: top block disturbed", ["pencil", "step4"]),
+            (
+                "r1", Mat2(0, 0, 0, 1), disentangle3, "3",
+                SynthesisInvariantError, "step4: top block disturbed", ["pencil", "step4"],
+            ),
             # the finisher's checks, by the stage of the old flow each took
             # over: its CZ on qubit 0 after step 4 (step 5), disentangle2's
             # CZ (2q-sandwich) and its CZ after A1=0 (2q-row); a wrong
             # step-1 root leaves the blocks of the chain prefix entangled
             (
                 "_bisector", IDENTITY, disentangle3, "3",
-                "cz02: qubit 0 did not factor out", ["pencil", "step4", "chain2", "cz02"],
+                SynthesisInvariantError, "cz02: qubit 0 did not factor out", ["pencil", "step4", "chain2", "cz02"],
             ),
-            ("_bisector", IDENTITY, disentangle2, "2", "cz01: qubit 0 did not factor out", ["chain1", "cz01"]),
+            (
+                "_bisector", IDENTITY, disentangle2, "2",
+                SynthesisInvariantError, "cz01: qubit 0 did not factor out", ["chain1", "cz01"],
+            ),
             (
                 "_bisector", IDENTITY, disentangle3, "1x2",
-                "cz01: qubit 0 did not factor out", ["pencil", "A1=0", "chain1", "cz01"],
+                SynthesisInvariantError, "cz01: qubit 0 did not factor out", ["pencil", "A1=0", "chain1", "cz01"],
             ),
             (
                 "_pencil_root", 1.0, disentangle3_real, "3-real-delta<0",
-                "chain1: blocks not products", ["delta<0", "chain01", "chain1"],
+                SynthesisInvariantError, "chain1: blocks not products", ["delta<0", "chain01", "chain1"],
             ),
         ],
         ids=["step1", "step2", "step4-det", "step4-top", "step5", "2q-sandwich", "2q-row", "chain-root"],
     )
-    def test_step_check_fires(self, monkeypatch, construction, wrong, synth, state, msg, trace):
+    def test_step_check_fires(self, monkeypatch, construction, wrong, synth, state, error, msg, trace):
         # each step check must catch a wrong gate from the construction
         # before it, which checks only its input
         import qprep3.synth as synth_module
@@ -768,7 +784,7 @@ class TestStepInvariants:
             "1x2": lambda: PureState3(np.concatenate([np.zeros(4), random_state2((764, 2)).amps])),
             "3-real-delta<0": lambda: _real_delta_negative(764),
         }[state]()
-        with pytest.raises(SynthesisInvariantError, match="^" + re.escape(msg) + "$") as info:
+        with pytest.raises(error, match="^" + re.escape(msg) + "$") as info:
             synth(s)
         assert info.value.branch_trace == trace
 
