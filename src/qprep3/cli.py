@@ -245,8 +245,8 @@ _COMMANDS = {
     ),
     "delta": (
         _cmd_delta,
-        "print the real-state discriminant and real mode's CZ bound (3 for either sign; delta < 0 "
-        "takes the chain prefix)",
+        "print the real-state discriminant and real mode's CZ bound (3 for either sign; the flow runs "
+        "near delta = 0 and on chains, the chain prefix elsewhere)",
         [("file", "state file (8 '<re> <im>' lines, real)")],
         [],
     ),

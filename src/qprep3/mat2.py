@@ -78,8 +78,15 @@ DOUBLE_ROOT_TOL = 1e-12
 CHAIN_GAP_TOL = 1e-9
 # An Ry angle is reported only if the rotation reproduces the gate this closely.
 RY_MATCH_TOL = 1e-10
-# `qprep3 delta` prints delta~0 within this of zero (rounding of exact zeros).
+# `qprep3 delta` prints delta~0 within this of zero (rounding of exact zeros);
+# real mode runs the flow, not the chain prefix, from -DELTA_ZERO_BAND up to
+# DELTA_FLOW_MAX.
 DELTA_ZERO_BAND = 1e-12
+# The chain prefix spends cz01 on every state, so just above delta = 0, near a
+# state that needs fewer CZ, real mode runs the flow, whose skips find them.
+# Under the prefix, the real near-degenerate fuzz runs (seeds 1-30) whose CZ
+# count rose and that no chain-middle test caught had delta up to 8.2e-6.
+DELTA_FLOW_MAX = 1e-5
 # Inputs farther than NORM_REJECT from unit norm are rejected; those farther
 # than NORM_EXACT are renormalized (closer ones pass through bit-identically).
 NORM_REJECT = 1e-6

@@ -164,8 +164,10 @@ def delta(s: PureState3) -> float:
     """Real discriminant of a real 3-qubit state.
 
     delta >= 0 means the step-1 pencil has a real root. delta < 0 means it
-    has none: real synthesis then first applies the chain prefix, with one
-    CZ (see synth.disentangle3_real). The bound is 3 CZ for either sign.
+    has none. Real synthesis starts with the chain prefix, with one CZ, for
+    either sign, and runs the flow instead near delta = 0 (from
+    -DELTA_ZERO_BAND to DELTA_FLOW_MAX) and where the flow finds fewer CZ
+    (see synth.disentangle3_real). The bound is 3 CZ for either sign.
     Raises NotRealError when the state has imaginary content above REAL_STATE_TOL.
     """
     if not s.is_real():

@@ -37,24 +37,32 @@ top-left entry, is skipped: the finisher needs A only as a product. When
 step 1 leaves A zero, a block swap leaves qubit 2 at |0>, and the finisher
 ends the run on m = 1. Skipped stages lower the CZ count.
 
-Real mode needs a real step-1 root, which a state with delta < 0 lacks. Such
-a state gets the chain prefix instead of the flow: a rotation on qubit 1,
-then cz01. Split on qubit 1 as |0>A + |1>B (A on indices 0, 1, 4, 5 and B on
-2, 3, 6, 7, rows qubit 2, columns qubit 0), with det(xA + yB) = det(A)x^2 +
-q1 xy + det(B)y^2. Rotating qubit 1 by the angle phi/2 and applying cz01
-(which negates B's second column) leaves the form with trace
+Real mode starts a state with the chain prefix rather than the flow: a
+rotation on qubit 1, then cz01. The flow's step 1 needs a real root, which a
+state with delta < 0 lacks; the prefix needs none, and a generic state gets
+10 gates from it against the flow's 11. Split on qubit 1 as |0>A + |1>B (A on
+indices 0, 1, 4, 5 and B on 2, 3, 6, 7, rows qubit 2, columns qubit 0), with
+det(xA + yB) = det(A)x^2 + q1 xy + det(B)y^2. Rotating qubit 1 by the angle
+phi/2 and applying cz01 (which negates B's second column) leaves the form
+with trace
 
     det(A') + det(B') = cos(phi) (det(A) - det(B)) - sin(phi) q1,
 
 which vanishes for (cos phi, sin phi) along (q1, det(A) - det(B)). A real,
-symmetric, traceless 2x2 form has two orthogonal real null directions, so
-the state is then |u>P + |u_perp>Q on qubit 1 with P and Q products: a
-chain with qubit 1 in the middle, which the finisher ends with m = 1 and 2
-more CZ. Its step 1 takes the finite root, so a bottom block left singular
-(near W, where delta = 0) needs no case of its own. Within DELTA_ZERO_BAND
-below zero, or when the top block is already singular (its step-1 root is
-then ~0, and real), the flow runs with no prefix. The bound of 3 CZ is
-checked on every run, not proven: a run that misses it raises.
+symmetric, traceless 2x2 form has two orthogonal real null directions, for
+either sign of delta, so the state is then |u>P + |u_perp>Q on qubit 1 with
+P and Q products: a chain with qubit 1 in the middle, which the finisher
+ends with m = 1 and 2 more CZ. Its step 1 takes the finite root, so a bottom
+block left singular (near W, where delta = 0) needs no case of its own.
+
+The prefix spends cz01 on every state, so the flow runs, with no prefix,
+where it finds fewer CZ: for delta from -DELTA_ZERO_BAND (the rounding of
+a delta = 0 state, such as one built with one CZ, at ~ -1e-17) up to
+DELTA_FLOW_MAX (states near one that needs fewer CZ), when the top block is
+already singular (its step-1 root is then ~0, and real), and, for delta >
+0, when qubit 1 or 2 is a chain middle (the flow's skips give it 2 CZ). The
+bound of 3 CZ is checked on every run, not proven: a run that misses it
+raises.
 
 Step 1 and the finisher's step 1 take one root through one gate,
 _root_gate(b, q): U(1, z) on qubit q, z the finite root of det(A + zB) for
@@ -142,7 +150,7 @@ from functools import cache
 from . import kernels
 from .circuit import Circuit, CZGate, Gate, LocalGate, apply_circuit, fidelity_to_basis, invert
 from .errors import NotRealError, Qprep3Error, SingularInputError, SynthesisInvariantError
-from .mat2 import CHAIN_GAP_TOL, DELTA_ZERO_BAND, EPS_ZERO, FID_MIN, PRUNE_TOL, REAL_ROOT_TOL, STEP_TOL
+from .mat2 import CHAIN_GAP_TOL, DELTA_FLOW_MAX, DELTA_ZERO_BAND, EPS_ZERO, FID_MIN, PRUNE_TOL, REAL_ROOT_TOL, STEP_TOL
 from .mat2 import REAL_STATE_TOL, SWAP_BLOCKS, Mat2
 from .mat2 import _pencil_form, _pencil_root, is_singular, l1, r1, row2_norm, u_from_pair
 from .state import PureState2, PureState3, State, _delta, _split, basis_state, overlap
@@ -337,23 +345,26 @@ def _real_amps(s: State, who: str):
 def disentangle3_real(s: PureState3) -> SynthesisReport:
     """All-real circuit mapping a real 3-qubit state to |000>.
 
-    At most 3 CZ for either sign of delta(s). For delta < 0 the chain prefix
-    (a rotation on qubit 1, then cz01; see the module docstring) leaves a
-    chain that the finisher ends with 2 more CZ; within DELTA_ZERO_BAND of
-    zero, or when the top block is already singular, the flow runs with no
-    prefix. A run that misses a check, the bound included, raises. Every
-    root it chooses is real. As in disentangle3, a chain with qubit 0 in the
-    middle is first tried with the finisher alone, for 2 CZ.
+    At most 3 CZ for either sign of delta(s). The chain prefix (a rotation
+    on qubit 1, then cz01; see the module docstring) leaves a chain that the
+    finisher ends with 2 more CZ. The flow runs with no prefix where it finds
+    fewer CZ: delta in [-DELTA_ZERO_BAND, DELTA_FLOW_MAX], a singular top
+    block, or, for delta > 0, a chain middle on qubit 1 or 2. A run that
+    misses a check, the bound included, raises. Every root it chooses is
+    real. As in disentangle3, a chain with qubit 0 in the middle is first
+    tried with the finisher alone, for 2 CZ.
     The first label of the branch trace is the sign of delta (`delta>=0` or
     `delta<0`); the chain prefix says `chain01`.
     """
     w = _real_amps(s, "disentangle3_real")
     d = _delta(w)
-    # a singular top block gives a step-1 root ~0, which is real; inside the
-    # band, delta can be the rounding of a delta = 0 state, such as one built
-    # with one CZ (delta ~ -1e-17), which the chain prefix would give a
-    # second CZ: both take the flow alone, with a real or clamped root
-    plain = d >= -DELTA_ZERO_BAND or is_singular(_split(w, 2)[0], EPS_ZERO)
+    # the flow where it finds fewer CZ than the prefix, which spends cz01 on
+    # every state (module docstring); its step-1 root is real or clamped
+    plain = (
+        -DELTA_ZERO_BAND <= d <= DELTA_FLOW_MAX
+        or is_singular(_split(w, 2)[0], EPS_ZERO)
+        or d > 0.0 and (_is_chain_middle(w, 1) or _is_chain_middle(w, 2))
+    )
     return _synthesize(s, w, True, "delta>=0" if d >= 0.0 else "delta<0", _run3 if plain else _chain01, 3)
 
 

@@ -215,13 +215,23 @@ class TestBranchReductions:
             assert rep.cz_count <= 2
             assert rep.fidelity >= FID
 
-    @pytest.mark.parametrize("synth", [disentangle3, disentangle3_real], ids=["general", "real"])
-    def test_step4_gate_of_minus_identity(self, synth):
+    @pytest.mark.parametrize(
+        "synth, v",
+        [
+            (disentangle3, [-0.5, 0, 0, 0.5, 0.5, -0.5, 0, 0]),
+            # real mode gives the state above the chain prefix (delta 0.25);
+            # this one's singular top block keeps it on the flow, and its
+            # step-4 gate is -I
+            (disentangle3_real, [0.5, 0, 0.5, 0, 0, 0.5, 0.5, 0]),
+        ],
+        ids=["general", "real"],
+    )
+    def test_step4_gate_of_minus_identity(self, synth, v):
         # with the paper's step 3 (R3 on qubit 0) before it, step 4's gate was
         # -I here and fused into R3, and dropping its dagger negated the
         # tracked state; step 4 now opens wire 0, and its top-block check is
         # strict
-        v = np.array([-0.5, 0, 0, 0.5, 0.5, -0.5, 0, 0])
+        v = np.array(v)
         rep = synth(PureState3(v))
         assert "step4" in rep.branch_trace
         assert rep.cz_count == cz_min(v) == 3
@@ -437,13 +447,12 @@ class TestAttemptsInOrder:
             assert rep.cz_count <= cz_min(s.amps)
             assert abs(dense_apply(rep.circuit, s.amps)[0]) >= FID
 
-    def test_conjugate_pencil_roots_are_clamped_to_their_real_part(self, monkeypatch):
-        # real mode with no real pencil root (a slightly negative discriminant)
-        # takes the pair's shared real part: a pencil root r + 0.5i, r the true
-        # root, must give the unpatched circuit with `pencil-root-clamped`
+    @staticmethod
+    def _clamps_like_the_real_root(monkeypatch, s, before):
+        """A pencil root r + 0.5i, r the true root, must give s the unpatched
+        circuit, with `pencil-root-clamped` after the label `before`."""
         import qprep3.synth as synth
 
-        s = next(t for t in (random_state((764, i), real_only=True) for i in range(100)) if delta(t) >= 0.0)
         want = disentangle3_real(s)
         real_root = synth._pencil_root
 
@@ -452,15 +461,30 @@ class TestAttemptsInOrder:
 
         monkeypatch.setattr(synth, "_pencil_root", conjugate_pair)
         rep = disentangle3_real(s)
-        k = want.branch_trace.index("pencil") + 1
+        k = want.branch_trace.index(before) + 1
         assert rep.branch_trace == want.branch_trace[:k] + ("pencil-root-clamped",) + want.branch_trace[k:]
         assert rep.circuit == want.circuit
         assert rep.fidelity == want.fidelity
 
+    def test_conjugate_pencil_roots_are_clamped_to_their_real_part(self, monkeypatch):
+        # real mode with no real pencil root (a slightly negative discriminant)
+        # takes the pair's shared real part. A chain with qubit 2 in the
+        # middle keeps a delta >= 0 state on the flow, whose step 1 is patched
+        s = _chain(768, True, m=2)
+        assert disentangle3_real(s).branch_trace[:2] == ("delta>=0", "pencil")
+        self._clamps_like_the_real_root(monkeypatch, s, "pencil")
 
-def _chain0(seed, real) -> PureState3:
-    """Locals, CZ(0, 1) and CZ(0, 2), then locals, on |000>: a chain with
-    qubit 0 in the middle, applied as dense matrices."""
+    def test_chain_prefix_root_is_clamped_to_its_real_part(self, monkeypatch):
+        # a generic delta >= 0 state takes the chain prefix, whose finisher
+        # takes the patched root on qubit 1
+        s = next(t for t in (random_state((764, i), real_only=True) for i in range(100)) if delta(t) >= 0.0)
+        assert disentangle3_real(s).branch_trace[:3] == ("delta>=0", "chain01", "chain1")
+        self._clamps_like_the_real_root(monkeypatch, s, "chain1")
+
+
+def _chain(seed, real, m=0) -> PureState3:
+    """Locals, a CZ from qubit m to each other qubit, then locals, on |000>:
+    a chain with qubit m in the middle, applied as dense matrices."""
     rng = np.random.default_rng(seed)
     v = np.zeros(8, dtype=np.complex128)
     v[0] = 1.0
@@ -468,7 +492,9 @@ def _chain0(seed, real) -> PureState3:
         for q in range(3):
             v = local_unitary(3, q, random_unitary2(rng, real)) @ v
         if layer == 0:
-            v = cz_unitary(3, 0, 2) @ cz_unitary(3, 0, 1) @ v
+            for x in (0, 1, 2):
+                if x != m:
+                    v = cz_unitary(3, *sorted((m, x))) @ v
     return PureState3(v)
 
 
@@ -478,7 +504,7 @@ class TestMinimalCircuits:
         # the flow alone gives these 3 CZ: it skips a stage only for a middle
         # on qubit 1 or 2, so the finisher ends them on qubit 0 by itself
         for seed in range(20):
-            s = _chain0((780, seed), real)
+            s = _chain((780, seed), real)
             assert cz_min(s.amps) == 2
             rep = disentangle3_real(s) if real else disentangle3(s)
             assert rep.cz_count == 2
