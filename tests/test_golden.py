@@ -134,8 +134,8 @@ SEEDED = [
     ("real-prepare", lambda i: random_state((792, i), real_only=True), lambda s: prepare(s, "real"), True, 75),
     ("two-qubit", lambda i: random_state2((793, i)), prepare, False, 50),
 ]
-SEEDED_SHA256 = "c7d45e83574159154c164e519e22fce4fdbabce1a716f3981f426d3cd2c98f92"
-SEEDED_STRUCTURE_SHA256 = "3ca19d1c141d52556e10d05b6ca038e99eab51478b2640aa00039f01b8b373ca"
+SEEDED_SHA256 = "341a83026d4058ca49f257b5ad89a5d07c66546fb6634d311d32bc3d3deaad62"
+SEEDED_STRUCTURE_SHA256 = "058e806c20bcfc052cb414111b87d28834b116fe105f1cacd18b460495bc3c08"
 
 
 def _seeded_outcomes():
