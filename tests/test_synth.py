@@ -318,8 +318,7 @@ class TestDisentangle3Real:
             s = random_state((731, i), real_only=True)
             d = delta(s)
             rep = disentangle3_real(s)
-            bound = 3 if d >= 0 else 4
-            assert rep.cz_count <= bound
+            assert rep.cz_count <= 3
             assert rep.fidelity >= FID
             assert rep.circuit.max_local_imag() <= 1e-10
             assert rep.branch_trace[0] == ("delta>=0" if d >= 0 else "delta<0")
