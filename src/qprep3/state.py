@@ -166,8 +166,9 @@ def delta(s: PureState3) -> float:
     delta >= 0 means the step-1 pencil has a real root. delta < 0 means it
     has none. Real synthesis starts with the chain prefix, with one CZ, for
     either sign, and runs the flow instead near delta = 0 (from
-    -DELTA_ZERO_BAND to DELTA_FLOW_MAX) and where the flow finds fewer CZ
-    (see synth.disentangle3_real). The bound is 3 CZ for either sign.
+    -DELTA_ZERO_BAND to DELTA_FLOW_MAX) and on a singular top block; a chain
+    goes to the chain finisher first (see synth.disentangle3_real). The
+    bound is 3 CZ for either sign.
     Raises NotRealError when the state has imaginary content above REAL_STATE_TOL.
     """
     if not s.is_real():

@@ -58,11 +58,10 @@ block left singular (near W, where delta = 0) needs no case of its own.
 The prefix spends cz01 on every state, so the flow runs, with no prefix,
 where it finds fewer CZ: for delta from -DELTA_ZERO_BAND (the rounding of
 a delta = 0 state, such as one built with one CZ, at ~ -1e-17) up to
-DELTA_FLOW_MAX (states near one that needs fewer CZ), when the top block is
-already singular (its step-1 root is then ~0, and real), and, for delta >
-0, when qubit 1 or 2 is a chain middle (the flow's skips give it 2 CZ). The
-bound of 3 CZ is checked on every run, not proven: a run that misses it
-raises.
+DELTA_FLOW_MAX (states near one that needs fewer CZ), and when the top
+block is already singular (its step-1 root is then ~0, and real). A chain
+goes to the finisher before either (Chains, below). The bound of 3 CZ is
+checked on every run, not proven: a run that misses it raises.
 
 Step 1 and the finisher's step 1 take one root through one gate,
 _root_gate(b, q): U(1, z) on qubit q, z the finite root of det(A + zB) for
@@ -80,22 +79,21 @@ qubit m, the chain middle, with P and Q products on the other two. Qubit m is
 one when the pencil form of its split, S = [[q0, q1/2], [q1/2, q2]] with
 det(xA + yB) = q0 x^2 + q1 xy + q2 y^2, has two equal singular values (its
 two null directions are then orthogonal); _is_chain_middle tests that to
-CHAIN_GAP_TOL. The flow gives such a state 2 CZ when the middle is qubit 2
-(`skip-step4`) or qubit 1 (the finisher's `skip-cz02`), but not when it is
-qubit 0. So when qubit 0 is a chain middle, both synthesizers first run the
-finisher on the input itself, with m = 0 and a bound of 2 CZ (trace
-`chain0`), and the usual attempt follows if it fails. A Haar-random state
-pays for one form.
+CHAIN_GAP_TOL. For each qubit q of a 3-qubit input that is a chain middle,
+in the order 0, 1, 2, both synthesizers first run the finisher on the input
+itself, with m = q and a bound of 2 CZ (trace `chain<q>`), and the usual
+attempt follows if none passes. Qubit 0 goes first, so GHZ, a chain on every
+qubit, takes `chain0`. A Haar-random state pays for three forms.
 
 Every synthesis goes through one attempt runner, _synthesize(s, w, real,
 label, run, max_cz). An attempt is a fresh builder of the input, a trace
 label (real mode's sign of delta), a run (the flow, the chain prefix, the
-2-qubit finisher or the qubit-0 finisher) and a CZ bound, which `finish`
-checks. The runner makes the one attempt it is given, with a bound of 1 CZ
-for 2 qubits and 3 for 3, after the qubit-0 finisher (bound 2) when qubit 0
-of a 3-qubit input is a chain middle, and returns the first that passes. A
-Qprep3Error raised in an attempt gets the branch trace that attempt took,
-and when no attempt passes, the first attempt's error is raised.
+2-qubit finisher or a chain finisher) and a CZ bound, which `finish` checks.
+The runner makes the chain attempts (bound 2) of a 3-qubit input, then the
+attempt it is given, with a bound of 1 CZ for 2 qubits and 3 for 3, and
+returns the first that passes. A Qprep3Error raised in an attempt gets the
+branch trace that attempt took, and when no attempt passes, the first
+attempt's error is raised.
 
 Each synthesis is one builder pass. The builder tracks the amplitudes as a
 plain list and reads the blocks from it to choose the next gate; the
@@ -270,20 +268,26 @@ class _Builder:
         return SynthesisReport(circ, cz, all_real, tuple(self.trace), fid)
 
 
+# the outer wires of a 3-qubit chain, by its middle
+_OUTER = ((1, 2), (0, 2), (0, 1))
+
+
 def _synthesize(s: State, w, real: bool, label, run, max_cz: int) -> SynthesisReport:
     """The one attempt runner. An attempt takes a fresh builder of s in the
     mode `real`, tracking the amplitudes w (s.w, or their real parts as
     floats), says label (when not None), runs a function of the builder and
     finishes against a CZ bound: here `run` and max_cz, after the finisher on
-    qubit 0 with a bound of 2 when w has 8 amplitudes and qubit 0 is a chain
-    middle (module docstring). The first attempt that passes is returned.
+    each chain middle q, in the order 0, 1, 2, with a bound of 2 when w has
+    8 amplitudes (module docstring). The first attempt that passes is
+    returned.
 
     An attempt fails by raising a Qprep3Error, which gets the branch trace
     that attempt took. When every attempt fails, the first one's is raised.
     """
-    attempts = [(run, max_cz)]
-    if len(w) == 8 and _is_chain_middle(w, 0):
-        attempts.insert(0, (lambda b: _finish_chain(b, 0, (1, 2)), 2))
+    attempts = [
+        (lambda b, q=q: _finish_chain(b, q, _OUTER[q]), 2) for q in (0, 1, 2) if len(w) == 8 and _is_chain_middle(w, q)
+    ]
+    attempts.append((run, max_cz))
     first = None
     for attempt, bound in attempts:
         b = _Builder(s, w, real)
@@ -325,8 +329,8 @@ def _run2(b: _Builder) -> None:
 def disentangle3(s: PureState3) -> SynthesisReport:
     """Circuit mapping an arbitrary 3-qubit state to |000> with at most 3 CZ.
 
-    A chain with qubit 0 in the middle is first tried with the chain
-    finisher alone (trace `chain0`), for 2 CZ; see the module docstring.
+    A chain is first tried with the chain finisher alone on its middle q
+    (trace `chain<q>`), for 2 CZ; see the module docstring.
     """
     return _synthesize(s, s.w, False, None, _run3, 3)
 
@@ -348,11 +352,10 @@ def disentangle3_real(s: PureState3) -> SynthesisReport:
     At most 3 CZ for either sign of delta(s). The chain prefix (a rotation
     on qubit 1, then cz01; see the module docstring) leaves a chain that the
     finisher ends with 2 more CZ. The flow runs with no prefix where it finds
-    fewer CZ: delta in [-DELTA_ZERO_BAND, DELTA_FLOW_MAX], a singular top
-    block, or, for delta > 0, a chain middle on qubit 1 or 2. A run that
-    misses a check, the bound included, raises. Every root it chooses is
-    real. As in disentangle3, a chain with qubit 0 in the middle is first
-    tried with the finisher alone, for 2 CZ.
+    fewer CZ: delta in [-DELTA_ZERO_BAND, DELTA_FLOW_MAX] or a singular top
+    block. A run that misses a check, the bound included, raises. Every root
+    it chooses is real. As in disentangle3, a chain is first tried with the
+    finisher alone on its middle, for 2 CZ.
     The first label of the branch trace is the sign of delta (`delta>=0` or
     `delta<0`); the chain prefix says `chain01`.
     """
@@ -360,11 +363,7 @@ def disentangle3_real(s: PureState3) -> SynthesisReport:
     d = _delta(w)
     # the flow where it finds fewer CZ than the prefix, which spends cz01 on
     # every state (module docstring); its step-1 root is real or clamped
-    plain = (
-        -DELTA_ZERO_BAND <= d <= DELTA_FLOW_MAX
-        or is_singular(_split(w, 2)[0], EPS_ZERO)
-        or d > 0.0 and (_is_chain_middle(w, 1) or _is_chain_middle(w, 2))
-    )
+    plain = -DELTA_ZERO_BAND <= d <= DELTA_FLOW_MAX or is_singular(_split(w, 2)[0], EPS_ZERO)
     return _synthesize(s, w, True, "delta>=0" if d >= 0.0 else "delta<0", _run3 if plain else _chain01, 3)
 
 

@@ -178,19 +178,24 @@ def test_criterion_6_branch_reductions():
         ok = ok and rep.cz_count <= 1 and "A1=0" in rep.branch_trace
     details.append(f"|1>x2q max cz {worst}")
 
-    # both blocks singular --> step 4 skipped, at most two CZ
+    # both blocks singular, a chain with qubit 2 in the middle --> the chain
+    # attempt, two CZ; with a shared row (qubit 1 factors out, no chain) -->
+    # the flow skips step 4, one CZ
     rng = np.random.default_rng(1009)
     worst = 0
     for _ in range(200):
-        amps = np.array(random_rank1(rng).entries() + random_rank1(rng).entries())
-        rep = disentangle3(PureState3(amps / np.linalg.norm(amps)))
-        worst = max(worst, rep.cz_count)
-        ok = ok and rep.cz_count <= 2 and "skip-step4" in rep.branch_trace
+        a = random_rank1(rng)
+        for b, route, cz in [(random_rank1(rng), "chain2", 2), (a @ random_nonsingular(rng), "skip-step4", 1)]:
+            amps = np.array(a.entries() + b.entries())
+            rep = disentangle3(PureState3(amps / np.linalg.norm(amps)))
+            worst = max(worst, rep.cz_count)
+            ok = ok and rep.cz_count == cz and route in rep.branch_trace
     details.append(f"singular-blocks max cz {worst}")
 
     # top block a lone corner entry, bottom block with a zero upper-right
-    # entry: after step 4, qubit 0 has one factor in both blocks --> the
-    # finisher skips cz02
+    # entry: both blocks of qubit 1 are singular, a chain with qubit 1 in
+    # the middle --> the chain attempt, two CZ; with qubit 0 factored out
+    # instead --> the finisher skips cz02, one CZ
     worst = 0
     count = 0
     while count < 200:
@@ -200,10 +205,13 @@ def test_criterion_6_branch_reductions():
         if abs(bottom.det()) < 0.05:
             continue
         count += 1
-        amps = np.array((alpha, 0, 0, 0) + bottom.entries())
-        rep = disentangle3(PureState3(amps / np.linalg.norm(amps)))
-        worst = max(worst, rep.cz_count)
-        ok = ok and rep.cz_count <= 2 and "skip-cz02" in rep.branch_trace
+        a = random_rank1(rng)
+        runs = [(Mat2(alpha, 0, 0, 0), bottom, "chain1", 2), (a, random_nonsingular(rng) @ a, "skip-cz02", 1)]
+        for top, bottom, route, cz in runs:
+            amps = np.array(top.entries() + bottom.entries())
+            rep = disentangle3(PureState3(amps / np.linalg.norm(amps)))
+            worst = max(worst, rep.cz_count)
+            ok = ok and rep.cz_count == cz and route in rep.branch_trace
     details.append(f"zero-column max cz {worst}")
 
     _report(6, "branch reductions reach their CZ bounds with named branches", ok,

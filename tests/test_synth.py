@@ -17,7 +17,7 @@ from _oracles import (
 )
 from qprep3.circuit import Circuit, CZGate, LocalGate, apply_circuit, ry_matrix
 from qprep3.errors import NonSingularInputError, NotRealError, SynthesisInvariantError
-from qprep3.mat2 import IDENTITY, Mat2, r1, solve_det_pencil
+from qprep3.mat2 import DELTA_FLOW_MAX, IDENTITY, Mat2
 from qprep3.state import (
     PureState2,
     PureState3,
@@ -169,19 +169,27 @@ class TestBranchReductions:
             assert len(rep.circuit.gates) <= 4
 
     def test_both_blocks_singular_skips_step4(self):
+        # rank-1 blocks make a chain with qubit 2 in the middle, which the
+        # chain attempt takes first, for 2 CZ. When they share a row (qubit 1
+        # factors out), the pencil form is zero, no qubit is a chain middle,
+        # and the flow skips step 4: step 2 leaves both blocks singular
         rng = np.random.default_rng(723)
         for i in range(100):
             a = random_rank1(rng)
-            b = random_rank1(rng)
-            s = _normalized_state(a, b)
-            rep = disentangle3(s)
+            rep = disentangle3(_normalized_state(a, random_rank1(rng)))
+            assert rep.branch_trace[0] == "chain2"
+            assert rep.cz_count == 2
+            assert rep.fidelity >= FID
+            rep = disentangle3(_normalized_state(a, a @ random_nonsingular(rng)))
             assert "skip-step4" in rep.branch_trace
-            assert rep.cz_count <= 2
+            assert rep.cz_count == 1
             assert rep.fidelity >= FID
 
     def test_real_opposite_determinants_skip_step4(self):
         # det(A0) = -det(B0) != 0 makes the two pencil roots z and -1/z, so the
-        # bottom block turns singular together with the top one
+        # bottom block turns singular together with the top one: a real
+        # traceless pencil form, a chain with qubit 2 in the middle, which the
+        # chain attempt takes first. The flow alone skips step 4 on it
         rng = np.random.default_rng(724)
         hits = 0
         for _ in range(100):
@@ -190,17 +198,23 @@ class TestBranchReductions:
             if b0.det().real * a.det().real > 0:
                 b0 = Mat2(b0.a, b0.b, -b0.c, -b0.d)
             scale = math.sqrt(abs(a.det().real) / abs(b0.det().real))
-            b = scaled(b0, scale)
-            rep = disentangle3(_normalized_state(a, b))
+            s = _normalized_state(a, scaled(b0, scale))
+            rep = disentangle3(s)
+            assert rep.branch_trace[0] == "chain2"
+            assert rep.cz_count == 2
+            assert rep.fidelity >= FID
+            rep = _flow(s)
             if "skip-step4" in rep.branch_trace:
                 hits += 1
             assert rep.cz_count <= 2
-            assert rep.fidelity >= FID
         assert hits >= 95  # rare tie-breaks may pick the other root
 
     def test_corner_block_with_zero_off_column_skips_step5(self):
-        # after step 4, qubit 0 has one factor in both blocks, so the
-        # finisher spends no cz02 on it (step 5 of the paper's flow)
+        # both blocks of qubit 1 are singular: a chain with qubit 1 in the
+        # middle, which the chain attempt takes first. The flow alone reaches
+        # it after step 4 with one factor of qubit 0 in both blocks, so the
+        # finisher spends no cz02 on it (step 5 of the paper's flow); so it
+        # does when qubit 0 factors out of the input
         rng = np.random.default_rng(725)
         for i in range(100):
             alpha = complex(rng.standard_normal() + 1j * rng.standard_normal())
@@ -209,10 +223,19 @@ class TestBranchReductions:
             b = Mat2(complex(b11), 0, complex(b21), complex(b22))
             if abs(b.det()) < 0.05:
                 continue
-            rep = disentangle3(_normalized_state(a, b))
+            s = _normalized_state(a, b)
+            rep = disentangle3(s)
+            assert rep.branch_trace[0] == "chain1"
+            assert rep.cz_count == 2
+            assert rep.fidelity >= FID
+            rep = _flow(s)
             assert "step4" in rep.branch_trace
             assert "skip-cz02" in rep.branch_trace
             assert rep.cz_count <= 2
+            a = random_rank1(rng)
+            rep = disentangle3(_normalized_state(a, random_nonsingular(rng) @ a))
+            assert "skip-cz02" in rep.branch_trace
+            assert rep.cz_count == 1
             assert rep.fidelity >= FID
 
     @pytest.mark.parametrize(
@@ -292,6 +315,15 @@ def _normalized_state(a: Mat2, b: Mat2) -> PureState3:
     return PureState3(amps / np.linalg.norm(amps))
 
 
+def _flow(s: PureState3):
+    """The general flow's report on s alone, with no chain attempt before it."""
+    from qprep3.synth import _Builder, _run3
+
+    b = _Builder(s, s.w, False)
+    _run3(b)
+    return b.finish(3)
+
+
 class TestDisentangle3Real:
     def test_basis_state(self):
         rep = disentangle3_real(basis_state(3, 0))
@@ -324,24 +356,21 @@ class TestDisentangle3Real:
             assert rep.branch_trace[0] == ("delta>=0" if d >= 0 else "delta<0")
 
     def test_delta_branch_soundness(self):
-        # delta >= 0 must come with a (near-)real pencil root or a singular
-        # block; delta < 0 must make the cz01-prefix trick work with a real gate
-        for i in range(1000):
-            s = random_state((732, i), real_only=True)
-            d = delta(s)
-            bp = blocks(s)
-            if d >= 0:
-                if abs(bp.t0.det()) <= 1e-8 or abs(bp.t1.det()) <= 1e-8:
-                    continue
-                roots = solve_det_pencil(bp.t0, bp.t1)
-                assert min(abs(z.imag) for z in roots) <= 1e-8
-            else:
-                u0 = r1(bp.t0)
-                assert u0.max_imag() == 0.0
-                w = bp.t0 @ u0
-                flipped = Mat2(w.a, w.b, w.c, -w.d)
-                assert abs(flipped.det()) <= 1e-9
+        # the chain prefix real mode runs for either sign of delta: after its
+        # rotation on qubit 1 and cz01, the pencil form of the qubit-1 split
+        # (A on indices 0, 1, 4, 5, B on 2, 3, 6, 7) is traceless, so qubit 1
+        # is a chain middle, by the package's test and by the dense oracle
+        from qprep3.synth import _chain_rotation, _is_chain_middle
 
+        signs = {True: 0, False: 0}
+        for i in range(2000):
+            s = random_state((733, i), real_only=True)
+            signs[delta(s) < 0.0] += 1
+            v = cz_unitary(3, 0, 1) @ local_unitary(3, 1, _chain_rotation(list(s.w))) @ s.amps
+            a, b = v[[0, 1, 4, 5]].reshape(2, 2), v[[2, 3, 6, 7]].reshape(2, 2)
+            assert abs(np.linalg.det(a) + np.linalg.det(b)) <= 1e-14
+            assert _is_chain_middle(list(v), 1)
+        assert min(signs.values()) >= 200
 
 def _complex_entries(circuit) -> list:
     return [e for g in circuit.gates if isinstance(g, LocalGate) for e in g.matrix if isinstance(e, complex)]
@@ -467,11 +496,21 @@ class TestAttemptsInOrder:
 
     def test_conjugate_pencil_roots_are_clamped_to_their_real_part(self, monkeypatch):
         # real mode with no real pencil root (a slightly negative discriminant)
-        # takes the pair's shared real part. A chain with qubit 2 in the
-        # middle keeps a delta >= 0 state on the flow, whose step 1 is patched
-        s = _chain(768, True, m=2)
+        # takes the pair's shared real part. |000> plus real noise of size
+        # 1e-3 has delta ~ 1e-6, inside DELTA_FLOW_MAX: the flow's step 1 is
+        # patched. A chain with qubit 2 in the middle goes to the finisher
+        # first, whose step 1 is
+        rng = np.random.default_rng(768)
+        v = np.eye(8)[0] + 1e-3 * rng.standard_normal(8)
+        s = PureState3(v / np.linalg.norm(v))
+        assert 0.0 < delta(s) <= DELTA_FLOW_MAX
         assert disentangle3_real(s).branch_trace[:2] == ("delta>=0", "pencil")
         self._clamps_like_the_real_root(monkeypatch, s, "pencil")
+        monkeypatch.undo()
+        s = _chain(768, True, m=2)
+        rep = disentangle3_real(s)
+        assert (rep.cz_count, rep.branch_trace[:2]) == (2, ("delta>=0", "chain2"))
+        self._clamps_like_the_real_root(monkeypatch, s, "chain2")
 
     def test_chain_prefix_root_is_clamped_to_its_real_part(self, monkeypatch):
         # a generic delta >= 0 state takes the chain prefix, whose finisher
