@@ -245,8 +245,8 @@ _COMMANDS = {
     ),
     "delta": (
         _cmd_delta,
-        "print the real-state discriminant and real mode's CZ bound (3 for either sign; the flow runs "
-        "near delta = 0 and on chains, the chain prefix elsewhere)",
+        "print the real-state discriminant and real mode's CZ bound (3 for either sign; the chain "
+        "finisher takes chains, the flow states near delta = 0, the chain prefix the rest)",
         [("file", "state file (8 '<re> <im>' lines, real)")],
         [],
     ),

@@ -232,8 +232,8 @@ def argparse_cli_parser() -> argparse.ArgumentParser:
 
     p_delta = sub.add_parser(
         "delta",
-        help="print the real-state discriminant and real mode's CZ bound (3 for either sign; the flow runs "
-        "near delta = 0 and on chains, the chain prefix elsewhere)",
+        help="print the real-state discriminant and real mode's CZ bound (3 for either sign; the chain "
+        "finisher takes chains, the flow states near delta = 0, the chain prefix the rest)",
     )
     p_delta.add_argument("file", help="state file (8 '<re> <im>' lines, real)")
     return parser
