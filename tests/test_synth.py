@@ -372,6 +372,7 @@ class TestDisentangle3Real:
             assert _is_chain_middle(list(v), 1)
         assert min(signs.values()) >= 200
 
+
 def _complex_entries(circuit) -> list:
     return [e for g in circuit.gates if isinstance(g, LocalGate) for e in g.matrix if isinstance(e, complex)]
 
