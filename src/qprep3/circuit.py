@@ -103,19 +103,14 @@ class Circuit(namedtuple("Circuit", "gates num_qubits")):
 
     def max_local_imag(self) -> float:
         """Largest imaginary part over all local-gate entries (0.0 if no locals)."""
-        # max()'s rule over the entries in order: the first one starts, and
-        # only a larger one replaces it (so a leading NaN stays, as in max())
-        worst = None
-        for g in self.gates:
-            if isinstance(g, LocalGate):
-                for e in g.matrix:
-                    x = abs(e.imag)
-                    if worst is None or x > worst:
-                        worst = x
-        return 0.0 if worst is None else worst
+        # max() over every entry: synthesis tests realness with is_real, and
+        # this only reports how far a circuit is from real
+        return max((abs(e.imag) for g in self.gates if type(g) is LocalGate for e in g.matrix), default=0.0)
 
     def is_real(self) -> bool:
-        return self.max_local_imag() <= REAL_GATE_TOL
+        """No local-gate entry has an imaginary part past REAL_GATE_TOL (a NaN
+        one counts as past it); stops at the first entry that has."""
+        return all(abs(e.imag) <= REAL_GATE_TOL for g in self.gates if type(g) is LocalGate for e in g.matrix)
 
 
 def apply_gate(g: Gate, s: State) -> State:

@@ -73,7 +73,7 @@ REAL_ROOT_TOL = 1e-8
 # 0 by 0 in the cancellation-free form.
 DOUBLE_ROOT_TOL = 1e-12
 # A qubit is a chain middle when the relative gap of the two singular values
-# of its split's pencil form (synth._is_chain_middle) is at most this.
+# of its split's pencil form (synth._chain_middles) is at most this.
 # Chain middles measure <= 1e-14, Haar-random states >= 5.8e-5.
 CHAIN_GAP_TOL = 1e-9
 # An Ry angle is reported only if the rotation reproduces the gate this closely.
@@ -282,15 +282,18 @@ def solve_det_pencil(m_a: Mat2, m_b: Mat2) -> list[complex]:
     """
     if is_singular(m_b, EPS_ZERO):
         raise SingularPencilCoefficientError("solve_det_pencil requires det(B) != 0")
-    q2, q1, q0 = _pencil_form(m_a, m_b)
+    q2, q1, q0 = _pencil_form(*m_a, *m_b)
     z = _pencil_root(q2, q1, q0)
     return sorted((z, -q1 / q2 - z), key=_root_order_key)
 
 
-def _pencil_form(m_a: Mat2, m_b: Mat2) -> tuple[complex, complex, complex]:
+def _pencil_form(a, b, c, d, e, f, g, h) -> tuple[complex, complex, complex]:
     """(q2, q1, q0) with det(A + zB) = q2 z^2 + q1 z + q0, that is
-    det(xA + yB) = q0 x^2 + q1 xy + q2 y^2."""
-    return m_b.det(), m_a.a * m_b.d + m_b.a * m_a.d - m_a.b * m_b.c - m_b.b * m_a.c, m_a.det()
+    det(xA + yB) = q0 x^2 + q1 xy + q2 y^2, for A = [[a, b], [c, d]] and
+    B = [[e, f], [g, h]]. It takes their eight entries, so a caller holding
+    the blocks passes (*A, *B) and one reading amplitudes builds no block
+    (state._SPLIT_ENTRIES). The one pencil-form formula."""
+    return e * h - f * g, a * h + e * d - b * g - f * c, a * d - b * c
 
 
 def _pencil_root(q2: complex, q1: complex, q0: complex) -> complex:

@@ -140,10 +140,11 @@ def basis_state(num_qubits: int, index: int = 0) -> State:
 # by qubit q, the amplitudes of the blocks A (q is 0) and B (q is 1) of the
 # split on q, each read row-major as a 2x2 matrix over the other two qubits;
 # q = 2 gives T0 and T1
-_SPLITS = [
-    (itemgetter(*ia), itemgetter(*ib))
-    for ia, ib in (((0, 2, 4, 6), (1, 3, 5, 7)), ((0, 1, 4, 5), (2, 3, 6, 7)), ((0, 1, 2, 3), (4, 5, 6, 7)))
-]
+_SPLIT_INDICES = (((0, 2, 4, 6), (1, 3, 5, 7)), ((0, 1, 4, 5), (2, 3, 6, 7)), ((0, 1, 2, 3), (4, 5, 6, 7)))
+_SPLITS = [(itemgetter(*ia), itemgetter(*ib)) for ia, ib in _SPLIT_INDICES]
+# the same eight entries in one read, A's then B's, as mat2._pencil_form
+# takes them: a reader that needs only the form builds no block
+_SPLIT_ENTRIES = [itemgetter(*ia, *ib) for ia, ib in _SPLIT_INDICES]
 
 
 def _split(w, q: int) -> tuple[Mat2, Mat2]:
@@ -178,7 +179,7 @@ def delta(s: PureState3) -> float:
 
 def _delta(w) -> float:
     # delta past its precondition: the amplitudes w are real within REAL_STATE_TOL.
-    # This is q1^2 - 4 q2 q0 of mat2._pencil_form(T0, T1), kept in its own sum
+    # This is q1^2 - 4 q2 q0 of mat2._pencil_form(*T0, *T1), kept in its own sum
     # order: in the pencil's order its bits change on 18,508 of 67,483 real
     # states measured (50,000 Haar-random, 17,483 near-degenerate), and 18 of
     # the near-degenerate ones cross 0 or -DELTA_ZERO_BAND, changing their branch

@@ -78,12 +78,14 @@ Chains. Two CZ suffice exactly for the states |u>P + |u_perp>Q on one
 qubit m, the chain middle, with P and Q products on the other two. Qubit m is
 one when the pencil form of its split, S = [[q0, q1/2], [q1/2, q2]] with
 det(xA + yB) = q0 x^2 + q1 xy + q2 y^2, has two equal singular values (its
-two null directions are then orthogonal); _is_chain_middle tests that to
-CHAIN_GAP_TOL. For each qubit q of a 3-qubit input that is a chain middle,
-in the order 0, 1, 2, both synthesizers first run the finisher on the input
-itself, with m = q and a bound of 2 CZ (trace `chain<q>`), and the usual
-attempt follows if none passes. Qubit 0 goes first, so GHZ, a chain on every
-qubit, takes `chain0`. A Haar-random state pays for three forms.
+two null directions are then orthogonal); _chain_middles tests that to
+CHAIN_GAP_TOL for the three qubits in one pass, reading each split's eight
+entries at once into the one pencil-form formula, with no block built. For
+each qubit q of a 3-qubit input that is a chain middle, in the order 0, 1,
+2, both synthesizers first run the finisher on the input itself, with m = q
+and a bound of 2 CZ (trace `chain<q>`), and the usual attempt follows if
+none passes. Qubit 0 goes first, so GHZ, a chain on every qubit, takes
+`chain0`.
 
 Every synthesis goes through one attempt runner, _synthesize(s, w, real,
 label, run, max_cz). An attempt is a fresh builder of the input, a trace
@@ -127,17 +129,20 @@ which checks its own precondition, and no precondition is tested twice: l1's
 nonsingular raises NonSingularInputError, and r1's (nonsingular at EPS_ZERO)
 is step 4's decision, its SingularInputError taken as `skip-step4`. The
 pencil root (mat2._pencil_root) has no precondition: with no finite root it
-gives 0, and U(1, 0) = I is not emitted. No state is validated before
-`finish`, and real mode tests realness once and then takes delta's core
-(state._delta). `local` and `cz` take a wire rather than a gate, call the
-kernels directly and build each gate with tuple.__new__, past the wire
-checks of the record's __new__; `finish` builds its Circuit the same way, as
+gives 0, and U(1, 0) = I is not emitted. Synthesis validates no state, and
+real mode tests realness once and then takes delta's core (state._delta).
+`local` and `cz` take a wire rather than a gate, call the kernels directly
+and build each gate with tuple.__new__, past the wire checks of the record's
+__new__; `finish` builds its Circuit and its report the same way, as
 synthesis only passes its own literal wires. The finisher checks its step-1
 blocks, and each wire it spends a CZ on, at STEP_TOL. `finish` is the one
-place a result is checked, for every attempt at both sizes: its fidelity
-against FID_MIN, its CZ count against the attempt's bound and, in real mode,
-every gate's realness against REAL_GATE_TOL. `prepare` then re-simulates its
-inverted circuit and checks the round trip.
+place a result is checked, for every attempt at both sizes, on the tracked
+list itself: its squared norm against 1 within NORM_REJECT (the gates are
+unitary, so only a fault fails this), its fidelity, |amps[0]|, against
+FID_MIN, its CZ count, which `cz` keeps as it appends, against the attempt's
+bound and, in real mode, every gate's realness against REAL_GATE_TOL
+(Circuit.is_real, which stops at the first entry past it). `prepare` then
+re-simulates its inverted circuit and checks the round trip.
 """
 from __future__ import annotations
 
@@ -146,12 +151,12 @@ from collections import namedtuple
 from functools import cache
 
 from . import kernels
-from .circuit import Circuit, CZGate, Gate, LocalGate, apply_circuit, fidelity_to_basis, invert
+from .circuit import Circuit, CZGate, Gate, LocalGate, apply_circuit, invert
 from .errors import NotRealError, Qprep3Error, SingularInputError, SynthesisInvariantError
 from .mat2 import CHAIN_GAP_TOL, DELTA_FLOW_MAX, DELTA_ZERO_BAND, EPS_ZERO, FID_MIN, PRUNE_TOL, REAL_ROOT_TOL, STEP_TOL
-from .mat2 import REAL_STATE_TOL, SWAP_BLOCKS, Mat2
+from .mat2 import NORM_REJECT, REAL_STATE_TOL, SWAP_BLOCKS, Mat2
 from .mat2 import _pencil_form, _pencil_root, is_singular, l1, r1, row2_norm, u_from_pair
-from .state import PureState2, PureState3, State, _delta, _split, basis_state, overlap
+from .state import _SPLIT_ENTRIES, PureState2, PureState3, State, _delta, _split, basis_state, overlap
 
 class SynthesisReport(namedtuple("SynthesisReport", "circuit cz_count all_real branch_trace fidelity")):
     """Result of a synthesis run (disentangling direction unless produced by prepare).
@@ -177,11 +182,12 @@ class _Builder:
     """
 
     def __init__(self, state, amps, real: bool):
-        self.state_type = type(state)
         self.num_qubits = state.num_qubits
         self.amps = list(amps)
         self.real = real
         self.gates: list[Gate] = []
+        # fusion re-applies CZs but never removes one, so this stays exact
+        self.cz_count = 0
         self.before: list[list] = []
         self.trace: list[str] = []
         # by wire, the index in `gates` of its last gate if that is a local
@@ -240,6 +246,7 @@ class _Builder:
     def cz(self, i: int, j: int) -> None:
         """Append CZ on (i, j), i < j, and apply it to `amps`."""
         self.open[i] = self.open[j] = -1
+        self.cz_count += 1
         self.before.append(self.amps)
         self.amps = kernels.apply_cz(self.amps, i, j)
         self.gates.append(tuple.__new__(CZGate, (i, j)))
@@ -251,21 +258,27 @@ class _Builder:
             raise SynthesisInvariantError(msg)
 
     def finish(self, max_cz: int) -> SynthesisReport:
-        """The finished report; raises when its fidelity is below FID_MIN, its
-        CZ count above max_cz or, in real mode, a gate is not real."""
-        # every gate was emitted on a wire of the input state
-        circ = tuple.__new__(Circuit, (tuple(self.gates), self.num_qubits))
-        fid = fidelity_to_basis(self.state_type(self.amps), 0)
-        # written `not >=` so that a NaN fidelity fails
+        """The finished report, read off the tracked list; raises when its
+        squared norm is off 1 by more than NORM_REJECT, its fidelity is below
+        FID_MIN, its CZ count above max_cz or, in real mode, a gate is not
+        real."""
+        amps = self.amps
+        # each check is written `not <=` or `not >=`, so that a NaN fails
+        n2 = sum([x * x for x in map(abs, amps)])
+        if not abs(n2 - 1.0) <= NORM_REJECT:
+            raise SynthesisInvariantError(f"tracked squared norm {n2!r} not within {NORM_REJECT!r} of 1")
+        fid = abs(amps[0])
         if not fid >= FID_MIN:
             raise SynthesisInvariantError(f"final fidelity {fid!r} below {FID_MIN!r}")
-        cz = circ.cz_count
+        cz = self.cz_count
         if cz > max_cz:
             raise SynthesisInvariantError(f"cz count {cz} exceeds {max_cz}")
+        # every gate was emitted on a wire of the input state
+        circ = tuple.__new__(Circuit, (tuple(self.gates), self.num_qubits))
         all_real = circ.is_real()
         if self.real and not all_real:
             raise SynthesisInvariantError(f"real mode emitted a non-real gate (max imag {circ.max_local_imag()!r})")
-        return SynthesisReport(circ, cz, all_real, tuple(self.trace), fid)
+        return tuple.__new__(SynthesisReport, (circ, cz, all_real, tuple(self.trace), fid))
 
 
 # the outer wires of a 3-qubit chain, by its middle
@@ -284,9 +297,7 @@ def _synthesize(s: State, w, real: bool, label, run, max_cz: int) -> SynthesisRe
     An attempt fails by raising a Qprep3Error, which gets the branch trace
     that attempt took. When every attempt fails, the first one's is raised.
     """
-    attempts = [
-        (lambda b, q=q: _finish_chain(b, q, _OUTER[q]), 2) for q in (0, 1, 2) if len(w) == 8 and _is_chain_middle(w, q)
-    ]
+    attempts = [(lambda b, q=q: _finish_chain(b, q, _OUTER[q]), 2) for q in (_chain_middles(w) if len(w) == 8 else ())]
     attempts.append((run, max_cz))
     first = None
     for attempt, bound in attempts:
@@ -367,21 +378,24 @@ def disentangle3_real(s: PureState3) -> SynthesisReport:
     return _synthesize(s, w, True, "delta>=0" if d >= 0.0 else "delta<0", _run3 if plain else _chain01, 3)
 
 
-def _is_chain_middle(w, q: int) -> bool:
-    """Qubit q of the 8 amplitudes w is the middle of a chain: the pencil form
-    S = [[q0, q1/2], [q1/2, q2]] of its split, det(xA + yB) = q0 x^2 + q1 xy +
-    q2 y^2, has two equal singular values. (|S|_F^2)^2 - 4|det S|^2, the
-    squared difference of their squares, must be at most CHAIN_GAP_TOL
-    |S|_F^4. A form of norm at most EPS_ZERO is no chain: every xA + yB is
-    then (nearly) singular."""
-    q2, q1, q0 = _pencil_form(*_split(w, q))
-    h = 0.5 * q1
-    a, b, c = abs(q0), abs(h), abs(q2)
-    n2 = a * a + 2.0 * b * b + c * c
-    if n2 <= EPS_ZERO * EPS_ZERO:
-        return False
-    d = abs(q0 * q2 - h * h)
-    return n2 * n2 - 4.0 * d * d <= CHAIN_GAP_TOL * n2 * n2
+def _chain_middles(w) -> list[int]:
+    """The qubits of the 8 amplitudes w that are chain middles, in the order
+    0, 1, 2. Qubit q is one when the pencil form S = [[q0, q1/2], [q1/2, q2]]
+    of its split, det(xA + yB) = q0 x^2 + q1 xy + q2 y^2, has two equal
+    singular values: (|S|_F^2)^2 - 4|det S|^2, the squared difference of
+    their squares, must be at most CHAIN_GAP_TOL |S|_F^4. A form of norm at
+    most EPS_ZERO is no chain: every xA + yB is then (nearly) singular. Each
+    split's eight entries are read at once, and no block is built."""
+    middles = []
+    for q, entries in enumerate(_SPLIT_ENTRIES):
+        q2, q1, q0 = _pencil_form(*entries(w))
+        h = 0.5 * q1
+        a, b, c = abs(q0), abs(h), abs(q2)
+        n2 = a * a + 2.0 * b * b + c * c
+        d = abs(q0 * q2 - h * h)
+        if n2 > EPS_ZERO * EPS_ZERO and n2 * n2 - 4.0 * d * d <= CHAIN_GAP_TOL * n2 * n2:
+            middles.append(q)
+    return middles
 
 
 def _chain01(b: _Builder) -> None:
@@ -401,7 +415,7 @@ def _chain_rotation(w) -> Mat2:
     cos(phi/2) >= 1/sqrt(2) and sin(phi/2) = sin(phi) / (2 cos(phi/2)) does
     not cancel.
     """
-    det_b, q1, det_a = _pencil_form(*_split([z.real for z in w], 1))
+    det_b, q1, det_a = _pencil_form(*_SPLIT_ENTRIES[1]([z.real for z in w]))
     gap = det_a - det_b
     r = math.sqrt(q1 * q1 + gap * gap)
     if r == 0.0:
@@ -422,7 +436,7 @@ def _root_gate(b: _Builder, q: int) -> None:
     shares that real part, the best real root, and says
     `pencil-root-clamped`: the check after the gate verifies it, l1's
     precondition in step 1 and the finisher's step-1 check in a chain."""
-    z = _pencil_root(*_pencil_form(*_split(b.amps, q)))
+    z = _pencil_root(*_pencil_form(*_SPLIT_ENTRIES[q](b.amps)))
     if b.real:
         if abs(z.imag) > REAL_ROOT_TOL:
             b.say("pencil-root-clamped")

@@ -28,7 +28,7 @@ from qprep3.circuit import (
     ry_angle,
     ry_matrix,
 )
-from qprep3.mat2 import IDENTITY, RY_MATCH_TOL, SWAP_BLOCKS, Mat2, real_parts
+from qprep3.mat2 import IDENTITY, REAL_GATE_TOL, RY_MATCH_TOL, SWAP_BLOCKS, Mat2, real_parts
 from qprep3.state import PureState2, PureState3, basis_state, random_state, random_state2
 from qprep3.synth import prepare
 
@@ -353,6 +353,34 @@ class TestMaxLocalImag:
         other = LocalGate(1, Mat2(0.5j, 0, 0, -0.5j))
         c = Circuit((nan_gate, other) if first else (other, nan_gate))
         assert repr(c.max_local_imag()) == repr(reference_max_local_imag(c))
+
+
+class TestIsReal:
+    def test_agrees_with_max_local_imag(self):
+        # the short-circuit test gives max_local_imag() <= REAL_GATE_TOL on
+        # finite circuits, with imaginary parts on both sides of the tolerance
+        rng = np.random.default_rng(46)
+        circuits = [Circuit(()), Circuit((CZGate(0, 1), CZGate(1, 2)))]
+        for i in range(100):
+            circuits.append(random_circuit((461, i), 12))
+            real = [LocalGate(int(rng.integers(3)), ry_matrix(float(rng.uniform(-3.0, 3.0)))) for _ in range(6)]
+            nudge = complex(0.0, REAL_GATE_TOL * float(rng.choice([0.5, 1.0, 2.0])))
+            real.insert(int(rng.integers(7)), LocalGate(int(rng.integers(3)), Mat2(1, nudge, 0, 1)))
+            circuits.append(Circuit(tuple(real) + (CZGate(0, 2),)))
+        outcomes = set()
+        for c in circuits:
+            want = c.max_local_imag() <= REAL_GATE_TOL
+            assert c.is_real() == want
+            outcomes.add(want)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("first", [True, False], ids=["nan-first", "nan-later"])
+    def test_nan_entry_anywhere_is_not_real(self, first):
+        # max_local_imag() skips a NaN after its first entry; is_real does not
+        nan_gate = LocalGate(0, Mat2(1, 0, 0, complex(1.0, math.nan)))
+        other = LocalGate(1, ry_matrix(0.3))
+        c = Circuit((nan_gate, other) if first else (other, nan_gate))
+        assert not c.is_real()
 
 
 class TestSerialization:

@@ -263,7 +263,7 @@ class TestPencilRoot:
         for real in (False, True):
             for _ in range(500):
                 a, b = random_mat2(rng, real), random_nonsingular(rng, real)
-                z, roots = _pencil_root(*_pencil_form(a, b)), solve_det_pencil(a, b)
+                z, roots = _pencil_root(*_pencil_form(*a, *b)), solve_det_pencil(a, b)
                 # a tie, such as the conjugate roots of a real pencil, sorts
                 # by phase, so the root may be the second
                 assert z == roots[0] or (z == roots[1] and math.isclose(abs(z), abs(roots[0]), rel_tol=1e-12))
@@ -273,7 +273,7 @@ class TestPencilRoot:
         for _ in range(200):
             t = random_nonsingular(rng)
             alpha, beta = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            q2, q1, q0 = _pencil_form(scaled(t, alpha), scaled(t, beta))
+            q2, q1, q0 = _pencil_form(*scaled(t, alpha), *scaled(t, beta))
             assert _pencil_root(q2, q1, q0) == -q1 / (2.0 * q2)
 
     def test_singular_coefficient_leaves_one_finite_root(self):
@@ -284,7 +284,7 @@ class TestPencilRoot:
             a = random_mat2(rng)
             x, y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             b = Mat2(complex(x), complex(y), complex(2 * x), complex(2 * y))
-            q2, q1, q0 = _pencil_form(a, b)
+            q2, q1, q0 = _pencil_form(*a, *b)
             assert q2 == 0
             z = _pencil_root(q2, q1, q0)
             assert abs(z + q0 / q1) <= 1e-14 * abs(z)
@@ -295,7 +295,7 @@ class TestPencilRoot:
         rng = np.random.default_rng(66)
         for _ in range(100):
             a = random_nonsingular(rng)
-            assert _pencil_root(*_pencil_form(a, Mat2(0j, 0j, 0j, 0j))) == 0
+            assert _pencil_root(*_pencil_form(*a, *Mat2(0j, 0j, 0j, 0j))) == 0
         assert _pencil_root(0.0, 0.0, 0.0) == 0
 
 

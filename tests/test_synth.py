@@ -17,7 +17,7 @@ from _oracles import (
 )
 from qprep3.circuit import Circuit, CZGate, LocalGate, apply_circuit, ry_matrix
 from qprep3.errors import NonSingularInputError, NotRealError, SynthesisInvariantError
-from qprep3.mat2 import DELTA_FLOW_MAX, IDENTITY, Mat2
+from qprep3.mat2 import CHAIN_GAP_TOL, DELTA_FLOW_MAX, EPS_ZERO, IDENTITY, Mat2
 from qprep3.state import (
     PureState2,
     PureState3,
@@ -360,7 +360,7 @@ class TestDisentangle3Real:
         # rotation on qubit 1 and cz01, the pencil form of the qubit-1 split
         # (A on indices 0, 1, 4, 5, B on 2, 3, 6, 7) is traceless, so qubit 1
         # is a chain middle, by the package's test and by the dense oracle
-        from qprep3.synth import _chain_rotation, _is_chain_middle
+        from qprep3.synth import _chain_middles, _chain_rotation
 
         signs = {True: 0, False: 0}
         for i in range(2000):
@@ -369,7 +369,7 @@ class TestDisentangle3Real:
             v = cz_unitary(3, 0, 1) @ local_unitary(3, 1, _chain_rotation(list(s.w))) @ s.amps
             a, b = v[[0, 1, 4, 5]].reshape(2, 2), v[[2, 3, 6, 7]].reshape(2, 2)
             assert abs(np.linalg.det(a) + np.linalg.det(b)) <= 1e-14
-            assert _is_chain_middle(list(v), 1)
+            assert 1 in _chain_middles(list(v))
         assert min(signs.values()) >= 200
 
 
@@ -535,6 +535,64 @@ def _chain(seed, real, m=0) -> PureState3:
                 if x != m:
                     v = cz_unitary(3, *sorted((m, x))) @ v
     return PureState3(v)
+
+
+def _oracle_chain_middles(v) -> tuple[list[int], list[float]]:
+    """The chain middles of 8 amplitudes by numpy alone, and each qubit's
+    squared relative gap ((s0^2 - s1^2) / (s0^2 + s1^2))^2 between the
+    singular values s0 >= s1 of its pencil form S_q = [[det A, c/2], [c/2,
+    det B]], det(xA + yB) = det(A) x^2 + c xy + det(B) y^2 (inf for a form
+    of norm at most EPS_ZERO, which is no chain)."""
+    t = np.asarray(v, dtype=np.complex128).reshape(2, 2, 2)  # axes (q2, q1, q0)
+    middles, gaps = [], []
+    for q in range(3):
+        a, b = np.moveaxis(t, 2 - q, 0)
+        da, db = np.linalg.det(a), np.linalg.det(b)
+        c = np.linalg.det(a + b) - da - db
+        s0, s1 = np.linalg.svd(np.array([[da, c / 2], [c / 2, db]]), compute_uv=False)
+        n2 = s0 * s0 + s1 * s1
+        gaps.append(((s0 * s0 - s1 * s1) / n2) ** 2 if n2 > EPS_ZERO * EPS_ZERO else math.inf)
+        if gaps[-1] <= CHAIN_GAP_TOL:
+            middles.append(q)
+    return middles, gaps
+
+
+def _built_chain(rng, m: int, real: bool) -> np.ndarray:
+    """|u>P + |u_perp>Q on qubit m, P and Q random products on the other two
+    qubits, with random weights, built by kron products alone."""
+    u = np.array(random_unitary2(rng, real)).reshape(2, 2)
+    v = np.zeros(8, dtype=np.complex128)
+    for col in (0, 1):
+        wires = [rng.standard_normal(2) + (0 if real else 1j) * rng.standard_normal(2) for _ in range(3)]
+        wires = [x / np.linalg.norm(x) for x in wires]
+        wires[m] = u[:, col]
+        v += rng.uniform(0.2, 1.0) * np.kron(wires[2], np.kron(wires[1], wires[0]))
+    return v / np.linalg.norm(v)
+
+
+class TestChainScreen:
+    """synth._chain_middles against singular values from np.linalg.svd."""
+
+    def test_matches_the_svd_oracle(self):
+        from qprep3.synth import _chain_middles
+
+        rng = np.random.default_rng(771)
+        w_state = np.array([0, 1, 1, 0, 1, 0, 0, 0]) / math.sqrt(3.0)
+        inputs = [("ghz", ghz().amps), ("w", w_state), ("000", basis_state(3, 0).amps)]
+        inputs += [("haar", random_state((771, i)).amps) for i in range(500)]
+        for m in (0, 1, 2):
+            inputs += [(f"chain{m}", _built_chain(rng, m, real)) for real in (False, True) for _ in range(50)]
+        seen = set()
+        for name, v in inputs:
+            want, gaps = _oracle_chain_middles(v)
+            # every decision is at least 10x away from the tolerance
+            assert all(g <= CHAIN_GAP_TOL / 10 or g >= CHAIN_GAP_TOL * 10 for g in gaps), (name, gaps)
+            got = _chain_middles(list(PureState3(v).w))
+            assert got == want, (name, gaps)
+            if name.startswith("chain"):
+                assert int(name[-1]) in got
+            seen.add((name[:5], tuple(got)))
+        assert {("ghz", (0, 1, 2)), ("w", ()), ("000", ()), ("haar", ())} <= seen
 
 
 class TestMinimalCircuits:
@@ -853,6 +911,18 @@ class TestStepInvariants:
             synth(s)
         assert info.value.branch_trace == trace
 
+    def test_finish_guards_the_tracked_norm(self):
+        # a det-1 gate that is not unitary scales |000> by 2: the fidelity
+        # reads 2, which passes FID_MIN, so only the norm guard rejects it
+        from qprep3.synth import _Builder
+
+        s = basis_state(3, 0)
+        b = _Builder(s, s.w, False)
+        b.local(0, Mat2(2, 0, 0, 0.5))
+        assert abs(b.amps[0]) == 2.0
+        with pytest.raises(SynthesisInvariantError, match=r"^tracked squared norm 4\.0 not within 1e-06 of 1$"):
+            b.finish(3)
+
     @pytest.mark.parametrize(
         "synth, state",
         [
@@ -863,7 +933,7 @@ class TestStepInvariants:
         ids=["general", "real", "real-delta<0"],
     )
     def test_synthesis_validates_once(self, monkeypatch, synth, state):
-        # the tracked amplitudes become a state only in finish
+        # finish reads the tracked list itself: synthesis builds no state
         import qprep3.state as state_module
 
         validate = state_module._prepare_amps
@@ -875,7 +945,7 @@ class TestStepInvariants:
 
         monkeypatch.setattr(state_module, "_prepare_amps", counting)
         synth(state)
-        assert lengths == [8]
+        assert lengths == []
 
     @pytest.mark.parametrize(
         "state",
