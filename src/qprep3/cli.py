@@ -13,8 +13,8 @@ of unit norm are renormalized, anything farther is rejected.
 
 Exit codes: 0 success, 1 bad input or output that cannot be written (a
 state file that cannot be read, decoded, parsed or normalized, a 2-qubit
-file to delta, an --out path that cannot be written, a standard output
-closed early, such as a pipe into `head`, --n < 1 or --seed < 0; one
+file to delta, an --out path that cannot be written, a stdout that cannot
+be written (a closed pipe, a full device), --n < 1 or --seed < 0; one
 `error:` line on stderr), 2
 mode violation (complex input where real amplitudes are required) or usage
 error (no command, a missing or malformed argument such as `--n x`, an
@@ -319,16 +319,20 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
+    """Run main on sys.argv, flush the standard streams and end the process
+    with main's code, skipping interpreter teardown: a one-shot process need
+    not free its heap, and no exit-time flush or atexit handler runs after
+    this. argparse's exit (help, usage errors) still takes the normal path."""
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError as exc:
-        # the reader closed stdout: point fd 1 at the null device, so the
-        # flush at interpreter exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
+        # stdout cannot be written (a closed pipe, a full device); what is
+        # left in its buffer is dropped at the exit below
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_INPUT
-    raise SystemExit(code)
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -209,18 +209,27 @@ def _haar_state_file() -> str:
     return "".join("%.17g %.17g\n" % (z.real, z.imag) for z in random_state((7, 1)).w)
 
 
-# synthesis builds its step-2 gate with mat2.l1
+# synthesis builds its step-2 gate with mat2.l1; the child runs ARGV
+# through RUN, `main` or `entry`
 FAILING_L1_CHILD = """
+import sys
+import qprep3.cli
 import qprep3.synth
-from qprep3.cli import main
 from qprep3.errors import NonSingularInputError
 
 def failing(_m):
     raise NonSingularInputError("l1 requires det = 0")
 
 qprep3.synth.l1 = failing
-raise SystemExit(main(ARGV))
+if RUN == "main":
+    raise SystemExit(qprep3.cli.main(ARGV))
+sys.argv[1:] = ARGV
+qprep3.cli.entry()
 """
+
+
+def _failing_l1_child(argv, run):
+    return _run_python(["-c", f"ARGV = {argv!r}\nRUN = {run!r}\n" + FAILING_L1_CHILD])
 
 
 class TestSynthErrorContract:
@@ -228,7 +237,7 @@ class TestSynthErrorContract:
         # a library error inside the synthesis (not an invariant failure)
         # still follows the exit-3 contract: trace on stderr, no traceback
         path = write(tmp_path, "haar.txt", _haar_state_file())
-        proc = _run_python(["-c", f"ARGV = {['synth', path, '--verify']!r}\n" + FAILING_L1_CHILD])
+        proc = _failing_l1_child(["synth", path, "--verify"], "main")
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
         assert "branch trace: pencil\n" in proc.stderr
@@ -411,6 +420,9 @@ def _run_python(args, stdout=subprocess.PIPE):
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    # buffered stdout, as a user gets by default; a test that wants it
+    # unbuffered passes -u
+    env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
 
 
@@ -471,6 +483,23 @@ def test_closed_stdout_exits_1_with_one_error_line(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("buffering", [[], ["-u"]], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [lambda tmp: ["synth", write(tmp, "ghz.txt", GHZ_FILE), "--verify"], lambda tmp: ["sweep", "--n", "3", "--seed", "1"]],
+    ids=["synth", "sweep"],
+)
+def test_full_stdout_exits_1_with_one_error_line(tmp_path, argv, buffering):
+    # every write to /dev/full fails with ENOSPC: unbuffered in the command's
+    # own write, buffered in the flush after it; either way exit 1, no traceback
+    with open("/dev/full", "w") as full:
+        proc = _run_python([*buffering, "-m", "qprep3", *argv(tmp_path)], stdout=full)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "No space left" in lines[0]
+
+
 @pytest.mark.parametrize("command, flags", [("synth", ["--verify"]), ("delta", [])])
 def test_byte_order_mark_is_skipped(tmp_path, capsys, command, flags):
     # a file that starts with a UTF-8 BOM reads as the same file without it
@@ -497,12 +526,43 @@ def test_usage_errors_exit_2_with_usage(argv):
     assert proc.stdout == ""
 
 
-def test_module_entry_point(tmp_path):
-    path = tmp_path / "ghz.txt"
-    path.write_text(GHZ_FILE, encoding="utf-8")
-    proc = _run_module(["synth", str(path), "--verify"])
-    assert proc.returncode == 0
-    assert "cz=" in proc.stdout
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (lambda tmp: ["synth", write(tmp, "ghz.txt", GHZ_FILE), "--verify"], 0),
+        (lambda tmp: ["synth", write(tmp, "neg.txt", DELTA_NEG_FILE), "--real", "--prepare", "--ry", "--verify"], 0),
+        (lambda tmp: ["synth", write(tmp, "ghz.txt", GHZ_FILE), "--out", str(tmp / "c.txt"), "--verify"], 0),
+        (lambda tmp: ["synth", write(tmp, "complex.txt", COMPLEX_FILE), "--real"], 2),
+        (lambda tmp: ["synth", str(tmp / "missing.txt")], 1),
+        (lambda tmp: ["--help"], 0),
+    ],
+    ids=["synth-verify", "real-prepare-ry", "out", "real-on-complex", "missing-file", "help"],
+)
+def test_module_entry_point(tmp_path, capsys, argv, code):
+    # `python -m qprep3` ends with os._exit after flushing stdout and stderr
+    # itself: it writes the same bytes and exits with the same code as main
+    argv = argv(tmp_path)
+    out_path = tmp_path / "c.txt"
+    proc = _run_module(argv)
+    written = out_path.read_bytes() if out_path.exists() else None
+    try:
+        in_process = main(argv)
+    except SystemExit as exc:  # argparse's exit, for --help
+        in_process = exc.code
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (in_process, captured.out, captured.err)
+    assert proc.returncode == code and (proc.stdout or proc.stderr)
+    if written is not None:
+        assert written == out_path.read_bytes() and written.startswith(b"# qprep3 v1 ")
+
+
+def test_entry_exits_3_as_main_does(tmp_path):
+    # a synthesis error through entry(): the same exit 3, trace and state
+    # dump as through main, flushed before the process ends
+    path = write(tmp_path, "haar.txt", _haar_state_file())
+    by_entry, by_main = (_failing_l1_child(["synth", path, "--verify"], run) for run in ("entry", "main"))
+    assert (by_entry.returncode, by_entry.stdout, by_entry.stderr) == (by_main.returncode, by_main.stdout, by_main.stderr)
+    assert by_entry.returncode == 3 and "branch trace: pencil\n" in by_entry.stderr
 
 
 NO_NUMPY_CHILD = """
