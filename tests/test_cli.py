@@ -487,7 +487,10 @@ def test_closed_stdout_exits_1_with_one_error_line(tmp_path):
 @pytest.mark.parametrize("buffering", [[], ["-u"]], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "argv",
-    [lambda tmp: ["synth", write(tmp, "ghz.txt", GHZ_FILE), "--verify"], lambda tmp: ["sweep", "--n", "3", "--seed", "1"]],
+    [
+        lambda tmp: ["synth", write(tmp, "ghz.txt", GHZ_FILE), "--verify"],
+        lambda tmp: ["sweep", "--n", "3", "--seed", "1"],
+    ],
     ids=["synth", "sweep"],
 )
 def test_full_stdout_exits_1_with_one_error_line(tmp_path, argv, buffering):
@@ -561,8 +564,8 @@ def test_entry_exits_3_as_main_does(tmp_path):
     # dump as through main, flushed before the process ends
     path = write(tmp_path, "haar.txt", _haar_state_file())
     by_entry, by_main = (_failing_l1_child(["synth", path, "--verify"], run) for run in ("entry", "main"))
-    assert (by_entry.returncode, by_entry.stdout, by_entry.stderr) == (by_main.returncode, by_main.stdout, by_main.stderr)
-    assert by_entry.returncode == 3 and "branch trace: pencil\n" in by_entry.stderr
+    assert (by_entry.returncode, by_entry.stdout, by_entry.stderr) == (3, "", by_main.stderr)
+    assert by_main.returncode == 3 and "branch trace: pencil\n" in by_entry.stderr
 
 
 NO_NUMPY_CHILD = """
