@@ -40,6 +40,7 @@ starting with `-`, and every usage error pay for the argparse import.
 """
 from __future__ import annotations
 
+import errno
 import os
 import sys
 from types import SimpleNamespace
@@ -318,20 +319,44 @@ def main(argv=None) -> int:
     return _COMMANDS[args.command][0](args)
 
 
+class _ClosedStream:
+    """Stands in for sys.stdout or sys.stderr when its descriptor was closed
+    at start (the stream is then None): a write fails as it does on any
+    stream that cannot be written, and a flush has nothing to do."""
+
+    def write(self, _text):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+    def flush(self):
+        pass
+
+
 def entry() -> None:
     """Run main on sys.argv, flush the standard streams and end the process
     with main's code, skipping interpreter teardown: a one-shot process need
     not free its heap, and no exit-time flush or atexit handler runs after
-    this. argparse's exit (help, usage errors) still takes the normal path."""
+    this. argparse's exit (help, usage errors) still takes the normal path.
+    A stream that cannot be written (a closed pipe, a full device, a
+    descriptor closed at start) ends the run with code 1 and, when stderr
+    can take it, one `error:` line."""
+    if sys.stdout is None:
+        sys.stdout = _ClosedStream()
+    if sys.stderr is None:
+        sys.stderr = _ClosedStream()
+    message = ""
     try:
         code = main()
         sys.stdout.flush()
     except OSError as exc:
-        # stdout cannot be written (a closed pipe, a full device); what is
-        # left in its buffer is dropped at the exit below
-        print(f"error: {exc}", file=sys.stderr)
+        # what is left in stdout's buffer is dropped at the exit below
         code = EXIT_INPUT
-    sys.stderr.flush()
+        message = f"error: {exc}\n"
+    try:
+        sys.stderr.write(message)
+        sys.stderr.flush()
+    except OSError:
+        # stderr is the stream that fails: the code alone reports it
+        pass
     os._exit(code)
 
 

@@ -37,39 +37,55 @@ top-left entry, is skipped: the finisher needs A only as a product. When
 step 1 leaves A zero, a block swap leaves qubit 2 at |0>, and the finisher
 ends the run on m = 1. Skipped stages lower the CZ count.
 
-Real mode starts a state with the chain prefix rather than the flow: a
-rotation on qubit 1, then cz01. The flow's step 1 needs a real root, which a
-state with delta < 0 lacks; the prefix needs none, and a generic state gets
-10 gates from it against the flow's 11. Split on qubit 1 as |0>A + |1>B (A on
-indices 0, 1, 4, 5 and B on 2, 3, 6, 7, rows qubit 2, columns qubit 0), with
-det(xA + yB) = det(A)x^2 + q1 xy + det(B)y^2. Rotating qubit 1 by the angle
-phi/2 and applying cz01 (which negates B's second column) leaves the form
-with trace
+A generic 3-qubit state, in either mode, starts with the chain prefix
+rather than the flow: one gate on qubit 1, then cz01, after which qubit 1
+is a chain middle (Chains, below) that the finisher ends with m = 1 and 2
+more CZ. That is 3 CZ and 10 gates, against the flow's 11, and the prefix
+needs no real pencil root, which a real state with delta < 0 lacks. Split
+on qubit 1 as |0>A + |1>B (A on indices 0, 1, 4, 5 and B on 2, 3, 6, 7,
+rows qubit 2, columns qubit 0) and take the column determinants
 
-    det(A') + det(B') = cos(phi) (det(A) - det(B)) - sin(phi) q1,
+    d_aa = w0 w5 - w4 w1,    d_bb = w2 w7 - w6 w3,
+    d_ab = w0 w7 - w4 w3,    d_ba = w2 w5 - w6 w1,
 
-which vanishes for (cos phi, sin phi) along (q1, det(A) - det(B)). A real,
-symmetric, traceless 2x2 form has two orthogonal real null directions, for
-either sign of delta, so the state is then |u>P + |u_perp>Q on qubit 1 with
-P and Q products: a chain with qubit 1 in the middle, which the finisher
-ends with m = 1 and 2 more CZ. Its step 1 takes the finite root, so a bottom
-block left singular (near W, where delta = 0) needs no case of its own.
+so that f(v) = det(alpha A + beta B) = d_aa alpha^2 + s alpha beta +
+d_bb beta^2, with s = d_ab + d_ba. After U(alpha, beta) on qubit 1, with
+v = (alpha, beta) a unit vector, and cz01 (which negates B's second column),
+the pencil form of the qubit-1 split is q0 = f(v), q2 = -f(v_perp) with
+v_perp = (-conj(beta), conj(alpha)), and q1 = d_ba - d_ab = 2h whatever v.
+Its two singular values are equal when e q2 + conj(q0) = 0, e = conj(h) / h
+(1 when h = 0, where the condition is |q0| = |q2| and this one implies it),
+and that is one quadratic in v:
+
+    v^T K v = 0,    K00 = conj(d_bb) - e d_aa,    K11 = conj(d_aa) - e d_bb,
+                    K01 = -(conj(s) + e s) / 2.
+
+The gate is U(1, z), z = mat2._pencil_root(K11, 2 K01, K00) (_chain_form,
+through _root_gate). For a real state e = 1 and K is real and traceless, so
+the discriminant is 4 (K01^2 + K00^2) >= 0 and z is real; real mode takes
+z's real part, as it does for every root, and its gate stays real.
 
 The prefix spends cz01 on every state, so the flow runs, with no prefix,
-where it finds fewer CZ: for delta from -DELTA_ZERO_BAND (the rounding of
-a delta = 0 state, such as one built with one CZ, at ~ -1e-17) up to
-DELTA_FLOW_MAX (states near one that needs fewer CZ), and when the top
-block is already singular (its step-1 root is then ~0, and real). A chain
-goes to the finisher before either (Chains, below). The bound of 3 CZ is
-checked on every run, not proven: a run that misses it raises.
+where it finds fewer CZ (_first_run): where the pencil discriminant
+q1^2 - 4 q2 q0 of the qubit-2 split (delta, for a real state) is within
+DELTA_FLOW_MAX of 0, near a state that needs fewer CZ, and where the top
+block is already singular (its step-1 root is then ~0, and real). Real
+mode's band starts at -DELTA_ZERO_BAND (the rounding of a delta = 0 state,
+such as one built with one CZ, at ~ -1e-17), not at -DELTA_FLOW_MAX: below
+0 the flow's step-1 roots are a conjugate pair, and with a band down to
+-DELTA_FLOW_MAX their clamped real part failed the step-1 check on 1,017
+of the 52,547 real runs of the near-degenerate fuzz (seeds 1-30), and 4,066
+others got a gate more. A chain goes to the finisher before either (Chains,
+below). The bound of 3 CZ is checked on every run, not proven: a run that
+misses it raises.
 
-Step 1 and the finisher's step 1 take one root through one gate,
-_root_gate(b, q): U(1, z) on qubit q, z the finite root of det(A + zB) for
-q's split (mat2._pencil_root: the smaller one, -q1 / (2 q2) when the
-discriminant is rounding noise, 0 when no root is finite). Real mode takes
-z's real part, and says `pencil-root-clamped` when that drops an imaginary
-part above REAL_ROOT_TOL (a conjugate pair shares its real part). The
-branch decisions are made at EPS_ZERO, the scale the fidelity floor sets: a
+Step 1, the finisher's step 1 and the prefix take one root through one
+gate, _root_gate(b, q, form): U(1, z) on qubit q, z the finite root of a
+quadratic form, det(A + zB) for q's split or the prefix's K
+(mat2._pencil_root: the smaller one, -q1 / (2 q2) when the discriminant is
+rounding noise, 0 when no root is finite). Real mode takes z's real part,
+and says `pencil-root-clamped` when that drops an imaginary part above
+REAL_ROOT_TOL (a conjugate pair shares its real part). The branch decisions are made at EPS_ZERO, the scale the fidelity floor sets: a
 residual they skip costs an infidelity of about its square, far inside
 FID_MIN. So a state within ~EPS_ZERO of one that needs fewer CZ gets the
 fewer, and a CZ count is minimal to within the floor, not exactly.
@@ -340,10 +356,14 @@ def _run2(b: _Builder) -> None:
 def disentangle3(s: PureState3) -> SynthesisReport:
     """Circuit mapping an arbitrary 3-qubit state to |000> with at most 3 CZ.
 
-    A chain is first tried with the chain finisher alone on its middle q
-    (trace `chain<q>`), for 2 CZ; see the module docstring.
+    A generic state takes the chain prefix (a gate on qubit 1, then cz01;
+    see the module docstring), which the finisher ends with 2 more CZ: 3 CZ
+    and 10 gates. The flow runs with no prefix where it finds fewer CZ (a
+    qubit-2 pencil discriminant within DELTA_FLOW_MAX of 0 or a singular top
+    block, _first_run). A chain is first tried with the chain finisher alone
+    on its middle q (trace `chain<q>`), for 2 CZ.
     """
-    return _synthesize(s, s.w, False, None, _run3, 3)
+    return _synthesize(s, s.w, False, None, _first_run(s.w), 3)
 
 
 def _real_amps(s: State, who: str):
@@ -360,22 +380,35 @@ def _real_amps(s: State, who: str):
 def disentangle3_real(s: PureState3) -> SynthesisReport:
     """All-real circuit mapping a real 3-qubit state to |000>.
 
-    At most 3 CZ for either sign of delta(s). The chain prefix (a rotation
-    on qubit 1, then cz01; see the module docstring) leaves a chain that the
-    finisher ends with 2 more CZ. The flow runs with no prefix where it finds
-    fewer CZ: delta in [-DELTA_ZERO_BAND, DELTA_FLOW_MAX] or a singular top
-    block. A run that misses a check, the bound included, raises. Every root
-    it chooses is real. As in disentangle3, a chain is first tried with the
-    finisher alone on its middle, for 2 CZ.
+    At most 3 CZ for either sign of delta(s). As in disentangle3, a generic
+    state takes the chain prefix, whose gate is real here, and the flow runs
+    where it finds fewer CZ: delta in [-DELTA_ZERO_BAND, DELTA_FLOW_MAX] or a
+    singular top block (_first_run). A run that misses a check, the bound
+    included, raises. Every root it chooses is real. A chain is first tried
+    with the finisher alone on its middle, for 2 CZ.
     The first label of the branch trace is the sign of delta (`delta>=0` or
     `delta<0`); the chain prefix says `chain01`.
     """
     w = _real_amps(s, "disentangle3_real")
     d = _delta(w)
-    # the flow where it finds fewer CZ than the prefix, which spends cz01 on
-    # every state (module docstring); its step-1 root is real or clamped
-    plain = -DELTA_ZERO_BAND <= d <= DELTA_FLOW_MAX or is_singular(_split(w, 2)[0], EPS_ZERO)
-    return _synthesize(s, w, True, "delta>=0" if d >= 0.0 else "delta<0", _run3 if plain else _chain01, 3)
+    return _synthesize(s, w, True, "delta>=0" if d >= 0.0 else "delta<0", _first_run(w, d), 3)
+
+
+def _first_run(w, d=None):
+    """The run a 3-qubit input gets after its chain attempts: the flow (_run3)
+    near a state that needs fewer CZ, where its skips find them and the
+    prefix would spend cz01 for nothing, else the chain prefix (_chain01).
+    Near is a pencil discriminant of the qubit-2 split within DELTA_FLOW_MAX
+    of 0; real mode passes d = delta, the same discriminant in its own sum
+    order, and keeps the band [-DELTA_ZERO_BAND, DELTA_FLOW_MAX], as the
+    flow's step-1 root is not real below it. A singular top block also takes
+    the flow: its step-1 root is then ~0, and real."""
+    if d is None:
+        q2, q1, q0 = _pencil_form(*_SPLIT_ENTRIES[2](w))
+        near = abs(q1 * q1 - 4.0 * q2 * q0) <= DELTA_FLOW_MAX
+    else:
+        near = -DELTA_ZERO_BAND <= d <= DELTA_FLOW_MAX
+    return _run3 if near or is_singular(_split(w, 2)[0], EPS_ZERO) else _chain01
 
 
 def _chain_middles(w) -> list[int]:
@@ -399,44 +432,38 @@ def _chain_middles(w) -> list[int]:
 
 
 def _chain01(b: _Builder) -> None:
-    """Real mode's chain prefix (module docstring), ended by the finisher."""
+    """The chain prefix (module docstring), ended by the finisher."""
     b.say("chain01")
-    b.local(1, _chain_rotation(b.amps))
+    _root_gate(b, 1, _chain_form(b.amps))
     b.cz(0, 1)
     _finish_chain(b, 1, (0, 2))
 
 
-def _chain_rotation(w) -> Mat2:
-    """Real rotation on qubit 1 after which cz01 leaves the form of the
-    qubit-1 split traceless (module docstring), built by half angles from
-    the unit vector (cos phi, sin phi) along (q1, det(A) - det(B)).
-
-    Of the two opposite unit vectors, the one with cos phi >= 0 is taken, so
-    cos(phi/2) >= 1/sqrt(2) and sin(phi/2) = sin(phi) / (2 cos(phi/2)) does
-    not cancel.
-    """
-    det_b, q1, det_a = _pencil_form(*_SPLIT_ENTRIES[1]([z.real for z in w]))
-    gap = det_a - det_b
-    r = math.sqrt(q1 * q1 + gap * gap)
-    if r == 0.0:
-        # the form is traceless already
-        return u_from_pair(1.0, 0.0)
-    cos_phi = abs(q1) / r
-    sin_phi = (gap if q1 >= 0.0 else -gap) / r
-    c = math.sqrt(0.5 * (1.0 + cos_phi))
-    # the gate [[c, -s], [s, c]] maps (A, B) to (cA - sB, sA + cB)
-    return u_from_pair(c, -0.5 * sin_phi / c)
+def _chain_form(w) -> tuple:
+    """(K11, 2 K01, K00) of the 8 amplitudes w: the gate U(1, z) on qubit 1,
+    z a root of K11 z^2 + 2 K01 z + K00, leaves qubit 1 a chain middle after
+    cz01 (module docstring). Float entries give a float, traceless K."""
+    w0, w1, w2, w3, w4, w5, w6, w7 = w
+    d_aa, d_bb = w0 * w5 - w4 * w1, w2 * w7 - w6 * w3
+    d_ab, d_ba = w0 * w7 - w4 * w3, w2 * w5 - w6 * w1
+    s, h = d_ab + d_ba, 0.5 * (d_ba - d_ab)
+    e = h.conjugate() / h if h else 1.0
+    return d_aa.conjugate() - e * d_bb, -(s.conjugate() + e * s), d_bb.conjugate() - e * d_aa
 
 
-def _root_gate(b: _Builder, q: int) -> None:
-    """U(1, z) on qubit q, z the finite root of det(A + zB) for q's split
-    (mat2._pencil_root), which makes A singular. Real mode takes z's real
-    part, as a float, so the gate is real (of floats when the tracked
-    amplitudes are); a conjugate pair from a slightly negative discriminant
-    shares that real part, the best real root, and says
-    `pencil-root-clamped`: the check after the gate verifies it, l1's
-    precondition in step 1 and the finisher's step-1 check in a chain."""
-    z = _pencil_root(*_pencil_form(*_SPLIT_ENTRIES[q](b.amps)))
+def _root_gate(b: _Builder, q: int, form: tuple | None = None) -> None:
+    """U(1, z) on qubit q, z = mat2._pencil_root(*form), the finite root of
+    q2 z^2 + q1 z + q0 for form = (q2, q1, q0). The default, the pencil form
+    of q's split, makes its block A singular; the chain form (_chain_form)
+    makes q = 1 a chain middle after cz01. Real mode takes z's real part, as
+    a float, so the gate is real (of floats when the tracked amplitudes are);
+    a conjugate pair from a slightly negative discriminant shares that real
+    part, the best real root, and says `pencil-root-clamped`: the check after
+    the gate verifies it, l1's precondition in step 1 and the finisher's
+    checks in a chain and after the prefix."""
+    if form is None:
+        form = _pencil_form(*_SPLIT_ENTRIES[q](b.amps))
+    z = _pencil_root(*form)
     if b.real:
         if abs(z.imag) > REAL_ROOT_TOL:
             b.say("pencil-root-clamped")

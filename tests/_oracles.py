@@ -130,6 +130,19 @@ def random_unitary2(rng, real: bool = False) -> Mat2:
     return scaled(u, phase)
 
 
+def w_under_locals(seed, real: bool = False) -> np.ndarray:
+    """W = (|001> + |010> + |100>) / sqrt(3) under a random local gate on
+    each qubit, applied as dense matrices. The discriminant is a local
+    invariant, so delta and the qubit-2 pencil discriminant are 0 up to
+    rounding, and no qubit is a chain middle: synthesis takes the flow, not
+    the chain prefix, in both modes."""
+    rng = np.random.default_rng(seed)
+    v = np.array([0, 1, 1, 0, 1, 0, 0, 0], dtype=np.complex128) / math.sqrt(3.0)
+    for q in range(3):
+        v = local_unitary(3, q, random_unitary2(rng, real)) @ v
+    return v
+
+
 def max_row_minor(rows) -> float:
     worst = 0.0
     for i in range(len(rows)):
@@ -191,20 +204,35 @@ def cz_min(amps, tol: float = 1e-9, chain_gap: float = 1e-6) -> int:
     scale 1e-5) a state that close to a chain may get 2 CZ. So 1e-4 gives a
     loose count, a lower bound on a run's CZ near a chain.
     """
-    v = np.asarray(amps, dtype=np.complex128).reshape(2, 2, 2)  # axes (q2, q1, q0)
-    split = [np.moveaxis(v, 2 - q, 0) for q in range(3)]  # split[q][b]: the block of q = b
+    split = [_split(amps, q) for q in range(3)]
     ranks = [int(np.sum(np.linalg.svd(m.reshape(2, 4), compute_uv=False) > tol)) for m in split]
     if ranks.count(1) == 3:
         return 0
     if 1 in ranks:
         return 1
-    for a, b in split:
-        da, db = np.linalg.det(a), np.linalg.det(b)
-        c = np.linalg.det(a + b) - da - db
-        s = np.linalg.svd(np.array([[da, c / 2], [c / 2, db]]), compute_uv=False)
+    for q in range(3):
+        s = pencil_singular_values(amps, q)
         if s[0] - s[1] <= chain_gap * s[0]:
             return 2
     return 3
+
+
+def _split(amps, q: int) -> np.ndarray:
+    """The blocks (A, B) of qubit q's split as one 2x2x2 array: [b] is the
+    block of q = b, rows the higher and columns the lower other qubit."""
+    v = np.asarray(amps, dtype=np.complex128).reshape(2, 2, 2)  # axes (q2, q1, q0)
+    return np.moveaxis(v, 2 - q, 0)
+
+
+def pencil_singular_values(amps, q: int) -> np.ndarray:
+    """Singular values s0 >= s1 of the pencil form S = [[det A, c/2], [c/2,
+    det B]] of qubit q's split, det(xA + yB) = det(A)x^2 + c xy + det(B)y^2,
+    by numpy determinants and SVD. Qubit q is a chain middle when they are
+    equal (cz_min)."""
+    a, b = _split(amps, q)
+    da, db = np.linalg.det(a), np.linalg.det(b)
+    c = np.linalg.det(a + b) - da - db
+    return np.linalg.svd(np.array([[da, c / 2], [c / 2, db]]), compute_uv=False)
 
 
 def argparse_cli_parser() -> argparse.ArgumentParser:

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from _oracles import argparse_cli_parser, dense_apply
+from _oracles import argparse_cli_parser, dense_apply, w_under_locals
 from qprep3.circuit import apply_circuit, format_number, parse_circuit
 from qprep3.cli import _parse, main, parse_state_text
 from qprep3.errors import SynthesisInvariantError
@@ -203,10 +203,11 @@ def _near_zero_state_file() -> str:
     return "".join("%.17g %.17g\n" % (z.real, z.imag) for z in v)
 
 
-def _haar_state_file() -> str:
-    """A Haar-random state at 17 digits: not a chain, so synthesis runs the
-    flow (GHZ is a chain, which the finisher alone ends)."""
-    return "".join("%.17g %.17g\n" % (z.real, z.imag) for z in random_state((7, 1)).w)
+def _flow_state_file() -> str:
+    """A W state under local gates at 17 digits: its discriminant is 0, so
+    synthesis runs the flow (a Haar state takes the chain prefix, and GHZ,
+    a chain, the finisher alone)."""
+    return "".join("%.17g %.17g\n" % (z.real, z.imag) for z in PureState3(w_under_locals(7)).w)
 
 
 # synthesis builds its step-2 gate with mat2.l1; the child runs ARGV
@@ -236,7 +237,7 @@ class TestSynthErrorContract:
     def test_library_error_exits_3_with_trace(self, tmp_path):
         # a library error inside the synthesis (not an invariant failure)
         # still follows the exit-3 contract: trace on stderr, no traceback
-        path = write(tmp_path, "haar.txt", _haar_state_file())
+        path = write(tmp_path, "w.txt", _flow_state_file())
         proc = _failing_l1_child(["synth", path, "--verify"], "main")
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
@@ -256,7 +257,7 @@ class TestSynthErrorContract:
 
     def test_failed_final_check_exits_3_with_trace(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("qprep3.synth.FID_MIN", 1.5)
-        path = write(tmp_path, "haar.txt", _haar_state_file())
+        path = write(tmp_path, "w.txt", _flow_state_file())
         code, out, err = run_cli(capsys, ["synth", path, "--verify"])
         assert code == 3 and out == ""
         assert "error: SynthesisInvariantError: final fidelity " in err
@@ -416,14 +417,14 @@ def _hist_keys(out: str) -> set[int]:
     return keys
 
 
-def _run_python(args, stdout=subprocess.PIPE):
+def _run_python(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs):
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
     # buffered stdout, as a user gets by default; a test that wants it
     # unbuffered passes -u
     env.pop("PYTHONUNBUFFERED", None)
-    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=stderr, text=True, env=env, **kwargs)
 
 
 def _run_module(argv):
@@ -503,6 +504,49 @@ def test_full_stdout_exits_1_with_one_error_line(tmp_path, argv, buffering):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "No space left" in lines[0]
 
 
+def test_closed_stdout_exits_1_with_one_error_line(tmp_path):
+    # fd 1 closed at start leaves sys.stdout None: a command that writes to
+    # it fails as on any stdout that cannot be written, and one that writes
+    # only a file succeeds
+    ghz = write(tmp_path, "ghz.txt", GHZ_FILE)
+    out = tmp_path / "c.txt"
+    for argv, code in [(["synth", ghz, "--verify"], 1), (["synth", ghz, "--out", str(out)], 0)]:
+        proc = _run_python(["-m", "qprep3", *argv], stdout=None, preexec_fn=lambda: os.close(1))
+        assert proc.returncode == code
+        lines = proc.stderr.splitlines()
+        assert lines == (["error: [Errno 9] Bad file descriptor"] if code else [])
+    assert out.read_text(encoding="utf-8").startswith("# qprep3 v1 ")
+
+
+# the child runs ARGV through entry() with a hook that reports on stdout any
+# exception that escapes it
+ESCAPE_HOOK_CHILD = """
+import sys
+import qprep3.cli
+sys.excepthook = lambda kind, *_: print("escaped:", kind.__name__)
+if CLOSE_STDERR:
+    sys.stderr = None
+sys.argv[1:] = ARGV
+qprep3.cli.entry()
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("buffering", [[], ["-u"]], ids=["buffered", "unbuffered"])
+def test_stderr_that_cannot_be_written_exits_1(tmp_path, buffering):
+    # the error line for a missing file cannot be written: entry ends the
+    # run itself with code 1, and no exception escapes it, whether stderr is
+    # a full device or was closed at start (then None)
+    argv = ["synth", str(tmp_path / "missing.txt")]
+    with open("/dev/full", "w") as full:
+        proc = _run_python([*buffering, "-m", "qprep3", *argv], stderr=full)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        for close in (False, True):
+            child = f"ARGV = {argv!r}\nCLOSE_STDERR = {close}\n" + ESCAPE_HOOK_CHILD
+            proc = _run_python([*buffering, "-c", child], stderr=full)
+            assert (proc.returncode, proc.stdout) == (1, "")
+
+
 @pytest.mark.parametrize("command, flags", [("synth", ["--verify"]), ("delta", [])])
 def test_byte_order_mark_is_skipped(tmp_path, capsys, command, flags):
     # a file that starts with a UTF-8 BOM reads as the same file without it
@@ -562,7 +606,7 @@ def test_module_entry_point(tmp_path, capsys, argv, code):
 def test_entry_exits_3_as_main_does(tmp_path):
     # a synthesis error through entry(): the same exit 3, trace and state
     # dump as through main, flushed before the process ends
-    path = write(tmp_path, "haar.txt", _haar_state_file())
+    path = write(tmp_path, "w.txt", _flow_state_file())
     by_entry, by_main = (_failing_l1_child(["synth", path, "--verify"], run) for run in ("entry", "main"))
     assert (by_entry.returncode, by_entry.stdout, by_entry.stderr) == (3, "", by_main.stderr)
     assert by_main.returncode == 3 and "branch trace: pencil\n" in by_entry.stderr

@@ -10,14 +10,16 @@ from _oracles import (
     cz_unitary,
     dense_apply,
     local_unitary,
+    pencil_singular_values,
     random_nonsingular,
     random_rank1,
     random_unitary2,
     scaled,
+    w_under_locals,
 )
 from qprep3.circuit import Circuit, CZGate, LocalGate, apply_circuit, ry_matrix
 from qprep3.errors import NonSingularInputError, NotRealError, SynthesisInvariantError
-from qprep3.mat2 import CHAIN_GAP_TOL, DELTA_FLOW_MAX, EPS_ZERO, IDENTITY, Mat2
+from qprep3.mat2 import CHAIN_GAP_TOL, DELTA_FLOW_MAX, EPS_ZERO, IDENTITY, Mat2, _pencil_root, u_from_pair
 from qprep3.state import (
     PureState2,
     PureState3,
@@ -241,10 +243,10 @@ class TestBranchReductions:
     @pytest.mark.parametrize(
         "synth, v",
         [
-            (disentangle3, [-0.5, 0, 0, 0.5, 0.5, -0.5, 0, 0]),
-            # real mode gives the state above the chain prefix (delta 0.25);
-            # this one's singular top block keeps it on the flow, and its
-            # step-4 gate is -I
+            # a generic state takes the chain prefix in both modes; this
+            # one's singular top block keeps it on the flow, and its step-4
+            # gate is -I in both
+            (disentangle3, [0.5, 0, 0.5, 0, 0, 0.5, 0.5, 0]),
             (disentangle3_real, [0.5, 0, 0.5, 0, 0, 0.5, 0.5, 0]),
         ],
         ids=["general", "real"],
@@ -357,16 +359,17 @@ class TestDisentangle3Real:
 
     def test_delta_branch_soundness(self):
         # the chain prefix real mode runs for either sign of delta: after its
-        # rotation on qubit 1 and cz01, the pencil form of the qubit-1 split
+        # real gate on qubit 1 and cz01, the pencil form of the qubit-1 split
         # (A on indices 0, 1, 4, 5, B on 2, 3, 6, 7) is traceless, so qubit 1
         # is a chain middle, by the package's test and by the dense oracle
-        from qprep3.synth import _chain_middles, _chain_rotation
+        from qprep3.synth import _chain_form, _chain_middles
 
         signs = {True: 0, False: 0}
         for i in range(2000):
             s = random_state((733, i), real_only=True)
             signs[delta(s) < 0.0] += 1
-            v = cz_unitary(3, 0, 1) @ local_unitary(3, 1, _chain_rotation(list(s.w))) @ s.amps
+            gate = u_from_pair(1.0, _pencil_root(*_chain_form([z.real for z in s.w])).real)
+            v = cz_unitary(3, 0, 1) @ local_unitary(3, 1, gate) @ s.amps
             a, b = v[[0, 1, 4, 5]].reshape(2, 2), v[[2, 3, 6, 7]].reshape(2, 2)
             assert abs(np.linalg.det(a) + np.linalg.det(b)) <= 1e-14
             assert 1 in _chain_middles(list(v))
@@ -477,9 +480,9 @@ class TestAttemptsInOrder:
             assert abs(dense_apply(rep.circuit, s.amps)[0]) >= FID
 
     @staticmethod
-    def _clamps_like_the_real_root(monkeypatch, s, before):
+    def _clamps_like_the_real_root(monkeypatch, s, *before):
         """A pencil root r + 0.5i, r the true root, must give s the unpatched
-        circuit, with `pencil-root-clamped` after the label `before`."""
+        circuit, with `pencil-root-clamped` after each label in `before`."""
         import qprep3.synth as synth
 
         want = disentangle3_real(s)
@@ -490,8 +493,10 @@ class TestAttemptsInOrder:
 
         monkeypatch.setattr(synth, "_pencil_root", conjugate_pair)
         rep = disentangle3_real(s)
-        k = want.branch_trace.index(before) + 1
-        assert rep.branch_trace == want.branch_trace[:k] + ("pencil-root-clamped",) + want.branch_trace[k:]
+        trace = []
+        for label in want.branch_trace:
+            trace += [label, "pencil-root-clamped"] if label in before else [label]
+        assert rep.branch_trace == tuple(trace)
         assert rep.circuit == want.circuit
         assert rep.fidelity == want.fidelity
 
@@ -514,11 +519,11 @@ class TestAttemptsInOrder:
         self._clamps_like_the_real_root(monkeypatch, s, "chain2")
 
     def test_chain_prefix_root_is_clamped_to_its_real_part(self, monkeypatch):
-        # a generic delta >= 0 state takes the chain prefix, whose finisher
-        # takes the patched root on qubit 1
+        # a generic delta >= 0 state takes the chain prefix: its own gate and
+        # the finisher's step 1 on qubit 1 each take the patched root
         s = next(t for t in (random_state((764, i), real_only=True) for i in range(100)) if delta(t) >= 0.0)
         assert disentangle3_real(s).branch_trace[:3] == ("delta>=0", "chain01", "chain1")
-        self._clamps_like_the_real_root(monkeypatch, s, "chain1")
+        self._clamps_like_the_real_root(monkeypatch, s, "chain01", "chain1")
 
 
 def _chain(seed, real, m=0) -> PureState3:
@@ -543,13 +548,9 @@ def _oracle_chain_middles(v) -> tuple[list[int], list[float]]:
     singular values s0 >= s1 of its pencil form S_q = [[det A, c/2], [c/2,
     det B]], det(xA + yB) = det(A) x^2 + c xy + det(B) y^2 (inf for a form
     of norm at most EPS_ZERO, which is no chain)."""
-    t = np.asarray(v, dtype=np.complex128).reshape(2, 2, 2)  # axes (q2, q1, q0)
     middles, gaps = [], []
     for q in range(3):
-        a, b = np.moveaxis(t, 2 - q, 0)
-        da, db = np.linalg.det(a), np.linalg.det(b)
-        c = np.linalg.det(a + b) - da - db
-        s0, s1 = np.linalg.svd(np.array([[da, c / 2], [c / 2, db]]), compute_uv=False)
+        s0, s1 = pencil_singular_values(v, q)
         n2 = s0 * s0 + s1 * s1
         gaps.append(((s0 * s0 - s1 * s1) / n2) ** 2 if n2 > EPS_ZERO * EPS_ZERO else math.inf)
         if gaps[-1] <= CHAIN_GAP_TOL:
@@ -593,6 +594,115 @@ class TestChainScreen:
                 assert int(name[-1]) in got
             seen.add((name[:5], tuple(got)))
         assert {("ghz", (0, 1, 2)), ("w", ()), ("000", ()), ("haar", ())} <= seen
+
+
+def _qubit1_blocks(v) -> tuple[np.ndarray, np.ndarray]:
+    """A and B of the qubit-1 split of 8 amplitudes: A on indices 0, 1, 4, 5,
+    B on 2, 3, 6, 7, rows qubit 2 and columns qubit 0."""
+    v = np.asarray(v)
+    return v[[0, 1, 4, 5]].reshape(2, 2), v[[2, 3, 6, 7]].reshape(2, 2)
+
+
+class TestChainPrefix:
+    """The chain prefix: U(1, z) on qubit 1, z a root of the form K, then cz01."""
+
+    @pytest.mark.parametrize("real", [False, True], ids=["general", "real"])
+    def test_form_identities(self, real):
+        # by numpy, after U(alpha, beta) on qubit 1 and cz01: q1 = d_ba - d_ab
+        # whatever the gate, q0 = f(v) and q2 = -f(v_perp), and the chain
+        # condition e q2 + conj(q0) = 0 is -e conj(v^T K v) = 0. The
+        # package's form is (K11, 2 K01, K00); a real K is traceless
+        from qprep3.synth import _chain_form
+
+        rng = np.random.default_rng(781)
+        for i in range(200):
+            state = random_state((781, i), real_only=real)
+            w = state.amps
+            a, b = _qubit1_blocks(w)
+
+            def det(x, y):
+                return np.linalg.det(np.column_stack((x[:, 0], y[:, 1])))
+
+            d_aa, d_bb, d_ab, d_ba = det(a, a), det(b, b), det(a, b), det(b, a)
+            s, h = d_ab + d_ba, (d_ba - d_ab) / 2
+            e = np.conj(h) / h
+            k01 = -(np.conj(s) + e * s) / 2
+            k = np.array([[np.conj(d_bb) - e * d_aa, k01], [k01, np.conj(d_aa) - e * d_bb]])
+            assert np.allclose(_chain_form(list(state.w)), (k[1, 1], 2 * k[0, 1], k[0, 0]), rtol=0, atol=1e-14)
+            if real:
+                # real mode's float path keeps the form in floats
+                assert abs(np.trace(k)) <= 1e-15
+                assert all(type(q) is float for q in _chain_form([z.real for z in state.w]))
+
+            def f(x, y):
+                return d_aa * x * x + s * x * y + d_bb * y * y
+
+            gate = random_unitary2(rng, real)
+            alpha, beta = u_from_pair(gate.a, gate.b)[:2]
+            v = cz_unitary(3, 0, 1) @ local_unitary(3, 1, u_from_pair(alpha, beta)) @ w
+            a2, b2 = _qubit1_blocks(v)
+            q0, q2 = np.linalg.det(a2), np.linalg.det(b2)
+            q1 = np.linalg.det(a2 + b2) - q0 - q2
+            vkv = np.array([alpha, beta]) @ k @ np.array([alpha, beta])
+            assert abs(q1 - (d_ba - d_ab)) <= 1e-14
+            assert abs(q0 - f(alpha, beta)) <= 1e-14
+            assert abs(q2 + f(-np.conj(beta), np.conj(alpha))) <= 1e-14
+            assert abs(e * q2 + np.conj(q0) + e * np.conj(vkv)) <= 1e-14
+
+    @pytest.mark.parametrize("real", [False, True], ids=["general", "real"])
+    def test_prefix_leaves_qubit_1_a_chain_middle(self, real):
+        # the circuit's first two gates, the prefix, applied as dense
+        # matrices: the two singular values of qubit 1's pencil form are then
+        # equal, and the gate is a root of v^T K v = 0
+        synth = disentangle3_real if real else disentangle3
+        for i in range(300):
+            s = random_state((782, i), real_only=real)
+            rep = synth(s)
+            assert rep.branch_trace[int(real)] == "chain01"
+            gate, cz = rep.circuit.gates[:2]
+            assert (gate.qubit, cz) == (1, CZGate(0, 1))
+            v = cz_unitary(3, 0, 1) @ local_unitary(3, 1, gate.matrix) @ s.amps
+            s0, s1 = pencil_singular_values(v, 1)
+            assert s0 >= 1e-3 and s0 - s1 <= 1e-13 * s0
+            assert rep.all_real or not real
+
+    @pytest.mark.parametrize("real", [False, True], ids=["general", "real"])
+    def test_equal_mixed_determinants(self, real):
+        # d_ab = d_ba makes h = 0, where e is 1: exactly, from the pattern
+        # (a, 0, c, d, 0, a, f, c), whose d_ab = a c and d_ba = c a have the
+        # same bits, and up to rounding, with w7 solved from the others.
+        # Draws whose qubit-2 discriminant is near 0 take the flow, by design,
+        # and are drawn again
+        from qprep3.synth import _chain_form
+
+        rng = np.random.default_rng(783)
+        synth = disentangle3_real if real else disentangle3
+        for n in range(40):
+            disc = 0.0
+            while abs(disc) < 1e-3:
+                x = rng.standard_normal(8) + (0 if real else 1j) * rng.standard_normal(8)
+                if n % 2 == 0:
+                    x[[1, 4]] = 0.0
+                    x[5], x[7] = x[0], x[2]
+                else:
+                    x[7] = (x[2] * x[5] - x[6] * x[1] + x[4] * x[3]) / x[0]
+                x /= np.linalg.norm(x)
+                q0, q2 = np.linalg.det(x[:4].reshape(2, 2)), np.linalg.det(x[4:].reshape(2, 2))
+                q1 = np.linalg.det((x[:4] + x[4:]).reshape(2, 2)) - q0 - q2
+                disc = q1 * q1 - 4.0 * q2 * q0
+            s = PureState3(x)
+            w = list(s.w)
+            h = (w[2] * w[5] - w[6] * w[1]) - (w[0] * w[7] - w[4] * w[3])
+            assert (h == 0) if n % 2 == 0 else abs(h) <= 1e-15
+            form = _chain_form(w)
+            assert all(np.isfinite(complex(q)) for q in form)
+            rep = synth(s)
+            assert rep.branch_trace[int(real)] == "chain01"
+            assert (rep.cz_count, len(rep.circuit.gates)) == (3, 10)
+            v = cz_unitary(3, 0, 1) @ local_unitary(3, 1, rep.circuit.gates[0].matrix) @ s.amps
+            s0, s1 = pencil_singular_values(v, 1)
+            assert s0 - s1 <= 1e-12 * s0
+            assert abs(dense_apply(rep.circuit, s.amps)[0]) >= FID
 
 
 class TestMinimalCircuits:
@@ -783,7 +893,7 @@ class TestStepInvariants:
         # catches its extra CZ against the 3-qubit bound
         self._pad_stage(monkeypatch, CZGate(0, 1), CZGate(0, 1))
         with pytest.raises(SynthesisInvariantError, match=r"^cz count 5 exceeds 3$") as info:
-            disentangle3(random_state((762, 0)))
+            disentangle3(PureState3(w_under_locals(762)))
         assert info.value.branch_trace[-3:] == ["chain2", "cz02", "cz12"]
 
     def test_embedded_stage_fidelity_check_fires(self, monkeypatch):
@@ -791,7 +901,7 @@ class TestStepInvariants:
         tilt = LocalGate(0, ry_matrix(2.0 * math.acos(1.0 - 5e-10)))
         self._pad_stage(monkeypatch, tilt)
         with pytest.raises(SynthesisInvariantError, match=r"^final fidelity 0\.99999\d* below 0\.9999999999$") as info:
-            disentangle3(random_state((762, 0)))
+            disentangle3(PureState3(w_under_locals(762)))
         assert info.value.branch_trace[-3:] == ["chain2", "cz02", "cz12"]
 
     def test_real_mode_gate_realness_check_fires(self, monkeypatch):
@@ -892,8 +1002,15 @@ class TestStepInvariants:
                 "_pencil_root", 1.0, disentangle3_real, "3-real-delta<0",
                 SynthesisInvariantError, "chain1: blocks not products", ["delta<0", "chain01", "chain1"],
             ),
+            # a wrong prefix gate (U(1, 1), the root of z^2 - 1 = 0) leaves
+            # qubit 1 no chain middle, so the finisher's step 1 cannot make
+            # both of its blocks products
+            (
+                "_chain_form", (1.0, 0.0, -1.0), disentangle3, "haar",
+                SynthesisInvariantError, "chain1: blocks not products", ["chain01", "chain1"],
+            ),
         ],
-        ids=["step1", "step2", "step4-det", "step4-top", "step5", "2q-sandwich", "2q-row", "chain-root"],
+        ids=["step1", "step2", "step4-det", "step4-top", "step5", "2q-sandwich", "2q-row", "chain-root", "prefix-gate"],
     )
     def test_step_check_fires(self, monkeypatch, construction, wrong, synth, state, error, msg, trace):
         # each step check must catch a wrong gate from the construction
@@ -901,8 +1018,10 @@ class TestStepInvariants:
         import qprep3.synth as synth_module
 
         monkeypatch.setattr(synth_module, construction, lambda *_: wrong)
+        # "3" takes the flow (a generic state takes the chain prefix)
         s = {
-            "3": lambda: random_state((764, 0)),
+            "3": lambda: PureState3(w_under_locals(764)),
+            "haar": lambda: random_state((764, 0)),
             "2": lambda: random_state2((764, 1)),
             "1x2": lambda: PureState3(np.concatenate([np.zeros(4), random_state2((764, 2)).amps])),
             "3-real-delta<0": lambda: _real_delta_negative(764),
@@ -979,11 +1098,12 @@ class TestStepInvariants:
         def failing(_m):
             raise NonSingularInputError("l1 requires det = 0")
 
-        # synthesis builds its step-2 gate with mat2.l1 (a Haar state: GHZ
-        # takes the qubit-0 finisher, which needs no l1)
+        # the flow builds its step-2 gate with mat2.l1 (a W state under
+        # local gates: a Haar state takes the chain prefix and GHZ the
+        # qubit-0 finisher, neither of which needs l1)
         monkeypatch.setattr(synth, "l1", failing)
         with pytest.raises(NonSingularInputError) as info:
-            disentangle3(random_state((767, 0)))
+            disentangle3(PureState3(w_under_locals(767)))
         assert info.value.branch_trace == ["pencil"]
 
     def test_near_000_synthesizes(self):
@@ -1003,7 +1123,7 @@ class TestStepInvariants:
 
         monkeypatch.setattr(synth, "_finish_chain", failing)
         with pytest.raises(SynthesisInvariantError) as info:
-            disentangle3(random_state((767, 0)))
+            disentangle3(PureState3(w_under_locals(767)))
         trace = info.value.branch_trace
         assert trace[0] == "pencil" and trace[-1] == "chain2" and len(trace) > 2
 
