@@ -134,8 +134,8 @@ SEEDED = [
     ("real-prepare", lambda i: random_state((792, i), real_only=True), lambda s: prepare(s, "real"), True, 75),
     ("two-qubit", lambda i: random_state2((793, i)), prepare, False, 50),
 ]
-SEEDED_SHA256 = "341a83026d4058ca49f257b5ad89a5d07c66546fb6634d311d32bc3d3deaad62"
-SEEDED_STRUCTURE_SHA256 = "058e806c20bcfc052cb414111b87d28834b116fe105f1cacd18b460495bc3c08"
+SEEDED_SHA256 = "10d7e5d002f073b35fe190d54c8481f97afb5baa086ce8628297a82af56bcee3"
+SEEDED_STRUCTURE_SHA256 = "a3dccd53aa23b352da84c4728df96769d10dff5a8b4ab1713098fd7b962a0603"
 
 
 def _seeded_outcomes():
