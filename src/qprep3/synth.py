@@ -363,7 +363,8 @@ def disentangle3(s: PureState3) -> SynthesisReport:
     block, _first_run). A chain is first tried with the chain finisher alone
     on its middle q (trace `chain<q>`), for 2 CZ.
     """
-    return _synthesize(s, s.w, False, None, _first_run(s.w), 3)
+    q2, q1, q0 = _pencil_form(*_SPLIT_ENTRIES[2](s.w))
+    return _synthesize(s, s.w, False, None, _first_run(s.w, abs(q1 * q1 - 4.0 * q2 * q0)), 3)
 
 
 def _real_amps(s: State, who: str):
@@ -394,21 +395,16 @@ def disentangle3_real(s: PureState3) -> SynthesisReport:
     return _synthesize(s, w, True, "delta>=0" if d >= 0.0 else "delta<0", _first_run(w, d), 3)
 
 
-def _first_run(w, d=None):
+def _first_run(w, d: float):
     """The run a 3-qubit input gets after its chain attempts: the flow (_run3)
     near a state that needs fewer CZ, where its skips find them and the
     prefix would spend cz01 for nothing, else the chain prefix (_chain01).
-    Near is a pencil discriminant of the qubit-2 split within DELTA_FLOW_MAX
-    of 0; real mode passes d = delta, the same discriminant in its own sum
-    order, and keeps the band [-DELTA_ZERO_BAND, DELTA_FLOW_MAX], as the
-    flow's step-1 root is not real below it. A singular top block also takes
+    Near is d, the pencil discriminant of the qubit-2 split, in
+    [-DELTA_ZERO_BAND, DELTA_FLOW_MAX]: general mode passes its modulus, and
+    real mode delta, the same discriminant in its own sum order, whose
+    step-1 root is not real below the band. A singular top block also takes
     the flow: its step-1 root is then ~0, and real."""
-    if d is None:
-        q2, q1, q0 = _pencil_form(*_SPLIT_ENTRIES[2](w))
-        near = abs(q1 * q1 - 4.0 * q2 * q0) <= DELTA_FLOW_MAX
-    else:
-        near = -DELTA_ZERO_BAND <= d <= DELTA_FLOW_MAX
-    return _run3 if near or is_singular(_split(w, 2)[0], EPS_ZERO) else _chain01
+    return _run3 if -DELTA_ZERO_BAND <= d <= DELTA_FLOW_MAX or is_singular(_split(w, 2)[0], EPS_ZERO) else _chain01
 
 
 def _chain_middles(w) -> list[int]:
@@ -451,18 +447,16 @@ def _chain_form(w) -> tuple:
     return d_aa.conjugate() - e * d_bb, -(s.conjugate() + e * s), d_bb.conjugate() - e * d_aa
 
 
-def _root_gate(b: _Builder, q: int, form: tuple | None = None) -> None:
+def _root_gate(b: _Builder, q: int, form: tuple) -> None:
     """U(1, z) on qubit q, z = mat2._pencil_root(*form), the finite root of
-    q2 z^2 + q1 z + q0 for form = (q2, q1, q0). The default, the pencil form
-    of q's split, makes its block A singular; the chain form (_chain_form)
-    makes q = 1 a chain middle after cz01. Real mode takes z's real part, as
+    q2 z^2 + q1 z + q0 for form = (q2, q1, q0). The pencil form of q's split
+    makes its block A singular; the chain form (_chain_form) makes q = 1 a
+    chain middle after cz01. Real mode takes z's real part, as
     a float, so the gate is real (of floats when the tracked amplitudes are);
     a conjugate pair from a slightly negative discriminant shares that real
     part, the best real root, and says `pencil-root-clamped`: the check after
     the gate verifies it, l1's precondition in step 1 and the finisher's
     checks in a chain and after the prefix."""
-    if form is None:
-        form = _pencil_form(*_SPLIT_ENTRIES[q](b.amps))
     z = _pencil_root(*form)
     if b.real:
         if abs(z.imag) > REAL_ROOT_TOL:
@@ -479,7 +473,7 @@ def _run3(b: _Builder) -> None:
         b.local(2, SWAP_BLOCKS)
     else:
         b.say("pencil")
-        _root_gate(b, 2)
+        _root_gate(b, 2, _pencil_form(*_SPLIT_ENTRIES[2](b.amps)))
 
     a1 = _split(b.amps, 2)[0]
     if max(map(abs, a1)) <= EPS_ZERO:
@@ -569,7 +563,7 @@ def _finish_chain(b: _Builder, m: int, outer: tuple[int, ...]) -> None:
     b.say(f"chain{m}")
     if len(outer) == 2 and not all(is_singular(t, EPS_ZERO) for t in _split(b.amps, m)):
         # with no finite root the gate is U(1, 0) = I, which is not emitted
-        _root_gate(b, m)
+        _root_gate(b, m, _pencil_form(*_SPLIT_ENTRIES[m](b.amps)))
         if not all(is_singular(t, STEP_TOL) for t in _split(b.amps, m)):
             raise SynthesisInvariantError(f"chain{m}: blocks not products")
     for x, i, j, half0, half1 in _chain_pairs(len(b.amps), m, outer):
