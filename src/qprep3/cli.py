@@ -14,8 +14,9 @@ of unit norm are renormalized, anything farther is rejected.
 Exit codes: 0 success, 1 bad input or output that cannot be written (a
 state file that cannot be read, decoded, parsed or normalized, a 2-qubit
 file to delta, an --out path that cannot be written, a stdout that cannot
-be written (a closed pipe, a full device), --n < 1 or --seed < 0; one
-`error:` line on stderr), 2
+be written (a closed pipe, a full device, a descriptor closed at start),
+--n < 1 or --seed < 0; one `error:` line on stderr, and none when stderr
+itself cannot be written), 2
 mode violation (complex input where real amplitudes are required) or usage
 error (no command, a missing or malformed argument such as `--n x`, an
 unknown or ambiguous flag; the usage and one `error:` line go to stderr), 3
@@ -320,9 +321,8 @@ def main(argv=None) -> int:
 
 
 class _ClosedStream:
-    """Stands in for sys.stdout or sys.stderr when its descriptor was closed
-    at start (the stream is then None): a write fails as it does on any
-    stream that cannot be written, and a flush has nothing to do."""
+    """A standard stream whose descriptor was closed at start (None in sys):
+    every write fails, as on any stream that cannot be written."""
 
     def write(self, _text):
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
@@ -336,9 +336,8 @@ def entry() -> None:
     with main's code, skipping interpreter teardown: a one-shot process need
     not free its heap, and no exit-time flush or atexit handler runs after
     this. argparse's exit (help, usage errors) still takes the normal path.
-    A stream that cannot be written (a closed pipe, a full device, a
-    descriptor closed at start) ends the run with code 1 and, when stderr
-    can take it, one `error:` line."""
+    A stream that cannot be written ends the run with code 1 and, when
+    stderr can take it, one `error:` line."""
     if sys.stdout is None:
         sys.stdout = _ClosedStream()
     if sys.stderr is None:

@@ -82,13 +82,11 @@ RY_MATCH_TOL = 1e-10
 # real mode runs the flow, not the chain prefix, from -DELTA_ZERO_BAND up to
 # DELTA_FLOW_MAX.
 DELTA_ZERO_BAND = 1e-12
-# The chain prefix spends cz01 on every state, so near a state that needs
-# fewer CZ, where the qubit-2 pencil discriminant (delta, for a real state)
-# is within this of 0, both modes run the flow, whose skips find them (real
-# mode only from -DELTA_ZERO_BAND up). Under the prefix, the real
-# near-degenerate fuzz runs (seeds 1-30) whose CZ count rose and that no
-# chain-middle test caught had delta up to 8.2e-6; at 1e-8, 4 general and 4
-# real runs of it rose from 2 to 3 CZ.
+# The chain prefix spends cz01 on every state, so where the qubit-2 pencil
+# discriminant (delta, for a real state) is within this of 0, near a state
+# that needs fewer CZ, both modes run the flow, whose skips find them. Under
+# the prefix, the real near-degenerate fuzz runs (seeds 1-30) whose CZ count
+# rose had delta up to 8.2e-6; at 1e-8, 4 runs per mode rose.
 DELTA_FLOW_MAX = 1e-5
 # Inputs farther than NORM_REJECT from unit norm are rejected; those farther
 # than NORM_EXACT are renormalized (closer ones pass through bit-identically).

@@ -164,14 +164,12 @@ def blocks(s: PureState3) -> BlockPair:
 def delta(s: PureState3) -> float:
     """Real discriminant of a real 3-qubit state.
 
-    It is the pencil discriminant q1^2 - 4 q2 q0 of the split on any qubit.
     delta >= 0 means the step-1 pencil has a real root. delta < 0 means it
     has none. Real synthesis starts with the chain prefix, whose gate is
     real for either sign, and runs the flow instead near delta = 0 (from
-    -DELTA_ZERO_BAND to DELTA_FLOW_MAX) and on a singular top block, as
-    general mode does on the complex discriminant; a chain goes to the chain
-    finisher first (see synth._first_run). The bound is 3 CZ for either
-    sign.
+    -DELTA_ZERO_BAND to DELTA_FLOW_MAX) and on a singular top block; a chain
+    goes to the chain finisher first (see synth._first_run). The bound is 3
+    CZ for either sign.
     Raises NotRealError when the state has imaginary content above REAL_STATE_TOL.
     """
     if not s.is_real():

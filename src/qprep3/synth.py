@@ -37,55 +37,46 @@ top-left entry, is skipped: the finisher needs A only as a product. When
 step 1 leaves A zero, a block swap leaves qubit 2 at |0>, and the finisher
 ends the run on m = 1. Skipped stages lower the CZ count.
 
-A generic 3-qubit state, in either mode, starts with the chain prefix
-rather than the flow: one gate on qubit 1, then cz01, after which qubit 1
-is a chain middle (Chains, below) that the finisher ends with m = 1 and 2
-more CZ. That is 3 CZ and 10 gates, against the flow's 11, and the prefix
-needs no real pencil root, which a real state with delta < 0 lacks. Split
-on qubit 1 as |0>A + |1>B (A on indices 0, 1, 4, 5 and B on 2, 3, 6, 7,
-rows qubit 2, columns qubit 0) and take the column determinants
+A generic 3-qubit state, in either mode, starts with the chain prefix: one
+gate on qubit 1, then cz01, after which qubit 1 is a chain middle (Chains,
+below) that the finisher ends with m = 1: 3 CZ and 10 gates, against the
+flow's 11, and no real pencil root is needed, which a real state with
+delta < 0 lacks. On the qubit-1 split |0>A + |1>B (A on indices 0, 1, 4, 5,
+B on 2, 3, 6, 7), take
 
-    d_aa = w0 w5 - w4 w1,    d_bb = w2 w7 - w6 w3,
-    d_ab = w0 w7 - w4 w3,    d_ba = w2 w5 - w6 w1,
+    d_aa = w0 w5 - w4 w1,   d_bb = w2 w7 - w6 w3,   s = d_ab + d_ba,
+    d_ab = w0 w7 - w4 w3,   d_ba = w2 w5 - w6 w1,   h = (d_ba - d_ab) / 2.
 
-so that f(v) = det(alpha A + beta B) = d_aa alpha^2 + s alpha beta +
-d_bb beta^2, with s = d_ab + d_ba. After U(alpha, beta) on qubit 1, with
-v = (alpha, beta) a unit vector, and cz01 (which negates B's second column),
-the pencil form of the qubit-1 split is q0 = f(v), q2 = -f(v_perp) with
-v_perp = (-conj(beta), conj(alpha)), and q1 = d_ba - d_ab = 2h whatever v.
-Its two singular values are equal when e q2 + conj(q0) = 0, e = conj(h) / h
-(1 when h = 0, where the condition is |q0| = |q2| and this one implies it),
-and that is one quadratic in v:
+After U(alpha, beta) on qubit 1 and cz01 (which negates B's second column),
+the split's pencil form is q0 = f(v), q1 = 2h and q2 = -f(v_perp), with
+f(v) = d_aa alpha^2 + s alpha beta + d_bb beta^2, v = (alpha, beta) and
+v_perp = (-conj(beta), conj(alpha)). Its singular values are equal when
+e q2 + conj(q0) = 0, e = conj(h) / h (1 when h = 0), that is when
 
-    v^T K v = 0,    K00 = conj(d_bb) - e d_aa,    K11 = conj(d_aa) - e d_bb,
-                    K01 = -(conj(s) + e s) / 2.
+    v^T K v = 0,   K00 = conj(d_bb) - e d_aa,   K11 = conj(d_aa) - e d_bb,
+                   K01 = -(conj(s) + e s) / 2,
 
-The gate is U(1, z), z = mat2._pencil_root(K11, 2 K01, K00) (_chain_form,
-through _root_gate). For a real state e = 1 and K is real and traceless, so
-the discriminant is 4 (K01^2 + K00^2) >= 0 and z is real; real mode takes
-z's real part, as it does for every root, and its gate stays real.
+so the gate is U(1, z), z = mat2._pencil_root(K11, 2 K01, K00)
+(_chain_form). For a real state e = 1 and K is real and traceless, so z is
+real.
 
 The prefix spends cz01 on every state, so the flow runs, with no prefix,
-where it finds fewer CZ (_first_run): where the pencil discriminant
-q1^2 - 4 q2 q0 of the qubit-2 split (delta, for a real state) is within
-DELTA_FLOW_MAX of 0, near a state that needs fewer CZ, and where the top
+where it finds fewer CZ (_first_run): where the qubit-2 pencil discriminant
+(delta, for a real state) is within DELTA_FLOW_MAX of 0, and where the top
 block is already singular (its step-1 root is then ~0, and real). Real
-mode's band starts at -DELTA_ZERO_BAND (the rounding of a delta = 0 state,
-such as one built with one CZ, at ~ -1e-17), not at -DELTA_FLOW_MAX: below
-0 the flow's step-1 roots are a conjugate pair, and with a band down to
--DELTA_FLOW_MAX their clamped real part failed the step-1 check on 1,017
-of the 52,547 real runs of the near-degenerate fuzz (seeds 1-30), and 4,066
-others got a gate more. A chain goes to the finisher before either (Chains,
-below). The bound of 3 CZ is checked on every run, not proven: a run that
-misses it raises.
+mode's band starts at -DELTA_ZERO_BAND (the rounding of delta = 0): below
+0 the flow's step-1 roots are a conjugate pair. A chain goes to the
+finisher before either (Chains, below). The bound of 3 CZ is checked on
+every run, not proven: a run that misses it raises.
 
 Step 1, the finisher's step 1 and the prefix take one root through one
-gate, _root_gate(b, q, form): U(1, z) on qubit q, z the finite root of a
-quadratic form, det(A + zB) for q's split or the prefix's K
-(mat2._pencil_root: the smaller one, -q1 / (2 q2) when the discriminant is
-rounding noise, 0 when no root is finite). Real mode takes z's real part,
-and says `pencil-root-clamped` when that drops an imaginary part above
-REAL_ROOT_TOL (a conjugate pair shares its real part). The branch decisions are made at EPS_ZERO, the scale the fidelity floor sets: a
+gate, _root_gate(b, q, form): U(1, z) on qubit q, z the finite root of
+det(A + zB) for q's split, or of the prefix's K (mat2._pencil_root: the
+smaller one, -q1 / (2 q2) when the discriminant is rounding noise, 0 when
+no root is finite). Real mode takes z's real part, and says
+`pencil-root-clamped` when that drops an imaginary part above
+REAL_ROOT_TOL (a conjugate pair shares its real part). The branch
+decisions are made at EPS_ZERO, the scale the fidelity floor sets: a
 residual they skip costs an infidelity of about its square, far inside
 FID_MIN. So a state within ~EPS_ZERO of one that needs fewer CZ gets the
 fewer, and a CZ count is minimal to within the floor, not exactly.
@@ -356,12 +347,9 @@ def _run2(b: _Builder) -> None:
 def disentangle3(s: PureState3) -> SynthesisReport:
     """Circuit mapping an arbitrary 3-qubit state to |000> with at most 3 CZ.
 
-    A generic state takes the chain prefix (a gate on qubit 1, then cz01;
-    see the module docstring), which the finisher ends with 2 more CZ: 3 CZ
-    and 10 gates. The flow runs with no prefix where it finds fewer CZ (a
-    qubit-2 pencil discriminant within DELTA_FLOW_MAX of 0 or a singular top
-    block, _first_run). A chain is first tried with the chain finisher alone
-    on its middle q (trace `chain<q>`), for 2 CZ.
+    A chain is first tried with the chain finisher alone on its middle q
+    (trace `chain<q>`), for 2 CZ; a generic state then takes the chain
+    prefix, for 3 CZ and 10 gates (_first_run; see the module docstring).
     """
     q2, q1, q0 = _pencil_form(*_SPLIT_ENTRIES[2](s.w))
     return _synthesize(s, s.w, False, None, _first_run(s.w, abs(q1 * q1 - 4.0 * q2 * q0)), 3)
@@ -381,12 +369,11 @@ def _real_amps(s: State, who: str):
 def disentangle3_real(s: PureState3) -> SynthesisReport:
     """All-real circuit mapping a real 3-qubit state to |000>.
 
-    At most 3 CZ for either sign of delta(s). As in disentangle3, a generic
-    state takes the chain prefix, whose gate is real here, and the flow runs
-    where it finds fewer CZ: delta in [-DELTA_ZERO_BAND, DELTA_FLOW_MAX] or a
-    singular top block (_first_run). A run that misses a check, the bound
-    included, raises. Every root it chooses is real. A chain is first tried
-    with the finisher alone on its middle, for 2 CZ.
+    At most 3 CZ for either sign of delta(s). As in disentangle3, a chain is
+    first tried with the finisher alone on its middle, for 2 CZ, and a
+    generic state then takes the chain prefix, whose gate is real here
+    (_first_run). A run that misses a check, the bound included, raises.
+    Every root it chooses is real.
     The first label of the branch trace is the sign of delta (`delta>=0` or
     `delta<0`); the chain prefix says `chain01`.
     """
@@ -397,13 +384,9 @@ def disentangle3_real(s: PureState3) -> SynthesisReport:
 
 def _first_run(w, d: float):
     """The run a 3-qubit input gets after its chain attempts: the flow (_run3)
-    near a state that needs fewer CZ, where its skips find them and the
-    prefix would spend cz01 for nothing, else the chain prefix (_chain01).
-    Near is d, the pencil discriminant of the qubit-2 split, in
-    [-DELTA_ZERO_BAND, DELTA_FLOW_MAX]: general mode passes its modulus, and
-    real mode delta, the same discriminant in its own sum order, whose
-    step-1 root is not real below the band. A singular top block also takes
-    the flow: its step-1 root is then ~0, and real."""
+    where d, the qubit-2 pencil discriminant (its modulus in general mode,
+    delta in real mode), lies in [-DELTA_ZERO_BAND, DELTA_FLOW_MAX] or the
+    top block is singular, else the chain prefix (_chain01)."""
     return _run3 if -DELTA_ZERO_BAND <= d <= DELTA_FLOW_MAX or is_singular(_split(w, 2)[0], EPS_ZERO) else _chain01
 
 
@@ -436,9 +419,8 @@ def _chain01(b: _Builder) -> None:
 
 
 def _chain_form(w) -> tuple:
-    """(K11, 2 K01, K00) of the 8 amplitudes w: the gate U(1, z) on qubit 1,
-    z a root of K11 z^2 + 2 K01 z + K00, leaves qubit 1 a chain middle after
-    cz01 (module docstring). Float entries give a float, traceless K."""
+    """(K11, 2 K01, K00) of the 8 amplitudes w (module docstring); float
+    entries give a float, traceless K."""
     w0, w1, w2, w3, w4, w5, w6, w7 = w
     d_aa, d_bb = w0 * w5 - w4 * w1, w2 * w7 - w6 * w3
     d_ab, d_ba = w0 * w7 - w4 * w3, w2 * w5 - w6 * w1
@@ -448,15 +430,14 @@ def _chain_form(w) -> tuple:
 
 
 def _root_gate(b: _Builder, q: int, form: tuple) -> None:
-    """U(1, z) on qubit q, z = mat2._pencil_root(*form), the finite root of
-    q2 z^2 + q1 z + q0 for form = (q2, q1, q0). The pencil form of q's split
-    makes its block A singular; the chain form (_chain_form) makes q = 1 a
-    chain middle after cz01. Real mode takes z's real part, as
-    a float, so the gate is real (of floats when the tracked amplitudes are);
-    a conjugate pair from a slightly negative discriminant shares that real
-    part, the best real root, and says `pencil-root-clamped`: the check after
-    the gate verifies it, l1's precondition in step 1 and the finisher's
-    checks in a chain and after the prefix."""
+    """U(1, z) on qubit q, z = mat2._pencil_root(*form) for form = (q2, q1,
+    q0): the pencil form of q's split makes its A singular, _chain_form's
+    makes qubit 1 a chain middle after cz01. Real mode takes z's real part,
+    as a float, so the gate is real (of floats when the tracked amplitudes
+    are); a conjugate pair from a slightly negative discriminant shares that
+    real part, the best real root, and says `pencil-root-clamped`: the check
+    after the gate verifies it, l1's precondition in step 1 and the
+    finisher's checks otherwise."""
     z = _pencil_root(*form)
     if b.real:
         if abs(z.imag) > REAL_ROOT_TOL:

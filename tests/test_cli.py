@@ -504,7 +504,7 @@ def test_full_stdout_exits_1_with_one_error_line(tmp_path, argv, buffering):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "No space left" in lines[0]
 
 
-def test_closed_stdout_exits_1_with_one_error_line(tmp_path):
+def test_stdout_closed_at_start_exits_1_with_one_error_line(tmp_path):
     # fd 1 closed at start leaves sys.stdout None: a command that writes to
     # it fails as on any stdout that cannot be written, and one that writes
     # only a file succeeds
