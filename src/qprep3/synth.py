@@ -222,13 +222,14 @@ class _Builder:
         if k >= 0:
             m = m @ gates.pop(k).matrix
             self._replay(k)
-        if _is_global_phase(m):
+        a, b, c, d = m
+        # off-diagonal first: a typical gate is rejected by one abs
+        if abs(b) <= PRUNE_TOL and abs(c) <= PRUNE_TOL and _is_global_phase(a, d):
             # the gate before it on this wire, if any, is a CZ
             self.open[qubit] = -1
             return
         self.open[qubit] = len(gates)
         self.before.append(self.amps)
-        a, b, c, d = m
         self.amps = kernels.apply_local(self.amps, qubit, a, b, c, d)
         gates.append(tuple.__new__(LocalGate, (qubit, m)))
 
@@ -292,19 +293,19 @@ class _Builder:
 _OUTER = ((1, 2), (0, 2), (0, 1))
 
 
-def _synthesize(s: State, w, real: bool, label, run, max_cz: int) -> SynthesisReport:
+def _synthesize(s: State, w, real: bool, label, run, max_cz: int, middles=()) -> SynthesisReport:
     """The one attempt runner. An attempt takes a fresh builder of s in the
     mode `real`, tracking the amplitudes w (s.w, or their real parts as
     floats), says label (when not None), runs a function of the builder and
     finishes against a CZ bound: here `run` and max_cz, after the finisher on
-    each chain middle q, in the order 0, 1, 2, with a bound of 2 when w has
-    8 amplitudes (module docstring). The first attempt that passes is
-    returned.
+    each chain middle q of a 3-qubit input (_chain_middles, in the order 0,
+    1, 2) with a bound of 2 (module docstring). The first attempt that
+    passes is returned.
 
     An attempt fails by raising a Qprep3Error, which gets the branch trace
     that attempt took. When every attempt fails, the first one's is raised.
     """
-    attempts = [(lambda b, q=q: _finish_chain(b, q, _OUTER[q]), 2) for q in (_chain_middles(w) if len(w) == 8 else ())]
+    attempts = [(lambda b, q=q: _finish_chain(b, q, _OUTER[q]), 2) for q in middles]
     attempts.append((run, max_cz))
     first = None
     for attempt, bound in attempts:
@@ -321,13 +322,11 @@ def _synthesize(s: State, w, real: bool, label, run, max_cz: int) -> SynthesisRe
     raise first
 
 
-def _is_global_phase(m: Mat2) -> bool:
-    """m is within PRUNE_TOL of I or -I (entrywise)."""
-    # off-diagonal first: a typical gate is rejected by one abs
-    if abs(m.b) > PRUNE_TOL or abs(m.c) > PRUNE_TOL:
-        return False
-    sign = 1.0 if m.a.real > 0.0 else -1.0
-    return abs(m.a - sign) <= PRUNE_TOL and abs(m.d - sign) <= PRUNE_TOL
+def _is_global_phase(a, d) -> bool:
+    """A gate with diagonal a, d and off-diagonal within PRUNE_TOL of 0 is
+    within PRUNE_TOL of I or -I (entrywise)."""
+    sign = 1.0 if a.real > 0.0 else -1.0
+    return abs(a - sign) <= PRUNE_TOL and abs(d - sign) <= PRUNE_TOL
 
 
 def disentangle2(s: PureState2) -> SynthesisReport:
@@ -351,8 +350,10 @@ def disentangle3(s: PureState3) -> SynthesisReport:
     (trace `chain<q>`), for 2 CZ; a generic state then takes the chain
     prefix, for 3 CZ and 10 gates (_first_run; see the module docstring).
     """
-    q2, q1, q0 = _pencil_form(*_SPLIT_ENTRIES[2](s.w))
-    return _synthesize(s, s.w, False, None, _first_run(s.w, abs(q1 * q1 - 4.0 * q2 * q0)), 3)
+    w = s.w
+    forms = _split_forms(w)
+    q2, q1, q0 = forms[2]
+    return _synthesize(s, w, False, None, _first_run(w, abs(q1 * q1 - 4.0 * q2 * q0)), 3, _chain_middles(forms))
 
 
 def _real_amps(s: State, who: str):
@@ -379,7 +380,8 @@ def disentangle3_real(s: PureState3) -> SynthesisReport:
     """
     w = _real_amps(s, "disentangle3_real")
     d = _delta(w)
-    return _synthesize(s, w, True, "delta>=0" if d >= 0.0 else "delta<0", _first_run(w, d), 3)
+    label = "delta>=0" if d >= 0.0 else "delta<0"
+    return _synthesize(s, w, True, label, _first_run(w, d), 3, _chain_middles(_split_forms(w)))
 
 
 def _first_run(w, d: float):
@@ -390,17 +392,23 @@ def _first_run(w, d: float):
     return _run3 if -DELTA_ZERO_BAND <= d <= DELTA_FLOW_MAX or is_singular(_split(w, 2)[0], EPS_ZERO) else _chain01
 
 
-def _chain_middles(w) -> list[int]:
-    """The qubits of the 8 amplitudes w that are chain middles, in the order
-    0, 1, 2. Qubit q is one when the pencil form S = [[q0, q1/2], [q1/2, q2]]
-    of its split, det(xA + yB) = q0 x^2 + q1 xy + q2 y^2, has two equal
-    singular values: (|S|_F^2)^2 - 4|det S|^2, the squared difference of
-    their squares, must be at most CHAIN_GAP_TOL |S|_F^4. A form of norm at
-    most EPS_ZERO is no chain: every xA + yB is then (nearly) singular. Each
-    split's eight entries are read at once, and no block is built."""
+def _split_forms(w) -> list[tuple]:
+    """The pencil forms (q2, q1, q0) of the splits of the 8 amplitudes w on
+    qubits 0, 1 and 2, each split's eight entries read at once, with no block
+    built. Made once per 3-qubit input, for the chain screen and general
+    mode's guard."""
+    return [_pencil_form(*entries(w)) for entries in _SPLIT_ENTRIES]
+
+
+def _chain_middles(forms) -> list[int]:
+    """The chain middles among qubits 0, 1, 2, in that order, by the pencil
+    forms of their splits (_split_forms). Qubit q is one when its form S =
+    [[q0, q1/2], [q1/2, q2]], det(xA + yB) = q0 x^2 + q1 xy + q2 y^2, has two
+    equal singular values: (|S|_F^2)^2 - 4|det S|^2, the squared difference
+    of their squares, must be at most CHAIN_GAP_TOL |S|_F^4. A form of norm
+    at most EPS_ZERO is no chain: every xA + yB is then (nearly) singular."""
     middles = []
-    for q, entries in enumerate(_SPLIT_ENTRIES):
-        q2, q1, q0 = _pencil_form(*entries(w))
+    for q, (q2, q1, q0) in enumerate(forms):
         h = 0.5 * q1
         a, b, c = abs(q0), abs(h), abs(q2)
         n2 = a * a + 2.0 * b * b + c * c
@@ -495,17 +503,23 @@ def _run3(b: _Builder) -> None:
 
 
 @cache
-def _chain_pairs(n: int, m: int, outer: tuple[int, ...]) -> tuple:
-    """Per outer wire x: x, the wires of CZ(m, x), and x's index pairs
-    (i, i | 1 << x) in m's half 0 and in its half 1, one per value of the
-    other outer wire; every wire outside m and outer is 0. Built once per
-    (amplitude count, m, outer), as kernels.py builds its CZ flips, and
-    shared by every caller, so it is made of tuples."""
+def _chain_plan(n: int, m: int, outer: tuple[int, ...]) -> tuple:
+    """The finisher's per-run constants for (amplitude count, m, outer): its
+    label `chain<m>`; per outer wire x, the step (x, i, j, `cz<ij>`,
+    `skip-cz<ij>`, half0, half1), with (i, j) the wires of CZ(m, x) and
+    half0, half1 x's index pairs (k, k | 1 << x) in m's half 0 and in its
+    half 1, one per value of the other outer wire, every wire outside m and
+    outer 0; and the final wire order (m, *outer). Built once per key (five
+    in all), as kernels.py builds its CZ flips, and shared by every caller,
+    so it is made of tuples."""
     used = 1 << m | sum(1 << x for x in outer)
-    pairs = {x: [(i, i | 1 << x) for i in range(n) if not i & ~used and not i >> x & 1] for x in outer}
-    return tuple(
-        (x, *sorted((m, x)), *(tuple(p for p in pairs[x] if p[0] >> m & 1 == h) for h in (0, 1))) for x in outer
-    )
+    steps = []
+    for x in outer:
+        i, j = sorted((m, x))
+        pairs = [(k, k | 1 << x) for k in range(n) if not k & ~used and not k >> x & 1]
+        halves = (tuple(p for p in pairs if p[0] >> m & 1 == h) for h in (0, 1))
+        steps.append((x, i, j, f"cz{i}{j}", f"skip-cz{i}{j}", *halves))
+    return f"chain{m}", tuple(steps), (m, *outer)
 
 
 def _half_factor(w, pairs) -> tuple:
@@ -541,25 +555,30 @@ def _finish_chain(b: _Builder, m: int, outer: tuple[int, ...]) -> None:
     """Map the chain |0>P + |1>Q on qubit m, P and Q products on the outer
     wires and every other wire |0>, to |0..0> (module docstring): at most one
     CZ per outer wire x, on (m, x)."""
-    b.say(f"chain{m}")
-    if len(outer) == 2 and not all(is_singular(t, EPS_ZERO) for t in _split(b.amps, m)):
-        # with no finite root the gate is U(1, 0) = I, which is not emitted
-        _root_gate(b, m, _pencil_form(*_SPLIT_ENTRIES[m](b.amps)))
-        if not all(is_singular(t, STEP_TOL) for t in _split(b.amps, m)):
-            raise SynthesisInvariantError(f"chain{m}: blocks not products")
-    for x, i, j, half0, half1 in _chain_pairs(len(b.amps), m, outer):
+    label, steps, wires = _chain_plan(len(b.amps), m, outer)
+    b.say(label)
+    if len(outer) == 2:
+        t0, t1 = _split(b.amps, m)
+        if not (is_singular(t0, EPS_ZERO) and is_singular(t1, EPS_ZERO)):
+            # with no finite root the gate is U(1, 0) = I, which is not emitted
+            _root_gate(b, m, _pencil_form(*t0, *t1))
+            t0, t1 = _split(b.amps, m)
+            if not (is_singular(t0, STEP_TOL) and is_singular(t1, STEP_TOL)):
+                raise SynthesisInvariantError(f"{label}: blocks not products")
+    # is_singular only unpacks its argument: the 4-tuple p + q is [p; q]
+    for x, i, j, cz, skip, half0, half1 in steps:
         p, q = _half_factor(b.amps, half0), _half_factor(b.amps, half1)
-        if is_singular(tuple.__new__(Mat2, p + q), EPS_ZERO):
-            b.say(f"skip-cz{i}{j}")
+        if is_singular(p + q, EPS_ZERO):
+            b.say(skip)
             continue
-        b.say(f"cz{i}{j}")
+        b.say(cz)
         b.local(x, _bisector(p, q))
         b.cz(i, j)
-        if not is_singular(tuple.__new__(Mat2, _half_factor(b.amps, half0) + _half_factor(b.amps, half1)), STEP_TOL):
-            raise SynthesisInvariantError(f"cz{i}{j}: qubit {x} did not factor out")
+        if not is_singular(_half_factor(b.amps, half0) + _half_factor(b.amps, half1), STEP_TOL):
+            raise SynthesisInvariantError(f"{cz}: qubit {x} did not factor out")
     mags = list(map(abs, b.amps))
     k = mags.index(max(mags))
-    for y in (m, *outer):
+    for y in wires:
         # y's pair through the largest amplitude, which the gate moves to y = 0
         k &= ~(1 << y)
         b.local(y, u_from_pair(b.amps[k].conjugate(), b.amps[k | 1 << y].conjugate()))

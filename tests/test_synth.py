@@ -362,7 +362,7 @@ class TestDisentangle3Real:
         # real gate on qubit 1 and cz01, the pencil form of the qubit-1 split
         # (A on indices 0, 1, 4, 5, B on 2, 3, 6, 7) is traceless, so qubit 1
         # is a chain middle, by the package's test and by the dense oracle
-        from qprep3.synth import _chain_form, _chain_middles
+        from qprep3.synth import _chain_form, _chain_middles, _split_forms
 
         signs = {True: 0, False: 0}
         for i in range(2000):
@@ -372,7 +372,7 @@ class TestDisentangle3Real:
             v = cz_unitary(3, 0, 1) @ local_unitary(3, 1, gate) @ s.amps
             a, b = v[[0, 1, 4, 5]].reshape(2, 2), v[[2, 3, 6, 7]].reshape(2, 2)
             assert abs(np.linalg.det(a) + np.linalg.det(b)) <= 1e-14
-            assert 1 in _chain_middles(list(v))
+            assert 1 in _chain_middles(_split_forms(list(v)))
         assert min(signs.values()) >= 200
 
 
@@ -575,7 +575,7 @@ class TestChainScreen:
     """synth._chain_middles against singular values from np.linalg.svd."""
 
     def test_matches_the_svd_oracle(self):
-        from qprep3.synth import _chain_middles
+        from qprep3.synth import _chain_middles, _split_forms
 
         rng = np.random.default_rng(771)
         w_state = np.array([0, 1, 1, 0, 1, 0, 0, 0]) / math.sqrt(3.0)
@@ -588,12 +588,73 @@ class TestChainScreen:
             want, gaps = _oracle_chain_middles(v)
             # every decision is at least 10x away from the tolerance
             assert all(g <= CHAIN_GAP_TOL / 10 or g >= CHAIN_GAP_TOL * 10 for g in gaps), (name, gaps)
-            got = _chain_middles(list(PureState3(v).w))
+            got = _chain_middles(_split_forms(PureState3(v).w))
             assert got == want, (name, gaps)
             if name.startswith("chain"):
                 assert int(name[-1]) in got
             seen.add((name[:5], tuple(got)))
         assert {("ghz", (0, 1, 2)), ("w", ()), ("000", ()), ("haar", ())} <= seen
+
+
+def _plan_halves(n: int, m: int, outer: tuple, x: int) -> list[list[tuple[int, int]]]:
+    """Outer wire x's index pairs in m's half 0 and half 1, by brute force
+    over every pair of indices: they differ in bit x alone, the first has
+    bit x clear and bit m equal to the half, and every bit off m and outer
+    is clear."""
+    off = [y for y in range(n.bit_length() - 1) if y != m and y not in outer]
+    return [
+        [
+            (k, l)
+            for k in range(n)
+            for l in range(n)
+            if k ^ l == 1 << x and not k >> x & 1 and k >> m & 1 == h and not any(k >> y & 1 for y in off)
+        ]
+        for h in (0, 1)
+    ]
+
+
+class TestChainPlan:
+    """synth._chain_plan, the finisher's cached constants, for the five keys
+    synthesis uses: each named with an input whose run ends on that key."""
+
+    RUNS = {
+        (4, 1, (0,)): (disentangle2, lambda: random_state2((764, 1))),
+        (8, 0, (1, 2)): (disentangle3, ghz),
+        (8, 1, (0, 2)): (disentangle3, lambda: random_state((764, 0))),
+        (8, 2, (0, 1)): (disentangle3, lambda: PureState3(w_under_locals(764))),
+        (8, 1, (0,)): (disentangle3, lambda: PureState3(np.concatenate([np.zeros(4), random_state2((764, 2)).amps]))),
+    }
+
+    @pytest.mark.parametrize("key", list(RUNS), ids=lambda k: f"{k[0]}-{k[1]}-{''.join(map(str, k[2]))}")
+    def test_plan_matches_bit_masks_and_trace(self, key):
+        from qprep3.synth import _chain_plan
+
+        n, m, outer = key
+        label, steps, wires = _chain_plan(*key)
+        assert label == f"chain{m}" and wires == (m, *outer)
+        assert [step[0] for step in steps] == list(outer)
+        for x, i, j, cz, skip, half0, half1 in steps:
+            assert (i, j) == (min(m, x), max(m, x))
+            assert (cz, skip) == (f"cz{i}{j}", f"skip-cz{i}{j}")
+            assert [list(half0), list(half1)] == _plan_halves(n, m, outer, x)
+            assert len(half0) == len(half1) == 2 ** (len(outer) - 1)
+        # the run's trace from the plan's label on: one cz or skip label per
+        # step, in the plan's order
+        synth, state = self.RUNS[key]
+        trace = synth(state()).branch_trace
+        tail = trace[trace.index(label) + 1:]
+        assert len(tail) == len(steps)
+        assert all(t in (step[3], step[4]) for t, step in zip(tail, steps))
+
+    def test_synthesis_uses_five_keys(self):
+        from qprep3.synth import _chain_plan
+
+        for synth, state in self.RUNS.values():
+            synth(state())
+        for i in range(50):
+            disentangle3_real(random_state((764, i), real_only=True))
+            disentangle3(random_state((765, i)))
+        assert _chain_plan.cache_info().currsize == 5
 
 
 def _qubit1_blocks(v) -> tuple[np.ndarray, np.ndarray]:
