@@ -173,13 +173,16 @@ def ry_angle(u: Mat2) -> float | None:
     None when u is not (numerically) a real rotation — complex entries or
     determinant -1 gates have no Ry form.
     """
-    # u.max_imag(), then ry_matrix(theta).distance_to(u), on the unpacked entries
+    # u.max_imag(), then ry_matrix(theta).distance_to(u), on the unpacked
+    # entries; each bound is tested on its own and written `not <=`, so that
+    # a NaN anywhere fails (max() keeps a NaN only in its first position)
     a, b, c, d = u
-    if max(abs(a.imag), abs(b.imag), abs(c.imag), abs(d.imag)) > RY_MATCH_TOL:
+    t = RY_MATCH_TOL
+    if not (abs(a.imag) <= t and abs(b.imag) <= t and abs(c.imag) <= t and abs(d.imag) <= t):
         return None
     theta = 2.0 * math.atan2(c.real, a.real)
     cs, sn = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    if max(abs(cs - a), abs(-sn - b), abs(sn - c), abs(cs - d)) > RY_MATCH_TOL:
+    if not (abs(cs - a) <= t and abs(-sn - b) <= t and abs(sn - c) <= t and abs(cs - d) <= t):
         return None
     return theta
 

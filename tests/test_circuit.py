@@ -283,6 +283,15 @@ class TestRyAngle:
     def test_reflection_has_no_angle(self):
         assert ry_angle(X) is None
 
+    def test_nan_entry_has_no_angle(self):
+        # a NaN fails every tolerance test wherever it sits, also past the
+        # first position, where max() drops it
+        nan = math.nan
+        for u in (Mat2(nan, 0.0, 0.0, nan), Mat2(complex(1, nan), 0, 0, 1), Mat2(1, nan, 0, 1), Mat2(1, 0, 0, complex(1, nan))):
+            assert ry_angle(u) is None
+        with pytest.raises(ValueError, match="^cannot emit RY lines: a local gate is not a real rotation$"):
+            emit_circuit(parse_circuit("L 0 nan 0 nan 0 nan 0 nan 0\n"), include_ry=True)
+
     def test_round_trip(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
