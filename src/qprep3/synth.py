@@ -24,6 +24,10 @@ outer wires; every other wire is |0>. In order:
   3. One local gate per wire, m's first, each built from the pair of
      amplitudes that holds the largest one, maps the product left to |0..0>.
 
+Its per-run constants, the labels, each step's CZ wires and index pairs and
+the final wire order, come from one cached plan per (amplitude count, m,
+outer), _chain_plan: five keys in all, so a run formats no string.
+
 disentangle2 is the finisher with m = 1: at most 1 CZ, and none exactly
 when the amplitude matrix is singular.
 
@@ -81,28 +85,30 @@ residual they skip costs an infidelity of about its square, far inside
 FID_MIN. So a state within ~EPS_ZERO of one that needs fewer CZ gets the
 fewer, and a CZ count is minimal to within the floor, not exactly.
 
-Chains. Two CZ suffice exactly for the states |u>P + |u_perp>Q on one
-qubit m, the chain middle, with P and Q products on the other two. Qubit m is
-one when the pencil form of its split, S = [[q0, q1/2], [q1/2, q2]] with
-det(xA + yB) = q0 x^2 + q1 xy + q2 y^2, has two equal singular values (its
-two null directions are then orthogonal); _chain_middles tests that to
-CHAIN_GAP_TOL for the three qubits in one pass, reading each split's eight
-entries at once into the one pencil-form formula, with no block built. For
-each qubit q of a 3-qubit input that is a chain middle, in the order 0, 1,
-2, both synthesizers first run the finisher on the input itself, with m = q
-and a bound of 2 CZ (trace `chain<q>`), and the usual attempt follows if
-none passes. Qubit 0 goes first, so GHZ, a chain on every qubit, takes
-`chain0`.
+Chains. Two CZ suffice exactly for the states |u>P + |u_perp>Q on one qubit
+m, the chain middle, with P and Q products on the other two. Qubit m is one
+when the pencil form of its split, S = [[q0, q1/2], [q1/2, q2]] with det(xA
++ yB) = q0 x^2 + q1 xy + q2 y^2, has two equal singular values (its two null
+directions are then orthogonal); _chain_middles tests that to CHAIN_GAP_TOL
+for the three qubits in one pass. Their forms are made once per 3-qubit
+input (_split_forms), each split's eight entries read at once into the one
+pencil-form formula, with no block built, and general mode's guard reads the
+qubit-2 form from the same list; real mode's guard takes delta in its own
+sum order (state._delta). For each qubit q of a 3-qubit input that is a
+chain middle, in the order 0, 1, 2, both synthesizers first run the finisher
+on the input itself, with m = q and a bound of 2 CZ (trace `chain<q>`), and
+the usual attempt follows if none passes. Qubit 0 goes first, so GHZ, a
+chain on every qubit, takes `chain0`.
 
 Every synthesis goes through one attempt runner, _synthesize(s, w, real,
-label, run, max_cz). An attempt is a fresh builder of the input, a trace
-label (real mode's sign of delta), a run (the flow, the chain prefix, the
-2-qubit finisher or a chain finisher) and a CZ bound, which `finish` checks.
-The runner makes the chain attempts (bound 2) of a 3-qubit input, then the
-attempt it is given, with a bound of 1 CZ for 2 qubits and 3 for 3, and
-returns the first that passes. A Qprep3Error raised in an attempt gets the
-branch trace that attempt took, and when no attempt passes, the first
-attempt's error is raised.
+label, run, max_cz, middles). An attempt is a fresh builder of the input, a
+trace label (real mode's sign of delta), a run (the flow, the chain prefix,
+the 2-qubit finisher or a chain finisher) and a CZ bound, which `finish`
+checks. The runner makes a chain attempt (bound 2) on each of `middles`, a
+3-qubit input's chain middles, then the attempt it is given, with a bound of
+1 CZ for 2 qubits and 3 for 3, and returns the first that passes. A
+Qprep3Error raised in an attempt gets the branch trace that attempt took,
+and when no attempt passes, the first attempt's error is raised.
 
 Each synthesis is one builder pass. The builder tracks the amplitudes as a
 plain list and reads the blocks from it to choose the next gate; the
