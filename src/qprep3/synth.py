@@ -87,9 +87,9 @@ fewer, and a CZ count is minimal to within the floor, not exactly.
 
 Chains. Two CZ suffice exactly for the states |u>P + |u_perp>Q on one qubit
 m, the chain middle, with P and Q products on the other two. Qubit m is one
-when the pencil form of its split, S = [[q0, q1/2], [q1/2, q2]] with det(xA
-+ yB) = q0 x^2 + q1 xy + q2 y^2, has two equal singular values (its two null
-directions are then orthogonal); _chain_middles tests that to CHAIN_GAP_TOL
+when the pencil form of its split, S = [[q0, q1/2], [q1/2, q2]] with
+det(xA + yB) = q0 x^2 + q1 xy + q2 y^2, has two equal singular values (its
+two null directions are then orthogonal); _chain_middles tests that to CHAIN_GAP_TOL
 for the three qubits in one pass. Their forms are made once per 3-qubit
 input (_split_forms), each split's eight entries read at once into the one
 pencil-form formula, with no block built, and general mode's guard reads the
