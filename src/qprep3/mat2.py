@@ -49,6 +49,9 @@ from .errors import (
 EPS_ZERO = 1e-6
 # Step checks, l1's precondition among them (synthesis's step-1 check); 10x
 # above EPS_ZERO, so a block one decision accepts passes every later check.
+# Also the route's screen: a split form with a singular value, or a gap
+# between its two, this small runs the flow beside the chain prefix
+# (synth._chain_middles).
 STEP_TOL = 1e-5
 # Gauge choice, relative to the block's norm (not a zero test): blocks this
 # close to real take the real representative, so rounding cannot amplify.
@@ -78,16 +81,9 @@ DOUBLE_ROOT_TOL = 1e-12
 CHAIN_GAP_TOL = 1e-9
 # An Ry angle is reported only if the rotation reproduces the gate this closely.
 RY_MATCH_TOL = 1e-10
-# `qprep3 delta` prints delta~0 within this of zero (rounding of exact zeros);
-# real mode runs the flow, not the chain prefix, from -DELTA_ZERO_BAND up to
-# DELTA_FLOW_MAX.
+# `qprep3 delta` prints delta~0 within this of zero (rounding of exact zeros).
+# Synthesis does not read it.
 DELTA_ZERO_BAND = 1e-12
-# The chain prefix spends cz01 on every state, so where the qubit-2 pencil
-# discriminant (delta, for a real state) is within this of 0, near a state
-# that needs fewer CZ, both modes run the flow, whose skips find them. Under
-# the prefix, the real near-degenerate fuzz runs (seeds 1-30) whose CZ count
-# rose had delta up to 8.2e-6; at 1e-8, 4 runs per mode rose.
-DELTA_FLOW_MAX = 1e-5
 # Inputs farther than NORM_REJECT from unit norm are rejected; those farther
 # than NORM_EXACT are renormalized (closer ones pass through bit-identically).
 NORM_REJECT = 1e-6
@@ -126,15 +122,17 @@ class Mat2(namedtuple("Mat2", "a b c d")):
         return tuple(self)
 
     def max_imag(self) -> float:
-        return max(abs(self.a.imag), abs(self.b.imag), abs(self.c.imag), abs(self.d.imag))
+        return _max_abs(self.a.imag, self.b.imag, self.c.imag, self.d.imag)
 
     def distance_to(self, other: "Mat2") -> float:
-        return max(
-            abs(self.a - other.a),
-            abs(self.b - other.b),
-            abs(self.c - other.c),
-            abs(self.d - other.d),
-        )
+        return _max_abs(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
+
+
+def _max_abs(*xs) -> float:
+    """The largest |x|, NaN when any x is NaN (max() keeps a NaN only in its
+    first position), so a NaN anywhere fails every `<= tol` test."""
+    mags = [abs(x) for x in xs]
+    return math.nan if math.isnan(sum(mags)) else max(mags)
 
 
 IDENTITY = Mat2(1, 0, 0, 1)
@@ -168,8 +166,8 @@ def is_singular(m: Mat2, tol: float) -> bool:
 
 
 def row2_norm(m: Mat2) -> float:
-    """Size of the second row, max(|c|, |d|)."""
-    return max(abs(m.c), abs(m.d))
+    """Size of the second row, max(|c|, |d|) (NaN when either is)."""
+    return _max_abs(m.c, m.d)
 
 
 def dominant_direction(vectors) -> tuple[complex, complex]:
@@ -188,7 +186,7 @@ def dominant_direction(vectors) -> tuple[complex, complex]:
 def _snap_real(m: Mat2) -> Mat2:
     # 0 < m.max_imag() <= REAL_SNAP * m.frobenius(), on the unpacked entries
     a, b, c, d = m
-    if 0.0 < max(abs(a.imag), abs(b.imag), abs(c.imag), abs(d.imag)) <= REAL_SNAP * math.hypot(
+    if 0.0 < _max_abs(a.imag, b.imag, c.imag, d.imag) <= REAL_SNAP * math.hypot(
         abs(a), abs(b), abs(c), abs(d)
     ):
         return real_parts(m)

@@ -166,10 +166,10 @@ def delta(s: PureState3) -> float:
 
     delta >= 0 means the step-1 pencil has a real root. delta < 0 means it
     has none. Real synthesis starts with the chain prefix, whose gate is
-    real for either sign, and runs the flow instead near delta = 0 (from
-    -DELTA_ZERO_BAND to DELTA_FLOW_MAX) and on a singular top block; a chain
-    goes to the chain finisher first (see synth._first_run). The bound is 3
-    CZ for either sign.
+    real for either sign; delta sets only the first label of its trace. The
+    route does not read delta: near a degenerate split form, delta = 0 among
+    them, the flow runs beside the prefix (see synth._route3), and a chain
+    goes to the chain finisher first. The bound is 3 CZ for either sign.
     Raises NotRealError when the state has imaginary content above REAL_STATE_TOL.
     """
     if not s.is_real():
@@ -180,9 +180,10 @@ def delta(s: PureState3) -> float:
 def _delta(w) -> float:
     # delta past its precondition: the amplitudes w are real within REAL_STATE_TOL.
     # This is q1^2 - 4 q2 q0 of mat2._pencil_form(*T0, *T1), kept in its own sum
-    # order: in the pencil's order its bits change on 18,508 of 67,483 real
-    # states measured (50,000 Haar-random, 17,483 near-degenerate), and 18 of
-    # the near-degenerate ones cross 0 or -DELTA_ZERO_BAND, changing their branch
+    # order, which now sets only the sign in real mode's trace label and the
+    # `delta` command's output: in the pencil's order its bits change on
+    # 18,508 of 67,483 real states measured (50,000 Haar-random, 17,483
+    # near-degenerate), which can flip the sign of a delta near 0
     w = [z.real for z in w]
     s1 = w[0] * w[7] - w[1] * w[6] - w[2] * w[5] + w[3] * w[4]
     return float(s1 * s1 - 4.0 * (w[1] * w[2] - w[0] * w[3]) * (w[5] * w[6] - w[4] * w[7]))

@@ -64,14 +64,17 @@ so the gate is U(1, z), z = mat2._pencil_root(K11, 2 K01, K00)
 (_chain_form). For a real state e = 1 and K is real and traceless, so z is
 real.
 
-The prefix spends cz01 on every state, so the flow runs, with no prefix,
-where it finds fewer CZ (_first_run): where the qubit-2 pencil discriminant
-(delta, for a real state) is within DELTA_FLOW_MAX of 0, and where the top
-block is already singular (its step-1 root is then ~0, and real). Real
-mode's band starts at -DELTA_ZERO_BAND (the rounding of delta = 0): below
-0 the flow's step-1 roots are a conjugate pair. A chain goes to the
-finisher before either (Chains, below). The bound of 3 CZ is checked on
-every run, not proven: a run that misses it raises.
+The prefix spends cz01 on every state, so near a state that needs fewer
+CZ the flow, whose skips find them, runs too. Both modes take one route
+(_route3), and one pass over the three split forms (_chain_middles) screens
+for it: when some form's smaller singular value, or the gap between its two,
+is at most STEP_TOL (a zero qubit-2 discriminant, a near product and a near
+chain each make one), or when the top block is singular (its step-1 root is
+then ~0, and real), the flow runs and then the prefix, and the runner keeps
+the better. Every other input, every Haar state but a few real ones among
+them, runs the prefix alone. A chain goes to the finisher before either
+(Chains, below). The bound of 3 CZ is checked on every run, not proven: a
+run that misses it raises.
 
 Step 1, the finisher's step 1 and the prefix take one root through one
 gate, _root_gate(b, q, form): U(1, z) on qubit q, z the finite root of
@@ -89,26 +92,26 @@ Chains. Two CZ suffice exactly for the states |u>P + |u_perp>Q on one qubit
 m, the chain middle, with P and Q products on the other two. Qubit m is one
 when the pencil form of its split, S = [[q0, q1/2], [q1/2, q2]] with
 det(xA + yB) = q0 x^2 + q1 xy + q2 y^2, has two equal singular values (its
-two null directions are then orthogonal); _chain_middles tests that to CHAIN_GAP_TOL
-for the three qubits in one pass. Their forms are made once per 3-qubit
-input (_split_forms), each split's eight entries read at once into the one
-pencil-form formula, with no block built, and general mode's guard reads the
-qubit-2 form from the same list; real mode's guard takes delta in its own
-sum order (state._delta). For each qubit q of a 3-qubit input that is a
+two null directions are then orthogonal); _chain_middles tests that to
+CHAIN_GAP_TOL for the three qubits in the one pass that makes the route's
+screen, each split's eight entries read at once into the one pencil-form
+formula, with no block built. For each qubit q of a 3-qubit input that is a
 chain middle, in the order 0, 1, 2, both synthesizers first run the finisher
 on the input itself, with m = q and a bound of 2 CZ (trace `chain<q>`), and
-the usual attempt follows if none passes. Qubit 0 goes first, so GHZ, a
-chain on every qubit, takes `chain0`.
+the route's runs follow if none passes. Qubit 0 goes first, so GHZ, a chain
+on every qubit, takes `chain0`.
 
 Every synthesis goes through one attempt runner, _synthesize(s, w, real,
-label, run, max_cz, middles). An attempt is a fresh builder of the input, a
-trace label (real mode's sign of delta), a run (the flow, the chain prefix,
-the 2-qubit finisher or a chain finisher) and a CZ bound, which `finish`
-checks. The runner makes a chain attempt (bound 2) on each of `middles`, a
-3-qubit input's chain middles, then the attempt it is given, with a bound of
-1 CZ for 2 qubits and 3 for 3, and returns the first that passes. A
-Qprep3Error raised in an attempt gets the branch trace that attempt took,
-and when no attempt passes, the first attempt's error is raised.
+label, runs, max_cz, middles). An attempt (_attempt) is a fresh builder of
+the input, a trace label (real mode's sign of delta), a run (the flow, the
+chain prefix, the 2-qubit finisher or a chain finisher) and a CZ bound,
+which `finish` checks. The runner makes a chain attempt (bound 2) on each of
+`middles`, a 3-qubit input's chain middles, and returns the first that
+passes; then an attempt of each of `runs`, with a bound of 1 CZ for 2 qubits
+and 3 for 3, and returns the passing one with the fewest (CZ, gates), the
+earlier on ties. A Qprep3Error raised in an attempt gets the branch trace
+that attempt took, and when no attempt passes, the first attempt's error is
+raised.
 
 Each synthesis is one builder pass. The builder tracks the amplitudes as a
 plain list and reads the blocks from it to choose the next gate; the
@@ -143,7 +146,8 @@ nonsingular raises NonSingularInputError, and r1's (nonsingular at EPS_ZERO)
 is step 4's decision, its SingularInputError taken as `skip-step4`. The
 pencil root (mat2._pencil_root) has no precondition: with no finite root it
 gives 0, and U(1, 0) = I is not emitted. Synthesis validates no state, and
-real mode tests realness once and then takes delta's core (state._delta).
+real mode tests realness once and then takes delta's core (state._delta)
+for its label.
 `local` and `cz` take a wire rather than a gate, call the kernels directly
 and build each gate with tuple.__new__, past the wire checks of the record's
 __new__; `finish` builds its Circuit and its report the same way, as
@@ -166,7 +170,7 @@ from functools import cache
 from . import kernels
 from .circuit import Circuit, CZGate, Gate, LocalGate, apply_circuit, invert
 from .errors import NotRealError, Qprep3Error, SingularInputError, SynthesisInvariantError
-from .mat2 import CHAIN_GAP_TOL, DELTA_FLOW_MAX, DELTA_ZERO_BAND, EPS_ZERO, FID_MIN, PRUNE_TOL, REAL_ROOT_TOL, STEP_TOL
+from .mat2 import CHAIN_GAP_TOL, EPS_ZERO, FID_MIN, PRUNE_TOL, REAL_ROOT_TOL, STEP_TOL
 from .mat2 import NORM_REJECT, REAL_STATE_TOL, SWAP_BLOCKS, Mat2
 from .mat2 import _pencil_form, _pencil_root, is_singular, l1, r1, row2_norm, u_from_pair
 from .state import _SPLIT_ENTRIES, PureState2, PureState3, State, _delta, _split, basis_state, overlap
@@ -191,10 +195,11 @@ class _Builder:
     fused into an earlier one, the gates after that one are re-applied to
     exactly what it saw, and the product last: `amps` stays bit-equal to a
     fresh simulation of `gates`. `real` is the attempt's mode: real mode
-    takes the real part of every root it chooses.
+    takes the real part of every root it chooses. The trace starts with
+    `label` when it is not None.
     """
 
-    def __init__(self, state, amps, real: bool):
+    def __init__(self, state, amps, real: bool, label=None):
         self.num_qubits = state.num_qubits
         self.amps = list(amps)
         self.real = real
@@ -202,7 +207,7 @@ class _Builder:
         # fusion re-applies CZs but never removes one, so this stays exact
         self.cz_count = 0
         self.before: list[list] = []
-        self.trace: list[str] = []
+        self.trace: list[str] = [] if label is None else [label]
         # by wire, the index in `gates` of its last gate if that is a local
         # gate, else -1: a wire holds at most one local gate after its last CZ
         self.open = [-1, -1, -1]
@@ -299,33 +304,37 @@ class _Builder:
 _OUTER = ((1, 2), (0, 2), (0, 1))
 
 
-def _synthesize(s: State, w, real: bool, label, run, max_cz: int, middles=()) -> SynthesisReport:
-    """The one attempt runner. An attempt takes a fresh builder of s in the
-    mode `real`, tracking the amplitudes w (s.w, or their real parts as
-    floats), says label (when not None), runs a function of the builder and
-    finishes against a CZ bound: here `run` and max_cz, after the finisher on
-    each chain middle q of a 3-qubit input (_chain_middles, in the order 0,
-    1, 2) with a bound of 2 (module docstring). The first attempt that
-    passes is returned.
+def _synthesize(s: State, w, real: bool, label, runs, max_cz: int, middles=()) -> SynthesisReport:
+    """The one attempt runner (module docstring). First the finisher on each
+    chain middle q of a 3-qubit input (_chain_middles, in the order 0, 1, 2)
+    with a bound of 2, the first that passes returned; then each of `runs`
+    with a bound of max_cz, the passing one with the fewest (CZ, gates)
+    returned, the earlier on ties. When every attempt fails, the first
+    one's error is raised."""
+    results = []
+    for q in middles:
+        results.append(_attempt(s, w, real, label, lambda b: _finish_chain(b, q, _OUTER[q]), 2))
+        if type(results[-1]) is SynthesisReport:
+            return results[-1]
+    results += [_attempt(s, w, real, label, run, max_cz) for run in runs]
+    passed = [r for r in results if type(r) is SynthesisReport]
+    if not passed:
+        raise results[0]
+    return min(passed, key=lambda r: (r.cz_count, len(r.circuit.gates)))
 
-    An attempt fails by raising a Qprep3Error, which gets the branch trace
-    that attempt took. When every attempt fails, the first one's is raised.
-    """
-    attempts = [(lambda b, q=q: _finish_chain(b, q, _OUTER[q]), 2) for q in middles]
-    attempts.append((run, max_cz))
-    first = None
-    for attempt, bound in attempts:
-        b = _Builder(s, w, real)
-        try:
-            if label is not None:
-                b.say(label)
-            attempt(b)
-            return b.finish(bound)
-        except Qprep3Error as exc:
-            exc.branch_trace = list(b.trace)
-            if first is None:
-                first = exc
-    raise first
+
+def _attempt(s: State, w, real: bool, label, run, max_cz: int):
+    """One attempt: a fresh builder of s in the mode `real`, tracking the
+    amplitudes w (s.w, or their real parts as floats), says label (when not
+    None), runs a function of the builder and finishes against max_cz. Its
+    report, or the Qprep3Error it raised, which gets the attempt's trace."""
+    b = _Builder(s, w, real, label)
+    try:
+        run(b)
+        return b.finish(max_cz)
+    except Qprep3Error as exc:
+        exc.branch_trace = list(b.trace)
+        return exc
 
 
 def _is_global_phase(a, d) -> bool:
@@ -341,7 +350,7 @@ def disentangle2(s: PureState2) -> SynthesisReport:
     Zero CZ when the amplitude matrix is singular (product state), one CZ
     otherwise.
     """
-    return _synthesize(s, s.w, False, None, _run2, 1)
+    return _synthesize(s, s.w, False, None, (_run2,), 1)
 
 
 def _run2(b: _Builder) -> None:
@@ -354,12 +363,9 @@ def disentangle3(s: PureState3) -> SynthesisReport:
 
     A chain is first tried with the chain finisher alone on its middle q
     (trace `chain<q>`), for 2 CZ; a generic state then takes the chain
-    prefix, for 3 CZ and 10 gates (_first_run; see the module docstring).
+    prefix, for 3 CZ and 10 gates (_route3; see the module docstring).
     """
-    w = s.w
-    forms = _split_forms(w)
-    q2, q1, q0 = forms[2]
-    return _synthesize(s, w, False, None, _first_run(w, abs(q1 * q1 - 4.0 * q2 * q0)), 3, _chain_middles(forms))
+    return _route3(s, s.w, False, None)
 
 
 def _real_amps(s: State, who: str):
@@ -379,49 +385,51 @@ def disentangle3_real(s: PureState3) -> SynthesisReport:
     At most 3 CZ for either sign of delta(s). As in disentangle3, a chain is
     first tried with the finisher alone on its middle, for 2 CZ, and a
     generic state then takes the chain prefix, whose gate is real here
-    (_first_run). A run that misses a check, the bound included, raises.
+    (_route3). A run that misses a check, the bound included, raises.
     Every root it chooses is real.
     The first label of the branch trace is the sign of delta (`delta>=0` or
     `delta<0`); the chain prefix says `chain01`.
     """
     w = _real_amps(s, "disentangle3_real")
-    d = _delta(w)
-    label = "delta>=0" if d >= 0.0 else "delta<0"
-    return _synthesize(s, w, True, label, _first_run(w, d), 3, _chain_middles(_split_forms(w)))
+    return _route3(s, w, True, "delta>=0" if _delta(w) >= 0.0 else "delta<0")
 
 
-def _first_run(w, d: float):
-    """The run a 3-qubit input gets after its chain attempts: the flow (_run3)
-    where d, the qubit-2 pencil discriminant (its modulus in general mode,
-    delta in real mode), lies in [-DELTA_ZERO_BAND, DELTA_FLOW_MAX] or the
-    top block is singular, else the chain prefix (_chain01)."""
-    return _run3 if -DELTA_ZERO_BAND <= d <= DELTA_FLOW_MAX or is_singular(_split(w, 2)[0], EPS_ZERO) else _chain01
+def _route3(s: PureState3, w, real: bool, label) -> SynthesisReport:
+    """The one route of a 3-qubit input, in either mode: the finisher on each
+    chain middle, then the chain prefix (_chain01), and the flow (_run3)
+    before it when a split form is near degenerate or the top block is
+    singular; the runner keeps the better of the two (module docstring)."""
+    middles, degenerate = _chain_middles(w)
+    runs = (_run3, _chain01) if degenerate or is_singular(_split(w, 2)[0], EPS_ZERO) else (_chain01,)
+    return _synthesize(s, w, real, label, runs, 3, middles)
 
 
-def _split_forms(w) -> list[tuple]:
-    """The pencil forms (q2, q1, q0) of the splits of the 8 amplitudes w on
-    qubits 0, 1 and 2, each split's eight entries read at once, with no block
-    built. Made once per 3-qubit input, for the chain screen and general
-    mode's guard."""
-    return [_pencil_form(*entries(w)) for entries in _SPLIT_ENTRIES]
+def _chain_middles(w) -> tuple[list[int], bool]:
+    """The chain middles among qubits 0, 1, 2 of the 8 amplitudes w, in that
+    order, and whether some split's form is near degenerate, from one pass
+    over the pencil forms of the three splits, each split's eight entries
+    read at once, with no block built.
 
-
-def _chain_middles(forms) -> list[int]:
-    """The chain middles among qubits 0, 1, 2, in that order, by the pencil
-    forms of their splits (_split_forms). Qubit q is one when its form S =
-    [[q0, q1/2], [q1/2, q2]], det(xA + yB) = q0 x^2 + q1 xy + q2 y^2, has two
-    equal singular values: (|S|_F^2)^2 - 4|det S|^2, the squared difference
-    of their squares, must be at most CHAIN_GAP_TOL |S|_F^4. A form of norm
-    at most EPS_ZERO is no chain: every xA + yB is then (nearly) singular."""
-    middles = []
-    for q, (q2, q1, q0) in enumerate(forms):
+    Qubit q's form S = [[q0, q1/2], [q1/2, q2]], det(xA + yB) = q0 x^2 +
+    q1 xy + q2 y^2, has singular values s1 >= s2 with s1^2 + s2^2 = |S|_F^2
+    and s1 s2 = |det S|. q is a chain middle when they are equal: (|S|_F^2)^2
+    - 4|det S|^2 = (s1^2 - s2^2)^2 must be at most CHAIN_GAP_TOL |S|_F^4. A
+    form of norm at most EPS_ZERO is no chain: every xA + yB is then (nearly)
+    singular. The form is near degenerate when s2 or s1 - s2 is at most
+    STEP_TOL."""
+    middles, degenerate = [], False
+    for q, entries in enumerate(_SPLIT_ENTRIES):
+        q2, q1, q0 = _pencil_form(*entries(w))
         h = 0.5 * q1
         a, b, c = abs(q0), abs(h), abs(q2)
         n2 = a * a + 2.0 * b * b + c * c
         d = abs(q0 * q2 - h * h)
-        if n2 > EPS_ZERO * EPS_ZERO and n2 * n2 - 4.0 * d * d <= CHAIN_GAP_TOL * n2 * n2:
+        gap2 = n2 * n2 - 4.0 * d * d
+        if n2 > EPS_ZERO * EPS_ZERO and gap2 <= CHAIN_GAP_TOL * n2 * n2:
             middles.append(q)
-    return middles
+        # s2^2 = (n2 - (s1^2 - s2^2)) / 2 and (s1 - s2)^2 = n2 - 2 |det S|
+        degenerate = degenerate or min(0.5 * (n2 - math.sqrt(max(gap2, 0.0))), n2 - 2.0 * d) <= STEP_TOL * STEP_TOL
+    return middles, degenerate
 
 
 def _chain01(b: _Builder) -> None:
@@ -601,7 +609,7 @@ def disentangle(s: State, mode: str = "general") -> SynthesisReport:
         raise ValueError(f"mode must be 'general' or 'real', got {mode!r}")
     if isinstance(s, PureState2):
         if mode == "real":
-            return _synthesize(s, _real_amps(s, "real mode"), True, None, _run2, 1)
+            return _synthesize(s, _real_amps(s, "real mode"), True, None, (_run2,), 1)
         return disentangle2(s)
     if mode == "real":
         return disentangle3_real(s)

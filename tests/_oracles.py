@@ -134,8 +134,9 @@ def w_under_locals(seed, real: bool = False) -> np.ndarray:
     """W = (|001> + |010> + |100>) / sqrt(3) under a random local gate on
     each qubit, applied as dense matrices. The discriminant is a local
     invariant, so delta and the qubit-2 pencil discriminant are 0 up to
-    rounding, and no qubit is a chain middle: synthesis takes the flow, not
-    the chain prefix, in both modes."""
+    rounding, and no qubit is a chain middle: the qubit-2 form's smaller
+    singular value is ~0, so synthesis runs the flow and then the chain
+    prefix, in both modes, and keeps the one with fewer gates."""
     rng = np.random.default_rng(seed)
     v = np.array([0, 1, 1, 0, 1, 0, 0, 0], dtype=np.complex128) / math.sqrt(3.0)
     for q in range(3):
@@ -167,10 +168,11 @@ def reference_snap_real(m: Mat2) -> Mat2:
 
 
 def reference_ry_angle(u: Mat2):
-    if u.max_imag() > RY_MATCH_TOL:
+    # `not <=`, so that a NaN, which both helpers pass on, fails
+    if not u.max_imag() <= RY_MATCH_TOL:
         return None
     theta = 2.0 * math.atan2(u.c.real, u.a.real)
-    if ry_matrix(theta).distance_to(u) > RY_MATCH_TOL:
+    if not ry_matrix(theta).distance_to(u) <= RY_MATCH_TOL:
         return None
     return theta
 

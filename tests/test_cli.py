@@ -205,23 +205,24 @@ def _near_zero_state_file() -> str:
 
 def _flow_state_file() -> str:
     """A W state under local gates at 17 digits: its discriminant is 0, so
-    synthesis runs the flow (a Haar state takes the chain prefix, and GHZ,
-    a chain, the finisher alone)."""
+    synthesis runs the flow, then the chain prefix (a Haar state takes the
+    prefix alone, and GHZ, a chain, the finisher alone)."""
     return "".join("%.17g %.17g\n" % (z.real, z.imag) for z in PureState3(w_under_locals(7)).w)
 
 
-# synthesis builds its step-2 gate with mat2.l1; the child runs ARGV
-# through RUN, `main` or `entry`
-FAILING_L1_CHILD = """
+# every attempt builds its first gate with mat2.u_from_pair, so the flow
+# and the chain prefix both fail, and the flow's error, the first, is raised;
+# the child runs ARGV through RUN, `main` or `entry`
+FAILING_GATE_CHILD = """
 import sys
 import qprep3.cli
 import qprep3.synth
-from qprep3.errors import NonSingularInputError
+from qprep3.errors import ZeroPairError
 
-def failing(_m):
-    raise NonSingularInputError("l1 requires det = 0")
+def failing(*_):
+    raise ZeroPairError("u_from_pair requires a nonzero pair")
 
-qprep3.synth.l1 = failing
+qprep3.synth.u_from_pair = failing
 if RUN == "main":
     raise SystemExit(qprep3.cli.main(ARGV))
 sys.argv[1:] = ARGV
@@ -229,8 +230,8 @@ qprep3.cli.entry()
 """
 
 
-def _failing_l1_child(argv, run):
-    return _run_python(["-c", f"ARGV = {argv!r}\nRUN = {run!r}\n" + FAILING_L1_CHILD])
+def _failing_gate_child(argv, run):
+    return _run_python(["-c", f"ARGV = {argv!r}\nRUN = {run!r}\n" + FAILING_GATE_CHILD])
 
 
 class TestSynthErrorContract:
@@ -238,7 +239,7 @@ class TestSynthErrorContract:
         # a library error inside the synthesis (not an invariant failure)
         # still follows the exit-3 contract: trace on stderr, no traceback
         path = write(tmp_path, "w.txt", _flow_state_file())
-        proc = _failing_l1_child(["synth", path, "--verify"], "main")
+        proc = _failing_gate_child(["synth", path, "--verify"], "main")
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
         assert "branch trace: pencil\n" in proc.stderr
@@ -607,7 +608,7 @@ def test_entry_exits_3_as_main_does(tmp_path):
     # a synthesis error through entry(): the same exit 3, trace and state
     # dump as through main, flushed before the process ends
     path = write(tmp_path, "w.txt", _flow_state_file())
-    by_entry, by_main = (_failing_l1_child(["synth", path, "--verify"], run) for run in ("entry", "main"))
+    by_entry, by_main = (_failing_gate_child(["synth", path, "--verify"], run) for run in ("entry", "main"))
     assert (by_entry.returncode, by_entry.stdout, by_entry.stderr) == (3, "", by_main.stderr)
     assert by_main.returncode == 3 and "branch trace: pencil\n" in by_entry.stderr
 

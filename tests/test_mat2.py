@@ -10,6 +10,7 @@ from _oracles import (
     random_nonsingular,
     random_rank1,
     reference_is_singular,
+    reference_ry_angle,
     reference_snap_real,
     rows,
     scaled,
@@ -40,6 +41,7 @@ from qprep3.mat2 import (
     r1_ratio,
     r2,
     r3,
+    row2_norm,
     solve_det_pencil,
     u_from_pair,
 )
@@ -426,3 +428,27 @@ class TestInlineHelpers:
                 assert type(got) is Mat2
                 assert got == want and repr(got) == repr(want)
             assert type(u_from_pair(a, b)) is Mat2
+
+
+class TestNanEntries:
+    """A NaN in any entry fails every `<= tol` test of Mat2.max_imag,
+    Mat2.distance_to and row2_norm (max() keeps a NaN only in its first
+    position), and _snap_real does not snap it away."""
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_nan_anywhere_fails_the_tolerance_tests(self, k):
+        # the other imaginary parts, 1e-20, lie in the snap band
+        for part in ("real", "imag"):
+            e = [complex(x, 1e-20) for x in (1.0, 0.0, 0.0, 1.0)]
+            e[k] = complex(math.nan, 1e-20) if part == "real" else complex(e[k].real, math.nan)
+            m = Mat2(*e)
+            assert not m.distance_to(IDENTITY) <= STEP_TOL
+            assert not IDENTITY.distance_to(m) <= STEP_TOL
+            assert reference_ry_angle(m) is None
+            if part == "imag":
+                assert not m.max_imag() <= STEP_TOL
+                assert _snap_real(m) is m and reference_snap_real(m) is m
+        # row2_norm reads the second row alone, here zero but for the NaN
+        e = [1.0, 1.0, 0.0, 0.0]
+        e[k] = math.nan
+        assert (not row2_norm(Mat2(*e)) <= STEP_TOL) if k >= 2 else row2_norm(Mat2(*e)) == 0.0

@@ -19,7 +19,7 @@ from _oracles import (
 )
 from qprep3.circuit import Circuit, CZGate, LocalGate, apply_circuit, ry_matrix
 from qprep3.errors import NonSingularInputError, NotRealError, SynthesisInvariantError
-from qprep3.mat2 import CHAIN_GAP_TOL, DELTA_FLOW_MAX, EPS_ZERO, IDENTITY, Mat2, _pencil_root, u_from_pair
+from qprep3.mat2 import CHAIN_GAP_TOL, EPS_ZERO, IDENTITY, STEP_TOL, Mat2, _pencil_root, u_from_pair
 from qprep3.state import (
     PureState2,
     PureState3,
@@ -49,6 +49,18 @@ def near_000() -> PureState3:
 
 def delta_negative_vector() -> PureState3:
     return PureState3(np.array([1, 0, 0, -1, 0, 1, 1, 0]) / 2.0)
+
+
+def _flow_only(s: PureState3, real: bool = False):
+    """s through the flow as the only attempt. The router runs the chain
+    prefix beside the flow wherever it runs the flow, and the prefix passes
+    where a fault injected into the flow alone fails it."""
+    from qprep3.synth import _run3, _synthesize
+
+    if not real:
+        return _synthesize(s, s.w, False, None, (_run3,), 3)
+    label = "delta>=0" if delta(s) >= 0.0 else "delta<0"
+    return _synthesize(s, [z.real for z in s.w], True, label, (_run3,), 3)
 
 
 def product2(seed) -> PureState2:
@@ -362,7 +374,7 @@ class TestDisentangle3Real:
         # real gate on qubit 1 and cz01, the pencil form of the qubit-1 split
         # (A on indices 0, 1, 4, 5, B on 2, 3, 6, 7) is traceless, so qubit 1
         # is a chain middle, by the package's test and by the dense oracle
-        from qprep3.synth import _chain_form, _chain_middles, _split_forms
+        from qprep3.synth import _chain_form, _chain_middles
 
         signs = {True: 0, False: 0}
         for i in range(2000):
@@ -372,7 +384,7 @@ class TestDisentangle3Real:
             v = cz_unitary(3, 0, 1) @ local_unitary(3, 1, gate) @ s.amps
             a, b = v[[0, 1, 4, 5]].reshape(2, 2), v[[2, 3, 6, 7]].reshape(2, 2)
             assert abs(np.linalg.det(a) + np.linalg.det(b)) <= 1e-14
-            assert 1 in _chain_middles(_split_forms(list(v)))
+            assert 1 in _chain_middles(list(v))[0]
         assert min(signs.values()) >= 200
 
 
@@ -480,19 +492,20 @@ class TestAttemptsInOrder:
             assert abs(dense_apply(rep.circuit, s.amps)[0]) >= FID
 
     @staticmethod
-    def _clamps_like_the_real_root(monkeypatch, s, *before):
+    def _clamps_like_the_real_root(monkeypatch, s, *before, synth=disentangle3_real):
         """A pencil root r + 0.5i, r the true root, must give s the unpatched
-        circuit, with `pencil-root-clamped` after each label in `before`."""
-        import qprep3.synth as synth
+        circuit of `synth`, with `pencil-root-clamped` after each label in
+        `before`."""
+        import qprep3.synth as synth_module
 
-        want = disentangle3_real(s)
-        real_root = synth._pencil_root
+        want = synth(s)
+        real_root = synth_module._pencil_root
 
         def conjugate_pair(q2, q1, q0):
             return complex(real_root(q2, q1, q0).real, 0.5)
 
-        monkeypatch.setattr(synth, "_pencil_root", conjugate_pair)
-        rep = disentangle3_real(s)
+        monkeypatch.setattr(synth_module, "_pencil_root", conjugate_pair)
+        rep = synth(s)
         trace = []
         for label in want.branch_trace:
             trace += [label, "pencil-root-clamped"] if label in before else [label]
@@ -503,15 +516,15 @@ class TestAttemptsInOrder:
     def test_conjugate_pencil_roots_are_clamped_to_their_real_part(self, monkeypatch):
         # real mode with no real pencil root (a slightly negative discriminant)
         # takes the pair's shared real part. |000> plus real noise of size
-        # 1e-3 has delta ~ 1e-6, inside DELTA_FLOW_MAX: the flow's step 1 is
-        # patched. A chain with qubit 2 in the middle goes to the finisher
-        # first, whose step 1 is
+        # 1e-3 has delta ~ 1e-6: the step 1 of the flow, run as the only
+        # attempt, is patched. A chain with qubit 2 in the middle goes to the
+        # finisher first, whose step 1 is
         rng = np.random.default_rng(768)
         v = np.eye(8)[0] + 1e-3 * rng.standard_normal(8)
         s = PureState3(v / np.linalg.norm(v))
-        assert 0.0 < delta(s) <= DELTA_FLOW_MAX
-        assert disentangle3_real(s).branch_trace[:2] == ("delta>=0", "pencil")
-        self._clamps_like_the_real_root(monkeypatch, s, "pencil")
+        assert 0.0 < delta(s) <= 1e-5
+        assert _flow_only(s, real=True).branch_trace[:2] == ("delta>=0", "pencil")
+        self._clamps_like_the_real_root(monkeypatch, s, "pencil", synth=lambda t: _flow_only(t, real=True))
         monkeypatch.undo()
         s = _chain(768, True, m=2)
         rep = disentangle3_real(s)
@@ -575,7 +588,7 @@ class TestChainScreen:
     """synth._chain_middles against singular values from np.linalg.svd."""
 
     def test_matches_the_svd_oracle(self):
-        from qprep3.synth import _chain_middles, _split_forms
+        from qprep3.synth import _chain_middles
 
         rng = np.random.default_rng(771)
         w_state = np.array([0, 1, 1, 0, 1, 0, 0, 0]) / math.sqrt(3.0)
@@ -588,12 +601,22 @@ class TestChainScreen:
             want, gaps = _oracle_chain_middles(v)
             # every decision is at least 10x away from the tolerance
             assert all(g <= CHAIN_GAP_TOL / 10 or g >= CHAIN_GAP_TOL * 10 for g in gaps), (name, gaps)
-            got = _chain_middles(_split_forms(PureState3(v).w))
+            got, degenerate = _chain_middles(PureState3(v).w)
             assert got == want, (name, gaps)
+            # near degenerate: the smaller singular value, or the gap between
+            # the two, is at most STEP_TOL on some split
+            margin = min(min(s1, s0 - s1) for s0, s1 in (pencil_singular_values(v, q) for q in range(3)))
+            assert margin <= STEP_TOL / 10 or margin >= STEP_TOL * 10, (name, margin)
+            assert degenerate == (margin <= STEP_TOL), (name, margin)
+            seen.add((name[:5], degenerate))
             if name.startswith("chain"):
                 assert int(name[-1]) in got
             seen.add((name[:5], tuple(got)))
         assert {("ghz", (0, 1, 2)), ("w", ()), ("000", ()), ("haar", ())} <= seen
+        # every chain is near degenerate, as are GHZ, W (a double root) and
+        # |000> (every form 0); a Haar state is not
+        assert {("ghz", True), ("w", True), ("000", True), ("haar", False), ("chain", True)} <= seen
+        assert ("haar", True) not in seen and ("chain", False) not in seen
 
 
 def _plan_halves(n: int, m: int, outer: tuple, x: int) -> list[list[tuple[int, int]]]:
@@ -621,7 +644,8 @@ class TestChainPlan:
         (4, 1, (0,)): (disentangle2, lambda: random_state2((764, 1))),
         (8, 0, (1, 2)): (disentangle3, ghz),
         (8, 1, (0, 2)): (disentangle3, lambda: random_state((764, 0))),
-        (8, 2, (0, 1)): (disentangle3, lambda: PureState3(w_under_locals(764))),
+        # a singular top block: the flow beats the chain prefix, 3 CZ and 9 gates
+        (8, 2, (0, 1)): (disentangle3, lambda: PureState3([0.5, 0, 0.5, 0, 0, 0.5, 0.5, 0])),
         (8, 1, (0,)): (disentangle3, lambda: PureState3(np.concatenate([np.zeros(4), random_state2((764, 2)).amps]))),
     }
 
@@ -655,6 +679,74 @@ class TestChainPlan:
             disentangle3_real(random_state((764, i), real_only=True))
             disentangle3(random_state((765, i)))
         assert _chain_plan.cache_info().currsize == 5
+
+
+class TestRoute:
+    """synth._route3, the one route of a 3-qubit input in both modes: the
+    flow runs beside the chain prefix only near a degenerate split form or
+    on a singular top block, and the better of the two is kept."""
+
+    @staticmethod
+    def _count_attempts(monkeypatch) -> list:
+        """Patch synth._Builder to count its constructions, one per attempt."""
+        import qprep3.synth as synth
+
+        count = [0]
+
+        class Counting(synth._Builder):
+            def __init__(self, *args):
+                count[0] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(synth, "_Builder", Counting)
+        return count
+
+    @pytest.mark.parametrize("real", [False, True], ids=["general", "real"])
+    def test_w_under_local_gates_gets_3_cz_and_10_gates(self, real):
+        # delta = 0 puts W in the screen. The flow gives these 11 gates (all
+        # 200 complex draws, 133 real ones) and the chain prefix 10, so the
+        # prefix is kept where the flow does not give 10 too
+        synth = disentangle3_real if real else disentangle3
+        bad = []
+        for seed in range(200):
+            rep = synth(PureState3(w_under_locals(seed, real)))
+            if (rep.cz_count, len(rep.circuit.gates)) != (3, 10):
+                bad.append((seed, rep.cz_count, len(rep.circuit.gates), rep.branch_trace))
+        assert bad == []
+
+    @pytest.mark.parametrize("real", [False, True], ids=["general", "real"])
+    def test_ties_go_to_the_flow(self, real):
+        # W itself: the flow (a block swap first) and the prefix both give 3
+        # CZ and 10 gates, and the flow, the earlier run, is kept
+        s = PureState3(np.array([0, 1, 1, 0, 1, 0, 0, 0]) / math.sqrt(3.0))
+        rep = disentangle3_real(s) if real else disentangle3(s)
+        assert (rep.cz_count, len(rep.circuit.gates)) == (3, 10)
+        assert rep.branch_trace[int(real):] == ("detB0=0", "step4", "chain2", "cz02", "cz12")
+        from qprep3.synth import _chain01, _synthesize
+
+        w = [z.real for z in s.w] if real else s.w
+        alone = _synthesize(s, w, real, "delta>=0" if real else None, (_chain01,), 3)
+        assert (alone.cz_count, len(alone.circuit.gates)) == (3, 10)
+        assert "chain01" in alone.branch_trace
+
+    @pytest.mark.parametrize("real", [False, True], ids=["general", "real"])
+    def test_ghz_makes_one_attempt(self, monkeypatch, real):
+        count = self._count_attempts(monkeypatch)
+        rep = disentangle3_real(ghz()) if real else disentangle3(ghz())
+        assert rep.branch_trace[int(real)] == "chain0" and count[0] == 1
+
+    def test_haar_states_make_one_attempt(self, monkeypatch):
+        # the benchmark's inputs: the screen admits no complex Haar state and
+        # almost no real one, so each runs the chain prefix alone
+        count = self._count_attempts(monkeypatch)
+        admitted = {False: 0, True: 0}
+        for real, n, seed in ((False, 5000, 790), (True, 10000, 791)):
+            synth = disentangle3_real if real else disentangle3
+            for i in range(n):
+                count[0] = 0
+                synth(random_state((seed, i), real_only=real))
+                admitted[real] += count[0] > 1
+        assert admitted[False] == 0 and admitted[True] <= 10
 
 
 def _qubit1_blocks(v) -> tuple[np.ndarray, np.ndarray]:
@@ -1030,17 +1122,17 @@ class TestStepInvariants:
                 NonSingularInputError, "l1 requires det = 0", ["pencil"],
             ),
             (
-                "l1", IDENTITY, disentangle3, "3",
+                "l1", IDENTITY, _flow_only, "3",
                 SynthesisInvariantError, "step2: second row of top block survives", ["pencil"],
             ),
             (
-                "r1", IDENTITY, disentangle3, "3",
+                "r1", IDENTITY, _flow_only, "3",
                 SynthesisInvariantError, "step4: det of bottom block not killed", ["pencil", "step4"],
             ),
             # a projector on qubit 0's |1> zeroes the first column of both
             # blocks: the bottom det vanishes, and the top block changes
             (
-                "r1", Mat2(0, 0, 0, 1), disentangle3, "3",
+                "r1", Mat2(0, 0, 0, 1), _flow_only, "3",
                 SynthesisInvariantError, "step4: top block disturbed", ["pencil", "step4"],
             ),
             # the finisher's checks, by the stage of the old flow each took
@@ -1079,7 +1171,9 @@ class TestStepInvariants:
         import qprep3.synth as synth_module
 
         monkeypatch.setattr(synth_module, construction, lambda *_: wrong)
-        # "3" takes the flow (a generic state takes the chain prefix)
+        # "3" runs the flow and the chain prefix (a generic state takes the
+        # prefix alone), and a fault in both raises the flow's error, the
+        # first; _flow_only runs it alone, for a fault the prefix does not meet
         s = {
             "3": lambda: PureState3(w_under_locals(764)),
             "haar": lambda: random_state((764, 0)),
@@ -1159,12 +1253,12 @@ class TestStepInvariants:
         def failing(_m):
             raise NonSingularInputError("l1 requires det = 0")
 
-        # the flow builds its step-2 gate with mat2.l1 (a W state under
-        # local gates: a Haar state takes the chain prefix and GHZ the
-        # qubit-0 finisher, neither of which needs l1)
+        # the flow builds its step-2 gate with mat2.l1; the chain prefix,
+        # which the router runs beside it, and the finisher need no l1, so
+        # the flow runs as the only attempt
         monkeypatch.setattr(synth, "l1", failing)
         with pytest.raises(NonSingularInputError) as info:
-            disentangle3(PureState3(w_under_locals(767)))
+            _flow_only(PureState3(w_under_locals(767)))
         assert info.value.branch_trace == ["pencil"]
 
     def test_near_000_synthesizes(self):
