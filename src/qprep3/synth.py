@@ -325,9 +325,10 @@ def _synthesize(s: State, w, real: bool, label, runs, max_cz: int, middles=()) -
 
 def _attempt(s: State, w, real: bool, label, run, max_cz: int):
     """One attempt: a fresh builder of s in the mode `real`, tracking the
-    amplitudes w (s.w, or their real parts as floats), says label (when not
-    None), runs a function of the builder and finishes against max_cz. Its
-    report, or the Qprep3Error it raised, which gets the attempt's trace."""
+    amplitudes w (s.w, or their real parts as floats), its trace started
+    with label (when not None), runs a function of the builder and finishes
+    against max_cz. Its report, or the Qprep3Error it raised, which gets the
+    attempt's trace."""
     b = _Builder(s, w, real, label)
     try:
         run(b)
@@ -416,7 +417,7 @@ def _chain_middles(w) -> tuple[list[int], bool]:
     - 4|det S|^2 = (s1^2 - s2^2)^2 must be at most CHAIN_GAP_TOL |S|_F^4. A
     form of norm at most EPS_ZERO is no chain: every xA + yB is then (nearly)
     singular. The form is near degenerate when s2 or s1 - s2 is at most
-    STEP_TOL."""
+    STEP_TOL, tested with no square root."""
     middles, degenerate = [], False
     for q, entries in enumerate(_SPLIT_ENTRIES):
         q2, q1, q0 = _pencil_form(*entries(w))
@@ -424,11 +425,12 @@ def _chain_middles(w) -> tuple[list[int], bool]:
         a, b, c = abs(q0), abs(h), abs(q2)
         n2 = a * a + 2.0 * b * b + c * c
         d = abs(q0 * q2 - h * h)
-        gap2 = n2 * n2 - 4.0 * d * d
-        if n2 > EPS_ZERO * EPS_ZERO and gap2 <= CHAIN_GAP_TOL * n2 * n2:
+        if n2 > EPS_ZERO * EPS_ZERO and n2 * n2 - 4.0 * d * d <= CHAIN_GAP_TOL * n2 * n2:
             middles.append(q)
-        # s2^2 = (n2 - (s1^2 - s2^2)) / 2 and (s1 - s2)^2 = n2 - 2 |det S|
-        degenerate = degenerate or min(0.5 * (n2 - math.sqrt(max(gap2, 0.0))), n2 - 2.0 * d) <= STEP_TOL * STEP_TOL
+        # with t = STEP_TOL: (s1 - s2)^2 = n2 - 2 d, and d^2 - t^2 (n2 - t^2)
+        # = (s1^2 - t^2)(s2^2 - t^2), at most 0 when s2 <= t <= s1
+        t2 = STEP_TOL * STEP_TOL
+        degenerate = degenerate or n2 - 2.0 * d <= t2 or d * d <= t2 * (n2 - t2)
     return middles, degenerate
 
 
