@@ -40,8 +40,9 @@ DELTA_NEG_FILE = """\
 
 BASIS_FILE = "1 0\n" + "0 0\n" * 7
 
-# real, delta ~ -1.2e-14: inside DELTA_ZERO_BAND but negative, so real mode
-# takes the flow with no prefix, as for delta >= 0
+# real, delta ~ -1.2e-14: inside DELTA_ZERO_BAND but negative; near delta = 0
+# real mode runs the flow beside the chain prefix, and keeps the prefix's
+# 10 gates
 DELTA_BAND_NEG_FILE = "".join(
     f"{x} 0\n"
     for x in (
@@ -320,7 +321,7 @@ class TestDeltaCommand:
         code, out, _ = run_cli(capsys, ["delta", path])
         assert code == 0
         assert out.strip() == "delta~0 bound=3"
-        # real mode runs the plain flow in the band, and it meets that bound
+        # real mode runs the flow and the prefix here, and meets that bound
         code, out, _ = run_cli(capsys, ["synth", path, "--real", "--verify"])
         assert code == 0
         assert out.splitlines()[-1].startswith("cz=3 ")

@@ -497,7 +497,8 @@ def test_haar_circuits_have_3_cz_and_10_gates():
 # (_circuit_built with np.random.default_rng(11)), at 17 significant digits
 PINNED_FLOW_FIRST = {
     # delta 6.3e-6 and 8.2e-6 (the largest of the fuzz, seeds 1-30), then
-    # 8.1e-9: inside DELTA_FLOW_MAX, near states that need fewer CZ
+    # 8.1e-9: near states that need fewer CZ, where the route's screen runs
+    # the flow beside the chain prefix
     ("noise_000", 4, 2653): [
         0.9999779843886502, 0.0032200627500412167, 0.0004144747874728398, 0.004026664513001827,
         -0.0002422546650373809, 1.287054301274886e-05, 0.0033179728562032344, -0.002491650176208412,
@@ -524,10 +525,10 @@ PINNED_FLOW_FIRST = {
 
 
 def test_real_mode_runs_the_flow_where_it_finds_fewer_cz():
-    # the chain prefix spends cz01 on every state, so real mode takes the
-    # flow for delta up to DELTA_FLOW_MAX, whose skips give these 2 CZ, and
-    # a chain middle on qubit 1 or 2 goes to the finisher first; with the
-    # prefix these get 3 CZ
+    # the chain prefix spends cz01 on every state, so near a degenerate
+    # split form real mode runs the flow too, whose skips give these 2 CZ,
+    # and a chain middle on qubit 1 or 2 goes to the finisher first; with
+    # the prefix alone these get 3 CZ
     want = {
         ("noise_000", 4, 2653): ("pencil", "step4", "chain2", "skip-cz02", "cz12"),
         ("noise_000", 7, 1039): ("pencil", "step4", "chain2", "skip-cz02", "cz12"),

@@ -255,9 +255,9 @@ class TestBranchReductions:
     @pytest.mark.parametrize(
         "synth, v",
         [
-            # a generic state takes the chain prefix in both modes; this
-            # one's singular top block keeps it on the flow, and its step-4
-            # gate is -I in both
+            # a generic state takes the chain prefix alone in both modes;
+            # this one's singular top block runs the flow beside it, the
+            # flow wins (9 gates), and its step-4 gate is -I in both
             (disentangle3, [0.5, 0, 0.5, 0, 0, 0.5, 0.5, 0]),
             (disentangle3_real, [0.5, 0, 0.5, 0, 0, 0.5, 0.5, 0]),
         ],
