@@ -180,7 +180,7 @@ def delta(s: PureState3) -> float:
 def _delta(w) -> float:
     # delta past its precondition: the amplitudes w are real within REAL_STATE_TOL.
     # This is q1^2 - 4 q2 q0 of mat2._pencil_form(*T0, *T1), kept in its own sum
-    # order, which now sets only the sign in real mode's trace label and the
+    # order, which sets only the sign in real mode's trace label and the
     # `delta` command's output: in the pencil's order its bits change on
     # 18,508 of 67,483 real states measured (50,000 Haar-random, 17,483
     # near-degenerate), which can flip the sign of a delta near 0

@@ -418,7 +418,7 @@ def _chain_middles(w) -> tuple[list[int], bool]:
     form of norm at most EPS_ZERO is no chain: every xA + yB is then (nearly)
     singular. The form is near degenerate when s2 or s1 - s2 is at most
     STEP_TOL, tested with no square root."""
-    middles, degenerate = [], False
+    middles, degenerate, t2 = [], False, STEP_TOL * STEP_TOL
     for q, entries in enumerate(_SPLIT_ENTRIES):
         q2, q1, q0 = _pencil_form(*entries(w))
         h = 0.5 * q1
@@ -428,8 +428,8 @@ def _chain_middles(w) -> tuple[list[int], bool]:
         if n2 > EPS_ZERO * EPS_ZERO and n2 * n2 - 4.0 * d * d <= CHAIN_GAP_TOL * n2 * n2:
             middles.append(q)
         # with t = STEP_TOL: (s1 - s2)^2 = n2 - 2 d, and d^2 - t^2 (n2 - t^2)
-        # = (s1^2 - t^2)(s2^2 - t^2), at most 0 when s2 <= t <= s1
-        t2 = STEP_TOL * STEP_TOL
+        # = (s1^2 - t^2)(s2^2 - t^2) is at most 0 when s2 <= t <= s1; an s1
+        # below t passes the gap test
         degenerate = degenerate or n2 - 2.0 * d <= t2 or d * d <= t2 * (n2 - t2)
     return middles, degenerate
 
