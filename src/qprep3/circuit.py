@@ -136,6 +136,13 @@ def apply_circuit(c: Circuit, s: State) -> State:
     # a complex entry promotes them to the nonzero bits complex ones give
     if not any([z.imag for z in amps]):
         amps = [z.real for z in amps]
+    return type(s)(_simulate(gates, amps))
+
+
+def _simulate(gates, amps):
+    """The amplitude list amps after gates, by the kernels' block rules;
+    nothing is checked or validated. The package's one gate loop:
+    apply_circuit and synthesis's final check both run it."""
     for g in gates:
         if isinstance(g, LocalGate):
             qubit, (u00, u01, u10, u11) = g
@@ -143,7 +150,7 @@ def apply_circuit(c: Circuit, s: State) -> State:
         else:
             i, j = g
             amps = kernels.apply_cz(amps, i, j)
-    return type(s)(amps)
+    return amps
 
 
 def invert(c: Circuit) -> Circuit:

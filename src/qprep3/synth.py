@@ -116,19 +116,20 @@ raised.
 Each synthesis is one builder pass. The builder tracks the amplitudes as a
 plain list and reads the blocks from it to choose the next gate; the
 finisher reads its pairs from the same list and emits into the same circuit.
-`local(qubit, m)` and `cz(i, j)` are the only writers of that list
-and of the gate list: each applies its gate by the block rules of kernels.py
-as it appends it. `local` fuses a local gate into the last gate on its wire
-when that is a local gate with no CZ on the wire after it: the earlier gate
-commutes with every gate since, so it is removed and the product appended.
-It drops local gates that are a global phase (+-I). Dropping a fused
-product of -I negates the list against the gates synthesis asked for, but
-no check spans such a fusion: step 4's gate is the first on wire 0, and the
-other checks test singularity, which is blind to sign. So no circuit holds
-two local gates on one wire without a CZ on that wire between them, and the
-list is always the input state run through the circuit so far. Every stage
-asserts its postcondition on it, and its final value gives the reported
-fidelity.
+`local(qubit, m)` and `cz(i, j)` are the only writers of that list and of the
+gate list: each applies its gate as synthesis asks for it, by the block
+rules of kernels.py, and emits it. `local` fuses a local gate into the last
+gate on its wire when that is a local gate with no CZ on the wire after it:
+the earlier gate commutes with every gate since, so it is removed and the
+product emitted last. Fusion edits only the gate list, and marks the run.
+`local` drops a gate (or product) that is a global phase (+-I); one that
+fuses into nothing is not applied either. So no circuit holds two local
+gates on one wire without a CZ on that wire between them, and every stage
+asserts its postcondition on the state made by the gates it asked for. On
+an unmarked run, every Haar run among them, that list is also the input
+after the emitted circuit, and its final value gives the reported fidelity;
+a marked run is checked on a fresh simulation of its emitted circuit from
+the input (circuit._simulate, the gate loop apply_circuit runs).
 
 Real mode tracks an exactly real input (every imaginary part 0.0) as floats
 (_real_amps): the mat2 constructions keep their inputs' type and real mode's
@@ -154,12 +155,13 @@ __new__; `finish` builds its Circuit and its report the same way, as
 synthesis only passes its own literal wires. The finisher checks its step-1
 blocks, and each wire it spends a CZ on, at STEP_TOL. `finish` is the one
 place a result is checked, for every attempt at both sizes, on the tracked
-list itself: its squared norm against 1 within NORM_REJECT (the gates are
-unitary, so only a fault fails this), its fidelity, |amps[0]|, against
-FID_MIN, its CZ count, which `cz` keeps as it appends, against the attempt's
-bound and, in real mode, every gate's realness against REAL_GATE_TOL
-(Circuit.is_real, which stops at the first entry past it). `prepare` then
-re-simulates its inverted circuit and checks the round trip.
+list or, on a marked run, on the fresh simulation: its squared norm against
+1 within NORM_REJECT (the gates are unitary, so only a fault fails this),
+its fidelity, |amps[0]|, against FID_MIN, its CZ count, which `cz` keeps as
+it appends, against the attempt's bound and, in real mode, every gate's
+realness against REAL_GATE_TOL (Circuit.is_real, which stops at the first
+entry past it). `prepare` then re-simulates its inverted circuit and checks
+the round trip.
 """
 from __future__ import annotations
 
@@ -168,7 +170,7 @@ from collections import namedtuple
 from functools import cache
 
 from . import kernels
-from .circuit import Circuit, CZGate, Gate, LocalGate, apply_circuit, invert
+from .circuit import Circuit, CZGate, Gate, LocalGate, _simulate, apply_circuit, invert
 from .errors import NotRealError, Qprep3Error, SingularInputError, SynthesisInvariantError
 from .mat2 import CHAIN_GAP_TOL, EPS_ZERO, FID_MIN, PRUNE_TOL, REAL_ROOT_TOL, STEP_TOL
 from .mat2 import NORM_REJECT, REAL_STATE_TOL, SWAP_BLOCKS, Mat2
@@ -186,27 +188,30 @@ class SynthesisReport(namedtuple("SynthesisReport", "circuit cz_count all_real b
 
 
 class _Builder:
-    """Accumulates gates and tracks their action on a plain amplitude list.
+    """Accumulates gates and tracks the state they make on a plain amplitude
+    list.
 
-    Invariant: `amps` is the input state after `gates`, because `local` and
-    `cz` are the only writers of both. So `finish` verifies the circuit on
-    the tracked amplitudes, with no second simulation. Both keep the
-    amplitudes from before each gate (`before`), so when a local gate is
-    fused into an earlier one, the gates after that one are re-applied to
-    exactly what it saw, and the product last: `amps` stays bit-equal to a
-    fresh simulation of `gates`. `real` is the attempt's mode: real mode
-    takes the real part of every root it chooses. The trace starts with
-    `label` when it is not None.
+    `amps` is the input state after the gates synthesis asked for, each
+    applied by `local` or `cz` as it is asked for (a lone global phase is
+    neither applied nor emitted), and synthesis reads its next decision
+    from it. `gates` is what is emitted: when `local` fuses a
+    gate into the open local gate on its wire, only `gates` changes, and the
+    run is marked (`fused`). On an unmarked run `amps` is the input after
+    `gates`, and `finish` checks it with no second simulation; a marked run
+    is checked on a fresh simulation of `gates` from the input (`w`). `real`
+    is the attempt's mode: real mode takes the real part of every root it
+    chooses. The trace starts with `label` when it is not None.
     """
 
     def __init__(self, state, amps, real: bool, label=None):
         self.num_qubits = state.num_qubits
+        self.w = amps
         self.amps = list(amps)
         self.real = real
         self.gates: list[Gate] = []
-        # fusion re-applies CZs but never removes one, so this stays exact
+        # fusion never removes a CZ, so this stays exact
         self.cz_count = 0
-        self.before: list[list] = []
+        self.fused = False
         self.trace: list[str] = [] if label is None else [label]
         # by wire, the index in `gates` of its last gate if that is a local
         # gate, else -1: a wire holds at most one local gate after its last CZ
@@ -219,69 +224,48 @@ class _Builder:
     # __new__: synthesis passes only its own literal wires, which fit.
 
     def local(self, qubit: int, m: Mat2) -> None:
-        """Append the local gate m on `qubit` and apply it to `amps`.
+        """Apply the local gate m on `qubit` to `amps` and emit it.
 
         When the last gate on `qubit` is a local gate (no CZ on the wire since
         it; `open` holds its index, so nothing is searched for), that gate
-        commutes with every gate after it: it is removed, the
-        gates after it are re-applied from its `before`, and m is replaced by
-        their product. A gate (or product) within PRUNE_TOL of +-I, a global
-        phase, is not emitted.
+        commutes with every gate after it: it is removed, the open indices
+        above it move down by one, the product of m and it is emitted last,
+        and the run is marked. A gate (or product) within PRUNE_TOL of +-I,
+        a global phase, is not emitted; a gate that fuses into nothing is
+        then not applied either, so `amps` and `gates` still agree.
         """
-        gates = self.gates
-        k = self.open[qubit]
+        gates, opened = self.gates, self.open
+        k = opened[qubit]
         if k >= 0:
+            self.fused = True
+            self.amps = kernels.apply_local(self.amps, qubit, *m)
             m = m @ gates.pop(k).matrix
-            self._replay(k)
+            self.open = opened = [i - (i > k) for i in opened]
         a, b, c, d = m
         # off-diagonal first: a typical gate is rejected by one abs
         if abs(b) <= PRUNE_TOL and abs(c) <= PRUNE_TOL and _is_global_phase(a, d):
             # the gate before it on this wire, if any, is a CZ
-            self.open[qubit] = -1
+            opened[qubit] = -1
             return
-        self.open[qubit] = len(gates)
-        self.before.append(self.amps)
-        self.amps = kernels.apply_local(self.amps, qubit, a, b, c, d)
+        opened[qubit] = len(gates)
+        if k < 0:
+            self.amps = kernels.apply_local(self.amps, qubit, a, b, c, d)
         gates.append(tuple.__new__(LocalGate, (qubit, m)))
 
-    def _replay(self, k: int) -> None:
-        # the gate at k is gone: re-apply the gates now from k on, starting
-        # from the amplitudes it saw, and move each open index down by one
-        before, opened = self.before, self.open
-        amps = before[k]
-        del before[k:]
-        for i, g in enumerate(self.gates[k:], k):
-            before.append(amps)
-            if type(g) is LocalGate:
-                q = g.qubit
-                if opened[q] == i + 1:
-                    opened[q] = i
-                a, b, c, d = g.matrix
-                amps = kernels.apply_local(amps, q, a, b, c, d)
-            else:
-                amps = kernels.apply_cz(amps, g.i, g.j)
-        self.amps = amps
-
     def cz(self, i: int, j: int) -> None:
-        """Append CZ on (i, j), i < j, and apply it to `amps`."""
+        """Apply CZ on (i, j), i < j, to `amps` and emit it."""
         self.open[i] = self.open[j] = -1
         self.cz_count += 1
-        self.before.append(self.amps)
         self.amps = kernels.apply_cz(self.amps, i, j)
         self.gates.append(tuple.__new__(CZGate, (i, j)))
 
-    def require(self, cond: bool, msg: str) -> None:
-        # msg is a plain literal; a message that needs formatting is built in
-        # an explicit `if not ...: raise`, so no passing check formats one
-        if not cond:
-            raise SynthesisInvariantError(msg)
-
     def finish(self, max_cz: int) -> SynthesisReport:
-        """The finished report, read off the tracked list; raises when its
+        """The finished report, read off the tracked list or, on a marked run,
+        off a fresh simulation of `gates` from the input; raises when its
         squared norm is off 1 by more than NORM_REJECT, its fidelity is below
         FID_MIN, its CZ count above max_cz or, in real mode, a gate is not
         real."""
-        amps = self.amps
+        amps = _simulate(self.gates, self.w) if self.fused else self.amps
         # each check is written `not <=` or `not >=`, so that a NaN fails
         n2 = sum([x * x for x in map(abs, amps)])
         if not abs(n2 - 1.0) <= NORM_REJECT:
@@ -493,7 +477,8 @@ def _run3(b: _Builder) -> None:
 
     b.local(1, l1(a1))
     a2, b2 = _split(b.amps, 2)
-    b.require(row2_norm(a2) <= STEP_TOL, "step2: second row of top block survives")
+    if not row2_norm(a2) <= STEP_TOL:
+        raise SynthesisInvariantError("step2: second row of top block survives")
 
     # the paper's step 3 (R3 on qubit 0, squeezing the top block to its
     # corner) is skipped: the finisher needs only products
@@ -503,15 +488,16 @@ def _run3(b: _Builder) -> None:
         b.say("skip-step4")
     else:
         b.say("step4")
-        # u4 is the first gate on wire 0, so it fuses into nothing: a u4 of
-        # -I is dropped with its dagger, and the top block, whose second row
-        # step 2 zeroed, sees the sandwich as the identity
+        # the checks read the state after the sandwich as asked; the top
+        # block, whose second row step 2 zeroed, sees it as the identity
         b.local(0, u4)
         b.cz(0, 1)
         b.local(0, u4.dagger())
         a4, b4 = _split(b.amps, 2)
-        b.require(is_singular(b4, STEP_TOL), "step4: det of bottom block not killed")
-        b.require(a4.distance_to(a2) <= STEP_TOL, "step4: top block disturbed")
+        if not is_singular(b4, STEP_TOL):
+            raise SynthesisInvariantError("step4: det of bottom block not killed")
+        if not a4.distance_to(a2) <= STEP_TOL:
+            raise SynthesisInvariantError("step4: top block disturbed")
 
     # the top block has one nonzero row and the bottom block is singular
     # (r1's precondition or step 4's check): both are products

@@ -22,7 +22,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from _oracles import cz_min, cz_unitary, dense_apply
+from _oracles import cz_min, cz_unitary, dense_apply, w_under_locals
+from qprep3.circuit import apply_circuit
 from qprep3.errors import Qprep3Error, SynthesisInvariantError
 from qprep3.state import PureState3
 from qprep3.synth import disentangle3, disentangle3_real
@@ -250,8 +251,8 @@ def test_exact_amplitude_patterns_never_fail(seed):
     # exact zeros and ties put decisions exactly on their thresholds. Here a
     # step-4 gate of -I fused into the paper's step-3 gate, and dropping its
     # inverse negated the tracked state (2, 1 and 6 runs by seed failed step
-    # 4's top-block check); with no step 3 it fuses into nothing and the
-    # check is exact. General mode must reach cz_min, real mode 3 CZ
+    # 4's top-block check); the tracked state now follows the gates as
+    # asked, whatever fuses. General mode must reach cz_min, real mode 3 CZ
     rng = random.Random(seed)
     bad = []
     for support in range(1, 256):
@@ -547,6 +548,37 @@ def test_real_mode_runs_the_flow_where_it_finds_fewer_cz():
         if problem is not None:
             bad.append((key, problem, rep.branch_trace))
     assert bad == []
+
+
+def test_reported_fidelity_is_a_fresh_simulation_of_the_circuit(monkeypatch):
+    # inputs whose runs fuse a local gate into an earlier one: the builder
+    # tracks the gates as asked, so `finish` checks such a run on a fresh
+    # simulation of the gates it emitted, and the report's fidelity is that
+    # of the circuit, bit for bit
+    import qprep3.synth as synth
+
+    fused = []
+
+    class Recording(synth._Builder):
+        def finish(self, max_cz):
+            fused.append(self.fused)
+            return super().finish(max_cz)
+
+    monkeypatch.setattr(synth, "_Builder", Recording)
+    rng = np.random.default_rng(781)
+    product = _kron3(*[_local_unitary(rng, False) for _ in range(3)], np.eye(8)[0].astype(np.complex128))
+    inputs = [W, w_under_locals(0), w_under_locals(0, real=True), product, np.array([0.5, 0, 0.5, 0, 0, 0.5, 0.5, 0])]
+    inputs += [np.array(row) for row in PINNED_FLOW_FIRST.values()]
+    bad = []
+    for v in inputs:
+        s = PureState3(v)
+        for synth_fn in (disentangle3, disentangle3_real) if s.max_imag() == 0.0 else (disentangle3,):
+            rep = synth_fn(s)
+            fresh = abs(apply_circuit(rep.circuit, s).w[0])
+            if rep.fidelity != fresh:
+                bad.append((synth_fn.__name__, v.tolist(), rep.fidelity, fresh))
+    assert bad == []
+    assert sum(fused) >= 10
 
 
 # near-GHZ draws of the near-degenerate benchmark fuzz

@@ -17,7 +17,7 @@ from _oracles import (
     scaled,
     w_under_locals,
 )
-from qprep3.circuit import Circuit, CZGate, LocalGate, apply_circuit, ry_matrix
+from qprep3.circuit import Circuit, CZGate, LocalGate, apply_circuit, invert, ry_matrix
 from qprep3.errors import NonSingularInputError, NotRealError, SynthesisInvariantError
 from qprep3.mat2 import CHAIN_GAP_TOL, EPS_ZERO, IDENTITY, STEP_TOL, Mat2, _pencil_root, u_from_pair
 from qprep3.state import (
@@ -266,8 +266,8 @@ class TestBranchReductions:
     def test_step4_gate_of_minus_identity(self, synth, v):
         # with the paper's step 3 (R3 on qubit 0) before it, step 4's gate was
         # -I here and fused into R3, and dropping its dagger negated the
-        # tracked state; step 4 now opens wire 0, and its top-block check is
-        # strict
+        # tracked state; the tracked state now follows the gates as asked,
+        # and the top-block check is strict
         v = np.array(v)
         rep = synth(PureState3(v))
         assert "step4" in rep.branch_trace
@@ -457,7 +457,8 @@ class TestAttemptsInOrder:
         real_finish = synth._finish_chain
 
         def failing_after_chain(b, m, outer):
-            b.require("chain01" not in b.trace, "step1: chain attempt rejected")
+            if "chain01" in b.trace:
+                raise SynthesisInvariantError("step1: chain attempt rejected")
             real_finish(b, m, outer)
 
         monkeypatch.setattr(synth, "_finish_chain", failing_after_chain)
@@ -902,24 +903,33 @@ class TestMinimalCircuits:
 
         rng = np.random.default_rng(782)
         a, c = random_unitary2(rng), random_unitary2(rng)
-        s = random_state((782, 0))
-        b = _Builder(s, s.w, False)
-        b.local(2, random_unitary2(rng))
-        b.local(0, a)
+        asked = [LocalGate(2, random_unitary2(rng)), LocalGate(0, a)]
         if between and between[0] == "local":
-            b.local(between[1], random_unitary2(rng))
+            asked.append(LocalGate(between[1], random_unitary2(rng)))
         elif between:
-            b.cz(between[1], between[2])
-        b.local(0, c)
+            asked.append(CZGate(between[1], between[2]))
+        asked.append(LocalGate(0, c))
+        # the state the asked gates map to |000>, so that `finish` passes
+        s = apply_circuit(invert(Circuit(tuple(asked))), basis_state(3, 0))
+        b = _Builder(s, s.w, False)
+        for g in asked:
+            b.local(*g) if isinstance(g, LocalGate) else b.cz(*g)
         on_0 = [g.matrix for g in b.gates if isinstance(g, LocalGate) and g.qubit == 0]
         assert on_0 == ([c @ a] if fused else [a, c])
-        # the last gate is the new one (or the product); the tracked
-        # amplitudes equal a fresh simulation bit for bit
+        # the last gate is the new one (or the product), and each open index
+        # still points at the last gate on its wire
         assert b.gates[-1].matrix == on_0[-1]
-        assert b.amps == list(apply_circuit(Circuit(tuple(b.gates)), random_state((782, 0))).w)
-        assert b.before == [
-            list(apply_circuit(Circuit(tuple(b.gates[:k])), random_state((782, 0))).w) for k in range(len(b.gates))
-        ]
+        assert b.fused == fused
+        for q, k in enumerate(b.open):
+            on_q = [i for i, g in enumerate(b.gates) if q in ((g.qubit,) if isinstance(g, LocalGate) else g)]
+            assert k == (on_q[-1] if on_q and isinstance(b.gates[on_q[-1]], LocalGate) else -1)
+        # the tracked amplitudes are the input after the gates as asked, bit
+        # for bit; the report's fidelity is that of a fresh simulation of
+        # the emitted circuit
+        assert b.amps == list(apply_circuit(Circuit(tuple(asked)), s).w)
+        rep = b.finish(3)
+        assert rep.circuit.gates == tuple(b.gates)
+        assert rep.fidelity == abs(apply_circuit(rep.circuit, s).w[0])
 
 
 def _real_delta_negative(seed) -> PureState3:

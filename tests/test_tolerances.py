@@ -44,25 +44,6 @@ def test_no_threshold_outside_the_tolerance_block():
     assert found == []
 
 
-def test_require_messages_are_plain_literals():
-    # a message that needs formatting goes in an explicit `if ...: raise`, so
-    # no check builds its message when it passes
-    path = PACKAGE / "synth.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    calls = [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "require"
-    ]
-    assert calls
-    bad = []
-    for call in calls:
-        msg = call.args[1:] + [k.value for k in call.keywords if k.arg == "msg"]
-        if not (len(msg) == 1 and isinstance(msg[0], ast.Constant) and isinstance(msg[0].value, str)):
-            bad.append(f"synth.py:{call.lineno}")
-    assert bad == []
-
-
 def test_step_checks_sit_above_branch_decisions():
     # a block one decision calls singular must pass every later check
     assert EPS_ZERO < STEP_TOL
