@@ -194,13 +194,13 @@ class _Builder:
     `amps` is the input state after the gates synthesis asked for, each
     applied by `local` or `cz` as it is asked for (a lone global phase is
     neither applied nor emitted), and synthesis reads its next decision
-    from it. `gates` is what is emitted: when `local` fuses a
-    gate into the open local gate on its wire, only `gates` changes, and the
-    run is marked (`fused`). On an unmarked run `amps` is the input after
-    `gates`, and `finish` checks it with no second simulation; a marked run
-    is checked on a fresh simulation of `gates` from the input (`w`). `real`
-    is the attempt's mode: real mode takes the real part of every root it
-    chooses. The trace starts with `label` when it is not None.
+    from it. `gates` is what is emitted: when `local` fuses a gate into the
+    open local gate on its wire, only `gates` changes, and the run is marked
+    (`fused`). On an unmarked run `amps` is the input after `gates`, and
+    `finish` checks it with no second simulation; a marked run is checked on
+    a fresh simulation of `gates` from the input (`w`). `real` is the
+    attempt's mode: real mode takes the real part of every root it chooses.
+    The trace starts with `label` when it is not None.
     """
 
     def __init__(self, state, amps, real: bool, label=None):
