@@ -49,9 +49,9 @@ from .errors import (
 EPS_ZERO = 1e-6
 # Step checks, l1's precondition among them (synthesis's step-1 check); 10x
 # above EPS_ZERO, so a block one decision accepts passes every later check.
-# Also the route's screen: a split form with a singular value, or a gap
-# between its two, this small runs the flow beside the chain prefix
-# (synth._chain_middles).
+# Also the route's screen (synth._screen): a split form with a singular
+# value, or a gap between its two, this small runs the flow beside the chain
+# prefix, and each qubit whose form has such a gap gets a finisher attempt.
 STEP_TOL = 1e-5
 # Gauge choice, relative to the block's norm (not a zero test): blocks this
 # close to real take the real representative, so rounding cannot amplify.
@@ -75,10 +75,6 @@ REAL_ROOT_TOL = 1e-8
 # split by ~1e-8; and an exact double root at 0 (q1 = q0 = 0) would divide
 # 0 by 0 in the cancellation-free form.
 DOUBLE_ROOT_TOL = 1e-12
-# A qubit is a chain middle when the relative gap of the two singular values
-# of its split's pencil form (synth._chain_middles) is at most this.
-# Chain middles measure <= 1e-14, Haar-random states >= 5.8e-5.
-CHAIN_GAP_TOL = 1e-9
 # An Ry angle is reported only if the rotation reproduces the gate this closely.
 RY_MATCH_TOL = 1e-10
 # `qprep3 delta` prints delta~0 within this of zero (rounding of exact zeros).

@@ -65,16 +65,17 @@ so the gate is U(1, z), z = mat2._pencil_root(K11, 2 K01, K00)
 real.
 
 The prefix spends cz01 on every state, so near a state that needs fewer
-CZ the flow, whose skips find them, runs too. Both modes take one route
-(_route3), and one pass over the three split forms (_chain_middles) screens
+CZ the flow, whose skips find them, runs too, and so does the finisher on
+each qubit that may be a chain middle (Chains, below). Both modes take one
+route (_route3), and one pass over the three split forms (_screen) screens
 for it: when some form's smaller singular value, or the gap between its two,
 is at most STEP_TOL (a zero qubit-2 discriminant, a near product and a near
 chain each make one), or when the top block is singular (its step-1 root is
-then ~0, and real), the flow runs and then the prefix, and the runner keeps
-the better. Every other input, every Haar state but a few real ones among
-them, runs the prefix alone. A chain goes to the finisher before either
-(Chains, below). The bound of 3 CZ is checked on every run, not proven: a
-run that misses it raises.
+then ~0, and real), the flow runs, then the finisher on each qubit whose
+form has such a gap, then the prefix, and the runner keeps the best. Every
+other input, every Haar state but a few real ones among them, runs the
+prefix alone. The bound of 3 CZ is checked on every run, not proven: a run
+that misses it raises.
 
 Step 1, the finisher's step 1 and the prefix take one root through one
 gate, _root_gate(b, q, form): U(1, z) on qubit q, z the finite root of
@@ -92,26 +93,24 @@ Chains. Two CZ suffice exactly for the states |u>P + |u_perp>Q on one qubit
 m, the chain middle, with P and Q products on the other two. Qubit m is one
 when the pencil form of its split, S = [[q0, q1/2], [q1/2, q2]] with
 det(xA + yB) = q0 x^2 + q1 xy + q2 y^2, has two equal singular values (its
-two null directions are then orthogonal); _chain_middles tests that to
-CHAIN_GAP_TOL for the three qubits in the one pass that makes the route's
-screen, each split's eight entries read at once into the one pencil-form
-formula, with no block built. For each qubit q of a 3-qubit input that is a
-chain middle, in the order 0, 1, 2, both synthesizers first run the finisher
-on the input itself, with m = q and a bound of 2 CZ (trace `chain<q>`), and
-the route's runs follow if none passes. Qubit 0 goes first, so GHZ, a chain
-on every qubit, takes `chain0`.
+two null directions are then orthogonal). No chain test decides the route:
+the screen reads the three forms, each split's eight entries read at once
+into the one pencil-form formula, with no block built, and each qubit q
+whose form's gap is at most STEP_TOL gets an attempt of the finisher on the
+input itself, with m = q (trace `chain<q>`), in the order 0, 1, 2. The
+attempt passes or fails on `finish`'s checks like any other, and a
+3-qubit finisher emits at most one CZ per outer wire, 2. GHZ, a chain on
+every qubit, keeps `chain0`, the first of three that tie.
 
 Every synthesis goes through one attempt runner, _synthesize(s, w, real,
-label, runs, max_cz, middles). An attempt (_attempt) is a fresh builder of
-the input, a trace label (real mode's sign of delta), a run (the flow, the
-chain prefix, the 2-qubit finisher or a chain finisher) and a CZ bound,
-which `finish` checks. The runner makes a chain attempt (bound 2) on each of
-`middles`, a 3-qubit input's chain middles, and returns the first that
-passes; then an attempt of each of `runs`, with a bound of 1 CZ for 2 qubits
-and 3 for 3, and returns the passing one with the fewest (CZ, gates), the
-earlier on ties. A Qprep3Error raised in an attempt gets the branch trace
-that attempt took, and when no attempt passes, the first attempt's error is
-raised.
+label, runs, max_cz). An attempt (_attempt) is a fresh builder of the input,
+a trace label (real mode's sign of delta), a run (the flow, the chain
+prefix, the 2-qubit finisher or a chain finisher) and a CZ bound, which
+`finish` checks. The runner makes an attempt of each of `runs`, with a
+bound of 1 CZ for 2 qubits and 3 for 3, and returns the passing one with
+the fewest (CZ, gates), the earlier on ties, so a tie goes to the flow. A
+Qprep3Error raised in an attempt gets the branch trace that attempt took,
+and when no attempt passes, the first attempt's error is raised.
 
 Each synthesis is one builder pass. The builder tracks the amplitudes as a
 plain list and reads the blocks from it to choose the next gate; the
@@ -167,12 +166,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cache
+from functools import cache, partial
 
 from . import kernels
 from .circuit import Circuit, CZGate, Gate, LocalGate, _simulate, apply_circuit, invert
 from .errors import NotRealError, Qprep3Error, SingularInputError, SynthesisInvariantError
-from .mat2 import CHAIN_GAP_TOL, EPS_ZERO, FID_MIN, PRUNE_TOL, REAL_ROOT_TOL, STEP_TOL
+from .mat2 import EPS_ZERO, FID_MIN, PRUNE_TOL, REAL_ROOT_TOL, STEP_TOL
 from .mat2 import NORM_REJECT, REAL_STATE_TOL, SWAP_BLOCKS, Mat2
 from .mat2 import _pencil_form, _pencil_root, is_singular, l1, r1, row2_norm, u_from_pair
 from .state import _SPLIT_ENTRIES, PureState2, PureState3, State, _delta, _split, basis_state, overlap
@@ -288,19 +287,12 @@ class _Builder:
 _OUTER = ((1, 2), (0, 2), (0, 1))
 
 
-def _synthesize(s: State, w, real: bool, label, runs, max_cz: int, middles=()) -> SynthesisReport:
-    """The one attempt runner (module docstring). First the finisher on each
-    chain middle q of a 3-qubit input (_chain_middles, in the order 0, 1, 2)
-    with a bound of 2, the first that passes returned; then each of `runs`
-    with a bound of max_cz, the passing one with the fewest (CZ, gates)
-    returned, the earlier on ties. When every attempt fails, the first
-    one's error is raised."""
-    results = []
-    for q in middles:
-        results.append(_attempt(s, w, real, label, lambda b: _finish_chain(b, q, _OUTER[q]), 2))
-        if type(results[-1]) is SynthesisReport:
-            return results[-1]
-    results += [_attempt(s, w, real, label, run, max_cz) for run in runs]
+def _synthesize(s: State, w, real: bool, label, runs, max_cz: int) -> SynthesisReport:
+    """The one attempt runner (module docstring): an attempt of each of
+    `runs` with a bound of max_cz, the passing one with the fewest (CZ,
+    gates) returned, the earlier on ties. When every attempt fails, the
+    first one's error is raised."""
+    results = [_attempt(s, w, real, label, run, max_cz) for run in runs]
     passed = [r for r in results if type(r) is SynthesisReport]
     if not passed:
         raise results[0]
@@ -346,9 +338,10 @@ def _run2(b: _Builder) -> None:
 def disentangle3(s: PureState3) -> SynthesisReport:
     """Circuit mapping an arbitrary 3-qubit state to |000> with at most 3 CZ.
 
-    A chain is first tried with the chain finisher alone on its middle q
-    (trace `chain<q>`), for 2 CZ; a generic state then takes the chain
-    prefix, for 3 CZ and 10 gates (_route3; see the module docstring).
+    A generic state takes the chain prefix, for 3 CZ and 10 gates; near a
+    degenerate split form the flow and the chain finisher on each near-gap
+    qubit q (trace `chain<q>`) run beside it, and the best is kept (_route3;
+    see the module docstring).
     """
     return _route3(s, s.w, False, None)
 
@@ -367,10 +360,9 @@ def _real_amps(s: State, who: str):
 def disentangle3_real(s: PureState3) -> SynthesisReport:
     """All-real circuit mapping a real 3-qubit state to |000>.
 
-    At most 3 CZ for either sign of delta(s). As in disentangle3, a chain is
-    first tried with the finisher alone on its middle, for 2 CZ, and a
-    generic state then takes the chain prefix, whose gate is real here
-    (_route3). A run that misses a check, the bound included, raises.
+    At most 3 CZ for either sign of delta(s). It takes disentangle3's route
+    (_route3): a generic state takes the chain prefix, whose gate is real
+    here. A run that misses a check, the bound included, raises.
     Every root it chooses is real.
     The first label of the branch trace is the sign of delta (`delta>=0` or
     `delta<0`); the chain prefix says `chain01`.
@@ -380,42 +372,43 @@ def disentangle3_real(s: PureState3) -> SynthesisReport:
 
 
 def _route3(s: PureState3, w, real: bool, label) -> SynthesisReport:
-    """The one route of a 3-qubit input, in either mode: the finisher on each
-    chain middle, then the chain prefix (_chain01), and the flow (_run3)
-    before it when a split form is near degenerate or the top block is
-    singular; the runner keeps the better of the two (module docstring)."""
-    middles, degenerate = _chain_middles(w)
-    runs = (_run3, _chain01) if degenerate or is_singular(_split(w, 2)[0], EPS_ZERO) else (_chain01,)
-    return _synthesize(s, w, real, label, runs, 3, middles)
+    """The one route of a 3-qubit input, in either mode: on an input the
+    screen (_screen) flags, or whose top block is singular, the flow (_run3),
+    the finisher on each near-gap qubit and the chain prefix (_chain01); on
+    any other, the prefix alone. The runner keeps the best (module
+    docstring)."""
+    gaps, flagged = _screen(w)
+    if flagged or is_singular(_split(w, 2)[0], EPS_ZERO):
+        runs = (_run3, *[partial(_finish_chain, m=q, outer=_OUTER[q]) for q in gaps], _chain01)
+    else:
+        runs = (_chain01,)
+    return _synthesize(s, w, real, label, runs, 3)
 
 
-def _chain_middles(w) -> tuple[list[int], bool]:
-    """The chain middles among qubits 0, 1, 2 of the 8 amplitudes w, in that
-    order, and whether some split's form is near degenerate, from one pass
-    over the pencil forms of the three splits, each split's eight entries
-    read at once, with no block built.
+def _screen(w) -> tuple[list[int], bool]:
+    """The route's screen of the 8 amplitudes w, from one pass over the
+    pencil forms of the three splits, each split's eight entries read at
+    once, with no block built: the qubits among 0, 1, 2, in that order,
+    whose form's two singular values are at most STEP_TOL apart, and whether
+    some form has such a gap or a smaller singular value at most STEP_TOL.
 
     Qubit q's form S = [[q0, q1/2], [q1/2, q2]], det(xA + yB) = q0 x^2 +
     q1 xy + q2 y^2, has singular values s1 >= s2 with s1^2 + s2^2 = |S|_F^2
-    and s1 s2 = |det S|. q is a chain middle when they are equal: (|S|_F^2)^2
-    - 4|det S|^2 = (s1^2 - s2^2)^2 must be at most CHAIN_GAP_TOL |S|_F^4. A
-    form of norm at most EPS_ZERO is no chain: every xA + yB is then (nearly)
-    singular. The form is near degenerate when s2 or s1 - s2 is at most
-    STEP_TOL, tested with no square root."""
-    middles, degenerate, t2 = [], False, STEP_TOL * STEP_TOL
+    and s1 s2 = |det S|; both tests are made with no square root."""
+    gaps, small, t2 = [], False, STEP_TOL * STEP_TOL
     for q, entries in enumerate(_SPLIT_ENTRIES):
         q2, q1, q0 = _pencil_form(*entries(w))
         h = 0.5 * q1
         a, b, c = abs(q0), abs(h), abs(q2)
         n2 = a * a + 2.0 * b * b + c * c
         d = abs(q0 * q2 - h * h)
-        if n2 > EPS_ZERO * EPS_ZERO and n2 * n2 - 4.0 * d * d <= CHAIN_GAP_TOL * n2 * n2:
-            middles.append(q)
         # with t = STEP_TOL: (s1 - s2)^2 = n2 - 2 d, and d^2 - t^2 (n2 - t^2)
         # = (s1^2 - t^2)(s2^2 - t^2) is at most 0 when s2 <= t <= s1; an s1
         # below t passes the gap test
-        degenerate = degenerate or n2 - 2.0 * d <= t2 or d * d <= t2 * (n2 - t2)
-    return middles, degenerate
+        if n2 - 2.0 * d <= t2:
+            gaps.append(q)
+        small = small or d * d <= t2 * (n2 - t2)
+    return gaps, small or bool(gaps)
 
 
 def _chain01(b: _Builder) -> None:

@@ -190,7 +190,7 @@ def reference_max_local_imag(c) -> float:
     )
 
 
-def cz_min(amps, tol: float = 1e-9, chain_gap: float = 1e-6) -> int:
+def cz_min(amps, tol: float = 1e-9, chain_gap: float = 1e-6, gap_abs: float = 0.0) -> int:
     """Fewest CZ that prepare a 3-qubit state from |000> with local gates.
 
     0 for a product, 1 when one qubit factors out (some bipartition of one
@@ -200,11 +200,14 @@ def cz_min(amps, tol: float = 1e-9, chain_gap: float = 1e-6) -> int:
     S = [[det A, c/2], [c/2, det B]] of det(xA + yB) = det(A)x^2 + c xy +
     det(B)y^2, with A and B the blocks of q = 0 and q = 1, has two equal
     singular values: only then are the two null directions of the form
-    orthogonal. Equal means a gap of at most chain_gap times the larger. The
-    default, 1e-6, is strict. The package calls a qubit a chain middle up to
-    a relative gap of about 3.2e-5, and within the fidelity floor (amplitude
-    scale 1e-5) a state that close to a chain may get 2 CZ. So 1e-4 gives a
-    loose count, a lower bound on a run's CZ near a chain.
+    orthogonal. Equal means a gap of at most chain_gap times the larger, or
+    of at most gap_abs. The default, 1e-6 relative and no absolute gap, is
+    strict. The package runs the chain finisher on each qubit whose form's
+    gap is at most STEP_TOL = 1e-5, absolute, and keeps a run that passes
+    the fidelity floor (amplitude scale 1e-5): a state that close to a chain
+    may get 2 CZ, in relative terms far from one when its form is small. So
+    chain_gap=1e-4 with gap_abs=1e-5 gives a loose count, a lower bound on
+    a run's CZ near a chain.
     """
     split = [_split(amps, q) for q in range(3)]
     ranks = [int(np.sum(np.linalg.svd(m.reshape(2, 4), compute_uv=False) > tol)) for m in split]
@@ -214,7 +217,7 @@ def cz_min(amps, tol: float = 1e-9, chain_gap: float = 1e-6) -> int:
         return 1
     for q in range(3):
         s = pencil_singular_values(amps, q)
-        if s[0] - s[1] <= chain_gap * s[0]:
+        if s[0] - s[1] <= max(chain_gap * s[0], gap_abs):
             return 2
     return 3
 

@@ -178,24 +178,27 @@ def test_criterion_6_branch_reductions():
         ok = ok and rep.cz_count <= 1 and "A1=0" in rep.branch_trace
     details.append(f"|1>x2q max cz {worst}")
 
-    # both blocks singular, a chain with qubit 2 in the middle --> the chain
-    # attempt, two CZ; with a shared row (qubit 1 factors out, no chain) -->
-    # the flow skips step 4, one CZ
+    # both blocks singular, a chain with qubit 2 in the middle --> the
+    # finisher on qubit 2, two CZ in 7 gates; with a shared row (qubit 1
+    # factors out, every form gap zero) --> the finisher on qubit 0 skips
+    # cz01, one CZ in 5 gates, one fewer than the flow, which skips step 4
     rng = np.random.default_rng(1009)
     worst = 0
     for _ in range(200):
         a = random_rank1(rng)
-        for b, route, cz in [(random_rank1(rng), "chain2", 2), (a @ random_nonsingular(rng), "skip-step4", 1)]:
+        for b, route, cz, gates in [(random_rank1(rng), "chain2", 2, 7), (a @ random_nonsingular(rng), "skip-cz01", 1, 5)]:
             amps = np.array(a.entries() + b.entries())
             rep = disentangle3(PureState3(amps / np.linalg.norm(amps)))
             worst = max(worst, rep.cz_count)
-            ok = ok and rep.cz_count == cz and route in rep.branch_trace
+            ok = ok and (rep.cz_count, len(rep.circuit.gates)) == (cz, gates) and route in rep.branch_trace
     details.append(f"singular-blocks max cz {worst}")
 
     # top block a lone corner entry, bottom block with a zero upper-right
     # entry: both blocks of qubit 1 are singular, a chain with qubit 1 in
-    # the middle --> the chain attempt, two CZ; with qubit 0 factored out
-    # instead --> the finisher skips cz02, one CZ
+    # the middle --> the flow, whose finisher skips cz02, two CZ in 7 gates,
+    # a tie with the finisher on qubit 1 that the flow takes; with qubit 0
+    # factored out instead --> the finisher on qubit 1 skips cz01, one CZ in
+    # 5 gates, one fewer than the flow
     worst = 0
     count = 0
     while count < 200:
@@ -206,12 +209,12 @@ def test_criterion_6_branch_reductions():
             continue
         count += 1
         a = random_rank1(rng)
-        runs = [(Mat2(alpha, 0, 0, 0), bottom, "chain1", 2), (a, random_nonsingular(rng) @ a, "skip-cz02", 1)]
-        for top, bottom, route, cz in runs:
+        runs = [(Mat2(alpha, 0, 0, 0), bottom, "skip-cz02", 2, 7), (a, random_nonsingular(rng) @ a, "skip-cz01", 1, 5)]
+        for top, bottom, route, cz, gates in runs:
             amps = np.array(top.entries() + bottom.entries())
             rep = disentangle3(PureState3(amps / np.linalg.norm(amps)))
             worst = max(worst, rep.cz_count)
-            ok = ok and rep.cz_count == cz and route in rep.branch_trace
+            ok = ok and (rep.cz_count, len(rep.circuit.gates)) == (cz, gates) and route in rep.branch_trace
     details.append(f"zero-column max cz {worst}")
 
     _report(6, "branch reductions reach their CZ bounds with named branches", ok,

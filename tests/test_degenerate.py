@@ -199,9 +199,10 @@ def _circuit_built(rng, k, real):
 def test_circuit_built_states_never_fail():
     # with one CZ on (0, 1), A0 and B0 are both multiples of one matrix, so the
     # step-1 pencil has a double root that rounding must not split. Every
-    # count lies in the band from the loose cz_min (chain gap 1e-4) up to the
-    # strict one in general mode, a chain with its middle on qubit 0
-    # included, and up to the generating count k in real mode
+    # count lies in the band from the loose cz_min (chain gap 1e-4 relative
+    # or 1e-5 absolute) up to the strict one in general mode, a chain with
+    # its middle on qubit 0 included, and up to the generating count k in
+    # real mode
     rng = np.random.default_rng(20261019)
     bad = []
     for mode, synth, max_k in [("general", disentangle3, 3), ("real", disentangle3_real, 4)]:
@@ -214,7 +215,7 @@ def test_circuit_built_states_never_fail():
                     bad.append((mode, k, n, repr(exc)))
                     continue
                 problem = _violation(rep, v, mode)
-                lo, hi = cz_min(v, chain_gap=1e-4), cz_min(v) if mode == "general" else k
+                lo, hi = cz_min(v, chain_gap=1e-4, gap_abs=1e-5), cz_min(v) if mode == "general" else k
                 if problem is None and not lo <= rep.cz_count <= hi:
                     problem = f"cz {rep.cz_count}, band {lo}..{hi}"
                 if problem is not None:
@@ -223,24 +224,36 @@ def test_circuit_built_states_never_fail():
 
 
 # draw 578 of _circuit_built(np.random.default_rng(11), 3, True), after 1,000
-# real draws each for k = 1 and k = 2: qubit 0's relative singular-value gap
-# is 2.9e-5, a chain middle to the package but not to the strict cz_min
+# real draws each for k = 1 and k = 2: qubit 0's singular-value gap is 1.4e-6,
+# 2.9e-5 relative, a near-gap qubit to the route's screen but not a chain
+# middle to the strict cz_min
 NEAR_CHAIN_REAL_3_CZ = [
     0.03575747605452102, 0.0926178884663912, -0.5546482824904772, 0.432831832978515,
     -0.01833550544162215, 0.11974810669514323, -0.05574261980794814, 0.6909284892469951,
 ]
+# draw 36 of _circuit_built(np.random.default_rng(20261019), 4, True), the
+# draws of test_circuit_built_states_never_fail: qubit 2's form has singular
+# values 6.318e-4 and 6.292e-4, a gap of 2.7e-6 but 4.2e-3 relative, so only
+# the loose cz_min's absolute gap calls it a chain middle
+SMALL_FORM_REAL_4_CZ = [
+    0.03332051631052247, -0.1744484662429486, -0.033228686643882829, 0.16937047688573781,
+    -0.38744505826298115, 0.59213483502163866, 0.36215450187067505, -0.55387160291713688,
+]
 
 
 def test_circuit_built_band_admits_a_chain_inside_the_gap():
-    # the strict cz_min says 3 where both modes give 2: only the band's loose
-    # end accepts the count
-    v = np.array(NEAR_CHAIN_REAL_3_CZ, dtype=np.complex128)
-    assert (cz_min(v, chain_gap=1e-4), cz_min(v)) == (2, 3)
-    for synth in (disentangle3, disentangle3_real):
-        rep = synth(PureState3(v))
-        assert rep.cz_count == 2
-        assert rep.branch_trace[-3:] == ("chain0", "cz01", "cz02")
-        assert _violation(rep, v, "real" if synth is disentangle3_real else "general") is None
+    # the strict cz_min says 3 where both modes give 2, within the fidelity
+    # floor: only the band's loose end accepts the count, the second state
+    # by its absolute gap alone
+    cases = [(NEAR_CHAIN_REAL_3_CZ, 2, "chain0", "cz01", "cz02"), (SMALL_FORM_REAL_4_CZ, 3, "chain2", "cz02", "cz12")]
+    for row, relative, *tail in cases:
+        v = np.array(row, dtype=np.complex128)
+        assert (cz_min(v, chain_gap=1e-4), cz_min(v, chain_gap=1e-4, gap_abs=1e-5), cz_min(v)) == (relative, 2, 3)
+        for synth in (disentangle3, disentangle3_real):
+            rep = synth(PureState3(v))
+            assert rep.cz_count == 2
+            assert rep.branch_trace[-3:] == tuple(tail)
+            assert _violation(rep, v, "real" if synth is disentangle3_real else "general") is None
 
 
 EXACT_VALUES = (1, -1, 1j, 0.5, 2)
@@ -528,13 +541,13 @@ PINNED_FLOW_FIRST = {
 def test_real_mode_runs_the_flow_where_it_finds_fewer_cz():
     # the chain prefix spends cz01 on every state, so near a degenerate
     # split form real mode runs the flow too, whose skips give these 2 CZ,
-    # and a chain middle on qubit 1 or 2 goes to the finisher first; with
-    # the prefix alone these get 3 CZ
+    # and the finisher on each near-gap qubit, which ends the last one in
+    # fewer gates than the flow; with the prefix alone these get 3 CZ
     want = {
         ("noise_000", 4, 2653): ("pencil", "step4", "chain2", "skip-cz02", "cz12"),
         ("noise_000", 7, 1039): ("pencil", "step4", "chain2", "skip-cz02", "cz12"),
         ("rot_product", 21, 2524): ("pencil", "skip-step4", "chain2", "cz02", "cz12"),
-        ("ghz_w", 4, 2546): ("chain2", "cz02", "cz12"),
+        ("ghz_w", 4, 2546): ("pencil", "skip-step4", "chain2", "cz02", "cz12"),
         ("circuit_built", 11, 2000): ("chain1", "cz01", "cz12"),
     }
     bad = []

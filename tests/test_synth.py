@@ -19,7 +19,7 @@ from _oracles import (
 )
 from qprep3.circuit import Circuit, CZGate, LocalGate, apply_circuit, invert, ry_matrix
 from qprep3.errors import NonSingularInputError, NotRealError, SynthesisInvariantError
-from qprep3.mat2 import CHAIN_GAP_TOL, EPS_ZERO, IDENTITY, STEP_TOL, Mat2, _pencil_root, u_from_pair
+from qprep3.mat2 import EPS_ZERO, IDENTITY, STEP_TOL, Mat2, _pencil_root, u_from_pair
 from qprep3.state import (
     PureState2,
     PureState3,
@@ -51,16 +51,18 @@ def delta_negative_vector() -> PureState3:
     return PureState3(np.array([1, 0, 0, -1, 0, 1, 1, 0]) / 2.0)
 
 
-def _flow_only(s: PureState3, real: bool = False):
-    """s through the flow as the only attempt. The router runs the chain
-    prefix beside the flow wherever it runs the flow, and the prefix passes
-    where a fault injected into the flow alone fails it."""
-    from qprep3.synth import _run3, _synthesize
+def _flow_only(s: PureState3, real: bool = False, m=None):
+    """s through the flow as the only attempt, or through the finisher on
+    qubit m when m is given. The route runs the chain prefix and the
+    near-gap finishers beside the flow wherever it runs the flow, and they
+    pass where a fault injected into the flow alone fails it."""
+    from qprep3.synth import _OUTER, _finish_chain, _run3, _synthesize
 
+    run = _run3 if m is None else lambda b: _finish_chain(b, m, _OUTER[m])
     if not real:
-        return _synthesize(s, s.w, False, None, (_run3,), 3)
+        return _synthesize(s, s.w, False, None, (run,), 3)
     label = "delta>=0" if delta(s) >= 0.0 else "delta<0"
-    return _synthesize(s, [z.real for z in s.w], True, label, (_run3,), 3)
+    return _synthesize(s, [z.real for z in s.w], True, label, (run,), 3)
 
 
 def product2(seed) -> PureState2:
@@ -184,9 +186,11 @@ class TestBranchReductions:
 
     def test_both_blocks_singular_skips_step4(self):
         # rank-1 blocks make a chain with qubit 2 in the middle, which the
-        # chain attempt takes first, for 2 CZ. When they share a row (qubit 1
-        # factors out), the pencil form is zero, no qubit is a chain middle,
-        # and the flow skips step 4: step 2 leaves both blocks singular
+        # finisher on qubit 2 ends with 2 CZ in fewer gates than the flow.
+        # When they share a row (qubit 1 factors out), the flow skips step 4:
+        # step 2 leaves both blocks singular. Every form then has a zero
+        # gap, and the finisher on qubit 0 ends it with 1 CZ and 5 gates,
+        # one gate fewer than the flow
         rng = np.random.default_rng(723)
         for i in range(100):
             a = random_rank1(rng)
@@ -194,16 +198,22 @@ class TestBranchReductions:
             assert rep.branch_trace[0] == "chain2"
             assert rep.cz_count == 2
             assert rep.fidelity >= FID
-            rep = disentangle3(_normalized_state(a, a @ random_nonsingular(rng)))
-            assert "skip-step4" in rep.branch_trace
-            assert rep.cz_count == 1
+            s = _normalized_state(a, a @ random_nonsingular(rng))
+            rep = disentangle3(s)
+            assert rep.branch_trace[:2] == ("chain0", "skip-cz01")
+            assert (rep.cz_count, len(rep.circuit.gates)) == (1, 5)
             assert rep.fidelity >= FID
+            rep = _flow_only(s)
+            assert "skip-step4" in rep.branch_trace
+            assert (rep.cz_count, len(rep.circuit.gates)) == (1, 6)
 
     def test_real_opposite_determinants_skip_step4(self):
         # det(A0) = -det(B0) != 0 makes the two pencil roots z and -1/z, so the
         # bottom block turns singular together with the top one: a real
-        # traceless pencil form, a chain with qubit 2 in the middle, which the
-        # chain attempt takes first. The flow alone skips step 4 on it
+        # traceless pencil form, a chain with qubit 2 in the middle. The flow
+        # and the finisher on qubit 2 both give it 2 CZ, and the flow, the
+        # earlier attempt, is kept where their gate counts tie. The flow
+        # alone skips step 4 on it
         rng = np.random.default_rng(724)
         hits = 0
         for _ in range(100):
@@ -214,10 +224,10 @@ class TestBranchReductions:
             scale = math.sqrt(abs(a.det().real) / abs(b0.det().real))
             s = _normalized_state(a, scaled(b0, scale))
             rep = disentangle3(s)
-            assert rep.branch_trace[0] == "chain2"
+            assert rep.branch_trace[0] == "pencil"
             assert rep.cz_count == 2
             assert rep.fidelity >= FID
-            rep = _flow(s)
+            rep = _flow_only(s)
             if "skip-step4" in rep.branch_trace:
                 hits += 1
             assert rep.cz_count <= 2
@@ -225,10 +235,11 @@ class TestBranchReductions:
 
     def test_corner_block_with_zero_off_column_skips_step5(self):
         # both blocks of qubit 1 are singular: a chain with qubit 1 in the
-        # middle, which the chain attempt takes first. The flow alone reaches
-        # it after step 4 with one factor of qubit 0 in both blocks, so the
-        # finisher spends no cz02 on it (step 5 of the paper's flow); so it
-        # does when qubit 0 factors out of the input
+        # middle. The flow reaches it after step 4 with one factor of qubit 0
+        # in both blocks, so the finisher spends no cz02 on it (step 5 of the
+        # paper's flow), and it ties with the finisher on qubit 1 and is
+        # kept. So the flow does when qubit 0 factors out of the input, where
+        # the finisher on qubit 1 skips cz01 instead, in one gate fewer
         rng = np.random.default_rng(725)
         for i in range(100):
             alpha = complex(rng.standard_normal() + 1j * rng.standard_normal())
@@ -239,16 +250,15 @@ class TestBranchReductions:
                 continue
             s = _normalized_state(a, b)
             rep = disentangle3(s)
-            assert rep.branch_trace[0] == "chain1"
+            assert rep.branch_trace[:3] == ("pencil", "step4", "chain2")
+            assert "skip-cz02" in rep.branch_trace
             assert rep.cz_count == 2
             assert rep.fidelity >= FID
-            rep = _flow(s)
-            assert "step4" in rep.branch_trace
-            assert "skip-cz02" in rep.branch_trace
-            assert rep.cz_count <= 2
             a = random_rank1(rng)
-            rep = disentangle3(_normalized_state(a, random_nonsingular(rng) @ a))
-            assert "skip-cz02" in rep.branch_trace
+            s = _normalized_state(a, random_nonsingular(rng) @ a)
+            assert "skip-cz02" in _flow_only(s).branch_trace
+            rep = disentangle3(s)
+            assert rep.branch_trace[:2] == ("chain1", "skip-cz01")
             assert rep.cz_count == 1
             assert rep.fidelity >= FID
 
@@ -329,15 +339,6 @@ def _normalized_state(a: Mat2, b: Mat2) -> PureState3:
     return PureState3(amps / np.linalg.norm(amps))
 
 
-def _flow(s: PureState3):
-    """The general flow's report on s alone, with no chain attempt before it."""
-    from qprep3.synth import _Builder, _run3
-
-    b = _Builder(s, s.w, False)
-    _run3(b)
-    return b.finish(3)
-
-
 class TestDisentangle3Real:
     def test_basis_state(self):
         rep = disentangle3_real(basis_state(3, 0))
@@ -373,8 +374,8 @@ class TestDisentangle3Real:
         # the chain prefix real mode runs for either sign of delta: after its
         # real gate on qubit 1 and cz01, the pencil form of the qubit-1 split
         # (A on indices 0, 1, 4, 5, B on 2, 3, 6, 7) is traceless, so qubit 1
-        # is a chain middle, by the package's test and by the dense oracle
-        from qprep3.synth import _chain_form, _chain_middles
+        # is a chain middle, by the dense oracle
+        from qprep3.synth import _chain_form
 
         signs = {True: 0, False: 0}
         for i in range(2000):
@@ -384,7 +385,7 @@ class TestDisentangle3Real:
             v = cz_unitary(3, 0, 1) @ local_unitary(3, 1, gate) @ s.amps
             a, b = v[[0, 1, 4, 5]].reshape(2, 2), v[[2, 3, 6, 7]].reshape(2, 2)
             assert abs(np.linalg.det(a) + np.linalg.det(b)) <= 1e-14
-            assert 1 in _chain_middles(list(v))[0]
+            assert 1 in _oracle_chain_middles(v)[0]
         assert min(signs.values()) >= 200
 
 
@@ -518,8 +519,9 @@ class TestAttemptsInOrder:
         # real mode with no real pencil root (a slightly negative discriminant)
         # takes the pair's shared real part. |000> plus real noise of size
         # 1e-3 has delta ~ 1e-6: the step 1 of the flow, run as the only
-        # attempt, is patched. A chain with qubit 2 in the middle goes to the
-        # finisher first, whose step 1 is
+        # attempt, is patched. On a chain with qubit 2 in the middle the flow
+        # ties with the finisher on qubit 2 and is kept; that finisher, run
+        # as the only attempt, has its step 1 patched
         rng = np.random.default_rng(768)
         v = np.eye(8)[0] + 1e-3 * rng.standard_normal(8)
         s = PureState3(v / np.linalg.norm(v))
@@ -529,8 +531,12 @@ class TestAttemptsInOrder:
         monkeypatch.undo()
         s = _chain(768, True, m=2)
         rep = disentangle3_real(s)
-        assert (rep.cz_count, rep.branch_trace[:2]) == (2, ("delta>=0", "chain2"))
-        self._clamps_like_the_real_root(monkeypatch, s, "chain2")
+        assert (rep.cz_count, rep.branch_trace[:2]) == (2, ("delta>=0", "pencil"))
+        self._clamps_like_the_real_root(monkeypatch, s, "pencil")
+        monkeypatch.undo()
+        chain2 = _flow_only(s, real=True, m=2)
+        assert (chain2.cz_count, len(chain2.circuit.gates)) == (2, len(rep.circuit.gates))
+        self._clamps_like_the_real_root(monkeypatch, s, "chain2", synth=lambda t: _flow_only(t, real=True, m=2))
 
     def test_chain_prefix_root_is_clamped_to_its_real_part(self, monkeypatch):
         # a generic delta >= 0 state takes the chain prefix: its own gate and
@@ -554,6 +560,11 @@ def _chain(seed, real, m=0) -> PureState3:
                 if x != m:
                     v = cz_unitary(3, *sorted((m, x))) @ v
     return PureState3(v)
+
+
+# the oracle's chain test: a relative gap this small is a chain middle.
+# Chain middles measure <= 1e-14, Haar-random states >= 5.8e-5
+CHAIN_GAP_TOL = 1e-9
 
 
 def _oracle_chain_middles(v) -> tuple[list[int], list[float]]:
@@ -586,10 +597,10 @@ def _built_chain(rng, m: int, real: bool) -> np.ndarray:
 
 
 class TestChainScreen:
-    """synth._chain_middles against singular values from np.linalg.svd."""
+    """synth._screen against singular values from np.linalg.svd."""
 
     def test_matches_the_svd_oracle(self):
-        from qprep3.synth import _chain_middles
+        from qprep3.synth import _screen
 
         rng = np.random.default_rng(771)
         w_state = np.array([0, 1, 1, 0, 1, 0, 0, 0]) / math.sqrt(3.0)
@@ -597,23 +608,31 @@ class TestChainScreen:
         inputs += [("haar", random_state((771, i)).amps) for i in range(500)]
         for m in (0, 1, 2):
             inputs += [(f"chain{m}", _built_chain(rng, m, real)) for real in (False, True) for _ in range(50)]
-        seen = set()
+        seen, near = set(), 0
         for name, v in inputs:
-            want, gaps = _oracle_chain_middles(v)
-            # every decision is at least 10x away from the tolerance
-            assert all(g <= CHAIN_GAP_TOL / 10 or g >= CHAIN_GAP_TOL * 10 for g in gaps), (name, gaps)
-            got, degenerate = _chain_middles(PureState3(v).w)
-            assert got == want, (name, gaps)
+            middles, _ = _oracle_chain_middles(v)
+            forms = [pencil_singular_values(v, q) for q in range(3)]
+            gaps = [s0 - s1 for s0, s1 in forms]
             # near degenerate: the smaller singular value, or the gap between
             # the two, is at most STEP_TOL on some split
-            margin = min(min(s1, s0 - s1) for s0, s1 in (pencil_singular_values(v, q) for q in range(3)))
+            margin = min(min(s1, s0 - s1) for s0, s1 in forms)
+            # the flag's decision is at least 10x away from the tolerance, and
+            # so is each gap's but one (a built chain's qubit 0 measures
+            # 9.7e-6), which is not compared: rounding may take it either way
             assert margin <= STEP_TOL / 10 or margin >= STEP_TOL * 10, (name, margin)
-            assert degenerate == (margin <= STEP_TOL), (name, margin)
-            seen.add((name[:5], degenerate))
+            far = [q for q in range(3) if not STEP_TOL / 10 < gaps[q] < STEP_TOL * 10]
+            near += 3 - len(far)
+            got, flagged = _screen(PureState3(v).w)
+            assert [q for q in got if q in far] == [q for q in far if gaps[q] <= STEP_TOL], (name, gaps)
+            assert flagged == (margin <= STEP_TOL), (name, margin)
+            # every chain middle gets a finisher attempt
+            assert set(middles) <= set(got), (name, middles, got)
             if name.startswith("chain"):
                 assert int(name[-1]) in got
+            seen.add((name[:5], flagged))
             seen.add((name[:5], tuple(got)))
-        assert {("ghz", (0, 1, 2)), ("w", ()), ("000", ()), ("haar", ())} <= seen
+        assert near <= 1
+        assert {("ghz", (0, 1, 2)), ("w", ()), ("000", (0, 1, 2)), ("haar", ())} <= seen
         # every chain is near degenerate, as are GHZ, W (a double root) and
         # |000> (every form 0); a Haar state is not
         assert {("ghz", True), ("w", True), ("000", True), ("haar", False), ("chain", True)} <= seen
@@ -684,8 +703,9 @@ class TestChainPlan:
 
 class TestRoute:
     """synth._route3, the one route of a 3-qubit input in both modes: the
-    flow runs beside the chain prefix only near a degenerate split form or
-    on a singular top block, and the better of the two is kept."""
+    flow and the finisher on each near-gap qubit run beside the chain prefix
+    only near a degenerate split form or on a singular top block, and the
+    best is kept."""
 
     @staticmethod
     def _count_attempts(monkeypatch) -> list:
@@ -731,10 +751,14 @@ class TestRoute:
         assert "chain01" in alone.branch_trace
 
     @pytest.mark.parametrize("real", [False, True], ids=["general", "real"])
-    def test_ghz_makes_one_attempt(self, monkeypatch, real):
+    def test_ghz_makes_five_attempts_and_keeps_chain0(self, monkeypatch, real):
+        # every form of GHZ has a zero gap: the flow, the finisher on each
+        # qubit and the prefix; the finisher on qubit 0, the first with 2 CZ
+        # and the fewest gates, is kept
         count = self._count_attempts(monkeypatch)
         rep = disentangle3_real(ghz()) if real else disentangle3(ghz())
-        assert rep.branch_trace[int(real)] == "chain0" and count[0] == 1
+        assert rep.branch_trace[int(real)] == "chain0" and count[0] == 5
+        assert (rep.cz_count, len(rep.circuit.gates)) == (2, 7)
 
     def test_haar_states_make_one_attempt(self, monkeypatch):
         # the benchmark's inputs: the screen admits no complex Haar state and
@@ -881,6 +905,28 @@ class TestMinimalCircuits:
             rep = synth(ghz())
             assert rep.branch_trace[-3:] == ("chain0", "cz01", "cz02")
             assert (rep.cz_count, len(rep.circuit.gates)) == (2, 7)
+
+    def test_shared_row_blocks_get_1_cz_in_5_gates(self):
+        # the first shared-row state of acceptance criterion 6 (rng 1009):
+        # qubit 1 factors out and every form gap is zero. The flow skips
+        # step 4 for 1 CZ in 6 gates; the finisher on qubit 0 skips cz01 and
+        # spends cz02, one bisector and one local per wire, 5 gates
+        s = PureState3(np.array([
+            complex(-0.0058303477130126893, 0.10353606254559945),
+            complex(-0.083615638683584362, 0.25055903710674748),
+            complex(0.085689446760305765, 0.086684923882527659),
+            complex(0.1525894638048329, 0.27038906598683771),
+            complex(0.21292588121115796, 0.16356287564942029),
+            complex(0.23046959907260528, -0.46277447709744324),
+            complex(0.31044377082839825, -0.056763416736437942),
+            complex(-0.22190231400643293, -0.56570255496044253),
+        ]))
+        assert cz_min(s.amps) == 1
+        assert (_flow_only(s).cz_count, len(_flow_only(s).circuit.gates)) == (1, 6)
+        rep = disentangle3(s)
+        assert rep.branch_trace == ("chain0", "skip-cz01", "cz02")
+        assert (rep.cz_count, len(rep.circuit.gates)) == (1, 5)
+        assert abs(dense_apply(rep.circuit, s.amps)[0]) >= FID
 
     def test_rotated_product_has_one_gate_per_wire(self):
         rng = np.random.default_rng(781)
