@@ -248,7 +248,7 @@ _COMMANDS = {
     "delta": (
         _cmd_delta,
         "print the real-state discriminant and real mode's CZ bound (3 for either sign; the chain "
-        "finisher takes chains, the chain prefix the rest, with the flow beside it near degenerate states)",
+        "prefix, with the flow and the chain finisher beside it near degenerate states)",
         [("file", "state file (8 '<re> <im>' lines, real)")],
         [],
     ),

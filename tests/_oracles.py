@@ -266,7 +266,7 @@ def argparse_cli_parser() -> argparse.ArgumentParser:
     p_delta = sub.add_parser(
         "delta",
         help="print the real-state discriminant and real mode's CZ bound (3 for either sign; the chain "
-        "finisher takes chains, the chain prefix the rest, with the flow beside it near degenerate states)",
+        "prefix, with the flow and the chain finisher beside it near degenerate states)",
     )
     p_delta.add_argument("file", help="state file (8 '<re> <im>' lines, real)")
     return parser
