@@ -98,9 +98,9 @@ the screen reads the three forms, each split's eight entries read at once
 into the one pencil-form formula, with no block built, and each qubit q
 whose form's gap is at most STEP_TOL gets an attempt of the finisher on the
 input itself, with m = q (trace `chain<q>`), in the order 0, 1, 2. The
-attempt passes or fails on `finish`'s checks like any other, and a
-3-qubit finisher emits at most one CZ per outer wire, 2. GHZ, a chain on
-every qubit, keeps `chain0`, the first of three that tie.
+attempt passes or fails on `finish`'s checks like any other, under the
+route's bound: it emits at most one CZ per outer wire, 2 in all. GHZ, a
+chain on every qubit, keeps `chain0`, the first of three that tie.
 
 Every synthesis goes through one attempt runner, _synthesize(s, w, real,
 label, runs, max_cz). An attempt (_attempt) is a fresh builder of the input,
