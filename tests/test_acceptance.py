@@ -180,8 +180,9 @@ def test_criterion_6_branch_reductions():
 
     # both blocks singular, a chain with qubit 2 in the middle --> the
     # finisher on qubit 2, two CZ in 7 gates; with a shared row (qubit 1
-    # factors out, every form gap zero) --> the finisher on qubit 0 skips
-    # cz01, one CZ in 5 gates, one fewer than the flow, which skips step 4
+    # factors out, the forms of qubits 0 and 2 zero) --> the finisher on
+    # qubit 0 skips cz01, one CZ in 5 gates, one fewer than the flow, which
+    # skips step 4
     rng = np.random.default_rng(1009)
     worst = 0
     for _ in range(200):

@@ -188,9 +188,9 @@ class TestBranchReductions:
         # rank-1 blocks make a chain with qubit 2 in the middle, which the
         # finisher on qubit 2 ends with 2 CZ in fewer gates than the flow.
         # When they share a row (qubit 1 factors out), the flow skips step 4:
-        # step 2 leaves both blocks singular. Every form then has a zero
-        # gap, and the finisher on qubit 0 ends it with 1 CZ and 5 gates,
-        # one gate fewer than the flow
+        # step 2 leaves both blocks singular. The forms of qubits 0 and 2 are
+        # then zero, and the finisher on qubit 0 ends it with 1 CZ and 5
+        # gates, one gate fewer than the flow
         rng = np.random.default_rng(723)
         for i in range(100):
             a = random_rank1(rng)
@@ -908,9 +908,10 @@ class TestMinimalCircuits:
 
     def test_shared_row_blocks_get_1_cz_in_5_gates(self):
         # the first shared-row state of acceptance criterion 6 (rng 1009):
-        # qubit 1 factors out and every form gap is zero. The flow skips
-        # step 4 for 1 CZ in 6 gates; the finisher on qubit 0 skips cz01 and
-        # spends cz02, one bisector and one local per wire, 5 gates
+        # qubit 1 factors out, and the forms of qubits 0 and 2 are zero. The
+        # flow skips step 4 for 1 CZ in 6 gates; the finisher on qubit 0
+        # skips cz01 and spends cz02, one bisector and one local per wire, 5
+        # gates
         s = PureState3(np.array([
             complex(-0.0058303477130126893, 0.10353606254559945),
             complex(-0.083615638683584362, 0.25055903710674748),
@@ -922,7 +923,8 @@ class TestMinimalCircuits:
             complex(-0.22190231400643293, -0.56570255496044253),
         ]))
         assert cz_min(s.amps) == 1
-        assert (_flow_only(s).cz_count, len(_flow_only(s).circuit.gates)) == (1, 6)
+        flow = _flow_only(s)
+        assert (flow.cz_count, len(flow.circuit.gates)) == (1, 6)
         rep = disentangle3(s)
         assert rep.branch_trace == ("chain0", "skip-cz01", "cz02")
         assert (rep.cz_count, len(rep.circuit.gates)) == (1, 5)
