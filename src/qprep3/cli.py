@@ -153,9 +153,7 @@ def _cmd_delta(args) -> int:
     except NotRealError:
         print("error: delta is defined only for real states", file=sys.stderr)
         return EXIT_MODE
-    # real mode's bound is 3 CZ for either sign of delta
-    shown = "delta~0" if abs(d) <= DELTA_ZERO_BAND else f"delta={format_number(d)}"
-    print(f"{shown} bound=3")
+    print("delta~0" if abs(d) <= DELTA_ZERO_BAND else f"delta={format_number(d)}")
     return EXIT_OK
 
 
@@ -173,21 +171,19 @@ def _cmd_sweep(args) -> int:
     violations: list[str] = []
     mode = "real" if args.real else "general"
     for i in range(args.n):
+        state = random_state((args.seed, i), real_only=args.real)
         # the library raises on every guaranteed bound: cz count, fidelity, real gates
         try:
-            rep = disentangle(random_state((args.seed, i), real_only=args.real), mode)
+            rep = disentangle(state, mode)
         except Qprep3Error as exc:
             violations.append(f"sample {i}: {type(exc).__name__}: {exc}")
-            trace = exc.branch_trace
         else:
             hist[rep.cz_count] = hist.get(rep.cz_count, 0) + 1
             fidelities.append(rep.fidelity)
             if args.real:
                 # printed in real mode only
                 max_gate_imag = max(max_gate_imag, rep.circuit.max_local_imag())
-            trace = rep.branch_trace
-        # real mode's first branch label is the sign of delta
-        if trace and trace[0] == "delta<0":
+        if args.real and delta(state) < 0.0:
             negative += 1
 
     # (printed label, machine key, values): a row prints one aligned line per
@@ -247,8 +243,7 @@ _COMMANDS = {
     ),
     "delta": (
         _cmd_delta,
-        "print the real-state discriminant and real mode's CZ bound (3 for either sign; the chain "
-        "prefix, with the flow and the chain finisher beside it near degenerate states)",
+        "print the real-state discriminant",
         [("file", "state file (8 '<re> <im>' lines, real)")],
         [],
     ),

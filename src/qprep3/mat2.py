@@ -9,7 +9,7 @@ outputs. All functions are pure. Mat2 is an immutable named tuple of its four
 entries (a, b, c, d), so it compares and hashes by value.
 
 Entries are Python complex, or Python float on real mode's float path
-(synth._real_amps): the constructions keep their inputs' type, so floats in
+(synth._amps): the constructions keep their inputs' type, so floats in
 give floats out (u_from_pair casts only a float paired with a complex). A
 float meeting a complex promotes to the nonzero bits complex() would give,
 so the float path moves only signs of zero.

@@ -165,26 +165,20 @@ def delta(s: PureState3) -> float:
     """Real discriminant of a real 3-qubit state.
 
     delta >= 0 means the step-1 pencil has a real root. delta < 0 means it
-    has none. Real synthesis starts with the chain prefix, whose gate is
-    real for either sign; delta sets only the first label of its trace. The
-    route does not read delta: near a degenerate split form, delta = 0 among
-    them, the flow runs beside the prefix (see synth._route3), and a chain
-    goes to the chain finisher first. The bound is 3 CZ for either sign.
+    has none. Synthesis does not read delta: real mode starts a generic
+    state with the chain prefix, whose gate is real for either sign, and
+    the bound is 3 CZ for either sign. Near a degenerate split form, delta =
+    0 among them, other attempts run beside the prefix (see synth._route3).
     Raises NotRealError when the state has imaginary content above REAL_STATE_TOL.
     """
     if not s.is_real():
         raise NotRealError("delta is defined only for real-amplitude states")
-    return _delta(s.w)
-
-
-def _delta(w) -> float:
-    # delta past its precondition: the amplitudes w are real within REAL_STATE_TOL.
-    # This is q1^2 - 4 q2 q0 of mat2._pencil_form(*T0, *T1), kept in its own sum
-    # order, which sets only the sign in real mode's trace label and the
-    # `delta` command's output: in the pencil's order its bits change on
-    # 18,508 of 67,483 real states measured (50,000 Haar-random, 17,483
-    # near-degenerate), which can flip the sign of a delta near 0
-    w = [z.real for z in w]
+    # q1^2 - 4 q2 q0 of mat2._pencil_form(*T0, *T1), kept in its own sum
+    # order, which sets the `delta` command's output and `sweep`'s delta<0
+    # count: in the pencil's order its bits change on 18,508 of 67,483 real
+    # states measured (50,000 Haar-random, 17,483 near-degenerate), which
+    # can flip the sign of a delta near 0
+    w = [z.real for z in s.w]
     s1 = w[0] * w[7] - w[1] * w[6] - w[2] * w[5] + w[3] * w[4]
     return float(s1 * s1 - 4.0 * (w[1] * w[2] - w[0] * w[3]) * (w[5] * w[6] - w[4] * w[7]))
 

@@ -102,11 +102,10 @@ attempt passes or fails on `finish`'s checks like any other, under the
 route's bound: it emits at most one CZ per outer wire, 2 in all. GHZ, a
 chain on every qubit, keeps `chain0`, the first of three that tie.
 
-Every synthesis goes through one attempt runner, _synthesize(s, w, real,
-label, runs, max_cz). An attempt (_attempt) is a fresh builder of the input,
-a trace label (real mode's sign of delta), a run (the flow, the chain
-prefix, the 2-qubit finisher or a chain finisher) and a CZ bound, which
-`finish` checks. The runner makes an attempt of each of `runs`, with a
+Every synthesis goes through one attempt runner, _synthesize(w, real,
+runs, max_cz). An attempt (_attempt) is a fresh builder of the input's
+amplitudes w, a run (the flow, the chain prefix, the 2-qubit finisher or a
+chain finisher) and a CZ bound, which `finish` checks. The runner makes an attempt of each of `runs`, with a
 bound of 1 CZ for 2 qubits and 3 for 3, and returns the passing one with
 the fewest (CZ, gates), the earlier on ties, so a tie goes to the flow. A
 Qprep3Error raised in an attempt gets the branch trace that attempt took,
@@ -131,7 +130,7 @@ a marked run is checked on a fresh simulation of its emitted circuit from
 the input (circuit._simulate, the gate loop apply_circuit runs).
 
 Real mode tracks an exactly real input (every imaginary part 0.0) as floats
-(_real_amps): the mat2 constructions keep their inputs' type and real mode's
+(_amps): the mat2 constructions keep their inputs' type and real mode's
 root choices take the root's real part, so no gate has a complex entry and
 every kernel runs in float arithmetic, which CPython computes faster than
 complex. A float meeting a complex promotes to the nonzero bits complex()
@@ -145,9 +144,9 @@ which checks its own precondition, and no precondition is tested twice: l1's
 nonsingular raises NonSingularInputError, and r1's (nonsingular at EPS_ZERO)
 is step 4's decision, its SingularInputError taken as `skip-step4`. The
 pencil root (mat2._pencil_root) has no precondition: with no finite root it
-gives 0, and U(1, 0) = I is not emitted. Synthesis validates no state, and
-real mode tests realness once and then takes delta's core (state._delta)
-for its label.
+gives 0, and U(1, 0) = I is not emitted. Synthesis validates no state:
+each entry point tests only its input's size and, in real mode, realness,
+once (_amps).
 `local` and `cz` take a wire rather than a gate, call the kernels directly
 and build each gate with tuple.__new__, past the wire checks of the record's
 __new__; `finish` builds its Circuit and its report the same way, as
@@ -174,7 +173,7 @@ from .errors import NotRealError, Qprep3Error, SingularInputError, SynthesisInva
 from .mat2 import EPS_ZERO, FID_MIN, PRUNE_TOL, REAL_ROOT_TOL, STEP_TOL
 from .mat2 import NORM_REJECT, REAL_STATE_TOL, SWAP_BLOCKS, Mat2
 from .mat2 import _pencil_form, _pencil_root, is_singular, l1, r1, row2_norm, u_from_pair
-from .state import _SPLIT_ENTRIES, PureState2, PureState3, State, _delta, _split, basis_state, overlap
+from .state import _SPLIT_ENTRIES, PureState2, PureState3, State, _split, basis_state, overlap
 
 class SynthesisReport(namedtuple("SynthesisReport", "circuit cz_count all_real branch_trace fidelity")):
     """Result of a synthesis run (disentangling direction unless produced by prepare).
@@ -199,11 +198,10 @@ class _Builder:
     `finish` checks it with no second simulation; a marked run is checked on
     a fresh simulation of `gates` from the input (`w`). `real` is the
     attempt's mode: real mode takes the real part of every root it chooses.
-    The trace starts with `label` when it is not None.
     """
 
-    def __init__(self, state, amps, real: bool, label=None):
-        self.num_qubits = state.num_qubits
+    def __init__(self, amps, real: bool):
+        self.num_qubits = len(amps).bit_length() - 1
         self.w = amps
         self.amps = list(amps)
         self.real = real
@@ -211,7 +209,7 @@ class _Builder:
         # fusion never removes a CZ, so this stays exact
         self.cz_count = 0
         self.fused = False
-        self.trace: list[str] = [] if label is None else [label]
+        self.trace: list[str] = []
         # by wire, the index in `gates` of its last gate if that is a local
         # gate, else -1: a wire holds at most one local gate after its last CZ
         self.open = [-1, -1, -1]
@@ -287,25 +285,24 @@ class _Builder:
 _OUTER = ((1, 2), (0, 2), (0, 1))
 
 
-def _synthesize(s: State, w, real: bool, label, runs, max_cz: int) -> SynthesisReport:
+def _synthesize(w, real: bool, runs, max_cz: int) -> SynthesisReport:
     """The one attempt runner (module docstring): an attempt of each of
     `runs` with a bound of max_cz, the passing one with the fewest (CZ,
     gates) returned, the earlier on ties. When every attempt fails, the
     first one's error is raised."""
-    results = [_attempt(s, w, real, label, run, max_cz) for run in runs]
+    results = [_attempt(w, real, run, max_cz) for run in runs]
     passed = [r for r in results if type(r) is SynthesisReport]
     if not passed:
         raise results[0]
     return min(passed, key=lambda r: (r.cz_count, len(r.circuit.gates)))
 
 
-def _attempt(s: State, w, real: bool, label, run, max_cz: int):
-    """One attempt: a fresh builder of s in the mode `real`, tracking the
-    amplitudes w (s.w, or their real parts as floats), its trace started
-    with label (when not None), runs a function of the builder and finishes
-    against max_cz. Its report, or the Qprep3Error it raised, which gets the
-    attempt's trace."""
-    b = _Builder(s, w, real, label)
+def _attempt(w, real: bool, run, max_cz: int):
+    """One attempt: a fresh builder of the amplitudes w (an input's, or
+    their real parts as floats) in the mode `real` runs a function of the
+    builder and finishes against max_cz. Its report, or the Qprep3Error it
+    raised, which gets the attempt's trace."""
+    b = _Builder(w, real)
     try:
         run(b)
         return b.finish(max_cz)
@@ -327,7 +324,7 @@ def disentangle2(s: PureState2) -> SynthesisReport:
     Zero CZ when the amplitude matrix is singular (product state), one CZ
     otherwise.
     """
-    return _synthesize(s, s.w, False, None, (_run2,), 1)
+    return _synthesize(_amps(s, 4, False, "disentangle2"), False, (_run2,), 1)
 
 
 def _run2(b: _Builder) -> None:
@@ -343,14 +340,20 @@ def disentangle3(s: PureState3) -> SynthesisReport:
     qubit q (trace `chain<q>`) run beside it, and the best is kept (_route3;
     see the module docstring).
     """
-    return _route3(s, s.w, False, None)
+    return _route3(_amps(s, 8, False, "disentangle3"), False)
 
 
-def _real_amps(s: State, who: str):
-    """The amplitudes real mode tracks: an exactly real input (every
-    imaginary part 0.0) as floats, so every gate is built in float
-    arithmetic; any other as s.w, complex, so `finish` measures the fidelity
-    on the input itself. Raises NotRealError past REAL_STATE_TOL."""
+def _amps(s: State, size: int, real: bool, who: str):
+    """The amplitudes a synthesis of s tracks, the one check of its input:
+    ValueError unless s holds `size` amplitudes. In general mode, s.w; in
+    real mode, an exactly real input (every imaginary part 0.0) as floats,
+    so every gate is built in float arithmetic, and any other as s.w,
+    complex, so `finish` measures the fidelity on the input itself; real
+    mode raises NotRealError past REAL_STATE_TOL."""
+    if len(s.w) != size:
+        raise ValueError(f"{who} needs a state of {size} amplitudes, got {len(s.w)}")
+    if not real:
+        return s.w
     imag = s.max_imag()
     if imag > REAL_STATE_TOL:
         raise NotRealError(f"{who} requires real amplitudes")
@@ -360,18 +363,15 @@ def _real_amps(s: State, who: str):
 def disentangle3_real(s: PureState3) -> SynthesisReport:
     """All-real circuit mapping a real 3-qubit state to |000>.
 
-    At most 3 CZ for either sign of delta(s). It takes disentangle3's route
-    (_route3): a generic state takes the chain prefix, whose gate is real
-    here. A run that misses a check, the bound included, raises.
-    Every root it chooses is real.
-    The first label of the branch trace is the sign of delta (`delta>=0` or
-    `delta<0`); the chain prefix says `chain01`.
+    At most 3 CZ for either sign of delta(s), which it does not compute. It
+    takes disentangle3's route (_route3): a generic state takes the chain
+    prefix (trace `chain01`), whose gate is real here. A run that misses a
+    check, the bound included, raises. Every root it chooses is real.
     """
-    w = _real_amps(s, "disentangle3_real")
-    return _route3(s, w, True, "delta>=0" if _delta(w) >= 0.0 else "delta<0")
+    return _route3(_amps(s, 8, True, "disentangle3_real"), True)
 
 
-def _route3(s: PureState3, w, real: bool, label) -> SynthesisReport:
+def _route3(w, real: bool) -> SynthesisReport:
     """The one route of a 3-qubit input, in either mode: on an input the
     screen (_screen) flags, or whose top block is singular, the flow (_run3),
     the finisher on each near-gap qubit and the chain prefix (_chain01); on
@@ -382,7 +382,7 @@ def _route3(s: PureState3, w, real: bool, label) -> SynthesisReport:
         runs = (_run3, *[partial(_finish_chain, m=q, outer=_OUTER[q]) for q in gaps], _chain01)
     else:
         runs = (_chain01,)
-    return _synthesize(s, w, real, label, runs, 3)
+    return _synthesize(w, real, runs, 3)
 
 
 def _screen(w) -> tuple[list[int], bool]:
@@ -584,13 +584,13 @@ def disentangle(s: State, mode: str = "general") -> SynthesisReport:
 
     mode is "general" or "real"; real mode requires real amplitudes (a real
     2-qubit input gets real gates from disentangle2's run, which real mode
-    runs on the amplitudes _real_amps gives, and `finish` checks them).
+    runs on the amplitudes _amps gives, and `finish` checks them).
     """
     if mode not in ("general", "real"):
         raise ValueError(f"mode must be 'general' or 'real', got {mode!r}")
     if isinstance(s, PureState2):
         if mode == "real":
-            return _synthesize(s, _real_amps(s, "real mode"), True, None, (_run2,), 1)
+            return _synthesize(_amps(s, 4, True, "real mode"), True, (_run2,), 1)
         return disentangle2(s)
     if mode == "real":
         return disentangle3_real(s)

@@ -263,10 +263,6 @@ def argparse_cli_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--real", action="store_true", help="sample real states, real-mode synthesis")
     p_sweep.add_argument("--machine", action="store_true", help="append a machine-readable summary line")
 
-    p_delta = sub.add_parser(
-        "delta",
-        help="print the real-state discriminant and real mode's CZ bound (3 for either sign; the chain "
-        "prefix, with the flow and the chain finisher beside it near degenerate states)",
-    )
+    p_delta = sub.add_parser("delta", help="print the real-state discriminant")
     p_delta.add_argument("file", help="state file (8 '<re> <im>' lines, real)")
     return parser

@@ -300,28 +300,27 @@ class TestDeltaCommand:
         path = write(tmp_path, "ghz.txt", GHZ_FILE)
         code, out, _ = run_cli(capsys, ["delta", path])
         assert code == 0
-        value, bound = out.split()
+        (value,) = out.split()
         assert float(value.partition("=")[2]) == pytest.approx(0.25, abs=1e-15)
-        assert bound == "bound=3"
 
     def test_negative_vector(self, tmp_path, capsys):
         path = write(tmp_path, "tv.txt", DELTA_NEG_FILE)
         code, out, _ = run_cli(capsys, ["delta", path])
         assert code == 0
-        assert out.strip() == "delta=-0.25 bound=3"
+        assert out.strip() == "delta=-0.25"
 
     def test_zero_band(self, tmp_path, capsys):
         path = write(tmp_path, "zero.txt", BASIS_FILE)
         code, out, _ = run_cli(capsys, ["delta", path])
         assert code == 0
-        assert out.strip() == "delta~0 bound=3"
+        assert out.strip() == "delta~0"
 
     def test_negative_zero_band_has_bound_3(self, tmp_path, capsys):
         path = write(tmp_path, "band.txt", DELTA_BAND_NEG_FILE)
         code, out, _ = run_cli(capsys, ["delta", path])
         assert code == 0
-        assert out.strip() == "delta~0 bound=3"
-        # real mode runs the flow and the prefix here, and meets that bound
+        assert out.strip() == "delta~0"
+        # real mode runs the flow and the prefix here, and meets the bound of 3 CZ
         code, out, _ = run_cli(capsys, ["synth", path, "--real", "--verify"])
         assert code == 0
         assert out.splitlines()[-1].startswith("cz=3 ")
@@ -343,14 +342,14 @@ class TestSweepCommand:
     def test_real_sweep(self, capsys):
         code, out, _ = run_cli(capsys, ["sweep", "--n", "60", "--seed", "3", "--real", "--machine"])
         assert code == 0
-        assert _hist_keys(out) <= {0, 1, 2, 3, 4}
+        assert _hist_keys(out) <= {0, 1, 2, 3}
         assert "delta<0 fraction" in out
         assert "max gate imag     0\n" in out
         machine = [ln for ln in out.splitlines() if ln.startswith("machine ")]
         assert len(machine) == 1 and "violations=0" in machine[0]
 
     def test_real_sweep_counts_delta_negative_samples(self, capsys):
-        # delta<0 stays the first trace label when the chain prefix follows it
+        # delta computed here from the amplitudes, apart from the package
         n, seed = 40, 5
         negative = 0
         for i in range(n):
@@ -364,8 +363,7 @@ class TestSweepCommand:
         assert f" cz_hist=3:{n} " in out
 
     def test_real_sweep_delta_negative_fraction_is_the_share_of_delta_below_0(self, capsys):
-        # the field is read from each report's first trace label; here it is
-        # tied to delta itself
+        # the field is the share of samples whose delta is below 0
         n = 40
         negative = sum(delta(random_state((1, i), real_only=True)) < 0.0 for i in range(n))
         code, out, _ = run_cli(capsys, ["sweep", "--n", str(n), "--seed", "1", "--real", "--machine"])
@@ -651,7 +649,7 @@ def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch):
     # the installed console script calls main() with no argv
     path = write(tmp_path, "neg.txt", DELTA_NEG_FILE)
     monkeypatch.setattr(sys, "argv", ["qprep3", "delta", path])
-    assert run_cli(capsys, None) == (0, "delta=-0.25 bound=3\n", "")
+    assert run_cli(capsys, None) == (0, "delta=-0.25\n", "")
 
 
 # argvs that the CLI reads without importing argparse

@@ -420,11 +420,12 @@ def test_real_near_w_states_get_3_cz():
     bad = []
     for key, row in PINNED_NEAR_W.items():
         v = np.array(row, dtype=np.complex128)
+        assert _delta(v) < 0.0, key
         rep = disentangle3_real(PureState3(v))
         problem = _violation(rep, v, "real")
         if problem is None and not rep.cz_count == cz_min(v) == 3:
             problem = f"cz {rep.cz_count}, cz_min {cz_min(v)}"
-        if problem is None and rep.branch_trace[:3] != ("delta<0", "chain01", "chain1"):
+        if problem is None and rep.branch_trace[:2] != ("chain01", "chain1"):
             problem = "trace"
         if problem is not None:
             bad.append((key, problem, rep.branch_trace))
@@ -556,7 +557,7 @@ def test_real_mode_runs_the_flow_where_it_finds_fewer_cz():
         assert _delta(v) > 1e-12, key
         rep = disentangle3_real(PureState3(v))
         problem = _violation(rep, v, "real")
-        if problem is None and (rep.cz_count, rep.branch_trace) != (2, ("delta>=0",) + want[key]):
+        if problem is None and (rep.cz_count, rep.branch_trace) != (2, want[key]):
             problem = f"cz {rep.cz_count}"
         if problem is not None:
             bad.append((key, problem, rep.branch_trace))

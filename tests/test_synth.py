@@ -59,10 +59,7 @@ def _flow_only(s: PureState3, real: bool = False, m=None):
     from qprep3.synth import _OUTER, _finish_chain, _run3, _synthesize
 
     run = _run3 if m is None else lambda b: _finish_chain(b, m, _OUTER[m])
-    if not real:
-        return _synthesize(s, s.w, False, None, (run,), 3)
-    label = "delta>=0" if delta(s) >= 0.0 else "delta<0"
-    return _synthesize(s, [z.real for z in s.w], True, label, (run,), 3)
+    return _synthesize([z.real for z in s.w] if real else s.w, real, (run,), 3)
 
 
 def product2(seed) -> PureState2:
@@ -351,7 +348,7 @@ class TestDisentangle3Real:
         rep = disentangle3_real(s)
         assert rep.cz_count <= 3
         assert rep.all_real
-        assert rep.branch_trace[0] == "delta<0"
+        assert rep.branch_trace[0] == "chain01"
         assert rep.fidelity >= FID
 
     def test_complex_input_rejected(self):
@@ -363,12 +360,10 @@ class TestDisentangle3Real:
     def test_random_sweep_bounds_and_realness(self):
         for i in range(1500):
             s = random_state((731, i), real_only=True)
-            d = delta(s)
             rep = disentangle3_real(s)
             assert rep.cz_count <= 3
             assert rep.fidelity >= FID
             assert rep.circuit.max_local_imag() <= 1e-10
-            assert rep.branch_trace[0] == ("delta>=0" if d >= 0 else "delta<0")
 
     def test_delta_branch_soundness(self):
         # the chain prefix real mode runs for either sign of delta: after its
@@ -387,6 +382,22 @@ class TestDisentangle3Real:
             assert abs(np.linalg.det(a) + np.linalg.det(b)) <= 1e-14
             assert 1 in _oracle_chain_middles(v)[0]
         assert min(signs.values()) >= 200
+
+
+@pytest.mark.parametrize(
+    "synth, state, msg",
+    [
+        (disentangle2, random_state(1), "disentangle2 needs a state of 4 amplitudes, got 8"),
+        (disentangle3, random_state2(1), "disentangle3 needs a state of 8 amplitudes, got 4"),
+        (disentangle3_real, random_state2(1, real_only=True), "disentangle3_real needs a state of 8 amplitudes, got 4"),
+    ],
+    ids=["2-given-3", "3-given-2", "3-real-given-2"],
+)
+def test_wrong_size_input_raises_value_error(synth, state, msg):
+    # as overlap does for states of two sizes: a synthesizer handed a state
+    # of the other size raises ValueError before it builds a gate
+    with pytest.raises(ValueError, match="^" + re.escape(msg) + "$"):
+        synth(state)
 
 
 def _complex_entries(circuit) -> list:
@@ -428,13 +439,13 @@ class TestRealModeFloats:
         # 1e-13 is within REAL_STATE_TOL, so the input is real, but not
         # exactly: it is tracked as it is, its gates are still real, and the
         # fidelity it reports is the oracle's on the input itself
-        from qprep3.synth import _real_amps
+        from qprep3.synth import _amps
 
         for i in range(100):
             v = random_state((734, i), real_only=True).amps.copy()
             v[i % 8] += 1e-13j
             s = PureState3(v)
-            assert _real_amps(s, "real mode") is s.w
+            assert _amps(s, 8, True, "real mode") is s.w
             rep = disentangle3_real(s)
             assert rep.all_real
             assert abs(rep.fidelity - abs(dense_apply(rep.circuit, s.amps)[0])) <= 1e-15
@@ -444,7 +455,7 @@ class TestAttemptsInOrder:
     def test_chain_prefix_gives_3_cz(self):
         s = _real_delta_negative(767)
         rep = disentangle3_real(s)
-        assert rep.branch_trace[:2] == ("delta<0", "chain01")
+        assert rep.branch_trace[0] == "chain01"
         assert rep.cz_count == 3
         assert abs(dense_apply(rep.circuit, s.amps)[0]) >= FID
 
@@ -466,7 +477,7 @@ class TestAttemptsInOrder:
         s = _real_delta_negative(767)
         with pytest.raises(SynthesisInvariantError, match="chain attempt rejected") as info:
             disentangle3_real(s)
-        assert info.value.branch_trace[:2] == ["delta<0", "chain01"]
+        assert info.value.branch_trace == ["chain01"]
 
         path = tmp_path / "chain.txt"
         path.write_text("".join("%.17g %.17g\n" % (z.real, z.imag) for z in s.w), encoding="utf-8")
@@ -475,7 +486,7 @@ class TestAttemptsInOrder:
         assert code == 3 and out == ""
         lines = err.splitlines()
         assert lines[0] == "error: SynthesisInvariantError: step1: chain attempt rejected"
-        assert lines[1].startswith("branch trace: delta<0 > chain01")
+        assert lines[1] == "branch trace: chain01"
         assert lines[2] == "# state as synthesized, after renormalization:"
         assert len(lines) == 11 and "Traceback" not in err
 
@@ -526,12 +537,12 @@ class TestAttemptsInOrder:
         v = np.eye(8)[0] + 1e-3 * rng.standard_normal(8)
         s = PureState3(v / np.linalg.norm(v))
         assert 0.0 < delta(s) <= 1e-5
-        assert _flow_only(s, real=True).branch_trace[:2] == ("delta>=0", "pencil")
+        assert _flow_only(s, real=True).branch_trace[0] == "pencil"
         self._clamps_like_the_real_root(monkeypatch, s, "pencil", synth=lambda t: _flow_only(t, real=True))
         monkeypatch.undo()
         s = _chain(768, True, m=2)
         rep = disentangle3_real(s)
-        assert (rep.cz_count, rep.branch_trace[:2]) == (2, ("delta>=0", "pencil"))
+        assert (rep.cz_count, rep.branch_trace[0]) == (2, "pencil")
         self._clamps_like_the_real_root(monkeypatch, s, "pencil")
         monkeypatch.undo()
         chain2 = _flow_only(s, real=True, m=2)
@@ -542,7 +553,7 @@ class TestAttemptsInOrder:
         # a generic delta >= 0 state takes the chain prefix: its own gate and
         # the finisher's step 1 on qubit 1 each take the patched root
         s = next(t for t in (random_state((764, i), real_only=True) for i in range(100)) if delta(t) >= 0.0)
-        assert disentangle3_real(s).branch_trace[:3] == ("delta>=0", "chain01", "chain1")
+        assert disentangle3_real(s).branch_trace[:2] == ("chain01", "chain1")
         self._clamps_like_the_real_root(monkeypatch, s, "chain01", "chain1")
 
 
@@ -742,11 +753,11 @@ class TestRoute:
         s = PureState3(np.array([0, 1, 1, 0, 1, 0, 0, 0]) / math.sqrt(3.0))
         rep = disentangle3_real(s) if real else disentangle3(s)
         assert (rep.cz_count, len(rep.circuit.gates)) == (3, 10)
-        assert rep.branch_trace[int(real):] == ("detB0=0", "step4", "chain2", "cz02", "cz12")
+        assert rep.branch_trace == ("detB0=0", "step4", "chain2", "cz02", "cz12")
         from qprep3.synth import _chain01, _synthesize
 
         w = [z.real for z in s.w] if real else s.w
-        alone = _synthesize(s, w, real, "delta>=0" if real else None, (_chain01,), 3)
+        alone = _synthesize(w, real, (_chain01,), 3)
         assert (alone.cz_count, len(alone.circuit.gates)) == (3, 10)
         assert "chain01" in alone.branch_trace
 
@@ -757,7 +768,7 @@ class TestRoute:
         # and the fewest gates, is kept
         count = self._count_attempts(monkeypatch)
         rep = disentangle3_real(ghz()) if real else disentangle3(ghz())
-        assert rep.branch_trace[int(real)] == "chain0" and count[0] == 5
+        assert rep.branch_trace[0] == "chain0" and count[0] == 5
         assert (rep.cz_count, len(rep.circuit.gates)) == (2, 7)
 
     def test_haar_states_make_one_attempt(self, monkeypatch):
@@ -836,7 +847,7 @@ class TestChainPrefix:
         for i in range(300):
             s = random_state((782, i), real_only=real)
             rep = synth(s)
-            assert rep.branch_trace[int(real)] == "chain01"
+            assert rep.branch_trace[0] == "chain01"
             gate, cz = rep.circuit.gates[:2]
             assert (gate.qubit, cz) == (1, CZGate(0, 1))
             v = cz_unitary(3, 0, 1) @ local_unitary(3, 1, gate.matrix) @ s.amps
@@ -875,7 +886,7 @@ class TestChainPrefix:
             form = _chain_form(w)
             assert all(np.isfinite(complex(q)) for q in form)
             rep = synth(s)
-            assert rep.branch_trace[int(real)] == "chain01"
+            assert rep.branch_trace[0] == "chain01"
             assert (rep.cz_count, len(rep.circuit.gates)) == (3, 10)
             v = cz_unitary(3, 0, 1) @ local_unitary(3, 1, rep.circuit.gates[0].matrix) @ s.amps
             s0, s1 = pencil_singular_values(v, 1)
@@ -893,8 +904,7 @@ class TestMinimalCircuits:
             assert cz_min(s.amps) == 2
             rep = disentangle3_real(s) if real else disentangle3(s)
             assert rep.cz_count == 2
-            first = ("delta>=0", "chain0") if real else ("chain0",)
-            assert rep.branch_trace == first + ("cz01", "cz02")
+            assert rep.branch_trace == ("chain0", "cz01", "cz02")
             assert rep.all_real or not real
             assert abs(dense_apply(rep.circuit, s.amps)[0]) >= FID
 
@@ -959,7 +969,7 @@ class TestMinimalCircuits:
         asked.append(LocalGate(0, c))
         # the state the asked gates map to |000>, so that `finish` passes
         s = apply_circuit(invert(Circuit(tuple(asked))), basis_state(3, 0))
-        b = _Builder(s, s.w, False)
+        b = _Builder(s.w, False)
         for g in asked:
             b.local(*g) if isinstance(g, LocalGate) else b.cz(*g)
         on_0 = [g.matrix for g in b.gates if isinstance(g, LocalGate) and g.qubit == 0]
@@ -1211,7 +1221,7 @@ class TestStepInvariants:
             ),
             (
                 "_pencil_root", 1.0, disentangle3_real, "3-real-delta<0",
-                SynthesisInvariantError, "chain1: blocks not products", ["delta<0", "chain01", "chain1"],
+                SynthesisInvariantError, "chain1: blocks not products", ["chain01", "chain1"],
             ),
             # a wrong prefix gate (U(1, 1), the root of z^2 - 1 = 0) leaves
             # qubit 1 no chain middle, so the finisher's step 1 cannot make
@@ -1249,7 +1259,7 @@ class TestStepInvariants:
         from qprep3.synth import _Builder
 
         s = basis_state(3, 0)
-        b = _Builder(s, s.w, False)
+        b = _Builder(s.w, False)
         b.local(0, Mat2(2, 0, 0, 0.5))
         assert abs(b.amps[0]) == 2.0
         with pytest.raises(SynthesisInvariantError, match=r"^tracked squared norm 4\.0 not within 1e-06 of 1$"):
@@ -1285,8 +1295,7 @@ class TestStepInvariants:
         ids=["delta>=0", "delta<0"],
     )
     def test_real_mode_tests_realness_once(self, monkeypatch, state):
-        # disentangle3_real tests realness, then takes delta's core, which
-        # does not test it again
+        # disentangle3_real tests realness once, and computes no delta
         import qprep3.state as state_module
 
         max_imag = state_module._PureState.max_imag
@@ -1299,7 +1308,7 @@ class TestStepInvariants:
         monkeypatch.setattr(state_module._PureState, "max_imag", counting)
         rep = disentangle3_real(state)
         assert calls == [state]
-        assert rep.branch_trace[0] == ("delta>=0" if delta(state) >= 0.0 else "delta<0")
+        assert rep.branch_trace[0] == "chain01"
 
     def test_invariant_error_carries_trace(self):
         err = SynthesisInvariantError("boom", ["a", "b"])
