@@ -134,8 +134,8 @@ SEEDED = [
     ("real-prepare", lambda i: random_state((792, i), real_only=True), lambda s: prepare(s, "real"), True, 75),
     ("two-qubit", lambda i: random_state2((793, i)), prepare, False, 50),
 ]
-SEEDED_SHA256 = "10d7e5d002f073b35fe190d54c8481f97afb5baa086ce8628297a82af56bcee3"
-SEEDED_STRUCTURE_SHA256 = "a3dccd53aa23b352da84c4728df96769d10dff5a8b4ab1713098fd7b962a0603"
+SEEDED_SHA256 = "0fff633e6873e9cfeff533a02d729aa5a3a6eddf7edbc1efe1650966d0481187"
+SEEDED_STRUCTURE_SHA256 = "a716ce4dd603ee6a8b38d7c8aea62b67c14eaa9157c3afa576b7200bdb8adc39"
 
 
 def _seeded_outcomes():
