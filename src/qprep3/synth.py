@@ -7,6 +7,8 @@ all-zeros basis state (invert it to prepare). Guarantees:
   disentangle3       any 3-qubit state,   <= 3 controlled-Z
   disentangle3_real  real 3-qubit states, <= 3 controlled-Z, all gates real
 
+A state of the other size raises ValueError.
+
 Every synthesis ends in one chain finisher, _finish_chain(b, m, outer). Its
 input is |0>P + |1>Q on qubit m, the middle, with P and Q products on the
 outer wires; every other wire is |0>. In order:
@@ -105,11 +107,12 @@ chain on every qubit, keeps `chain0`, the first of three that tie.
 Every synthesis goes through one attempt runner, _synthesize(w, real,
 runs, max_cz). An attempt (_attempt) is a fresh builder of the input's
 amplitudes w, a run (the flow, the chain prefix, the 2-qubit finisher or a
-chain finisher) and a CZ bound, which `finish` checks. The runner makes an attempt of each of `runs`, with a
-bound of 1 CZ for 2 qubits and 3 for 3, and returns the passing one with
-the fewest (CZ, gates), the earlier on ties, so a tie goes to the flow. A
-Qprep3Error raised in an attempt gets the branch trace that attempt took,
-and when no attempt passes, the first attempt's error is raised.
+chain finisher) and a CZ bound, which `finish` checks. The runner makes an
+attempt of each of `runs`, with a bound of 1 CZ for 2 qubits and 3 for 3,
+and returns the passing one with the fewest (CZ, gates), the earlier on
+ties, so a tie goes to the flow. A Qprep3Error raised in an attempt gets
+the branch trace that attempt took, and when no attempt passes, the first
+attempt's error is raised.
 
 Each synthesis is one builder pass. The builder tracks the amplitudes as a
 plain list and reads the blocks from it to choose the next gate; the
@@ -363,10 +366,10 @@ def _amps(s: State, size: int, real: bool, who: str):
 def disentangle3_real(s: PureState3) -> SynthesisReport:
     """All-real circuit mapping a real 3-qubit state to |000>.
 
-    At most 3 CZ for either sign of delta(s), which it does not compute. It
-    takes disentangle3's route (_route3): a generic state takes the chain
-    prefix (trace `chain01`), whose gate is real here. A run that misses a
-    check, the bound included, raises. Every root it chooses is real.
+    At most 3 CZ for either sign of delta(s). It takes disentangle3's route
+    (_route3): a generic state takes the chain prefix (trace `chain01`),
+    whose gate is real here. A run that misses a check, the bound included,
+    raises. Every root it chooses is real.
     """
     return _route3(_amps(s, 8, True, "disentangle3_real"), True)
 
