@@ -30,14 +30,13 @@ Options may come before or after the positional, as `--opt value` or
 Everything after `--` is positional.
 
 argparse is the one definition of that grammar, its help and its usage
-errors, but it is imported only for an argv outside the exact form, which is
-read without it: a command, then tokens that are each one of that command's
-flags spelled in full, the one value after a flag that takes one (not
-starting with `-`, and converting to the flag's type), or a positional (not
-starting with `-`); the command's number of positionals and every required
-option. `synth f.txt --real --verify` and `sweep --n 5 --seed 1` are in the
-exact form; help, a flag prefix, `--opt=value`, `--`, a value or positional
-starting with `-`, and every usage error pay for the argparse import.
+errors, but it is imported only for an argv outside the import-free form,
+which is read without it: a command with no required option, then only that
+command's switches spelled in full and exactly its positionals (none
+starting with `-`), in any order. `synth f.txt --real --verify` and
+`delta f.txt` are in that form; a valued option (`--out c.txt`, any `sweep`
+line), help, a flag prefix, `--opt=value`, `--`, a positional starting with
+`-`, and every usage error pay for the argparse import, a few ms.
 """
 from __future__ import annotations
 
@@ -255,7 +254,7 @@ _WIDTH = 78  # the line width argparse used on an 80-column terminal
 def _argparse_parser():
     """The command line as an argparse parser, built from _COMMANDS: the one
     definition of help, usage errors and flag abbreviations."""
-    import argparse  # only an argv outside the exact form pays for this import
+    import argparse  # only an argv outside the import-free form pays for this import
 
     def formatter(prog):
         return argparse.HelpFormatter(prog, width=_WIDTH)
@@ -276,37 +275,21 @@ def _argparse_parser():
 
 def _parse(argv: list[str]):
     """The fields of a command line as attributes, `command` naming the
-    subcommand, read as argparse reads them. An argv in the exact form (see
-    the module docstring) is read here; any other goes to argparse, which
-    exits 0 after printing the help, or 2 after a usage and an error line."""
+    subcommand, read as argparse reads them. An argv in the import-free form
+    (a command with no required option, its switches spelled in full, its
+    positionals) is read here; any other, a valued option included, goes to
+    argparse, which exits 0 after printing the help, or 2 after a usage and
+    an error line."""
     if argv and argv[0] in _COMMANDS:
         _, _, positionals, options = _COMMANDS[argv[0]]
-        types = {flag: typ for flag, typ, _, _ in options}
-        fields = {"command": argv[0], **{flag[2:]: False if typ is None else None for flag, typ in types.items()}}
-        free = []
-        tokens = iter(argv[1:])
-        for token in tokens:
-            if token in types:
-                value = True
-                if types[token] is not None:
-                    value = next(tokens, "-")  # a missing value reads as one that starts with -
-                    if value.startswith("-"):
-                        break
-                    try:
-                        value = types[token](value)
-                    except ValueError:
-                        break
-                fields[token[2:]] = value
-            elif token.startswith("-"):
-                break
-            else:
-                free.append(token)
-        else:
-            # a required option is valued, so it is None until given
-            given = all(fields[flag[2:]] is not None for flag, _, req, _ in options if req)
-            if len(free) == len(positionals) and given:
-                fields.update(zip((name for name, _ in positionals), free))
-                return SimpleNamespace(**fields)
+        switches = {flag for flag, typ, _, _ in options if typ is None}
+        free = [token for token in argv[1:] if token not in switches]
+        required = any(req for _, _, req, _ in options)
+        if not required and len(free) == len(positionals) and not any(t.startswith("-") for t in free):
+            # a valued option is not given here, so it reads as its default, None
+            fields = {flag[2:]: flag in argv[1:] if typ is None else None for flag, typ, _, _ in options}
+            fields.update(zip((name for name, _ in positionals), free))
+            return SimpleNamespace(command=argv[0], **fields)
     return _argparse_parser().parse_args(argv)
 
 

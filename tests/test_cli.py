@@ -12,7 +12,7 @@ from _oracles import argparse_cli_parser, dense_apply, w_under_locals
 from qprep3.circuit import apply_circuit, format_number, parse_circuit
 from qprep3.cli import _parse, main, parse_state_text
 from qprep3.errors import SynthesisInvariantError
-from qprep3.state import PureState3, basis_state, delta, random_state
+from qprep3.state import PureState3, basis_state, random_state
 from qprep3.synth import disentangle3
 
 GHZ_FILE = """\
@@ -350,26 +350,18 @@ class TestSweepCommand:
 
     def test_real_sweep_counts_delta_negative_samples(self, capsys):
         # delta computed here from the amplitudes, apart from the package
-        n, seed = 40, 5
-        negative = 0
-        for i in range(n):
-            w = random_state((seed, i), real_only=True).amps.real
-            s1 = w[0] * w[7] - w[1] * w[6] - w[2] * w[5] + w[3] * w[4]
-            negative += s1 * s1 - 4.0 * (w[1] * w[2] - w[0] * w[3]) * (w[5] * w[6] - w[4] * w[7]) < 0.0
-        assert negative > 0
-        code, out, _ = run_cli(capsys, ["sweep", "--n", str(n), "--seed", str(seed), "--real", "--machine"])
-        assert code == 0
-        assert f" delta_negative_fraction={format_number(negative / n)} " in out
-        assert f" cz_hist=3:{n} " in out
-
-    def test_real_sweep_delta_negative_fraction_is_the_share_of_delta_below_0(self, capsys):
-        # the field is the share of samples whose delta is below 0
         n = 40
-        negative = sum(delta(random_state((1, i), real_only=True)) < 0.0 for i in range(n))
-        code, out, _ = run_cli(capsys, ["sweep", "--n", str(n), "--seed", "1", "--real", "--machine"])
-        assert code == 0
-        machine = [ln for ln in out.splitlines() if ln.startswith("machine ")]
-        assert f" delta_negative_fraction={format_number(negative / n)} " in machine[0]
+        for seed in (5, 1):
+            negative = 0
+            for i in range(n):
+                w = random_state((seed, i), real_only=True).amps.real
+                s1 = w[0] * w[7] - w[1] * w[6] - w[2] * w[5] + w[3] * w[4]
+                negative += s1 * s1 - 4.0 * (w[1] * w[2] - w[0] * w[3]) * (w[5] * w[6] - w[4] * w[7]) < 0.0
+            assert 0 < negative < n
+            code, out, _ = run_cli(capsys, ["sweep", "--n", str(n), "--seed", str(seed), "--real", "--machine"])
+            assert code == 0
+            assert f" delta_negative_fraction={format_number(negative / n)} " in out
+            assert f" cz_hist=3:{n} " in out
 
     def test_deterministic(self, capsys):
         args = ["sweep", "--n", "25", "--seed", "11", "--real"]
@@ -652,10 +644,15 @@ def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch):
     assert run_cli(capsys, None) == (0, "delta=-0.25\n", "")
 
 
-# argvs that the CLI reads without importing argparse
+# argvs that the CLI reads without importing argparse: a command, its
+# switches and its positionals
 EXACT_FORMS = [
     ["synth", "f", "--verify"],
     ["synth", "f", "--real", "--prepare", "--ry", "--verify"],
+    ["delta", "f"],
+]
+# argvs with a valued option, which argparse reads
+VALUED_FORMS = [
     ["synth", "f", "--out", "c.txt", "--verify"],
     ["sweep", "--n", "3", "--seed", "1", "--real", "--machine"],
     ["sweep", "--seed", "0", "--n", "1"],
@@ -684,6 +681,7 @@ EXACT_FORMS = [
         ["delta", "-a file.txt"],
         ["synth", "--out", "-c d.txt", "s.txt"],
         *EXACT_FORMS,
+        *VALUED_FORMS,
     ],
 )
 def test_accepted_argv_reads_as_argparse_reads_it(argv):
@@ -693,17 +691,24 @@ def test_accepted_argv_reads_as_argparse_reads_it(argv):
 EXACT_FORM_CHILD = """
 import sys
 from qprep3.cli import _parse
-parsed = [vars(_parse(argv)) for argv in ARGVS]
-added = {"argparse", "gettext", "locale"} & set(sys.modules)
-assert not added, sorted(added)
+parser_modules = {"argparse", "gettext", "locale"}
+for argv in EXACT_FORMS:
+    _parse(argv)
+    assert not parser_modules & set(sys.modules), (argv, sorted(parser_modules & set(sys.modules)))
 assert vars(_parse(["synth", "f", "--ver"])) == vars(_parse(["synth", "f", "--verify"]))
-assert "argparse" in sys.modules
+for argv in VALUED_FORMS:
+    for name in parser_modules:
+        sys.modules.pop(name, None)
+    _parse(argv)
+    assert {"argparse", "gettext"} <= set(sys.modules), argv
 """
 
 
 def test_exact_forms_are_read_without_argparse():
-    # an abbreviation is read by argparse, as the full flag is without it
-    proc = _run_python(["-c", f"ARGVS = {EXACT_FORMS!r}\n" + EXACT_FORM_CHILD])
+    # an abbreviation or a valued option is read by argparse, as the full
+    # switch and the positionals are without it
+    forms = f"EXACT_FORMS = {EXACT_FORMS!r}\nVALUED_FORMS = {VALUED_FORMS!r}\n"
+    proc = _run_python(["-c", forms + EXACT_FORM_CHILD])
     assert proc.returncode == 0, proc.stderr
 
 
