@@ -30,10 +30,11 @@ import math
 from collections import namedtuple
 
 from . import kernels
-from .mat2 import REAL_GATE_TOL, RY_MATCH_TOL, Mat2
+from .mat2 import REAL_GATE_TOL, RY_MATCH_TOL, Mat2, _max_abs
 from .state import State, _check_num_qubits
 
 FORMAT_HEADER = "# qprep3 v1 qubits={n} order=left-first"
+_HEADERS = {n: FORMAT_HEADER.format(n=n) for n in (2, 3)}
 # 17 significant digits: every float round-trips exactly
 _NUMBER = "%.17g"
 # an L line: the qubit, then each matrix entry's real and imaginary part
@@ -78,7 +79,7 @@ Gate = LocalGate | CZGate
 def _first_misfit(gates, n: int) -> int | None:
     """Index of the first gate with a wire outside n qubits, or None."""
     for k, g in enumerate(gates):
-        if (g.qubit if isinstance(g, LocalGate) else g.j) >= n:
+        if (g[0] if type(g) is LocalGate else g.j) >= n:
             return k
     return None
 
@@ -102,15 +103,23 @@ class Circuit(namedtuple("Circuit", "gates num_qubits")):
         return sum(1 for g in self.gates if isinstance(g, CZGate))
 
     def max_local_imag(self) -> float:
-        """Largest imaginary part over all local-gate entries (0.0 if no locals)."""
-        # max() over every entry: synthesis tests realness with is_real, and
-        # this only reports how far a circuit is from real
-        return max((abs(e.imag) for g in self.gates if type(g) is LocalGate for e in g.matrix), default=0.0)
+        """Largest imaginary part over all local-gate entries (0.0 if no
+        locals), NaN when any of them is NaN."""
+        # over every entry: synthesis tests realness with is_real, and this
+        # only reports how far a circuit is from real
+        imags = [e.imag for g in self.gates if type(g) is LocalGate for e in g[1]]
+        return _max_abs(*imags) if imags else 0.0
 
     def is_real(self) -> bool:
         """No local-gate entry has an imaginary part past REAL_GATE_TOL (a NaN
-        one counts as past it); stops at the first entry that has."""
-        return all(abs(e.imag) <= REAL_GATE_TOL for g in self.gates if type(g) is LocalGate for e in g.matrix)
+        one counts as past it); stops at the first gate that has one."""
+        t = REAL_GATE_TOL
+        for g in self.gates:
+            if type(g) is LocalGate:
+                a, b, c, d = g[1]
+                if not (abs(a.imag) <= t and abs(b.imag) <= t and abs(c.imag) <= t and abs(d.imag) <= t):
+                    return False
+        return True
 
 
 def apply_gate(g: Gate, s: State) -> State:
@@ -158,7 +167,12 @@ def invert(c: Circuit) -> Circuit:
     # every gate keeps its wire, so c's checks hold for the inverse
     inv: list[Gate] = []
     for g in reversed(c.gates):
-        inv.append(tuple.__new__(LocalGate, (g.qubit, g.matrix.dagger())) if isinstance(g, LocalGate) else g)
+        if type(g) is LocalGate:
+            # Mat2.dagger on the unpacked entries; conjugate() keeps a float a float
+            qubit, (a, b, cc, d) = g
+            m = tuple.__new__(Mat2, (a.conjugate(), cc.conjugate(), b.conjugate(), d.conjugate()))
+            g = tuple.__new__(LocalGate, (qubit, m))
+        inv.append(g)
     return tuple.__new__(Circuit, (tuple(inv), c.num_qubits))
 
 
@@ -208,7 +222,7 @@ def emit_circuit(c: Circuit, include_ry: bool = False) -> str:
     With include_ry, an `RY <q> <theta>` line is appended for every local
     gate (in gate order); raises ValueError if some local gate has no Ry form.
     """
-    lines = [FORMAT_HEADER.format(n=c.num_qubits)]
+    lines = [_HEADERS[c.num_qubits]]
     ry_lines = []
     for g in c.gates:
         if isinstance(g, LocalGate):
@@ -226,7 +240,7 @@ def emit_circuit(c: Circuit, include_ry: bool = False) -> str:
                     raise ValueError("cannot emit RY lines: a local gate is not a real rotation")
                 ry_lines.append(_RY_LINE % (qubit, theta))
         else:
-            lines.append(f"CZ {g.i} {g.j}")
+            lines.append("CZ %d %d" % g)
     lines += ry_lines
     return "\n".join(lines) + "\n"
 

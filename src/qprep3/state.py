@@ -211,7 +211,7 @@ def overlap(s1, s2) -> float:
     if len(s1.w) != len(s2.w):
         raise ValueError(f"overlap needs states of one size, got {s1.num_qubits} and {s2.num_qubits} qubits")
     terms = [a.conjugate() * b for a, b in zip(s1.w, s2.w)]
-    return abs(complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)))
+    return abs(complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms])))
 
 
 def random_state(seed, real_only: bool = False) -> PureState3:

@@ -612,11 +612,11 @@ def prepare(s: State, mode: str = "general") -> SynthesisReport:
     the disentangler's, fidelity is the overlap |<s|prepared>|, which must
     reach the disentangler's own bound, FID_MIN.
     """
-    rep = disentangle(s, mode)
-    prep = invert(rep.circuit)
+    circ, cz, all_real, trace, _ = disentangle(s, mode)
+    prep = invert(circ)
     produced = apply_circuit(prep, _ZERO_STATES[s.num_qubits])
     fid = overlap(s, produced)
     if not fid >= FID_MIN:
-        raise SynthesisInvariantError(f"preparation round-trip fidelity {fid!r} below {FID_MIN!r}", rep.branch_trace)
+        raise SynthesisInvariantError(f"preparation round-trip fidelity {fid!r} below {FID_MIN!r}", trace)
     # inversion keeps the cz count and the realness of every gate
-    return rep._replace(circuit=prep, fidelity=fid)
+    return tuple.__new__(SynthesisReport, (prep, cz, all_real, trace, fid))

@@ -184,10 +184,10 @@ def reference_l_line(qubit, m: Mat2) -> str:
 
 
 def reference_max_local_imag(c) -> float:
-    return max(
-        (abs(e.imag) for g in c.gates if isinstance(g, LocalGate) for e in g.matrix),
-        default=0.0,
-    )
+    """The largest |imaginary part| over the local gates' entries, 0.0 with
+    none; numpy's max is NaN when any entry is NaN, wherever it sits."""
+    imags = [abs(e.imag) for g in c.gates if isinstance(g, LocalGate) for e in g.matrix]
+    return float(np.max(imags)) if imags else 0.0
 
 
 def cz_min(amps, tol: float = 1e-9, chain_gap: float = 1e-6, gap_abs: float = 0.0) -> int:

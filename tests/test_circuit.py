@@ -30,7 +30,7 @@ from qprep3.circuit import (
 )
 from qprep3.mat2 import IDENTITY, REAL_GATE_TOL, RY_MATCH_TOL, SWAP_BLOCKS, Mat2, real_parts
 from qprep3.state import PureState2, PureState3, basis_state, random_state, random_state2
-from qprep3.synth import prepare
+from qprep3.synth import disentangle3_real, prepare
 
 ISQ2 = 1.0 / math.sqrt(2.0)
 X = Mat2(0, 1, 1, 0)
@@ -140,6 +140,11 @@ def random_circuit(seed, n_gates, num_qubits=3) -> Circuit:
     return Circuit(tuple(gates), num_qubits)
 
 
+def real_mode_circuits(seed, count) -> list[Circuit]:
+    """Real-mode syntheses of seeded real states: local gates of float entries."""
+    return [disentangle3_real(random_state((seed, i), real_only=True)).circuit for i in range(count)]
+
+
 class TestApplyCircuit:
     def test_empty_is_identity(self):
         s = random_state(5)
@@ -232,16 +237,29 @@ class TestCircuitValue:
 
 class TestInvert:
     def test_involution(self):
-        c = random_circuit(401, 10)
-        assert invert(invert(c)) == c
+        for c in [random_circuit(401, 10)] + real_mode_circuits(405, 20):
+            assert invert(invert(c)) == c
+
+    def test_keeps_entry_types(self):
+        # real-mode --prepare writes `0` imaginary fields only for float
+        # entries, so inversion must not turn a float into a complex
+        kinds = set()
+        for c in [random_circuit(406, 12)] + real_mode_circuits(407, 20):
+            inv = invert(c)
+            for g, h in zip(reversed(c.gates), inv.gates):
+                if isinstance(g, LocalGate):
+                    a, b, cc, d = g.matrix
+                    assert [type(e) for e in h.matrix] == [type(e) for e in (a, cc, b, d)]
+                    kinds.update(type(e) for e in h.matrix)
+        assert kinds == {float, complex}
 
     def test_cz_self_inverse(self):
         c = Circuit((CZGate(0, 1),))
         assert invert(c) == c
 
     def test_round_trip_state(self):
-        for i in range(100):
-            c = random_circuit((402, i), 16)
+        circuits = [random_circuit((402, i), 16) for i in range(100)] + real_mode_circuits(408, 20)
+        for i, c in enumerate(circuits):
             s = random_state((403, i))
             back = apply_circuit(invert(c), apply_circuit(c, s))
             assert np.max(np.abs(back.amps - s.amps)) <= 1e-11
@@ -357,11 +375,13 @@ class TestMaxLocalImag:
 
     @pytest.mark.parametrize("first", [True, False], ids=["nan-first", "nan-later"])
     def test_nan_entries_follow_max(self, first):
-        # max() keeps a leading NaN and skips a later one
+        # a NaN anywhere is the maximum, also past the first entry, where
+        # max() would drop it
         nan_gate = LocalGate(0, Mat2(complex(0.0, math.nan), 0, 0, 1))
         other = LocalGate(1, Mat2(0.5j, 0, 0, -0.5j))
         c = Circuit((nan_gate, other) if first else (other, nan_gate))
-        assert repr(c.max_local_imag()) == repr(reference_max_local_imag(c))
+        assert math.isnan(c.max_local_imag())
+        assert math.isnan(reference_max_local_imag(c))
 
 
 class TestIsReal:
@@ -376,6 +396,7 @@ class TestIsReal:
             nudge = complex(0.0, REAL_GATE_TOL * float(rng.choice([0.5, 1.0, 2.0])))
             real.insert(int(rng.integers(7)), LocalGate(int(rng.integers(3)), Mat2(1, nudge, 0, 1)))
             circuits.append(Circuit(tuple(real) + (CZGate(0, 2),)))
+        circuits += real_mode_circuits(462, 20)
         outcomes = set()
         for c in circuits:
             want = c.max_local_imag() <= REAL_GATE_TOL
@@ -385,7 +406,7 @@ class TestIsReal:
 
     @pytest.mark.parametrize("first", [True, False], ids=["nan-first", "nan-later"])
     def test_nan_entry_anywhere_is_not_real(self, first):
-        # max_local_imag() skips a NaN after its first entry; is_real does not
+        # is_real tests every gate, not only the first
         nan_gate = LocalGate(0, Mat2(1, 0, 0, complex(1.0, math.nan)))
         other = LocalGate(1, ry_matrix(0.3))
         c = Circuit((nan_gate, other) if first else (other, nan_gate))

@@ -26,10 +26,11 @@ from qprep3.state import (
     basis_state,
     blocks,
     delta,
+    overlap,
     random_state,
     random_state2,
 )
-from qprep3.synth import disentangle, disentangle2, disentangle3, disentangle3_real, prepare
+from qprep3.synth import SynthesisReport, disentangle, disentangle2, disentangle3, disentangle3_real, prepare
 
 FID = 1.0 - 1e-9
 
@@ -1029,6 +1030,21 @@ class TestPrepare:
         for i in range(100):
             s = random_state((743, i))
             assert prepare(s).cz_count == disentangle3(s).cz_count
+
+    @pytest.mark.parametrize("mode", ["general", "real"])
+    @pytest.mark.parametrize("make", [random_state, random_state2], ids=["3-qubit", "2-qubit"])
+    def test_report_is_the_inverted_disentangler(self, make, mode):
+        # every field of the report, by name, so a field written in the wrong
+        # position fails
+        for i in range(20):
+            s = make((744, i), real_only=(mode == "real"))
+            rep, dis = prepare(s, mode), disentangle(s, mode)
+            assert type(rep) is SynthesisReport
+            assert rep.cz_count == dis.cz_count and type(rep.cz_count) is int
+            assert rep.all_real is dis.all_real
+            assert rep.branch_trace == dis.branch_trace
+            assert rep.circuit == invert(dis.circuit)
+            assert rep.fidelity == overlap(s, apply_circuit(rep.circuit, basis_state(s.num_qubits, 0)))
 
     def test_two_qubit_input(self):
         s = random_state2(99)
