@@ -112,7 +112,7 @@ class Circuit(namedtuple("Circuit", "gates num_qubits")):
 
     def is_real(self) -> bool:
         """No local-gate entry has an imaginary part past REAL_GATE_TOL (a NaN
-        one counts as past it); stops at the first gate that has one."""
+        one counts as past it); stops at the first entry that has."""
         t = REAL_GATE_TOL
         for g in self.gates:
             if type(g) is LocalGate:
