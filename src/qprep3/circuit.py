@@ -77,9 +77,16 @@ Gate = LocalGate | CZGate
 
 
 def _first_misfit(gates, n: int) -> int | None:
-    """Index of the first gate with a wire outside n qubits, or None."""
+    """Index of the first gate with a wire outside n qubits, or None; raises
+    TypeError at the first entry that is neither a LocalGate nor a CZGate."""
     for k, g in enumerate(gates):
-        if (g[0] if type(g) is LocalGate else g.j) >= n:
+        if type(g) is LocalGate:
+            wire = g[0]
+        elif type(g) is CZGate:
+            wire = g[1]
+        else:
+            raise TypeError(f"gate {k} is neither a LocalGate nor a CZGate: {g!r}")
+        if wire >= n:
             return k
     return None
 

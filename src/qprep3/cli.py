@@ -47,7 +47,7 @@ from types import SimpleNamespace
 
 from .circuit import emit_circuit, format_number
 from .errors import NotNormalizedError, NotRealError, Qprep3Error
-from .mat2 import DELTA_ZERO_BAND
+from .mat2 import DELTA_ZERO_BAND, _max_abs
 from .state import PureState2, PureState3, delta, random_state
 from .synth import disentangle, prepare
 
@@ -180,8 +180,9 @@ def _cmd_sweep(args) -> int:
             hist[rep.cz_count] = hist.get(rep.cz_count, 0) + 1
             fidelities.append(rep.fidelity)
             if args.real:
-                # printed in real mode only
-                max_gate_imag = max(max_gate_imag, rep.circuit.max_local_imag())
+                # printed in real mode only; _max_abs keeps a NaN, which
+                # max(0.0, nan) would drop
+                max_gate_imag = _max_abs(max_gate_imag, rep.circuit.max_local_imag())
         if args.real and delta(state) < 0.0:
             negative += 1
 

@@ -46,7 +46,9 @@ def _local8_q2(w, u00, u01, u10, u11):
     ]
 
 
-_LOCAL = {(4, 0): _local4_q0, (4, 1): _local4_q1, (8, 0): _local8_q0, (8, 1): _local8_q1, (8, 2): _local8_q2}
+# keyed by length + qubit, one int: a pair outside the five finds no key, or
+# a kernel of the other length, whose unpacking raises ValueError
+_LOCAL = {4: _local4_q0, 5: _local4_q1, 8: _local8_q0, 9: _local8_q1, 10: _local8_q2}
 
 # (length, qi, qj) -> the indices whose qubits qi and qj are both 1
 _CZ_FLIPS = {
@@ -59,7 +61,7 @@ _CZ_FLIPS = {
 
 def apply_local(amps, qubit, u00, u01, u10, u11):
     """Apply the 2x2 unitary [[u00, u01], [u10, u11]] to one qubit."""
-    return _LOCAL[len(amps), qubit](amps, u00, u01, u10, u11)
+    return _LOCAL[len(amps) + qubit](amps, u00, u01, u10, u11)
 
 
 def apply_cz(amps, qi, qj):

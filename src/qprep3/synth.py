@@ -293,11 +293,19 @@ def _synthesize(w, real: bool, runs, max_cz: int) -> SynthesisReport:
     `runs` with a bound of max_cz, the passing one with the fewest (CZ,
     gates) returned, the earlier on ties. When every attempt fails, the
     first one's error is raised."""
-    results = [_attempt(w, real, run, max_cz) for run in runs]
-    passed = [r for r in results if type(r) is SynthesisReport]
-    if not passed:
-        raise results[0]
-    return min(passed, key=lambda r: (r.cz_count, len(r.circuit.gates)))
+    best = key = error = None
+    for run in runs:
+        r = _attempt(w, real, run, max_cz)
+        if type(r) is SynthesisReport:
+            k = (r.cz_count, len(r.circuit.gates))
+            # strict: a tie keeps the earlier attempt
+            if best is None or k < key:
+                best, key = r, k
+        elif error is None:
+            error = r
+    if best is None:
+        raise error
+    return best
 
 
 def _attempt(w, real: bool, run, max_cz: int):
@@ -381,7 +389,8 @@ def _route3(w, real: bool) -> SynthesisReport:
     any other, the prefix alone. The runner keeps the best (module
     docstring)."""
     gaps, flagged = _screen(w)
-    if flagged or is_singular(_split(w, 2)[0], EPS_ZERO):
+    # the top block T0 of qubit 2's split is w[0:4], read row-major
+    if flagged or is_singular(w[:4], EPS_ZERO):
         runs = (_run3, *[partial(_finish_chain, m=q, outer=_OUTER[q]) for q in gaps], _chain01)
     else:
         runs = (_chain01,)
@@ -524,12 +533,11 @@ def _half_factor(w, pairs) -> tuple:
     """A wire's factor in one half of a product, scaled to the half's norm:
     its larger pair there, times the half's norm over the pair's (the pair
     itself when it is the only one)."""
-    (i, j), *other = pairs
-    a, b = w[i], w[j]
-    if not other:
-        return a, b
-    ((k, l),) = other
-    c, d = w[k], w[l]
+    if len(pairs) == 1:
+        ((i, j),) = pairs
+        return w[i], w[j]
+    (i, j), (k, l) = pairs
+    a, b, c, d = w[i], w[j], w[k], w[l]
     s, t = abs(a) ** 2 + abs(b) ** 2, abs(c) ** 2 + abs(d) ** 2
     if s < t:
         a, b, s, t = c, d, t, s

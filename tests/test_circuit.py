@@ -1,5 +1,6 @@
 """Simulator-vs-dense-oracle equivalence, circuit algebra, and the text format."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -127,6 +128,12 @@ class TestApplyGate:
         with pytest.raises(ValueError):
             apply_gate(LocalGate(2, X), random_state2(1))
 
+    @pytest.mark.parametrize("length, qubit", [(4, 2), (4, 3), (4, 4), (8, 3), (8, -1)])
+    def test_local_kernel_dispatch_rejects_pairs_off_the_five(self, length, qubit):
+        # (4, 4) must not reach a 4-amplitude kernel, as a key of length | qubit would
+        with pytest.raises((KeyError, ValueError)):
+            kernels.apply_local([0.5] * length, qubit, 1.0, 0.0, 0.0, 1.0)
+
 
 def random_circuit(seed, n_gates, num_qubits=3) -> Circuit:
     rng = np.random.default_rng(seed)
@@ -233,6 +240,20 @@ class TestCircuitValue:
         assert type(c.gates) is tuple
         gates.append(CZGate(1, 2))
         assert c.cz_count == 1
+
+    @pytest.mark.parametrize(
+        "gates, k",
+        [(((0, 1),), 0), ((CZGate(0, 1), LocalGate(0, X), (0, 2), "CZ 1 2"), 2)],
+        ids=["tuple", "after-gates"],
+    )
+    def test_entry_that_is_not_a_gate_raises_type_error(self, gates, k):
+        # the first entry that is neither a LocalGate nor a CZGate is named
+        msg = f"^gate {k} is neither a LocalGate nor a CZGate: {re.escape(repr(gates[k]))}$"
+        with pytest.raises(TypeError, match=msg):
+            Circuit(gates)
+        # a circuit built past the checks raises the same from apply_circuit
+        with pytest.raises(TypeError, match=msg):
+            apply_circuit(tuple.__new__(Circuit, (gates, 3)), random_state(306))
 
 
 class TestInvert:

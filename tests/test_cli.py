@@ -348,6 +348,16 @@ class TestSweepCommand:
         machine = [ln for ln in out.splitlines() if ln.startswith("machine ")]
         assert len(machine) == 1 and "violations=0" in machine[0]
 
+    def test_real_sweep_keeps_a_nan_gate_imag(self, capsys, monkeypatch):
+        # one sample of three reads NaN: the maximum must keep it wherever it
+        # comes (max(0.0, nan) would drop it)
+        reads = iter([0.0, math.nan, 0.0])
+        monkeypatch.setattr("qprep3.circuit.Circuit.max_local_imag", lambda c: next(reads))
+        code, out, _ = run_cli(capsys, ["sweep", "--n", "3", "--seed", "3", "--real", "--machine"])
+        assert code == 0
+        assert "max gate imag     nan\n" in out
+        assert " max_gate_imag=nan " in out
+
     def test_real_sweep_counts_delta_negative_samples(self, capsys):
         # delta computed here from the amplitudes, apart from the package
         n = 40

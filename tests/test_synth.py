@@ -452,6 +452,74 @@ class TestRealModeFloats:
             assert abs(rep.fidelity - abs(dense_apply(rep.circuit, s.amps)[0])) <= 1e-15
 
 
+class TestRunner:
+    """_synthesize's rule on fake runs: of the passing attempts, the fewest
+    (CZ, gates), the earlier on ties; when none passes, the first attempt's
+    error, with that attempt's trace."""
+
+    # a diagonal gate moves no amplitude off |000>, so a run of them passes
+    RZ = Mat2(1j, 0, 0, -1j)
+    W = basis_state(3, 0).w
+
+    @staticmethod
+    def _run(label, *steps):
+        def run(b):
+            b.say(label)
+            for step in steps:
+                if step == "cz":
+                    b.cz(0, 1)
+                else:
+                    b.local(step, TestRunner.RZ)
+
+        return run
+
+    @staticmethod
+    def _fail(label):
+        def run(b):
+            b.say(label)
+            raise SynthesisInvariantError(label)
+
+        return run
+
+    def _synthesize(self, *runs, max_cz=3):
+        from qprep3.synth import _synthesize
+
+        return _synthesize(self.W, False, runs, max_cz)
+
+    def test_tie_keeps_the_earlier_attempt(self):
+        for first, second in (("a", "b"), ("b", "a")):
+            rep = self._synthesize(self._run(first, 0, 1), self._run(second, 1, 2))
+            assert (rep.cz_count, len(rep.circuit.gates)) == (0, 2)
+            assert rep.branch_trace == (first,)
+
+    def test_fewer_cz_beats_fewer_gates(self):
+        one_cz = self._run("one-cz", "cz")
+        no_cz = self._run("no-cz", 0, 1, 2)
+        for runs in ((one_cz, no_cz), (no_cz, one_cz)):
+            rep = self._synthesize(*runs)
+            assert rep.branch_trace == ("no-cz",)
+            assert (rep.cz_count, len(rep.circuit.gates)) == (0, 3)
+        # with equal CZ, fewer gates
+        rep = self._synthesize(self._run("long", "cz", 0, 1), self._run("short", "cz", 2))
+        assert rep.branch_trace == ("short",)
+
+    def test_failing_attempt_is_skipped(self):
+        # one raises in its run, one fails finish's CZ bound
+        over = self._run("over", "cz", "cz")
+        rep = self._synthesize(self._fail("raises"), over, self._run("passes", 0, 1, 2), max_cz=1)
+        assert rep.branch_trace == ("passes",)
+
+    def test_all_failing_raises_the_first_error_with_its_trace(self):
+        over = self._run("over", "cz", "cz")
+        with pytest.raises(SynthesisInvariantError, match="^first$") as info:
+            self._synthesize(self._fail("first"), over, max_cz=1)
+        assert info.value.branch_trace == ["first"]
+        # a first attempt that fails finish's bound
+        with pytest.raises(SynthesisInvariantError, match="^cz count 2 exceeds 1$") as info:
+            self._synthesize(over, self._fail("second"), max_cz=1)
+        assert info.value.branch_trace == ["over"]
+
+
 class TestAttemptsInOrder:
     def test_chain_prefix_gives_3_cz(self):
         s = _real_delta_negative(767)
