@@ -21,8 +21,16 @@ four entries are floats, as real mode makes them, is written with literal
 written with all eight numbers. The parser converts only the four real
 fields of a line whose imaginary fields are all `0`, and reads that line
 back with float entries; any other line (a `-0` field included) reads back
-complex. RY lines are an optional, purely informational restatement of
-real L gates (emitted on request, skipped by the parser).
+complex. Within a float line, emit formats x00 and x01 (row-major) once each:
+x11 reuses x00's text when x11 == x00 != 0, and x10 reuses x01's with the
+sign flipped when x10 == -x01 != 0. A nonzero float equal to another has its
+bits, so the bytes are those that formatting all four numbers gives (±0.0 and
+NaN are formatted). The parser mirrors the rule: x11 is x00 when their tokens
+are equal, and x10 is -x01 when its token is x01's with the sign flipped,
+only where float() would accept that token (x01's has no `+`, so a line with
+`+0.5` and `-+0.5` still fails on `-+0.5`). RY lines are an optional,
+purely informational restatement of real L gates (emitted on request,
+skipped by the parser).
 """
 from __future__ import annotations
 
@@ -39,8 +47,9 @@ _HEADERS = {n: FORMAT_HEADER.format(n=n) for n in (2, 3)}
 _NUMBER = "%.17g"
 # an L line: the qubit, then each matrix entry's real and imaginary part
 _L_LINE = "L %d" + (" " + _NUMBER) * 8
-# the same line for float entries: a float's imaginary part is +0.0, printed `0`
-_L_FLOAT_LINE = "L %d" + (" " + _NUMBER + " 0") * 4
+# the start of a float L line, by qubit: keyed by value, so a bool or any other
+# number equal to 0, 1 or 2 reads the text %d prints (`L 1 `, not `L True `)
+_L_PREFIXES = {q: "L %d " % q for q in (0, 1, 2)}
 _RY_LINE = "RY %d " + _NUMBER
 
 
@@ -232,11 +241,19 @@ def emit_circuit(c: Circuit, include_ry: bool = False) -> str:
     lines = [_HEADERS[c.num_qubits]]
     ry_lines = []
     for g in c.gates:
-        if isinstance(g, LocalGate):
+        if type(g) is LocalGate:
             qubit, m = g
             e00, e01, e10, e11 = m
             if type(e00) is type(e01) is type(e10) is type(e11) is float:
-                lines.append(_L_FLOAT_LINE % (qubit, e00, e01, e10, e11))
+                # a float's imaginary part is +0.0, printed `0`. A nonzero
+                # float equal to another has its bits, so it prints the same
+                # text: x11 reuses x00's, and x10 x01's with the sign flipped
+                # (±0.0 and NaN fail these tests and are formatted)
+                s00 = _NUMBER % e00
+                s01 = _NUMBER % e01
+                s10 = (s01[1:] if e01 < 0.0 else "-" + s01) if e01 and e10 == -e01 else _NUMBER % e10
+                s11 = s00 if e00 and e11 == e00 else _NUMBER % e11
+                lines.append(f"{_L_PREFIXES[qubit]}{s00} 0 {s01} 0 {s10} 0 {s11} 0")
             else:
                 lines.append(
                     _L_LINE % (qubit, e00.real, e00.imag, e01.real, e01.imag, e10.real, e10.imag, e11.real, e11.imag)
@@ -273,19 +290,29 @@ def parse_circuit(text: str) -> Circuit:
                 if len(parts) != 10:
                     raise ValueError("L line needs a qubit and 8 matrix numbers")
                 q = int(parts[1])
-                if parts[3] == parts[5] == parts[7] == parts[9] == "0":
+                _, _, t00, i00, t01, i01, t10, i10, t11, i11 = parts
+                if i00 == i01 == i10 == i11 == "0":
                     # float entries print their imaginary parts as `0`; `-0` keeps a line complex.
-                    # The `0` tokens are valid, so the first bad token is among the four converted here
-                    m = tuple.__new__(Mat2, (float(parts[2]), float(parts[4]), float(parts[6]), float(parts[8])))
+                    # The `0` tokens are valid, so the first bad token is among the four read here,
+                    # in order: x10 is -x01 when its token is x01's with the sign flipped, which
+                    # float() accepts when it accepts x01's and that has no `+` (`-+0.5` fails)
+                    x00 = float(t00)
+                    x01 = float(t01)
+                    flipped = t01[1:] if t01[0] == "-" else "-" + t01
+                    x10 = -x01 if t10 == flipped and t01[0] != "+" else float(t10)
+                    x11 = x00 if t11 == t00 else float(t11)
+                    m = tuple.__new__(Mat2, (x00, x01, x10, x11))
                 else:
                     ar, ai, br, bi, cr, ci, dr, di = map(float, parts[2:])
                     m = tuple.__new__(Mat2, (complex(ar, ai), complex(br, bi), complex(cr, ci), complex(dr, di)))
-                gates.append(LocalGate(q, m))
+                # the records' own wire tests; a wire that fails one gets the constructor's error
+                gates.append(tuple.__new__(LocalGate, (q, m)) if q in (0, 1, 2) else LocalGate(q, m))
                 linenos.append(lineno)
             elif kind == "CZ":
                 if len(parts) != 3:
                     raise ValueError("CZ line needs two qubit indices")
-                gates.append(CZGate(int(parts[1]), int(parts[2])))
+                i, j = int(parts[1]), int(parts[2])
+                gates.append(tuple.__new__(CZGate, (i, j)) if 0 <= i < j <= 2 else CZGate(i, j))
                 linenos.append(lineno)
             elif kind == "RY":
                 continue

@@ -22,7 +22,9 @@ error (no command, a missing or malformed argument such as `--n x`, an
 unknown or ambiguous flag; the usage and one `error:` line go to stderr), 3
 any other synthesis error, such as an internal invariant or bound failure
 (the error, the branch trace and the state as synthesized are dumped to
-stderr). All output is deterministic given (input, flags, seed).
+stderr), 130 interrupted (Ctrl-C, SIGINT: one `error: interrupted` line on
+stderr, and none when stderr cannot be written; output not yet flushed is
+dropped). All output is deterministic given (input, flags, seed).
 
 Options may come before or after the positional, as `--opt value` or
 `--opt=value`, and any unique prefix of a flag names it (`--ver` for
@@ -55,6 +57,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_MODE = 2
 EXIT_INVARIANT = 3
+EXIT_INTERRUPTED = 130
 
 
 def parse_state_text(text: str) -> list[complex]:
@@ -315,8 +318,9 @@ def entry() -> None:
     with main's code, skipping interpreter teardown: a one-shot process need
     not free its heap, and no exit-time flush or atexit handler runs after
     this. argparse's exit (help, usage errors) still takes the normal path.
-    A stream that cannot be written ends the run with code 1 and, when
-    stderr can take it, one `error:` line."""
+    A stream that cannot be written ends the run with code 1, and an
+    interrupt (Ctrl-C) with code 130; either writes one `error:` line when
+    stderr can take it, and no traceback."""
     if sys.stdout is None:
         sys.stdout = _ClosedStream()
     if sys.stderr is None:
@@ -329,6 +333,9 @@ def entry() -> None:
         # what is left in stdout's buffer is dropped at the exit below
         code = EXIT_INPUT
         message = f"error: {exc}\n"
+    except KeyboardInterrupt:
+        code = EXIT_INTERRUPTED
+        message = "error: interrupted\n"
     try:
         sys.stderr.write(message)
         sys.stderr.flush()

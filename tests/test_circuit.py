@@ -483,6 +483,110 @@ class TestSerialization:
         lines = emit_circuit(c).splitlines()
         assert lines[1:] == [reference_l_line(2, m), "CZ 0 2", reference_l_line(0, m)]
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            Mat2(0.0, 0.0, 0.0, -0.0),
+            Mat2(-0.0, 0.0, -0.0, 0.0),
+            Mat2(0.0, -0.0, 0.0, 0.0),
+            Mat2(math.nan, math.nan, math.nan, math.nan),
+            Mat2(math.nan, 0.5, -math.nan, -math.nan),
+            Mat2(0.5, -math.nan, math.nan, 0.5),
+            Mat2(math.inf, -math.inf, math.inf, math.inf),
+            Mat2(-math.inf, math.inf, -math.inf, -math.inf),
+            Mat2(5e-324, -5e-324, 5e-324, 5e-324),
+            Mat2(-5e-324, 5e-324, 5e-324, 5e-324),
+            Mat2(0.6, -0.8, math.nextafter(0.8, 1.0), 0.6),
+            Mat2(0.6, 0.8, math.nextafter(-0.8, -1.0), math.nextafter(0.6, 0.0)),
+        ],
+        ids=[
+            "zeros-minus-x11", "zeros-minus-x00-x10", "zeros-minus-x01", "nan", "nan-diagonal", "nan-off-diagonal",
+            "inf", "minus-inf", "subnormal", "minus-subnormal", "x10-one-ulp", "x10-x11-one-ulp",
+        ],
+    )
+    def test_float_lines_where_the_text_reuse_must_not_apply(self, m):
+        # equal values with other bits (±0.0), NaN, infinities, the smallest
+        # subnormal and one-ulp neighbours: each number prints as formatted
+        # on its own, and reads back as float() reads its token: with its
+        # own bits, but for a NaN's sign, which %g does not print
+        c = Circuit((LocalGate(1, m), LocalGate(2, m.transpose())))
+        lines = emit_circuit(c).splitlines()[1:]
+        assert lines == [reference_l_line(1, m), reference_l_line(2, m.transpose())]
+        for line, want in zip(lines, (m, m.transpose())):
+            (g,) = parse_circuit(line).gates
+            read = [float(t) for t in line.split()[2::2]]
+            assert [type(x) for x in g.matrix] == [float] * 4
+            assert [x.hex() for x in g.matrix] == [x.hex() for x in read] == [x.hex() for x in want]
+            assert [math.copysign(1.0, x) for x in g.matrix] == [math.copysign(1.0, x) for x in read]
+
+    @pytest.mark.parametrize(
+        "qubit", [True, False, np.int64(2), 1.0, np.float64(2.0)], ids=["true", "false", "int64", "float", "float64"]
+    )
+    def test_float_line_qubit_prints_as_percent_d(self, qubit):
+        # LocalGate accepts any qubit equal to 0, 1 or 2; its L line prints it as %d does
+        m = Mat2(0.6, -0.8, 0.8, 0.6)
+        (line,) = emit_circuit(Circuit((LocalGate(qubit, m),))).splitlines()[1:]
+        assert line == reference_l_line(qubit, m)
+        assert line.startswith("L %d " % qubit) and "True" not in line and "." not in line.split()[1]
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ("0", "-0"), ("nan", "-nan"), ("inf", "-inf"), ("1e400", "-1e400"), (".5", "-.5"), ("-0.25", "0.25"),
+            ("NaN", "-NaN"), ("1_0", "-1_0"),
+        ],
+    )
+    @pytest.mark.parametrize("order", ["as-given", "swapped"])
+    def test_sign_flipped_tokens_read_as_float_reads_them(self, a, b, order):
+        if order == "swapped":
+            a, b = b, a
+        # x01 and x10 a sign-flipped pair, x00 and x11 equal tokens, and the reverse
+        for tokens in ([b, a, b, b], [a, b, a, a], [a, a, b, a], [b, b, a, b]):
+            line = "L 0 " + " ".join(t + " 0" for t in tokens)
+            (g,) = parse_circuit(line + "\n").gates
+            want = [float(t) for t in tokens]
+            assert [type(x) for x in g.matrix] == [float] * 4
+            assert [x.hex() for x in g.matrix] == [x.hex() for x in want], line
+            assert [math.copysign(1.0, x) for x in g.matrix] == [math.copysign(1.0, x) for x in want], line
+
+    @pytest.mark.parametrize(
+        "line, token",
+        [
+            ("L 0 1 0 +0.5 0 -+0.5 0 1 0", "-+0.5"),
+            ("L 0 1 0 x 0 -x 0 1 0", "x"),
+            ("L 0 1 0 -0.5 0 --0.5 0 1 0", "--0.5"),
+            ("L 0 1 0 0.5 0 +-0.5 0 1 0", "+-0.5"),
+            ("L 0 y 0 0.5 0 -0.5 0 y 0", "y"),
+            ("L 0 +-1 0 0.5 0 -0.5 0 +-1 0", "+-1"),
+        ],
+        ids=["plus-then-minus-plus", "bad-x01", "minus-then-minus-minus", "plus-minus", "bad-x00", "bad-x00-twice"],
+    )
+    def test_sign_flipped_bad_tokens_fail_as_float_fails(self, line, token):
+        with pytest.raises(ValueError, match="^line 1: could not convert string to float: '" + re.escape(token) + "'$"):
+            parse_circuit(line + "\n")
+
+    @pytest.mark.parametrize(
+        "line, msg",
+        [
+            ("L 3 1 0 0 0 0 0 1 0", "qubit must be 0, 1 or 2, got 3"),
+            ("L -1 1 0 0 0 0 0 1 0", "qubit must be 0, 1 or 2, got -1"),
+            ("L 3 1 0.5 0 0 0 0 1 0", "qubit must be 0, 1 or 2, got 3"),
+            ("CZ 1 0", re.escape("CZ pair must satisfy 0 <= i < j <= 2, got (1, 0)")),
+            ("CZ 0 3", re.escape("CZ pair must satisfy 0 <= i < j <= 2, got (0, 3)")),
+            ("CZ -1 1", re.escape("CZ pair must satisfy 0 <= i < j <= 2, got (-1, 1)")),
+        ],
+        ids=["l-3", "l-minus-1", "l-complex-3", "cz-reversed", "cz-0-3", "cz-minus-1"],
+    )
+    def test_bad_wires_raise_the_gate_constructors_error(self, line, msg):
+        with pytest.raises(ValueError, match="^line 1: " + msg + "$"):
+            parse_circuit(line + "\n")
+
+    def test_parsed_gates_are_the_records_themselves(self):
+        c = parse_circuit("L 2 0.6 0 -0.8 0 0.8 0 0.6 0\nCZ 0 2\nL 0 1 0.5 0 0 0 0 1 0\n")
+        assert [type(g) for g in c.gates] == [LocalGate, CZGate, LocalGate]
+        assert [type(x) for g in c.gates for x in g] == [int, Mat2, int, int, int, Mat2]
+        assert c == Circuit((LocalGate(2, Mat2(0.6, -0.8, 0.8, 0.6)), CZGate(0, 2), LocalGate(0, c.gates[2].matrix)))
+
     def test_ry_lines_follow_the_written_rule(self):
         thetas = [0.7, -2.5, 0.0, -0.0, math.pi]
         c = Circuit(tuple(LocalGate(q % 3, ry_matrix(t)) for q, t in enumerate(thetas)))

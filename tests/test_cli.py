@@ -614,6 +614,41 @@ def test_entry_exits_3_as_main_does(tmp_path):
     assert by_main.returncode == 3 and "branch trace: pencil\n" in by_entry.stderr
 
 
+# every synthesis builds a gate with mat2.u_from_pair, which here raises
+# KeyboardInterrupt as a Ctrl-C would; the child runs ARGV through RUN,
+# `entry` or `python -m qprep3` (runpy, as -m runs it)
+INTERRUPTING_GATE_CHILD = """
+import runpy
+import sys
+import qprep3.cli
+import qprep3.synth
+
+def interrupted(*_):
+    raise KeyboardInterrupt
+
+qprep3.synth.u_from_pair = interrupted
+sys.argv[1:] = ARGV
+if RUN == "entry":
+    qprep3.cli.entry()
+runpy.run_module("qprep3", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("run", ["entry", "module"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: ["synth", write(tmp, "ghz.txt", GHZ_FILE), "--verify"],
+        lambda tmp: ["synth", write(tmp, "neg.txt", DELTA_NEG_FILE), "--real", "--prepare", "--ry", "--verify"],
+        lambda tmp: ["sweep", "--n", "3", "--seed", "1", "--machine"],
+    ],
+    ids=["synth", "synth-real-prepare", "sweep"],
+)
+def test_interrupt_exits_130_without_traceback(tmp_path, argv, run):
+    proc = _run_python(["-c", f"ARGV = {argv(tmp_path)!r}\nRUN = {run!r}\n" + INTERRUPTING_GATE_CHILD])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (130, "", "error: interrupted\n")
+
+
 NO_NUMPY_CHILD = """
 import sys
 before = set(sys.modules)
