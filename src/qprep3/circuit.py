@@ -245,10 +245,8 @@ def emit_circuit(c: Circuit, include_ry: bool = False) -> str:
             qubit, m = g
             e00, e01, e10, e11 = m
             if type(e00) is type(e01) is type(e10) is type(e11) is float:
-                # a float's imaginary part is +0.0, printed `0`. A nonzero
-                # float equal to another has its bits, so it prints the same
-                # text: x11 reuses x00's, and x10 x01's with the sign flipped
-                # (±0.0 and NaN fail these tests and are formatted)
+                # a float's imaginary part is +0.0, printed `0`; x11 and x10
+                # reuse the text of the equal nonzero x00 and -x01 (same bits)
                 s00 = _NUMBER % e00
                 s01 = _NUMBER % e01
                 s10 = (s01[1:] if e01 < 0.0 else "-" + s01) if e01 and e10 == -e01 else _NUMBER % e10
@@ -294,8 +292,7 @@ def parse_circuit(text: str) -> Circuit:
                 if i00 == i01 == i10 == i11 == "0":
                     # float entries print their imaginary parts as `0`; `-0` keeps a line complex.
                     # The `0` tokens are valid, so the first bad token is among the four read here,
-                    # in order: x10 is -x01 when its token is x01's with the sign flipped, which
-                    # float() accepts when it accepts x01's and that has no `+` (`-+0.5` fails)
+                    # in order. x01's token flipped parses when x01's does and has no `+`
                     x00 = float(t00)
                     x01 = float(t01)
                     flipped = t01[1:] if t01[0] == "-" else "-" + t01
