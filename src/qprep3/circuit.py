@@ -43,7 +43,8 @@ from .state import State, _check_num_qubits
 
 FORMAT_HEADER = "# qprep3 v1 qubits={n} order=left-first"
 _HEADERS = {n: FORMAT_HEADER.format(n=n) for n in (2, 3)}
-# 17 significant digits: every float round-trips exactly
+# 17 significant digits: every float round-trips exactly, but for a NaN's
+# sign (a negative NaN prints `nan` and reads back positive)
 _NUMBER = "%.17g"
 # an L line: the qubit, then each matrix entry's real and imaginary part
 _L_LINE = "L %d" + (" " + _NUMBER) * 8
@@ -228,7 +229,8 @@ def ry_angle(u: Mat2) -> float | None:
 
 
 def format_number(x: float) -> str:
-    """17 significant digits: every float round-trips exactly."""
+    """17 significant digits: every float round-trips exactly, but for a
+    NaN's sign: a negative NaN prints as `nan` and reads back positive."""
     return _NUMBER % x
 
 

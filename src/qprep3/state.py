@@ -210,7 +210,14 @@ def overlap(s1, s2) -> float:
     """
     if len(s1.w) != len(s2.w):
         raise ValueError(f"overlap needs states of one size, got {s1.num_qubits} and {s2.num_qubits} qubits")
-    terms = [a.conjugate() * b for a, b in zip(s1.w, s2.w)]
+    return _overlap(s1.w, s2.w)
+
+
+def _overlap(w1, w2) -> float:
+    """|<w1|w2>| of two amplitude sequences of one length, complex or float,
+    each part of the inner product summed with math.fsum; nothing is
+    checked. overlap and synth.prepare's round trip both call it."""
+    terms = [a.conjugate() * b for a, b in zip(w1, w2)]
     return abs(complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms])))
 
 

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from _oracles import argparse_cli_parser, dense_apply, w_under_locals
-from qprep3.circuit import apply_circuit, format_number, parse_circuit
+from qprep3.circuit import Circuit, LocalGate, apply_circuit, format_number, parse_circuit, ry_matrix
 from qprep3.cli import _parse, main, parse_state_text
 from qprep3.errors import SynthesisInvariantError
+from qprep3.mat2 import Mat2
 from qprep3.state import PureState3, basis_state, random_state
 from qprep3.synth import disentangle3
 
@@ -150,7 +151,8 @@ class TestSynthCommand:
         code, out, _ = run_cli(capsys, ["synth", path, "--out", out_path, "--verify"])
         assert code == 0
         assert out.startswith("cz=")  # only the status line on stdout
-        circ = parse_circuit(open(out_path, encoding="utf-8").read())
+        with open(out_path, encoding="utf-8") as fh:
+            circ = parse_circuit(fh.read())
         ghz = PureState3(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / math.sqrt(2))
         final = apply_circuit(circ, ghz)
         assert abs(final.amps[0]) >= 1 - 1e-9
@@ -264,6 +266,27 @@ class TestSynthErrorContract:
         assert code == 3 and out == ""
         assert "error: SynthesisInvariantError: final fidelity " in err
         assert "branch trace: pencil > " in err
+
+    @pytest.mark.parametrize(
+        "gate, msg",
+        [
+            (Mat2(2, 0, 0, 0.5), "squared norm "),
+            (Mat2(math.nan, 0, 0, 1), "squared norm nan "),
+            (ry_matrix(2.0 * math.acos(1.0 - 5e-10)), "fidelity 0.99999"),
+        ],
+        ids=["norm", "nan", "fidelity"],
+    )
+    def test_failed_round_trip_exits_3_with_trace(self, tmp_path, capsys, monkeypatch, gate, msg):
+        # prepare's circuit starts with a gate that breaks one round-trip check
+        import qprep3.synth as synth
+
+        real_invert = synth.invert
+        monkeypatch.setattr(synth, "invert", lambda c: Circuit((LocalGate(0, gate),) + real_invert(c).gates, 3))
+        path = write(tmp_path, "ghz.txt", GHZ_FILE)
+        code, out, err = run_cli(capsys, ["synth", path, "--prepare", "--verify"])
+        assert code == 3 and out == ""
+        assert err.startswith("error: SynthesisInvariantError: preparation round-trip " + msg)
+        assert err.splitlines()[1] == "branch trace: chain0 > cz01 > cz02"
 
     def test_failed_final_check_prints_the_state_as_synthesized(self, tmp_path, capsys, monkeypatch):
         # the file is 1e-8 off unit norm, so the printed state is the

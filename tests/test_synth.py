@@ -1,6 +1,7 @@
 """Synthesis correctness: CZ bounds, fidelity, branch behavior, real closure."""
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -1241,18 +1242,21 @@ class TestStepInvariants:
         assert info.value.branch_trace == ["chain1", "cz01"]
 
     @staticmethod
-    def _tilt_prepare(monkeypatch, fidelity):
-        """Make prepare's circuit start with an Ry that leaves `fidelity` of the input."""
+    def _prepend_to_prepare(monkeypatch, gate):
+        """Make prepare's circuit start with `gate`, a LocalGate on qubit 0."""
         import qprep3.synth as synth
 
         real_invert = synth.invert
-        tilt = LocalGate(0, ry_matrix(2.0 * math.acos(fidelity)))
 
-        def tilted(c):
+        def prepended(c):
             inv = real_invert(c)
-            return Circuit((tilt,) + inv.gates, inv.num_qubits)
+            return Circuit((gate,) + inv.gates, inv.num_qubits)
 
-        monkeypatch.setattr(synth, "invert", tilted)
+        monkeypatch.setattr(synth, "invert", prepended)
+
+    def _tilt_prepare(self, monkeypatch, fidelity):
+        """Make prepare's circuit start with an Ry that leaves `fidelity` of the input."""
+        self._prepend_to_prepare(monkeypatch, LocalGate(0, ry_matrix(2.0 * math.acos(fidelity))))
 
     @pytest.mark.parametrize("state", [random_state((763, 0)), random_state2((763, 1))], ids=["3-qubit", "2-qubit"])
     def test_prepare_round_trip_check_fires(self, monkeypatch, state):
@@ -1263,6 +1267,50 @@ class TestStepInvariants:
         ) as info:
             prepare(state)
         assert info.value.branch_trace
+
+    @pytest.mark.parametrize("state", [random_state((763, 2)), random_state2((763, 3))], ids=["3-qubit", "2-qubit"])
+    def test_prepare_round_trip_norm_check_fires(self, monkeypatch, state):
+        # a det-1 gate that is not unitary scales |0..0> by 2 before the
+        # preparation: the overlap with the input reads about 2, which passes
+        # FID_MIN, so only the norm check rejects it
+        gate = LocalGate(0, Mat2(2, 0, 0, 0.5))
+        dis = disentangle(state)
+        start = basis_state(state.num_qubits, 0).amps
+        produced = dense_apply(Circuit((gate,) + invert(dis.circuit).gates, state.num_qubits), start)
+        assert abs(abs(np.vdot(state.amps, produced)) - 2.0) <= 1e-12
+        self._prepend_to_prepare(monkeypatch, gate)
+        with pytest.raises(SynthesisInvariantError) as info:
+            prepare(state)
+        found = re.fullmatch(r"preparation round-trip squared norm (\S+) not within 1e-06 of 1", str(info.value))
+        assert found and abs(float(found.group(1)) - 4.0) <= 1e-12
+        assert info.value.branch_trace == list(dis.branch_trace)
+
+    @pytest.mark.parametrize(
+        "entry, norm_check, msg",
+        [
+            (math.nan, True, "preparation round-trip squared norm nan not within 1e-06 of 1"),
+            # with no norm check, the NaN reaches the fidelity, whose test
+            # is written so that a NaN fails it
+            (math.nan, False, "preparation round-trip fidelity nan below 0.9999999999"),
+            (math.inf, True, None),
+        ],
+        ids=["nan", "nan-fidelity", "inf"],
+    )
+    def test_prepare_round_trip_rejects_non_finite_amplitudes(self, monkeypatch, entry, norm_check, msg):
+        import qprep3.synth as synth
+
+        state = random_state((763, 4))
+        self._prepend_to_prepare(monkeypatch, LocalGate(0, Mat2(entry, 0, 0, 1)))
+        if not norm_check:
+            monkeypatch.setattr(synth, "_check_norm", lambda *_: None)
+        with pytest.raises(SynthesisInvariantError) as info:
+            prepare(state)
+        if msg is None:
+            # an inf, or the NaN that inf - inf makes, fails the norm check
+            assert re.fullmatch(r"preparation round-trip squared norm (inf|nan) not within 1e-06 of 1", str(info.value))
+        else:
+            assert str(info.value) == msg
+        assert info.value.branch_trace == list(disentangle(state).branch_trace)
 
     @pytest.mark.parametrize(
         "construction, wrong, synth, state, error, msg, trace",
@@ -1355,11 +1403,14 @@ class TestStepInvariants:
             (disentangle3, random_state((765, 0))),
             (disentangle3_real, random_state((765, 1), real_only=True)),
             (disentangle3_real, delta_negative_vector()),
+            (prepare, random_state((765, 2))),
+            (partial(prepare, mode="real"), random_state((765, 3), real_only=True)),
         ],
-        ids=["general", "real", "real-delta<0"],
+        ids=["general", "real", "real-delta<0", "prepare", "prepare-real"],
     )
     def test_synthesis_validates_once(self, monkeypatch, synth, state):
-        # finish reads the tracked list itself: synthesis builds no state
+        # finish reads the tracked list itself, and prepare's round trip
+        # checks the list it simulates: synthesis builds no state
         import qprep3.state as state_module
 
         validate = state_module._prepare_amps
