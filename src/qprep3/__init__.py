@@ -14,22 +14,17 @@ from .circuit import (
     apply_circuit,
     apply_gate,
     emit_circuit,
-    fidelity_to_basis,
     invert,
     parse_circuit,
     ry_angle,
     ry_matrix,
 )
-from .mat2 import Mat2, l1, r1, r2, r3, solve_det_pencil, u_from_pair
+from .mat2 import Mat2
 from .state import (
-    BlockPair,
-    Factorization,
     PureState2,
     PureState3,
     basis_state,
-    blocks,
     delta,
-    factor_right,
     overlap,
     random_state,
     random_state2,
@@ -39,14 +34,12 @@ from .synth import SynthesisReport, disentangle2, disentangle3, disentangle3_rea
 __version__ = "0.1.0"
 
 # Name of the statevector kernels in use; there is one implementation, in
-# kernels.py.
+# kernels.py. perfbench/run.py records it with every run.
 kernel_backend = "python"
 
 __all__ = [
-    "BlockPair",
     "Circuit",
     "CZGate",
-    "Factorization",
     "Gate",
     "LocalGate",
     "Mat2",
@@ -56,29 +49,20 @@ __all__ = [
     "apply_circuit",
     "apply_gate",
     "basis_state",
-    "blocks",
     "delta",
     "disentangle2",
     "disentangle3",
     "disentangle3_real",
     "emit_circuit",
     "errors",
-    "factor_right",
-    "fidelity_to_basis",
     "invert",
     "kernel_backend",
-    "l1",
     "overlap",
     "parse_circuit",
     "prepare",
-    "r1",
-    "r2",
-    "r3",
     "random_state",
     "random_state2",
     "ry_angle",
     "ry_matrix",
-    "solve_det_pencil",
-    "u_from_pair",
     "__version__",
 ]

@@ -193,13 +193,6 @@ def invert(c: Circuit) -> Circuit:
     return tuple.__new__(Circuit, (tuple(inv), c.num_qubits))
 
 
-def fidelity_to_basis(s: State, basis_index: int) -> float:
-    """|amplitude| at one computational basis index (global-phase blind)."""
-    if not 0 <= basis_index < len(s.w):
-        raise ValueError(f"basis index must be in 0..{len(s.w) - 1}, got {basis_index}")
-    return abs(s.w[basis_index])
-
-
 def ry_matrix(theta: float) -> Mat2:
     c, sn = math.cos(theta / 2.0), math.sin(theta / 2.0)
     return Mat2(c, -sn, sn, c)

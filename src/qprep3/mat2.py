@@ -117,9 +117,6 @@ class Mat2(namedtuple("Mat2", "a b c d")):
         e, f, g, h = other
         return tuple.__new__(Mat2, (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
 
-    def entries(self) -> tuple[complex, complex, complex, complex]:
-        return tuple(self)
-
     def max_imag(self) -> float:
         return _max_abs(self.a.imag, self.b.imag, self.c.imag, self.d.imag)
 

@@ -108,14 +108,13 @@ route's bound: it emits at most one CZ per outer wire, 2 in all. GHZ, a
 chain on every qubit, keeps `chain0`, the first of three that tie.
 
 Every synthesis goes through one attempt runner, _synthesize(w, real,
-runs, max_cz). An attempt (_attempt) is a fresh builder of the input's
-amplitudes w, a run (the flow, the chain prefix, the 2-qubit finisher or a
-chain finisher) and a CZ bound, which `finish` checks. The runner makes an
-attempt of each of `runs`, with a bound of 1 CZ for 2 qubits and 3 for 3,
-and returns the passing one with the fewest (CZ, gates), the earlier on
-ties, so a tie goes to the flow. A Qprep3Error raised in an attempt gets
-the branch trace that attempt took, and when no attempt passes, the first
-attempt's error is raised.
+runs, max_cz). Its loop makes an attempt of each of `runs` (the flow, the
+chain prefix, the 2-qubit finisher or a chain finisher): a fresh builder of
+the input's amplitudes w, the run, and `finish` against a bound of 1 CZ for
+2 qubits and 3 for 3. It returns the passing attempt with the fewest (CZ,
+gates), the earlier on ties, so a tie goes to the flow. A Qprep3Error
+raised in an attempt gets the branch trace that attempt took, and when no
+attempt passes, the first attempt's error is raised.
 
 Each synthesis is one builder pass. The builder tracks the amplitudes as a
 plain list and reads the blocks from it to choose the next gate; the
@@ -224,9 +223,6 @@ class _Builder:
         # gate, else -1: a wire holds at most one local gate after its last CZ
         self.open = [-1, -1, -1]
 
-    def say(self, label: str) -> None:
-        self.trace.append(label)
-
     # Gates are built with tuple.__new__, past the wire checks of their
     # __new__: synthesis passes only its own literal wires, which fit.
 
@@ -300,31 +296,22 @@ def _synthesize(w, real: bool, runs, max_cz: int) -> SynthesisReport:
     first one's error is raised."""
     best = key = error = None
     for run in runs:
-        r = _attempt(w, real, run, max_cz)
-        if type(r) is SynthesisReport:
-            k = (r.cz_count, len(r.circuit.gates))
-            # strict: a tie keeps the earlier attempt
-            if best is None or k < key:
-                best, key = r, k
-        elif error is None:
-            error = r
+        b = _Builder(w, real)
+        try:
+            run(b)
+            r = b.finish(max_cz)
+        except Qprep3Error as exc:
+            exc.branch_trace = list(b.trace)
+            if error is None:
+                error = exc
+            continue
+        k = (r.cz_count, len(r.circuit.gates))
+        # strict: a tie keeps the earlier attempt
+        if best is None or k < key:
+            best, key = r, k
     if best is None:
         raise error
     return best
-
-
-def _attempt(w, real: bool, run, max_cz: int):
-    """One attempt: a fresh builder of the amplitudes w (an input's, or
-    their real parts as floats) in the mode `real` runs a function of the
-    builder and finishes against max_cz. Its report, or the Qprep3Error it
-    raised, which gets the attempt's trace."""
-    b = _Builder(w, real)
-    try:
-        run(b)
-        return b.finish(max_cz)
-    except Qprep3Error as exc:
-        exc.branch_trace = list(b.trace)
-        return exc
 
 
 def _check_norm(amps, name: str, trace=()) -> None:
@@ -439,7 +426,7 @@ def _screen(w) -> tuple[list[int], bool]:
 
 def _chain01(b: _Builder) -> None:
     """The chain prefix (module docstring), ended by the finisher."""
-    b.say("chain01")
+    b.trace.append("chain01")
     _root_gate(b, 1, _chain_form(b.amps))
     b.cz(0, 1)
     _finish_chain(b, 1, (0, 2))
@@ -468,7 +455,7 @@ def _root_gate(b: _Builder, q: int, form: tuple) -> None:
     z = _pencil_root(*form)
     if b.real:
         if abs(z.imag) > REAL_ROOT_TOL:
-            b.say("pencil-root-clamped")
+            b.trace.append("pencil-root-clamped")
         z = z.real
     b.local(q, u_from_pair(1.0, z))
 
@@ -477,10 +464,10 @@ def _run3(b: _Builder) -> None:
     # each precondition is tested once: l1's check is step 1's check, and
     # r1's is step 4's decision
     if is_singular(_split(b.amps, 2)[1], EPS_ZERO):
-        b.say("detB0=0")
+        b.trace.append("detB0=0")
         b.local(2, SWAP_BLOCKS)
     else:
-        b.say("pencil")
+        b.trace.append("pencil")
         _root_gate(b, 2, _pencil_form(*_SPLIT_ENTRIES[2](b.amps)))
 
     a1 = _split(b.amps, 2)[0]
@@ -489,7 +476,7 @@ def _run3(b: _Builder) -> None:
         # of X), which leaves qubit 2 at |0>, and finish on qubits (1, 0).
         # Entries this small make a1 singular at STEP_TOL, so no check is
         # skipped; otherwise a1 is nonzero for l1
-        b.say("A1=0")
+        b.trace.append("A1=0")
         b.local(2, SWAP_BLOCKS)
         _finish_chain(b, 1, (0,))
         return
@@ -504,9 +491,9 @@ def _run3(b: _Builder) -> None:
     try:
         u4 = r1(b2).transpose()
     except SingularInputError:
-        b.say("skip-step4")
+        b.trace.append("skip-step4")
     else:
-        b.say("step4")
+        b.trace.append("step4")
         # the checks read the state after the sandwich as asked; the top
         # block, whose second row step 2 zeroed, sees it as the identity
         b.local(0, u4)
@@ -576,7 +563,7 @@ def _finish_chain(b: _Builder, m: int, outer: tuple[int, ...]) -> None:
     wires and every other wire |0>, to |0..0> (module docstring): at most one
     CZ per outer wire x, on (m, x)."""
     label, steps, wires = _chain_plan(len(b.amps), m, outer)
-    b.say(label)
+    b.trace.append(label)
     if len(outer) == 2:
         t0, t1 = _split(b.amps, m)
         if not (is_singular(t0, EPS_ZERO) and is_singular(t1, EPS_ZERO)):
@@ -589,9 +576,9 @@ def _finish_chain(b: _Builder, m: int, outer: tuple[int, ...]) -> None:
     for x, i, j, cz, skip, half0, half1 in steps:
         p, q = _half_factor(b.amps, half0), _half_factor(b.amps, half1)
         if is_singular(p + q, EPS_ZERO):
-            b.say(skip)
+            b.trace.append(skip)
             continue
-        b.say(cz)
+        b.trace.append(cz)
         b.local(x, _bisector(p, q))
         b.cz(i, j)
         if not is_singular(_half_factor(b.amps, half0) + _half_factor(b.amps, half1), STEP_TOL):

@@ -188,7 +188,7 @@ def test_criterion_6_branch_reductions():
     for _ in range(200):
         a = random_rank1(rng)
         for b, route, cz, gates in [(random_rank1(rng), "chain2", 2, 7), (a @ random_nonsingular(rng), "skip-cz01", 1, 5)]:
-            amps = np.array(a.entries() + b.entries())
+            amps = np.array(tuple(a) + tuple(b))
             rep = disentangle3(PureState3(amps / np.linalg.norm(amps)))
             worst = max(worst, rep.cz_count)
             ok = ok and (rep.cz_count, len(rep.circuit.gates)) == (cz, gates) and route in rep.branch_trace
@@ -212,7 +212,7 @@ def test_criterion_6_branch_reductions():
         a = random_rank1(rng)
         runs = [(Mat2(alpha, 0, 0, 0), bottom, "skip-cz02", 2, 7), (a, random_nonsingular(rng) @ a, "skip-cz01", 1, 5)]
         for top, bottom, route, cz, gates in runs:
-            amps = np.array(top.entries() + bottom.entries())
+            amps = np.array(tuple(top) + tuple(bottom))
             rep = disentangle3(PureState3(amps / np.linalg.norm(amps)))
             worst = max(worst, rep.cz_count)
             ok = ok and (rep.cz_count, len(rep.circuit.gates)) == (cz, gates) and route in rep.branch_trace

@@ -23,7 +23,6 @@ from qprep3.circuit import (
     apply_circuit,
     apply_gate,
     emit_circuit,
-    fidelity_to_basis,
     invert,
     parse_circuit,
     ry_angle,
@@ -288,24 +287,6 @@ class TestInvert:
     def test_cz_count_preserved(self):
         c = random_circuit(404, 20)
         assert invert(c).cz_count == c.cz_count
-
-
-class TestFidelityToBasis:
-    def test_basis(self):
-        assert fidelity_to_basis(basis_state(3, 0), 0) == 1.0
-
-    def test_ghz(self):
-        assert abs(fidelity_to_basis(ghz(), 0) - ISQ2) <= 1e-15
-
-    def test_phase_blind(self):
-        s = PureState3(-basis_state(3, 0).amps)
-        assert fidelity_to_basis(s, 0) == 1.0
-
-    @pytest.mark.parametrize("index", [-1, 8])
-    def test_index_out_of_range(self, index):
-        # a negative index used to read the last amplitude
-        with pytest.raises(ValueError, match=r"^basis index must be in 0\.\.7, got "):
-            fidelity_to_basis(ghz(), index)
 
 
 class TestRyAngle:
@@ -667,8 +648,10 @@ class TestSerialization:
             ("\t\n  q 0\n", "line 2: unknown gate kind 'q'"),
             ("  L x 1 0 0 0 0 0 1 0\n", "line 1: invalid literal for int"),
             ("#qubits=2\n\n  L 2 1 0 0 0 0 0 1 0\n", "line 3: gate .* does not fit in 2 qubits"),
+            ("CZ 0\n", "line 1: CZ line needs two qubit indices$"),
+            ("CZ 0 1 2\n", "line 1: CZ line needs two qubit indices$"),
         ],
-        ids=["cz-pair", "l-arity", "header-count", "unknown", "bad-int", "misfit"],
+        ids=["cz-pair", "l-arity", "header-count", "unknown", "bad-int", "misfit", "cz-one-index", "cz-three-indices"],
     )
     def test_error_line_numbers_count_every_line(self, text, msg):
         with pytest.raises(ValueError, match="^" + msg):

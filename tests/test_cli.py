@@ -92,6 +92,10 @@ class TestParseStateText:
         with pytest.raises(ValueError, match="4 or 8"):
             parse_state_text("1 0\n0 0\n")
 
+    def test_non_numeric_amplitude(self):
+        with pytest.raises(ValueError, match="^line 2: non-numeric amplitude$"):
+            parse_state_text("1 0\nx 0\n")
+
     def test_17_digit_decimals_round_trip_exactly(self):
         from qprep3.state import random_state
 
@@ -139,6 +143,10 @@ class TestSynthCommand:
         assert code == 1
         assert out == ""  # no partial circuit
         assert "line 2" in err
+
+    def test_non_numeric_amplitude_exit_1(self, tmp_path, capsys):
+        path = write(tmp_path, "word.txt", "1 0\nx 0\n")
+        assert run_cli(capsys, ["synth", path]) == (1, "", "error: line 2: non-numeric amplitude\n")
 
     def test_norm_error_exit_1(self, tmp_path, capsys):
         path = write(tmp_path, "norm.txt", "0.5 0\n" + "0 0\n" * 7)

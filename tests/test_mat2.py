@@ -327,7 +327,7 @@ def test_nearly_real_inputs_stay_nearly_real():
     def fuzz(m: Mat2) -> Mat2:
         m = scaled(m, 1.0 / m.frobenius())
         noise = 1e-14 * rng.standard_normal(4)
-        e = m.entries()
+        e = tuple(m)
         return Mat2(*[complex(v.real, v.imag + n) for v, n in zip(e, noise)])
 
     for _ in range(300):

@@ -334,7 +334,7 @@ class TestBranchReductions:
 
 
 def _normalized_state(a: Mat2, b: Mat2) -> PureState3:
-    amps = np.array(a.entries() + b.entries(), dtype=np.complex128)
+    amps = np.array(tuple(a) + tuple(b), dtype=np.complex128)
     return PureState3(amps / np.linalg.norm(amps))
 
 
@@ -465,7 +465,7 @@ class TestRunner:
     @staticmethod
     def _run(label, *steps):
         def run(b):
-            b.say(label)
+            b.trace.append(label)
             for step in steps:
                 if step == "cz":
                     b.cz(0, 1)
@@ -477,7 +477,7 @@ class TestRunner:
     @staticmethod
     def _fail(label):
         def run(b):
-            b.say(label)
+            b.trace.append(label)
             raise SynthesisInvariantError(label)
 
         return run
@@ -1475,7 +1475,7 @@ class TestStepInvariants:
         import qprep3.synth as synth
 
         def failing(b, *_):
-            b.say("chain2")
+            b.trace.append("chain2")
             raise SynthesisInvariantError("chain2: boom")
 
         monkeypatch.setattr(synth, "_finish_chain", failing)
