@@ -48,15 +48,10 @@ def test_rank_one_pencil_determinant_factors():
     assert sympy.expand(det - lam * mu * (a * f - b * e) * (c * h - d * g)) == 0
 
 
-def _chain_prefix_form():
-    """(q2, q1, q0) of qubit 1's split after U(1, z), unnormalized, on qubit
-    1 and then cz01, by the package's own kernels and pencil form."""
-    after = kernels.apply_cz(kernels.apply_local(list(W), 1, 1, Z, -Z, 1), 0, 1)
-    return _pencil_form(*_SPLIT_ENTRIES[1](after))
-
-
 def test_chain_prefix_root_makes_the_form_traceless():
-    q2, _, q0 = _chain_prefix_form()
+    # U(1, z) unnormalized on qubit 1, then cz01, by the package's kernels
+    after = kernels.apply_cz(kernels.apply_local(list(W), 1, 1, Z, -Z, 1), 0, 1)
+    q2, _, q0 = _pencil_form(*_SPLIT_ENTRIES[1](after))
     k11, k01_2, k00 = _chain_form(list(W))
     assert sympy.expand(q0 + q2 + (k00 + k01_2 * Z + k11 * Z**2)) == 0
 
