@@ -7,8 +7,11 @@ output must equal `tests/golden_cli.txt` byte for byte, so any change in an
 emitted digit, gate order, branch choice, summary line or error message shows
 up here.
 
-A second check hashes the library output for a few hundred seeded states
-(`SEEDED_SHA256`), to pin byte-identity beyond the golden cases. A third
+A second check hashes the library output for a few hundred seeded Haar
+states and for 300 seeded near-degenerate draws of test_degenerate's
+families, which take the screened route, in general mode and, on the real
+draws, in real mode (`SEEDED_SHA256`), to pin byte-identity beyond the
+golden cases. A third
 hashes only their structure, the cz count, realness and branch trace of each
 run (`SEEDED_STRUCTURE_SHA256`); a change to emitted numbers or gate lists
 that keeps every branch decision leaves it as it is.
@@ -28,13 +31,15 @@ import io
 import math
 import os
 import tempfile
+from functools import partial
 
 import numpy as np
 
+from test_degenerate import _instance
 from qprep3.circuit import emit_circuit
 from qprep3.cli import main
 from qprep3.errors import Qprep3Error
-from qprep3.state import random_state, random_state2
+from qprep3.state import PureState3, random_state, random_state2
 from qprep3.synth import disentangle, prepare
 
 GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.txt")
@@ -127,24 +132,39 @@ def render_all() -> str:
     return "".join(chunks)
 
 
-# (label, state maker, library call, include_ry, count)
+def _draws(make, count):
+    return lambda: [(i, make(i)) for i in range(count)]
+
+
+def _screened(real_only):
+    """(index, state) of the first 300 draws of test_degenerate._instance
+    from rng 794, near-degenerate inputs the route screens: every draw, or
+    the real ones only."""
+    rng = np.random.default_rng(794)
+    draws = [_instance(rng, i) for i in range(300)]
+    return [(i, PureState3(v)) for i, (_, real, v) in enumerate(draws) if real or not real_only]
+
+
+# (label, library call, include_ry, maker of the (index, state) pairs it runs on)
 SEEDED = [
-    ("general", lambda i: random_state((790, i)), disentangle, False, 100),
-    ("real", lambda i: random_state((791, i), real_only=True), lambda s: disentangle(s, "real"), False, 75),
-    ("real-prepare", lambda i: random_state((792, i), real_only=True), lambda s: prepare(s, "real"), True, 75),
-    ("two-qubit", lambda i: random_state2((793, i)), prepare, False, 50),
+    ("general", disentangle, False, _draws(lambda i: random_state((790, i)), 100)),
+    ("real", partial(disentangle, mode="real"), False, _draws(lambda i: random_state((791, i), real_only=True), 75)),
+    ("real-prepare", partial(prepare, mode="real"), True, _draws(lambda i: random_state((792, i), real_only=True), 75)),
+    ("two-qubit", prepare, False, _draws(lambda i: random_state2((793, i)), 50)),
+    ("screened", disentangle, False, partial(_screened, False)),
+    ("screened-real", partial(disentangle, mode="real"), False, partial(_screened, True)),
 ]
-SEEDED_SHA256 = "0fff633e6873e9cfeff533a02d729aa5a3a6eddf7edbc1efe1650966d0481187"
-SEEDED_STRUCTURE_SHA256 = "a716ce4dd603ee6a8b38d7c8aea62b67c14eaa9157c3afa576b7200bdb8adc39"
+SEEDED_SHA256 = "dc73fc1a9c9ea8b3e852f5d18c736b4dfa8da8cc3905b68b23677acdc456bdc1"
+SEEDED_STRUCTURE_SHA256 = "baf2c895249348250cd5615c282781df2dfdd35b525764a4a202fad46bc278c9"
 
 
 def _seeded_outcomes():
     """(header, include_ry, report or the Qprep3Error raised) of every SEEDED run."""
     out = []
-    for label, make, run, include_ry, count in SEEDED:
-        for i in range(count):
+    for label, run, include_ry, states in SEEDED:
+        for i, s in states():
             try:
-                res = run(make(i))
+                res = run(s)
             except Qprep3Error as exc:
                 res = exc
             out.append((f"=== {label} {i}\n", include_ry, res))
