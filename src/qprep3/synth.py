@@ -28,7 +28,12 @@ outer wires; every other wire is |0>. In order:
 
 Its per-run constants, the labels, each step's CZ wires and index pairs and
 the final wire order, come from one cached plan per (amplitude count, m,
-outer), _chain_plan: five keys in all, so a run formats no string.
+outer), _chain_plan: five keys in all, so a run formats no string. Each
+decision reads the tracked list once. Step 1 takes m's eight split entries,
+A's then B's, in one read (state._SPLIT_ENTRIES): both singular tests and
+the root's pencil form come from it, and no block is built. Step 2 takes
+x's factors in both halves as one 4-tuple [p; q] (_factors), which the skip
+test, the bisector and the check after the CZ all read.
 
 disentangle2 is the finisher with m = 1: at most 1 CZ, and none exactly
 when the amplitude matrix is singular.
@@ -530,27 +535,34 @@ def _chain_plan(n: int, m: int, outer: tuple[int, ...]) -> tuple:
     return f"chain{m}", tuple(steps), (m, *outer)
 
 
-def _half_factor(w, pairs) -> tuple:
-    """A wire's factor in one half of a product, scaled to the half's norm:
-    its larger pair there, times the half's norm over the pair's (the pair
-    itself when it is the only one)."""
-    if len(pairs) == 1:
-        ((i, j),) = pairs
-        return w[i], w[j]
-    (i, j), (k, l) = pairs
+def _factors(w, half0, half1) -> tuple:
+    """A wire's factors p and q in m's half 0 and half 1 of a product, as the
+    4-tuple [p; q] that is_singular and _bisector take: in each half, its
+    larger pair there, times the half's norm over the pair's (the pair itself
+    when it is the only one)."""
+    if len(half0) == 1:
+        ((i, j),), ((k, l),) = half0, half1
+        return w[i], w[j], w[k], w[l]
+    # both halves written out: a loop, or a call per half, costs more
+    (i, j), (k, l) = half0
     a, b, c, d = w[i], w[j], w[k], w[l]
     s, t = abs(a) ** 2 + abs(b) ** 2, abs(c) ** 2 + abs(d) ** 2
     if s < t:
         a, b, s, t = c, d, t, s
-    r = math.sqrt((s + t) / s) if s else 1.0
-    return a * r, b * r
+    (i, j), (k, l) = half1
+    e, f, g, h = w[i], w[j], w[k], w[l]
+    u, v = abs(e) ** 2 + abs(f) ** 2, abs(g) ** 2 + abs(h) ** 2
+    if u < v:
+        e, f, u, v = g, h, v, u
+    r, q = math.sqrt((s + t) / s) if s else 1.0, math.sqrt((u + v) / u) if u else 1.0
+    return a * r, b * r, e * q, f * q
 
 
-def _bisector(p, q) -> Mat2:
-    """The local gate with first row conj(p/|p| + e q/|q|), e the phase that
-    makes <p|e q> real and nonnegative: up to phase, it maps p and q to
-    images of each other under Z. p and q are nonzero."""
-    (p0, p1), (q0, q1) = p, q
+def _bisector(f) -> Mat2:
+    """The local gate with first row conj(p/|p| + e q/|q|), f = [p; q] and e
+    the phase that makes <p|e q> real and nonnegative: up to phase, it maps p
+    and q to images of each other under Z. p and q are nonzero."""
+    p0, p1, q0, q1 = f
     n0, n1 = math.hypot(abs(p0), abs(p1)), math.hypot(abs(q0), abs(q1))
     overlap_qp = q0.conjugate() * p0 + q1.conjugate() * p1
     e = overlap_qp / abs(overlap_qp) if overlap_qp else 1.0
@@ -565,23 +577,23 @@ def _finish_chain(b: _Builder, m: int, outer: tuple[int, ...]) -> None:
     label, steps, wires = _chain_plan(len(b.amps), m, outer)
     b.trace.append(label)
     if len(outer) == 2:
-        t0, t1 = _split(b.amps, m)
-        if not (is_singular(t0, EPS_ZERO) and is_singular(t1, EPS_ZERO)):
+        # m's split read once per decision: A's four entries, then B's
+        entries = _SPLIT_ENTRIES[m](b.amps)
+        if not (is_singular(entries[:4], EPS_ZERO) and is_singular(entries[4:], EPS_ZERO)):
             # with no finite root the gate is U(1, 0) = I, which is not emitted
-            _root_gate(b, m, _pencil_form(*t0, *t1))
-            t0, t1 = _split(b.amps, m)
-            if not (is_singular(t0, STEP_TOL) and is_singular(t1, STEP_TOL)):
+            _root_gate(b, m, _pencil_form(*entries))
+            entries = _SPLIT_ENTRIES[m](b.amps)
+            if not (is_singular(entries[:4], STEP_TOL) and is_singular(entries[4:], STEP_TOL)):
                 raise SynthesisInvariantError(f"{label}: blocks not products")
-    # is_singular only unpacks its argument: the 4-tuple p + q is [p; q]
     for x, i, j, cz, skip, half0, half1 in steps:
-        p, q = _half_factor(b.amps, half0), _half_factor(b.amps, half1)
-        if is_singular(p + q, EPS_ZERO):
+        f = _factors(b.amps, half0, half1)
+        if is_singular(f, EPS_ZERO):
             b.trace.append(skip)
             continue
         b.trace.append(cz)
-        b.local(x, _bisector(p, q))
+        b.local(x, _bisector(f))
         b.cz(i, j)
-        if not is_singular(_half_factor(b.amps, half0) + _half_factor(b.amps, half1), STEP_TOL):
+        if not is_singular(_factors(b.amps, half0, half1), STEP_TOL):
             raise SynthesisInvariantError(f"{cz}: qubit {x} did not factor out")
     mags = list(map(abs, b.amps))
     k = mags.index(max(mags))
