@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from qprep3.circuit import LocalGate, ry_matrix
-from qprep3.mat2 import REAL_SNAP, RY_MATCH_TOL, Mat2, real_parts
+from qprep3.mat2 import EPS_ZERO, REAL_SNAP, RY_MATCH_TOL, Mat2, real_parts
 
 
 def mat2_to_array(m: Mat2) -> np.ndarray:
@@ -220,6 +220,20 @@ def cz_min(amps, tol: float = 1e-9, chain_gap: float = 1e-6, gap_abs: float = 0.
         if s[0] - s[1] <= max(chain_gap * s[0], gap_abs):
             return 2
     return 3
+
+
+def gate_floor(cz: int, amps) -> int:
+    """Fewest local gates a circuit with `cz` CZ needs for a generic state
+    it can prepare (the generic Jacobian rank of the circuit templates): 4,
+    6 or 7 for 1, 2 or 3 CZ. With 0 CZ, one per wire whose |1> weight, the
+    squared norm of the amplitudes with that wire at 1, is above
+    EPS_ZERO^2: a wire within EPS_ZERO of |0> needs no gate."""
+    if cz:
+        return {1: 4, 2: 6, 3: 7}[cz]
+    v = np.asarray(amps)
+    n = v.size.bit_length() - 1
+    weights = [np.sum(np.abs(v[[k for k in range(v.size) if k >> q & 1]]) ** 2) for q in range(n)]
+    return sum(wt > EPS_ZERO**2 for wt in weights)
 
 
 def _split(amps, q: int) -> np.ndarray:

@@ -16,13 +16,20 @@
   sum of squares, so a real root always exists. And q2 = -q0 gives
   det(B - zA) = -det(A + zB): the finisher's root gate on the chain middle
   makes both blocks singular.
+- The finisher's step 2 on real factors: for p and q the outer wire's
+  factors in the middle's two halves, norms n0 and n1, and e = +-1 (the
+  phase of <p|q> when both are real), the gate with first row n1 p + e n0 q
+  is real, and after it and CZ(m, x) the wire's factors in the two halves
+  are parallel: every 2x2 minor of them vanishes once n0^2 = |p|^2 and
+  n1^2 = |q|^2. Step 3's locals, U(conj(x), conj(y)) of an amplitude pair,
+  are real for real amplitudes.
 """
 import sympy
 
 from qprep3 import kernels
 from qprep3.mat2 import _pencil_form
 from qprep3.state import _SPLIT_ENTRIES, _SPLIT_INDICES
-from qprep3.synth import _chain_form
+from qprep3.synth import _chain_form, _chain_plan
 
 # real amplitudes, and z the real parameter of U(1, z)
 W = sympy.symbols("w0:8", real=True)
@@ -74,3 +81,38 @@ def test_traceless_form_gives_opposite_pencil_determinants():
     # det A and det B are the form's q0 and q2, so q2 = -q0 makes the sum 0
     q2, _, q0 = _pencil_form(*a, *b)
     assert sympy.expand(q0 - a.det()) == 0 and sympy.expand(q2 - b.det()) == 0
+
+
+def _unnormalized_u(x, y):
+    # mat2.u_from_pair(x, y) before its positive scale 1 / |(x, y)|
+    return x, y, -y.conjugate(), x.conjugate()
+
+
+def test_bisector_gate_and_cz_make_the_outer_factors_parallel():
+    p0, p1, q0, q1 = sympy.symbols("p0 p1 q0 q1", real=True)
+    n0, n1 = sympy.symbols("n0 n1", positive=True)
+    a0, a1, c0, c1 = sympy.symbols("a0 a1 c0 c1", real=True)
+    # the chain |0>(a x p) + |1>(c x q) on middle qubit 1: wire 0 is x, with
+    # factors p and q, and wire 2 the other outer wire, with factors a and c
+    p, q, a, c = (p0, p1), (q0, q1), (a0, a1), (c0, c1)
+    w = [(c[k >> 2] * q[k & 1]) if k >> 1 & 1 else (a[k >> 2] * p[k & 1]) for k in range(8)]
+    _, steps, _ = _chain_plan(8, 1, (0, 2))
+    x, i, j, _, _, half0, half1 = steps[0]
+    norms = {n0**2: p0**2 + p1**2, n1**2: q0**2 + q1**2}
+    for e in (1, -1):
+        # the local gate _bisector emits, with first row conj(n1 p + e n0 q)
+        gate = _unnormalized_u(*(sympy.conjugate(n1 * pk + e * n0 * qk) for pk, qk in zip(p, q)))
+        assert all(sympy.im(g) == 0 for g in gate)
+        after = kernels.apply_cz(kernels.apply_local(w, x, *gate), i, j)
+        for k, l in half0:
+            for kk, ll in half1:
+                minor = sympy.expand(after[k] * after[ll] - after[l] * after[kk])
+                assert sympy.expand(minor.subs(norms)) == 0
+
+
+def test_final_locals_are_real_for_real_amplitudes():
+    # step 3's gate on wire y is u_from_pair(conj(w_k), conj(w_k|y)), scaled
+    # by 1 / r, r = |(w_k, w_k|y)|, positive: u_from_pair rejects a zero pair
+    u, v = sympy.symbols("u v", real=True)
+    r = sympy.Symbol("r", positive=True)
+    assert all(sympy.im(g / r) == 0 for g in _unnormalized_u(sympy.conjugate(u), sympy.conjugate(v)))

@@ -22,7 +22,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from _oracles import cz_min, cz_unitary, dense_apply, w_under_locals
+from _oracles import cz_min, cz_unitary, dense_apply, gate_floor, w_under_locals
 from qprep3.circuit import apply_circuit
 from qprep3.errors import Qprep3Error, SynthesisInvariantError
 from qprep3.state import PureState3
@@ -92,6 +92,13 @@ def _instance(rng, i):
         # W under real SL(2)^3 stays on the delta = 0 hypersurface
         base = _unit(_kron3(_real_sl2(rng), _real_sl2(rng), _real_sl2(rng), W))
     return family, real, _unit(base + eps * noise)
+
+
+def instances(seed, count):
+    """The first `count` draws of _instance from rng `seed`, as (family,
+    real, amplitudes)."""
+    rng = np.random.default_rng(seed)
+    return [_instance(rng, i) for i in range(count)]
 
 
 def _delta(v):
@@ -182,6 +189,30 @@ def test_cz_counts_are_minimal_to_within_the_fidelity_floor(outcomes):
         runs = [excess for _, m, _, _, _, excess in outcomes if m == mode]
         above = [excess for excess in runs if excess is not None and excess > 0]
         assert above == [], (mode, len(above), len(runs))
+
+
+def test_gate_floor_oracle():
+    assert [gate_floor(cz, W) for cz in (1, 2, 3)] == [4, 6, 7]
+    tiny = np.zeros(8)
+    tiny[0], tiny[1] = 1.0, 1e-7
+    assert [gate_floor(0, v) for v in (np.eye(8)[0], np.eye(8)[5], _unit(tiny), np.full(8, 8**-0.5))] == [0, 2, 0, 3]
+
+
+def test_runs_above_the_gate_floor():
+    # ROADMAP item 2: the runs that emit more locals than their CZ count
+    # needs (_oracles.gate_floor), by (CZ, locals), on the draws that
+    # test_golden's seeded digests pin, as measured when the oracle landed.
+    # The 0-CZ runs spend a local on a wire within EPS_ZERO of |0>; the 1-CZ
+    # runs are chain finishers that skip one outer wire's CZ
+    above = Counter()
+    for _, real, v in instances(794, 300):
+        s = PureState3(v)
+        for synth in (disentangle3, disentangle3_real) if real else (disentangle3,):
+            rep = synth(s)
+            n_local = len(rep.circuit.gates) - rep.cz_count
+            if n_local > gate_floor(rep.cz_count, v):
+                above[(rep.cz_count, n_local)] += 1
+    assert above == {(0, 2): 49, (1, 5): 5}
 
 
 def _circuit_built(rng, k, real):

@@ -35,7 +35,7 @@ from functools import partial
 
 import numpy as np
 
-from test_degenerate import _instance
+from test_degenerate import instances
 from qprep3.circuit import emit_circuit
 from qprep3.cli import main
 from qprep3.errors import Qprep3Error
@@ -140,9 +140,8 @@ def _screened(real_only):
     """(index, state) of the first 300 draws of test_degenerate._instance
     from rng 794, near-degenerate inputs the route screens: every draw, or
     the real ones only."""
-    rng = np.random.default_rng(794)
-    draws = [_instance(rng, i) for i in range(300)]
-    return [(i, PureState3(v)) for i, (_, real, v) in enumerate(draws) if real or not real_only]
+    draws = enumerate(instances(794, 300))
+    return [(i, PureState3(v)) for i, (_, real, v) in draws if real or not real_only]
 
 
 # (label, library call, include_ry, maker of the (index, state) pairs it runs on)
