@@ -38,7 +38,7 @@ import math
 from collections import namedtuple
 
 from . import kernels
-from .mat2 import REAL_GATE_TOL, RY_MATCH_TOL, Mat2, _max_abs
+from .mat2 import REAL_GATE_TOL, Mat2, _max_abs
 from .state import State, _check_num_qubits
 
 FORMAT_HEADER = "# qprep3 v1 qubits={n} order=left-first"
@@ -199,7 +199,7 @@ def ry_matrix(theta: float) -> Mat2:
 
 
 def ry_angle(u: Mat2) -> float | None:
-    """Angle theta with Ry(theta) equal to u entrywise within RY_MATCH_TOL.
+    """Angle theta with Ry(theta) equal to u entrywise within REAL_GATE_TOL.
 
     None when u is not (numerically) a real rotation — complex entries or
     determinant -1 gates have no Ry form.
@@ -208,7 +208,7 @@ def ry_angle(u: Mat2) -> float | None:
     # entries; each bound is tested on its own and written `not <=`, so that
     # a NaN anywhere fails (max() keeps a NaN only in its first position)
     a, b, c, d = u
-    t = RY_MATCH_TOL
+    t = REAL_GATE_TOL
     if not (abs(a.imag) <= t and abs(b.imag) <= t and abs(c.imag) <= t and abs(d.imag) <= t):
         return None
     theta = 2.0 * math.atan2(c.real, a.real)

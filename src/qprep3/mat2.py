@@ -43,12 +43,14 @@ from .errors import (
 # state set the scale: a vector or block is zero when its norm is at most
 # the tolerance, and a 2x2 block is singular when is_singular says so.
 
-# Branch decisions: which synthesis path a zero/singular block takes. Skipping
-# a residual r <= EPS_ZERO costs an infidelity of about r^2 <= 1e-12, but the
-# step checks at STEP_TOL accept residuals that cost up to the floor: on
-# 23,715 screened near-degenerate runs the worst 1 - F was 9.8e-11 against
-# FID_MIN's 1e-10, and 1,125 of the 1,150 runs at 1e-12 or more were won by
-# a chain finisher. `finish` rejects any result below FID_MIN.
+# Branch decisions: which synthesis path a zero/singular block takes, and
+# whether the chain finisher's last step maps a wire (one within EPS_ZERO of
+# |0> gets no gate). Skipping a residual r <= EPS_ZERO costs an infidelity
+# of about r^2 <= 1e-12, but the step checks at STEP_TOL accept residuals
+# that cost up to the floor: on 23,715 screened near-degenerate runs the
+# worst 1 - F was 9.8e-11 against FID_MIN's 1e-10, and 1,125 of the 1,150
+# runs at 1e-12 or more were won by a chain finisher. `finish` rejects any
+# result below FID_MIN.
 EPS_ZERO = 1e-6
 # Step checks, l1's precondition among them (synthesis's step-1 check); 10x
 # above EPS_ZERO, so a block one decision accepts passes every later check.
@@ -63,7 +65,8 @@ REAL_SNAP = 1e-13
 PRUNE_TOL = 1e-14
 # Largest imaginary part of an input that counts as a real state.
 REAL_STATE_TOL = 1e-12
-# Largest imaginary part of a gate that counts as real (real-mode output).
+# Largest imaginary part of a gate that counts as real (real-mode output),
+# and how closely Ry(theta) must reproduce a gate for `--ry` to report theta.
 REAL_GATE_TOL = 1e-10
 # A pencil root counts as real below this imaginary part (real mode's root
 # gate, in step 1 and in the chain finisher).
@@ -78,8 +81,6 @@ REAL_ROOT_TOL = 1e-8
 # split by ~1e-8; and an exact double root at 0 (q1 = q0 = 0) would divide
 # 0 by 0 in the cancellation-free form.
 DOUBLE_ROOT_TOL = 1e-12
-# An Ry angle is reported only if the rotation reproduces the gate this closely.
-RY_MATCH_TOL = 1e-10
 # `qprep3 delta` prints delta~0 within this of zero (rounding of exact zeros).
 # Synthesis does not read it.
 DELTA_ZERO_BAND = 1e-12

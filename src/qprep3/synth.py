@@ -598,9 +598,11 @@ def _finish_chain(b: _Builder, m: int, outer: tuple[int, ...]) -> None:
     mags = list(map(abs, b.amps))
     k = mags.index(max(mags))
     for y in wires:
-        # y's pair through the largest amplitude, which the gate moves to y = 0
+        # y's pair through the largest amplitude, which the gate moves to y =
+        # 0; a wire within EPS_ZERO of |0> already is there and gets no gate
         k &= ~(1 << y)
-        b.local(y, u_from_pair(b.amps[k].conjugate(), b.amps[k | 1 << y].conjugate()))
+        if abs(one := b.amps[k | 1 << y]) > EPS_ZERO:
+            b.local(y, u_from_pair(b.amps[k].conjugate(), one.conjugate()))
 
 
 def disentangle(s: State, mode: str = "general") -> SynthesisReport:

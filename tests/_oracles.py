@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from qprep3.circuit import LocalGate, ry_matrix
-from qprep3.mat2 import EPS_ZERO, REAL_SNAP, RY_MATCH_TOL, Mat2, real_parts
+from qprep3.mat2 import EPS_ZERO, REAL_GATE_TOL, REAL_SNAP, Mat2, real_parts
 
 
 def mat2_to_array(m: Mat2) -> np.ndarray:
@@ -169,10 +169,10 @@ def reference_snap_real(m: Mat2) -> Mat2:
 
 def reference_ry_angle(u: Mat2):
     # `not <=`, so that a NaN, which both helpers pass on, fails
-    if not u.max_imag() <= RY_MATCH_TOL:
+    if not u.max_imag() <= REAL_GATE_TOL:
         return None
     theta = 2.0 * math.atan2(u.c.real, u.a.real)
-    if not ry_matrix(theta).distance_to(u) <= RY_MATCH_TOL:
+    if not ry_matrix(theta).distance_to(u) <= REAL_GATE_TOL:
         return None
     return theta
 

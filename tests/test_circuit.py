@@ -28,7 +28,7 @@ from qprep3.circuit import (
     ry_angle,
     ry_matrix,
 )
-from qprep3.mat2 import IDENTITY, REAL_GATE_TOL, RY_MATCH_TOL, SWAP_BLOCKS, Mat2, real_parts
+from qprep3.mat2 import IDENTITY, REAL_GATE_TOL, SWAP_BLOCKS, Mat2, real_parts
 from qprep3.state import PureState2, PureState3, basis_state, random_state, random_state2
 from qprep3.synth import disentangle3_real, prepare
 
@@ -337,11 +337,11 @@ class TestRyAngle:
     @staticmethod
     def _nudged(rng):
         """Rotations with one entry moved, in its real or its imaginary part,
-        to RY_MATCH_TOL or the next float on either side of it."""
+        to REAL_GATE_TOL or the next float on either side of it."""
         for _ in range(200):
             base = list(ry_matrix(float(rng.uniform(-math.pi, math.pi))))
             k = int(rng.integers(4))
-            for size in (RY_MATCH_TOL, math.nextafter(RY_MATCH_TOL, 0.0), math.nextafter(RY_MATCH_TOL, 1.0)):
+            for size in (REAL_GATE_TOL, math.nextafter(REAL_GATE_TOL, 0.0), math.nextafter(REAL_GATE_TOL, 1.0)):
                 for shift in (size, -size, 1j * size, -1j * size):
                     e = [complex(x) for x in base]
                     e[k] += shift

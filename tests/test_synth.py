@@ -20,7 +20,7 @@ from _oracles import (
 )
 from qprep3.circuit import Circuit, CZGate, LocalGate, apply_circuit, invert, ry_matrix
 from qprep3.errors import NonSingularInputError, NotRealError, SynthesisInvariantError
-from qprep3.mat2 import EPS_ZERO, IDENTITY, STEP_TOL, Mat2, _pencil_root, u_from_pair
+from qprep3.mat2 import EPS_ZERO, FID_MIN, IDENTITY, STEP_TOL, Mat2, _pencil_root, u_from_pair
 from qprep3.state import (
     PureState2,
     PureState3,
@@ -1020,6 +1020,20 @@ class TestMinimalCircuits:
         assert rep.cz_count == 0
         assert sorted(g.qubit for g in rep.circuit.gates) == [0, 1, 2]
         assert abs(dense_apply(rep.circuit, v)[0]) >= FID
+
+    @pytest.mark.parametrize("real", [False, True], ids=["general", "real"])
+    def test_wire_within_eps_zero_of_zero_gets_no_gate(self, real):
+        # the finisher's last step leaves a wire whose |1> amplitude is at
+        # most EPS_ZERO as it is: here qubit 0's 1e-7, an infidelity of 1e-14
+        near_000 = np.array([1.0, 1e-7, 0, 0, 0, 0, 0, 0])
+        product = np.kron(np.kron([0.6, 0.8], np.array([1.0, 1.0]) / math.sqrt(2.0)), [1.0, 1e-7])
+        for v, locals_on in ((near_000, []), (product, [1, 2])):
+            v = v / np.linalg.norm(v)
+            rep = (disentangle3_real if real else disentangle3)(PureState3(v))
+            assert rep.cz_count == 0
+            assert sorted(g.qubit for g in rep.circuit.gates) == locals_on
+            assert rep.fidelity >= FID_MIN
+            assert abs(dense_apply(rep.circuit, v)[0]) >= FID_MIN
 
     @pytest.mark.parametrize(
         "between, fused",
