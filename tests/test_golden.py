@@ -153,8 +153,8 @@ SEEDED = [
     ("screened", disentangle, False, partial(_screened, False)),
     ("screened-real", partial(disentangle, mode="real"), False, partial(_screened, True)),
 ]
-SEEDED_SHA256 = "dc73fc1a9c9ea8b3e852f5d18c736b4dfa8da8cc3905b68b23677acdc456bdc1"
-SEEDED_STRUCTURE_SHA256 = "baf2c895249348250cd5615c282781df2dfdd35b525764a4a202fad46bc278c9"
+SEEDED_SHA256 = "a9543e2d104602279ed0c7b72eb6ded98d9bb84f638ec03c8d99626bc27e60f0"
+SEEDED_STRUCTURE_SHA256 = "0bce567ae7a85fb026d125fba54b5d114d5a634c3873fda66df678e0368aa83e"
 
 
 def _seeded_outcomes():
