@@ -25,6 +25,8 @@ outer wires; every other wire is |0>. In order:
      their bisector), and CZ(m, x) (`cz<ij>`) makes them equal.
   3. One local gate per wire, m's first, each built from the pair of
      amplitudes that holds the largest one, maps the product left to |0..0>.
+     A wire whose |1> amplitude in that pair is at most EPS_ZERO is at |0>
+     already, as a branch decision sees it, and gets no gate.
 
 Its per-run constants, the labels, each step's CZ wires and index pairs and
 the final wire order, come from one cached plan per (amplitude count, m,
@@ -598,8 +600,8 @@ def _finish_chain(b: _Builder, m: int, outer: tuple[int, ...]) -> None:
     mags = list(map(abs, b.amps))
     k = mags.index(max(mags))
     for y in wires:
-        # y's pair through the largest amplitude, which the gate moves to y =
-        # 0; a wire within EPS_ZERO of |0> already is there and gets no gate
+        # y's pair through the largest amplitude, which the gate moves to
+        # y = 0; a wire within EPS_ZERO of |0> is there already: no gate
         k &= ~(1 << y)
         if abs(one := b.amps[k | 1 << y]) > EPS_ZERO:
             b.local(y, u_from_pair(b.amps[k].conjugate(), one.conjugate()))
