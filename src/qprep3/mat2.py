@@ -8,20 +8,20 @@ which is unitary with determinant exactly 1, and maps real inputs to real
 outputs. All functions are pure. Mat2 is an immutable named tuple of its four
 entries (a, b, c, d), so it compares and hashes by value.
 
-Entries are Python complex, or Python float on real mode's float path
-(synth._amps): the constructions keep their inputs' type, so floats in
-give floats out (u_from_pair casts only a float paired with a complex). A
-float meeting a complex promotes to the nonzero bits complex() would give,
-so the float path moves only signs of zero.
+Entries are Python complex in general mode and Python float in real mode,
+which computes on its input's real parts (synth._amps): the constructions
+keep their inputs' type, so floats in give floats out (u_from_pair casts
+only a float paired with a complex). No construction picks a gauge: a
+complex block gets complex arithmetic, however close to real it is.
 
 Mat2 checks nothing about its fields, so the values built on the hot paths
 (u_from_pair, transpose, dagger, @, state._split, which makes every block
 read, state.factor_right and circuit.parse_circuit) are made as
 tuple.__new__(Mat2, (a, b, c, d)): the same value as Mat2(a, b, c, d),
 without the Python frame of the named tuple's __new__.
-The predicates on that path (is_singular, _snap_real) unpack the four entries
-once and compute the det()/frobenius()/max_imag() expressions inline, with
-the same arithmetic, so every result has the same bits.
+The predicate on that path, is_singular, unpacks the four entries once and
+computes the det()/frobenius() expression inline, with the same
+arithmetic, so every result has the same bits.
 """
 from __future__ import annotations
 
@@ -58,12 +58,11 @@ EPS_ZERO = 1e-6
 # value, or a gap between its two, this small runs the flow beside the chain
 # prefix, and each qubit whose form has such a gap gets a finisher attempt.
 STEP_TOL = 1e-5
-# Gauge choice, relative to the block's norm (not a zero test): blocks this
-# close to real take the real representative, so rounding cannot amplify.
-REAL_SNAP = 1e-13
 # Local gates this close to +-I (a global phase) are not emitted.
 PRUNE_TOL = 1e-14
-# Largest imaginary part of an input that counts as a real state.
+# Largest imaginary part of an input that counts as a real state. Real mode
+# drops it and computes on the real parts alone (synth._amps), which moves
+# the input's fidelity by at most 4e-24.
 REAL_STATE_TOL = 1e-12
 # Largest imaginary part of a gate that counts as real (real-mode output),
 # and how closely Ry(theta) must reproduce a gate for `--ry` to report theta.
@@ -180,23 +179,13 @@ def dominant_direction(vectors) -> tuple[complex, complex]:
     return v1 / phase, v2 / phase
 
 
-def _snap_real(m: Mat2) -> Mat2:
-    # 0 < m.max_imag() <= REAL_SNAP * m.frobenius(), on the unpacked entries
-    a, b, c, d = m
-    if 0.0 < _max_abs(a.imag, b.imag, c.imag, d.imag) <= REAL_SNAP * math.hypot(
-        abs(a), abs(b), abs(c), abs(d)
-    ):
-        return real_parts(m)
-    return m
-
-
 def r1(m: Mat2) -> Mat2:
     """Unitary R1(m) for nonsingular m: m @ r1(m) has proportional rows after a
     sign flip of its (2,2) entry, with ratio k (w21 = k*w11, w22 = -k*w12)."""
     if is_singular(m, EPS_ZERO):
         raise SingularInputError("r1 requires det != 0")
     k = r1_ratio(m)
-    a, b, c, d = _snap_real(m)
+    a, b, c, d = m
     x = d - b * k
     y = c.conjugate() - a.conjugate() * k.conjugate()
     return u_from_pair(x, y)
@@ -204,7 +193,6 @@ def r1(m: Mat2) -> Mat2:
 
 def r1_ratio(m: Mat2) -> complex:
     """The proportionality constant k of r1, for nonsingular m."""
-    m = _snap_real(m)
     a, b, c, d = m
     top = abs(a) ** 2 + abs(b) ** 2
     bot = abs(c) ** 2 + abs(d) ** 2
@@ -231,7 +219,7 @@ def r2(m: Mat2) -> Mat2:
     to the other is never the one aligned.
     """
     _require_singular_nonzero(m, "r2")
-    a, b, c, d = _snap_real(m)
+    a, b, c, d = m
     p, q = (a, b) if abs(a) ** 2 + abs(b) ** 2 >= abs(c) ** 2 + abs(d) ** 2 else (c, d)
     if abs(p) <= EPS_ZERO:
         k = math.sqrt(abs(p) ** 2 + abs(q) ** 2)
@@ -247,7 +235,7 @@ def l1(m: Mat2) -> Mat2:
     normalized, with its first nonzero component made real-positive.
     """
     _require_singular_nonzero(m, "l1")
-    a, b, c, d = _snap_real(m)
+    a, b, c, d = m
     v1, v2 = dominant_direction(((a, c), (b, d)))
     return u_from_pair(v1.conjugate(), v2.conjugate())
 
@@ -261,7 +249,7 @@ def r3(m: Mat2) -> Mat2:
     """
     if row2_norm(m) > STEP_TOL:
         raise BadShapeError("r3 requires a vanishing second row")
-    a, b, _, _ = _snap_real(m)
+    a, b, _, _ = m
     if math.sqrt(abs(a) ** 2 + abs(b) ** 2) <= EPS_ZERO:
         raise BadShapeError("r3 requires a nonzero first row")
     return u_from_pair(a.conjugate(), -b)
@@ -312,7 +300,3 @@ def _pencil_root(q2: complex, q1: complex, q0: complex) -> complex:
 def _root_order_key(z: complex) -> tuple[float, float]:
     phase = cmath.phase(z) % (2.0 * math.pi)
     return (abs(z), phase)
-
-
-def real_parts(m: Mat2) -> Mat2:
-    return Mat2(m.a.real, m.b.real, m.c.real, m.d.real)

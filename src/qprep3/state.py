@@ -10,8 +10,8 @@ Amplitude ordering is |000>, |001>, ..., |111> with qubit 0 the rightmost
 (least significant) position of the ket label: basis index i has qubit q in
 state (i >> q) & 1. A 3-qubit state splits into two 2x2 blocks,
 |phi> = |0>T0 + |1>T1, with T0 = [[w0, w1], [w2, w3]], T1 = [[w4, w5], [w6, w7]].
-That is the split on qubit 2; _split reads the split on any qubit, and
-every block the package reads comes from it.
+That is the split on qubit 2, which _split reads; a reader of another
+qubit's split takes its eight entries at once (_SPLIT_ENTRIES).
 """
 from __future__ import annotations
 
@@ -139,26 +139,24 @@ def basis_state(num_qubits: int, index: int = 0) -> State:
 
 # by qubit q, the amplitudes of the blocks A (q is 0) and B (q is 1) of the
 # split on q, each read row-major as a 2x2 matrix over the other two qubits;
-# q = 2 gives T0 and T1
+# q = 2 gives T0 and T1, w[:4] and w[4:] (_split)
 _SPLIT_INDICES = (((0, 2, 4, 6), (1, 3, 5, 7)), ((0, 1, 4, 5), (2, 3, 6, 7)), ((0, 1, 2, 3), (4, 5, 6, 7)))
-_SPLITS = [(itemgetter(*ia), itemgetter(*ib)) for ia, ib in _SPLIT_INDICES]
-# the same eight entries in one read, A's then B's, as mat2._pencil_form
-# takes them: a reader that needs only the form builds no block
+# the eight entries in one read, A's then B's, as mat2._pencil_form takes
+# them: a reader that needs only the form builds no block
 _SPLIT_ENTRIES = [itemgetter(*ia, *ib) for ia, ib in _SPLIT_INDICES]
 
 
-def _split(w, q: int) -> tuple[Mat2, Mat2]:
-    """The blocks (A, B) of the split on qubit q of the 8 amplitudes w, the
-    one block reader. The entries are taken as they are: callers pass Python
-    complex (a state's `w`, or the synthesis's tracked list) or, on real
-    mode's float path, floats, and nothing is validated."""
-    get_a, get_b = _SPLITS[q]
-    return tuple.__new__(Mat2, get_a(w)), tuple.__new__(Mat2, get_b(w))
+def _split(w) -> tuple[Mat2, Mat2]:
+    """The blocks (T0, T1), w[:4] and w[4:], of the 8 amplitudes w, the one
+    block reader. The entries are taken as they are: callers pass Python
+    complex (a state's `w`, or the synthesis's tracked list) or, in real
+    mode, floats, and nothing is validated."""
+    return tuple.__new__(Mat2, w[:4]), tuple.__new__(Mat2, w[4:])
 
 
 def blocks(s: PureState3) -> BlockPair:
     """Split s into |0>T0 + |1>T1."""
-    return BlockPair(*_split(s.w, 2))
+    return BlockPair(*_split(s.w))
 
 
 def delta(s: PureState3) -> float:

@@ -142,14 +142,15 @@ a marked run is checked on a fresh simulation of its emitted circuit from
 the input (circuit._simulate, the gate loop apply_circuit and prepare's
 round trip run).
 
-Real mode tracks an exactly real input (every imaginary part 0.0) as floats
-(_amps): the mat2 constructions keep their inputs' type and real mode's
-root choices take the root's real part, so no gate has a complex entry and
-every kernel runs in float arithmetic, which CPython computes faster than
-complex. A float meeting a complex promotes to the nonzero bits complex()
-gives, so floats change only signs of zero. An input with a nonzero
-imaginary part within REAL_STATE_TOL stays complex, so `finish` measures the
-fidelity on the input itself.
+Real mode tracks its input's real parts as floats (_amps), the one
+representation it computes on: the mat2 constructions keep their inputs'
+type and real mode's root choices take the root's real part, so no gate has
+a complex entry and every kernel runs in float arithmetic, which CPython
+computes faster than complex. An imaginary part within REAL_STATE_TOL is
+dropped, so no phase is ever picked from rounding noise. Real gates act on
+the real and imaginary parts apart, so the input's fidelity is at least the
+one `finish` measures on the real parts, and at most |Im|^2 / 2 <= 4e-24
+above it; `prepare`'s round trip checks the overlap with the input itself.
 
 Each gate comes from its public mat2 construction (l1, r1, u_from_pair),
 which checks its own precondition, and no precondition is tested twice: l1's
@@ -187,7 +188,7 @@ from . import kernels
 from .circuit import Circuit, CZGate, Gate, LocalGate, _simulate, invert
 from .errors import NotRealError, Qprep3Error, SingularInputError, SynthesisInvariantError
 from .mat2 import EPS_ZERO, FID_MIN, PRUNE_TOL, REAL_ROOT_TOL, STEP_TOL
-from .mat2 import NORM_REJECT, REAL_STATE_TOL, SWAP_BLOCKS, Mat2
+from .mat2 import NORM_REJECT, SWAP_BLOCKS, Mat2
 from .mat2 import _pencil_form, _pencil_root, is_singular, l1, r1, row2_norm, u_from_pair
 from .state import _SPLIT_ENTRIES, PureState2, PureState3, State, _overlap, _split
 
@@ -365,18 +366,16 @@ def disentangle3(s: PureState3) -> SynthesisReport:
 def _amps(s: State, size: int, real: bool, who: str):
     """The amplitudes a synthesis of s tracks, the one check of its input:
     ValueError unless s holds `size` amplitudes. In general mode, s.w; in
-    real mode, an exactly real input (every imaginary part 0.0) as floats,
-    so every gate is built in float arithmetic, and any other as s.w,
-    complex, so `finish` measures the fidelity on the input itself; real
-    mode raises NotRealError past REAL_STATE_TOL."""
+    real mode, the real parts of s.w as floats, so every gate is built in
+    float arithmetic (module docstring); real mode raises NotRealError past
+    REAL_STATE_TOL."""
     if len(s.w) != size:
         raise ValueError(f"{who} needs a state of {size} amplitudes, got {len(s.w)}")
     if not real:
         return s.w
-    imag = s.max_imag()
-    if imag > REAL_STATE_TOL:
+    if not s.is_real():
         raise NotRealError(f"{who} requires real amplitudes")
-    return [z.real for z in s.w] if imag == 0.0 else s.w
+    return [z.real for z in s.w]
 
 
 def disentangle3_real(s: PureState3) -> SynthesisReport:
@@ -454,8 +453,8 @@ def _root_gate(b: _Builder, q: int, form: tuple) -> None:
     """U(1, z) on qubit q, z = mat2._pencil_root(*form) for form = (q2, q1,
     q0): the pencil form of q's split makes its A singular, _chain_form's
     makes qubit 1 a chain middle after cz01. Real mode takes z's real part,
-    as a float, so the gate is real (of floats when the tracked amplitudes
-    are); a conjugate pair from a slightly negative discriminant shares that
+    as a float, so the gate, like the amplitudes it reads, is of floats; a
+    conjugate pair from a slightly negative discriminant shares that
     real part, the best real root, and says `pencil-root-clamped`: the check
     after the gate verifies it, l1's precondition in step 1 and the
     finisher's checks otherwise."""
@@ -470,14 +469,14 @@ def _root_gate(b: _Builder, q: int, form: tuple) -> None:
 def _run3(b: _Builder) -> None:
     # each precondition is tested once: l1's check is step 1's check, and
     # r1's is step 4's decision
-    if is_singular(_split(b.amps, 2)[1], EPS_ZERO):
+    if is_singular(b.amps[4:], EPS_ZERO):
         b.trace.append("detB0=0")
         b.local(2, SWAP_BLOCKS)
     else:
         b.trace.append("pencil")
         _root_gate(b, 2, _pencil_form(*_SPLIT_ENTRIES[2](b.amps)))
 
-    a1 = _split(b.amps, 2)[0]
+    a1 = _split(b.amps)[0]
     if max(map(abs, a1)) <= EPS_ZERO:
         # whole state lives in the bottom block: swap blocks (det +1 variant
         # of X), which leaves qubit 2 at |0>, and finish on qubits (1, 0).
@@ -489,7 +488,7 @@ def _run3(b: _Builder) -> None:
         return
 
     b.local(1, l1(a1))
-    a2, b2 = _split(b.amps, 2)
+    a2, b2 = _split(b.amps)
     if not row2_norm(a2) <= STEP_TOL:
         raise SynthesisInvariantError("step2: second row of top block survives")
 
@@ -506,7 +505,7 @@ def _run3(b: _Builder) -> None:
         b.local(0, u4)
         b.cz(0, 1)
         b.local(0, u4.dagger())
-        a4, b4 = _split(b.amps, 2)
+        a4, b4 = _split(b.amps)
         if not is_singular(b4, STEP_TOL):
             raise SynthesisInvariantError("step4: det of bottom block not killed")
         if not a4.distance_to(a2) <= STEP_TOL:

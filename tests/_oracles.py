@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from qprep3.circuit import LocalGate, ry_matrix
-from qprep3.mat2 import EPS_ZERO, REAL_GATE_TOL, REAL_SNAP, Mat2, real_parts
+from qprep3.mat2 import EPS_ZERO, REAL_GATE_TOL, Mat2
 
 
 def mat2_to_array(m: Mat2) -> np.ndarray:
@@ -159,12 +159,6 @@ def max_row_minor(rows) -> float:
 
 def reference_is_singular(m: Mat2, tol: float) -> bool:
     return abs(m.det()) <= tol * m.frobenius()
-
-
-def reference_snap_real(m: Mat2) -> Mat2:
-    if 0.0 < m.max_imag() <= REAL_SNAP * m.frobenius():
-        return real_parts(m)
-    return m
 
 
 def reference_ry_angle(u: Mat2):

@@ -28,7 +28,7 @@ from qprep3.circuit import (
     ry_angle,
     ry_matrix,
 )
-from qprep3.mat2 import IDENTITY, REAL_GATE_TOL, SWAP_BLOCKS, Mat2, real_parts
+from qprep3.mat2 import IDENTITY, REAL_GATE_TOL, SWAP_BLOCKS, Mat2
 from qprep3.state import PureState2, PureState3, basis_state, random_state, random_state2
 from qprep3.synth import disentangle3_real, prepare
 
@@ -216,7 +216,8 @@ class TestApplyCircuit:
                 if rng.random() < 0.3:
                     gates.append(CZGate(*[(0, 1), (0, 2), (1, 2)][rng.integers(3)]))
                 else:
-                    gates.append(LocalGate(int(rng.integers(3)), real_parts(random_unitary2(rng, real=True))))
+                    u = random_unitary2(rng, real=True)
+                    gates.append(LocalGate(int(rng.integers(3)), Mat2(*[x.real for x in u])))
             c = Circuit(tuple(gates))
             s = random_state((309, i), real_only=True)
             want = list(s.w)

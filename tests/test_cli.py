@@ -131,6 +131,24 @@ class TestSynthCommand:
         assert int(fields["cz"]) <= 3
         assert fields["all_real"] == "true"
 
+    # Bell and GHZ with 1e-17 imaginary on |01> and on |110>, inside
+    # REAL_STATE_TOL: real mode computes on the real parts and emits real gates
+    NEAR_REAL = {
+        "bell": ("0.7071067811865476 0\n0 1e-17\n0 0\n0.7071067811865476 0\n", 1),
+        "ghz": ("0.7071067811865476 0\n" + "0 0\n" * 5 + "0 1e-17\n0.7071067811865476 0\n", 2),
+    }
+
+    @pytest.mark.parametrize("flags", [[], ["--prepare", "--ry"]], ids=["disentangle", "prepare-ry"])
+    @pytest.mark.parametrize("name", NEAR_REAL)
+    def test_real_mode_on_near_real_input(self, tmp_path, capsys, name, flags):
+        text, cz = self.NEAR_REAL[name]
+        path = write(tmp_path, f"{name}.txt", text)
+        code, out, err = run_cli(capsys, ["synth", path, "--real", *flags, "--verify"])
+        assert (code, err) == (0, "")
+        status = out.strip().splitlines()[-1]
+        fields = dict(kv.split("=") for kv in status.split())
+        assert (int(fields["cz"]), fields["all_real"]) == (cz, "true")
+
     def test_real_mode_rejects_complex(self, tmp_path, capsys):
         path = write(tmp_path, "cx.txt", COMPLEX_FILE)
         code, _, err = run_cli(capsys, ["synth", path, "--real"])

@@ -11,7 +11,6 @@ from _oracles import (
     random_rank1,
     reference_is_singular,
     reference_ry_angle,
-    reference_snap_real,
     rows,
     scaled,
     unitarity_defect,
@@ -27,14 +26,12 @@ from qprep3.errors import (
 from qprep3.mat2 import (
     EPS_ZERO,
     IDENTITY,
-    REAL_SNAP,
     STEP_TOL,
     SWAP_BLOCKS,
     Mat2,
     Z,
     _pencil_form,
     _pencil_root,
-    _snap_real,
     is_singular,
     l1,
     r1,
@@ -319,29 +316,6 @@ def test_real_inputs_give_real_outputs():
             assert u.max_imag() <= 1e-12
 
 
-def test_nearly_real_inputs_stay_nearly_real():
-    # unit-scale inputs with imaginary parts at the 1e-14 level keep outputs
-    # within 1e-12 (here: exactly real, via the real-representative gauge)
-    rng = np.random.default_rng(72)
-
-    def fuzz(m: Mat2) -> Mat2:
-        m = scaled(m, 1.0 / m.frobenius())
-        noise = 1e-14 * rng.standard_normal(4)
-        e = tuple(m)
-        return Mat2(*[complex(v.real, v.imag + n) for v, n in zip(e, noise)])
-
-    for _ in range(300):
-        outs = [
-            r1(fuzz(random_nonsingular(rng, real=True))),
-            r2(fuzz(random_rank1(rng, real=True))),
-            l1(fuzz(random_rank1(rng, real=True))),
-        ]
-        row = rng.standard_normal(2)
-        outs.append(r3(fuzz(Mat2(complex(row[0]), complex(row[1]), 0, 0))))
-        for u in outs:
-            assert u.max_imag() <= 1e-12
-
-
 def _tie_blocks(tol):
     """Blocks diag(s, s*y) with y walked, ulp by ulp, across the y where
     |det| = tol * ||m||_F, so some of them sit exactly on the boundary."""
@@ -357,9 +331,9 @@ def _tie_blocks(tol):
 
 
 class TestInlineHelpers:
-    """is_singular and _snap_real compute on unpacked entries; Mat2's
-    transpose, dagger and @ build their result bare. Each must give exactly
-    what the method-based form (tests/_oracles.py) or Mat2(...) gives."""
+    """is_singular computes on unpacked entries; Mat2's transpose, dagger
+    and @ build their result bare. Each must give exactly what the
+    method-based form (tests/_oracles.py) or Mat2(...) gives."""
 
     @staticmethod
     def _blocks(rng):
@@ -397,23 +371,6 @@ class TestInlineHelpers:
         # the walk hits the boundary exactly and reaches both sides of it
         assert ties > 0 and seen == {True, False}
 
-    def test_snap_real_equals_method_form(self):
-        rng = np.random.default_rng(82)
-        blocks = list(self._blocks(rng))
-        for _ in range(200):
-            m = random_mat2(rng, real=True)
-            norm = m.frobenius()
-            # one entry's imaginary part at, just below and just above the snap band
-            for limit in (REAL_SNAP * norm, 0.5 * REAL_SNAP * norm, 2.0 * REAL_SNAP * norm):
-                for imag in (limit, math.nextafter(limit, 0.0), math.nextafter(limit, math.inf)):
-                    e = list(m)
-                    k = int(rng.integers(4))
-                    e[k] = complex(e[k].real, imag)
-                    blocks.append(Mat2(*e))
-        for m in blocks:
-            got, want = _snap_real(m), reference_snap_real(m)
-            assert got == want and [type(x) for x in got] == [type(x) for x in want]
-
     def test_built_bare_equal_mat2(self):
         rng = np.random.default_rng(83)
         for _ in range(200):
@@ -433,11 +390,11 @@ class TestInlineHelpers:
 class TestNanEntries:
     """A NaN in any entry fails every `<= tol` test of Mat2.max_imag,
     Mat2.distance_to and row2_norm (max() keeps a NaN only in its first
-    position), and _snap_real does not snap it away."""
+    position)."""
 
     @pytest.mark.parametrize("k", range(4))
     def test_nan_anywhere_fails_the_tolerance_tests(self, k):
-        # the other imaginary parts, 1e-20, lie in the snap band
+        # the other imaginary parts, 1e-20, are far below every tolerance
         for part in ("real", "imag"):
             e = [complex(x, 1e-20) for x in (1.0, 0.0, 0.0, 1.0)]
             e[k] = complex(math.nan, 1e-20) if part == "real" else complex(e[k].real, math.nan)
@@ -447,7 +404,6 @@ class TestNanEntries:
             assert reference_ry_angle(m) is None
             if part == "imag":
                 assert not m.max_imag() <= STEP_TOL
-                assert _snap_real(m) is m and reference_snap_real(m) is m
         # row2_norm reads the second row alone, here zero but for the NaN
         e = [1.0, 1.0, 0.0, 0.0]
         e[k] = math.nan

@@ -34,6 +34,7 @@ from qprep3.state import (
 from qprep3.synth import SynthesisReport, disentangle, disentangle2, disentangle3, disentangle3_real, prepare
 
 FID = 1.0 - 1e-9
+ISQ2 = 0.7071067811865476
 
 
 def ghz() -> PureState3:
@@ -407,8 +408,8 @@ def _complex_entries(circuit) -> list:
 
 
 class TestRealModeFloats:
-    """Real mode computes an exactly real input in floats; the dense oracle
-    of tests/_oracles.py checks every circuit."""
+    """Real mode computes on its input's real parts, in floats; the dense
+    oracle of tests/_oracles.py checks every circuit."""
 
     @staticmethod
     def _exactly_real_inputs():
@@ -437,20 +438,44 @@ class TestRealModeFloats:
             assert not _complex_entries(rep.circuit)
             assert abs(np.vdot(s.amps, dense_apply(rep.circuit, basis_state(2, 0).amps))) >= 1.0 - 1e-12
 
-    def test_tiny_imaginary_part_keeps_complex_tracking(self):
-        # 1e-13 is within REAL_STATE_TOL, so the input is real, but not
-        # exactly: it is tracked as it is, its gates are still real, and the
-        # fidelity it reports is the oracle's on the input itself
+    def test_tiny_imaginary_part_is_dropped(self):
+        # 1e-13 is within REAL_STATE_TOL, so the input is real: real mode
+        # tracks its real parts as floats, its gates are real, and the
+        # fidelity it reports is the oracle's on the input itself to within
+        # rounding (dropping the imaginary part moves it by at most 4e-24)
         from qprep3.synth import _amps
 
         for i in range(100):
             v = random_state((734, i), real_only=True).amps.copy()
             v[i % 8] += 1e-13j
             s = PureState3(v)
-            assert _amps(s, 8, True, "real mode") is s.w
+            w = _amps(s, 8, True, "real mode")
+            assert w == [z.real for z in s.w] and {type(x) for x in w} == {float}
             rep = disentangle3_real(s)
-            assert rep.all_real
+            assert rep.all_real and not _complex_entries(rep.circuit)
             assert abs(rep.fidelity - abs(dense_apply(rep.circuit, s.amps)[0])) <= 1e-15
+
+    # Bell and GHZ with 1e-17 imaginary on |01> and on |110>: a phase taken
+    # from that noise once made an O(1) imaginary gate entry, and both runs
+    # failed
+    NEAR_REAL = {
+        "bell": ((ISQ2, 1e-17j, 0, ISQ2), 1, ("chain1", "cz01")),
+        "ghz": ((ISQ2, 0, 0, 0, 0, 0, 1e-17j, ISQ2), 2, ("chain0", "cz01", "cz02")),
+    }
+
+    @pytest.mark.parametrize("prep", [False, True], ids=["disentangle", "prepare"])
+    @pytest.mark.parametrize("name", NEAR_REAL)
+    def test_near_real_input_gets_its_real_circuit(self, name, prep):
+        amps, cz, trace = self.NEAR_REAL[name]
+        s = (PureState3 if len(amps) == 8 else PureState2)(amps)
+        exact = (PureState3 if len(amps) == 8 else PureState2)([z.real for z in amps])
+        rep = (prepare if prep else disentangle)(s, "real")
+        assert (rep.cz_count, rep.all_real, rep.branch_trace) == (cz, True, trace)
+        assert not _complex_entries(rep.circuit)
+        assert rep.circuit == (prepare if prep else disentangle)(exact, "real").circuit
+        zero = basis_state(s.num_qubits, 0).amps
+        fid = abs(np.vdot(s.amps, dense_apply(rep.circuit, zero))) if prep else abs(dense_apply(rep.circuit, s.amps)[0])
+        assert fid >= FID_MIN
 
 
 class TestRunner:
