@@ -153,7 +153,7 @@ SEEDED = [
     ("screened", disentangle, False, partial(_screened, False)),
     ("screened-real", partial(disentangle, mode="real"), False, partial(_screened, True)),
 ]
-SEEDED_SHA256 = "a9543e2d104602279ed0c7b72eb6ded98d9bb84f638ec03c8d99626bc27e60f0"
+SEEDED_SHA256 = "fe1676c0c7cdc2aa36f9bd4145ec3e76da12a434f901ad3d260f22a42d4330d1"
 SEEDED_STRUCTURE_SHA256 = "0bce567ae7a85fb026d125fba54b5d114d5a634c3873fda66df678e0368aa83e"
 
 
